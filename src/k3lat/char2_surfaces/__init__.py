@@ -2,7 +2,7 @@
 inseparable double planes: square detection, splitting-line certificates,
 singular-point classification and the normal-form recognition pipeline."""
 
-from .field import BinaryField, FFElement, FieldError
+from .field import BinaryField, FieldError
 from .poly import BinForm, HomPoly, PolyError
 from .surfaces import (
     ConfigurationReport,
@@ -34,7 +34,6 @@ from .recognize import (
 
 __all__ = [
     "BinaryField",
-    "FFElement",
     "FieldError",
     "BinForm",
     "HomPoly",

@@ -12,8 +12,6 @@ are pinned per degree for reproducible test vectors:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class FieldError(ValueError):
     pass
@@ -175,9 +173,6 @@ class BinaryField:
     def elements(self):
         return range(self.q)
 
-    def element(self, a: int) -> "FFElement":
-        return FFElement(self, self.check(a))
-
     @staticmethod
     def parse_bits(text: str) -> int:
         """Accepts plain hex ('1b'), 0x-hex, or 0b-binary strings."""
@@ -191,46 +186,3 @@ class BinaryField:
     @staticmethod
     def to_hex(a: int) -> str:
         return format(a, "x")
-
-
-@dataclass(frozen=True)
-class FFElement:
-    """Wrapper giving field elements operator syntax; internals stay on ints."""
-
-    field: BinaryField
-    val: int
-
-    def __post_init__(self):
-        self.field.check(self.val)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FFElement):
-            if other.field != self.field:
-                raise FieldError("elements of different fields")
-            return other.val
-        if isinstance(other, int):
-            return self.field.check(other)
-        raise FieldError(f"cannot coerce {other!r}")
-
-    def __add__(self, other):
-        return FFElement(self.field, self.val ^ self._coerce(other))
-
-    __sub__ = __add__
-
-    def __mul__(self, other):
-        return FFElement(self.field, self.field.mul(self.val, self._coerce(other)))
-
-    def __pow__(self, e: int):
-        return FFElement(self.field, self.field.pow(self.val, e))
-
-    def inv(self) -> "FFElement":
-        return FFElement(self.field, self.field.inv(self.val))
-
-    def sqrt(self) -> "FFElement":
-        return FFElement(self.field, self.field.sqrt(self.val))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __repr__(self):
-        return f"FF({format(self.val, 'x')})"

@@ -236,14 +236,6 @@ def scan_splitting_lines(
 # singular points
 # ---------------------------------------------------------------------------
 
-def _eval_fast(field: BinaryField, terms, x: int, y: int, z: int) -> int:
-    acc = 0
-    mul, pw = field.mul, field.pow
-    for (l, m, n), c in terms:
-        acc ^= mul(mul(c, pw(x, l)), mul(pw(y, m), pw(z, n)))
-    return acc
-
-
 def singular_points(g: HomPoly) -> list[Point]:
     """All rational points where the three formal partials vanish.
 
@@ -284,13 +276,9 @@ def singular_points(g: HomPoly) -> list[Point]:
             if ok:
                 out.append((x, y, 1))
     # chart z = 0
-    for x in range(q):
-        p = (x, 1, 0)
-        if all(_eval_fast(f, t, *p) == 0 for t in pterms):
+    for p in [(x, 1, 0) for x in range(q)] + [(1, 0, 0)]:
+        if all(part.evaluate(p) == 0 for part in parts):
             out.append(p)
-    p = (1, 0, 0)
-    if all(_eval_fast(f, t, *p) == 0 for t in pterms):
-        out.append(p)
 
     if len(out) > 25:
         raise SurfaceError(

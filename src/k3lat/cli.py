@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import ns_glue
@@ -45,22 +43,6 @@ from .ns_glue import (
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
-
-
-def _thread_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("K3LAT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    cap = _thread_cap()
-    items = list(items)
-    if cap == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
 
 
 class Checks:
@@ -220,7 +202,8 @@ def cmd_lattice(args) -> dict:
             return False, {"error": "overlattice unavailable"}
         witness = {}
         ok = True
-        for res in _pmap(lambda lam: unique_halfline_search(ls, lam, ns), L_LABELS):
+        for lam in L_LABELS:
+            res = unique_halfline_search(ls, lam, ns)
             witness[f"F({res.label})"] = res.to_json_obj(ls)
             ok = ok and res.is_unique_expected(ls)
         return ok, witness
@@ -311,14 +294,11 @@ def cmd_surface(args) -> dict:
     else:
         pairs = _sample_pairs(field, args.samples, args.seed, allow_cube=False)
 
-    def case(pair):
-        r, s = pair
+    for r, s in pairs:
         try:
-            return _surface_case(field, r, s, args.line_scan)
+            ok, witness = _surface_case(field, r, s, args.line_scan)
         except Exception as exc:
-            return False, {"r": format(r, "x"), "s": format(s, "x"), "error": str(exc)}
-
-    for (r, s), (ok, witness) in zip(pairs, _pmap(case, pairs)):
+            ok, witness = False, {"r": format(r, "x"), "s": format(s, "x"), "error": str(exc)}
         checks.results.append(
             {"name": f"surface_r={format(r, 'x')}_s={format(s, 'x')}", "pass": ok, "witness": witness}
         )
@@ -371,6 +351,16 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="k3lat", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -379,45 +369,49 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("json", "text"), default="json")
         sp.add_argument("--out", default=None, help="write the report to a file")
 
+    def lattice_flags(sp):
+        sp.add_argument("--with-extra-glue", choices=EXTRA_GLUE_CHOICES, default=None)
+        sp.add_argument("--lemma-box", type=_int_at_least(3), default=3)
+        sp.add_argument("--inject-corrupt-glue", action="store_true", help=argparse.SUPPRESS)
+
+    def surface_flags(sp, k_default):
+        sp.add_argument("--k", type=int, default=k_default, help="field is GF(2^k)")
+        sp.add_argument("--modulus", type=lambda t: int(t, 0), default=None)
+        sp.add_argument("--r", default=None, help="hex bitstring")
+        sp.add_argument("--s", default=None, help="hex bitstring")
+        sp.add_argument("--samples", type=_int_at_least(1), default=3)
+        sp.add_argument("--seed", type=int, default=1)
+        sp.add_argument("--allow-degenerate", action="store_true")
+        sp.add_argument("--line-scan", choices=("full", "singular"), default="singular")
+        sp.add_argument("--recognize", default=None, help="polynomial JSON file")
+
     lat = sub.add_parser("lattice", help="lattice-side checks")
     common(lat)
-    lat.add_argument("--with-extra-glue", choices=EXTRA_GLUE_CHOICES, default=None)
-    lat.add_argument("--lemma-box", type=int, default=3)
-    lat.add_argument("--inject-corrupt-glue", action="store_true", help=argparse.SUPPRESS)
+    lattice_flags(lat)
 
     surf = sub.add_parser("surface", help="surface-side checks")
     common(surf)
-    surf.add_argument("--k", type=int, default=8, help="field is GF(2^k)")
-    surf.add_argument("--modulus", type=lambda t: int(t, 0), default=None)
-    surf.add_argument("--r", default=None, help="hex bitstring")
-    surf.add_argument("--s", default=None, help="hex bitstring")
-    surf.add_argument("--samples", type=int, default=3)
-    surf.add_argument("--seed", type=int, default=1)
-    surf.add_argument("--allow-degenerate", action="store_true")
-    surf.add_argument("--line-scan", choices=("full", "singular"), default="singular")
-    surf.add_argument("--recognize", default=None, help="polynomial JSON file")
+    surface_flags(surf, 8)
 
     allp = sub.add_parser("all", help="both suites")
     common(allp)
-    allp.add_argument("--with-extra-glue", choices=EXTRA_GLUE_CHOICES, default=None)
-    allp.add_argument("--lemma-box", type=int, default=3)
-    allp.add_argument("--inject-corrupt-glue", action="store_true", help=argparse.SUPPRESS)
-    allp.add_argument("--k", type=int, default=4)
-    allp.add_argument("--modulus", type=lambda t: int(t, 0), default=None)
-    allp.add_argument("--r", default=None)
-    allp.add_argument("--s", default=None)
-    allp.add_argument("--samples", type=int, default=3)
-    allp.add_argument("--seed", type=int, default=1)
-    allp.add_argument("--allow-degenerate", action="store_true")
-    allp.add_argument("--line-scan", choices=("full", "singular"), default="singular")
-    allp.add_argument("--recognize", default=None)
+    lattice_flags(allp)
+    surface_flags(allp, 4)
     return p
+
+
+def _check_sampling(parser: argparse.ArgumentParser, args) -> None:
+    # GF(2) and GF(4) have no pair off the cube locus, so sampling could never stop
+    sampling = args.command != "lattice" and args.r is None and args.s is None
+    if sampling and not args.recognize and args.k < 3:
+        parser.error("sampling (r, s) off the cube locus needs --k 3 or more")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_sampling(parser, args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     config = {k: v for k, v in sorted(vars(args).items()) if k not in ("command",)}

@@ -273,11 +273,6 @@ def invert_rational(a: RatMatrix) -> RatMatrix:
     return RatMatrix(inv)
 
 
-def solve_right(a: RatMatrix, b: Sequence) -> tuple[Fraction, ...]:
-    """Solve a*x = b for a square nonsingular rational matrix a."""
-    return invert_rational(a).mul_vec(b)
-
-
 # ---------------------------------------------------------------------------
 # exact signature (congruence diagonalization; no eigenvalues, no floats)
 # ---------------------------------------------------------------------------

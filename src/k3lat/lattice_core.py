@@ -14,13 +14,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact_arith import (
-    ExactArithError,
     IntMatrix,
     RatMatrix,
     det,
     inertia,
     invert,
-    invert_rational,
     kernel_basis,
     snf,
 )
@@ -67,9 +65,6 @@ class Lattice:
 
     def is_negative_definite(self) -> bool:
         return self.inertia() == (0, self.rank, 0)
-
-    def is_hyperbolic(self) -> bool:
-        return self.inertia() == (1, self.rank - 1, 0)
 
     def basis_vector(self, i: int) -> "DualVector":
         coords = [Fraction(0)] * self.rank
@@ -122,10 +117,6 @@ class DualVector:
 
     def __neg__(self) -> "DualVector":
         return DualVector(self.lattice, tuple(-a for a in self.coords))
-
-    def scale(self, c) -> "DualVector":
-        c = Fraction(c)
-        return DualVector(self.lattice, tuple(c * a for a in self.coords))
 
     def _same(self, other: "DualVector") -> None:
         if self.lattice != other.lattice:
@@ -246,19 +237,6 @@ class DiscriminantGroup:
     def zero_class(self) -> "DiscClass":
         return DiscClass(self, tuple(0 for _ in self.invariant_factors))
 
-    def representative(self, cls: "DiscClass") -> DualVector:
-        if cls.group is not self and cls.group != self:
-            raise LatticeError("class belongs to a different group")
-        rep = self.lattice.zero()
-        gens = {i: g for i, g in zip(self._gen_indices(), self.generators)}
-        for i, c in enumerate(cls.component):
-            if c and i in gens:
-                rep = rep + gens[i].scale(c)
-        return rep
-
-    def _gen_indices(self) -> list[int]:
-        return [i for i, f in enumerate(self.invariant_factors) if f > 1]
-
 
 @dataclass(frozen=True)
 class DiscClass:
@@ -371,12 +349,3 @@ def orthogonal_complement(lattice: Lattice, v: DualVector) -> Sublattice:
     gram = b.mul(lattice.gram).mul(b.transpose())
     labels = tuple(f"c{i}" for i in range(len(basis)))
     return Sublattice(Lattice(gram, labels), lattice, b)
-
-
-def express_in_basis(basis_rows: RatMatrix, v: DualVector) -> tuple[Fraction, ...] | None:
-    """Coordinates of v in the row basis, or None when v is outside the row span."""
-    try:
-        x = invert_rational(basis_rows.transpose()).mul_vec(v.coords)
-    except ExactArithError:
-        raise LatticeError("basis matrix is not invertible")
-    return x

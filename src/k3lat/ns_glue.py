@@ -30,7 +30,6 @@ from .lattice_core import (
 )
 from .root_systems import (
     PositivityFunctional,
-    _box_scan,
     ade_type,
     bounded_class_minimizers,
     enumerate_roots,
@@ -152,9 +151,6 @@ def a_vee(ls: LabeledSum, g: str) -> DualVector:
 class GlueVector:
     name: str
     vector: DualVector
-
-    def components(self, ls: LabeledSum) -> dict[str, DualVector]:
-        return {s.name: ls.component(self.vector, s) for s in ls.summands}
 
 
 def halfline_class(ls: LabeledSum, lam: str) -> GlueVector:
@@ -438,13 +434,8 @@ def _summand_candidates(
     if search.outside_bound >= budget:
         raise GlueError("candidate box cannot be certified against the budget")
     rep = search.rep
-    scan, _ = _box_scan(sub, rep, 3, None)
-    out = []
-    for norm, x, pos_ok in scan:
-        if pos_ok and norm >= budget:
-            out.append((norm, (rep + sub.vector(x)).coords))
-    out.sort(key=lambda t: (-t[0], t[1]))
-    return out
+    # in_box is sorted by (-norm, x); adding rep keeps that order on coordinates
+    return [(norm, (rep + sub.vector(x)).coords) for norm, x in search.in_box if norm >= budget]
 
 
 def unique_halfline_search(

@@ -22,7 +22,6 @@ from .lattice_core import (
     is_even,
     lattice_A1,
     lattice_D4,
-    pairing,
 )
 
 
@@ -384,7 +383,8 @@ class ClassNormSearch:
     ``outside_bound`` is a certified upper bound on the norm of any class
     representative outside the box that satisfies the positivity
     constraints, so the reported maximum (and runner-up threshold) is
-    global, not merely in-box.
+    global, not merely in-box.  ``in_box`` holds every (norm, x) with
+    rep + x in the box satisfying those constraints, by decreasing norm.
     """
 
     lattice: Lattice
@@ -395,6 +395,7 @@ class ClassNormSearch:
     runner_up: Fraction | None
     outside_bound: Fraction
     norms_all_odd: bool
+    in_box: tuple[tuple[Fraction, tuple[int, ...]], ...]
 
 
 _D4_LEAVES = (0, 1, 3)  # basis positions of the three outer nodes; position 2 is the center
@@ -436,12 +437,12 @@ def _box_scan(
     rep: DualVector,
     box: int,
     forms,
-) -> tuple[list[tuple[Fraction, tuple[int, ...], bool]], bool]:
+) -> tuple[list[tuple[Fraction, tuple[int, ...]]], bool]:
     """Integer-arithmetic scan of rep + {|x_i| <= box}.
 
-    Returns (norm, x, positivity_ok) triples where positivity is against the
-    basis vectors, plus the all-norms-odd flag for leaf classes.  The leaf
-    norm identity is re-derived at every point.
+    Returns the (norm, x) pairs of the points pairing non-negatively with
+    every basis vector, plus the all-norms-odd flag for leaf classes.  The
+    leaf norm identity is re-derived at every point of the box.
     """
     import itertools
 
@@ -468,18 +469,18 @@ def _box_scan(
                 raise RootSystemError("leaf-class norm identity failed")
             if norm2 % 4 != 2:
                 all_odd = False
-        pos_ok = all(a + b >= 0 for a, b in zip(grep, gx))
-        out.append((Fraction(norm2, 2), x, pos_ok))
+        if all(a + b >= 0 for a, b in zip(grep, gx)):
+            out.append((Fraction(norm2, 2), x))
     return out, all_odd
 
 
 def bounded_class_minimizers(
     lattice: Lattice,
     cls: DiscClass,
-    positivity_roots: Sequence[DualVector] | None = None,
     box: int = 3,
 ) -> ClassNormSearch:
-    """Maximum of v*v over dual vectors in a fixed class with v*root >= 0 constraints.
+    """Maximum of v*v over dual vectors in a fixed class pairing non-negatively
+    with every basis vector.
 
     The search runs over representative-plus-lattice translates with all
     coordinates bounded by ``box``; an exact case analysis certifies that
@@ -493,15 +494,7 @@ def bounded_class_minimizers(
     is_leaf_class = leaf is not None
     forms = _d4_leaf_forms(leaf) if is_leaf_class else None
 
-    scan, all_odd = _box_scan(lattice, rep, box, forms)
-    if positivity_roots is None:
-        found = [(norm, x) for norm, x, pos_ok in scan if pos_ok]
-    else:
-        found = []
-        for norm, x, _ in scan:
-            v = rep + lattice.vector(x)
-            if all(pairing(v, r) >= 0 for r in positivity_roots):
-                found.append((norm, x))
+    found, all_odd = _box_scan(lattice, rep, box, forms)
     if not found:
         raise RootSystemError("empty constrained search")
     found.sort(key=lambda t: (-t[0], t[1]))
@@ -549,4 +542,5 @@ def bounded_class_minimizers(
         runner_up=runner_up,
         outside_bound=outside,
         norms_all_odd=all_odd and is_leaf_class,
+        in_box=tuple(found),
     )

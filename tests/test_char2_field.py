@@ -76,18 +76,6 @@ def test_pow_laws():
     assert f.pow(0, 5) == 0
 
 
-def test_ffelement_operators():
-    f = BinaryField(4)
-    a = f.element(0b0011)
-    b = f.element(0b0101)
-    assert (a + b).val == 0b0110
-    assert (a * b).val == f.mul(a.val, b.val)
-    assert (a * a.inv()).val == 1
-    assert (a.sqrt() * a.sqrt()).val == a.val
-    with pytest.raises(FieldError):
-        a + BinaryField(2).element(1)
-
-
 def test_parse_and_format_bits():
     assert BinaryField.parse_bits("1b") == 0x1B
     assert BinaryField.parse_bits("0x1b") == 0x1B

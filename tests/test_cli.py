@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+
+import pytest
 
 from k3lat.char2_surfaces.field import BinaryField
 from k3lat.char2_surfaces.recognize import normal_form_sextic
-from k3lat.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from k3lat.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def run_cli(capsys, *argv):
@@ -124,10 +131,51 @@ def test_recognize_file(tmp_path, capsys):
     assert report["checks"][0]["witness"]["t"] == "9"
 
 
-def test_thread_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("K3LAT_THREADS", "2")
-    code, out = run_cli(capsys, "surface", "--k", "4", "--samples", "2", "--seed", "3")
+# every accepted input ends in bounded time; each argv below is a usage error
+# and runs under a timeout, so a hang (GF(4) has no off-cube pair) fails the test
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["surface", "--k", "2", "--samples", "1"],
+        ["surface", "--samples", "0"],
+        ["surface", "--samples", "-1"],
+        ["lattice", "--lemma-box", "2"],
+    ],
+    ids=["k2-sampling", "samples-0", "samples-negative", "lemma-box-2"],
+)
+def test_unbounded_or_vacuous_flags_are_usage_errors(argv):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3lat.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+
+
+def test_k2_with_explicit_pair_is_accepted(capsys):
+    code, out = run_cli(capsys, "surface", "--k", "2", "--r", "1", "--s", "1")
     assert code == EXIT_OK
-    monkeypatch.setenv("K3LAT_THREADS", "1")
-    code1, out1 = run_cli(capsys, "surface", "--k", "4", "--samples", "2", "--seed", "3")
-    assert strip_timing(json.loads(out)) == strip_timing(json.loads(out1))
+    assert json.loads(out)["pass"] is True
+
+
+def _defaults(parser, command):
+    return {k: v for k, v in vars(parser.parse_args([command])).items() if k != "command"}
+
+
+def test_all_declares_the_union_of_lattice_and_surface_flags():
+    parser = build_parser()
+    lat, surf, both = (_defaults(parser, c) for c in ("lattice", "surface", "all"))
+    assert set(both) == set(lat) | set(surf)
+    assert surf["k"] == 8 and both["k"] == 4
+    for key, value in both.items():
+        if key != "k":
+            assert value == {**lat, **surf}[key]
+    again = build_parser()
+    for command in ("lattice", "surface", "all"):
+        assert _defaults(again, command) == _defaults(parser, command)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from k3lat.exact_arith import IntMatrix
-from k3lat.lattice_core import Lattice, discriminant_group, lattice_A1, lattice_D4
+from k3lat.lattice_core import Lattice, discriminant_group, lattice_A1, lattice_D4, pairing
 from k3lat.root_systems import (
     PositivityFunctional,
     RootSystemError,
@@ -406,6 +406,34 @@ def test_d4_sum_class_search():
     res = bounded_class_minimizers(d4, cls)
     assert res.max_norm == -1
     assert res.norms_all_odd
+
+
+def naive_in_box(lattice: Lattice, rep, box: int) -> list:
+    """Independent oracle: every rep + x in the box pairing non-negatively with
+    each basis vector, as (norm, x) by decreasing norm, computed with pairing."""
+    basis = [lattice.basis_vector(i) for i in range(lattice.rank)]
+    out = []
+    for x in itertools.product(range(-box, box + 1), repeat=lattice.rank):
+        v = rep + lattice.vector(x)
+        if all(pairing(v, e) >= 0 for e in basis):
+            out.append((pairing(v, v), x))
+    out.sort(key=lambda t: (-t[0], t[1]))
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, dual_index",
+    [("A1", None), ("A1", 0), ("D4", None), ("D4", 0), ("D4", 1), ("D4", 3)],
+    ids=["A1-zero", "A1-dual", "D4-zero", "D4-d1", "D4-d2", "D4-d4"],
+)
+def test_in_box_points_match_naive_enumeration(name, dual_index):
+    lattice = lattice_A1() if name == "A1" else lattice_D4()
+    grp = discriminant_group(lattice)
+    rep = lattice.zero() if dual_index is None else lattice.dual_basis_vector(dual_index)
+    res = bounded_class_minimizers(lattice, grp.class_of(rep), box=3)
+    assert list(res.in_box) == naive_in_box(lattice, res.rep, 3)
+    assert grp.class_of(res.rep) == grp.class_of(rep)
+    assert res.in_box[0][0] == res.max_norm
 
 
 def test_box_below_three_rejected():
