@@ -400,10 +400,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _check_sampling(parser: argparse.ArgumentParser, args) -> None:
+def _check_family_cases(parser: argparse.ArgumentParser, args) -> None:
+    if args.command == "lattice" or args.recognize:
+        return
+    # the family's nine points need a cube root of unity, which GF(2^k) has iff k is even
+    if args.k % 2:
+        parser.error("family cases need a cube root of unity, so --k must be even")
     # GF(2) and GF(4) have no pair off the cube locus, so sampling could never stop
-    sampling = args.command != "lattice" and args.r is None and args.s is None
-    if sampling and not args.recognize and args.k < 3:
+    if args.r is None and args.s is None and args.k < 3:
         parser.error("sampling (r, s) off the cube locus needs --k 3 or more")
 
 
@@ -411,7 +415,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_sampling(parser, args)
+        _check_family_cases(parser, args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     config = {k: v for k, v in sorted(vars(args).items()) if k not in ("command",)}

@@ -125,13 +125,13 @@ class DualVector:
     def is_lattice_vector(self) -> bool:
         return all(c.denominator == 1 for c in self.coords)
 
-    def int_coords(self) -> tuple[int, ...]:
-        if not self.is_lattice_vector():
-            raise LatticeError("vector is not in the lattice")
-        return tuple(int(c) for c in self.coords)
-
     def pair_with_basis(self) -> tuple[Fraction, ...]:
-        return self.lattice.gram_rat().mul_vec(self.coords)
+        """G v: the pairings of v with the basis vectors, computed once."""
+        cached = getattr(self, "_gv", None)
+        if cached is None:
+            cached = self.lattice.gram_rat().mul_vec(self.coords)
+            object.__setattr__(self, "_gv", cached)
+        return cached
 
     def is_dual_vector(self) -> bool:
         """True when the vector pairs integrally with every basis vector."""
@@ -144,8 +144,7 @@ class DualVector:
 def pairing(u: DualVector, v: DualVector) -> Fraction:
     """Bilinear form extended to the dual: u^T * Gram * v, exact."""
     u._same(v)
-    gv = u.lattice.gram_rat().mul_vec(v.coords)
-    return sum((a * b for a, b in zip(u.coords, gv)), Fraction(0))
+    return sum((a * b for a, b in zip(u.coords, v.pair_with_basis())), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +275,8 @@ def discriminant_group(lattice: Lattice) -> DiscriminantGroup:
 
     With U*G*V = S, the class of a dual vector v is U*(G v) reduced modulo
     the invariant factors, and the generator for factor d_i > 1 is the
-    column of G^{-1} U^{-1} at position i.  Results are memoized per Gram
-    matrix and label tuple.
+    column of G^{-1} U^{-1} = V S^{-1} at position i, i.e. column i of V
+    divided by d_i.  Results are memoized per Gram matrix and label tuple.
     """
     key = (lattice.gram.entries, lattice.labels)
     cached = _DISC_CACHE.get(key)
@@ -286,13 +285,11 @@ def discriminant_group(lattice: Lattice) -> DiscriminantGroup:
     g = lattice.gram
     r = snf(g)
     factors = r.invariant_factors
-    ginv_uinv = invert(g).mul(invert(r.u))
-    gens = []
-    for i, f in enumerate(factors):
-        if f > 1:
-            gens.append(
-                DualVector(lattice, tuple(ginv_uinv.entries[k][i] for k in range(lattice.rank)))
-            )
+    gens = [
+        DualVector(lattice, tuple(Fraction(row[i], f) for row in r.v.entries))
+        for i, f in enumerate(factors)
+        if f > 1
+    ]
     grp = DiscriminantGroup(lattice, factors, tuple(gens), r.u)
     if grp.order != abs(det(g)):
         raise LatticeError("discriminant group order mismatch")

@@ -10,6 +10,7 @@ the invariant to 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,6 +21,7 @@ from .lattice_core import (
     DiscClass,
     DualVector,
     Lattice,
+    Sublattice,
     discriminant_group,
     is_even,
     lattice_A1,
@@ -91,16 +93,6 @@ class LabeledSum:
                 coords[s.offset + i] = Fraction(c)
         return DualVector(self.lattice, tuple(coords))
 
-    def exceptional_basis_vectors(self) -> list[DualVector]:
-        """The 21 basis classes of the D4 and A1 summands (not the polarization)."""
-        out = []
-        for s in self.summands:
-            if s.kind == "H":
-                continue
-            for i in range(s.rank):
-                out.append(self.lattice.basis_vector(s.offset + i))
-        return out
-
 
 def build_lambda() -> LabeledSum:
     """The rank-22 labeled sum: det -2^14, hyperbolic, discriminant (Z/2)^14."""
@@ -126,21 +118,12 @@ def build_lambda() -> LabeledSum:
 # the distinguished dual vectors
 # ---------------------------------------------------------------------------
 
-_D4_DUAL_COLUMNS = {
-    # columns of the inverse D4 Gram: coordinates of the dual basis vectors
-    1: (Fraction(-1), Fraction(-1, 2), Fraction(-1), Fraction(-1, 2)),
-    2: (Fraction(-1, 2), Fraction(-1), Fraction(-1), Fraction(-1, 2)),
-    3: (Fraction(-1), Fraction(-1), Fraction(-2), Fraction(-1)),
-    4: (Fraction(-1, 2), Fraction(-1, 2), Fraction(-1), Fraction(-1)),
-}
-
-
 def h_vee(ls: LabeledSum) -> DualVector:
     return ls.assemble({"H": (Fraction(1, 2),)})
 
 
 def d_vee(ls: LabeledSum, i: int, ab: str) -> DualVector:
-    return ls.assemble({f"P({ab})": _D4_DUAL_COLUMNS[i]})
+    return ls.assemble({f"P({ab})": lattice_D4().dual_basis_vector(i - 1).coords})
 
 
 def a_vee(ls: LabeledSum, g: str) -> DualVector:
@@ -201,7 +184,9 @@ class OverlatticeResult:
 
     def to_result_coords(self, v: DualVector) -> tuple[int, ...] | None:
         """Integer coordinates of v in the overlattice basis, or None if outside."""
-        x = invert_rational(self.basis_in_base.transpose()).mul_vec(v.coords)
+        # v = sum_i v_i e_i, and row i of base_in_result writes e_i in the new basis
+        rows = self.base_in_result.entries
+        x = [sum(c * row[j] for c, row in zip(v.coords, rows)) for j in range(self.lattice.rank)]
         if any(c.denominator != 1 for c in x):
             return None
         return tuple(int(c) for c in x)
@@ -330,25 +315,19 @@ def artin_invariant(lattice: Lattice, p: int, ns_context: bool = False) -> int:
 # the exceptional-root analysis of the polarization complement
 # ---------------------------------------------------------------------------
 
-def canonical_positivity(ls: LabeledSum, target: Lattice, basis_in_base: RatMatrix) -> PositivityFunctional:
-    """Positivity functional on a sublattice, induced by pairing against the
-    sum of all dual basis vectors of the exceptional summands.
+def canonical_positivity(ns: OverlatticeResult, comp: Sublattice) -> PositivityFunctional:
+    """Positivity functional on a sublattice of the overlattice, induced by
+    pairing against the sum of all dual basis vectors of the exceptional
+    summands.
 
-    That dual vector pairs to +1 with each of the 21 exceptional classes, so
-    the distinguished simple roots come out positive.
+    That dual vector pairs to +1 with each of the 21 exceptional classes and
+    to 0 with the polarization, so the distinguished simple roots come out
+    positive; the form on the sublattice basis is that 0/1 pairing vector
+    pushed through the two embeddings.
     """
-    w = ls.lattice.zero()
-    for s in ls.summands:
-        if s.kind == "H":
-            continue
-        sub = ls.summand_lattice(s)
-        for j in range(s.rank):
-            dv = sub.dual_basis_vector(j)
-            w = w + ls.assemble({s.name: dv.coords})
-    gw = ls.lattice.gram.to_rational().mul_vec(w.coords)
-    p = basis_in_base.mul_vec(gw)
-    coeffs = invert_rational(target.gram.to_rational()).mul_vec(p)
-    return PositivityFunctional(target, tuple(coeffs))
+    w_pairings = [0 if s.kind == "H" else 1 for s in ns.spec.base.summands for _ in range(s.rank)]
+    form = comp.basis_in_ambient.mul_vec(ns.basis_in_base.mul_vec(w_pairings))
+    return PositivityFunctional(comp.lattice, form)
 
 
 @dataclass(frozen=True)
@@ -363,11 +342,9 @@ class ExceptionalRootReport:
 
 def exceptional_root_analysis(ns: OverlatticeResult) -> ExceptionalRootReport:
     """Roots orthogonal to the polarization class, decomposed and typed."""
-    ls = ns.spec.base
     h = ns.h_in_result()
     comp = orthogonal_complement(ns.lattice, h)
-    comp_in_base = comp.basis_in_ambient.to_rational().mul(ns.basis_in_base)
-    alpha = canonical_positivity(ls, comp.lattice, comp_in_base)
+    alpha = canonical_positivity(ns, comp)
     roots = enumerate_roots(comp.lattice)
     comps = irreducible_decomposition(roots)
     labels = [ade_type(c, alpha) for c in comps]
@@ -419,15 +396,17 @@ class HalflineSearchResult:
         }
 
 
+@functools.cache
 def _summand_candidates(
-    ls: LabeledSum,
-    s: Summand,
+    sub: Lattice,
     cls: DiscClass,
     budget: Fraction,
-) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
+) -> tuple[tuple[Fraction, tuple[Fraction, ...]], ...]:
     """All dual vectors of one summand in a given class with norm >= budget and
-    non-negative pairing against the summand's basis roots."""
-    sub = ls.summand_lattice(s)
+    non-negative pairing against the summand's basis roots.
+
+    Memoized: the five half-line searches share five distinct keys.
+    """
     search = bounded_class_minimizers(sub, cls, box=3)
     # anything outside the box is certified to sit strictly below the budget,
     # so the box scan is exhaustive for this summand
@@ -435,7 +414,9 @@ def _summand_candidates(
         raise GlueError("candidate box cannot be certified against the budget")
     rep = search.rep
     # in_box is sorted by (-norm, x); adding rep keeps that order on coordinates
-    return [(norm, (rep + sub.vector(x)).coords) for norm, x in search.in_box if norm >= budget]
+    return tuple(
+        (norm, (rep + sub.vector(x)).coords) for norm, x in search.in_box if norm >= budget
+    )
 
 
 def unique_halfline_search(
@@ -452,7 +433,7 @@ def unique_halfline_search(
     grp = discriminant_group(ls.lattice)
     budget = Fraction(-5, 2)
 
-    per_summand: list[tuple[Summand, list[tuple[Fraction, tuple[Fraction, ...]]]]] = []
+    per_summand: list[tuple[Summand, tuple[tuple[Fraction, tuple[Fraction, ...]], ...]]] = []
     counts: dict[str, int] = {}
     for s in ls.summands:
         if s.kind == "H":
@@ -460,7 +441,7 @@ def unique_halfline_search(
         sub = ls.summand_lattice(s)
         comp = ls.component(target, s)
         cls = discriminant_group(sub).class_of(comp)
-        cands = _summand_candidates(ls, s, cls, budget)
+        cands = _summand_candidates(sub, cls, budget)
         per_summand.append((s, cands))
         counts[s.name] = len(cands)
 
@@ -483,12 +464,14 @@ def unique_halfline_search(
             checked += 1
             if used != budget:
                 return
-            v = h_vee(ls)
-            for (s, _), (_, coords) in zip(per_summand, choice):
-                v = v + ls.assemble({s.name: coords})
-            if v.norm() != -2 or pairing(v, ls.lattice.basis_vector(0)) != 1:
+            v = h_vee(ls) + ls.assemble(
+                {s.name: coords for (s, _), (_, coords) in zip(per_summand, choice)}
+            )
+            # position 0 pairs with the polarization, the other 21 with the exceptional classes
+            gv = v.pair_with_basis()
+            if v.norm() != -2 or gv[0] != 1:
                 raise GlueError("assembled candidate violates the norm or degree condition")
-            if any(pairing(v, e) < 0 for e in ls.exceptional_basis_vectors()):
+            if any(x < 0 for x in gv[1:]):
                 return
             if grp.class_of(v) != grp.class_of(target):
                 raise GlueError("assembled candidate left the glue class")

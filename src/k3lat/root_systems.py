@@ -157,7 +157,7 @@ def irreducible_decomposition(root_set: RootSet) -> list[RootComponent]:
     """Connected components of the graph on roots with edges where the pairing is nonzero."""
     gram = root_set.lattice.gram
     roots = list(root_set.roots)
-    index = {v: i for i, v in enumerate(roots)}
+    groots = [gram.mul_vec(r) for r in roots]
     seen = [False] * len(roots)
     comps = []
     for start in range(len(roots)):
@@ -169,8 +169,9 @@ def irreducible_decomposition(root_set: RootSet) -> list[RootComponent]:
         while stack:
             i = stack.pop()
             members.append(roots[i])
+            gr = groots[i]
             for j in range(len(roots)):
-                if not seen[j] and _pair_int(gram, roots[i], roots[j]) != 0:
+                if not seen[j] and sum(a * b for a, b in zip(roots[j], gr)) != 0:
                     seen[j] = True
                     stack.append(j)
         members.sort()
@@ -188,18 +189,17 @@ def irreducible_decomposition(root_set: RootSet) -> list[RootComponent]:
 
 @dataclass(frozen=True)
 class PositivityFunctional:
-    """Linear form alpha(x) = coeffs * Gram * x, i.e. pairing against a fixed dual vector."""
+    """Linear form alpha(x) = form * x; pairing against a dual vector v has form G v."""
 
     lattice: Lattice
-    coeffs: tuple[Fraction, ...]
+    form: tuple[Fraction, ...]
 
     @staticmethod
     def from_dual_vector(v: DualVector) -> "PositivityFunctional":
-        return PositivityFunctional(v.lattice, v.coords)
+        return PositivityFunctional(v.lattice, v.pair_with_basis())
 
     def value(self, x: Sequence[int]) -> Fraction:
-        gx = self.lattice.gram_rat().mul_vec([Fraction(c) for c in x])
-        return sum((a * b for a, b in zip(self.coeffs, gx)), Fraction(0))
+        return sum((a * c for a, c in zip(self.form, x)), Fraction(0))
 
 
 def positive_part(component: RootComponent, alpha: PositivityFunctional) -> list[tuple[int, ...]]:

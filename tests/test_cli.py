@@ -10,6 +10,7 @@ from k3lat.char2_surfaces.recognize import normal_form_sextic
 from k3lat.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def run_cli(capsys, *argv):
@@ -39,6 +40,10 @@ def test_lattice_with_extra_glue(capsys):
     report = json.loads(out)
     names = {c["name"]: c for c in report["checks"]}
     assert names["overlattice_sigma1"]["witness"]["sigma"] == 1
+    # the whole report, apart from timing, is pinned byte for byte
+    with open(os.path.join(DATA, "lattice_extra_glue_w.json"), encoding="utf-8") as fh:
+        golden = fh.read()
+    assert json.dumps(strip_timing(report), sort_keys=True, indent=2) + "\n" == golden
 
 
 def test_lattice_corrupted_glue_fails_with_witness(capsys):
@@ -142,8 +147,17 @@ def test_recognize_file(tmp_path, capsys):
         ["surface", "--samples", "0"],
         ["surface", "--samples", "-1"],
         ["lattice", "--lemma-box", "2"],
+        ["surface", "--k", "3", "--modulus", "0b1011", "--samples", "1"],
+        ["surface", "--k", "5", "--modulus", "0b100101", "--r", "1", "--s", "2"],
     ],
-    ids=["k2-sampling", "samples-0", "samples-negative", "lemma-box-2"],
+    ids=[
+        "k2-sampling",
+        "samples-0",
+        "samples-negative",
+        "lemma-box-2",
+        "odd-k-sampling",
+        "odd-k-pair",
+    ],
 )
 def test_unbounded_or_vacuous_flags_are_usage_errors(argv):
     env = {**os.environ, "PYTHONPATH": SRC}

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from k3lat.exact_arith import IntMatrix
+from k3lat.exact_arith import IntMatrix, invert, snf
 from k3lat.lattice_core import (
     Lattice,
     LatticeError,
@@ -18,6 +18,7 @@ from k3lat.lattice_core import (
     orthogonal_complement,
     pairing,
 )
+from k3lat.ns_glue import build_lambda
 
 
 def test_constructor_validation():
@@ -187,3 +188,31 @@ def test_lattice_json_roundtrip():
     again = Lattice.from_json_obj(d4.to_json_obj())
     assert again.gram.entries == d4.gram.entries
     assert again.labels == d4.labels
+
+
+@pytest.mark.parametrize("name", ["A1", "D4", "hyperbolic2", "Lambda"])
+def test_discriminant_generators_match_inverse_oracle(name):
+    # oracle: the columns of G^{-1} U^{-1} at the nontrivial invariant factors
+    lat = build_lambda().lattice if name == "Lambda" else lattice_by_name(name)
+    r = snf(lat.gram)
+    ginv_uinv = invert(lat.gram).mul(invert(r.u))
+    expected = [
+        tuple(row[i] for row in ginv_uinv.entries)
+        for i, f in enumerate(r.invariant_factors)
+        if f > 1
+    ]
+    assert [gen.coords for gen in discriminant_group(lat).generators] == expected
+
+
+def test_pair_with_basis_is_cached_and_matches_gram_product():
+    d4 = lattice_D4()
+    rng = random.Random(5)
+    for _ in range(10):
+        u = d4.vector([Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(4)])
+        v = d4.vector([Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(4)])
+        gv = v.pair_with_basis()
+        assert v.pair_with_basis() is gv
+        expected = sum(
+            u.coords[i] * d4.gram.entries[i][j] * v.coords[j] for i in range(4) for j in range(4)
+        )
+        assert pairing(u, v) == expected

@@ -2,7 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from k3lat.lattice_core import discriminant_group, is_even, is_p_elementary, pairing
+from k3lat import ns_glue
+from k3lat.exact_arith import invert_rational
+from k3lat.lattice_core import (
+    discriminant_group,
+    is_even,
+    is_p_elementary,
+    orthogonal_complement,
+    pairing,
+)
 from k3lat.ns_glue import (
     GlueError,
     GlueVector,
@@ -11,6 +19,7 @@ from k3lat.ns_glue import (
     artin_invariant,
     build_lambda,
     build_overlattice,
+    canonical_positivity,
     d_vee,
     exceptional_root_analysis,
     extra_glue_class,
@@ -167,6 +176,43 @@ def test_base_embeds_in_overlattice(ls, ns):
         assert ns.to_result_coords(halfline_class(ls, lam).vector) is not None
 
 
+def test_to_result_coords_matches_inverse_oracle(ls, ns):
+    # oracle: solve basis_in_base^T x = v with a full rational inverse
+    binv = invert_rational(ns.basis_in_base.transpose())
+    vectors = [ls.lattice.basis_vector(i) for i in range(22)]
+    vectors += [halfline_class(ls, lam).vector for lam in L_LABELS]
+    for v in vectors:
+        expected = binv.mul_vec(v.coords)
+        assert all(c.denominator == 1 for c in expected)
+        assert ns.to_result_coords(v) == tuple(int(c) for c in expected)
+
+
+def test_to_result_coords_rejects_a_vector_outside(ls, ns):
+    # the extra class is independent of the five half-line classes, so it
+    # lies outside the sigma = 2 overlattice
+    v = extra_glue_class(ls, "w").vector
+    assert ns.to_result_coords(v) is None
+    oracle = invert_rational(ns.basis_in_base.transpose()).mul_vec(v.coords)
+    assert any(c.denominator != 1 for c in oracle)
+
+
+def test_canonical_positivity_matches_summed_dual_basis(ls, ns):
+    # oracle: sum the 21 exceptional dual basis vectors, pull their pairings
+    # back to the complement basis and solve for the dual coordinates there
+    comp = orthogonal_complement(ns.lattice, ns.h_in_result())
+    w = ls.lattice.zero()
+    for s in ls.summands:
+        if s.kind != "H":
+            sub = ls.summand_lattice(s)
+            for j in range(s.rank):
+                w = w + ls.assemble({s.name: sub.dual_basis_vector(j).coords})
+    complement_rows = comp.basis_in_ambient.to_rational().mul(ns.basis_in_base)
+    p = complement_rows.mul_vec(w.pair_with_basis())
+    coeffs = invert_rational(comp.lattice.gram.to_rational()).mul_vec(p)
+    alpha = canonical_positivity(ns, comp)
+    assert alpha.form == comp.lattice.gram_rat().mul_vec(coeffs)
+
+
 def test_artin_invariant_shapes(ls):
     assert artin_invariant(ls.lattice, 2) == 7
     from k3lat.lattice_core import Lattice
@@ -193,6 +239,23 @@ def test_halfline_searches_unique(ls, ns):
         res = unique_halfline_search(ls, lam, ns)
         assert len(res.candidates) == 1
         assert res.is_unique_expected(ls)
+
+
+def test_halfline_searches_scan_each_class_once(ls, ns, monkeypatch):
+    # 9 summands in each of 5 searches, but only 5 distinct (lattice, class) keys
+    calls = []
+    real = ns_glue.bounded_class_minimizers
+
+    def counting(lattice, cls, box=3):
+        calls.append((lattice.gram.entries, cls.component))
+        return real(lattice, cls, box=box)
+
+    monkeypatch.setattr(ns_glue, "bounded_class_minimizers", counting)
+    ns_glue._summand_candidates.cache_clear()
+    for lam in L_LABELS:
+        assert unique_halfline_search(ls, lam, ns).is_unique_expected(ls)
+    assert len(calls) == 5
+    assert len(set(calls)) == 5
 
 
 def test_halfline_search_component_values(ls, ns):

@@ -163,6 +163,18 @@ def test_indecomposable_count_equals_rank():
             assert len(positive_indecomposables(comp, alpha)) == comp.rank
 
 
+def test_positivity_value_is_pairing_with_the_dual_vector():
+    d4 = lattice_D4()
+    duals = [d4.dual_basis_vector(j) for j in range(4)]
+    vectors = duals + [duals[0] + duals[1] + duals[2] + duals[3], d4.vector((1, -1, 0, 2))]
+    roots = enumerate_roots(d4).roots
+    assert len(roots) == 24
+    for v in vectors:
+        alpha = PositivityFunctional.from_dual_vector(v)
+        for r in roots:
+            assert alpha.value(r) == pairing(v, d4.vector(r))
+
+
 def test_positivity_functional_must_not_vanish():
     lat = a1_plus_a1()
     alpha = PositivityFunctional.from_dual_vector(lat.dual_basis_vector(0))
