@@ -100,9 +100,28 @@ def intersect_lines(field: BinaryField, l1: Line, l2: Line) -> Point:
 
 
 def lines_through(field: BinaryField, p: Point) -> Iterable[Line]:
-    for l in all_lines(field):
-        if point_on_line(field, p, l):
-            yield l
+    """The q + 1 lines through p, normalized, in the order of ``all_lines``.
+
+    With p normalized, the pencil has a closed form: through (x, y, 1) pass
+    (1, t, x + t*y) for every t and (0, 1, y); through (x, 1, 0) pass
+    (1, x, c) for every c and (0, 0, 1); through (1, 0, 0) pass (0, 1, c)
+    for every c and (0, 0, 1).
+    """
+    x, y, z = normalize_point(field, p)
+    q = field.q
+    if z:
+        mul = field.mul
+        for t in range(q):
+            yield (1, t, x ^ mul(t, y))
+        yield (0, 1, y)
+        return
+    if y:
+        for c in range(q):
+            yield (1, x, c)
+    else:
+        for c in range(q):
+            yield (0, 1, c)
+    yield (0, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -239,53 +258,112 @@ def scan_splitting_lines(
 def singular_points(g: HomPoly) -> list[Point]:
     """All rational points where the three formal partials vanish.
 
-    Brute force over the projective plane; an infinite singular locus (all
-    partials identically zero, or more points than two quintics without a
-    common component can share) is reported as an error.
+    In the chart z = 1 the partials become polynomials in y for each x, and
+    the singular points above x are the roots in GF(q) of their gcd.  Where
+    that gcd is nonconstant, its gcd with y^q + y (k squarings modulo it)
+    keeps one linear factor per such root, and y is scanned only until all
+    of them are found.  So an x costs a few small gcds, and a scan over y
+    only where a rational singular point lies.  The q + 1 points
+    on z = 0 are evaluated directly.  Points come out in chart order: x,
+    then y, then the line at infinity.  An infinite singular locus is an
+    error: all partials identically zero, or more points than the Bezout
+    bound 25 for two quintics without a common component (raised as soon as
+    the 26th point is found, so a rational singular curve costs O(26 q)
+    evaluations).
     """
     f = g.field
-    if f.q > 1 << 16:
-        raise SurfaceError("field too large for the brute-force budget")
     parts = [g.partial(v) for v in range(3)]
     if all(p.is_zero() for p in parts):
         raise SurfaceError("all partials vanish identically; singular locus is infinite")
     out: list[Point] = []
-    pterms = [sorted(p.terms.items()) for p in parts]
 
-    # chart z = 1: specialize x, then run over y
+    def found(p: Point) -> None:
+        out.append(p)
+        if len(out) > 25:
+            raise SurfaceError(
+                "more singular points than the Bezout bound 25 for two quintics "
+                "without a common component; this indicates a curve in the singular locus"
+            )
+
+    pterms = [sorted(p.terms.items()) for p in parts]
     q = f.q
     mul, pw = f.mul, f.pow
     for x in range(q):
-        specialized = []
+        common: list[int] = []
         for terms in pterms:
-            acc: dict[int, int] = {}
+            spec = [0] * g.degree
             for (l, m, n), c in terms:
-                cx = mul(c, pw(x, l))
-                if cx:
-                    acc[m] = acc.get(m, 0) ^ cx
-            specialized.append([(m, c) for m, c in acc.items() if c])
-        for y in range(q):
-            ok = True
-            for sp in specialized:
-                acc = 0
-                for m, c in sp:
-                    acc ^= mul(c, pw(y, m))
-                if acc:
-                    ok = False
-                    break
-            if ok:
-                out.append((x, y, 1))
+                spec[m] ^= mul(c, pw(x, l))
+            common = _upoly_gcd(f, common, _trim(spec))
+            if len(common) == 1:
+                break
+        if not common:  # all partials vanish on the whole line at x
+            for y in range(q):
+                found((x, y, 1))
+        elif len(common) > 1:
+            roots = _rational_roots_part(f, common)
+            left = len(roots) - 1
+            y = 0
+            while left:
+                if _upoly_eval(f, roots, y) == 0:
+                    found((x, y, 1))
+                    left -= 1
+                y += 1
     # chart z = 0
     for p in [(x, 1, 0) for x in range(q)] + [(1, 0, 0)]:
         if all(part.evaluate(p) == 0 for part in parts):
-            out.append(p)
-
-    if len(out) > 25:
-        raise SurfaceError(
-            f"{len(out)} singular points exceed the Bezout bound 25 for two quintics "
-            "without a common component; this indicates a curve in the singular locus"
-        )
+            found(p)
     return out
+
+
+# univariate polynomials over GF(2^k) for the singular-point search: dense
+# coefficient lists, constant term first, no trailing zeros (zero is [])
+
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _upoly_mod(f: BinaryField, a: list[int], b: list[int]) -> list[int]:
+    """Remainder of a modulo the nonzero b."""
+    a = list(a)
+    mul = f.mul
+    inv = f.inv(b[-1])
+    db = len(b) - 1
+    while len(a) > db:
+        c = mul(a[-1], inv)
+        shift = len(a) - 1 - db
+        for i, bc in enumerate(b):
+            a[shift + i] ^= mul(c, bc)
+        _trim(a)
+    return a
+
+
+def _upoly_gcd(f: BinaryField, a: list[int], b: list[int]) -> list[int]:
+    while b:
+        a, b = b, _upoly_mod(f, a, b)
+    return a
+
+
+def _upoly_eval(f: BinaryField, a: list[int], y: int) -> int:
+    acc = 0
+    for c in reversed(a):
+        acc = f.mul(acc, y) ^ c
+    return acc
+
+
+def _rational_roots_part(f: BinaryField, a: list[int]) -> list[int]:
+    """gcd(a, y^q + y): one linear factor for each distinct root of a in GF(q)."""
+    r = _upoly_mod(f, [0, 1], a)
+    for _ in range(f.k):  # y^q mod a by k squarings
+        sq = [0] * (2 * len(r) - 1) if r else []
+        for i, c in enumerate(r):
+            sq[2 * i] = f.sqr(c)
+        r = _upoly_mod(f, sq, a)
+    r += [0] * (2 - len(r))
+    r[1] ^= 1
+    return _upoly_gcd(f, a, _trim(r))
 
 
 # ---------------------------------------------------------------------------

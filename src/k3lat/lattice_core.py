@@ -9,6 +9,7 @@ the dual consists of vectors pairing integrally with the whole basis.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -151,11 +152,16 @@ def pairing(u: DualVector, v: DualVector) -> Fraction:
 # named constructors
 # ---------------------------------------------------------------------------
 
+# Lattices are immutable, so the fixed named lattices are built (and their
+# determinants computed) once and shared.
+
+@functools.cache
 def lattice_A1() -> Lattice:
     """Rank-1 root lattice with Gram (-2)."""
     return Lattice(IntMatrix([[-2]]), ("a",))
 
 
+@functools.cache
 def lattice_D4() -> Lattice:
     """Rank-4 root lattice of the four-node fork diagram (center d3)."""
     gram = IntMatrix(

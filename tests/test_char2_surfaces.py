@@ -1,16 +1,27 @@
+import random
+import time
+from functools import reduce
+from operator import xor
+
 import pytest
 
+from k3lat.char2_surfaces import surfaces
 from k3lat.char2_surfaces.field import BinaryField
 from k3lat.char2_surfaces.poly import HomPoly
 from k3lat.char2_surfaces.surfaces import (
     SurfaceError,
+    all_lines,
     all_points,
     analyze_singularities,
     classify_singularity,
+    intersect_lines,
     is_splitting,
     line_poly,
     line_through,
+    lines_through,
     nonreduced_splitting_lines_separable,
+    normalize_point,
+    point_on_line,
     restrict_to_line,
     scan_splitting_lines,
     schroeer_sextic,
@@ -326,3 +337,179 @@ def test_lemma_bound_rejects_bad_degrees(gf16):
         nonreduced_splitting_lines_separable(
             HomPoly.monomial(gf16, (1, 1, 0)), HomPoly.zero(gf16, 6)
         )
+
+
+# ---------------------------------------------------------------------------
+# direct pencils and the gcd singular-point search against the replaced
+# O(q^2) algorithms, kept here as oracles
+# ---------------------------------------------------------------------------
+
+SMALL_FIELDS = [(2, None), (4, None), (6, 0b1000011)]
+
+
+@pytest.mark.parametrize("k,modulus", SMALL_FIELDS, ids=["k2", "k4", "k6"])
+def test_lines_through_matches_incidence_filter(k, modulus):
+    f = BinaryField(k, modulus)
+    q = f.q
+    lines = list(all_lines(f))
+    # the replaced filter kept the lines l of all_lines with point_on_line(f, p, l);
+    # a product table computes the same sum of l_i * p_i in reach of k = 6
+    table = [[f.mul(a, b) for b in range(q)] for a in range(q)]
+    for p in all_points(f):
+        a, b, c = (table[x] for x in p)
+        expected = [l for l in lines if not (a[l[0]] ^ b[l[1]] ^ c[l[2]])]
+        pencil = list(lines_through(f, p))
+        assert pencil == expected
+        assert len(pencil) == len(set(pencil)) == q + 1
+        assert all(point_on_line(f, p, l) for l in pencil)
+
+
+def test_lines_through_normalizes_the_point(gf16):
+    f = gf16
+    for p in [(3, 5, 1), (7, 1, 0), (1, 0, 0)]:
+        for scale in (2, 9, 15):
+            scaled = tuple(f.mul(scale, c) for c in p)
+            assert normalize_point(f, scaled) == p
+            assert list(lines_through(f, scaled)) == list(lines_through(f, p))
+
+
+def brute_force_singular_points(g):
+    """The replaced q^2 scan: every point of the z = 1 chart, then z = 0.
+
+    Returns None when all partials vanish and the full point list otherwise,
+    however long.
+    """
+    f = g.field
+    parts = [g.partial(v) for v in range(3)]
+    if all(p.is_zero() for p in parts):
+        return None
+    pterms = [sorted(p.terms.items()) for p in parts]
+    out = []
+    for x in range(f.q):
+        specialized = []
+        for terms in pterms:
+            acc = {}
+            for (l, m, n), c in terms:
+                acc[m] = acc.get(m, 0) ^ f.mul(c, f.pow(x, l))
+            specialized.append(list(acc.items()))
+        for y in range(f.q):
+            if all(reduce(xor, (f.mul(c, f.pow(y, m)) for m, c in sp), 0) == 0 for sp in specialized):
+                out.append((x, y, 1))
+    for p in [(x, 1, 0) for x in range(f.q)] + [(1, 0, 0)]:
+        if all(part.evaluate(p) == 0 for part in parts):
+            out.append(p)
+    return out
+
+
+def _seeded_sextics(f, rng):
+    """Family members (r or s zero included), sparse, dense and non-reduced sextics."""
+    monomials = [(l, m, 6 - l - m) for l in range(7) for m in range(7 - l)]
+    nonzero = lambda: rng.randrange(1, f.q)
+    out = [
+        schroeer_sextic(f, nonzero(), nonzero()),
+        schroeer_sextic(f, nonzero(), nonzero()),
+        schroeer_sextic(f, 0, nonzero()),
+        schroeer_sextic(f, nonzero(), 0),
+        schroeer_sextic(f, 0, 0),
+    ]
+    for _ in range(3):
+        out.append(HomPoly(f, 6, {e: nonzero() for e in rng.sample(monomials, 4)}))
+    for _ in range(2):
+        out.append(HomPoly(f, 6, {e: nonzero() for e in monomials}))
+    # a square factor puts a whole line into the singular locus
+    quartic = HomPoly(f, 4, {(l, m, 4 - l - m): nonzero() for l in range(5) for m in range(5 - l)})
+    out.append(HomPoly.monomial(f, (2, 0, 0)) * quartic)
+    out.append(HomPoly.monomial(f, (0, 2, 0)) * quartic)
+    out.append(HomPoly(f, 3, {e: nonzero() for e in [(3, 0, 0), (1, 1, 1), (0, 2, 1)]}).square())
+    if f.q > 2:  # two conjugate singular lines with one rational point
+        out.append(_conjugate_lines_sextic(f, {(1, 1, 0): 1, (0, 1, 1): nonzero(), (1, 0, 1): 1}))
+    return out
+
+
+def _conjugate_lines_sextic(f, quadric_terms):
+    """N(x0, x1)^2 * H with N = x0^2 + x0 x1 + c x1^2 irreducible over GF(q).
+
+    The partials share the factor N^2, so every vertical line x0 = x meets
+    the singular locus, but the only rational point of N = 0 is (0:0:1).
+    """
+    c = next(c for c in range(1, f.q) if all(f.sqr(u) ^ u ^ c for u in range(f.q)))
+    n = HomPoly(f, 2, {(2, 0, 0): 1, (1, 1, 0): 1, (0, 2, 0): c})
+    return n.square() * HomPoly(f, 2, quadric_terms)
+
+
+@pytest.mark.parametrize(
+    "k,modulus", SMALL_FIELDS + [(8, None)], ids=["k2", "k4", "k6", "k8"]
+)
+def test_singular_points_match_brute_force_oracle(k, modulus):
+    f = BinaryField(k, modulus)
+    rng = random.Random(f"singular/{k}")
+    finite = 0
+    for g in _seeded_sextics(f, rng):
+        expected = brute_force_singular_points(g)
+        if expected is None or len(expected) > 25:
+            with pytest.raises(SurfaceError):
+                singular_points(g)
+        else:
+            assert singular_points(g) == expected
+            finite += 1
+    assert finite >= 9
+
+
+# GF(2^16) is the largest field BinaryField accepts; a q^2 scan of it takes hours
+
+@pytest.fixture(scope="module")
+def gf65536():
+    return BinaryField(16, 0x1002D)
+
+
+@pytest.mark.parametrize("square", [(2, 0, 0), (0, 2, 0)], ids=["x0-line", "x1-line"])
+def test_singular_curve_stops_at_the_bezout_bound_k16(gf65536, square):
+    f = gf65536
+    quartic = HomPoly(f, 4, {(4, 0, 0): 1, (1, 3, 0): 5, (0, 1, 3): 7, (2, 1, 1): 11, (0, 0, 4): 3})
+    g = HomPoly.monomial(f, square) * quartic
+    start = time.perf_counter()
+    with pytest.raises(SurfaceError, match="Bezout bound 25"):
+        singular_points(g)
+    # about 26 * 65536 evaluations for the x1-line, hours for a q^2 scan
+    assert time.perf_counter() - start < 5.0
+
+
+def test_singular_curve_without_rational_points_is_not_scanned():
+    # the gcd of the partials is nonconstant at every x; a scan over y at
+    # each of them would make 4096^2 evaluations (about 20 s)
+    f = BinaryField(12, 0x1053)
+    a01, a02, a12 = 1, 0x234, 1
+    g = _conjugate_lines_sextic(f, {(1, 1, 0): a01, (1, 0, 1): a02, (0, 1, 1): a12})
+    start = time.perf_counter()
+    pts = singular_points(g)
+    assert time.perf_counter() - start < 5.0
+    # besides (0:0:1), the partials N^2 * dH/dx_i vanish where the three
+    # linear forms dH/dx_i meet (for a quadric in characteristic 2 they do)
+    nucleus = intersect_lines(f, (0, a01, a02), (a01, 0, a12))
+    assert pts == sorted({(0, 0, 1), nucleus}, key=lambda p: (-p[2], p))
+
+
+def _distinct_lines_through(f, pts):
+    """9(q+1) minus the repeats: a line through m >= 2 of the points is counted m times."""
+    multi = {line_through(f, a, b) for i, a in enumerate(pts) for b in pts[i + 1 :]}
+    repeats = sum(sum(point_on_line(f, p, l) for p in pts) - 1 for l in multi)
+    return len(pts) * (f.q + 1) - repeats
+
+
+def test_singular_scan_tests_each_line_through_the_points_once(gf256, monkeypatch):
+    f = gf256
+    r, s = 3, 7
+    g = schroeer_sextic(f, r, s)
+    pts = list(table_points(f, r, s).values())
+    calls = []
+    real = surfaces.is_splitting
+
+    def counting(g, ell):
+        calls.append(ell)
+        return real(g, ell)
+
+    monkeypatch.setattr(surfaces, "is_splitting", counting)
+    found = scan_splitting_lines(g, "singular", pts)
+    assert len(calls) == len(set(calls)) == _distinct_lines_through(f, pts)
+    assert len(calls) <= 9 * (f.q + 1)
+    assert {l for l, _ in found} == set(table_lines(f, r, s).values())

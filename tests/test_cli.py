@@ -79,6 +79,43 @@ def test_surface_cube_locus_pair(capsys):
     assert dich["witness"]["cases"][0]["splits"] is True
 
 
+# whole surface reports, apart from timing, pinned byte for byte: a sampled
+# GF(256) run in singular line-scan mode, and a GF(16) member on the cube
+# locus (6 is omega) with its 7 splitting lines found by the full scan
+
+
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (["--k", "8", "--samples", "4", "--seed", "12345"], "surface_k8_samples4_seed12345.json"),
+        (["--k", "4", "--r", "1", "--s", "6", "--line-scan", "full"], "surface_k4_r1_s6_full.json"),
+    ],
+    ids=["k8-samples", "k4-cube-locus"],
+)
+def test_surface_report_matches_golden(capsys, argv, golden):
+    code, out = run_cli(capsys, "surface", *argv)
+    assert code == EXIT_OK
+    with open(os.path.join(DATA, golden), encoding="utf-8") as fh:
+        expected = fh.read()
+    assert json.dumps(strip_timing(json.loads(out)), sort_keys=True, indent=2) + "\n" == expected
+
+
+def test_surface_k12_family_member_finishes():
+    # filtering all 16.8 million lines of PG(2, 4096) for each of the nine
+    # points, or scanning its 16.8 million affine points, does not end in time
+    argv = ["surface", "--k", "12", "--modulus", "0x1053", "--r", "3", "--s", "5", "--format", "text"]
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3lat.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_OK
+    assert "PASS overall" in proc.stdout
+
+
 def test_surface_rejects_degenerate_without_flag(capsys):
     code = main(["surface", "--k", "4", "--r", "0", "--s", "2"])
     capsys.readouterr()

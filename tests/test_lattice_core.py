@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from k3lat import lattice_core
 from k3lat.exact_arith import IntMatrix, invert, snf
 from k3lat.lattice_core import (
     Lattice,
@@ -216,3 +217,22 @@ def test_pair_with_basis_is_cached_and_matches_gram_product():
             u.coords[i] * d4.gram.entries[i][j] * v.coords[j] for i in range(4) for j in range(4)
         )
         assert pairing(u, v) == expected
+
+
+def test_named_root_lattices_are_built_once(monkeypatch):
+    lattice_A1.cache_clear()
+    lattice_D4.cache_clear()
+    calls = []
+    real = lattice_core.det
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(lattice_core, "det", counting)
+    a1, d4 = lattice_A1(), lattice_D4()
+    for _ in range(10):
+        assert lattice_A1() is a1
+        assert lattice_D4() is d4
+    # one determinant per constructor instead of one per call
+    assert len(calls) == 2
