@@ -8,13 +8,11 @@ from .lattice_core import (
     DiscriminantGroup,
     DualVector,
     Lattice,
-    disc_class,
     discriminant_group,
     is_even,
     is_p_elementary,
     lattice_A1,
     lattice_D4,
-    lattice_by_name,
     lattice_hyperbolic2,
     orthogonal_complement,
     pairing,

@@ -170,9 +170,6 @@ class BinaryField:
             raise FieldError("cube-root construction failed")
         return w
 
-    def elements(self):
-        return range(self.q)
-
     @staticmethod
     def parse_bits(text: str) -> int:
         """Accepts plain hex ('1b'), 0x-hex, or 0b-binary strings."""
@@ -182,7 +179,3 @@ class BinaryField:
         if t.startswith("0b"):
             return int(t, 2)
         return int(t, 16)
-
-    @staticmethod
-    def to_hex(a: int) -> str:
-        return format(a, "x")

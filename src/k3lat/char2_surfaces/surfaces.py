@@ -128,21 +128,18 @@ def lines_through(field: BinaryField, p: Point) -> Iterable[Line]:
 # restriction of a form to a line
 # ---------------------------------------------------------------------------
 
-def restrict_to_line(g: HomPoly, ell: HomPoly, eliminate: int | None = None) -> BinForm:
+def restrict_to_line(g: HomPoly, ell: HomPoly) -> BinForm:
     """Compose g with a parametrization of the line ell = 0.
 
     The canonical parametrization solves ell for its last variable of
-    nonzero coefficient; ``eliminate`` overrides the choice.  Squares are
-    independent of the parametrization, certificates are not.
+    nonzero coefficient.  Squares are independent of the parametrization,
+    certificates are not.
     """
     if ell.degree != 1 or ell.is_zero():
         raise SurfaceError("line must be a nonzero linear form")
     f = g.field
     cf = [ell.coeff((1, 0, 0)), ell.coeff((0, 1, 0)), ell.coeff((0, 0, 1))]
-    if eliminate is None:
-        eliminate = max(v for v in range(3) if cf[v])
-    elif cf[eliminate] == 0:
-        raise SurfaceError("cannot eliminate a variable the line does not involve")
+    eliminate = max(v for v in range(3) if cf[v])
     kept = tuple(v for v in range(3) if v != eliminate)
     inv = f.inv(cf[eliminate])
     # eliminated variable = sub[0]*u + sub[1]*v on the line (signs vanish in char 2)

@@ -24,7 +24,7 @@ from .char2_surfaces import (
     verify_configuration,
 )
 from .char2_surfaces.surfaces import line_through, line_poly, is_splitting, table_points
-from .lattice_core import discriminant_group, is_even, is_p_elementary, lattice_by_name
+from .lattice_core import discriminant_group, is_even, is_p_elementary, lattice_A1, lattice_D4
 from .root_systems import bounded_class_minimizers
 from .ns_glue import (
     EXTRA_GLUE_CHOICES,
@@ -169,8 +169,8 @@ def cmd_lattice(args) -> dict:
 
     def class_searches():
         box = args.lemma_box
-        a1 = lattice_by_name("A1")
-        d4 = lattice_by_name("D4")
+        a1 = lattice_A1()
+        d4 = lattice_D4()
         ga = discriminant_group(a1)
         gd = discriminant_group(d4)
         out = {}
@@ -265,12 +265,8 @@ def _surface_case(field: BinaryField, r: int, s: int, line_scan: str) -> tuple[b
 
 def cmd_surface(args) -> dict:
     checks = Checks()
-    try:
-        field = BinaryField(args.k, args.modulus)
-    except Exception as exc:
-        raise UsageError(str(exc))
-
     if args.recognize:
+        # recognition reads its field from the file
         def recog():
             with open(args.recognize, "r", encoding="utf-8") as fh:
                 g = HomPoly.from_json(fh.read())
@@ -280,11 +276,18 @@ def cmd_surface(args) -> dict:
         checks.run("recognize", recog)
         return {"checks": checks.results, "timing_ms": checks.timing, "pass": checks.all_passed}
 
+    try:
+        field = BinaryField(args.k, args.modulus)
+    except Exception as exc:
+        raise UsageError(str(exc))
     if args.r is not None or args.s is not None:
         if args.r is None or args.s is None:
             raise UsageError("--r and --s must be given together")
-        r = BinaryField.parse_bits(args.r)
-        s = BinaryField.parse_bits(args.s)
+        try:
+            r = BinaryField.parse_bits(args.r)
+            s = BinaryField.parse_bits(args.s)
+        except ValueError:
+            raise UsageError("--r and --s must be hex, 0x-hex or 0b-binary field elements")
         if not (0 <= r < field.q and 0 <= s < field.q):
             raise UsageError(f"r and s must be elements of GF(2^{field.k})")
         if (r == 0 or s == 0) and not args.allow_degenerate:

@@ -58,11 +58,6 @@ class IntMatrix:
         return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def diagonal(values: Sequence[int]) -> "IntMatrix":
-        n = len(values)
-        return IntMatrix([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
     def block_diagonal(blocks: Sequence["IntMatrix"]) -> "IntMatrix":
         n = sum(b.rows for b in blocks)
         rows = [[0] * n for _ in range(n)]
@@ -177,14 +172,6 @@ class RatMatrix:
             raise ExactArithError("dimension mismatch in mul_vec")
         vv = [Fraction(x) for x in v]
         return tuple(sum(a * vv[k] for k, a in enumerate(row)) for row in self.entries)
-
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.entries for x in row)
-
-    def to_int(self) -> IntMatrix:
-        if not self.is_integral():
-            raise ExactArithError("matrix has non-integer entries")
-        return IntMatrix([[int(x) for x in row] for row in self.entries])
 
     def to_json_obj(self) -> dict:
         return {

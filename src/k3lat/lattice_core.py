@@ -180,16 +180,6 @@ def lattice_hyperbolic2() -> Lattice:
     return Lattice(IntMatrix([[2]]), ("h",))
 
 
-_NAMED = {"A1": lattice_A1, "D4": lattice_D4, "hyperbolic2": lattice_hyperbolic2}
-
-
-def lattice_by_name(name: str) -> Lattice:
-    try:
-        return _NAMED[name]()
-    except KeyError:
-        raise LatticeError(f"unknown lattice name {name!r}") from None
-
-
 # ---------------------------------------------------------------------------
 # parity and elementarity
 # ---------------------------------------------------------------------------
@@ -304,11 +294,6 @@ def discriminant_group(lattice: Lattice) -> DiscriminantGroup:
             raise LatticeError("discriminant generator does not pair integrally")
     _DISC_CACHE[key] = grp
     return grp
-
-
-def disc_class(lattice: Lattice, v: DualVector) -> DiscClass:
-    """Residue of v modulo the lattice inside the discriminant group."""
-    return discriminant_group(lattice).class_of(v)
 
 
 # ---------------------------------------------------------------------------

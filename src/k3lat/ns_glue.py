@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact_arith import IntMatrix, RatMatrix, det, hnf_rows, invert_rational
+from .exact_arith import IntMatrix, RatMatrix, det, hnf_rows, invert
 from .lattice_core import (
     DiscClass,
     DualVector,
@@ -246,34 +246,28 @@ def build_overlattice(spec: OverlatticeSpec) -> OverlatticeResult:
             if p.denominator != 1:
                 raise GlueError(f"glue vectors {a.name}, {b.name} pair non-integrally")
 
-    gen_rows = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    gen_rows += [list(gv.vector.coords) for gv in spec.glue]
-    denom = 1
-    for row in gen_rows:
-        for c in row:
-            denom = math.lcm(denom, c.denominator)
-    int_rows = [[int(c * denom) for c in row] for row in gen_rows]
-    basis_int = hnf_rows(IntMatrix(int_rows))
-    if len(basis_int) != n:
+    # integer generators over one common denominator: denom*I and denom*glue
+    denom = math.lcm(*(c.denominator for gv in spec.glue for c in gv.vector.coords))
+    gen_rows = [[denom if i == j else 0 for j in range(n)] for i in range(n)]
+    gen_rows += [[int(c * denom) for c in gv.vector.coords] for gv in spec.glue]
+    b = IntMatrix(hnf_rows(IntMatrix(gen_rows)))
+    if b.rows != n:
         raise GlueError("overlattice basis has wrong rank")
-    basis = RatMatrix([[Fraction(x, denom) for x in row] for row in basis_int])
+    basis = RatMatrix([[Fraction(x, denom) for x in row] for row in b.entries])
 
-    gram_rat = basis.mul(base.gram.to_rational()).mul(basis.transpose())
-    if not gram_rat.is_integral():
+    # the form on basis/denom is b G b^T / denom^2
+    scaled = b.mul(base.gram).mul(b.transpose())
+    if any(x % (denom * denom) for row in scaled.entries for x in row):
         raise GlueError("overlattice form is not integral")
-    gram = gram_rat.to_int()
+    gram = IntMatrix([[x // (denom * denom) for x in row] for row in scaled.entries])
     lat = Lattice(gram, tuple(f"n{i}" for i in range(n)))
     if not is_even(lat):
         raise GlueError("overlattice is not even")
 
-    binv = invert_rational(basis.transpose())
-    base_rows = []
-    for i in range(n):
-        e = [Fraction(1 if j == i else 0) for j in range(n)]
-        x = binv.mul_vec(e)
-        if any(c.denominator != 1 for c in x):
-            raise GlueError("base vector escapes the overlattice")
-        base_rows.append([int(c) for c in x])
+    # e_i = sum_j x_j b_j / denom, so row i of denom * b^-1 writes e_i in the new basis
+    base_in_result = [[c * denom for c in row] for row in invert(b).entries]
+    if any(c.denominator != 1 for row in base_in_result for c in row):
+        raise GlueError("base vector escapes the overlattice")
 
     d_base = det(base.gram)
     d_new = det(gram)
@@ -288,7 +282,7 @@ def build_overlattice(spec: OverlatticeSpec) -> OverlatticeResult:
         spec=spec,
         lattice=lat,
         basis_in_base=basis,
-        base_in_result=IntMatrix(base_rows),
+        base_in_result=IntMatrix(base_in_result),
         index=index,
     )
 

@@ -8,12 +8,13 @@ dual-class norm searches used by the glue-vector uniqueness arguments.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .exact_arith import IntMatrix, hnf_rows, invert_rational, RatMatrix
+from .exact_arith import IntMatrix, hnf_rows, inertia, invert
 from .lattice_core import (
     DiscClass,
     DualVector,
@@ -243,9 +244,9 @@ def decompose_root(
         raise RootSystemError("root is not in the positive part")
     eps = positive_indecomposables(component, alpha)
     gram = component.lattice.gram
-    m = RatMatrix([[Fraction(_pair_int(gram, a, b)) for b in eps] for a in eps])
-    rhs = [Fraction(_pair_int(gram, a, root)) for a in eps]
-    coeffs = invert_rational(m).mul_vec(rhs)
+    m = IntMatrix([[_pair_int(gram, a, b) for b in eps] for a in eps])
+    rhs = [_pair_int(gram, a, root) for a in eps]
+    coeffs = invert(m).mul_vec(rhs)
     if any(c.denominator != 1 or c < 0 for c in coeffs):
         raise RootSystemError("root does not decompose with non-negative integers")
     rebuilt = [0] * len(root)
@@ -444,8 +445,6 @@ def _box_scan(
     every basis vector, plus the all-norms-odd flag for leaf classes.  The
     leaf norm identity is re-derived at every point of the box.
     """
-    import itertools
-
     g = lattice.gram.entries
     n = lattice.rank
     grep_frac = rep.pair_with_basis()
@@ -526,9 +525,7 @@ def bounded_class_minimizers(
                 for i in range(n)
             ]
         )
-        from .exact_arith import inertia as _inertia
-
-        if _inertia(four_q_minus_i)[0] != n:
+        if inertia(four_q_minus_i)[0] != n:
             raise RootSystemError("spectral certificate for the zero class failed")
         outside = -Fraction((b + 1) ** 2, 4)
     if outside > max_norm:

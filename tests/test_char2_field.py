@@ -42,7 +42,7 @@ def test_omega_is_cube_root():
 
 def test_sqrt_inverts_squaring_exhaustively():
     f = BinaryField(4)
-    for a in f.elements():
+    for a in range(f.q):
         assert f.sqrt(f.sqr(a)) == a
         assert f.sqr(f.sqrt(a)) == a
 
@@ -80,4 +80,3 @@ def test_parse_and_format_bits():
     assert BinaryField.parse_bits("1b") == 0x1B
     assert BinaryField.parse_bits("0x1b") == 0x1B
     assert BinaryField.parse_bits("0b11011") == 0b11011
-    assert BinaryField.to_hex(0x1B) == "1b"

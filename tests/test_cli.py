@@ -34,14 +34,15 @@ def test_lattice_default(capsys):
     assert names["halfline_uniqueness"]["pass"]
 
 
-def test_lattice_with_extra_glue(capsys):
-    code, out = run_cli(capsys, "lattice", "--with-extra-glue", "w")
+@pytest.mark.parametrize("extra", ["1", "w", "wb"])
+def test_lattice_with_extra_glue(capsys, extra):
+    code, out = run_cli(capsys, "lattice", "--with-extra-glue", extra)
     assert code == EXIT_OK
     report = json.loads(out)
     names = {c["name"]: c for c in report["checks"]}
     assert names["overlattice_sigma1"]["witness"]["sigma"] == 1
     # the whole report, apart from timing, is pinned byte for byte
-    with open(os.path.join(DATA, "lattice_extra_glue_w.json"), encoding="utf-8") as fh:
+    with open(os.path.join(DATA, f"lattice_extra_glue_{extra}.json"), encoding="utf-8") as fh:
         golden = fh.read()
     assert json.dumps(strip_timing(report), sort_keys=True, indent=2) + "\n" == golden
 
@@ -173,6 +174,15 @@ def test_recognize_file(tmp_path, capsys):
     assert report["checks"][0]["witness"]["t"] == "9"
 
 
+def test_recognize_takes_its_field_from_the_file(tmp_path, capsys):
+    # no modulus is shipped for k = 6, and recognition never needs one
+    path = tmp_path / "poly.json"
+    path.write_text(normal_form_sextic(BinaryField(4), 9).to_json())
+    code, out = run_cli(capsys, "surface", "--k", "6", "--recognize", str(path), "--format", "text")
+    assert code == EXIT_OK
+    assert "PASS overall" in out
+
+
 # every accepted input ends in bounded time; each argv below is a usage error
 # and runs under a timeout, so a hang (GF(4) has no off-cube pair) fails the test
 
@@ -186,6 +196,8 @@ def test_recognize_file(tmp_path, capsys):
         ["lattice", "--lemma-box", "2"],
         ["surface", "--k", "3", "--modulus", "0b1011", "--samples", "1"],
         ["surface", "--k", "5", "--modulus", "0b100101", "--r", "1", "--s", "2"],
+        ["surface", "--k", "4", "--r", "zz", "--s", "1"],
+        ["surface", "--k", "4", "--r", "1", "--s", "0x"],
     ],
     ids=[
         "k2-sampling",
@@ -194,6 +206,8 @@ def test_recognize_file(tmp_path, capsys):
         "lemma-box-2",
         "odd-k-sampling",
         "odd-k-pair",
+        "r-not-hex",
+        "s-empty-hex",
     ],
 )
 def test_unbounded_or_vacuous_flags_are_usage_errors(argv):

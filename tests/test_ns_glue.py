@@ -1,9 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from k3lat import ns_glue
-from k3lat.exact_arith import invert_rational
+from k3lat import exact_arith, ns_glue
+from k3lat.exact_arith import IntMatrix, RatMatrix, hnf_rows, invert_rational
 from k3lat.lattice_core import (
     discriminant_group,
     is_even,
@@ -12,6 +13,7 @@ from k3lat.lattice_core import (
     pairing,
 )
 from k3lat.ns_glue import (
+    EXTRA_GLUE_CHOICES,
     GlueError,
     GlueVector,
     L_LABELS,
@@ -143,6 +145,63 @@ def test_overlattice_no_glue_is_base(ls):
     assert same.index == 1
     assert same.lattice.det() == ls.lattice.det()
     assert same.lattice.gram.entries == ls.lattice.gram.entries
+
+
+def _rational_overlattice(ls, glue):
+    """The Fraction construction kept as an oracle: the HNF basis as a
+    rational matrix, its Gram as basis*G*basis^T, and each base vector e_i
+    solved for in the new basis through the inverse of basis^T."""
+    n = ls.lattice.rank
+    rows = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    rows += [list(gv.vector.coords) for gv in glue]
+    denom = math.lcm(*(c.denominator for row in rows for c in row))
+    hnf = hnf_rows(IntMatrix([[int(c * denom) for c in row] for row in rows]))
+    basis = RatMatrix([[Fraction(x, denom) for x in row] for row in hnf])
+    gram = basis.mul(ls.lattice.gram.to_rational()).mul(basis.transpose())
+    assert all(x.denominator == 1 for row in gram.entries for x in row)
+    binv = invert_rational(basis.transpose())
+    base_rows = [binv.mul_vec([1 if j == i else 0 for j in range(n)]) for i in range(n)]
+    assert all(c.denominator == 1 for row in base_rows for c in row)
+    return gram.entries, basis.entries, tuple(tuple(row) for row in base_rows)
+
+
+@pytest.mark.parametrize("case", ["no-glue", "sigma2", "1", "w", "wb"])
+def test_overlattice_matches_rational_oracle(ls, case):
+    glue = () if case == "no-glue" else tuple(halfline_class(ls, lam) for lam in L_LABELS)
+    if case in EXTRA_GLUE_CHOICES:
+        glue += (extra_glue_class(ls, case),)
+    res = build_overlattice(OverlatticeSpec(ls, glue))
+    gram, basis, base_rows = _rational_overlattice(ls, glue)
+    assert res.lattice.gram.entries == gram
+    assert res.basis_in_base.entries == basis
+    assert res.base_in_result.entries == base_rows
+
+
+def test_overlattice_makes_one_inverse_and_no_rational_products(ls, monkeypatch):
+    glue = tuple(halfline_class(ls, lam) for lam in L_LABELS) + (extra_glue_class(ls, "w"),)
+    counts = {"invert": 0, "invert_rational": 0, "mul_vec": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def forbidden(*args):
+        raise AssertionError("rational matrix product in build_overlattice")
+
+    monkeypatch.setattr(ns_glue, "invert", counted("invert", ns_glue.invert))
+    monkeypatch.setattr(
+        exact_arith, "invert_rational", counted("invert_rational", exact_arith.invert_rational)
+    )
+    monkeypatch.setattr(RatMatrix, "mul", forbidden)
+    monkeypatch.setattr(RatMatrix, "mul_vec", counted("mul_vec", RatMatrix.mul_vec))
+    build_overlattice(OverlatticeSpec(ls, glue))
+    # the one inverse goes through invert_rational once, and nothing else
+    # inverts; the only matrix-vector products are the cached G*v of the
+    # glue vectors, none per basis vector
+    assert counts["invert"] == counts["invert_rational"] == 1
+    assert counts["mul_vec"] <= len(glue)
 
 
 def test_overlattice_rejects_bad_glue(ls):
