@@ -9,10 +9,8 @@ from .surfaces import (
     SingularityReport,
     SplittingCertificate,
     SurfaceError,
-    all_lines,
     classify_singularity,
     is_splitting,
-    lines_through,
     nonreduced_splitting_lines_separable,
     restrict_to_line,
     scan_splitting_lines,
@@ -42,10 +40,8 @@ __all__ = [
     "SingularityReport",
     "SplittingCertificate",
     "SurfaceError",
-    "all_lines",
     "classify_singularity",
     "is_splitting",
-    "lines_through",
     "nonreduced_splitting_lines_separable",
     "restrict_to_line",
     "scan_splitting_lines",

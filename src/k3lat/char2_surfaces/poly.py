@@ -289,46 +289,6 @@ class BinForm:
                 root[i // 2] = f.sqrt(c)
         return BinForm(f, half, tuple(root), self.kept)
 
-    def multiplicity_at(self, u0: int, v0: int) -> int:
-        """Vanishing order at the parameter point (u0 : v0)."""
-        if u0 == 0 and v0 == 0:
-            raise PolyError("(0:0) is not a projective point")
-        f = self.field
-        cur = self
-        mult = 0
-        while not cur.is_zero() and cur.evaluate(u0, v0) == 0 and cur.degree > 0:
-            cur = cur._divide_linear(v0, u0)
-            mult += 1
-        if cur.is_zero():
-            raise PolyError("form vanishes identically")
-        return mult
-
-    def _divide_linear(self, a: int, b: int) -> "BinForm":
-        """Exact division by a*u + b*v."""
-        f = self.field
-        d = self.degree
-        out = [0] * d
-        rem = list(self.coeffs)
-        if a != 0:
-            ainv = f.inv(a)
-            # divide treating u as the leading variable
-            for i in range(d):
-                q = f.mul(rem[i], ainv)
-                out[i] = q
-                rem[i + 1] ^= f.mul(q, b)
-                rem[i] = 0
-            if rem[d] != 0:
-                raise PolyError("linear form does not divide")
-        else:
-            binv = f.inv(b)
-            for i in range(d, 0, -1):
-                q = f.mul(rem[i], binv)
-                out[i - 1] = q
-                rem[i] = 0
-            if rem[0] != 0:
-                raise PolyError("linear form does not divide")
-        return BinForm(f, d - 1, tuple(out), self.kept)
-
 
 def cubic_has_distinct_roots(form: BinForm) -> bool:
     """Separability of a binary cubic: the mod-2 discriminant is (ad + bc)^2."""

@@ -11,7 +11,7 @@ separable cubic 3-jet means D4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .field import BinaryField
 from .poly import BinForm, HomPoly, PolyError, cubic_has_distinct_roots
@@ -47,26 +47,6 @@ def normalize_line(field: BinaryField, l: Sequence[int]) -> Line:
     return tuple(field.mul(inv, c) for c in l)
 
 
-def all_points(field: BinaryField) -> Iterable[Point]:
-    q = field.q
-    for x in range(q):
-        for y in range(q):
-            yield (x, y, 1)
-    for x in range(q):
-        yield (x, 1, 0)
-    yield (1, 0, 0)
-
-
-def all_lines(field: BinaryField) -> Iterable[Line]:
-    q = field.q
-    for b in range(q):
-        for c in range(q):
-            yield (1, b, c)
-    for c in range(q):
-        yield (0, 1, c)
-    yield (0, 0, 1)
-
-
 def point_on_line(field: BinaryField, p: Point, l: Line) -> bool:
     acc = 0
     for a, b in zip(l, p):
@@ -99,29 +79,25 @@ def intersect_lines(field: BinaryField, l1: Line, l2: Line) -> Point:
     return normalize_point(field, p)
 
 
-def lines_through(field: BinaryField, p: Point) -> Iterable[Line]:
-    """The q + 1 lines through p, normalized, in the order of ``all_lines``.
+def _points_at_infinity(field: BinaryField) -> list[Point]:
+    """The q + 1 points of the line x2 = 0; the pencils through them hold every line."""
+    return [(x, 1, 0) for x in range(field.q)] + [(1, 0, 0)]
 
-    With p normalized, the pencil has a closed form: through (x, y, 1) pass
-    (1, t, x + t*y) for every t and (0, 1, y); through (x, 1, 0) pass
-    (1, x, c) for every c and (0, 0, 1); through (1, 0, 0) pass (0, 1, c)
-    for every c and (0, 0, 1).
+
+def _pencil_through(field: BinaryField, p: Sequence[int]) -> tuple[Line, Line]:
+    """(a, b) such that the lines a + t*b, t in GF(q), and b are the q + 1 lines through p.
+
+    With p normalized: through (x, y, 1) pass (1, 0, x) + t*(0, 1, y) and
+    (0, 1, y); through (x, 1, 0) pass (1, x, 0) + t*(0, 0, 1) and (0, 0, 1);
+    through (1, 0, 0) pass (0, 1, 0) + t*(0, 0, 1) and (0, 0, 1).  Each of
+    these lines is normalized.
     """
     x, y, z = normalize_point(field, p)
-    q = field.q
     if z:
-        mul = field.mul
-        for t in range(q):
-            yield (1, t, x ^ mul(t, y))
-        yield (0, 1, y)
-        return
+        return (1, 0, x), (0, 1, y)
     if y:
-        for c in range(q):
-            yield (1, x, c)
-    else:
-        for c in range(q):
-            yield (0, 1, c)
-    yield (0, 0, 1)
+        return (1, x, 0), (0, 0, 1)
+    return (0, 1, 0), (0, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -139,25 +115,12 @@ def restrict_to_line(g: HomPoly, ell: HomPoly) -> BinForm:
         raise SurfaceError("line must be a nonzero linear form")
     f = g.field
     cf = [ell.coeff((1, 0, 0)), ell.coeff((0, 1, 0)), ell.coeff((0, 0, 1))]
-    eliminate = max(v for v in range(3) if cf[v])
-    kept = tuple(v for v in range(3) if v != eliminate)
-    inv = f.inv(cf[eliminate])
-    # eliminated variable = sub[0]*u + sub[1]*v on the line (signs vanish in char 2)
-    sub = [f.mul(inv, cf[kept[0]]), f.mul(inv, cf[kept[1]])]
-    d = g.degree
-    coeffs = [0] * (d + 1)
-    # binomial expansion of (sub0*u + sub1*v)^e over GF(2^k): C(e, i) mod 2
-    for (l, m, n), c in g.terms.items():
-        exps = {0: l, 1: m, 2: n}
-        e = exps[eliminate]
-        eu, ev = exps[kept[0]], exps[kept[1]]
-        for i in range(e + 1):
-            if (e - i) & i:  # Lucas: C(e, i) is even iff i shares a bit with e - i
-                continue
-            term = f.mul(c, f.mul(f.pow(sub[0], i), f.pow(sub[1], e - i)))
-            iu = eu + i
-            coeffs[d - iu] ^= term
-    return BinForm(f, d, tuple(coeffs), kept)
+    e = max(v for v in range(3) if cf[v])
+    inv = f.inv(cf[e])
+    # the line alone is the pencil with b = 0: constant coefficients
+    rows = _restrict_to_pencil(g, tuple(f.mul(inv, c) for c in cf), (0, 0, 0), e)
+    coeffs = tuple(row[0] if row else 0 for row in reversed(rows))
+    return BinForm(f, g.degree, coeffs, tuple(v for v in range(3) if v != e))
 
 
 def linear_divides(ell: HomPoly, g: HomPoly) -> bool:
@@ -166,6 +129,51 @@ def linear_divides(ell: HomPoly, g: HomPoly) -> bool:
         return True
     except PolyError:
         return False
+
+
+def _restrict_to_pencil(g: HomPoly, a: Line, b: Line, e: int | None = None) -> list[list[int]]:
+    """The restriction of g to the lines a + t*b, with polynomials in t as coefficients.
+
+    a_e = 1 and b_e = 0, where e defaults to the first nonzero coordinate
+    of a, so every line of the pencil solves for
+    x_e = (a_i + t*b_i)*x_i + (a_j + t*b_j)*x_j, with (i, j) the other two
+    variables in order.  Entry m of the result is the coefficient of
+    x_i^m * x_j^(d-m): a univariate polynomial in t.
+    """
+    f = g.field
+    mul = f.mul
+    d = g.degree
+    if e is None:
+        e = min(v for v in range(3) if a[v])
+    i, j = (v for v in range(3) if v != e)
+    pow_i = _linear_powers(f, a[i], b[i], d)
+    pow_j = _linear_powers(f, a[j], b[j], d)
+    rows = [[0] * (d + 1) for _ in range(d + 1)]
+    for exp, c in g.terms.items():
+        n = exp[e]
+        for s in range(n + 1):
+            if (n - s) & s:  # Lucas: C(n, s) is even
+                continue
+            row = rows[exp[i] + s]
+            for k1, c1 in enumerate(pow_i[s]):
+                if c1:
+                    c1 = mul(c, c1)
+                    for k2, c2 in enumerate(pow_j[n - s]):
+                        if c2:
+                            row[k1 + k2] ^= mul(c1, c2)
+    return [_trim(row) for row in rows]
+
+
+def _linear_powers(f: BinaryField, alpha: int, beta: int, n: int) -> list[list[int]]:
+    """(alpha + beta*t)^s for s = 0..n, as coefficient lists."""
+    out = [[1]]
+    for _ in range(n):
+        prev = out[-1]
+        nxt = [f.mul(alpha, c) for c in prev] + [0]
+        for k, c in enumerate(prev):
+            nxt[k + 1] ^= f.mul(beta, c)
+        out.append(_trim(nxt))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -213,39 +221,54 @@ def line_poly(field: BinaryField, l: Line) -> HomPoly:
 
 
 def scan_splitting_lines(
-    g: HomPoly, mode: str = "full", points: Sequence[Point] | None = None
+    g: HomPoly, mode: str = "full", points: Sequence[Point] = ()
 ) -> list[tuple[Line, SplittingCertificate]]:
     """Every rational line whose restriction is a square, with certificates.
 
-    mode 'full' scans all q^2+q+1 lines; mode 'singular' only scans lines
-    through the given singular points.  A splitting line always meets the
-    singular locus, so the restricted scan is exhaustive whenever that
-    locus is rational (as it is for the nine-point configurations).
+    Both modes search pencils of lines: on the lines a + t*b the odd
+    coefficients of the restricted sextic are polynomials in t, and the
+    lines that split are their common roots.  Mode 'full' takes the pencils
+    through the q + 1 points of x2 = 0, which together contain every line;
+    mode 'singular' takes the pencils through the given points.  A splitting
+    line always meets the singular locus, so with the singular points given
+    the restricted scan is exhaustive whenever that locus is rational (as
+    it is for the nine-point configurations).  Each line found is checked
+    by building its certificate and multiplying it out.
     """
     f = g.field
     if mode == "full":
-        candidates: Iterable[Line] = all_lines(f)
-    elif mode == "singular":
-        if points is None:
-            points = singular_points(g)
-        seen: set[Line] = set()
-        cs: list[Line] = []
-        for p in points:
-            for l in lines_through(f, p):
-                if l not in seen:
-                    seen.add(l)
-                    cs.append(l)
-        candidates = cs
-    else:
+        points = _points_at_infinity(f)
+    elif mode != "singular":
         raise SurfaceError(f"unknown scan mode {mode!r}")
+    if g.degree % 2:  # a binary form of odd degree is never a square
+        return []
+    odd = lambda a, b: _restrict_to_pencil(g, a, b)[1::2]
     out = []
-    for l in candidates:
-        ell = line_poly(f, l)
-        cert = is_splitting(g, ell)
-        if cert is not None:
-            out.append((l, cert))
-    out.sort(key=lambda t: t[0])
+    for l in _lines_where(f, odd, [_pencil_through(f, p) for p in points]):
+        cert = is_splitting(g, line_poly(f, l))
+        if cert is None:
+            raise SurfaceError(f"line {l} solves the pencil equations but does not split")
+        out.append((l, cert))
     return out
+
+
+def _lines_where(
+    f: BinaryField,
+    conditions: Callable[[Line, Line], list[list[int]]],
+    pencils: Iterable[tuple[Line, Line]],
+) -> list[Line]:
+    """The lines of the pencils on which every polynomial of conditions(a, b) vanishes.
+
+    A pencil (a, b) holds the lines a + t*b for t in GF(q) and the line b,
+    which is the one line of the pencil (b, 0).  Sorted, each line once.
+    """
+    found: set[Line] = set()
+    for a, b in pencils:
+        for t in _common_roots(f, conditions(a, b)):
+            found.add(tuple(ai ^ f.mul(t, bi) for ai, bi in zip(a, b)))
+        if not any(conditions(b, (0, 0, 0))):
+            found.add(b)
+    return sorted(found)
 
 
 # ---------------------------------------------------------------------------
@@ -255,17 +278,17 @@ def scan_splitting_lines(
 def singular_points(g: HomPoly) -> list[Point]:
     """All rational points where the three formal partials vanish.
 
-    In the chart z = 1 the partials become polynomials in y for each x, and
-    the singular points above x are the roots in GF(q) of their gcd.  Where
-    that gcd is nonconstant, its gcd with y^q + y (k squarings modulo it)
-    keeps one linear factor per such root, and y is scanned only until all
-    of them are found.  So an x costs a few small gcds, and a scan over y
-    only where a rational singular point lies.  The q + 1 points
-    on z = 0 are evaluated directly.  Points come out in chart order: x,
-    then y, then the line at infinity.  An infinite singular locus is an
-    error: all partials identically zero, or more points than the Bezout
-    bound 25 for two quintics without a common component (raised as soon as
-    the 26th point is found, so a rational singular curve costs O(26 q)
+    The chart z = 1 is covered by the vertical lines x0 = x*x2, the pencil
+    through (0, 1, 0).  On the line at x the partials restrict to
+    polynomials in y, each y^m coefficient a polynomial in x evaluated by
+    Horner, and the singular points on it are their common roots in GF(q)
+    (see ``_common_roots``): an x costs a few small gcds, and a scan over y
+    only where a rational singular point lies.  The q + 1 points on z = 0
+    are evaluated directly.  Points come out in chart order: x, then y,
+    then the line at infinity.  An infinite singular locus is an error: all
+    partials identically zero, or more points than the Bezout bound 25 for
+    two quintics without a common component (raised as soon as the 26th
+    point is found, so a rational singular curve costs O(26 q)
     evaluations).
     """
     f = g.field
@@ -282,32 +305,13 @@ def singular_points(g: HomPoly) -> list[Point]:
                 "without a common component; this indicates a curve in the singular locus"
             )
 
-    pterms = [sorted(p.terms.items()) for p in parts]
-    q = f.q
-    mul, pw = f.mul, f.pow
-    for x in range(q):
-        common: list[int] = []
-        for terms in pterms:
-            spec = [0] * g.degree
-            for (l, m, n), c in terms:
-                spec[m] ^= mul(c, pw(x, l))
-            common = _upoly_gcd(f, common, _trim(spec))
-            if len(common) == 1:
-                break
-        if not common:  # all partials vanish on the whole line at x
-            for y in range(q):
-                found((x, y, 1))
-        elif len(common) > 1:
-            roots = _rational_roots_part(f, common)
-            left = len(roots) - 1
-            y = 0
-            while left:
-                if _upoly_eval(f, roots, y) == 0:
-                    found((x, y, 1))
-                    left -= 1
-                y += 1
+    vertical = [_restrict_to_pencil(p, *_pencil_through(f, (0, 1, 0))) for p in parts]
+    for x in range(f.q):
+        in_y = (_trim([_upoly_eval(f, c, x) for c in rows]) for rows in vertical)
+        for y in _common_roots(f, in_y):
+            found((x, y, 1))
     # chart z = 0
-    for p in [(x, 1, 0) for x in range(q)] + [(1, 0, 0)]:
+    for p in _points_at_infinity(f):
         if all(part.evaluate(p) == 0 for part in parts):
             found(p)
     return out
@@ -344,9 +348,11 @@ def _upoly_gcd(f: BinaryField, a: list[int], b: list[int]) -> list[int]:
 
 
 def _upoly_eval(f: BinaryField, a: list[int], y: int) -> int:
+    """a(y) by Horner."""
+    mul = f.mul
     acc = 0
     for c in reversed(a):
-        acc = f.mul(acc, y) ^ c
+        acc = mul(acc, y) ^ c
     return acc
 
 
@@ -361,6 +367,31 @@ def _rational_roots_part(f: BinaryField, a: list[int]) -> list[int]:
     r += [0] * (2 - len(r))
     r[1] ^= 1
     return _upoly_gcd(f, a, _trim(r))
+
+
+def _common_roots(f: BinaryField, polys: Iterable[list[int]]) -> Sequence[int]:
+    """The t in GF(q) where every polynomial vanishes, ascending; all t when all are zero.
+
+    The gcd of the polynomials (given lazily; the first constant gcd ends
+    the search) is cut to its rational part by ``_rational_roots_part``,
+    which keeps one linear factor per root, and t is scanned only until
+    all of them are found.
+    """
+    common: list[int] = []
+    for a in polys:
+        common = _upoly_gcd(f, common, a)
+        if len(common) == 1:
+            return []
+    if not common:
+        return range(f.q)
+    roots = _rational_roots_part(f, common)
+    out: list[int] = []
+    t = 0
+    while len(out) < len(roots) - 1:
+        if _upoly_eval(f, roots, t) == 0:
+            out.append(t)
+        t += 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -604,16 +635,11 @@ def nonreduced_splitting_lines_separable(c: HomPoly, g: HomPoly) -> list[Line]:
     if g.degree != 6:
         raise SurfaceError("cover term must be a sextic")
     f = c.field
-    out = []
-    for l in all_lines(f):
-        ell = line_poly(f, l)
-        if not restrict_to_line(c, ell).is_zero():
-            continue
-        if restrict_to_line(g, ell).is_square() is not None:
-            out.append(l)
+    on_c_and_square = lambda a, b: _restrict_to_pencil(c, a, b) + _restrict_to_pencil(g, a, b)[1::2]
+    out = _lines_where(f, on_c_and_square, [_pencil_through(f, p) for p in _points_at_infinity(f)])
     for l in out:
         if not linear_divides(line_poly(f, l), c):
             raise SurfaceError("non-reduced line does not divide the separable term")
     if len(out) > 3:
         raise SurfaceError("more non-reduced lines than deg C = 3")
-    return sorted(out)
+    return out

@@ -263,13 +263,21 @@ def _surface_case(field: BinaryField, r: int, s: int, line_scan: str) -> tuple[b
     return ok, witness
 
 
-def cmd_surface(args) -> dict:
+def _read_sextic(path: str) -> HomPoly:
+    """The polynomial file given to --recognize; anything unreadable is a usage error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return HomPoly.from_json(fh.read())
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"--recognize {path}: {type(exc).__name__}: {exc}")
+
+
+def cmd_surface(args, g: HomPoly | None = None) -> dict:
+    """The family cases, or with g (read from --recognize) its recognition."""
     checks = Checks()
-    if args.recognize:
+    if g is not None:
         # recognition reads its field from the file
         def recog():
-            with open(args.recognize, "r", encoding="utf-8") as fh:
-                g = HomPoly.from_json(fh.read())
             res = recognize_surface(g, line_scan=args.line_scan)
             return True, {"t": format(res.t, "x")}
 
@@ -329,9 +337,9 @@ def cmd_surface(args) -> dict:
 # everything
 # ---------------------------------------------------------------------------
 
-def cmd_all(args) -> dict:
+def cmd_all(args, g: HomPoly | None = None) -> dict:
     lat = cmd_lattice(args)
-    surf = cmd_surface(args)
+    surf = cmd_surface(args, g)
     return {
         "checks": lat["checks"] + surf["checks"],
         "timing_ms": {**lat["timing_ms"], **surf["timing_ms"]},
@@ -423,12 +431,14 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     config = {k: v for k, v in sorted(vars(args).items()) if k not in ("command",)}
     try:
+        # the --recognize file is read before any suite runs
+        g = _read_sextic(args.recognize) if getattr(args, "recognize", None) else None
         if args.command == "lattice":
             report = cmd_lattice(args)
         elif args.command == "surface":
-            report = cmd_surface(args)
+            report = cmd_surface(args, g)
         else:
-            report = cmd_all(args)
+            report = cmd_all(args, g)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,7 +9,6 @@ diagonalization.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -103,31 +102,6 @@ class IntMatrix:
     def to_rational(self) -> "RatMatrix":
         return RatMatrix(self.entries)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[str(x) for x in row] for row in self.entries],
-        }
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "IntMatrix":
-        m = IntMatrix([[int(s) for s in row] for row in obj["entries"]])
-        if m.rows != obj["rows"] or m.cols != obj["cols"]:
-            raise ExactArithError("inconsistent matrix JSON header")
-        return m
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "IntMatrix":
-        return IntMatrix.from_json_obj(json.loads(text))
-
-
-def _rat_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
 
 @dataclass(frozen=True)
 class RatMatrix:
@@ -172,27 +146,6 @@ class RatMatrix:
             raise ExactArithError("dimension mismatch in mul_vec")
         vv = [Fraction(x) for x in v]
         return tuple(sum(a * vv[k] for k, a in enumerate(row)) for row in self.entries)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[_rat_str(x) for x in row] for row in self.entries],
-        }
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "RatMatrix":
-        m = RatMatrix([[Fraction(s) for s in row] for row in obj["entries"]])
-        if m.rows != obj["rows"] or m.cols != obj["cols"]:
-            raise ExactArithError("inconsistent matrix JSON header")
-        return m
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "RatMatrix":
-        return RatMatrix.from_json_obj(json.loads(text))
 
 
 # ---------------------------------------------------------------------------

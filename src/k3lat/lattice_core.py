@@ -78,20 +78,13 @@ class Lattice:
     def vector(self, coords: Sequence) -> "DualVector":
         return DualVector(self, tuple(Fraction(c) for c in coords))
 
-    def dual_basis_matrix(self) -> RatMatrix:
-        """Coordinates of the dual basis: column j holds the j-th dual vector."""
-        return invert(self.gram)
-
     def dual_basis_vector(self, j: int) -> "DualVector":
-        m = self.dual_basis_matrix()
-        return DualVector(self, tuple(m.entries[i][j] for i in range(self.rank)))
-
-    def to_json_obj(self) -> dict:
-        return {"labels": list(self.labels), "gram": self.gram.to_json_obj()}
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "Lattice":
-        return Lattice(IntMatrix.from_json_obj(obj["gram"]), tuple(obj["labels"]))
+        """Column j of the inverse Gram; the Gram is inverted once per lattice."""
+        cached = getattr(self, "_dual_basis", None)
+        if cached is None:
+            cached = invert(self.gram)
+            object.__setattr__(self, "_dual_basis", cached)
+        return DualVector(self, tuple(row[j] for row in cached.entries))
 
 
 @dataclass(frozen=True)

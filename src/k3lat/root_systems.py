@@ -97,9 +97,6 @@ class RootSet:
     def __len__(self) -> int:
         return len(self.roots)
 
-    def to_json_obj(self) -> dict:
-        return {"rank": self.lattice.rank, "roots": [list(r) for r in self.roots]}
-
 
 def enumerate_roots(lattice: Lattice) -> RootSet:
     """The complete set of lattice vectors of norm -2."""
@@ -137,16 +134,6 @@ class RootComponent:
     @property
     def rank(self) -> int:
         return len(self.basis)
-
-    def to_json_obj(self, label: str | None = None) -> dict:
-        obj = {
-            "rank": self.rank,
-            "size": len(self.roots),
-            "roots": [list(r) for r in self.roots],
-        }
-        if label is not None:
-            obj["type"] = label
-        return obj
 
 
 def _pair_int(gram: IntMatrix, u: Sequence[int], v: Sequence[int]) -> int:

@@ -17,6 +17,51 @@ def gf16():
     return BinaryField(4)
 
 
+# vanishing orders of binary forms, used as oracles here and in
+# test_char2_surfaces.py
+
+
+def multiplicity_at(form: BinForm, u0: int, v0: int) -> int:
+    """Vanishing order of the form at the parameter point (u0 : v0)."""
+    if u0 == 0 and v0 == 0:
+        raise PolyError("(0:0) is not a projective point")
+    cur = form
+    mult = 0
+    while not cur.is_zero() and cur.evaluate(u0, v0) == 0 and cur.degree > 0:
+        cur = _divide_linear(cur, v0, u0)
+        mult += 1
+    if cur.is_zero():
+        raise PolyError("form vanishes identically")
+    return mult
+
+
+def _divide_linear(form: BinForm, a: int, b: int) -> BinForm:
+    """Exact division by a*u + b*v."""
+    f = form.field
+    d = form.degree
+    out = [0] * d
+    rem = list(form.coeffs)
+    if a != 0:
+        ainv = f.inv(a)
+        # divide treating u as the leading variable
+        for i in range(d):
+            q = f.mul(rem[i], ainv)
+            out[i] = q
+            rem[i + 1] ^= f.mul(q, b)
+            rem[i] = 0
+        if rem[d] != 0:
+            raise PolyError("linear form does not divide")
+    else:
+        binv = f.inv(b)
+        for i in range(d, 0, -1):
+            q = f.mul(rem[i], binv)
+            out[i - 1] = q
+            rem[i] = 0
+        if rem[0] != 0:
+            raise PolyError("linear form does not divide")
+    return BinForm(f, d - 1, tuple(out), form.kept)
+
+
 def test_term_validation(gf16):
     with pytest.raises(PolyError):
         HomPoly(gf16, 6, {(1, 2, 2): 1})
@@ -111,6 +156,41 @@ def test_restriction_diagonal_not_square(gf16):
     assert rho.is_square() is None
 
 
+def compose_onto_line(g, l, e):
+    """g with x_e = l_i*x_i + l_j*x_j substituted (l_e = 1), by HomPoly.compose_linear.
+
+    The binary form's coefficient list: entry m multiplies x_i^(d-m) x_j^m.
+    """
+    f = g.field
+    i, j = (v for v in range(3) if v != e)
+    mat = [[int(r == c) for c in range(3)] for r in range(3)]
+    mat[e] = [0 if c == e else l[c] for c in range(3)]
+    coeffs = [0] * (g.degree + 1)
+    for exp, c in g.compose_linear(mat).terms.items():
+        assert exp[e] == 0
+        coeffs[exp[j]] = c
+    return tuple(coeffs), (i, j)
+
+
+def test_restriction_matches_composition_oracle(gf16):
+    f = gf16
+    rng = random.Random(12)
+    for degree in (3, 6):
+        for _ in range(40):
+            g = HomPoly(
+                f,
+                degree,
+                {(l, m, degree - l - m): rng.randrange(f.q) for l in range(degree + 1) for m in range(degree + 1 - l)},
+            )
+            l = tuple(rng.randrange(f.q) for _ in range(3))
+            if not any(l):
+                continue
+            e = max(v for v in range(3) if l[v])
+            normalized = tuple(f.mul(f.inv(l[e]), c) for c in l)
+            rho = restrict_to_line(g, line_poly(f, l))
+            assert (rho.coeffs, rho.kept) == compose_onto_line(g, normalized, e)
+
+
 def test_restriction_degree(gf16):
     g = schroeer_sextic(gf16, 1, 2)
     rho = restrict_to_line(g, line_poly(gf16, (1, 2, 3)))
@@ -190,9 +270,9 @@ def test_binform_multiplicity(gf16):
         return BinForm(f, a.degree + b.degree, tuple(out), (0, 1))
 
     prod = mul(mul(lin1, lin1), lin2)
-    assert prod.multiplicity_at(2, 1) == 2
-    assert prod.multiplicity_at(3, 1) == 1
-    assert prod.multiplicity_at(5, 1) == 0
+    assert multiplicity_at(prod, 2, 1) == 2
+    assert multiplicity_at(prod, 3, 1) == 1
+    assert multiplicity_at(prod, 5, 1) == 0
 
 
 def _all_cubics(field):
@@ -206,7 +286,7 @@ def _has_repeated_rational_double_root(form):
     f = form.field
     points = [(1, 0)] + [(u, 1) for u in range(f.q)]
     return any(
-        form.evaluate(u, v) == 0 and form.multiplicity_at(u, v) >= 2 for u, v in points
+        form.evaluate(u, v) == 0 and multiplicity_at(form, u, v) >= 2 for u, v in points
     )
 
 

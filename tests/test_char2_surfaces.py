@@ -10,16 +10,14 @@ from k3lat.char2_surfaces.field import BinaryField
 from k3lat.char2_surfaces.poly import HomPoly
 from k3lat.char2_surfaces.surfaces import (
     SurfaceError,
-    all_lines,
-    all_points,
     analyze_singularities,
     classify_singularity,
     intersect_lines,
     is_splitting,
     line_poly,
     line_through,
-    lines_through,
     nonreduced_splitting_lines_separable,
+    normalize_line,
     normalize_point,
     point_on_line,
     restrict_to_line,
@@ -30,6 +28,29 @@ from k3lat.char2_surfaces.surfaces import (
     table_points,
     verify_configuration,
 )
+from test_char2_poly import compose_onto_line, multiplicity_at
+
+
+def all_points(field):
+    """Every point of PG(2, q), normalized, in chart order."""
+    q = field.q
+    for x in range(q):
+        for y in range(q):
+            yield (x, y, 1)
+    for x in range(q):
+        yield (x, 1, 0)
+    yield (1, 0, 0)
+
+
+def all_lines(field):
+    """Every line of PG(2, q), normalized, in coordinate order."""
+    q = field.q
+    for b in range(q):
+        for c in range(q):
+            yield (1, b, c)
+    for c in range(q):
+        yield (0, 1, c)
+    yield (0, 0, 1)
 
 
 @pytest.fixture(scope="module")
@@ -291,7 +312,7 @@ def test_quintic_transversality_matches_classification(gf16):
                 continue
             u, v = p[kept[0]], p[kept[1]]
             mult = (
-                restricted_quintic.multiplicity_at(u, v)
+                multiplicity_at(restricted_quintic, u, v)
                 if not restricted_quintic.is_zero()
                 else None
             )
@@ -340,11 +361,17 @@ def test_lemma_bound_rejects_bad_degrees(gf16):
 
 
 # ---------------------------------------------------------------------------
-# direct pencils and the gcd singular-point search against the replaced
-# O(q^2) algorithms, kept here as oracles
+# pencil searches and the gcd singular-point search against the replaced
+# per-line and per-point algorithms, kept here as oracles
 # ---------------------------------------------------------------------------
 
 SMALL_FIELDS = [(2, None), (4, None), (6, 0b1000011)]
+
+
+def pencil_lines(f, p):
+    """The lines a + t*b for t = 0, 1, ..., then b, of the pencil through p."""
+    a, b = surfaces._pencil_through(f, p)
+    return [tuple(ai ^ f.mul(t, bi) for ai, bi in zip(a, b)) for t in range(f.q)] + [b]
 
 
 @pytest.mark.parametrize("k,modulus", SMALL_FIELDS, ids=["k2", "k4", "k6"])
@@ -352,16 +379,17 @@ def test_lines_through_matches_incidence_filter(k, modulus):
     f = BinaryField(k, modulus)
     q = f.q
     lines = list(all_lines(f))
-    # the replaced filter kept the lines l of all_lines with point_on_line(f, p, l);
+    # the incidence filter keeps the lines l of all_lines with point_on_line(f, p, l);
     # a product table computes the same sum of l_i * p_i in reach of k = 6
     table = [[f.mul(a, b) for b in range(q)] for a in range(q)]
     for p in all_points(f):
         a, b, c = (table[x] for x in p)
         expected = [l for l in lines if not (a[l[0]] ^ b[l[1]] ^ c[l[2]])]
-        pencil = list(lines_through(f, p))
+        pencil = pencil_lines(f, p)
         assert pencil == expected
         assert len(pencil) == len(set(pencil)) == q + 1
-        assert all(point_on_line(f, p, l) for l in pencil)
+        # normalized: the first nonzero coefficient is 1
+        assert all(next(c for c in l if c) == 1 for l in pencil)
 
 
 def test_lines_through_normalizes_the_point(gf16):
@@ -370,7 +398,8 @@ def test_lines_through_normalizes_the_point(gf16):
         for scale in (2, 9, 15):
             scaled = tuple(f.mul(scale, c) for c in p)
             assert normalize_point(f, scaled) == p
-            assert list(lines_through(f, scaled)) == list(lines_through(f, p))
+            assert surfaces._pencil_through(f, scaled) == surfaces._pencil_through(f, p)
+            assert pencil_lines(f, scaled) == pencil_lines(f, p)
 
 
 def brute_force_singular_points(g):
@@ -489,27 +518,150 @@ def test_singular_curve_without_rational_points_is_not_scanned():
     assert pts == sorted({(0, 0, 1), nucleus}, key=lambda p: (-p[2], p))
 
 
-def _distinct_lines_through(f, pts):
-    """9(q+1) minus the repeats: a line through m >= 2 of the points is counted m times."""
-    multi = {line_through(f, a, b) for i, a in enumerate(pts) for b in pts[i + 1 :]}
-    repeats = sum(sum(point_on_line(f, p, l) for p in pts) - 1 for l in multi)
-    return len(pts) * (f.q + 1) - repeats
+def test_pencil_restriction_specializes_to_each_line(gf16):
+    f = gf16
+    rng = random.Random("pencil-restriction")
+    for g in _seeded_sextics(f, rng):
+        p = rng.choice(list(all_points(f)))
+        a, b = surfaces._pencil_through(f, p)
+        rows = surfaces._restrict_to_pencil(g, a, b)
+        e = next(v for v in range(3) if a[v])
+        for t in range(f.q):
+            line = tuple(ai ^ f.mul(t, bi) for ai, bi in zip(a, b))
+            coeffs, _ = compose_onto_line(g, line, e)
+            at_t = [reduce(xor, (f.mul(c, f.pow(t, k)) for k, c in enumerate(row)), 0) for row in rows]
+            assert tuple(reversed(at_t)) == coeffs
 
 
-def test_singular_scan_tests_each_line_through_the_points_once(gf256, monkeypatch):
+def per_line_scan(g, candidates):
+    """The replaced scan: is_splitting on each candidate line, in line order."""
+    f = g.field
+    out = []
+    for l in sorted(set(candidates)):
+        cert = is_splitting(g, line_poly(f, l))
+        if cert is not None:
+            out.append((l, cert))
+    return out
+
+
+def joins_through(f, p):
+    """The q + 1 lines through p: its joins with the points of a coordinate line missing p."""
+    m = next(v for v in range(3) if p[v])
+    i, j = (v for v in range(3) if v != m)
+    others = []
+    for u in range(f.q):
+        r = [0, 0, 0]
+        r[i], r[j] = u, 1
+        others.append(tuple(r))
+    r = [0, 0, 0]
+    r[i] = 1
+    others.append(tuple(r))
+    return {line_through(f, p, r) for r in others}
+
+
+def _scan_points(g, rng):
+    """The singular points when they are finite, else three seeded points."""
+    try:
+        return singular_points(g)
+    except SurfaceError:
+        q = g.field.q
+        return [normalize_point(g.field, (rng.randrange(q), rng.randrange(q), 1)) for _ in range(3)]
+
+
+@pytest.mark.parametrize("k,modulus", SMALL_FIELDS, ids=["k2", "k4", "k6"])
+def test_full_scan_matches_per_line_oracle(k, modulus):
+    f = BinaryField(k, modulus)
+    rng = random.Random(f"full-scan/{k}")
+    for g in _seeded_sextics(f, rng):
+        # lines and certificates alike
+        assert scan_splitting_lines(g, "full") == per_line_scan(g, all_lines(f))
+
+
+@pytest.mark.parametrize(
+    "k,modulus", SMALL_FIELDS + [(8, None)], ids=["k2", "k4", "k6", "k8"]
+)
+def test_singular_scan_matches_per_line_oracle(k, modulus):
+    f = BinaryField(k, modulus)
+    rng = random.Random(f"singular-scan/{k}")
+    for g in _seeded_sextics(f, rng):
+        pts = _scan_points(g, rng)
+        candidates = set().union(*(joins_through(f, p) for p in pts))
+        assert scan_splitting_lines(g, "singular", pts) == per_line_scan(g, candidates)
+
+
+def old_nonreduced_lines(c, g):
+    """The replaced search: restrict C and G to every line of the plane."""
+    f = c.field
+    out = []
+    for l in all_lines(f):
+        ell = line_poly(f, l)
+        if restrict_to_line(c, ell).is_zero() and restrict_to_line(g, ell).is_square() is not None:
+            out.append(l)
+    return sorted(out)
+
+
+def _seeded_covers(f, rng):
+    """(C, G) pairs: C with one to three rational line factors or none, G split on some of them."""
+    nonzero = lambda: rng.randrange(1, f.q)
+    form = lambda d: HomPoly(
+        f, d, {(l, m, d - l - m): rng.randrange(f.q) for l in range(d + 1) for m in range(d + 1 - l)}
+    )
+    line = lambda: HomPoly.linear(f, normalize_line(f, (rng.randrange(2), nonzero(), rng.randrange(f.q))))
+    out = []
+    for _ in range(4):
+        l1, l2, l3 = line(), line(), line()
+        for c in (l1 * l2 * l3, l1 * l1 * l2, l1 * l1 * l1, l1 * form(2), form(3)):
+            out.append((c, form(6)))  # G random: few lines, if any
+            out.append((c, form(3).square()))  # G splits on every line
+            out.append((c, c * form(3) + form(3).square()))  # on every line of C
+            out.append((c, l1 * l2 * form(4) + form(3).square()))  # on l1 and l2 only
+    return [(c, g) for c, g in out if not c.is_zero()]
+
+
+@pytest.mark.parametrize("k,modulus", SMALL_FIELDS[:2], ids=["k2", "k4"])
+def test_nonreduced_lines_match_all_lines_oracle(k, modulus):
+    f = BinaryField(k, modulus)
+    rng = random.Random(f"nonreduced/{k}")
+    hits = 0
+    for c, g in _seeded_covers(f, rng):
+        expected = old_nonreduced_lines(c, g)
+        assert nonreduced_splitting_lines_separable(c, g) == expected
+        hits += len(expected)
+    assert hits >= 20
+
+
+@pytest.mark.parametrize("mode", ["full", "singular"])
+def test_scan_calls_is_splitting_once_per_reported_line(gf256, monkeypatch, mode):
     f = gf256
-    r, s = 3, 7
-    g = schroeer_sextic(f, r, s)
-    pts = list(table_points(f, r, s).values())
-    calls = []
-    real = surfaces.is_splitting
+    w = f.omega()
+    for r, s, count in ((3, 7, 5), (2, f.mul(w, 2), 7)):
+        g = schroeer_sextic(f, r, s)
+        calls = []
+        real = surfaces.is_splitting
 
-    def counting(g, ell):
-        calls.append(ell)
-        return real(g, ell)
+        def counting(g, ell):
+            calls.append(ell)
+            return real(g, ell)
 
-    monkeypatch.setattr(surfaces, "is_splitting", counting)
-    found = scan_splitting_lines(g, "singular", pts)
-    assert len(calls) == len(set(calls)) == _distinct_lines_through(f, pts)
-    assert len(calls) <= 9 * (f.q + 1)
-    assert {l for l, _ in found} == set(table_lines(f, r, s).values())
+        monkeypatch.setattr(surfaces, "is_splitting", counting)
+        found = scan_splitting_lines(g, mode, list(table_points(f, r, s).values()))
+        monkeypatch.undo()
+        assert len(found) == count
+        assert calls == [line_poly(f, l) for l, _ in found]
+        assert set(table_lines(f, r, s).values()) <= {l for l, _ in found}
+
+
+def test_odd_degree_form_has_no_splitting_lines(gf16):
+    # is_splitting never certifies an odd-degree restriction, not even zero
+    g = HomPoly(gf16, 5, {(0, 0, 5): 1, (1, 4, 0): 3, (2, 2, 1): 5})
+    for mode in ("full", "singular"):
+        assert scan_splitting_lines(g, mode, [(0, 0, 1), (1, 0, 0)]) == []
+    assert per_line_scan(g, all_lines(gf16)) == []
+
+
+def test_scan_raises_when_a_pencil_root_does_not_split(gf16, monkeypatch):
+    g = schroeer_sextic(gf16, 1, gf16.generator)
+    monkeypatch.setattr(surfaces, "is_splitting", lambda g, ell: None)
+    for mode in ("full", "singular"):
+        with pytest.raises(SurfaceError, match="does not split"):
+            scan_splitting_lines(g, mode, singular_points(g))

@@ -6,7 +6,8 @@ import sys
 import pytest
 
 from k3lat.char2_surfaces.field import BinaryField
-from k3lat.char2_surfaces.recognize import normal_form_sextic
+from k3lat.char2_surfaces.recognize import apply_frame, normal_form_sextic
+from k3lat.char2_surfaces.surfaces import schroeer_sextic
 from k3lat.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -45,6 +46,35 @@ def test_lattice_with_extra_glue(capsys, extra):
     with open(os.path.join(DATA, f"lattice_extra_glue_{extra}.json"), encoding="utf-8") as fh:
         golden = fh.read()
     assert json.dumps(strip_timing(report), sort_keys=True, indent=2) + "\n" == golden
+
+
+# a fresh process counts every rational inverse of one whole run
+INVERSE_COUNTER = """
+import collections, json, os, sys
+from k3lat import cli, exact_arith
+seen = collections.Counter()
+real = exact_arith.invert_rational
+def counting(a):
+    seen[a.entries] += 1
+    return real(a)
+exact_arith.invert_rational = counting
+code = cli.main(sys.argv[1:] + ["--out", os.devnull])
+print(json.dumps({"code": code, "inverses": [[len(m), n] for m, n in seen.items()]}))
+"""
+
+
+def test_lattice_run_inverts_each_gram_at_most_once():
+    proc = subprocess.run(
+        [sys.executable, "-c", INVERSE_COUNTER, "lattice", "--with-extra-glue", "w"],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    result = json.loads(proc.stdout)
+    assert result["code"] == EXIT_OK
+    # the A1 and D4 Grams of the dual-basis vectors, and the two overlattice bases
+    assert sorted(result["inverses"]) == [[1, 1], [4, 1], [22, 1], [22, 1]]
 
 
 def test_lattice_corrupted_glue_fails_with_witness(capsys):
@@ -101,20 +131,30 @@ def test_surface_report_matches_golden(capsys, argv, golden):
     assert json.dumps(strip_timing(json.loads(out)), sort_keys=True, indent=2) + "\n" == expected
 
 
-def test_surface_k12_family_member_finishes():
-    # filtering all 16.8 million lines of PG(2, 4096) for each of the nine
-    # points, or scanning its 16.8 million affine points, does not end in time
-    argv = ["surface", "--k", "12", "--modulus", "0x1053", "--r", "3", "--s", "5", "--format", "text"]
+def test_surface_k12_family_member_finishes(tmp_path):
+    # PG(2, 4096) has 16.8 million lines and 16.8 million points: a search
+    # that visits each of them, for the scan or for the singular points,
+    # does not end in time; the full line scan must not either
+    f = BinaryField(12, 0x1053)
+    framed = apply_frame(normal_form_sextic(f, 0x123), ((1, 0x5A, 3), (7, 1, 0x9C), (0x21, 0x400, 1)))
+    path = tmp_path / "framed.json"
+    path.write_text(framed.to_json())
+    member = ["surface", "--k", "12", "--modulus", "0x1053", "--r", "3", "--s", "5"]
     env = {**os.environ, "PYTHONPATH": SRC}
-    proc = subprocess.run(
-        [sys.executable, "-m", "k3lat.cli", *argv],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == EXIT_OK
-    assert "PASS overall" in proc.stdout
+    for argv in (
+        member,
+        member + ["--line-scan", "full"],
+        ["surface", "--recognize", str(path), "--line-scan", "full"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "k3lat.cli", *argv, "--format", "text"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == EXIT_OK, argv
+        assert "PASS overall" in proc.stdout
 
 
 def test_surface_rejects_degenerate_without_flag(capsys):
@@ -183,6 +223,39 @@ def test_recognize_takes_its_field_from_the_file(tmp_path, capsys):
     assert "PASS overall" in out
 
 
+def _poly_file_text(k, modulus_bits, terms):
+    return json.dumps({"field": {"k": k, "modulus_bits": modulus_bits}, "degree": 6, "terms": terms})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "not json",
+        _poly_file_text(20, "1" + "0" * 19 + "1001", []),
+        json.dumps([1, 2, 3]),
+        _poly_file_text(4, "10011", [{"exp": [1, 1, 1], "coeff": "1"}]),
+        _poly_file_text(4, "10011", [{"exp": [1, 4, 1], "coeff": "2"}]),
+    ],
+    ids=["not-json", "k20-field", "not-an-object", "wrong-degree", "coeff-not-binary"],
+)
+def test_bad_recognize_file_is_a_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "poly.json"
+    path.write_text(text)
+    for command in ("surface", "all"):
+        assert main([command, "--recognize", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--recognize" in captured.err
+
+
+def test_sextic_failing_recognition_is_a_failed_check(tmp_path, capsys):
+    path = tmp_path / "poly.json"
+    path.write_text(schroeer_sextic(BinaryField(4), 0, 0).to_json())
+    code, out = run_cli(capsys, "surface", "--recognize", str(path))
+    assert code == EXIT_CHECK_FAILED
+    assert json.loads(out)["checks"][0]["pass"] is False
+
+
 # every accepted input ends in bounded time; each argv below is a usage error
 # and runs under a timeout, so a hang (GF(4) has no off-cube pair) fails the test
 
@@ -198,6 +271,9 @@ def test_recognize_takes_its_field_from_the_file(tmp_path, capsys):
         ["surface", "--k", "5", "--modulus", "0b100101", "--r", "1", "--s", "2"],
         ["surface", "--k", "4", "--r", "zz", "--s", "1"],
         ["surface", "--k", "4", "--r", "1", "--s", "0x"],
+        ["surface", "--recognize", os.path.join(DATA, "no_such_file.json")],
+        ["surface", "--recognize", os.path.join(DATA, "lattice_extra_glue_1.json")],
+        ["all", "--recognize", os.path.join(DATA, "no_such_file.json")],
     ],
     ids=[
         "k2-sampling",
@@ -208,6 +284,9 @@ def test_recognize_takes_its_field_from_the_file(tmp_path, capsys):
         "odd-k-pair",
         "r-not-hex",
         "s-empty-hex",
+        "recognize-missing-file",
+        "recognize-wrong-schema",
+        "all-recognize-missing-file",
     ],
 )
 def test_unbounded_or_vacuous_flags_are_usage_errors(argv):

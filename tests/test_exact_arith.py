@@ -255,19 +255,3 @@ def test_hnf_rows_spans_same_lattice():
                 q = r[piv] // brow[piv]
                 r = [x - q * y for x, y in zip(r, brow)]
         assert all(x == 0 for x in r)
-
-
-# ---------------------------------------------------------------------------
-# JSON round trips
-# ---------------------------------------------------------------------------
-
-def test_int_matrix_json_roundtrip():
-    a = IntMatrix([[1, -(10**30)], [0, 7]])
-    assert IntMatrix.from_json(a.to_json()).entries == a.entries
-
-
-def test_rat_matrix_json_roundtrip():
-    a = RatMatrix([[Fraction(1, 3), Fraction(-7, 2)], [5, Fraction(10**20, 3)]])
-    b = RatMatrix.from_json(a.to_json())
-    assert b.entries == a.entries
-    assert '"1/3"' in a.to_json()

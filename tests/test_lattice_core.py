@@ -182,13 +182,6 @@ def test_order_matches_det_on_builtins():
         assert discriminant_group(lat).order == abs(lat.det())
 
 
-def test_lattice_json_roundtrip():
-    d4 = lattice_D4()
-    again = Lattice.from_json_obj(d4.to_json_obj())
-    assert again.gram.entries == d4.gram.entries
-    assert again.labels == d4.labels
-
-
 @pytest.mark.parametrize("name", ["A1", "D4", "hyperbolic2", "Lambda"])
 def test_discriminant_generators_match_inverse_oracle(name):
     # oracle: the columns of G^{-1} U^{-1} at the nontrivial invariant factors

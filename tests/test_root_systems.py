@@ -345,11 +345,9 @@ def test_non_ade_diagram_rejected():
 
 def test_root_set_json():
     rs = enumerate_roots(lattice_A1())
-    obj = rs.to_json_obj()
-    assert obj == {"rank": 1, "roots": [[-1], [1]]}
+    assert rs.lattice.rank == 1 and rs.roots == ((-1,), (1,)) and len(rs) == 2
     comp = irreducible_decomposition(rs)[0]
-    cobj = comp.to_json_obj(label="A1")
-    assert cobj["type"] == "A1" and cobj["size"] == 2 and cobj["rank"] == 1
+    assert comp.rank == 1 and comp.roots == rs.roots and len(comp.roots) == 2
 
 
 # ---------------------------------------------------------------------------
