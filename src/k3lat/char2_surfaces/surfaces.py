@@ -10,6 +10,7 @@ separable cubic 3-jet means D4.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -148,31 +149,43 @@ def _restrict_to_pencil(g: HomPoly, a: Line, b: Line, e: int | None = None) -> l
     i, j = (v for v in range(3) if v != e)
     pow_i = _linear_powers(f, a[i], b[i], d)
     pow_j = _linear_powers(f, a[j], b[j], d)
-    rows = [[0] * (d + 1) for _ in range(d + 1)]
+    # degree in t is at most d, and 0 for the single line b = 0
+    width = d + 1 if b[i] or b[j] else 1
+    rows = [[0] * width for _ in range(d + 1)]
     for exp, c in g.terms.items():
         n = exp[e]
-        for s in range(n + 1):
-            if (n - s) & s:  # Lucas: C(n, s) is even
-                continue
-            row = rows[exp[i] + s]
-            for k1, c1 in enumerate(pow_i[s]):
-                if c1:
-                    c1 = mul(c, c1)
-                    for k2, c2 in enumerate(pow_j[n - s]):
-                        if c2:
-                            row[k1 + k2] ^= mul(c1, c2)
+        base = exp[i]
+        for s in _odd_binomials(n):
+            row = rows[base + s]
+            for k1, c1 in pow_i[s]:
+                c1 = mul(c, c1)
+                for k2, c2 in pow_j[n - s]:
+                    row[k1 + k2] ^= mul(c1, c2)
     return [_trim(row) for row in rows]
 
 
-def _linear_powers(f: BinaryField, alpha: int, beta: int, n: int) -> list[list[int]]:
-    """(alpha + beta*t)^s for s = 0..n, as coefficient lists."""
-    out = [[1]]
+@functools.cache
+def _odd_binomials(n: int) -> tuple[int, ...]:
+    """The s in 0..n with C(n, s) odd (Lucas: s and n - s share no bit)."""
+    return tuple(s for s in range(n + 1) if not (n - s) & s)
+
+
+def _linear_powers(f: BinaryField, alpha: int, beta: int, n: int) -> list[list[tuple[int, int]]]:
+    """(alpha + beta*t)^s for s = 0..n, as lists of the nonzero (k, coefficient of t^k)."""
+    out = [[(0, 1)]]
+    if not beta:
+        p = 1
+        for _ in range(n):
+            p = f.mul(p, alpha)
+            out.append([(0, p)] if p else [])
+        return out
+    dense = [1]
     for _ in range(n):
-        prev = out[-1]
-        nxt = [f.mul(alpha, c) for c in prev] + [0]
-        for k, c in enumerate(prev):
+        nxt = [f.mul(alpha, c) for c in dense] + [0]
+        for k, c in enumerate(dense):
             nxt[k + 1] ^= f.mul(beta, c)
-        out.append(_trim(nxt))
+        dense = nxt
+        out.append([(k, c) for k, c in enumerate(dense) if c])
     return out
 
 

@@ -62,7 +62,12 @@ class Lattice:
         return det(self.gram)
 
     def inertia(self) -> tuple[int, int, int]:
-        return inertia(self.gram)
+        """Signature counts of the Gram, computed once per lattice."""
+        cached = getattr(self, "_inertia", None)
+        if cached is None:
+            cached = inertia(self.gram)
+            object.__setattr__(self, "_inertia", cached)
+        return cached
 
     def is_negative_definite(self) -> bool:
         return self.inertia() == (0, self.rank, 0)

@@ -10,7 +10,6 @@ the invariant to 1.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -390,7 +389,6 @@ class HalflineSearchResult:
         }
 
 
-@functools.cache
 def _summand_candidates(
     sub: Lattice,
     cls: DiscClass,
@@ -399,7 +397,8 @@ def _summand_candidates(
     """All dual vectors of one summand in a given class with norm >= budget and
     non-negative pairing against the summand's basis roots.
 
-    Memoized: the five half-line searches share five distinct keys.
+    The box scan behind it is memoized in bounded_class_minimizers, which the
+    bounded-class check shares.
     """
     search = bounded_class_minimizers(sub, cls, box=3)
     # anything outside the box is certified to sit strictly below the budget,

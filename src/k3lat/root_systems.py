@@ -8,7 +8,7 @@ dual-class norm searches used by the glue-vector uniqueness arguments.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,13 +28,6 @@ from .lattice_core import (
 
 class RootSystemError(ValueError):
     pass
-
-
-def _floor_sqrt(f: Fraction) -> int:
-    """Largest integer m >= 0 with m*m <= f (f >= 0)."""
-    if f < 0:
-        raise RootSystemError("negative radicand")
-    return math.isqrt(f.numerator * f.denominator) // f.denominator
 
 
 def _cholesky(q: list[list[Fraction]]) -> tuple[list[Fraction], list[list[Fraction]]]:
@@ -57,36 +50,53 @@ def _cholesky(q: list[list[Fraction]]) -> tuple[list[Fraction], list[list[Fracti
 
 
 def short_vectors(gram: IntMatrix, bound: int) -> list[tuple[int, ...]]:
-    """All nonzero integer vectors with x^T (-gram) x <= bound, gram negative definite.
+    """All nonzero integer vectors with x^T (-gram) x <= bound, gram negative
+    definite, sorted.
 
-    Exact recursive enumeration driven by the rational Cholesky decomposition;
-    no floating point is involved anywhere.
+    Fincke-Pohst enumeration with the form scaled to integers.  The rational
+    Cholesky factorization -gram = R^T diag(d) R is the only rational step:
+    row i of R is written as integers a_ij over its own denominator D_i, and
+    the weights d_i / D_i^2 and the bound over one common denominator M as
+    integers W_i and B.  The form becomes sum_i W_i (D_i x_i + s_i)^2 with
+    s_i = sum_{j>i} a_ij x_j, so each node's interval for x_i comes from an
+    integer square root and every comparison is exact.
     """
+    if bound < 0:
+        raise RootSystemError("negative bound")
     n = gram.rows
     q = [[Fraction(-gram.entries[i][j]) for j in range(n)] for i in range(n)]
     d, r = _cholesky(q)
+    dens = [math.lcm(*(r[i][j].denominator for j in range(i, n))) for i in range(n)]
+    rows = [
+        [(j, int(r[i][j] * dens[i])) for j in range(i + 1, n) if r[i][j]] for i in range(n)
+    ]
+    weights = [d[i] / (dens[i] * dens[i]) for i in range(n)]
+    scale = math.lcm(*(w.denominator for w in weights))
+    w_int = [int(w * scale) for w in weights]
     out: list[tuple[int, ...]] = []
     x = [0] * n
-    budget = Fraction(bound)
 
-    def recurse(i: int, remaining: Fraction) -> None:
-        if i < 0:
-            if any(x):
-                out.append(tuple(x))
-            return
-        center = sum((r[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
-        m = _floor_sqrt(remaining / d[i])
-        lo = math.ceil(-center) - m - 1
-        hi = math.floor(-center) + m + 1
-        for xi in range(lo, hi + 1):
-            term = d[i] * (xi + center) ** 2
-            if term <= remaining:
+    def recurse(i: int, remaining: int) -> None:
+        s = sum(a * x[j] for j, a in rows[i])
+        w, den = w_int[i], dens[i]
+        m = math.isqrt(remaining // w)
+        # -m <= den*x_i + s <= m, so every x_i in the range fits the budget
+        lo, hi = -((m + s) // den), (m - s) // den
+        if i == 0:
+            for xi in range(lo, hi + 1):
+                x[0] = xi
+                if any(x):
+                    out.append(tuple(x))
+        else:
+            for xi in range(lo, hi + 1):
+                t = den * xi + s
                 x[i] = xi
-                recurse(i - 1, remaining - term)
+                recurse(i - 1, remaining - w * t * t)
         x[i] = 0
 
-    recurse(n - 1, budget)
-    return sorted(out)
+    recurse(n - 1, bound * scale)
+    out.sort()
+    return out
 
 
 @dataclass(frozen=True)
@@ -105,12 +115,9 @@ def enumerate_roots(lattice: Lattice) -> RootSet:
     if not lattice.is_negative_definite():
         raise RootSystemError("root enumeration requires a negative-definite lattice")
     gram = lattice.gram
-    roots = [
-        v
-        for v in short_vectors(gram, 2)
-        if sum(v[i] * gram.entries[i][j] * v[j] for i in range(len(v)) for j in range(len(v))) == -2
-    ]
-    rs = RootSet(lattice, tuple(sorted(roots)))
+    # the enumeration is exact; the norm is re-derived through G v regardless
+    roots = [v for v in short_vectors(gram, 2) if _pair_int(gram, v, v) == -2]
+    rs = RootSet(lattice, tuple(roots))
     rset = set(rs.roots)
     for v in rs.roots:
         if tuple(-c for c in v) not in rset:
@@ -426,11 +433,15 @@ def _box_scan(
     box: int,
     forms,
 ) -> tuple[list[tuple[Fraction, tuple[int, ...]]], bool]:
-    """Integer-arithmetic scan of rep + {|x_i| <= box}.
+    """Integer-arithmetic scan of rep + {|x_i| <= box}, in lexicographic order.
 
     Returns the (norm, x) pairs of the points pairing non-negatively with
     every basis vector, plus the all-norms-odd flag for leaf classes.  The
     leaf norm identity is re-derived at every point of the box.
+
+    The coordinates are fixed one at a time.  Fixing x_j = v on a prefix
+    adds v times column j of G to G x, and 4 v (G rep + G x)_j + 2 v^2 G_jj
+    to twice the norm, so each point costs one column update.
     """
     g = lattice.gram.entries
     n = lattice.rank
@@ -441,23 +452,34 @@ def _box_scan(
     rep_norm2 = 2 * rep.norm()
     if rep_norm2.denominator != 1:
         raise RootSystemError("representative norm is not half-integral")
-    rep_norm2 = int(rep_norm2)
+    values = range(-box, box + 1)
+    cols = [tuple(g[i][j] for i in range(n)) for j in range(n)]
     all_odd = True
     out = []
-    for x in itertools.product(range(-box, box + 1), repeat=n):
-        gx = [sum(g[i][j] * x[j] for j in range(n)) for i in range(n)]
-        quad = sum(x[i] * gx[i] for i in range(n))
-        cross = sum(a * b for a, b in zip(grep, x))
-        norm2 = rep_norm2 + 4 * cross + 2 * quad
-        if forms is not None:
-            s = sum(f(x) ** 2 for f in forms)
-            if norm2 != -2 - (s - 2):
-                raise RootSystemError("leaf-class norm identity failed")
-            if norm2 % 4 != 2:
-                all_odd = False
-        if all(a + b >= 0 for a, b in zip(grep, gx)):
-            out.append((Fraction(norm2, 2), x))
-    return out, all_odd
+
+    def scan(prefix: tuple[int, ...], pair: list[int], norm2: int) -> None:
+        # pair = G (rep + x) and norm2 = 2 (rep + x)^2 for the prefix x
+        nonlocal all_odd
+        j = len(prefix)
+        col, lin, sq = cols[j], 4 * pair[j], 2 * g[j][j]
+        if j + 1 < n:
+            for v in values:
+                p = [a + v * c for a, c in zip(pair, col)]
+                scan(prefix + (v,), p, norm2 + v * (lin + v * sq))
+            return
+        for v in values:
+            x = prefix + (v,)
+            nv = norm2 + v * (lin + v * sq)
+            if forms is not None:
+                if nv != -sum(f(x) ** 2 for f in forms):
+                    raise RootSystemError("leaf-class norm identity failed")
+                if nv % 4 != 2:
+                    all_odd = False
+            if all(a + v * c >= 0 for a, c in zip(pair, col)):
+                out.append((nv, x))
+
+    scan((), grep, int(rep_norm2))
+    return [(Fraction(nv, 2), x) for nv, x in out], all_odd
 
 
 def bounded_class_minimizers(
@@ -474,6 +496,16 @@ def bounded_class_minimizers(
     """
     if box < 3:
         raise RootSystemError("box radius below 3 has no sufficiency certificate")
+    return _class_search(lattice, cls, box)
+
+
+@functools.cache
+def _class_search(lattice: Lattice, cls: DiscClass, box: int) -> ClassNormSearch:
+    """The search behind bounded_class_minimizers, memoized per (lattice, class, box).
+
+    The bounded-class check and the half-line walk ask for the same classes,
+    so each distinct key is scanned once per process.
+    """
     name, rep, leaf = _match_rep(lattice, cls)
     n = lattice.rank
 

@@ -77,6 +77,51 @@ def test_lattice_run_inverts_each_gram_at_most_once():
     assert sorted(result["inverses"]) == [[1, 1], [4, 1], [22, 1], [22, 1]]
 
 
+# a fresh process counts every class box scan of one whole run
+BOX_SCAN_COUNTER = """
+import collections, json, os, sys
+from k3lat import cli, root_systems
+seen = collections.Counter()
+real = root_systems._box_scan
+def counting(lattice, rep, box, forms):
+    seen[repr((lattice.gram.entries, rep.coords, box))] += 1
+    return real(lattice, rep, box, forms)
+root_systems._box_scan = counting
+code = cli.main(sys.argv[1:] + ["--out", os.devnull])
+print(json.dumps({"code": code, "scans": seen}))
+"""
+
+
+def _count_box_scans(*argv) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", BOX_SCAN_COUNTER, *argv],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    result = json.loads(proc.stdout)
+    assert result["code"] == EXIT_OK
+    return result["scans"]
+
+
+def test_lattice_run_shares_class_scans_with_the_halfline_walk():
+    # 4 class checks and 5 half-line classes would be 9 scans, but A1 zero,
+    # A1 a_dual, D4 zero and D4 d1_dual are the same (lattice, class, box)
+    # in both, so 5 distinct scans remain
+    scans = _count_box_scans("lattice", "--with-extra-glue", "w")
+    assert sum(scans.values()) == 5
+    assert set(scans.values()) == {1}
+
+
+def test_lattice_box_option_is_not_answered_from_the_box_3_memo():
+    # the class checks scan at box 4, the half-line walk at box 3: nothing is shared
+    scans = _count_box_scans("lattice", "--with-extra-glue", "w", "--lemma-box", "4")
+    assert sum(scans.values()) == 9
+    assert set(scans.values()) == {1}
+    assert sorted(key.endswith(", 4)") for key in scans) == [False] * 5 + [True] * 4
+
+
 def test_lattice_corrupted_glue_fails_with_witness(capsys):
     code, out = run_cli(capsys, "lattice", "--inject-corrupt-glue")
     assert code == EXIT_CHECK_FAILED

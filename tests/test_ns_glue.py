@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from k3lat import exact_arith, ns_glue
+from k3lat import exact_arith, ns_glue, root_systems
 from k3lat.exact_arith import IntMatrix, RatMatrix, hnf_rows, invert_rational
 from k3lat.lattice_core import (
     discriminant_group,
@@ -301,16 +301,17 @@ def test_halfline_searches_unique(ls, ns):
 
 
 def test_halfline_searches_scan_each_class_once(ls, ns, monkeypatch):
-    # 9 summands in each of 5 searches, but only 5 distinct (lattice, class) keys
+    # 9 summands in each of 5 searches, but only 5 distinct (lattice, class)
+    # keys; the memo sits under bounded_class_minimizers, so count box scans
     calls = []
-    real = ns_glue.bounded_class_minimizers
+    real = root_systems._box_scan
 
-    def counting(lattice, cls, box=3):
-        calls.append((lattice.gram.entries, cls.component))
-        return real(lattice, cls, box=box)
+    def counting(lattice, rep, box, forms):
+        calls.append((lattice.gram.entries, rep.coords))
+        return real(lattice, rep, box, forms)
 
-    monkeypatch.setattr(ns_glue, "bounded_class_minimizers", counting)
-    ns_glue._summand_candidates.cache_clear()
+    monkeypatch.setattr(root_systems, "_box_scan", counting)
+    root_systems._class_search.cache_clear()
     for lam in L_LABELS:
         assert unique_halfline_search(ls, lam, ns).is_unique_expected(ls)
     assert len(calls) == 5

@@ -1,13 +1,28 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from k3lat.exact_arith import IntMatrix
-from k3lat.lattice_core import Lattice, discriminant_group, lattice_A1, lattice_D4, pairing
+from k3lat.exact_arith import IntMatrix, det
+from k3lat.lattice_core import (
+    DiscClass,
+    Lattice,
+    discriminant_group,
+    lattice_A1,
+    lattice_D4,
+    orthogonal_complement,
+    pairing,
+)
+from k3lat.ns_glue import L_LABELS, OverlatticeSpec, build_lambda, build_overlattice, halfline_class
 from k3lat.root_systems import (
     PositivityFunctional,
     RootSystemError,
+    _box_scan,
+    _cholesky,
+    _d4_leaf_forms,
+    _match_rep,
     ade_type,
     bounded_class_minimizers,
     cartan_matrix,
@@ -78,6 +93,141 @@ def test_short_vectors_norm_filter():
     for v in vs:
         q = -sum(v[i] * g.entries[i][j] * v[j] for i in range(4) for j in range(4))
         assert 0 < q <= 2
+
+
+def _floor_sqrt(f: Fraction) -> int:
+    """Largest integer m >= 0 with m*m <= f (f >= 0)."""
+    if f < 0:
+        raise RootSystemError("negative radicand")
+    return math.isqrt(f.numerator * f.denominator) // f.denominator
+
+
+def rational_short_vectors(gram: IntMatrix, bound: int) -> list:
+    """Oracle: the former enumeration, with every node's center and
+    budget in Fraction arithmetic."""
+    n = gram.rows
+    q = [[Fraction(-gram.entries[i][j]) for j in range(n)] for i in range(n)]
+    d, r = _cholesky(q)
+    out = []
+    x = [0] * n
+
+    def recurse(i: int, remaining: Fraction) -> None:
+        if i < 0:
+            if any(x):
+                out.append(tuple(x))
+            return
+        center = sum((r[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
+        m = _floor_sqrt(remaining / d[i])
+        lo = math.ceil(-center) - m - 1
+        hi = math.floor(-center) + m + 1
+        for xi in range(lo, hi + 1):
+            term = d[i] * (xi + center) ** 2
+            if term <= remaining:
+                x[i] = xi
+                recurse(i - 1, remaining - term)
+        x[i] = 0
+
+    recurse(n - 1, Fraction(bound))
+    return sorted(out)
+
+
+def _root_sum(blocks: list) -> IntMatrix:
+    return IntMatrix.block_diagonal([b.gram for b in blocks])
+
+
+SMALL_GRAMS = {
+    "A1": lambda: lattice_A1().gram,
+    "A1+A1": lambda: _root_sum([lattice_A1()] * 2),
+    "D4": lambda: lattice_D4().gram,
+}
+
+
+@pytest.mark.parametrize("bound", [2, 4, 6])
+@pytest.mark.parametrize("name", sorted(SMALL_GRAMS))
+def test_short_vectors_match_rational_oracle(name, bound):
+    gram = SMALL_GRAMS[name]()
+    assert short_vectors(gram, bound) == rational_short_vectors(gram, bound)
+
+
+@pytest.mark.parametrize("bound", [2, 4])
+def test_short_vectors_match_rational_oracle_4d4_5a1(bound):
+    gram = _root_sum([lattice_D4()] * 4 + [lattice_A1()] * 5)
+    assert short_vectors(gram, bound) == rational_short_vectors(gram, bound)
+
+
+def test_short_vectors_4d4_5a1_bound_6_from_the_summands():
+    # The rational oracle takes about 20 s on this rank-21 sum at bound 6,
+    # so it runs on the summands only: a vector of an orthogonal sum is a
+    # tuple of summand vectors whose norms add up.
+    blocks = [lattice_D4()] * 4 + [lattice_A1()] * 5
+    per_block = []
+    for lat in blocks:
+        g = lat.gram
+        vecs = [(0, (0,) * lat.rank)] + [
+            (-sum(v[i] * g.entries[i][j] * v[j] for i in range(lat.rank) for j in range(lat.rank)), v)
+            for v in rational_short_vectors(g, 6)
+        ]
+        per_block.append(vecs)
+    expected = []
+
+    def combine(k: int, used: int, prefix: tuple) -> None:
+        if k == len(per_block):
+            if any(prefix):
+                expected.append(prefix)
+            return
+        for norm, v in per_block[k]:
+            if used + norm <= 6:
+                combine(k + 1, used + norm, prefix + v)
+
+    combine(0, 0, ())
+    got = short_vectors(_root_sum(blocks), 6)
+    assert len(got) == 106690
+    assert got == sorted(expected)
+
+
+def test_short_vectors_match_rational_oracle_on_the_complement():
+    ls = build_lambda()
+    ns = build_overlattice(OverlatticeSpec(ls, tuple(halfline_class(ls, lam) for lam in L_LABELS)))
+    gram = orthogonal_complement(ns.lattice, ns.h_in_result()).lattice.gram
+    got = short_vectors(gram, 2)
+    assert len(got) == 106
+    assert got == rational_short_vectors(gram, 2)
+
+
+def _random_even_negative_definite(rng: random.Random, n: int) -> IntMatrix:
+    while True:
+        b = IntMatrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        if det(b) != 0:
+            return IntMatrix([[-2 * v for v in row] for row in b.transpose().mul(b).entries])
+
+
+def test_short_vectors_match_rational_oracle_on_random_grams():
+    rng = random.Random(20071)
+    denominators = set()
+    for n in range(2, 7):
+        for _ in range(4):
+            gram = _random_even_negative_definite(rng, n)
+            q = [[Fraction(-v) for v in row] for row in gram.entries]
+            _, r = _cholesky(q)
+            denominators.update(c.denominator for row in r for c in row)
+            for bound in (2, 4, 8):
+                assert short_vectors(gram, bound) == rational_short_vectors(gram, bound)
+    # the rows of R are not all over 1 or 2, so the per-row scaling is exercised
+    assert denominators - {1, 2}
+
+
+def test_short_vectors_bound_zero_and_negative():
+    d4 = lattice_D4().gram
+    assert short_vectors(d4, 0) == []
+    with pytest.raises(RootSystemError):
+        short_vectors(d4, -1)
+    with pytest.raises(RootSystemError):
+        rational_short_vectors(d4, -1)
+
+
+def test_short_vectors_rejects_a_form_that_is_not_definite():
+    with pytest.raises(RootSystemError):
+        short_vectors(IntMatrix([[2]]), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -458,3 +608,56 @@ def test_unsupported_lattice_rejected():
     grp = discriminant_group(a2)
     with pytest.raises(RootSystemError):
         bounded_class_minimizers(a2, grp.zero_class())
+
+
+def product_box_scan(lattice: Lattice, rep, box: int, forms) -> tuple:
+    """Oracle: the former scan, G x summed in full at every point of the box."""
+    g = lattice.gram.entries
+    n = lattice.rank
+    grep = [int(c) for c in rep.pair_with_basis()]
+    rep_norm2 = int(2 * rep.norm())
+    all_odd = True
+    out = []
+    for x in itertools.product(range(-box, box + 1), repeat=n):
+        gx = [sum(g[i][j] * x[j] for j in range(n)) for i in range(n)]
+        quad = sum(x[i] * gx[i] for i in range(n))
+        cross = sum(a * b for a, b in zip(grep, x))
+        norm2 = rep_norm2 + 4 * cross + 2 * quad
+        if forms is not None:
+            s = sum(f(x) ** 2 for f in forms)
+            if norm2 != -2 - (s - 2):
+                raise RootSystemError("leaf-class norm identity failed")
+            if norm2 % 4 != 2:
+                all_odd = False
+        if all(a + b >= 0 for a, b in zip(grep, gx)):
+            out.append((Fraction(norm2, 2), x))
+    return out, all_odd
+
+
+def _every_class():
+    for lattice in (lattice_A1(), lattice_D4()):
+        grp = discriminant_group(lattice)
+        for comp in itertools.product(*(range(f) for f in grp.invariant_factors)):
+            yield lattice, DiscClass(grp, comp)
+
+
+@pytest.mark.parametrize("box", [3, 4])
+def test_box_scan_matches_the_product_scan(box):
+    seen = set()
+    for lattice, cls in _every_class():
+        name, rep, leaf = _match_rep(lattice, cls)
+        seen.add((lattice.rank, name))
+        forms = _d4_leaf_forms(leaf) if leaf is not None else None
+        assert _box_scan(lattice, rep, box, forms) == product_box_scan(lattice, rep, box, forms)
+    assert seen == {
+        (1, "zero"), (1, "a_dual"), (4, "zero"), (4, "d1_dual"), (4, "d2_dual"), (4, "d4_dual")
+    }
+
+
+def test_box_scan_rejects_a_corrupted_leaf_form():
+    d4 = lattice_D4()
+    name, rep, leaf = _match_rep(d4, discriminant_group(d4).class_of(d4.dual_basis_vector(0)))
+    forms = _d4_leaf_forms(leaf)
+    forms[3] = lambda x: x[2]  # the correct form is x[2] - 1
+    with pytest.raises(RootSystemError, match="leaf-class norm identity failed"):
+        _box_scan(d4, rep, 3, forms)
