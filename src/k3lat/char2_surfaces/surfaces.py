@@ -296,13 +296,14 @@ def singular_points(g: HomPoly) -> list[Point]:
     polynomials in y, each y^m coefficient a polynomial in x evaluated by
     Horner, and the singular points on it are their common roots in GF(q)
     (see ``_common_roots``): an x costs a few small gcds, and a scan over y
-    only where a rational singular point lies.  The q + 1 points on z = 0
-    are evaluated directly.  Points come out in chart order: x, then y,
-    then the line at infinity.  An infinite singular locus is an error: all
-    partials identically zero, or more points than the Bezout bound 25 for
-    two quintics without a common component (raised as soon as the 26th
-    point is found, so a rational singular curve costs O(26 q)
-    evaluations).
+    only where a rational singular point lies.  On the line z = 0 the
+    partials at (x, 1, 0) are polynomials in x, whose common roots are found
+    the same way, and (1, 0, 0) is evaluated directly.  Points come out in
+    chart order: x, then y, then the line at infinity.  An infinite singular
+    locus is an error: all partials identically zero, or more points than
+    the Bezout bound 25 for two quintics without a common component (raised
+    as soon as the 26th point is found, so a rational singular curve costs
+    O(26 q) evaluations).
     """
     f = g.field
     parts = [g.partial(v) for v in range(3)]
@@ -323,10 +324,14 @@ def singular_points(g: HomPoly) -> list[Point]:
         in_y = (_trim([_upoly_eval(f, c, x) for c in rows]) for rows in vertical)
         for y in _common_roots(f, in_y):
             found((x, y, 1))
-    # chart z = 0
-    for p in _points_at_infinity(f):
-        if all(part.evaluate(p) == 0 for part in parts):
-            found(p)
+    # chart z = 0: on x2 = 0 entry m of a restricted partial is its
+    # coefficient of x0^m x1^(d-m), so the points (x, 1, 0) are the common
+    # roots of the polynomials in x; (1, 0, 0) is evaluated directly
+    at_infinity = (_restrict_to_pencil(p, (0, 0, 1), (0, 0, 0)) for p in parts)
+    for x in _common_roots(f, (_trim([c[0] if c else 0 for c in rows]) for rows in at_infinity)):
+        found((x, 1, 0))
+    if all(part.evaluate((1, 0, 0)) == 0 for part in parts):
+        found((1, 0, 0))
     return out
 
 

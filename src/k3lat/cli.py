@@ -55,7 +55,7 @@ class Checks:
         try:
             passed, witness = fn()
         except Exception as exc:  # a raised contract error is a failed check
-            passed, witness = False, {"error": str(exc)}
+            passed, witness = False, {"error": str(exc), "error_type": type(exc).__name__}
         self.timing[name] = round((time.perf_counter() - start) * 1000.0, 3)
         self.results.append({"name": name, "pass": bool(passed), "witness": witness})
 
@@ -362,14 +362,21 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _int_at_least(low: int):
+def _int_in_range(low: int, high: int | None = None):
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}")
         return value
 
     return parse
+
+
+# the D4 class scans visit (2 * box + 1)^4 points: about 5 s at box 16,
+# a minute at box 32
+LEMMA_BOX_MAX = 16
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def lattice_flags(sp):
         sp.add_argument("--with-extra-glue", choices=EXTRA_GLUE_CHOICES, default=None)
-        sp.add_argument("--lemma-box", type=_int_at_least(3), default=3)
+        sp.add_argument("--lemma-box", type=_int_in_range(3, LEMMA_BOX_MAX), default=3)
         sp.add_argument("--inject-corrupt-glue", action="store_true", help=argparse.SUPPRESS)
 
     def surface_flags(sp, k_default):
@@ -390,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--modulus", type=lambda t: int(t, 0), default=None)
         sp.add_argument("--r", default=None, help="hex bitstring")
         sp.add_argument("--s", default=None, help="hex bitstring")
-        sp.add_argument("--samples", type=_int_at_least(1), default=3)
+        sp.add_argument("--samples", type=_int_in_range(1), default=3)
         sp.add_argument("--seed", type=int, default=1)
         sp.add_argument("--allow-degenerate", action="store_true")
         sp.add_argument("--line-scan", choices=("full", "singular"), default="singular")

@@ -1,16 +1,19 @@
 """Exact integer and rational linear algebra.
 
 Everything in this package runs on arbitrary-precision integers and
-``fractions.Fraction``; there is no floating point anywhere.  The three
-workhorses are fraction-free determinants, Smith normal form with
-transformation matrices, and exact signature computation by congruence
-diagonalization.
+``fractions.Fraction``; there is no floating point anywhere.  The kernels
+are fraction-free: determinants, the inverse and the symmetric elimination
+behind the signature all run Bareiss updates on integers, and a
+``Fraction`` is built only for the entries of an inverse.  Smith normal
+form comes with its transformation matrices and is re-checked on every
+call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -86,21 +89,13 @@ class IntMatrix:
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ExactArithError("dimension mismatch in mul")
-        ot = other.entries
-        return IntMatrix(
-            [
-                [sum(a * ot[k][j] for k, a in enumerate(row)) for j in range(other.cols)]
-                for row in self.entries
-            ]
-        )
+        cols = list(zip(*other.entries))
+        return IntMatrix([[sum(map(mul, row, col)) for col in cols] for row in self.entries])
 
     def mul_vec(self, v: Sequence[int]) -> tuple[int, ...]:
         if self.cols != len(v):
             raise ExactArithError("dimension mismatch in mul_vec")
-        return tuple(sum(a * v[k] for k, a in enumerate(row)) for row in self.entries)
-
-    def to_rational(self) -> "RatMatrix":
-        return RatMatrix(self.entries)
+        return tuple(sum(map(mul, row, v)) for row in self.entries)
 
 
 @dataclass(frozen=True)
@@ -113,33 +108,8 @@ class RatMatrix:
         object.__setattr__(self, "entries", _freeze_rat(entries))
 
     @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        return self.entries[ij[0]][ij[1]]
-
-    @staticmethod
-    def identity(n: int) -> "RatMatrix":
-        return RatMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def mul(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise ExactArithError("dimension mismatch in mul")
-        ot = other.entries
-        return RatMatrix(
-            [
-                [sum(a * ot[k][j] for k, a in enumerate(row)) for j in range(other.cols)]
-                for row in self.entries
-            ]
-        )
 
     def mul_vec(self, v: Sequence) -> tuple[Fraction, ...]:
         if self.cols != len(v):
@@ -171,97 +141,126 @@ def det(a: IntMatrix) -> int:
                     break
             else:
                 return 0
+        p = m[k][k]
+        tail = m[k][k + 1 :]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
+            row = m[i]
+            f = row[k]
+            # entries left of column k + 1 are never read again
+            m[i] = [0] * (k + 1) + [(x * p - f * y) // prev for x, y in zip(row[k + 1 :], tail)]
+        prev = p
     return sign * m[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
-# exact inverse (Gauss-Jordan over Q)
+# exact inverse (fraction-free Gauss-Jordan)
 # ---------------------------------------------------------------------------
 
 def invert(a: IntMatrix) -> RatMatrix:
-    """Exact inverse of a nonsingular square integer matrix."""
+    """Exact inverse of a nonsingular square integer matrix.
+
+    Fraction-free Gauss-Jordan on [A | I]: with p the pivot and prev the
+    previous one (1 at the start), every other row becomes
+    (p * row - f * pivot_row) // prev, f its entry in the pivot column, and
+    the division is exact because each entry is a minor of [A | I].  A zero
+    pivot is swapped with a row below.  The left block ends as det * I
+    (det up to the sign of the swaps) and the right one as det * A^-1, so
+    each entry of the inverse is one Fraction over the last pivot.
+    """
     if not a.is_square():
         raise ExactArithError("inverse of a non-square matrix")
-    return invert_rational(a.to_rational())
-
-
-def invert_rational(a: RatMatrix) -> RatMatrix:
-    if a.rows != a.cols:
-        raise ExactArithError("inverse of a non-square matrix")
     n = a.rows
-    m = [list(row) for row in a.entries]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
+    m = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a.entries)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
         if piv is None:
             raise ExactArithError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        p = m[col][col]
-        m[col] = [x / p for x in m[col]]
-        inv[col] = [x / p for x in inv[col]]
+        m[k], m[piv] = m[piv], m[k]
+        pivot_row = m[k]
+        p = pivot_row[k]
         for i in range(n):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
-    return RatMatrix(inv)
+            if i == k:
+                continue
+            row = m[i]
+            f = row[k]
+            if f:
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+            else:
+                m[i] = [p * x // prev for x in row]
+        prev = p
+    return RatMatrix([[Fraction(x, prev) for x in row[n:]] for row in m])
 
 
 # ---------------------------------------------------------------------------
-# exact signature (congruence diagonalization; no eigenvalues, no floats)
+# symmetric elimination and exact signature (no eigenvalues, no floats)
 # ---------------------------------------------------------------------------
+
+def symmetric_elimination(a: IntMatrix) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Fraction-free congruence diagonalization of a symmetric integer matrix.
+
+    Each step eliminates the first remaining coordinate with a nonzero
+    diagonal entry.  When every remaining diagonal entry is zero but some
+    m_ij is not, x_i -> x_i + x_j first turns the hyperbolic block into one
+    with m_ii = 2 m_ij.  With p the pivot and prev the previous one (1 at
+    the first step), each remaining entry becomes
+    (p * m_ij - m_i,piv * m_piv,j) // prev, exact by Sylvester's identity.
+
+    Returns one (pivot, p, row) per step; row is the pivot row over all n
+    coordinates, zero on those eliminated before.  p is the determinant of
+    the pivot block so far, so the diagonal entry of the congruent diagonal
+    form is p / prev.  The steps stop when the rest is zero, so their count
+    is the rank.  On a definite matrix no remaining diagonal entry is ever
+    zero, so the pivots run 0, 1, ..., n - 1, p is the leading principal
+    minor and the row is in the original coordinates.
+    """
+    if not a.is_symmetric():
+        raise ExactArithError("symmetric elimination of a non-symmetric matrix")
+    n = a.rows
+    m = [list(row) for row in a.entries]
+    alive = list(range(n))
+    prev = 1
+    steps = []
+    while alive:
+        piv = next((i for i in alive if m[i][i]), None)
+        if piv is None:
+            pair = next(((i, j) for i in alive for j in alive if i < j and m[i][j]), None)
+            if pair is None:
+                break
+            i, j = pair
+            for k in alive:
+                m[i][k] += m[j][k]
+            for k in alive:
+                m[k][i] += m[k][j]
+            piv = i
+        pivot_row = m[piv]
+        p = pivot_row[piv]
+        steps.append((piv, p, tuple(pivot_row[j] if j in alive else 0 for j in range(n))))
+        alive.remove(piv)
+        for i in alive:
+            row = m[i]
+            f = row[piv]
+            for j in alive:
+                row[j] = (p * row[j] - f * pivot_row[j]) // prev
+        prev = p
+    return steps
+
 
 def inertia(a: IntMatrix) -> tuple[int, int, int]:
     """Counts of positive, negative and zero entries of any congruent diagonal form.
 
-    Symmetric pivoting; a fully zero diagonal with a nonzero off-diagonal
-    entry is split as the standard hyperbolic pair (one +, one -).
+    The diagonal entry of each step of ``symmetric_elimination`` is
+    p / prev, so its sign is sign(p) * sign(prev).
     """
-    if not a.is_symmetric():
-        raise ExactArithError("signature of a non-symmetric matrix")
-    n = a.rows
-    m = [[Fraction(x) for x in row] for row in a.entries]
-    alive = list(range(n))
-    pos = neg = zero = 0
-    while alive:
-        piv = next((i for i in alive if m[i][i] != 0), None)
-        if piv is None:
-            pair = next(
-                ((i, j) for i in alive for j in alive if i < j and m[i][j] != 0), None
-            )
-            if pair is None:
-                zero += len(alive)
-                break
-            i, j = pair
-            # x_i -> x_i + x_j turns the hyperbolic block into one with
-            # nonzero diagonal: new m[i][i] = 2*m[i][j].
-            for k in range(n):
-                m[i][k] = m[i][k] + m[j][k]
-            for k in range(n):
-                m[k][i] = m[k][i] + m[k][j]
-            piv = i
-        p = m[piv][piv]
-        if p > 0:
+    pos = neg = 0
+    prev = 1
+    for _, p, _ in symmetric_elimination(a):
+        if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        alive.remove(piv)
-        pivot_row = [m[piv][j] for j in range(n)]
-        for i in alive:
-            f = m[i][piv] / p
-            if f == 0:
-                continue
-            for j in alive:
-                m[i][j] = m[i][j] - f * pivot_row[j]
-            m[i][piv] = Fraction(0)
-            m[piv][i] = Fraction(0)
-    return pos, neg, zero
+        prev = p
+    return pos, neg, a.rows - pos - neg
 
 
 # ---------------------------------------------------------------------------

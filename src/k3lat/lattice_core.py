@@ -5,18 +5,21 @@ bilinear form, given by its Gram matrix in a distinguished basis.  Dual
 vectors are stored as rational coordinate vectors in that same basis, so
 the lattice itself is exactly the set of integer-coordinate vectors and
 the dual consists of vectors pairing integrally with the whole basis.
+The pairings G v of a vector are computed once, in integers over the
+common denominator of its coordinates; the Gram itself never becomes a
+rational matrix.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .exact_arith import (
     IntMatrix,
-    RatMatrix,
     det,
     inertia,
     invert,
@@ -37,7 +40,8 @@ class Lattice:
     def __init__(self, gram: IntMatrix, labels: Sequence[str] | None = None):
         if not gram.is_symmetric():
             raise LatticeError("Gram matrix must be symmetric")
-        if det(gram) == 0:
+        d = det(gram)
+        if d == 0:
             raise LatticeError("Gram matrix must be non-degenerate")
         if labels is None:
             labels = tuple(f"e{i}" for i in range(gram.rows))
@@ -46,20 +50,15 @@ class Lattice:
             raise LatticeError("label count must equal the rank")
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_det", d)
 
     @property
     def rank(self) -> int:
         return self.gram.rows
 
-    def gram_rat(self) -> RatMatrix:
-        cached = getattr(self, "_gram_rat", None)
-        if cached is None:
-            cached = self.gram.to_rational()
-            object.__setattr__(self, "_gram_rat", cached)
-        return cached
-
     def det(self) -> int:
-        return det(self.gram)
+        """Determinant of the Gram, computed once by the constructor."""
+        return self._det
 
     def inertia(self) -> tuple[int, int, int]:
         """Signature counts of the Gram, computed once per lattice."""
@@ -100,7 +99,7 @@ class DualVector:
     coords: tuple[Fraction, ...]
 
     def __init__(self, lattice: Lattice, coords: Sequence):
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
         if len(coords) != lattice.rank:
             raise LatticeError("coordinate length must equal the rank")
         object.__setattr__(self, "lattice", lattice)
@@ -125,10 +124,16 @@ class DualVector:
         return all(c.denominator == 1 for c in self.coords)
 
     def pair_with_basis(self) -> tuple[Fraction, ...]:
-        """G v: the pairings of v with the basis vectors, computed once."""
+        """G v: the pairings of v with the basis vectors, computed once.
+
+        With d the lcm of the coordinate denominators, G v = G (d v) / d:
+        one integer product and one Fraction per entry.
+        """
         cached = getattr(self, "_gv", None)
         if cached is None:
-            cached = self.lattice.gram_rat().mul_vec(self.coords)
+            d = math.lcm(*(c.denominator for c in self.coords))
+            dv = [c.numerator * (d // c.denominator) for c in self.coords]
+            cached = tuple(Fraction(x, d) for x in self.lattice.gram.mul_vec(dv))
             object.__setattr__(self, "_gv", cached)
         return cached
 
@@ -285,7 +290,7 @@ def discriminant_group(lattice: Lattice) -> DiscriminantGroup:
         if f > 1
     ]
     grp = DiscriminantGroup(lattice, factors, tuple(gens), r.u)
-    if grp.order != abs(det(g)):
+    if grp.order != abs(lattice.det()):
         raise LatticeError("discriminant group order mismatch")
     for gen in gens:
         if not gen.is_dual_vector():

@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from .exact_arith import IntMatrix, RatMatrix, det, hnf_rows, invert
+from .exact_arith import IntMatrix, RatMatrix, hnf_rows, invert
 from .lattice_core import (
     DiscClass,
     DualVector,
@@ -183,12 +184,14 @@ class OverlatticeResult:
 
     def to_result_coords(self, v: DualVector) -> tuple[int, ...] | None:
         """Integer coordinates of v in the overlattice basis, or None if outside."""
-        # v = sum_i v_i e_i, and row i of base_in_result writes e_i in the new basis
-        rows = self.base_in_result.entries
-        x = [sum(c * row[j] for c, row in zip(v.coords, rows)) for j in range(self.lattice.rank)]
-        if any(c.denominator != 1 for c in x):
+        # v = sum_i v_i e_i, and row i of base_in_result writes e_i in the new
+        # basis; with d the common denominator of v, d x is an integer product
+        d = math.lcm(*(c.denominator for c in v.coords))
+        dv = [c.numerator * (d // c.denominator) for c in v.coords]
+        dx = [sum(map(mul, dv, col)) for col in zip(*self.base_in_result.entries)]
+        if any(c % d for c in dx):
             return None
-        return tuple(int(c) for c in x)
+        return tuple(c // d for c in dx)
 
     def h_in_result(self) -> DualVector:
         return self.lattice.vector(self.base_in_result.entries[0])
@@ -268,8 +271,8 @@ def build_overlattice(spec: OverlatticeSpec) -> OverlatticeResult:
     if any(c.denominator != 1 for row in base_in_result for c in row):
         raise GlueError("base vector escapes the overlattice")
 
-    d_base = det(base.gram)
-    d_new = det(gram)
+    d_base = base.det()
+    d_new = lat.det()
     if d_base % d_new != 0:
         raise GlueError("determinant drop is not integral")
     ratio = d_base // d_new
@@ -319,8 +322,13 @@ def canonical_positivity(ns: OverlatticeResult, comp: Sublattice) -> PositivityF
     pushed through the two embeddings.
     """
     w_pairings = [0 if s.kind == "H" else 1 for s in ns.spec.base.summands for _ in range(s.rank)]
-    form = comp.basis_in_ambient.mul_vec(ns.basis_in_base.mul_vec(w_pairings))
-    return PositivityFunctional(comp.lattice, form)
+    # the basis rows share one denominator d, so the form is an integer
+    # product over d
+    rows = ns.basis_in_base.entries
+    d = math.lcm(*(c.denominator for row in rows for c in row))
+    basis = IntMatrix([[c.numerator * (d // c.denominator) for c in row] for row in rows])
+    form = comp.basis_in_ambient.mul_vec(basis.mul_vec(w_pairings))
+    return PositivityFunctional(comp.lattice, tuple(Fraction(x, d) for x in form))
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,10 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
-from .exact_arith import IntMatrix, hnf_rows, inertia, invert
+from .exact_arith import IntMatrix, hnf_rows, inertia, invert, symmetric_elimination
 from .lattice_core import (
     DiscClass,
     DualVector,
@@ -30,49 +31,39 @@ class RootSystemError(ValueError):
     pass
 
 
-def _cholesky(q: list[list[Fraction]]) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Q = R^T diag(d) R with R unit upper triangular; requires Q positive definite."""
-    n = len(q)
-    q = [row[:] for row in q]
-    d = [Fraction(0)] * n
-    r = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = q[i][i]
-        if d[i] <= 0:
-            raise RootSystemError("form is not positive definite")
-        for j in range(i + 1, n):
-            r[i][j] = q[i][j] / d[i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] -= d[i] * r[i][k] * r[i][l]
-                q[l][k] = q[k][l]
-    return d, r
-
-
 def short_vectors(gram: IntMatrix, bound: int) -> list[tuple[int, ...]]:
     """All nonzero integer vectors with x^T (-gram) x <= bound, gram negative
     definite, sorted.
 
-    Fincke-Pohst enumeration with the form scaled to integers.  The rational
-    Cholesky factorization -gram = R^T diag(d) R is the only rational step:
-    row i of R is written as integers a_ij over its own denominator D_i, and
-    the weights d_i / D_i^2 and the bound over one common denominator M as
-    integers W_i and B.  The form becomes sum_i W_i (D_i x_i + s_i)^2 with
-    s_i = sum_{j>i} a_ij x_j, so each node's interval for x_i comes from an
-    integer square root and every comparison is exact.
+    Fincke-Pohst enumeration in integers.  The symmetric elimination of
+    -gram (see ``symmetric_elimination``) takes its pivots in order and
+    gives the leading minors D_1, ..., D_n (D_0 = 1); with B_i its integer
+    row i (B_ii = D_i), -gram(x) = sum_i (B_i . x)^2 / (D_(i-1) D_i).  Row i
+    divided by its gcd g_i is den_i = D_i / g_i on the diagonal and a_ij
+    after it, with weight g_i^2 / (D_(i-1) D_i); the weights and the bound
+    are put over one common denominator as integers W_i and B.  The form
+    becomes sum_i W_i (den_i x_i + s_i)^2 with s_i = sum_{j>i} a_ij x_j, so
+    each node's interval for x_i comes from an integer square root and
+    every comparison is exact.  A form that is not positive definite has
+    some D_i <= 0 (or fewer than n pivots) and raises.
     """
     if bound < 0:
         raise RootSystemError("negative bound")
     n = gram.rows
-    q = [[Fraction(-gram.entries[i][j]) for j in range(n)] for i in range(n)]
-    d, r = _cholesky(q)
-    dens = [math.lcm(*(r[i][j].denominator for j in range(i, n))) for i in range(n)]
-    rows = [
-        [(j, int(r[i][j] * dens[i])) for j in range(i + 1, n) if r[i][j]] for i in range(n)
-    ]
-    weights = [d[i] / (dens[i] * dens[i]) for i in range(n)]
-    scale = math.lcm(*(w.denominator for w in weights))
-    w_int = [int(w * scale) for w in weights]
+    steps = symmetric_elimination(IntMatrix([[-c for c in row] for row in gram.entries]))
+    if len(steps) < n or any(p <= 0 for _, p, _ in steps):
+        raise RootSystemError("form is not positive definite")
+    dens, rows, weights = [], [], []
+    prev = 1
+    for i, (_, p, row) in enumerate(steps):
+        g = math.gcd(*row)
+        dens.append(p // g)
+        rows.append([(j, row[j] // g) for j in range(i + 1, n) if row[j]])
+        h = math.gcd(g * g, prev * p)
+        weights.append((g * g // h, prev * p // h))
+        prev = p
+    scale = math.lcm(*(den for _, den in weights))
+    w_int = [num * (scale // den) for num, den in weights]
     out: list[tuple[int, ...]] = []
     x = [0] * n
 
@@ -144,8 +135,7 @@ class RootComponent:
 
 
 def _pair_int(gram: IntMatrix, u: Sequence[int], v: Sequence[int]) -> int:
-    gv = gram.mul_vec(v)
-    return sum(a * b for a, b in zip(u, gv))
+    return sum(map(mul, u, gram.mul_vec(v)))
 
 
 def irreducible_decomposition(root_set: RootSet) -> list[RootComponent]:
@@ -166,7 +156,7 @@ def irreducible_decomposition(root_set: RootSet) -> list[RootComponent]:
             members.append(roots[i])
             gr = groots[i]
             for j in range(len(roots)):
-                if not seen[j] and sum(a * b for a, b in zip(roots[j], gr)) != 0:
+                if not seen[j] and sum(map(mul, roots[j], gr)) != 0:
                     seen[j] = True
                     stack.append(j)
         members.sort()
@@ -194,7 +184,14 @@ class PositivityFunctional:
         return PositivityFunctional(v.lattice, v.pair_with_basis())
 
     def value(self, x: Sequence[int]) -> Fraction:
-        return sum((a * c for a, c in zip(self.form, x)), Fraction(0))
+        """alpha(x), from the form written once over its common denominator d."""
+        cached = getattr(self, "_scaled", None)
+        if cached is None:
+            d = math.lcm(*(c.denominator for c in self.form))
+            cached = d, [c.numerator * (d // c.denominator) for c in self.form]
+            object.__setattr__(self, "_scaled", cached)
+        d, scaled = cached
+        return Fraction(sum(map(mul, scaled, x)), d)
 
 
 def positive_part(component: RootComponent, alpha: PositivityFunctional) -> list[tuple[int, ...]]:

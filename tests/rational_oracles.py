@@ -1,0 +1,120 @@
+"""The Fraction forms of the lattice kernels, kept as test oracles.
+
+The package computes inverses, signatures, the Fincke-Pohst factorization
+and G v fraction-free.  These are the rational algorithms they replaced,
+plus the rational matrix products the oracles need.
+"""
+
+from fractions import Fraction
+
+from k3lat.exact_arith import ExactArithError, IntMatrix, RatMatrix
+from k3lat.root_systems import RootSystemError
+
+
+def to_rational(a: IntMatrix) -> RatMatrix:
+    return RatMatrix(a.entries)
+
+
+def rat_identity(n: int) -> RatMatrix:
+    return RatMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def rat_transpose(a: RatMatrix) -> RatMatrix:
+    return RatMatrix(zip(*a.entries))
+
+
+def rat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    cols = list(zip(*b.entries))
+    return RatMatrix([[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.entries])
+
+
+def rational_gv(gram: IntMatrix, coords) -> tuple[Fraction, ...]:
+    """G v with the Gram as a rational matrix."""
+    return to_rational(gram).mul_vec(coords)
+
+
+def invert_rational(a: RatMatrix) -> RatMatrix:
+    """Gauss-Jordan over Q."""
+    n = len(a.entries)
+    if a.cols != n:
+        raise ExactArithError("inverse of a non-square matrix")
+    m = [list(row) for row in a.entries]
+    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
+        if piv is None:
+            raise ExactArithError("singular matrix")
+        m[col], m[piv] = m[piv], m[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        p = m[col][col]
+        m[col] = [x / p for x in m[col]]
+        inv[col] = [x / p for x in inv[col]]
+        for i in range(n):
+            if i != col and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
+                inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
+    return RatMatrix(inv)
+
+
+def rational_inertia(a: IntMatrix) -> tuple[int, int, int]:
+    """Congruence diagonalization over Q with the same pivot rule and
+    hyperbolic-pair step as the integer elimination."""
+    if not a.is_symmetric():
+        raise ExactArithError("signature of a non-symmetric matrix")
+    n = a.rows
+    m = [[Fraction(x) for x in row] for row in a.entries]
+    alive = list(range(n))
+    pos = neg = zero = 0
+    while alive:
+        piv = next((i for i in alive if m[i][i] != 0), None)
+        if piv is None:
+            pair = next(
+                ((i, j) for i in alive for j in alive if i < j and m[i][j] != 0), None
+            )
+            if pair is None:
+                zero += len(alive)
+                break
+            i, j = pair
+            # x_i -> x_i + x_j turns the hyperbolic block into one with
+            # nonzero diagonal: new m[i][i] = 2*m[i][j].
+            for k in range(n):
+                m[i][k] = m[i][k] + m[j][k]
+            for k in range(n):
+                m[k][i] = m[k][i] + m[k][j]
+            piv = i
+        p = m[piv][piv]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        alive.remove(piv)
+        pivot_row = [m[piv][j] for j in range(n)]
+        for i in alive:
+            f = m[i][piv] / p
+            if f == 0:
+                continue
+            for j in alive:
+                m[i][j] = m[i][j] - f * pivot_row[j]
+            m[i][piv] = Fraction(0)
+            m[piv][i] = Fraction(0)
+    return pos, neg, zero
+
+
+def cholesky(q: list[list[Fraction]]) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """Q = R^T diag(d) R with R unit upper triangular; requires Q positive definite."""
+    n = len(q)
+    q = [row[:] for row in q]
+    d = [Fraction(0)] * n
+    r = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        d[i] = q[i][i]
+        if d[i] <= 0:
+            raise RootSystemError("form is not positive definite")
+        for j in range(i + 1, n):
+            r[i][j] = q[i][j] / d[i]
+        for k in range(i + 1, n):
+            for l in range(k, n):
+                q[k][l] -= d[i] * r[i][k] * r[i][l]
+                q[l][k] = q[k][l]
+    return d, r

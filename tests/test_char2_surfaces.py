@@ -452,6 +452,10 @@ def _seeded_sextics(f, rng):
     out.append(HomPoly(f, 3, {e: nonzero() for e in [(3, 0, 0), (1, 1, 1), (0, 2, 1)]}).square())
     if f.q > 2:  # two conjugate singular lines with one rational point
         out.append(_conjugate_lines_sextic(f, {(1, 1, 0): 1, (0, 1, 1): nonzero(), (1, 0, 1): 1}))
+    # singular at (0:1:0), (1:1:0) and (1:0:0) only, all on z = 0; scaling
+    # x0 and x1 keeps them there and moves (1:1:0) off x = 1
+    at_infinity = HomPoly(f, 6, {(0, 0, 6): 1, (1, 0, 5): 1, (2, 3, 1): 1, (4, 1, 1): 1})
+    out.append(at_infinity.compose_linear([[nonzero(), 0, 0], [0, nonzero(), 0], [0, 0, 1]]))
     return out
 
 
@@ -482,6 +486,9 @@ def test_singular_points_match_brute_force_oracle(k, modulus):
             assert singular_points(g) == expected
             finite += 1
     assert finite >= 9
+    # the last kind puts every singular point on z = 0
+    expected = brute_force_singular_points(g)
+    assert len(expected) == 3 and all(p[2] == 0 for p in expected)
 
 
 # GF(2^16) is the largest field BinaryField accepts; a q^2 scan of it takes hours

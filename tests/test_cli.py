@@ -48,16 +48,20 @@ def test_lattice_with_extra_glue(capsys, extra):
     assert json.dumps(strip_timing(report), sort_keys=True, indent=2) + "\n" == golden
 
 
-# a fresh process counts every rational inverse of one whole run
+# a fresh process counts every inverse of one whole run, at every module
+# that binds invert
 INVERSE_COUNTER = """
 import collections, json, os, sys
-from k3lat import cli, exact_arith
+import k3lat
+from k3lat import cli, exact_arith, lattice_core, ns_glue, root_systems
 seen = collections.Counter()
-real = exact_arith.invert_rational
+real = exact_arith.invert
 def counting(a):
     seen[a.entries] += 1
     return real(a)
-exact_arith.invert_rational = counting
+for module in (k3lat, exact_arith, lattice_core, ns_glue, root_systems):
+    assert module.invert is real
+    module.invert = counting
 code = cli.main(sys.argv[1:] + ["--out", os.devnull])
 print(json.dumps({"code": code, "inverses": [[len(m), n] for m, n in seen.items()]}))
 """
@@ -130,6 +134,14 @@ def test_lattice_corrupted_glue_fails_with_witness(capsys):
     failed = [c for c in report["checks"] if not c["pass"]]
     assert failed
     assert all("witness" in c for c in failed)
+    # a check that raised names the exception type next to its message
+    raised = {c["name"]: c["witness"] for c in failed if "error_type" in c["witness"]}
+    assert raised == {
+        "overlattice_sigma2": {
+            "error": "glue vector F(0*) does not pair integrally with the base",
+            "error_type": "GlueError",
+        }
+    }
 
 
 def test_surface_single_pair(capsys):
@@ -312,6 +324,8 @@ def test_sextic_failing_recognition_is_a_failed_check(tmp_path, capsys):
         ["surface", "--samples", "0"],
         ["surface", "--samples", "-1"],
         ["lattice", "--lemma-box", "2"],
+        ["lattice", "--lemma-box", "17"],
+        ["all", "--lemma-box", "1000000"],
         ["surface", "--k", "3", "--modulus", "0b1011", "--samples", "1"],
         ["surface", "--k", "5", "--modulus", "0b100101", "--r", "1", "--s", "2"],
         ["surface", "--k", "4", "--r", "zz", "--s", "1"],
@@ -325,6 +339,8 @@ def test_sextic_failing_recognition_is_a_failed_check(tmp_path, capsys):
         "samples-0",
         "samples-negative",
         "lemma-box-2",
+        "lemma-box-17",
+        "lemma-box-huge",
         "odd-k-sampling",
         "odd-k-pair",
         "r-not-hex",
@@ -345,6 +361,13 @@ def test_unbounded_or_vacuous_flags_are_usage_errors(argv):
     )
     assert proc.returncode == EXIT_USAGE
     assert proc.stdout == ""
+
+
+def test_lemma_box_accepts_its_whole_range():
+    parser = build_parser()
+    for command in ("lattice", "all"):
+        for box in (3, 16):
+            assert parser.parse_args([command, "--lemma-box", str(box)]).lemma_box == box
 
 
 def test_k2_with_explicit_pair_is_accepted(capsys):

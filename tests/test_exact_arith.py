@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -14,6 +15,24 @@ from k3lat.exact_arith import (
     invert,
     kernel_basis,
     snf,
+    symmetric_elimination,
+)
+from k3lat.ns_glue import (
+    EXTRA_GLUE_CHOICES,
+    L_LABELS,
+    OverlatticeSpec,
+    build_lambda,
+    build_overlattice,
+    extra_glue_class,
+    halfline_class,
+)
+from k3lat.lattice_core import orthogonal_complement
+from rational_oracles import (
+    invert_rational,
+    rat_identity,
+    rat_mul,
+    rational_inertia,
+    to_rational,
 )
 
 NEG_CARTAN_D4 = IntMatrix(
@@ -203,7 +222,7 @@ def test_inertia_invariant_under_congruence():
 
 def test_invert_diag():
     assert invert(IntMatrix([[-2]])).entries == ((Fraction(-1, 2),),)
-    assert invert(IntMatrix.identity(3)).entries == RatMatrix.identity(3).entries
+    assert invert(IntMatrix.identity(3)).entries == rat_identity(3).entries
 
 
 def test_invert_d4_is_dual_matrix():
@@ -218,8 +237,8 @@ def test_invert_random_roundtrip():
         a = IntMatrix([[rng.randrange(-6, 7) for _ in range(n)] for _ in range(n)])
         if det(a) == 0:
             continue
-        prod = a.to_rational().mul(invert(a))
-        assert prod.entries == RatMatrix.identity(n).entries
+        prod = rat_mul(to_rational(a), invert(a))
+        assert prod.entries == rat_identity(n).entries
         done += 1
 
 
@@ -255,3 +274,127 @@ def test_hnf_rows_spans_same_lattice():
                 q = r[piv] // brow[piv]
                 r = [x - q * y for x, y in zip(r, brow)]
         assert all(x == 0 for x in r)
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free kernels against their rational oracles
+# ---------------------------------------------------------------------------
+
+def _leading_minor(rows, k: int) -> int:
+    return det(IntMatrix([row[:k] for row in rows[:k]]))
+
+
+def test_invert_matches_rational_oracle_on_random_matrices():
+    rng = random.Random(1968)
+    swapped = singular = 0
+    for _ in range(80):
+        n = rng.randrange(1, 7)
+        rows = [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(n)]
+        kind = rng.randrange(3)
+        if kind == 1 and n > 1:  # the first pivot has to come from a row swap
+            rows[0][0] = 0
+        elif kind == 2 and n > 1:
+            rows[-1] = [2 * x for x in rows[0]]
+        a = IntMatrix(rows)
+        if det(a) == 0:
+            singular += 1
+            with pytest.raises(ExactArithError, match="singular"):
+                invert(a)
+            with pytest.raises(ExactArithError, match="singular"):
+                invert_rational(to_rational(a))
+            continue
+        if any(_leading_minor(rows, k) == 0 for k in range(1, n)):
+            swapped += 1
+        assert invert(a).entries == invert_rational(to_rational(a)).entries
+    assert swapped >= 10 and singular >= 10
+
+
+def _random_symmetric(rng: random.Random, n: int, kind: int) -> IntMatrix:
+    if kind == 3:  # B diag(+-1) B^T with B of rank below n: singular
+        r = rng.randrange(0, n)
+        b = [[rng.randrange(-3, 4) for _ in range(r)] for _ in range(n)]
+        d = [rng.choice((-1, 1)) for _ in range(r)]
+        return IntMatrix(
+            [[sum(b[i][k] * d[k] * b[j][k] for k in range(r)) for j in range(n)] for i in range(n)]
+        )
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = rng.randrange(-4, 5)
+    if kind == 1:  # all-zero diagonal: the first step is a hyperbolic pair
+        for i in range(n):
+            a[i][i] = 0
+    elif kind == 2:
+        a[0][0] = 0
+    return IntMatrix(a)
+
+
+def test_inertia_matches_rational_oracle_on_random_symmetric_matrices():
+    rng = random.Random(2007)
+    hyperbolic = singular = 0
+    for _ in range(120):
+        n = rng.randrange(1, 8)
+        a = _random_symmetric(rng, n, rng.randrange(4))
+        rows = a.entries
+        if not any(rows[i][i] for i in range(n)) and any(map(any, rows)):
+            hyperbolic += 1
+        expected = rational_inertia(a)
+        singular += expected[2] > 0
+        assert inertia(a) == expected
+        assert len(symmetric_elimination(a)) == n - expected[2]
+    assert hyperbolic >= 10 and singular >= 10
+
+
+def test_symmetric_elimination_pivots_are_the_leading_minors():
+    rng = random.Random(22)
+    for _ in range(30):
+        n = rng.randrange(1, 7)
+        b = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)]
+        if det(IntMatrix(b)) == 0:
+            continue
+        # B^T B is positive definite, so no hyperbolic step and no skipped pivot
+        a = [[sum(b[k][i] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        steps = symmetric_elimination(IntMatrix(a))
+        assert [piv for piv, _, _ in steps] == list(range(n))
+        for k, (_, p, row) in enumerate(steps):
+            assert p == row[k] == _leading_minor(a, k + 1)
+            assert all(x == 0 for x in row[:k])
+
+
+def test_symmetric_elimination_rejects_a_non_symmetric_matrix():
+    with pytest.raises(ExactArithError):
+        symmetric_elimination(IntMatrix([[1, 2], [3, 4]]))
+
+
+@pytest.fixture(scope="module")
+def lattice_matrices() -> dict[str, IntMatrix]:
+    """The rank-22 base Gram, the overlattice Grams and integer bases, and
+    the rank-21 polarization complement."""
+    ls = build_lambda()
+    halflines = tuple(halfline_class(ls, lam) for lam in L_LABELS)
+    out = {"base": ls.lattice.gram}
+    specs = [("sigma2", halflines)]
+    specs += [(f"sigma1-{c}", halflines + (extra_glue_class(ls, c),)) for c in EXTRA_GLUE_CHOICES]
+    for name, glue in specs:
+        ns = build_overlattice(OverlatticeSpec(ls, glue))
+        out[name] = ns.lattice.gram
+        rows = ns.basis_in_base.entries
+        denom = math.lcm(*(c.denominator for row in rows for c in row))
+        out[f"{name}-basis"] = IntMatrix([[int(c * denom) for c in row] for row in rows])
+        if name == "sigma2":
+            out["complement"] = orthogonal_complement(ns.lattice, ns.h_in_result()).lattice.gram
+    return out
+
+
+def test_invert_matches_rational_oracle_on_lattice_matrices(lattice_matrices):
+    assert len(lattice_matrices) == 10
+    for a in lattice_matrices.values():
+        assert invert(a).entries == invert_rational(to_rational(a)).entries
+
+
+def test_inertia_matches_rational_oracle_on_lattice_grams(lattice_matrices):
+    grams = {k: a for k, a in lattice_matrices.items() if not k.endswith("-basis")}
+    for a in grams.values():
+        assert inertia(a) == rational_inertia(a)
+    assert inertia(grams["base"]) == inertia(grams["sigma2"]) == (1, 21, 0)
+    assert inertia(grams["complement"]) == (0, 21, 0)

@@ -17,7 +17,16 @@ from k3lat.lattice_core import (
     orthogonal_complement,
     pairing,
 )
-from k3lat.ns_glue import build_lambda
+from k3lat.ns_glue import (
+    EXTRA_GLUE_CHOICES,
+    L_LABELS,
+    OverlatticeSpec,
+    build_lambda,
+    build_overlattice,
+    extra_glue_class,
+    halfline_class,
+)
+from rational_oracles import rat_mul, rational_gv
 
 BUILTINS = {"A1": lattice_A1, "D4": lattice_D4, "hyperbolic2": lattice_hyperbolic2}
 
@@ -187,7 +196,7 @@ def test_discriminant_generators_match_inverse_oracle(name):
     # oracle: the columns of G^{-1} U^{-1} at the nontrivial invariant factors
     lat = build_lambda().lattice if name == "Lambda" else BUILTINS[name]()
     r = snf(lat.gram)
-    ginv_uinv = invert(lat.gram).mul(invert(r.u))
+    ginv_uinv = rat_mul(invert(lat.gram), invert(r.u))
     expected = [
         tuple(row[i] for row in ginv_uinv.entries)
         for i, f in enumerate(r.invariant_factors)
@@ -208,6 +217,35 @@ def test_pair_with_basis_is_cached_and_matches_gram_product():
             u.coords[i] * d4.gram.entries[i][j] * v.coords[j] for i in range(4) for j in range(4)
         )
         assert pairing(u, v) == expected
+
+
+def test_pair_with_basis_matches_the_rational_product_on_glue_and_generators():
+    ls = build_lambda()
+    halflines = [halfline_class(ls, lam) for lam in L_LABELS]
+    vectors = [gv.vector for gv in halflines]
+    vectors += [extra_glue_class(ls, c).vector for c in EXTRA_GLUE_CHOICES]
+    ns = build_overlattice(OverlatticeSpec(ls, tuple(halflines)))
+    for lat in (ls.lattice, ns.lattice, lattice_A1(), lattice_D4(), lattice_hyperbolic2()):
+        vectors += discriminant_group(lat).generators
+        vectors += [lat.dual_basis_vector(j) for j in range(lat.rank)]
+    assert len(vectors) == 5 + 3 + (14 + 4 + 1 + 2 + 1) + (22 + 22 + 1 + 4 + 1)
+    for v in vectors:
+        assert v.pair_with_basis() == rational_gv(v.lattice.gram, v.coords)
+
+
+def test_det_is_computed_once_per_lattice(monkeypatch):
+    calls = []
+    real = lattice_core.det
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(lattice_core, "det", counting)
+    lat = Lattice(IntMatrix([[-2, 1], [1, -2]]))
+    assert [lat.det() for _ in range(3)] == [3, 3, 3]
+    assert discriminant_group(lat).order == 3
+    assert len(calls) == 1
 
 
 def test_named_root_lattices_are_built_once(monkeypatch):

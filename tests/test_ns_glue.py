@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from k3lat import exact_arith, ns_glue, root_systems
-from k3lat.exact_arith import IntMatrix, RatMatrix, hnf_rows, invert_rational
+from k3lat import exact_arith, lattice_core, ns_glue, root_systems
+from k3lat.exact_arith import IntMatrix, RatMatrix, hnf_rows
 from k3lat.lattice_core import (
     discriminant_group,
     is_even,
@@ -29,6 +29,7 @@ from k3lat.ns_glue import (
     independence_check,
     unique_halfline_search,
 )
+from rational_oracles import invert_rational, rat_mul, rat_transpose, rational_gv, to_rational
 
 
 import pytest
@@ -157,9 +158,9 @@ def _rational_overlattice(ls, glue):
     denom = math.lcm(*(c.denominator for row in rows for c in row))
     hnf = hnf_rows(IntMatrix([[int(c * denom) for c in row] for row in rows]))
     basis = RatMatrix([[Fraction(x, denom) for x in row] for row in hnf])
-    gram = basis.mul(ls.lattice.gram.to_rational()).mul(basis.transpose())
+    gram = rat_mul(rat_mul(basis, to_rational(ls.lattice.gram)), rat_transpose(basis))
     assert all(x.denominator == 1 for row in gram.entries for x in row)
-    binv = invert_rational(basis.transpose())
+    binv = invert_rational(rat_transpose(basis))
     base_rows = [binv.mul_vec([1 if j == i else 0 for j in range(n)]) for i in range(n)]
     assert all(c.denominator == 1 for row in base_rows for c in row)
     return gram.entries, basis.entries, tuple(tuple(row) for row in base_rows)
@@ -179,7 +180,7 @@ def test_overlattice_matches_rational_oracle(ls, case):
 
 def test_overlattice_makes_one_inverse_and_no_rational_products(ls, monkeypatch):
     glue = tuple(halfline_class(ls, lam) for lam in L_LABELS) + (extra_glue_class(ls, "w"),)
-    counts = {"invert": 0, "invert_rational": 0, "mul_vec": 0}
+    counts = {"invert": 0, "mul_vec": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -187,21 +188,15 @@ def test_overlattice_makes_one_inverse_and_no_rational_products(ls, monkeypatch)
             return fn(*args)
         return wrapper
 
-    def forbidden(*args):
-        raise AssertionError("rational matrix product in build_overlattice")
-
-    monkeypatch.setattr(ns_glue, "invert", counted("invert", ns_glue.invert))
-    monkeypatch.setattr(
-        exact_arith, "invert_rational", counted("invert_rational", exact_arith.invert_rational)
-    )
-    monkeypatch.setattr(RatMatrix, "mul", forbidden)
+    # every module that binds invert, so an inverse taken anywhere is counted
+    for module in (exact_arith, lattice_core, root_systems, ns_glue):
+        monkeypatch.setattr(module, "invert", counted("invert", module.invert))
     monkeypatch.setattr(RatMatrix, "mul_vec", counted("mul_vec", RatMatrix.mul_vec))
     build_overlattice(OverlatticeSpec(ls, glue))
-    # the one inverse goes through invert_rational once, and nothing else
-    # inverts; the only matrix-vector products are the cached G*v of the
-    # glue vectors, none per basis vector
-    assert counts["invert"] == counts["invert_rational"] == 1
-    assert counts["mul_vec"] <= len(glue)
+    # exactly one inverse, and no rational matrix product: G*v of the glue
+    # vectors is an integer product
+    assert counts["invert"] == 1
+    assert counts["mul_vec"] == 0
 
 
 def test_overlattice_rejects_bad_glue(ls):
@@ -237,7 +232,7 @@ def test_base_embeds_in_overlattice(ls, ns):
 
 def test_to_result_coords_matches_inverse_oracle(ls, ns):
     # oracle: solve basis_in_base^T x = v with a full rational inverse
-    binv = invert_rational(ns.basis_in_base.transpose())
+    binv = invert_rational(rat_transpose(ns.basis_in_base))
     vectors = [ls.lattice.basis_vector(i) for i in range(22)]
     vectors += [halfline_class(ls, lam).vector for lam in L_LABELS]
     for v in vectors:
@@ -251,7 +246,7 @@ def test_to_result_coords_rejects_a_vector_outside(ls, ns):
     # lies outside the sigma = 2 overlattice
     v = extra_glue_class(ls, "w").vector
     assert ns.to_result_coords(v) is None
-    oracle = invert_rational(ns.basis_in_base.transpose()).mul_vec(v.coords)
+    oracle = invert_rational(rat_transpose(ns.basis_in_base)).mul_vec(v.coords)
     assert any(c.denominator != 1 for c in oracle)
 
 
@@ -265,11 +260,11 @@ def test_canonical_positivity_matches_summed_dual_basis(ls, ns):
             sub = ls.summand_lattice(s)
             for j in range(s.rank):
                 w = w + ls.assemble({s.name: sub.dual_basis_vector(j).coords})
-    complement_rows = comp.basis_in_ambient.to_rational().mul(ns.basis_in_base)
+    complement_rows = rat_mul(to_rational(comp.basis_in_ambient), ns.basis_in_base)
     p = complement_rows.mul_vec(w.pair_with_basis())
-    coeffs = invert_rational(comp.lattice.gram.to_rational()).mul_vec(p)
+    coeffs = invert_rational(to_rational(comp.lattice.gram)).mul_vec(p)
     alpha = canonical_positivity(ns, comp)
-    assert alpha.form == comp.lattice.gram_rat().mul_vec(coeffs)
+    assert alpha.form == rational_gv(comp.lattice.gram, coeffs)
 
 
 def test_artin_invariant_shapes(ls):

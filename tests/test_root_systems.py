@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from k3lat.exact_arith import IntMatrix, det
+from k3lat.exact_arith import IntMatrix, det, symmetric_elimination
 from k3lat.lattice_core import (
     DiscClass,
     Lattice,
@@ -15,12 +15,18 @@ from k3lat.lattice_core import (
     orthogonal_complement,
     pairing,
 )
-from k3lat.ns_glue import L_LABELS, OverlatticeSpec, build_lambda, build_overlattice, halfline_class
+from k3lat.ns_glue import (
+    L_LABELS,
+    OverlatticeSpec,
+    build_lambda,
+    build_overlattice,
+    canonical_positivity,
+    halfline_class,
+)
 from k3lat.root_systems import (
     PositivityFunctional,
     RootSystemError,
     _box_scan,
-    _cholesky,
     _d4_leaf_forms,
     _match_rep,
     ade_type,
@@ -32,6 +38,7 @@ from k3lat.root_systems import (
     positive_indecomposables,
     short_vectors,
 )
+from rational_oracles import cholesky
 
 
 def naive_box_roots(lattice: Lattice, radius: int = 5) -> set:
@@ -107,7 +114,7 @@ def rational_short_vectors(gram: IntMatrix, bound: int) -> list:
     budget in Fraction arithmetic."""
     n = gram.rows
     q = [[Fraction(-gram.entries[i][j]) for j in range(n)] for i in range(n)]
-    d, r = _cholesky(q)
+    d, r = cholesky(q)
     out = []
     x = [0] * n
 
@@ -208,12 +215,62 @@ def test_short_vectors_match_rational_oracle_on_random_grams():
         for _ in range(4):
             gram = _random_even_negative_definite(rng, n)
             q = [[Fraction(-v) for v in row] for row in gram.entries]
-            _, r = _cholesky(q)
+            _, r = cholesky(q)
             denominators.update(c.denominator for row in r for c in row)
             for bound in (2, 4, 8):
                 assert short_vectors(gram, bound) == rational_short_vectors(gram, bound)
     # the rows of R are not all over 1 or 2, so the per-row scaling is exercised
     assert denominators - {1, 2}
+
+
+def _cholesky_from_elimination(gram: IntMatrix):
+    """d and R of -gram = R^T diag(d) R, read off the integer elimination:
+    d_i = D_i / D_(i-1) and R_ij = B_ij / D_i."""
+    steps = symmetric_elimination(IntMatrix([[-c for c in row] for row in gram.entries]))
+    minors = [1] + [p for _, p, _ in steps]
+    d = [Fraction(minors[i + 1], minors[i]) for i in range(len(steps))]
+    r = [
+        [Fraction(x, p) if j > i else Fraction(0) for j, x in enumerate(row)]
+        for i, (_, p, row) in enumerate(steps)
+    ]
+    return d, r
+
+
+def test_elimination_matches_the_cholesky_oracle():
+    rng = random.Random(1987)
+    grams = [_random_even_negative_definite(rng, n) for n in range(1, 8) for _ in range(3)]
+    grams.append(_root_sum([lattice_D4()] * 4 + [lattice_A1()] * 5))
+    ls = build_lambda()
+    ns = build_overlattice(OverlatticeSpec(ls, tuple(halfline_class(ls, lam) for lam in L_LABELS)))
+    grams.append(orthogonal_complement(ns.lattice, ns.h_in_result()).lattice.gram)
+    for gram in grams:
+        q = [[Fraction(-v) for v in row] for row in gram.entries]
+        assert _cholesky_from_elimination(gram) == cholesky(q)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[2]], [[0, 1], [1, 0]], [[-2, 2], [2, -2]], [[-2, 1, 0], [1, 0, 1], [0, 1, -2]]],
+    ids=["positive", "hyperbolic", "semidefinite", "indefinite"],
+)
+def test_short_vectors_rejects_what_the_cholesky_oracle_rejects(rows):
+    gram = IntMatrix(rows)
+    with pytest.raises(RootSystemError, match="not positive definite"):
+        cholesky([[Fraction(-v) for v in row] for row in rows])
+    with pytest.raises(RootSystemError, match="not positive definite"):
+        short_vectors(gram, 2)
+
+
+def test_positivity_value_matches_the_rational_sum():
+    ls = build_lambda()
+    ns = build_overlattice(OverlatticeSpec(ls, tuple(halfline_class(ls, lam) for lam in L_LABELS)))
+    comp = orthogonal_complement(ns.lattice, ns.h_in_result())
+    rng = random.Random(4)
+    cases = [(dominant_functional(lattice_D4()), 4), (canonical_positivity(ns, comp), 21)]
+    for alpha, n in cases:
+        for _ in range(50):
+            x = [rng.randint(-3, 3) for _ in range(n)]
+            assert alpha.value(x) == sum(a * c for a, c in zip(alpha.form, x))
 
 
 def test_short_vectors_bound_zero_and_negative():
