@@ -272,6 +272,14 @@ def _read_sextic(path: str) -> HomPoly:
         raise UsageError(f"--recognize {path}: {type(exc).__name__}: {exc}")
 
 
+def _open_out(path: str):
+    """The --out file, opened for writing; an unwritable path is a usage error."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"--out {path}: {type(exc).__name__}: {exc}")
+
+
 def cmd_surface(args, g: HomPoly | None = None) -> dict:
     """The family cases, or with g (read from --recognize) its recognition."""
     checks = Checks()
@@ -309,7 +317,12 @@ def cmd_surface(args, g: HomPoly | None = None) -> dict:
         try:
             ok, witness = _surface_case(field, r, s, args.line_scan)
         except Exception as exc:
-            ok, witness = False, {"r": format(r, "x"), "s": format(s, "x"), "error": str(exc)}
+            ok, witness = False, {
+                "r": format(r, "x"),
+                "s": format(s, "x"),
+                "error": str(exc),
+                "error_type": type(exc).__name__,
+            }
         checks.results.append(
             {"name": f"surface_r={format(r, 'x')}_s={format(s, 'x')}", "pass": ok, "witness": witness}
         )
@@ -437,28 +450,29 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     config = {k: v for k, v in sorted(vars(args).items()) if k not in ("command",)}
+    out = None
     try:
-        # the --recognize file is read before any suite runs
+        # the --recognize file is read and the --out file opened before any suite runs
         g = _read_sextic(args.recognize) if getattr(args, "recognize", None) else None
+        out = _open_out(args.out) if args.out else None
         if args.command == "lattice":
             report = cmd_lattice(args)
         elif args.command == "surface":
             report = cmd_surface(args, g)
         else:
             report = cmd_all(args, g)
+        report = {"config": config, **report}
+        if args.format == "json":
+            text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        else:
+            text = _render_text(report)
+        (out or sys.stdout).write(text)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = {"config": config, **report}
-    if args.format == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    else:
-        text = _render_text(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    finally:
+        if out is not None:
+            out.close()
     return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
 
 

@@ -2,12 +2,11 @@
 
 A lattice here is a free Z-module with a non-degenerate symmetric integer
 bilinear form, given by its Gram matrix in a distinguished basis.  Dual
-vectors are stored as rational coordinate vectors in that same basis, so
-the lattice itself is exactly the set of integer-coordinate vectors and
-the dual consists of vectors pairing integrally with the whole basis.
-The pairings G v of a vector are computed once, in integers over the
-common denominator of its coordinates; the Gram itself never becomes a
-rational matrix.
+vectors are stored in that same basis as integers over one denominator,
+in lowest terms, so the lattice itself is exactly the set of vectors of
+denominator 1 and the dual consists of vectors pairing integrally with
+the whole basis.  The pairings G v of a vector are one integer product
+over its denominator; the Gram itself never becomes a rational matrix.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .exact_arith import (
@@ -72,15 +72,16 @@ class Lattice:
         return self.inertia() == (0, self.rank, 0)
 
     def basis_vector(self, i: int) -> "DualVector":
-        coords = [Fraction(0)] * self.rank
-        coords[i] = Fraction(1)
-        return DualVector(self, tuple(coords))
+        return DualVector(self, [int(j == i) for j in range(self.rank)])
 
     def zero(self) -> "DualVector":
-        return DualVector(self, tuple(Fraction(0) for _ in range(self.rank)))
+        return DualVector(self, [0] * self.rank)
 
     def vector(self, coords: Sequence) -> "DualVector":
-        return DualVector(self, tuple(Fraction(c) for c in coords))
+        """The vector with these rational coordinates, written over their lcm."""
+        coords = [Fraction(c) for c in coords]
+        d = math.lcm(*(c.denominator for c in coords))
+        return DualVector(self, [c.numerator * (d // c.denominator) for c in coords], d)
 
     def dual_basis_vector(self, j: int) -> "DualVector":
         """Column j of the inverse Gram; the Gram is inverted once per lattice."""
@@ -88,67 +89,93 @@ class Lattice:
         if cached is None:
             cached = invert(self.gram)
             object.__setattr__(self, "_dual_basis", cached)
-        return DualVector(self, tuple(row[j] for row in cached.entries))
+        return self.vector(row[j] for row in cached.entries)
 
 
 @dataclass(frozen=True)
 class DualVector:
-    """Element of L tensor Q in lattice coordinates; integral coords mean membership in L."""
+    """Element of L tensor Q in lattice coordinates: the integers num over den.
+
+    The constructor puts the pair in lowest terms (den > 0 and
+    gcd(*num, den) = 1), so equal vectors compare and hash equal and
+    den = 1 means membership in L.
+    """
 
     lattice: Lattice
-    coords: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
 
-    def __init__(self, lattice: Lattice, coords: Sequence):
-        coords = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
-        if len(coords) != lattice.rank:
+    def __init__(self, lattice: Lattice, num: Sequence[int], den: int = 1):
+        num = tuple(num)
+        if len(num) != lattice.rank:
             raise LatticeError("coordinate length must equal the rank")
+        if den == 0:
+            raise LatticeError("zero denominator")
+        g = math.gcd(den, *num) * (1 if den > 0 else -1)
+        if g != 1:
+            num, den = tuple(c // g for c in num), den // g
         object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The rational coordinates num / den."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def __add__(self, other: "DualVector") -> "DualVector":
         self._same(other)
-        return DualVector(self.lattice, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        d = math.lcm(self.den, other.den)
+        s, t = d // self.den, d // other.den
+        return DualVector(self.lattice, [a * s + b * t for a, b in zip(self.num, other.num)], d)
 
     def __sub__(self, other: "DualVector") -> "DualVector":
-        self._same(other)
-        return DualVector(self.lattice, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self + -other
 
     def __neg__(self) -> "DualVector":
-        return DualVector(self.lattice, tuple(-a for a in self.coords))
+        return DualVector(self.lattice, [-a for a in self.num], self.den)
 
     def _same(self, other: "DualVector") -> None:
         if self.lattice != other.lattice:
             raise LatticeError("vectors live in different lattices")
 
     def is_lattice_vector(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
+        return self.den == 1
+
+    def pairing_numerators(self) -> tuple[int, ...]:
+        """G num, computed once: the pairings with the basis are G num / den."""
+        cached = getattr(self, "_gnum", None)
+        if cached is None:
+            cached = tuple(self.lattice.gram.mul_vec(self.num))
+            object.__setattr__(self, "_gnum", cached)
+        return cached
 
     def pair_with_basis(self) -> tuple[Fraction, ...]:
-        """G v: the pairings of v with the basis vectors, computed once.
-
-        With d the lcm of the coordinate denominators, G v = G (d v) / d:
-        one integer product and one Fraction per entry.
-        """
+        """G v: the pairings of v with the basis vectors, computed once."""
         cached = getattr(self, "_gv", None)
         if cached is None:
-            d = math.lcm(*(c.denominator for c in self.coords))
-            dv = [c.numerator * (d // c.denominator) for c in self.coords]
-            cached = tuple(Fraction(x, d) for x in self.lattice.gram.mul_vec(dv))
+            cached = tuple(Fraction(x, self.den) for x in self.pairing_numerators())
             object.__setattr__(self, "_gv", cached)
         return cached
 
+    def integer_pairings(self) -> tuple[int, ...]:
+        """G v as integers; raises unless v is a dual vector."""
+        if not self.is_dual_vector():
+            raise LatticeError("vector does not pair integrally with the lattice")
+        return tuple(x // self.den for x in self.pairing_numerators())
+
     def is_dual_vector(self) -> bool:
         """True when the vector pairs integrally with every basis vector."""
-        return all(x.denominator == 1 for x in self.pair_with_basis())
+        return all(x % self.den == 0 for x in self.pairing_numerators())
 
     def norm(self) -> Fraction:
         return pairing(self, self)
 
 
 def pairing(u: DualVector, v: DualVector) -> Fraction:
-    """Bilinear form extended to the dual: u^T * Gram * v, exact."""
+    """Bilinear form extended to the dual: u^T G v = num_u . (G num_v) / (den_u den_v)."""
     u._same(v)
-    return sum((a * b for a, b in zip(u.coords, v.pair_with_basis())), Fraction(0))
+    return Fraction(sum(map(mul, u.num, v.pairing_numerators())), u.den * v.den)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +205,7 @@ def lattice_D4() -> Lattice:
     return Lattice(gram, ("d1", "d2", "d3", "d4"))
 
 
+@functools.cache
 def lattice_hyperbolic2() -> Lattice:
     """Rank-1 lattice with Gram (2); carries a degree-2 polarization class."""
     return Lattice(IntMatrix([[2]]), ("h",))
@@ -225,10 +253,7 @@ class DiscriminantGroup:
     def class_of(self, v: DualVector) -> "DiscClass":
         if v.lattice != self.lattice:
             raise LatticeError("vector lives in a different lattice")
-        gv = v.pair_with_basis()
-        if any(x.denominator != 1 for x in gv):
-            raise LatticeError("vector does not pair integrally with the lattice")
-        y = self._u.mul_vec([int(x) for x in gv])
+        y = self._u.mul_vec(v.integer_pairings())
         comp = tuple(y[i] % f for i, f in enumerate(self.invariant_factors))
         return DiscClass(self, comp)
 
@@ -275,7 +300,7 @@ def discriminant_group(lattice: Lattice) -> DiscriminantGroup:
     With U*G*V = S, the class of a dual vector v is U*(G v) reduced modulo
     the invariant factors, and the generator for factor d_i > 1 is the
     column of G^{-1} U^{-1} = V S^{-1} at position i, i.e. column i of V
-    divided by d_i.  Results are memoized per Gram matrix and label tuple.
+    over d_i.  Results are memoized per Gram matrix and label tuple.
     """
     key = (lattice.gram.entries, lattice.labels)
     cached = _DISC_CACHE.get(key)
@@ -285,7 +310,7 @@ def discriminant_group(lattice: Lattice) -> DiscriminantGroup:
     r = snf(g)
     factors = r.invariant_factors
     gens = [
-        DualVector(lattice, tuple(Fraction(row[i], f) for row in r.v.entries))
+        DualVector(lattice, [row[i] for row in r.v.entries], f)
         for i, f in enumerate(factors)
         if f > 1
     ]
@@ -315,16 +340,6 @@ class Sublattice:
     ambient: Lattice
     basis_in_ambient: IntMatrix
 
-    def to_ambient(self, v: DualVector) -> DualVector:
-        if v.lattice != self.lattice:
-            raise LatticeError("vector not in the sublattice")
-        n = self.ambient.rank
-        coords = [Fraction(0)] * n
-        for i, c in enumerate(v.coords):
-            for j in range(n):
-                coords[j] += c * self.basis_in_ambient.entries[i][j]
-        return DualVector(self.ambient, tuple(coords))
-
 
 def orthogonal_complement(lattice: Lattice, v: DualVector) -> Sublattice:
     """Saturated orthogonal complement of a lattice vector with v*v != 0."""
@@ -334,8 +349,7 @@ def orthogonal_complement(lattice: Lattice, v: DualVector) -> Sublattice:
         raise LatticeError("complement requires a lattice vector")
     if v.norm() == 0:
         raise LatticeError("complement requires a vector of nonzero norm")
-    gv = [int(x) for x in v.pair_with_basis()]
-    basis = kernel_basis(IntMatrix([gv]))
+    basis = kernel_basis(IntMatrix([v.integer_pairings()]))
     b = IntMatrix(basis)
     gram = b.mul(lattice.gram).mul(b.transpose())
     labels = tuple(f"c{i}" for i in range(len(basis)))

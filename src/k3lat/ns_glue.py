@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .exact_arith import IntMatrix, RatMatrix, hnf_rows, invert
+from .exact_arith import IntMatrix, hnf_rows, invert
 from .lattice_core import (
     DiscClass,
     DualVector,
@@ -80,18 +80,19 @@ class LabeledSum:
 
     def component(self, v: DualVector, s: Summand) -> DualVector:
         """Projection of v onto one summand of the orthogonal decomposition."""
-        coords = v.coords[s.offset : s.offset + s.rank]
-        return DualVector(self.summand_lattice(s), coords)
+        return DualVector(self.summand_lattice(s), v.num[s.offset : s.offset + s.rank], v.den)
 
-    def assemble(self, parts: dict[str, Sequence[Fraction]]) -> DualVector:
-        coords = [Fraction(0)] * self.lattice.rank
-        for name, cs in parts.items():
+    def assemble(self, parts: dict[str, DualVector]) -> DualVector:
+        """The vector with the given summand components and zero elsewhere."""
+        v = self.lattice.zero()
+        for name, part in parts.items():
             s = self.summand(name)
-            if len(cs) != s.rank:
-                raise GlueError(f"component length mismatch for {name}")
-            for i, c in enumerate(cs):
-                coords[s.offset + i] = Fraction(c)
-        return DualVector(self.lattice, tuple(coords))
+            if part.lattice != self.summand_lattice(s):
+                raise GlueError(f"component for {name} lives in the wrong lattice")
+            num = [0] * self.lattice.rank
+            num[s.offset : s.offset + s.rank] = part.num
+            v = v + DualVector(self.lattice, num, part.den)
+        return v
 
 
 def build_lambda() -> LabeledSum:
@@ -119,15 +120,15 @@ def build_lambda() -> LabeledSum:
 # ---------------------------------------------------------------------------
 
 def h_vee(ls: LabeledSum) -> DualVector:
-    return ls.assemble({"H": (Fraction(1, 2),)})
+    return ls.assemble({"H": lattice_hyperbolic2().vector([Fraction(1, 2)])})
 
 
 def d_vee(ls: LabeledSum, i: int, ab: str) -> DualVector:
-    return ls.assemble({f"P({ab})": lattice_D4().dual_basis_vector(i - 1).coords})
+    return ls.assemble({f"P({ab})": lattice_D4().dual_basis_vector(i - 1)})
 
 
 def a_vee(ls: LabeledSum, g: str) -> DualVector:
-    return ls.assemble({f"Q({g})": (Fraction(-1, 2),)})
+    return ls.assemble({f"Q({g})": lattice_A1().vector([Fraction(-1, 2)])})
 
 
 @dataclass(frozen=True)
@@ -178,20 +179,19 @@ class OverlatticeSpec:
 class OverlatticeResult:
     spec: OverlatticeSpec
     lattice: Lattice
-    basis_in_base: RatMatrix  # rows: new basis in base coordinates
+    basis_num: IntMatrix  # rows over basis_den: new basis in base coordinates
+    basis_den: int
     base_in_result: IntMatrix  # rows: base basis in new coordinates
     index: int
 
     def to_result_coords(self, v: DualVector) -> tuple[int, ...] | None:
         """Integer coordinates of v in the overlattice basis, or None if outside."""
         # v = sum_i v_i e_i, and row i of base_in_result writes e_i in the new
-        # basis; with d the common denominator of v, d x is an integer product
-        d = math.lcm(*(c.denominator for c in v.coords))
-        dv = [c.numerator * (d // c.denominator) for c in v.coords]
-        dx = [sum(map(mul, dv, col)) for col in zip(*self.base_in_result.entries)]
-        if any(c % d for c in dx):
+        # basis, so den * x is an integer product with num
+        dx = [sum(map(mul, v.num, col)) for col in zip(*self.base_in_result.entries)]
+        if any(c % v.den for c in dx):
             return None
-        return tuple(c // d for c in dx)
+        return tuple(c // v.den for c in dx)
 
     def h_in_result(self) -> DualVector:
         return self.lattice.vector(self.base_in_result.entries[0])
@@ -249,13 +249,12 @@ def build_overlattice(spec: OverlatticeSpec) -> OverlatticeResult:
                 raise GlueError(f"glue vectors {a.name}, {b.name} pair non-integrally")
 
     # integer generators over one common denominator: denom*I and denom*glue
-    denom = math.lcm(*(c.denominator for gv in spec.glue for c in gv.vector.coords))
+    denom = math.lcm(*(gv.vector.den for gv in spec.glue))
     gen_rows = [[denom if i == j else 0 for j in range(n)] for i in range(n)]
-    gen_rows += [[int(c * denom) for c in gv.vector.coords] for gv in spec.glue]
+    gen_rows += [[c * (denom // gv.vector.den) for c in gv.vector.num] for gv in spec.glue]
     b = IntMatrix(hnf_rows(IntMatrix(gen_rows)))
     if b.rows != n:
         raise GlueError("overlattice basis has wrong rank")
-    basis = RatMatrix([[Fraction(x, denom) for x in row] for row in b.entries])
 
     # the form on basis/denom is b G b^T / denom^2
     scaled = b.mul(base.gram).mul(b.transpose())
@@ -283,7 +282,8 @@ def build_overlattice(spec: OverlatticeSpec) -> OverlatticeResult:
     return OverlatticeResult(
         spec=spec,
         lattice=lat,
-        basis_in_base=basis,
+        basis_num=b,
+        basis_den=denom,
         base_in_result=IntMatrix(base_in_result),
         index=index,
     )
@@ -322,13 +322,8 @@ def canonical_positivity(ns: OverlatticeResult, comp: Sublattice) -> PositivityF
     pushed through the two embeddings.
     """
     w_pairings = [0 if s.kind == "H" else 1 for s in ns.spec.base.summands for _ in range(s.rank)]
-    # the basis rows share one denominator d, so the form is an integer
-    # product over d
-    rows = ns.basis_in_base.entries
-    d = math.lcm(*(c.denominator for row in rows for c in row))
-    basis = IntMatrix([[c.numerator * (d // c.denominator) for c in row] for row in rows])
-    form = comp.basis_in_ambient.mul_vec(basis.mul_vec(w_pairings))
-    return PositivityFunctional(comp.lattice, tuple(Fraction(x, d) for x in form))
+    form = comp.basis_in_ambient.mul_vec(ns.basis_num.mul_vec(w_pairings))
+    return PositivityFunctional(comp.lattice, tuple(form), ns.basis_den)
 
 
 @dataclass(frozen=True)
@@ -385,7 +380,7 @@ class HalflineSearchResult:
 
     def is_unique_expected(self, ls: LabeledSum) -> bool:
         expected = halfline_class(ls, self.label).vector
-        return len(self.candidates) == 1 and self.candidates[0].coords == expected.coords
+        return len(self.candidates) == 1 and self.candidates[0] == expected
 
     def to_json_obj(self, ls: LabeledSum) -> dict:
         return {
@@ -401,7 +396,7 @@ def _summand_candidates(
     sub: Lattice,
     cls: DiscClass,
     budget: Fraction,
-) -> tuple[tuple[Fraction, tuple[Fraction, ...]], ...]:
+) -> tuple[tuple[Fraction, DualVector], ...]:
     """All dual vectors of one summand in a given class with norm >= budget and
     non-negative pairing against the summand's basis roots.
 
@@ -415,9 +410,7 @@ def _summand_candidates(
         raise GlueError("candidate box cannot be certified against the budget")
     rep = search.rep
     # in_box is sorted by (-norm, x); adding rep keeps that order on coordinates
-    return tuple(
-        (norm, (rep + sub.vector(x)).coords) for norm, x in search.in_box if norm >= budget
-    )
+    return tuple((norm, rep + sub.vector(x)) for norm, x in search.in_box if norm >= budget)
 
 
 def unique_halfline_search(
@@ -434,7 +427,7 @@ def unique_halfline_search(
     grp = discriminant_group(ls.lattice)
     budget = Fraction(-5, 2)
 
-    per_summand: list[tuple[Summand, tuple[tuple[Fraction, tuple[Fraction, ...]], ...]]] = []
+    per_summand: list[tuple[Summand, tuple[tuple[Fraction, DualVector], ...]]] = []
     counts: dict[str, int] = {}
     for s in ls.summands:
         if s.kind == "H":
@@ -455,7 +448,7 @@ def unique_halfline_search(
 
     results: list[DualVector] = []
     checked = 0
-    choice: list[tuple[Fraction, tuple[Fraction, ...]]] = []
+    choice: list[tuple[Fraction, DualVector]] = []
 
     def walk(i: int, used: Fraction) -> None:
         nonlocal checked
@@ -466,10 +459,10 @@ def unique_halfline_search(
             if used != budget:
                 return
             v = h_vee(ls) + ls.assemble(
-                {s.name: coords for (s, _), (_, coords) in zip(per_summand, choice)}
+                {s.name: part for (s, _), (_, part) in zip(per_summand, choice)}
             )
             # position 0 pairs with the polarization, the other 21 with the exceptional classes
-            gv = v.pair_with_basis()
+            gv = v.integer_pairings()
             if v.norm() != -2 or gv[0] != 1:
                 raise GlueError("assembled candidate violates the norm or degree condition")
             if any(x < 0 for x in gv[1:]):
@@ -480,10 +473,10 @@ def unique_halfline_search(
                 raise GlueError("assembled candidate is not in the overlattice")
             results.append(v)
             return
-        for norm, coords in per_summand[i][1]:
+        for norm, part in per_summand[i][1]:
             if used + norm + max_tail[i + 1] < budget:
                 break
-            choice.append((norm, coords))
+            choice.append((norm, part))
             walk(i + 1, used + norm)
             choice.pop()
 

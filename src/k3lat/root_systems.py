@@ -174,24 +174,19 @@ def irreducible_decomposition(root_set: RootSet) -> list[RootComponent]:
 
 @dataclass(frozen=True)
 class PositivityFunctional:
-    """Linear form alpha(x) = form * x; pairing against a dual vector v has form G v."""
+    """Linear form alpha(x) = (num * x) / den; pairing against a dual vector
+    v has num / den = G v."""
 
     lattice: Lattice
-    form: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
 
     @staticmethod
     def from_dual_vector(v: DualVector) -> "PositivityFunctional":
-        return PositivityFunctional(v.lattice, v.pair_with_basis())
+        return PositivityFunctional(v.lattice, v.pairing_numerators(), v.den)
 
     def value(self, x: Sequence[int]) -> Fraction:
-        """alpha(x), from the form written once over its common denominator d."""
-        cached = getattr(self, "_scaled", None)
-        if cached is None:
-            d = math.lcm(*(c.denominator for c in self.form))
-            cached = d, [c.numerator * (d // c.denominator) for c in self.form]
-            object.__setattr__(self, "_scaled", cached)
-        d, scaled = cached
-        return Fraction(sum(map(mul, scaled, x)), d)
+        return Fraction(sum(map(mul, self.num, x)), self.den)
 
 
 def positive_part(component: RootComponent, alpha: PositivityFunctional) -> list[tuple[int, ...]]:
@@ -442,10 +437,7 @@ def _box_scan(
     """
     g = lattice.gram.entries
     n = lattice.rank
-    grep_frac = rep.pair_with_basis()
-    if any(c.denominator != 1 for c in grep_frac):
-        raise RootSystemError("representative is not a dual vector")
-    grep = [int(c) for c in grep_frac]
+    grep = rep.integer_pairings()
     rep_norm2 = 2 * rep.norm()
     if rep_norm2.denominator != 1:
         raise RootSystemError("representative norm is not half-integral")

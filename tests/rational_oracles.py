@@ -1,13 +1,14 @@
 """The Fraction forms of the lattice kernels, kept as test oracles.
 
 The package computes inverses, signatures, the Fincke-Pohst factorization
-and G v fraction-free.  These are the rational algorithms they replaced,
-plus the rational matrix products the oracles need.
+and G v fraction-free, and holds dual vectors as integers over one
+denominator.  These are the rational algorithms they replaced, plus the
+rational matrix products the oracles need.
 """
 
 from fractions import Fraction
 
-from k3lat.exact_arith import ExactArithError, IntMatrix, RatMatrix
+from k3lat.exact_arith import ExactArithError, IntMatrix, RatMatrix, snf
 from k3lat.root_systems import RootSystemError
 
 
@@ -31,6 +32,23 @@ def rat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
 def rational_gv(gram: IntMatrix, coords) -> tuple[Fraction, ...]:
     """G v with the Gram as a rational matrix."""
     return to_rational(gram).mul_vec(coords)
+
+
+def rational_pairing(gram: IntMatrix, u, v) -> Fraction:
+    """u^T G v over Q."""
+    return sum((a * b for a, b in zip(u, rational_gv(gram, v))), Fraction(0))
+
+
+def rational_class(gram: IntMatrix, coords) -> tuple[int, ...] | None:
+    """The discriminant class of a vector given by rational coordinates:
+    U (G v) reduced modulo the invariant factors, with U*G*V = S the Smith
+    form, or None when G v is not integral."""
+    gv = rational_gv(gram, coords)
+    if any(x.denominator != 1 for x in gv):
+        return None
+    r = snf(gram)
+    y = r.u.mul_vec([int(x) for x in gv])
+    return tuple(c % f for c, f in zip(y, r.invariant_factors))
 
 
 def invert_rational(a: RatMatrix) -> RatMatrix:

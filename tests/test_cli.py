@@ -5,9 +5,10 @@ import sys
 
 import pytest
 
+from k3lat import cli
 from k3lat.char2_surfaces.field import BinaryField
 from k3lat.char2_surfaces.recognize import apply_frame, normal_form_sextic
-from k3lat.char2_surfaces.surfaces import schroeer_sextic
+from k3lat.char2_surfaces.surfaces import SurfaceError, schroeer_sextic
 from k3lat.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -154,6 +155,23 @@ def test_surface_single_pair(capsys):
     assert len(case["witness"]["splitting_lines"]) == 5
 
 
+def test_raising_surface_case_names_the_exception_type(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise SurfaceError("no nine-point configuration")
+
+    monkeypatch.setattr(cli, "verify_configuration", broken)
+    code, out = run_cli(capsys, "surface", "--k", "4", "--r", "1", "--s", "2")
+    assert code == EXIT_CHECK_FAILED
+    case = json.loads(out)["checks"][0]
+    assert case["pass"] is False
+    assert case["witness"] == {
+        "r": "1",
+        "s": "2",
+        "error": "no nine-point configuration",
+        "error_type": "SurfaceError",
+    }
+
+
 def test_surface_cube_locus_pair(capsys):
     f = BinaryField(4)
     w = f.omega()
@@ -251,6 +269,25 @@ def test_out_file(tmp_path, capsys):
     assert code == EXIT_OK
     report = json.loads(path.read_text())
     assert report["pass"] is True
+    # the file gets exactly the bytes the report would print
+    code, out = run_cli(capsys, "lattice", "--format", "text")
+    text_path = tmp_path / "report.txt"
+    assert run_cli(capsys, "lattice", "--format", "text", "--out", str(text_path)) == (code, "")
+    assert text_path.read_text() == out
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_is_a_usage_error_before_any_suite(tmp_path, capsys, monkeypatch, where):
+    path = tmp_path / "missing" / "report.json" if where == "missing-directory" else tmp_path
+    ran = []
+    monkeypatch.setattr(cli, "cmd_lattice", ran.append)
+    monkeypatch.setattr(cli, "cmd_surface", lambda args, g=None: ran.append(args))
+    for command in ("lattice", "surface", "all"):
+        assert main([command, "--out", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--out" in captured.err
+    assert ran == []
 
 
 def test_usage_error_exit_code(capsys):

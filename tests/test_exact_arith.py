@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -378,9 +377,7 @@ def lattice_matrices() -> dict[str, IntMatrix]:
     for name, glue in specs:
         ns = build_overlattice(OverlatticeSpec(ls, glue))
         out[name] = ns.lattice.gram
-        rows = ns.basis_in_base.entries
-        denom = math.lcm(*(c.denominator for row in rows for c in row))
-        out[f"{name}-basis"] = IntMatrix([[int(c * denom) for c in row] for row in rows])
+        out[f"{name}-basis"] = ns.basis_num
         if name == "sigma2":
             out["complement"] = orthogonal_complement(ns.lattice, ns.h_in_result()).lattice.gram
     return out

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from k3lat import lattice_core
 from k3lat.exact_arith import IntMatrix, invert, snf
 from k3lat.lattice_core import (
+    DualVector,
     Lattice,
     LatticeError,
     discriminant_group,
@@ -26,7 +28,14 @@ from k3lat.ns_glue import (
     extra_glue_class,
     halfline_class,
 )
-from rational_oracles import rat_mul, rational_gv
+from rational_oracles import (
+    invert_rational,
+    rat_mul,
+    rational_class,
+    rational_gv,
+    rational_pairing,
+    to_rational,
+)
 
 BUILTINS = {"A1": lattice_A1, "D4": lattice_D4, "hyperbolic2": lattice_hyperbolic2}
 
@@ -146,8 +155,8 @@ def test_orthogonal_complement_diagonal_vector():
     comp = orthogonal_complement(l, v)
     assert comp.lattice.rank == 1
     assert comp.lattice.gram.entries == ((-4,),)
-    emb = comp.to_ambient(comp.lattice.basis_vector(0))
-    assert sorted(abs(int(c)) for c in emb.coords) == [1, 1]
+    emb = comp.basis_in_ambient.entries[0]
+    assert sorted(abs(c) for c in emb) == [1, 1]
 
 
 def test_orthogonal_complement_requires_membership():
@@ -251,6 +260,7 @@ def test_det_is_computed_once_per_lattice(monkeypatch):
 def test_named_root_lattices_are_built_once(monkeypatch):
     lattice_A1.cache_clear()
     lattice_D4.cache_clear()
+    lattice_hyperbolic2.cache_clear()
     calls = []
     real = lattice_core.det
 
@@ -259,9 +269,72 @@ def test_named_root_lattices_are_built_once(monkeypatch):
         return real(m)
 
     monkeypatch.setattr(lattice_core, "det", counting)
-    a1, d4 = lattice_A1(), lattice_D4()
+    a1, d4, h = lattice_A1(), lattice_D4(), lattice_hyperbolic2()
     for _ in range(10):
         assert lattice_A1() is a1
         assert lattice_D4() is d4
+        assert lattice_hyperbolic2() is h
     # one determinant per constructor instead of one per call
-    assert len(calls) == 2
+    assert len(calls) == 3
+
+
+def test_dual_vectors_are_stored_in_lowest_terms():
+    a1 = lattice_A1()
+    half = a1.vector([Fraction(1, 2)])
+    assert (half.num, half.den) == ((1,), 2)
+    for same in (a1.vector([Fraction(2, 4)]), DualVector(a1, [2], 4), DualVector(a1, [-3], -6)):
+        assert same == half and hash(same) == hash(half)
+    assert DualVector(a1, [0], 7) == a1.zero()
+    assert (half + half).den == 1 and (half - half) == a1.zero()
+    with pytest.raises(LatticeError):
+        DualVector(a1, [1], 0)
+
+
+@pytest.mark.parametrize("name", ["D4", "A1+A1", "Lambda"])
+def test_dual_vector_arithmetic_matches_the_fraction_oracle(name):
+    if name == "D4":
+        lat = lattice_D4()
+    elif name == "A1+A1":
+        lat = Lattice(IntMatrix.block_diagonal([lattice_A1().gram, lattice_A1().gram]))
+    else:
+        lat = build_lambda().lattice
+    n, gram = lat.rank, lat.gram
+    grp = discriminant_group(lat)
+    dual_columns = list(zip(*invert_rational(to_rational(gram)).entries))
+    rng = random.Random(41)
+
+    def rational_coords():
+        if rng.random() < 0.5:
+            # any rational vector, denominators mixed
+            return [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6))) for _ in range(n)]
+        # a dual vector: integers plus a few dual basis vectors
+        coords = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+        for _ in range(rng.randint(0, 3)):
+            k, col = rng.randint(-2, 2), rng.choice(dual_columns)
+            coords = [c + k * x for c, x in zip(coords, col)]
+        return coords
+
+    classes_seen = set()
+    for _ in range(60):
+        a, b = rational_coords(), rational_coords()
+        u, v = lat.vector(a), lat.vector(b)
+        assert u.den > 0 and math.gcd(u.den, *u.num) == 1
+        assert u.coords == tuple(a)
+        assert (u + v).coords == tuple(x + y for x, y in zip(a, b))
+        assert (u - v).coords == tuple(x - y for x, y in zip(a, b))
+        assert (-u).coords == tuple(-x for x in a)
+        assert u + v - v == u and hash(u + v - v) == hash(u)
+        assert pairing(u, v) == rational_pairing(gram, a, b)
+        assert u.norm() == rational_pairing(gram, a, a)
+        assert u.pair_with_basis() == rational_gv(gram, a)
+        assert u.is_lattice_vector() == all(x.denominator == 1 for x in a)
+        assert u.is_dual_vector() == all(x.denominator == 1 for x in rational_gv(gram, a))
+        expected = rational_class(gram, a)
+        if expected is None:
+            with pytest.raises(LatticeError):
+                grp.class_of(u)
+        else:
+            assert grp.class_of(u).component == expected
+            classes_seen.add(expected)
+    # the dual draws reach more than the zero class
+    assert len(classes_seen) > 1

@@ -166,6 +166,11 @@ def _rational_overlattice(ls, glue):
     return gram.entries, basis.entries, tuple(tuple(row) for row in base_rows)
 
 
+def _rational_basis(ns) -> RatMatrix:
+    """The overlattice basis rows as rationals: the integer HNF rows over their denominator."""
+    return RatMatrix([[Fraction(x, ns.basis_den) for x in row] for row in ns.basis_num.entries])
+
+
 @pytest.mark.parametrize("case", ["no-glue", "sigma2", "1", "w", "wb"])
 def test_overlattice_matches_rational_oracle(ls, case):
     glue = () if case == "no-glue" else tuple(halfline_class(ls, lam) for lam in L_LABELS)
@@ -174,7 +179,7 @@ def test_overlattice_matches_rational_oracle(ls, case):
     res = build_overlattice(OverlatticeSpec(ls, glue))
     gram, basis, base_rows = _rational_overlattice(ls, glue)
     assert res.lattice.gram.entries == gram
-    assert res.basis_in_base.entries == basis
+    assert _rational_basis(res).entries == basis
     assert res.base_in_result.entries == base_rows
 
 
@@ -231,8 +236,8 @@ def test_base_embeds_in_overlattice(ls, ns):
 
 
 def test_to_result_coords_matches_inverse_oracle(ls, ns):
-    # oracle: solve basis_in_base^T x = v with a full rational inverse
-    binv = invert_rational(rat_transpose(ns.basis_in_base))
+    # oracle: solve basis^T x = v with a full rational inverse
+    binv = invert_rational(rat_transpose(_rational_basis(ns)))
     vectors = [ls.lattice.basis_vector(i) for i in range(22)]
     vectors += [halfline_class(ls, lam).vector for lam in L_LABELS]
     for v in vectors:
@@ -246,7 +251,7 @@ def test_to_result_coords_rejects_a_vector_outside(ls, ns):
     # lies outside the sigma = 2 overlattice
     v = extra_glue_class(ls, "w").vector
     assert ns.to_result_coords(v) is None
-    oracle = invert_rational(rat_transpose(ns.basis_in_base)).mul_vec(v.coords)
+    oracle = invert_rational(rat_transpose(_rational_basis(ns))).mul_vec(v.coords)
     assert any(c.denominator != 1 for c in oracle)
 
 
@@ -259,12 +264,13 @@ def test_canonical_positivity_matches_summed_dual_basis(ls, ns):
         if s.kind != "H":
             sub = ls.summand_lattice(s)
             for j in range(s.rank):
-                w = w + ls.assemble({s.name: sub.dual_basis_vector(j).coords})
-    complement_rows = rat_mul(to_rational(comp.basis_in_ambient), ns.basis_in_base)
+                w = w + ls.assemble({s.name: sub.dual_basis_vector(j)})
+    complement_rows = rat_mul(to_rational(comp.basis_in_ambient), _rational_basis(ns))
     p = complement_rows.mul_vec(w.pair_with_basis())
     coeffs = invert_rational(to_rational(comp.lattice.gram)).mul_vec(p)
     alpha = canonical_positivity(ns, comp)
-    assert alpha.form == rational_gv(comp.lattice.gram, coeffs)
+    form = tuple(Fraction(c, alpha.den) for c in alpha.num)
+    assert form == rational_gv(comp.lattice.gram, coeffs)
 
 
 def test_artin_invariant_shapes(ls):

@@ -270,7 +270,8 @@ def test_positivity_value_matches_the_rational_sum():
     for alpha, n in cases:
         for _ in range(50):
             x = [rng.randint(-3, 3) for _ in range(n)]
-            assert alpha.value(x) == sum(a * c for a, c in zip(alpha.form, x))
+            form = [Fraction(c, alpha.den) for c in alpha.num]
+            assert alpha.value(x) == sum(a * c for a, c in zip(form, x))
 
 
 def test_short_vectors_bound_zero_and_negative():
