@@ -10,9 +10,9 @@ recognized monomial-wise since the Frobenius is bijective.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from ..frozen import Frozen
 from .field import BinaryField
 
 
@@ -245,22 +245,23 @@ def _unit(var: int) -> tuple[int, int, int]:
 # binary forms (restrictions to lines)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BinForm:
+class BinForm(Frozen):
     """Homogeneous form in two variables; coeffs[i] multiplies u^(d-i) v^i.
 
     ``kept`` records which two of the original variables the parameters
     (u, v) stand for.
     """
 
+    __slots__ = ("field", "degree", "coeffs", "kept")
     field: BinaryField
     degree: int
     coeffs: tuple[int, ...]
     kept: tuple[int, int]
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.degree + 1:
+    def __init__(self, field: BinaryField, degree: int, coeffs: tuple[int, ...], kept: tuple):
+        if len(coeffs) != degree + 1:
             raise PolyError("coefficient list does not match the degree")
+        super().__init__(field, degree, coeffs, kept)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

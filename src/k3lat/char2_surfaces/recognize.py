@@ -14,7 +14,7 @@ coordinate, and the parameter t is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .field import BinaryField
 from .poly import HomPoly
@@ -136,8 +136,7 @@ def apply_frame(g: HomPoly, frame) -> HomPoly:
 # deterministic labeling of a configuration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LabeledConfiguration:
+class LabeledConfiguration(NamedTuple):
     points: dict[str, Point]
     lines: dict[str, Line]
     extra_lines: tuple[Line, ...]
@@ -263,8 +262,7 @@ def recognize_normal_form(g: HomPoly, frame) -> int:
     return t
 
 
-@dataclass(frozen=True)
-class RecognitionResult:
+class RecognitionResult(NamedTuple):
     t: int
     config: LabeledConfiguration
     frame: tuple

@@ -11,8 +11,7 @@ separable cubic 3-jet means D4.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .field import BinaryField
 from .poly import BinForm, HomPoly, PolyError, cubic_has_distinct_roots
@@ -193,8 +192,7 @@ def _linear_powers(f: BinaryField, alpha: int, beta: int, n: int) -> list[list[t
 # splitting certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SplittingCertificate:
+class SplittingCertificate(NamedTuple):
     """G = ell * quintic + cubic^2, witnessing that the line splits."""
 
     line: HomPoly
@@ -473,8 +471,7 @@ def classify_singularity(g: HomPoly, p: Point) -> str:
 MILNOR = {"A1": 1, "D4": 4}
 
 
-@dataclass(frozen=True)
-class SingularityReport:
+class SingularityReport(NamedTuple):
     points: tuple[tuple[Point, str], ...]
 
     @property
@@ -552,8 +549,7 @@ EXPECTED_INCIDENCE = {
 }
 
 
-@dataclass(frozen=True)
-class ConfigurationReport:
+class ConfigurationReport(NamedTuple):
     ok: bool
     findings: tuple[str, ...]
     report: SingularityReport

@@ -280,8 +280,31 @@ def _open_out(path: str):
         raise UsageError(f"--out {path}: {type(exc).__name__}: {exc}")
 
 
-def cmd_surface(args, g: HomPoly | None = None) -> dict:
-    """The family cases, or with g (read from --recognize) its recognition."""
+def _family_inputs(args) -> tuple[BinaryField, list[tuple[int, int]]]:
+    """The field and the (r, s) pairs of the family cases; a bad value is a usage error."""
+    try:
+        field = BinaryField(args.k, args.modulus)
+    except Exception as exc:
+        raise UsageError(str(exc))
+    if args.r is None and args.s is None:
+        return field, _sample_pairs(field, args.samples, args.seed, allow_cube=False)
+    if args.r is None or args.s is None:
+        raise UsageError("--r and --s must be given together")
+    try:
+        r = BinaryField.parse_bits(args.r)
+        s = BinaryField.parse_bits(args.s)
+    except ValueError:
+        raise UsageError("--r and --s must be hex, 0x-hex or 0b-binary field elements")
+    if not (0 <= r < field.q and 0 <= s < field.q):
+        raise UsageError(f"r and s must be elements of GF(2^{field.k})")
+    if (r == 0 or s == 0) and not args.allow_degenerate:
+        raise UsageError("r = 0 or s = 0 is outside the verified regime "
+                         "(pass --allow-degenerate to build anyway)")
+    return field, [(r, s)]
+
+
+def cmd_surface(args, g: HomPoly | None, family) -> dict:
+    """Recognition of g (from --recognize), or the family cases of _family_inputs."""
     checks = Checks()
     if g is not None:
         # recognition reads its field from the file
@@ -292,27 +315,7 @@ def cmd_surface(args, g: HomPoly | None = None) -> dict:
         checks.run("recognize", recog)
         return {"checks": checks.results, "timing_ms": checks.timing, "pass": checks.all_passed}
 
-    try:
-        field = BinaryField(args.k, args.modulus)
-    except Exception as exc:
-        raise UsageError(str(exc))
-    if args.r is not None or args.s is not None:
-        if args.r is None or args.s is None:
-            raise UsageError("--r and --s must be given together")
-        try:
-            r = BinaryField.parse_bits(args.r)
-            s = BinaryField.parse_bits(args.s)
-        except ValueError:
-            raise UsageError("--r and --s must be hex, 0x-hex or 0b-binary field elements")
-        if not (0 <= r < field.q and 0 <= s < field.q):
-            raise UsageError(f"r and s must be elements of GF(2^{field.k})")
-        if (r == 0 or s == 0) and not args.allow_degenerate:
-            raise UsageError("r = 0 or s = 0 is outside the verified regime "
-                             "(pass --allow-degenerate to build anyway)")
-        pairs = [(r, s)]
-    else:
-        pairs = _sample_pairs(field, args.samples, args.seed, allow_cube=False)
-
+    field, pairs = family
     for r, s in pairs:
         try:
             ok, witness = _surface_case(field, r, s, args.line_scan)
@@ -350,9 +353,9 @@ def cmd_surface(args, g: HomPoly | None = None) -> dict:
 # everything
 # ---------------------------------------------------------------------------
 
-def cmd_all(args, g: HomPoly | None = None) -> dict:
+def cmd_all(args, g: HomPoly | None, family) -> dict:
     lat = cmd_lattice(args)
-    surf = cmd_surface(args, g)
+    surf = cmd_surface(args, g, family)
     return {
         "checks": lat["checks"] + surf["checks"],
         "timing_ms": {**lat["timing_ms"], **surf["timing_ms"]},
@@ -373,6 +376,13 @@ def _render_text(report: dict) -> str:
             lines.append(f"     witness: {json.dumps(c['witness'], sort_keys=True)}")
     lines.append(f"{'PASS' if report['pass'] else 'FAIL'} overall")
     return "\n".join(lines) + "\n"
+
+
+def _modulus(text: str) -> int:
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not decimal, 0x-hex or 0b-binary") from None
 
 
 def _int_in_range(low: int, high: int | None = None):
@@ -407,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def surface_flags(sp, k_default):
         sp.add_argument("--k", type=int, default=k_default, help="field is GF(2^k)")
-        sp.add_argument("--modulus", type=lambda t: int(t, 0), default=None)
+        sp.add_argument("--modulus", type=_modulus, default=None)
         sp.add_argument("--r", default=None, help="hex bitstring")
         sp.add_argument("--s", default=None, help="hex bitstring")
         sp.add_argument("--samples", type=_int_in_range(1), default=3)
@@ -452,15 +462,17 @@ def main(argv=None) -> int:
     config = {k: v for k, v in sorted(vars(args).items()) if k not in ("command",)}
     out = None
     try:
-        # the --recognize file is read and the --out file opened before any suite runs
+        # the --recognize file is read, the family arguments checked and the
+        # --out file opened before any suite runs
         g = _read_sextic(args.recognize) if getattr(args, "recognize", None) else None
+        family = _family_inputs(args) if args.command != "lattice" and g is None else None
         out = _open_out(args.out) if args.out else None
         if args.command == "lattice":
             report = cmd_lattice(args)
         elif args.command == "surface":
-            report = cmd_surface(args, g)
+            report = cmd_surface(args, g, family)
         else:
-            report = cmd_all(args, g)
+            report = cmd_all(args, g, family)
         report = {"config": config, **report}
         if args.format == "json":
             text = json.dumps(report, sort_keys=True, indent=2) + "\n"

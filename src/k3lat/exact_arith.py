@@ -11,10 +11,11 @@ call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+from .frozen import Frozen
 
 
 class ExactArithError(ValueError):
@@ -35,10 +36,10 @@ def _freeze_rat(rows: Iterable[Iterable]) -> tuple[tuple[Fraction, ...], ...]:
     return out
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Frozen):
     """Immutable integer matrix, row-major."""
 
+    __slots__ = ("entries",)
     entries: tuple[tuple[int, ...], ...]
 
     def __init__(self, entries: Iterable[Iterable[int]]):
@@ -98,10 +99,10 @@ class IntMatrix:
         return tuple(sum(map(mul, row, v)) for row in self.entries)
 
 
-@dataclass(frozen=True)
-class RatMatrix:
+class RatMatrix(Frozen):
     """Immutable matrix of exact rationals (always stored reduced)."""
 
+    __slots__ = ("entries",)
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __init__(self, entries: Iterable[Iterable]):
@@ -267,8 +268,7 @@ def inertia(a: IntMatrix) -> tuple[int, int, int]:
 # Smith normal form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(NamedTuple):
     """U * A * V = S with U, V unimodular and S = diag(d1 | d2 | ...)."""
 
     u: IntMatrix

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exact_arith import (
     IntMatrix,
@@ -26,14 +25,16 @@ from .exact_arith import (
     kernel_basis,
     snf,
 )
+from .frozen import Frozen
 
 
 class LatticeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Frozen):
+    # _det is set by the constructor, _inertia and _dual_basis on first use
+    __slots__ = ("gram", "labels", "_det", "_inertia", "_dual_basis")
     gram: IntMatrix
     labels: tuple[str, ...]
 
@@ -92,8 +93,7 @@ class Lattice:
         return self.vector(row[j] for row in cached.entries)
 
 
-@dataclass(frozen=True)
-class DualVector:
+class DualVector(Frozen):
     """Element of L tensor Q in lattice coordinates: the integers num over den.
 
     The constructor puts the pair in lowest terms (den > 0 and
@@ -101,6 +101,7 @@ class DualVector:
     den = 1 means membership in L.
     """
 
+    __slots__ = ("lattice", "num", "den", "_gnum", "_gv")  # G num and G v, cached
     lattice: Lattice
     num: tuple[int, ...]
     den: int
@@ -229,19 +230,19 @@ def is_p_elementary(lattice: Lattice, p: int) -> bool:
 # discriminant group
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
+class DiscriminantGroup(NamedTuple):
     """The finite quotient (dual lattice)/(lattice), with explicit generators.
 
     ``generators[i]`` is a dual vector whose class has order
     ``invariant_factors[i]``; factors equal to 1 are kept (with zero
     generators dropped) so classes are tuples over the full factor list.
+    ``u`` is the left transform of the Smith form U G V = S of the Gram.
     """
 
     lattice: Lattice
     invariant_factors: tuple[int, ...]
     generators: tuple[DualVector, ...]
-    _u: IntMatrix
+    u: IntMatrix
 
     @property
     def order(self) -> int:
@@ -253,7 +254,7 @@ class DiscriminantGroup:
     def class_of(self, v: DualVector) -> "DiscClass":
         if v.lattice != self.lattice:
             raise LatticeError("vector lives in a different lattice")
-        y = self._u.mul_vec(v.integer_pairings())
+        y = self.u.mul_vec(v.integer_pairings())
         comp = tuple(y[i] % f for i, f in enumerate(self.invariant_factors))
         return DiscClass(self, comp)
 
@@ -261,8 +262,8 @@ class DiscriminantGroup:
         return DiscClass(self, tuple(0 for _ in self.invariant_factors))
 
 
-@dataclass(frozen=True)
-class DiscClass:
+class DiscClass(Frozen):
+    __slots__ = ("group", "component")
     group: DiscriminantGroup
     component: tuple[int, ...]
 
@@ -328,8 +329,7 @@ def discriminant_group(lattice: Lattice) -> DiscriminantGroup:
 # orthogonal complements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Sublattice:
+class Sublattice(NamedTuple):
     """A primitive sublattice presented by its own Gram plus an embedding.
 
     ``basis_in_ambient`` rows are the coordinates of the sublattice basis in

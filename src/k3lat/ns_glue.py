@@ -11,12 +11,12 @@ the invariant to 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exact_arith import IntMatrix, hnf_rows, invert
+from .frozen import Frozen
 from .lattice_core import (
     DiscClass,
     DualVector,
@@ -50,16 +50,14 @@ L_LABELS = ("inf", "0*", "1*", "*0", "*1")
 EXTRA_GLUE_CHOICES = ("1", "w", "wb")
 
 
-@dataclass(frozen=True)
-class Summand:
+class Summand(NamedTuple):
     name: str
     kind: str  # "H", "D4" or "A1"
     offset: int
     rank: int
 
 
-@dataclass(frozen=True)
-class LabeledSum:
+class LabeledSum(NamedTuple):
     """The rank-22 block direct sum with its summand table."""
 
     lattice: Lattice
@@ -131,8 +129,7 @@ def a_vee(ls: LabeledSum, g: str) -> DualVector:
     return ls.assemble({f"Q({g})": lattice_A1().vector([Fraction(-1, 2)])})
 
 
-@dataclass(frozen=True)
-class GlueVector:
+class GlueVector(NamedTuple):
     name: str
     vector: DualVector
 
@@ -169,14 +166,14 @@ def extra_glue_class(ls: LabeledSum, c: str) -> GlueVector:
 # overlattices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OverlatticeSpec:
+class OverlatticeSpec(NamedTuple):
     base: LabeledSum
     glue: tuple[GlueVector, ...]
 
 
-@dataclass(frozen=True)
-class OverlatticeResult:
+class OverlatticeResult(Frozen):
+    # a class, not a NamedTuple: the field index would shadow tuple.index
+    __slots__ = ("spec", "lattice", "basis_num", "basis_den", "base_in_result", "index")
     spec: OverlatticeSpec
     lattice: Lattice
     basis_num: IntMatrix  # rows over basis_den: new basis in base coordinates
@@ -279,14 +276,7 @@ def build_overlattice(spec: OverlatticeSpec) -> OverlatticeResult:
     index = 2**glue_rank
     if ratio != index * index:
         raise GlueError("index does not match the F2-rank of the glue classes")
-    return OverlatticeResult(
-        spec=spec,
-        lattice=lat,
-        basis_num=b,
-        basis_den=denom,
-        base_in_result=IntMatrix(base_in_result),
-        index=index,
-    )
+    return OverlatticeResult(spec, lat, b, denom, IntMatrix(base_in_result), index)
 
 
 def artin_invariant(lattice: Lattice, p: int, ns_context: bool = False) -> int:
@@ -326,8 +316,7 @@ def canonical_positivity(ns: OverlatticeResult, comp: Sublattice) -> PositivityF
     return PositivityFunctional(comp.lattice, tuple(form), ns.basis_den)
 
 
-@dataclass(frozen=True)
-class ExceptionalRootReport:
+class ExceptionalRootReport(NamedTuple):
     complement_rank: int
     complement_inertia: tuple[int, int, int]
     root_count: int
@@ -371,8 +360,7 @@ def component_breakdown(ls: LabeledSum, v: DualVector) -> dict[str, list[str]]:
     return out
 
 
-@dataclass(frozen=True)
-class HalflineSearchResult:
+class HalflineSearchResult(NamedTuple):
     label: str
     candidates: tuple[DualVector, ...]
     budget_checked: int

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .exact_arith import IntMatrix, hnf_rows, inertia, invert, symmetric_elimination
+from .frozen import Frozen
 from .lattice_core import (
     DiscClass,
     DualVector,
@@ -90,8 +90,9 @@ def short_vectors(gram: IntMatrix, bound: int) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(Frozen):
+    # a class, not a NamedTuple: len() counts the roots, not the fields
+    __slots__ = ("lattice", "roots")
     lattice: Lattice
     roots: tuple[tuple[int, ...], ...]
 
@@ -120,8 +121,7 @@ def enumerate_roots(lattice: Lattice) -> RootSet:
 # irreducible decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RootComponent:
+class RootComponent(NamedTuple):
     """A connected class of roots together with the sublattice they generate."""
 
     lattice: Lattice
@@ -172,8 +172,7 @@ def irreducible_decomposition(root_set: RootSet) -> list[RootComponent]:
 # positivity functionals, indecomposable roots
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PositivityFunctional:
+class PositivityFunctional(NamedTuple):
     """Linear form alpha(x) = (num * x) / den; pairing against a dual vector
     v has num / den = G v."""
 
@@ -363,8 +362,7 @@ def root_type(components: Iterable[tuple[str, int]]) -> str:
 # bounded dual-class norm searches on A1 and D4
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassNormSearch:
+class ClassNormSearch(NamedTuple):
     """Outcome of the exhaustive box search over one dual class.
 
     ``outside_bound`` is a certified upper bound on the norm of any class

@@ -290,6 +290,41 @@ def test_unwritable_out_is_a_usage_error_before_any_suite(tmp_path, capsys, monk
     assert ran == []
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--k", "8", "--r", "zz", "--s", "1"],
+        ["--k", "8", "--r", "1"],
+        ["--k", "4", "--r", "1f", "--s", "1"],
+        ["--k", "4", "--r", "0", "--s", "2"],
+        ["--k", "6", "--samples", "1"],
+    ],
+    ids=["r-not-hex", "r-without-s", "r-outside-the-field", "degenerate-pair", "k6-no-modulus"],
+)
+def test_bad_surface_arguments_are_usage_errors_before_any_suite(capsys, monkeypatch, flags):
+    ran = []
+    monkeypatch.setattr(cli, "cmd_lattice", ran.append)
+    monkeypatch.setattr(cli, "cmd_surface", lambda args, *rest: ran.append(args))
+    errors = []
+    for command in ("surface", "all"):
+        assert main([command, *flags]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert ran == []
+    # all reports the same message as surface
+    assert errors[0] == errors[1] != ""
+
+
+def test_bad_modulus_names_the_accepted_forms(capsys):
+    for command in ("surface", "all"):
+        assert main([command, "--modulus", "zz"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "argument --modulus: 'zz'" in err
+        assert "decimal" in err and "0x" in err and "0b" in err
+        assert "<lambda>" not in err
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["surface", "--k", "7"]) == EXIT_USAGE
     capsys.readouterr()

@@ -1,0 +1,114 @@
+"""Value semantics of the slotted classes and the NamedTuple records."""
+
+from fractions import Fraction
+
+import pytest
+
+from k3lat import root_systems
+from k3lat.exact_arith import IntMatrix, RatMatrix, snf
+from k3lat.lattice_core import DualVector, Lattice, discriminant_group, lattice_D4
+from k3lat.ns_glue import L_LABELS, OverlatticeSpec, build_lambda, build_overlattice, halfline_class
+from k3lat.root_systems import bounded_class_minimizers, enumerate_roots
+
+
+def _twice(build):
+    a, b = build(), build()
+    assert a is not b
+    return a, b
+
+
+def _values():
+    gram = [[-2, 1], [1, -2]]
+    yield _twice(lambda: IntMatrix(gram))
+    yield _twice(lambda: RatMatrix([[Fraction(1, 2), 3], [0, Fraction(-4, 6)]]))
+    yield _twice(lambda: Lattice(IntMatrix(gram), ("x", "y")))
+    # the same vector over two different denominators before reduction
+    lat = Lattice(IntMatrix(gram))
+    yield DualVector(lat, [2, -4], 6), DualVector(Lattice(IntMatrix(gram)), [1, -2], 3)
+
+
+@pytest.mark.parametrize(
+    "pair", list(_values()), ids=["IntMatrix", "RatMatrix", "Lattice", "DualVector"]
+)
+def test_values_built_twice_compare_and_hash_equal(pair):
+    a, b = pair
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert repr(a) == repr(b)
+
+
+def test_caches_take_no_part_in_equality():
+    gram = IntMatrix([[-2, 1], [1, -2]])
+    a, b = Lattice(gram), Lattice(gram)
+    a.inertia(), a.dual_basis_vector(0)
+    assert a == b and hash(a) == hash(b)
+    u, v = DualVector(a, [1, 1]), DualVector(b, [1, 1])
+    u.pair_with_basis()
+    assert u == v and hash(u) == hash(v)
+    assert DualVector(a, [1, 0]) != u
+    assert Lattice(gram, ("x", "y")) != a  # labels are a field
+
+
+def test_values_of_other_types_or_plain_tuples_are_not_equal():
+    m = IntMatrix([[1, 2]])
+    assert m != ((1, 2),)
+    assert m != RatMatrix([[1, 2]])
+    lat = Lattice(IntMatrix([[-2]]))
+    assert DualVector(lat, [1]) != (lat, (1,), 1)
+
+
+def test_fields_cannot_be_assigned_or_deleted():
+    gram = IntMatrix([[-2, 1], [1, -2]])
+    lat = Lattice(gram)
+    values = [
+        (gram, "entries"),
+        (RatMatrix([[1]]), "entries"),
+        (lat, "gram"),
+        (lat, "_det"),
+        (DualVector(lat, [1, 0]), "num"),
+        (DualVector(lat, [1, 0]), "_gnum"),
+    ]
+    for value, name in values:
+        before = getattr(value, name, None)
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.undeclared = 1
+        assert getattr(value, name, None) == before
+    record = snf(gram)
+    with pytest.raises(AttributeError):
+        record.u = gram
+    assert record.invariant_factors == (1, 3)
+
+
+def test_records_whose_tuple_behaviour_would_leak_are_not_tuples():
+    ls = build_lambda()
+    ns = build_overlattice(OverlatticeSpec(ls, tuple(halfline_class(ls, lam) for lam in L_LABELS)))
+    assert not isinstance(ns, tuple)
+    assert ns.index == 32
+    roots = enumerate_roots(lattice_D4())
+    assert not isinstance(roots, tuple)
+    assert len(roots) == 24
+    cls = discriminant_group(lattice_D4()).zero_class()
+    assert not isinstance(cls, tuple)
+    assert cls + cls == cls
+
+
+def test_rebuilt_lattice_hits_the_class_search_memo(monkeypatch):
+    scans = []
+    real = root_systems._box_scan
+
+    def counting(lattice, rep, box, forms):
+        scans.append(lattice.gram.entries)
+        return real(lattice, rep, box, forms)
+
+    monkeypatch.setattr(root_systems, "_box_scan", counting)
+    root_systems._class_search.cache_clear()
+    first, second = Lattice(lattice_D4().gram), Lattice(lattice_D4().gram)
+    a = bounded_class_minimizers(first, discriminant_group(first).zero_class())
+    b = bounded_class_minimizers(second, discriminant_group(second).zero_class())
+    assert a is b
+    assert len(scans) == 1

@@ -1,5 +1,8 @@
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "k3lat"
 
@@ -27,3 +30,30 @@ def test_no_import_inside_a_function_body():
                 if isinstance(node, (ast.Import, ast.ImportFrom)):
                     offenders.append(f"{path.relative_to(PACKAGE)}:{node.lineno} in {fn.name}")
     assert offenders == []
+
+
+def test_no_module_imports_dataclasses():
+    # building frozen dataclasses cost about a quarter of every CLI process;
+    # the value types are NamedTuples or slotted k3lat.frozen.Frozen classes
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                offenders.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert offenders == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    code = "import sys, k3lat.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
