@@ -92,12 +92,25 @@ def short_vectors(gram: IntMatrix, bound: int) -> list[tuple[int, ...]]:
 
 class RootSet(Frozen):
     # a class, not a NamedTuple: len() counts the roots, not the fields
-    __slots__ = ("lattice", "roots")
+    __slots__ = ("lattice", "roots", "_groots")  # G r per root, cached
     lattice: Lattice
     roots: tuple[tuple[int, ...], ...]
 
+    def __init__(self, lattice: Lattice, roots: Iterable[tuple[int, ...]]):
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "roots", tuple(roots))
+
     def __len__(self) -> int:
         return len(self.roots)
+
+    def gram_images(self) -> tuple[tuple[int, ...], ...]:
+        """G r for every root, in the order of ``roots``, computed once."""
+        cached = getattr(self, "_groots", None)
+        if cached is None:
+            gram = self.lattice.gram
+            cached = tuple(gram.mul_vec(r) for r in self.roots)
+            object.__setattr__(self, "_groots", cached)
+        return cached
 
 
 def enumerate_roots(lattice: Lattice) -> RootSet:
@@ -107,9 +120,16 @@ def enumerate_roots(lattice: Lattice) -> RootSet:
     if not lattice.is_negative_definite():
         raise RootSystemError("root enumeration requires a negative-definite lattice")
     gram = lattice.gram
-    # the enumeration is exact; the norm is re-derived through G v regardless
-    roots = [v for v in short_vectors(gram, 2) if _pair_int(gram, v, v) == -2]
-    rs = RootSet(lattice, tuple(roots))
+    # the enumeration is exact; the norm is re-derived through G v regardless,
+    # and the G v are kept for the pairing graph
+    roots, images = [], []
+    for v in short_vectors(gram, 2):
+        gv = gram.mul_vec(v)
+        if sum(map(mul, v, gv)) == -2:
+            roots.append(v)
+            images.append(gv)
+    rs = RootSet(lattice, roots)
+    object.__setattr__(rs, "_groots", tuple(images))
     rset = set(rs.roots)
     for v in rs.roots:
         if tuple(-c for c in v) not in rset:
@@ -134,32 +154,64 @@ class RootComponent(NamedTuple):
         return len(self.basis)
 
 
-def _pair_int(gram: IntMatrix, u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(map(mul, u, gram.mul_vec(v)))
+def _pairing_components(
+    roots: Sequence[Sequence[int]], images: Sequence[Sequence[int]]
+) -> list[list[int]]:
+    """Index lists of the connected components of the graph on the roots
+    with an edge where the pairing r_i . r_j = (G r_i) . r_j is nonzero.
+
+    Kronecker substitution: coordinate k of every root is packed into one
+    integer col_k, root j in the w-bit slot j, so sum_k (G r_i)_k col_k
+    holds every pairing of r_i in its slots.  Each |r_i . r_j| is at most
+    max ||r||_1 * max ||G r||_inf < 2^(w-1) = B; adding B to every slot
+    makes slot j equal r_i . r_j + B, in [1, 2^w), so no slot carries into
+    the next, and XOR with that bias leaves slot j nonzero exactly when
+    r_i . r_j is nonzero.
+    """
+    count = len(roots)
+    if not count:
+        return []
+    bound = max(sum(map(abs, r)) for r in roots) * max(max(map(abs, g)) for g in images)
+    w = bound.bit_length() + 1
+    ones = ((1 << (w * count)) - 1) // ((1 << w) - 1)  # a 1 in every slot
+    bias = ones << (w - 1)  # B in every slot: also the top bit of every slot
+    low = bias - ones  # B - 1 in every slot
+    cols = []
+    for k in range(len(roots[0])):
+        col = 0
+        for r in reversed(roots):
+            col = (col << w) + r[k]
+        cols.append(col)
+    unseen = bias  # the top bit of slot j stays set until root j is reached
+    comps = []
+    for start in range(count):
+        top = 1 << (w * start + w - 1)
+        if not unseen & top:
+            continue
+        unseen ^= top
+        stack, members = [start], []
+        while stack:
+            i = stack.pop()
+            members.append(i)
+            x = (sum(map(mul, images[i], cols)) + bias) ^ bias
+            # the top bit of each slot of x that is nonzero, in one step
+            reached = ((x & low) + low | x) & unseen
+            unseen ^= reached
+            while reached:
+                bit = reached & -reached
+                stack.append(bit.bit_length() // w - 1)
+                reached ^= bit
+        comps.append(members)
+    return comps
 
 
 def irreducible_decomposition(root_set: RootSet) -> list[RootComponent]:
     """Connected components of the graph on roots with edges where the pairing is nonzero."""
     gram = root_set.lattice.gram
-    roots = list(root_set.roots)
-    groots = [gram.mul_vec(r) for r in roots]
-    seen = [False] * len(roots)
+    roots = root_set.roots
     comps = []
-    for start in range(len(roots)):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        members = []
-        while stack:
-            i = stack.pop()
-            members.append(roots[i])
-            gr = groots[i]
-            for j in range(len(roots)):
-                if not seen[j] and sum(map(mul, roots[j], gr)) != 0:
-                    seen[j] = True
-                    stack.append(j)
-        members.sort()
+    for indices in _pairing_components(roots, root_set.gram_images()):
+        members = sorted(roots[i] for i in indices)
         basis = hnf_rows(IntMatrix(members))
         b = IntMatrix(basis)
         sub_gram = b.mul(gram).mul(b.transpose())
@@ -229,8 +281,9 @@ def decompose_root(
         raise RootSystemError("root is not in the positive part")
     eps = positive_indecomposables(component, alpha)
     gram = component.lattice.gram
-    m = IntMatrix([[_pair_int(gram, a, b) for b in eps] for a in eps])
-    rhs = [_pair_int(gram, a, root) for a in eps]
+    images = [gram.mul_vec(a) for a in eps]
+    m = IntMatrix([[sum(map(mul, ga, b)) for b in eps] for ga in images])
+    rhs = [sum(map(mul, ga, root)) for ga in images]
     coeffs = invert(m).mul_vec(rhs)
     if any(c.denominator != 1 or c < 0 for c in coeffs):
         raise RootSystemError("root does not decompose with non-negative integers")
@@ -333,10 +386,15 @@ def ade_type(component: RootComponent, alpha: PositivityFunctional) -> str:
     """
     eps = positive_indecomposables(component, alpha)
     gram = component.lattice.gram
+    images = {e: gram.mul_vec(e) for e in eps}
+
+    def pair(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+        return sum(map(mul, images[a], b))
+
     adj: dict[tuple[int, ...], list[tuple[int, ...]]] = {e: [] for e in eps}
     for i, a in enumerate(eps):
         for b in eps[i + 1 :]:
-            p = _pair_int(gram, a, b)
+            p = pair(a, b)
             if p not in (0, 1):
                 raise RootSystemError("indecomposable pairing outside {0,1}; not an ADE diagram")
             if p == 1:
@@ -344,7 +402,7 @@ def ade_type(component: RootComponent, alpha: PositivityFunctional) -> str:
                 adj[b].append(a)
     label, order = _diagram_order(eps, adj)
     cartan = cartan_matrix(label)
-    actual = [[-_pair_int(gram, a, b) for b in order] for a in order]
+    actual = [[-pair(a, b) for b in order] for a in order]
     if actual != [list(r) for r in cartan.entries]:
         raise RootSystemError("Gram of the indecomposables does not match the Cartan matrix")
     return label
@@ -431,7 +489,9 @@ def _box_scan(
 
     The coordinates are fixed one at a time.  Fixing x_j = v on a prefix
     adds v times column j of G to G x, and 4 v (G rep + G x)_j + 2 v^2 G_jj
-    to twice the norm, so each point costs one column update.
+    to twice the norm, so each point costs one column update.  On the last
+    coordinate the constraints pair_i + v col_i >= 0 cut out one interval
+    of v, found by floor division.
     """
     g = lattice.gram.entries
     n = lattice.rank
@@ -441,6 +501,8 @@ def _box_scan(
         raise RootSystemError("representative norm is not half-integral")
     values = range(-box, box + 1)
     cols = [tuple(g[i][j] for i in range(n)) for j in range(n)]
+    if forms is not None:
+        f0, f1, f2, f3 = forms
     all_odd = True
     out = []
 
@@ -454,15 +516,28 @@ def _box_scan(
                 p = [a + v * c for a, c in zip(pair, col)]
                 scan(prefix + (v,), p, norm2 + v * (lin + v * sq))
             return
+        lo, hi = -box, box
+        for a, c in zip(pair, col):
+            if c > 0:
+                lo = max(lo, -(a // c))  # v >= ceil(-a / c)
+            elif c < 0:
+                hi = min(hi, a // -c)  # v <= floor(a / -c)
+            elif a < 0:
+                lo, hi = 1, 0
+                break
+        if forms is None:
+            for v in range(lo, hi + 1):
+                out.append((norm2 + v * (lin + v * sq), prefix + (v,)))
+            return
         for v in values:
             x = prefix + (v,)
             nv = norm2 + v * (lin + v * sq)
-            if forms is not None:
-                if nv != -sum(f(x) ** 2 for f in forms):
-                    raise RootSystemError("leaf-class norm identity failed")
-                if nv % 4 != 2:
-                    all_odd = False
-            if all(a + v * c >= 0 for a, c in zip(pair, col)):
+            a, b, c, d = f0(x), f1(x), f2(x), f3(x)
+            if nv != -(a * a + b * b + c * c + d * d):
+                raise RootSystemError("leaf-class norm identity failed")
+            if nv % 4 != 2:
+                all_odd = False
+            if lo <= v <= hi:
                 out.append((nv, x))
 
     scan((), grep, int(rep_norm2))

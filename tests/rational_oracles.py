@@ -3,10 +3,12 @@
 The package computes inverses, signatures, the Fincke-Pohst factorization
 and G v fraction-free, and holds dual vectors as integers over one
 denominator.  These are the rational algorithms they replaced, plus the
-rational matrix products the oracles need.
+rational matrix products the oracles need, and the pairwise search of the
+root-pairing graph that packed integer products replaced.
 """
 
 from fractions import Fraction
+from operator import mul
 
 from k3lat.exact_arith import ExactArithError, IntMatrix, RatMatrix, snf
 from k3lat.root_systems import RootSystemError
@@ -136,3 +138,27 @@ def cholesky(q: list[list[Fraction]]) -> tuple[list[Fraction], list[list[Fractio
                 q[k][l] -= d[i] * r[i][k] * r[i][l]
                 q[l][k] = q[k][l]
     return d, r
+
+
+def pairwise_components(roots, gram: IntMatrix) -> list[list[int]]:
+    """Index lists of the components of the graph on the roots with an edge
+    where the pairing is nonzero: a depth-first walk taking one dot product
+    (G r_i) . r_j per pair."""
+    images = [gram.mul_vec(r) for r in roots]
+    seen = [False] * len(roots)
+    comps = []
+    for start in range(len(roots)):
+        if seen[start]:
+            continue
+        stack = [start]
+        seen[start] = True
+        members = []
+        while stack:
+            i = stack.pop()
+            members.append(i)
+            for j in range(len(roots)):
+                if not seen[j] and sum(map(mul, roots[j], images[i])) != 0:
+                    seen[j] = True
+                    stack.append(j)
+        comps.append(members)
+    return comps

@@ -82,6 +82,42 @@ def test_lattice_run_inverts_each_gram_at_most_once():
     assert sorted(result["inverses"]) == [[1, 1], [4, 1], [22, 1], [22, 1]]
 
 
+# a fresh process counts the G v products of one whole run, per matrix
+MUL_VEC_COUNTER = """
+import collections, json, sys
+from k3lat import cli, exact_arith
+seen = collections.Counter()
+real = exact_arith.IntMatrix.mul_vec
+def counting(self, v):
+    seen[self.entries] += 1
+    return real(self, v)
+exact_arith.IntMatrix.mul_vec = counting
+code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "calls": [[len(m), len(m[0]), n] for m, n in seen.items()]}))
+"""
+
+
+def test_lattice_run_multiplies_by_the_complement_gram_once_per_root_and_indecomposable(tmp_path):
+    # enumerate_roots keeps G r for its norm re-check, the pairing graph and
+    # the decomposition reuse it, and ade_type takes G e once per indecomposable
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", MUL_VEC_COUNTER, "lattice", "--with-extra-glue", "w", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    result = json.loads(proc.stdout)
+    assert result["code"] == EXIT_OK
+    checks = {c["name"]: c["witness"] for c in json.loads(out.read_text())["checks"]}
+    witness = checks["exceptional_root_type"]
+    budget = witness["root_count"] + witness["total_component_rank"]
+    assert budget == 106 + 21
+    complement = [n for rows, cols, n in result["calls"] if rows == cols == 21]
+    assert complement and max(complement) <= budget
+
+
 # a fresh process counts every class box scan of one whole run
 BOX_SCAN_COUNTER = """
 import collections, json, os, sys
@@ -204,6 +240,15 @@ def test_surface_report_matches_golden(capsys, argv, golden):
     with open(os.path.join(DATA, golden), encoding="utf-8") as fh:
         expected = fh.read()
     assert json.dumps(strip_timing(json.loads(out)), sort_keys=True, indent=2) + "\n" == expected
+
+
+def test_every_surface_case_is_timed_under_its_check_name(capsys):
+    code, out = run_cli(capsys, "surface", "--k", "4", "--r", "1", "--s", "2")
+    assert code == EXIT_OK
+    report = json.loads(out)
+    names = [c["name"] for c in report["checks"]]
+    assert names == ["surface_r=1_s=2", "extra_line_dichotomy"]
+    assert sorted(report["timing_ms"]) == sorted(names)
 
 
 def test_surface_k12_family_member_finishes(tmp_path):

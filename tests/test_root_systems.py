@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -21,14 +22,17 @@ from k3lat.ns_glue import (
     build_lambda,
     build_overlattice,
     canonical_positivity,
+    extra_glue_class,
     halfline_class,
 )
 from k3lat.root_systems import (
     PositivityFunctional,
+    RootSet,
     RootSystemError,
     _box_scan,
     _d4_leaf_forms,
     _match_rep,
+    _pairing_components,
     ade_type,
     bounded_class_minimizers,
     cartan_matrix,
@@ -38,7 +42,7 @@ from k3lat.root_systems import (
     positive_indecomposables,
     short_vectors,
 )
-from rational_oracles import cholesky
+from rational_oracles import cholesky, pairwise_components
 
 
 def naive_box_roots(lattice: Lattice, radius: int = 5) -> set:
@@ -331,6 +335,96 @@ def test_component_sublattices_orthogonal():
             for u in c1.roots:
                 for v in c2.roots:
                     assert sum(u[i] * g.entries[i][j] * v[j] for i in range(2) for j in range(2)) == 0
+
+
+def _same_components(a, b) -> bool:
+    return sorted(map(sorted, a)) == sorted(map(sorted, b))
+
+
+def _cartan_gram(label: str) -> list[list[int]]:
+    return [[-x for x in row] for row in cartan_matrix(label).entries]
+
+
+# the Grams of the decomposition, indecomposable and ADE tests
+DECOMPOSITION_GRAMS = {
+    "A1": [[-2]],
+    "A1+A1": [[-2, 0], [0, -2]],
+    "A2": [[-2, 1], [1, -2]],
+    "A4": _cartan_gram("A4"),
+    "D4": [list(row) for row in lattice_D4().gram.entries],
+    "D5": _cartan_gram("D5"),
+    "E6": _cartan_gram("E6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSITION_GRAMS))
+def test_pairing_components_match_the_pairwise_oracle(name):
+    gram = IntMatrix(DECOMPOSITION_GRAMS[name])
+    rs = enumerate_roots(Lattice(gram))
+    got = _pairing_components(rs.roots, rs.gram_images())
+    assert _same_components(got, pairwise_components(rs.roots, gram))
+    assert len(got) == (2 if name == "A1+A1" else 1)
+
+
+@pytest.mark.parametrize("extra", [None, "w"], ids=["sigma2", "sigma1"])
+def test_pairing_components_match_the_pairwise_oracle_on_the_complements(extra):
+    ls = build_lambda()
+    glue = tuple(halfline_class(ls, lam) for lam in L_LABELS)
+    if extra is not None:
+        glue += (extra_glue_class(ls, extra),)
+    ns = build_overlattice(OverlatticeSpec(ls, glue))
+    lattice = orthogonal_complement(ns.lattice, ns.h_in_result()).lattice
+    rs = enumerate_roots(lattice)
+    assert len(rs) == 106
+    got = _pairing_components(rs.roots, rs.gram_images())
+    assert _same_components(got, pairwise_components(rs.roots, lattice.gram))
+    assert sorted(len(c) for c in got) == [2] * 5 + [24] * 4
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def test_pairing_components_match_the_pairwise_oracle_with_wide_slots():
+    # A3 + A2 + A1.  In the A3 block, u and the vectors y of its orthogonal
+    # complement pair to exactly zero although their pairings with each
+    # other run to about 10^17, so the two groups are separate components
+    # that only exact zero slots tell apart.
+    rng = random.Random(2007)
+    gram = IntMatrix.block_diagonal(
+        [IntMatrix(_cartan_gram("A3")), IntMatrix(_cartan_gram("A2")), IntMatrix([[-2]])]
+    )
+    u = (rng.randint(100, 300), rng.randint(-300, -100), rng.randint(100, 300))
+    gu = gram.mul_vec(u + (0, 0, 0))[:3]
+    y1 = _cross(gu, (1, 2, 3))
+    y2 = _cross(gu, y1)
+    vectors = [u, (2 * u[0], 2 * u[1], 2 * u[2]), y1, y2]
+    vectors = [v + (0, 0, 0) for v in vectors]
+    vectors += [(0, 0, 0, 401, -7, 0), (0, 0, 0, 13, 290, 0), (0, 0, 0, 0, 0, 5)]
+    vectors += [tuple(-c for c in v) for v in vectors]
+    rng.shuffle(vectors)
+    images = [gram.mul_vec(v) for v in vectors]
+    pairings = [sum(map(mul, a, b)) for a in images for b in vectors]
+    assert 0 in pairings and min(pairings) < 0 < max(pairings)
+    bound = max(sum(map(abs, v)) for v in vectors) * max(max(map(abs, g)) for g in images)
+    assert bound.bit_length() + 1 > 16
+    got = _pairing_components(vectors, images)
+    assert _same_components(got, pairwise_components(vectors, gram))
+    assert sorted(len(c) for c in got) == [2, 4, 4, 4]
+
+
+def test_decomposition_of_a_lattice_without_roots_is_empty():
+    rs = enumerate_roots(Lattice(IntMatrix([[-4]])))
+    assert len(rs) == 0 and rs.gram_images() == ()
+    assert irreducible_decomposition(rs) == []
+
+
+def test_root_set_keeps_the_images_it_was_enumerated_with():
+    d4 = lattice_D4()
+    rs = enumerate_roots(d4)
+    assert rs.gram_images() == tuple(d4.gram.mul_vec(r) for r in rs.roots)
+    # the cache takes no part in equality
+    assert rs == RootSet(d4, rs.roots) and hash(rs) == hash(RootSet(d4, rs.roots))
 
 
 # ---------------------------------------------------------------------------
@@ -719,3 +813,21 @@ def test_box_scan_rejects_a_corrupted_leaf_form():
     forms[3] = lambda x: x[2]  # the correct form is x[2] - 1
     with pytest.raises(RootSystemError, match="leaf-class norm identity failed"):
         _box_scan(d4, rep, 3, forms)
+
+
+@pytest.mark.parametrize("box", [3, 4])
+def test_box_scan_evaluates_every_leaf_form_at_every_point(box):
+    d4 = lattice_D4()
+    name, rep, leaf = _match_rep(d4, discriminant_group(d4).class_of(d4.dual_basis_vector(0)))
+    calls = [0] * 4
+
+    def counted(k, form):
+        def wrapper(x):
+            calls[k] += 1
+            return form(x)
+
+        return wrapper
+
+    forms = [counted(k, f) for k, f in enumerate(_d4_leaf_forms(leaf))]
+    _box_scan(d4, rep, box, forms)
+    assert calls == [(2 * box + 1) ** 4] * 4
