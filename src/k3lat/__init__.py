@@ -2,7 +2,7 @@
 glue-vector overlattices and characteristic-2 double planes attached to
 supersingular K3 surfaces of small Artin invariant."""
 
-from .exact_arith import IntMatrix, RatMatrix, SnfResult, det, inertia, invert, snf
+from .exact_arith import IntMatrix, SnfResult, det, inertia, invert, snf
 from .lattice_core import (
     DiscClass,
     DiscriminantGroup,

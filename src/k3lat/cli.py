@@ -50,12 +50,14 @@ class Checks:
         self.results = []
         self.timing = {}
 
-    def run(self, name: str, fn):
+    def run(self, name: str, fn, **context):
+        """Run fn() -> (passed, witness); a check that raises fails with context in its witness."""
         start = time.perf_counter()
         try:
             passed, witness = fn()
         except Exception as exc:  # a raised contract error is a failed check
-            passed, witness = False, {"error": str(exc), "error_type": type(exc).__name__}
+            passed = False
+            witness = {**context, "error": str(exc), "error_type": type(exc).__name__}
         self.timing[name] = round((time.perf_counter() - start) * 1000.0, 3)
         self.results.append({"name": name, "pass": bool(passed), "witness": witness})
 
@@ -68,8 +70,7 @@ class Checks:
 # lattice subcommand
 # ---------------------------------------------------------------------------
 
-def cmd_lattice(args) -> dict:
-    checks = Checks()
+def cmd_lattice(args, checks: Checks) -> None:
     ls = build_lambda()
 
     def base_check():
@@ -104,7 +105,9 @@ def cmd_lattice(args) -> dict:
                 return False, {
                     "offender": gv.name,
                     "coords": [str(c) for c in gv.vector.coords],
-                    "basis_pairings": [str(c) for c in gv.vector.pair_with_basis()],
+                    "basis_pairings": [
+                        str(Fraction(x, gv.vector.den)) for x in gv.vector.pairing_numerators()
+                    ],
                 }
         ok, rank = independence_check(ls, glue)
         return ok and rank == 5, {"rank": rank}
@@ -116,7 +119,7 @@ def cmd_lattice(args) -> dict:
     def overlattice():
         ns = build_overlattice(OverlatticeSpec(ls, tuple(glue)))
         ns_holder["ns"] = ns
-        sigma = artin_invariant(ns.lattice, 2, ns_context=True)
+        sigma = artin_invariant(ns.lattice, 2)
         witness = {
             "rank": ns.lattice.rank,
             "index": ns.index,
@@ -140,7 +143,7 @@ def cmd_lattice(args) -> dict:
         def overlattice_extra():
             extra = extra_glue_class(ls, args.with_extra_glue)
             ns1 = build_overlattice(OverlatticeSpec(ls, tuple(glue) + (extra,)))
-            sigma = artin_invariant(ns1.lattice, 2, ns_context=True)
+            sigma = artin_invariant(ns1.lattice, 2)
             witness = {"index": ns1.index, "det": str(ns1.lattice.det()), "sigma": sigma}
             return ns1.index == 64 and ns1.lattice.det() == -4 and sigma == 1, witness
 
@@ -209,23 +212,22 @@ def cmd_lattice(args) -> dict:
         return ok, witness
 
     checks.run("halfline_uniqueness", uniqueness)
-    return {"checks": checks.results, "timing_ms": checks.timing, "pass": checks.all_passed}
 
 
 # ---------------------------------------------------------------------------
 # surface subcommand
 # ---------------------------------------------------------------------------
 
-def _sample_pairs(field: BinaryField, count: int, seed: int, allow_cube: bool):
+def _sample_pairs(field: BinaryField, count: int, seed: int) -> list[tuple[int, int]]:
+    """count distinct seeded pairs (r, s) of nonzero elements off the cube locus r^3 = s^3."""
     rng = random.Random(seed)
-    out = []
-    while len(out) < count:
+    pairs = {}  # keeps the order of first draws and drops repeats
+    while len(pairs) < count:
         r = rng.randrange(1, field.q)
         s = rng.randrange(1, field.q)
-        if not allow_cube and field.pow(r, 3) == field.pow(s, 3):
-            continue
-        out.append((r, s))
-    return out
+        if field.pow(r, 3) != field.pow(s, 3):
+            pairs[r, s] = None
+    return list(pairs)
 
 
 def _surface_case(field: BinaryField, r: int, s: int, line_scan: str) -> tuple[bool, dict]:
@@ -282,12 +284,20 @@ def _open_out(path: str):
 
 def _family_inputs(args) -> tuple[BinaryField, list[tuple[int, int]]]:
     """The field and the (r, s) pairs of the family cases; a bad value is a usage error."""
+    # the family's nine points need a cube root of unity, which GF(2^k) has iff k is even
+    if args.k % 2:
+        raise UsageError("family cases need a cube root of unity, so --k must be even")
     try:
         field = BinaryField(args.k, args.modulus)
     except Exception as exc:
         raise UsageError(str(exc))
     if args.r is None and args.s is None:
-        return field, _sample_pairs(field, args.samples, args.seed, allow_cube=False)
+        # for even k, r^3 = s^3 has three solutions s for each nonzero r
+        off_cube = (field.q - 1) * (field.q - 4)
+        if args.samples > off_cube:
+            raise UsageError(f"--samples {args.samples} exceeds the {off_cube} pairs (r, s) "
+                             f"off the cube locus in GF(2^{field.k})")
+        return field, _sample_pairs(field, args.samples, args.seed)
     if args.r is None or args.s is None:
         raise UsageError("--r and --s must be given together")
     try:
@@ -303,9 +313,8 @@ def _family_inputs(args) -> tuple[BinaryField, list[tuple[int, int]]]:
     return field, [(r, s)]
 
 
-def cmd_surface(args, g: HomPoly | None, family) -> dict:
+def cmd_surface(args, g: HomPoly | None, family, checks: Checks) -> None:
     """Recognition of g (from --recognize), or the family cases of _family_inputs."""
-    checks = Checks()
     if g is not None:
         # recognition reads its field from the file
         def recog():
@@ -313,23 +322,17 @@ def cmd_surface(args, g: HomPoly | None, family) -> dict:
             return True, {"t": format(res.t, "x")}
 
         checks.run("recognize", recog)
-        return {"checks": checks.results, "timing_ms": checks.timing, "pass": checks.all_passed}
+        return
 
     field, pairs = family
     for r, s in pairs:
-        def case(r=r, s=s):
-            # a raised error keeps (r, s) in its witness
-            try:
-                return _surface_case(field, r, s, args.line_scan)
-            except Exception as exc:
-                return False, {
-                    "r": format(r, "x"),
-                    "s": format(s, "x"),
-                    "error": str(exc),
-                    "error_type": type(exc).__name__,
-                }
-
-        checks.run(f"surface_r={format(r, 'x')}_s={format(s, 'x')}", case)
+        rx, sx = format(r, "x"), format(s, "x")
+        checks.run(
+            f"surface_r={rx}_s={sx}",
+            lambda r=r, s=s: _surface_case(field, r, s, args.line_scan),
+            r=rx,
+            s=sx,
+        )
 
     def dichotomy():
         # the line joining the two opposite fork points splits iff r^3 = s^3
@@ -347,21 +350,6 @@ def cmd_surface(args, g: HomPoly | None, family) -> dict:
         return ok, {"cases": seen}
 
     checks.run("extra_line_dichotomy", dichotomy)
-    return {"checks": checks.results, "timing_ms": checks.timing, "pass": checks.all_passed}
-
-
-# ---------------------------------------------------------------------------
-# everything
-# ---------------------------------------------------------------------------
-
-def cmd_all(args, g: HomPoly | None, family) -> dict:
-    lat = cmd_lattice(args)
-    surf = cmd_surface(args, g, family)
-    return {
-        "checks": lat["checks"] + surf["checks"],
-        "timing_ms": {**lat["timing_ms"], **surf["timing_ms"]},
-        "pass": lat["pass"] and surf["pass"],
-    }
 
 
 class UsageError(Exception):
@@ -442,22 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _check_family_cases(parser: argparse.ArgumentParser, args) -> None:
-    if args.command == "lattice" or args.recognize:
-        return
-    # the family's nine points need a cube root of unity, which GF(2^k) has iff k is even
-    if args.k % 2:
-        parser.error("family cases need a cube root of unity, so --k must be even")
-    # GF(2) and GF(4) have no pair off the cube locus, so sampling could never stop
-    if args.r is None and args.s is None and args.k < 3:
-        parser.error("sampling (r, s) off the cube locus needs --k 3 or more")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_family_cases(parser, args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     config = {k: v for k, v in sorted(vars(args).items()) if k not in ("command",)}
@@ -468,13 +444,18 @@ def main(argv=None) -> int:
         g = _read_sextic(args.recognize) if getattr(args, "recognize", None) else None
         family = _family_inputs(args) if args.command != "lattice" and g is None else None
         out = _open_out(args.out) if args.out else None
-        if args.command == "lattice":
-            report = cmd_lattice(args)
-        elif args.command == "surface":
-            report = cmd_surface(args, g, family)
-        else:
-            report = cmd_all(args, g, family)
-        report = {"config": config, **report}
+        checks = Checks()
+        # lattice checks come first in an all run
+        if args.command != "surface":
+            cmd_lattice(args, checks)
+        if args.command != "lattice":
+            cmd_surface(args, g, family, checks)
+        report = {
+            "config": config,
+            "checks": checks.results,
+            "timing_ms": checks.timing,
+            "pass": checks.all_passed,
+        }
         if args.format == "json":
             text = json.dumps(report, sort_keys=True, indent=2) + "\n"
         else:

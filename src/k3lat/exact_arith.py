@@ -1,17 +1,15 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Everything in this package runs on arbitrary-precision integers and
-``fractions.Fraction``; there is no floating point anywhere.  The kernels
-are fraction-free: determinants, the inverse and the symmetric elimination
-behind the signature all run Bareiss updates on integers, and a
-``Fraction`` is built only for the entries of an inverse.  Smith normal
-form comes with its transformation matrices and is re-checked on every
-call.
+Everything here runs on arbitrary-precision integers; there is no
+floating point and no rational type.  The kernels are fraction-free:
+determinants, the inverse and the symmetric elimination behind the
+signature all run Bareiss updates on integers, and the inverse comes back
+as an integer matrix over one denominator.  Smith normal form comes with
+its transformation matrices and is re-checked on every call.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -24,13 +22,6 @@ class ExactArithError(ValueError):
 
 def _freeze_int(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     out = tuple(tuple(int(x) for x in row) for row in rows)
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise ExactArithError("ragged matrix")
-    return out
-
-
-def _freeze_rat(rows: Iterable[Iterable]) -> tuple[tuple[Fraction, ...], ...]:
-    out = tuple(tuple(Fraction(x) for x in row) for row in rows)
     if out and any(len(r) != len(out[0]) for r in out):
         raise ExactArithError("ragged matrix")
     return out
@@ -99,26 +90,6 @@ class IntMatrix(Frozen):
         return tuple(sum(map(mul, row, v)) for row in self.entries)
 
 
-class RatMatrix(Frozen):
-    """Immutable matrix of exact rationals (always stored reduced)."""
-
-    __slots__ = ("entries",)
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __init__(self, entries: Iterable[Iterable]):
-        object.__setattr__(self, "entries", _freeze_rat(entries))
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def mul_vec(self, v: Sequence) -> tuple[Fraction, ...]:
-        if self.cols != len(v):
-            raise ExactArithError("dimension mismatch in mul_vec")
-        vv = [Fraction(x) for x in v]
-        return tuple(sum(a * vv[k] for k, a in enumerate(row)) for row in self.entries)
-
-
 # ---------------------------------------------------------------------------
 # determinant (fraction-free Bareiss elimination)
 # ---------------------------------------------------------------------------
@@ -157,16 +128,18 @@ def det(a: IntMatrix) -> int:
 # exact inverse (fraction-free Gauss-Jordan)
 # ---------------------------------------------------------------------------
 
-def invert(a: IntMatrix) -> RatMatrix:
-    """Exact inverse of a nonsingular square integer matrix.
+def invert(a: IntMatrix) -> tuple[IntMatrix, int]:
+    """Exact inverse of a nonsingular square integer matrix, as (num, den).
 
-    Fraction-free Gauss-Jordan on [A | I]: with p the pivot and prev the
-    previous one (1 at the start), every other row becomes
-    (p * row - f * pivot_row) // prev, f its entry in the pivot column, and
-    the division is exact because each entry is a minor of [A | I].  A zero
-    pivot is swapped with a row below.  The left block ends as det * I
-    (det up to the sign of the swaps) and the right one as det * A^-1, so
-    each entry of the inverse is one Fraction over the last pivot.
+    A^-1 = num / den with num an integer matrix and den > 0, the same form
+    a dual vector has.  Fraction-free Gauss-Jordan on [A | I]: with p the
+    pivot and prev the previous one (1 at the start), every other row
+    becomes (p * row - f * pivot_row) // prev, f its entry in the pivot
+    column, and the division is exact because each entry is a minor of
+    [A | I].  A zero pivot is swapped with a row below.  The left block
+    ends as det * I (det up to the sign of the swaps) and the right one as
+    det * A^-1, so den is the last pivot with its sign moved into num.
+    The pair is not reduced: den is |det A|.
     """
     if not a.is_square():
         raise ExactArithError("inverse of a non-square matrix")
@@ -190,7 +163,8 @@ def invert(a: IntMatrix) -> RatMatrix:
             else:
                 m[i] = [p * x // prev for x in row]
         prev = p
-    return RatMatrix([[Fraction(x, prev) for x in row[n:]] for row in m])
+    sign = 1 if prev > 0 else -1
+    return IntMatrix([[sign * x for x in row[n:]] for row in m]), abs(prev)
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,8 @@ class Lattice(Frozen):
         if cached is None:
             cached = invert(self.gram)
             object.__setattr__(self, "_dual_basis", cached)
-        return self.vector(row[j] for row in cached.entries)
+        num, den = cached
+        return DualVector(self, [row[j] for row in num.entries], den)
 
 
 class DualVector(Frozen):
@@ -101,7 +102,7 @@ class DualVector(Frozen):
     den = 1 means membership in L.
     """
 
-    __slots__ = ("lattice", "num", "den", "_gnum", "_gv")  # G num and G v, cached
+    __slots__ = ("lattice", "num", "den", "_gnum")  # _gnum: G num, cached
     lattice: Lattice
     num: tuple[int, ...]
     den: int
@@ -149,14 +150,6 @@ class DualVector(Frozen):
         if cached is None:
             cached = tuple(self.lattice.gram.mul_vec(self.num))
             object.__setattr__(self, "_gnum", cached)
-        return cached
-
-    def pair_with_basis(self) -> tuple[Fraction, ...]:
-        """G v: the pairings of v with the basis vectors, computed once."""
-        cached = getattr(self, "_gv", None)
-        if cached is None:
-            cached = tuple(Fraction(x, self.den) for x in self.pairing_numerators())
-            object.__setattr__(self, "_gv", cached)
         return cached
 
     def integer_pairings(self) -> tuple[int, ...]:

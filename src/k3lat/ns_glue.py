@@ -191,7 +191,7 @@ class OverlatticeResult(Frozen):
         return tuple(c // v.den for c in dx)
 
     def h_in_result(self) -> DualVector:
-        return self.lattice.vector(self.base_in_result.entries[0])
+        return DualVector(self.lattice, self.base_in_result.entries[0])
 
 
 def independence_check(
@@ -263,9 +263,10 @@ def build_overlattice(spec: OverlatticeSpec) -> OverlatticeResult:
         raise GlueError("overlattice is not even")
 
     # e_i = sum_j x_j b_j / denom, so row i of denom * b^-1 writes e_i in the new basis
-    base_in_result = [[c * denom for c in row] for row in invert(b).entries]
-    if any(c.denominator != 1 for row in base_in_result for c in row):
+    inv_num, inv_den = invert(b)
+    if any(c * denom % inv_den for row in inv_num.entries for c in row):
         raise GlueError("base vector escapes the overlattice")
+    base_in_result = [[c * denom // inv_den for c in row] for row in inv_num.entries]
 
     d_base = base.det()
     d_new = lat.det()
@@ -279,7 +280,7 @@ def build_overlattice(spec: OverlatticeSpec) -> OverlatticeResult:
     return OverlatticeResult(spec, lat, b, denom, IntMatrix(base_in_result), index)
 
 
-def artin_invariant(lattice: Lattice, p: int, ns_context: bool = False) -> int:
+def artin_invariant(lattice: Lattice, p: int) -> int:
     """Half the p-adic valuation of minus the determinant, when det = -p^(2*sigma)."""
     d = lattice.det()
     if d >= 0:
@@ -292,7 +293,8 @@ def artin_invariant(lattice: Lattice, p: int, ns_context: bool = False) -> int:
     if m != 1 or e % 2 != 0 or e == 0:
         raise GlueError(f"determinant {d} is not of the form -{p}^(2*sigma)")
     sigma = e // 2
-    if ns_context and lattice.rank == 22 and not (1 <= sigma <= 10):
+    # a supersingular K3 Neron-Severi lattice has rank 22 and sigma in 1..10
+    if lattice.rank == 22 and not (1 <= sigma <= 10):
         raise GlueError(f"Artin invariant {sigma} is impossible at rank 22")
     return sigma
 
@@ -398,7 +400,7 @@ def _summand_candidates(
         raise GlueError("candidate box cannot be certified against the budget")
     rep = search.rep
     # in_box is sorted by (-norm, x); adding rep keeps that order on coordinates
-    return tuple((norm, rep + sub.vector(x)) for norm, x in search.in_box if norm >= budget)
+    return tuple((norm, rep + DualVector(sub, x)) for norm, x in search.in_box if norm >= budget)
 
 
 def unique_halfline_search(

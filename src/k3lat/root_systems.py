@@ -284,16 +284,18 @@ def decompose_root(
     images = [gram.mul_vec(a) for a in eps]
     m = IntMatrix([[sum(map(mul, ga, b)) for b in eps] for ga in images])
     rhs = [sum(map(mul, ga, root)) for ga in images]
-    coeffs = invert(m).mul_vec(rhs)
-    if any(c.denominator != 1 or c < 0 for c in coeffs):
+    inv_num, inv_den = invert(m)
+    scaled = inv_num.mul_vec(rhs)
+    if any(c % inv_den or c < 0 for c in scaled):
         raise RootSystemError("root does not decompose with non-negative integers")
+    coeffs = tuple(c // inv_den for c in scaled)
     rebuilt = [0] * len(root)
     for c, e in zip(coeffs, eps):
         for i, ei in enumerate(e):
-            rebuilt[i] += int(c) * ei
+            rebuilt[i] += c * ei
     if tuple(rebuilt) != root:
         raise RootSystemError("root lies outside the span of the indecomposables")
-    return tuple(int(c) for c in coeffs)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +581,7 @@ def _class_search(lattice: Lattice, cls: DiscClass, box: int) -> ClassNormSearch
         raise RootSystemError("empty constrained search")
     found.sort(key=lambda t: (-t[0], t[1]))
     max_norm = found[0][0]
-    maximizers = tuple(rep + lattice.vector(x) for norm, x in found if norm == max_norm)
+    maximizers = tuple(rep + DualVector(lattice, x) for norm, x in found if norm == max_norm)
     rest = [norm for norm, _ in found if norm < max_norm]
     runner_up = max(rest) if rest else None
 

@@ -1,39 +1,53 @@
 """The Fraction forms of the lattice kernels, kept as test oracles.
 
 The package computes inverses, signatures, the Fincke-Pohst factorization
-and G v fraction-free, and holds dual vectors as integers over one
-denominator.  These are the rational algorithms they replaced, plus the
-rational matrix products the oracles need, and the pairwise search of the
-root-pairing graph that packed integer products replaced.
+and G v fraction-free, and holds dual vectors and inverses as integers
+over one denominator.  These are the rational algorithms they replaced,
+on plain tuples of tuples of ``Fraction``, plus the rational matrix
+products the oracles need, and the pairwise search of the root-pairing
+graph that packed integer products replaced.
 """
 
 from fractions import Fraction
 from operator import mul
 
-from k3lat.exact_arith import ExactArithError, IntMatrix, RatMatrix, snf
+from k3lat.exact_arith import ExactArithError, IntMatrix, snf
 from k3lat.root_systems import RootSystemError
 
 
-def to_rational(a: IntMatrix) -> RatMatrix:
-    return RatMatrix(a.entries)
+def to_rational(a) -> tuple[tuple[Fraction, ...], ...]:
+    """The entries of an IntMatrix, or rows of numbers, as Fractions."""
+    rows = a.entries if isinstance(a, IntMatrix) else a
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-def rat_identity(n: int) -> RatMatrix:
-    return RatMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+def as_fractions(inverse: tuple[IntMatrix, int]) -> tuple[tuple[Fraction, ...], ...]:
+    """The (num, den) pair returned by exact_arith.invert as Fractions."""
+    num, den = inverse
+    return tuple(tuple(Fraction(x, den) for x in row) for row in num.entries)
 
 
-def rat_transpose(a: RatMatrix) -> RatMatrix:
-    return RatMatrix(zip(*a.entries))
+def rat_identity(n: int) -> tuple[tuple[Fraction, ...], ...]:
+    return to_rational([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
 
-def rat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    cols = list(zip(*b.entries))
-    return RatMatrix([[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.entries])
+def rat_transpose(a) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(zip(*a))
+
+
+def rat_mul(a, b) -> tuple[tuple[Fraction, ...], ...]:
+    cols = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
+def rat_mul_vec(a, v) -> tuple[Fraction, ...]:
+    vv = [Fraction(x) for x in v]
+    return tuple(sum((x * y for x, y in zip(row, vv)), Fraction(0)) for row in a)
 
 
 def rational_gv(gram: IntMatrix, coords) -> tuple[Fraction, ...]:
     """G v with the Gram as a rational matrix."""
-    return to_rational(gram).mul_vec(coords)
+    return rat_mul_vec(to_rational(gram), coords)
 
 
 def rational_pairing(gram: IntMatrix, u, v) -> Fraction:
@@ -53,12 +67,12 @@ def rational_class(gram: IntMatrix, coords) -> tuple[int, ...] | None:
     return tuple(c % f for c, f in zip(y, r.invariant_factors))
 
 
-def invert_rational(a: RatMatrix) -> RatMatrix:
+def invert_rational(a) -> tuple[tuple[Fraction, ...], ...]:
     """Gauss-Jordan over Q."""
-    n = len(a.entries)
-    if a.cols != n:
+    n = len(a)
+    if any(len(row) != n for row in a):
         raise ExactArithError("inverse of a non-square matrix")
-    m = [list(row) for row in a.entries]
+    m = [list(row) for row in a]
     inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     for col in range(n):
         piv = next((i for i in range(col, n) if m[i][col] != 0), None)
@@ -74,7 +88,7 @@ def invert_rational(a: RatMatrix) -> RatMatrix:
                 f = m[i][col]
                 m[i] = [x - f * y for x, y in zip(m[i], m[col])]
                 inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
-    return RatMatrix(inv)
+    return tuple(tuple(row) for row in inv)
 
 
 def rational_inertia(a: IntMatrix) -> tuple[int, int, int]:

@@ -292,6 +292,18 @@ def test_surface_sampling_deterministic(capsys):
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
+def test_sampled_pairs_are_distinct(capsys):
+    # GF(16) has 180 pairs off the cube locus; 20 draws with replacement at the
+    # default seed 1 would repeat one
+    code, out = run_cli(capsys, "surface", "--k", "4", "--samples", "20")
+    assert code == EXIT_OK
+    report = json.loads(out)
+    cases = [c["name"] for c in report["checks"] if c["name"].startswith("surface_")]
+    assert len(cases) == len(set(cases)) == 20
+    assert len(report["timing_ms"]) == 21
+    assert len(report["checks"][-1]["witness"]["cases"]) == 20
+
+
 def test_all_subcommand(capsys):
     code, out = run_cli(capsys, "all", "--samples", "1")
     assert code == EXIT_OK
@@ -438,6 +450,7 @@ def test_sextic_failing_recognition_is_a_failed_check(tmp_path, capsys):
     "argv",
     [
         ["surface", "--k", "2", "--samples", "1"],
+        ["surface", "--k", "4", "--samples", "181"],
         ["surface", "--samples", "0"],
         ["surface", "--samples", "-1"],
         ["lattice", "--lemma-box", "2"],
@@ -453,6 +466,7 @@ def test_sextic_failing_recognition_is_a_failed_check(tmp_path, capsys):
     ],
     ids=[
         "k2-sampling",
+        "k4-more-samples-than-pairs",
         "samples-0",
         "samples-negative",
         "lemma-box-2",

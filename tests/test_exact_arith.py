@@ -7,7 +7,6 @@ import pytest
 from k3lat.exact_arith import (
     ExactArithError,
     IntMatrix,
-    RatMatrix,
     det,
     hnf_rows,
     inertia,
@@ -27,6 +26,7 @@ from k3lat.ns_glue import (
 )
 from k3lat.lattice_core import orthogonal_complement
 from rational_oracles import (
+    as_fractions,
     invert_rational,
     rat_identity,
     rat_mul,
@@ -44,7 +44,7 @@ NEG_CARTAN_D4 = IntMatrix(
 )
 
 # dual-basis coordinate matrix of the D4 Gram above
-DUAL_D4 = RatMatrix(
+DUAL_D4 = to_rational(
     [
         [-1, Fraction(-1, 2), -1, Fraction(-1, 2)],
         [Fraction(-1, 2), -1, -1, Fraction(-1, 2)],
@@ -220,12 +220,15 @@ def test_inertia_invariant_under_congruence():
 # ---------------------------------------------------------------------------
 
 def test_invert_diag():
-    assert invert(IntMatrix([[-2]])).entries == ((Fraction(-1, 2),),)
-    assert invert(IntMatrix.identity(3)).entries == rat_identity(3).entries
+    assert invert(IntMatrix([[-2]])) == (IntMatrix([[-1]]), 2)
+    assert as_fractions(invert(IntMatrix.identity(3))) == rat_identity(3)
 
 
 def test_invert_d4_is_dual_matrix():
-    assert invert(NEG_CARTAN_D4).entries == DUAL_D4.entries
+    # one denominator, positive: |det| of the Gram
+    num, den = invert(NEG_CARTAN_D4)
+    assert den == 4
+    assert as_fractions((num, den)) == DUAL_D4
 
 
 def test_invert_random_roundtrip():
@@ -236,8 +239,9 @@ def test_invert_random_roundtrip():
         a = IntMatrix([[rng.randrange(-6, 7) for _ in range(n)] for _ in range(n)])
         if det(a) == 0:
             continue
-        prod = rat_mul(to_rational(a), invert(a))
-        assert prod.entries == rat_identity(n).entries
+        num, den = invert(a)
+        assert den > 0
+        assert rat_mul(to_rational(a), as_fractions((num, den))) == rat_identity(n)
         done += 1
 
 
@@ -304,7 +308,9 @@ def test_invert_matches_rational_oracle_on_random_matrices():
             continue
         if any(_leading_minor(rows, k) == 0 for k in range(1, n)):
             swapped += 1
-        assert invert(a).entries == invert_rational(to_rational(a)).entries
+        num, den = invert(a)
+        assert den > 0
+        assert as_fractions((num, den)) == invert_rational(to_rational(a))
     assert swapped >= 10 and singular >= 10
 
 
@@ -386,7 +392,9 @@ def lattice_matrices() -> dict[str, IntMatrix]:
 def test_invert_matches_rational_oracle_on_lattice_matrices(lattice_matrices):
     assert len(lattice_matrices) == 10
     for a in lattice_matrices.values():
-        assert invert(a).entries == invert_rational(to_rational(a)).entries
+        num, den = invert(a)
+        assert den > 0
+        assert as_fractions((num, den)) == invert_rational(to_rational(a))
 
 
 def test_inertia_matches_rational_oracle_on_lattice_grams(lattice_matrices):

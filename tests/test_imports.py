@@ -49,6 +49,29 @@ def test_no_module_imports_dataclasses():
     assert offenders == []
 
 
+def test_exact_arith_is_integer_only_and_no_module_has_a_rational_matrix():
+    # an inverse is an integer matrix over one denominator, like a dual vector;
+    # Fraction appears only where a value is reported or is one of the paper's constants
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+                imported = []
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ClassDef):
+                names, imported = [], [node.name]
+            else:
+                continue
+            if path.name == "exact_arith.py" and "fractions" in names:
+                offenders.append(f"{path.relative_to(PACKAGE)}:{node.lineno} fractions")
+            if "RatMatrix" in imported:
+                offenders.append(f"{path.relative_to(PACKAGE)}:{node.lineno} RatMatrix")
+    assert offenders == []
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     code = "import sys, k3lat.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}

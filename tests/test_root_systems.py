@@ -766,7 +766,7 @@ def product_box_scan(lattice: Lattice, rep, box: int, forms) -> tuple:
     """Oracle: the former scan, G x summed in full at every point of the box."""
     g = lattice.gram.entries
     n = lattice.rank
-    grep = [int(c) for c in rep.pair_with_basis()]
+    grep = list(rep.integer_pairings())
     rep_norm2 = int(2 * rep.norm())
     all_odd = True
     out = []
