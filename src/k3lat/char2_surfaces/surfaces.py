@@ -11,10 +11,12 @@ separable cubic 3-jet means D4.
 from __future__ import annotations
 
 import functools
+from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .field import BinaryField
 from .poly import BinForm, HomPoly, PolyError, cubic_has_distinct_roots
+from .upoly import common_roots, interpolate, poly_eval, resultant, trim
 
 
 class SurfaceError(ValueError):
@@ -160,7 +162,7 @@ def _restrict_to_pencil(g: HomPoly, a: Line, b: Line, e: int | None = None) -> l
                 c1 = mul(c, c1)
                 for k2, c2 in pow_j[n - s]:
                     row[k1 + k2] ^= mul(c1, c2)
-    return [_trim(row) for row in rows]
+    return [trim(row) for row in rows]
 
 
 @functools.cache
@@ -238,8 +240,10 @@ def scan_splitting_lines(
 
     Both modes search pencils of lines: on the lines a + t*b the odd
     coefficients of the restricted sextic are polynomials in t, and the
-    lines that split are their common roots.  Mode 'full' takes the pencils
-    through the q + 1 points of x2 = 0, which together contain every line;
+    lines that split are their common roots.  Mode 'full' takes pencils
+    through points of x2 = 0, whose q + 1 pencils together contain every
+    line, and walks only those that an elimination in the dual plane
+    selects (see ``_full_scan_points``; all q + 1 when it cannot select);
     mode 'singular' takes the pencils through the given points.  A splitting
     line always meets the singular locus, so with the singular points given
     the restricted scan is exhaustive whenever that locus is rational (as
@@ -247,12 +251,12 @@ def scan_splitting_lines(
     by building its certificate and multiplying it out.
     """
     f = g.field
-    if mode == "full":
-        points = _points_at_infinity(f)
-    elif mode != "singular":
+    if mode not in ("full", "singular"):
         raise SurfaceError(f"unknown scan mode {mode!r}")
     if g.degree % 2:  # a binary form of odd degree is never a square
         return []
+    if mode == "full":
+        points = _full_scan_points(g)
     odd = lambda a, b: _restrict_to_pencil(g, a, b)[1::2]
     out = []
     for l in _lines_where(f, odd, [_pencil_through(f, p) for p in points]):
@@ -261,6 +265,61 @@ def scan_splitting_lines(
             raise SurfaceError(f"line {l} solves the pencil equations but does not split")
         out.append((l, cert))
     return out
+
+
+def _full_scan_points(g: HomPoly) -> list[Point]:
+    """Points of x2 = 0 whose pencils hold every splitting line of g (even degree d).
+
+    A line with a0 != 0 is x0 = b*x1 + c*x2, the line (1, b, c) of the
+    pencil through (b, 1, 0); it splits exactly when the odd coefficients
+    P_m(b, c) of g restricted to it vanish (see ``_odd_coefficients_in_b_c``).
+    For two of them R(b) = Res_c(P_i, P_j), with their c-degrees as formal
+    degrees, vanishes at the b of every splitting line, so the pencils
+    through (b, 1, 0) at the roots of R, with the pencil through (1, 0, 0)
+    (the lines with a0 = 0), hold them all.  By Bezout R has degree at most
+    d_i * d_j, with d the total degrees: ``upoly.resultant`` evaluates it at
+    d_i * d_j + 1 points, Newton interpolation recovers it, and one more
+    point re-checks the interpolant, raising on a miss.  The first pair not
+    both free of c whose R is not zero is used.  When R is zero for every
+    pair (the P's share a component) or GF(q) has too few points for a
+    pair, all q + 1 points of x2 = 0 are returned.
+    """
+    f = g.field
+    at = lambda p, b: trim([poly_eval(f, row, b) for row in p])  # P(b, c) as a polynomial in c
+    for pi, pj in combinations(_odd_coefficients_in_b_c(g), 2):
+        if not pi or not pj or len(pi) == len(pj) == 1:
+            continue  # a zero P makes R zero; two P's free of c give no R
+        n = _total_degree(pi) * _total_degree(pj) + 1
+        if n >= f.q:
+            continue
+        values = [resultant(f, at(pi, b), at(pj, b), len(pi) - 1, len(pj) - 1) for b in range(n + 1)]
+        r = interpolate(f, range(n), values[:n])
+        if poly_eval(f, r, n) != values[n]:
+            raise SurfaceError(f"the resultant differs at b = {n} from its interpolant of degree < {n}")
+        if r:
+            return [(b, 1, 0) for b in common_roots(f, [r])] + [(1, 0, 0)]
+    return _points_at_infinity(f)
+
+
+def _odd_coefficients_in_b_c(g: HomPoly) -> list[list[list[int]]]:
+    """P_m(b, c) for odd m: the coefficient of x1^m x2^(d-m) in g(b*x1 + c*x2, x1, x2).
+
+    A term x0^n x1^e1 x2^e2 gives b^s c^(n-s) to P_(e1+s) for each s with
+    C(n, s) odd.  For even d only n < d reaches an odd m, so each P has
+    total degree below d.  A P is a list over the power of c of polynomials
+    in b, trimmed at both levels.
+    """
+    d = g.degree
+    polys = {m: [[0] * d for _ in range(d)] for m in range(1, d, 2)}
+    for (n, e1, _), c in g.terms.items():
+        for s in _odd_binomials(n):
+            if (e1 + s) % 2:
+                polys[e1 + s][n - s][s] = c
+    return [trim([trim(row) for row in p]) for p in polys.values()]
+
+
+def _total_degree(p: list[list[int]]) -> int:
+    return max(k + len(row) - 1 for k, row in enumerate(p) if row)
 
 
 def _lines_where(
@@ -275,7 +334,7 @@ def _lines_where(
     """
     found: set[Line] = set()
     for a, b in pencils:
-        for t in _common_roots(f, conditions(a, b)):
+        for t in common_roots(f, conditions(a, b)):
             found.add(tuple(ai ^ f.mul(t, bi) for ai, bi in zip(a, b)))
         if not any(conditions(b, (0, 0, 0))):
             found.add(b)
@@ -293,8 +352,8 @@ def singular_points(g: HomPoly) -> list[Point]:
     through (0, 1, 0).  On the line at x the partials restrict to
     polynomials in y, each y^m coefficient a polynomial in x evaluated by
     Horner, and the singular points on it are their common roots in GF(q)
-    (see ``_common_roots``): an x costs a few small gcds, and a scan over y
-    only where a rational singular point lies.  On the line z = 0 the
+    (see ``upoly.common_roots``): an x costs a few small gcds, and a root
+    split only where a rational singular point lies.  On the line z = 0 the
     partials at (x, 1, 0) are polynomials in x, whose common roots are found
     the same way, and (1, 0, 0) is evaluated directly.  Points come out in
     chart order: x, then y, then the line at infinity.  An infinite singular
@@ -319,94 +378,17 @@ def singular_points(g: HomPoly) -> list[Point]:
 
     vertical = [_restrict_to_pencil(p, *_pencil_through(f, (0, 1, 0))) for p in parts]
     for x in range(f.q):
-        in_y = (_trim([_upoly_eval(f, c, x) for c in rows]) for rows in vertical)
-        for y in _common_roots(f, in_y):
+        in_y = (trim([poly_eval(f, c, x) for c in rows]) for rows in vertical)
+        for y in common_roots(f, in_y):
             found((x, y, 1))
     # chart z = 0: on x2 = 0 entry m of a restricted partial is its
     # coefficient of x0^m x1^(d-m), so the points (x, 1, 0) are the common
     # roots of the polynomials in x; (1, 0, 0) is evaluated directly
     at_infinity = (_restrict_to_pencil(p, (0, 0, 1), (0, 0, 0)) for p in parts)
-    for x in _common_roots(f, (_trim([c[0] if c else 0 for c in rows]) for rows in at_infinity)):
+    for x in common_roots(f, (trim([c[0] if c else 0 for c in rows]) for rows in at_infinity)):
         found((x, 1, 0))
     if all(part.evaluate((1, 0, 0)) == 0 for part in parts):
         found((1, 0, 0))
-    return out
-
-
-# univariate polynomials over GF(2^k) for the singular-point search: dense
-# coefficient lists, constant term first, no trailing zeros (zero is [])
-
-def _trim(a: list[int]) -> list[int]:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _upoly_mod(f: BinaryField, a: list[int], b: list[int]) -> list[int]:
-    """Remainder of a modulo the nonzero b."""
-    a = list(a)
-    mul = f.mul
-    inv = f.inv(b[-1])
-    db = len(b) - 1
-    while len(a) > db:
-        c = mul(a[-1], inv)
-        shift = len(a) - 1 - db
-        for i, bc in enumerate(b):
-            a[shift + i] ^= mul(c, bc)
-        _trim(a)
-    return a
-
-
-def _upoly_gcd(f: BinaryField, a: list[int], b: list[int]) -> list[int]:
-    while b:
-        a, b = b, _upoly_mod(f, a, b)
-    return a
-
-
-def _upoly_eval(f: BinaryField, a: list[int], y: int) -> int:
-    """a(y) by Horner."""
-    mul = f.mul
-    acc = 0
-    for c in reversed(a):
-        acc = mul(acc, y) ^ c
-    return acc
-
-
-def _rational_roots_part(f: BinaryField, a: list[int]) -> list[int]:
-    """gcd(a, y^q + y): one linear factor for each distinct root of a in GF(q)."""
-    r = _upoly_mod(f, [0, 1], a)
-    for _ in range(f.k):  # y^q mod a by k squarings
-        sq = [0] * (2 * len(r) - 1) if r else []
-        for i, c in enumerate(r):
-            sq[2 * i] = f.sqr(c)
-        r = _upoly_mod(f, sq, a)
-    r += [0] * (2 - len(r))
-    r[1] ^= 1
-    return _upoly_gcd(f, a, _trim(r))
-
-
-def _common_roots(f: BinaryField, polys: Iterable[list[int]]) -> Sequence[int]:
-    """The t in GF(q) where every polynomial vanishes, ascending; all t when all are zero.
-
-    The gcd of the polynomials (given lazily; the first constant gcd ends
-    the search) is cut to its rational part by ``_rational_roots_part``,
-    which keeps one linear factor per root, and t is scanned only until
-    all of them are found.
-    """
-    common: list[int] = []
-    for a in polys:
-        common = _upoly_gcd(f, common, a)
-        if len(common) == 1:
-            return []
-    if not common:
-        return range(f.q)
-    roots = _rational_roots_part(f, common)
-    out: list[int] = []
-    t = 0
-    while len(out) < len(roots) - 1:
-        if _upoly_eval(f, roots, t) == 0:
-            out.append(t)
-        t += 1
     return out
 
 

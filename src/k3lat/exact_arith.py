@@ -30,7 +30,8 @@ def _freeze_int(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
 class IntMatrix(Frozen):
     """Immutable integer matrix, row-major."""
 
-    __slots__ = ("entries",)
+    # _elimination: the steps of symmetric_elimination, kept on first use
+    __slots__ = ("entries", "_elimination")
     entries: tuple[tuple[int, ...], ...]
 
     def __init__(self, entries: Iterable[Iterable[int]]):
@@ -171,7 +172,7 @@ def invert(a: IntMatrix) -> tuple[IntMatrix, int]:
 # symmetric elimination and exact signature (no eigenvalues, no floats)
 # ---------------------------------------------------------------------------
 
-def symmetric_elimination(a: IntMatrix) -> list[tuple[int, int, tuple[int, ...]]]:
+def symmetric_elimination(a: IntMatrix) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """Fraction-free congruence diagonalization of a symmetric integer matrix.
 
     Each step eliminates the first remaining coordinate with a nonzero
@@ -188,7 +189,18 @@ def symmetric_elimination(a: IntMatrix) -> list[tuple[int, int, tuple[int, ...]]
     is the rank.  On a definite matrix no remaining diagonal entry is ever
     zero, so the pivots run 0, 1, ..., n - 1, p is the leading principal
     minor and the row is in the original coordinates.
+
+    The steps are computed once per matrix and kept on it, so the signature
+    and a Fincke-Pohst enumeration of the same Gram share one elimination.
     """
+    cached = getattr(a, "_elimination", None)
+    if cached is None:
+        cached = _eliminate(a)
+        object.__setattr__(a, "_elimination", cached)
+    return cached
+
+
+def _eliminate(a: IntMatrix) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     if not a.is_symmetric():
         raise ExactArithError("symmetric elimination of a non-symmetric matrix")
     n = a.rows
@@ -218,7 +230,7 @@ def symmetric_elimination(a: IntMatrix) -> list[tuple[int, int, tuple[int, ...]]
             for j in alive:
                 row[j] = (p * row[j] - f * pivot_row[j]) // prev
         prev = p
-    return steps
+    return tuple(steps)
 
 
 def inertia(a: IntMatrix) -> tuple[int, int, int]:

@@ -36,9 +36,12 @@ def short_vectors(gram: IntMatrix, bound: int) -> list[tuple[int, ...]]:
     definite, sorted.
 
     Fincke-Pohst enumeration in integers.  The symmetric elimination of
-    -gram (see ``symmetric_elimination``) takes its pivots in order and
-    gives the leading minors D_1, ..., D_n (D_0 = 1); with B_i its integer
-    row i (B_ii = D_i), -gram(x) = sum_i (B_i . x)^2 / (D_(i-1) D_i).  Row i
+    -gram takes its pivots in order and gives the leading minors
+    D_1, ..., D_n (D_0 = 1).  It is read off the elimination of gram itself
+    (see ``symmetric_elimination``, kept on the matrix, so the lattice's
+    signature shares it): the entries at step i are (i + 1)-minors by
+    Sylvester's identity, so negating the matrix multiplies step i by
+    (-1)^(i+1).  With B_i its integer row i (B_ii = D_i), -gram(x) = sum_i (B_i . x)^2 / (D_(i-1) D_i).  Row i
     divided by its gcd g_i is den_i = D_i / g_i on the diagonal and a_ij
     after it, with weight g_i^2 / (D_(i-1) D_i); the weights and the bound
     are put over one common denominator as integers W_i and B.  The form
@@ -50,7 +53,10 @@ def short_vectors(gram: IntMatrix, bound: int) -> list[tuple[int, ...]]:
     if bound < 0:
         raise RootSystemError("negative bound")
     n = gram.rows
-    steps = symmetric_elimination(IntMatrix([[-c for c in row] for row in gram.entries]))
+    steps = [
+        (piv, p, row) if i % 2 else (piv, -p, tuple(-x for x in row))
+        for i, (piv, p, row) in enumerate(symmetric_elimination(gram))
+    ]
     if len(steps) < n or any(p <= 0 for _, p, _ in steps):
         raise RootSystemError("form is not positive definite")
     dens, rows, weights = [], [], []

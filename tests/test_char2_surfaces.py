@@ -8,6 +8,8 @@ import pytest
 from k3lat.char2_surfaces import surfaces
 from k3lat.char2_surfaces.field import BinaryField
 from k3lat.char2_surfaces.poly import HomPoly
+from k3lat.char2_surfaces.recognize import RecognitionError, apply_frame, normal_form_sextic
+from k3lat.char2_surfaces.upoly import trim
 from k3lat.char2_surfaces.surfaces import (
     SurfaceError,
     analyze_singularities,
@@ -28,6 +30,7 @@ from k3lat.char2_surfaces.surfaces import (
     table_points,
     verify_configuration,
 )
+from surface_oracles import pencil_walk_lines, pencil_walk_scan
 from test_char2_poly import compose_onto_line, multiplicity_at
 
 
@@ -672,3 +675,124 @@ def test_scan_raises_when_a_pencil_root_does_not_split(gf16, monkeypatch):
     for mode in ("full", "singular"):
         with pytest.raises(SurfaceError, match="does not split"):
             scan_splitting_lines(g, mode, singular_points(g))
+
+
+# ---------------------------------------------------------------------------
+# the full scan by elimination in the dual plane against the q + 1 pencil walk
+# ---------------------------------------------------------------------------
+
+def _x0_q_plus_square(f, rng):
+    """x0*Q + Gamma^2 with random Q and Gamma: the line x0 = 0 always splits."""
+    form = lambda d: HomPoly(
+        f, d, {(l, m, d - l - m): rng.randrange(f.q) for l in range(d + 1) for m in range(d + 1 - l)}
+    )
+    return HomPoly.monomial(f, (1, 0, 0)) * form(5) + form(3).square()
+
+
+def _framed_family_members(f, rng, count):
+    out = []
+    while len(out) < count:
+        r, s = rng.randrange(1, f.q), rng.randrange(1, f.q)
+        frame = tuple(tuple(rng.randrange(f.q) for _ in range(3)) for _ in range(3))
+        try:
+            out.append(apply_frame(schroeer_sextic(f, r, s), frame))
+        except RecognitionError:  # a singular frame
+            continue
+    return out
+
+
+def _every_line_through_the_origin_splits(f, rng):
+    """Terms with an even power of x2 only: on x0 = b*x1 every term is a square.
+
+    The odd coefficients P_m(b, c) all vanish at c = 0, so they share the
+    factor c, every resultant is zero and the scan walks every pencil.
+    """
+    monomials = [(l, m, 6 - l - m) for l in range(7) for m in range(7 - l) if (6 - l - m) % 2 == 0]
+    return HomPoly(f, 6, {e: rng.randrange(1, f.q) for e in monomials})
+
+
+def _selected_lines(g):
+    """The lines the full scan certifies: those of the pencils the elimination selects."""
+    f = g.field
+    odd = lambda a, b: surfaces._restrict_to_pencil(g, a, b)[1::2]
+    pencils = [surfaces._pencil_through(f, p) for p in surfaces._full_scan_points(g)]
+    return tuple(surfaces._lines_where(f, odd, pencils))
+
+
+@pytest.mark.parametrize("k,modulus", [(4, None), (6, 0b1000011), (8, None)], ids=["k4", "k6", "k8"])
+def test_full_scan_matches_the_pencil_walk(k, modulus):
+    f = BinaryField(k, modulus)
+    rng = random.Random(f"elimination/{k}")
+    x0_kind = [_x0_q_plus_square(f, rng) for _ in range(4)]
+    cases = (
+        _seeded_sextics(f, rng)
+        + x0_kind
+        + _framed_family_members(f, rng, 3)
+        + [_every_line_through_the_origin_splits(f, rng)]
+    )
+    selective = 0
+    for g in cases:
+        if len(pencil_walk_lines(g)) > 2 * (f.q + 1):
+            # a square: every line splits, and certifying all q^2 + q + 1
+            # twice would take seconds at k = 8; the certificate path is
+            # the same for every line, so the line lists are compared
+            assert _selected_lines(g) == pencil_walk_lines(g)
+        else:
+            # lines and certificates alike
+            assert scan_splitting_lines(g, "full") == list(pencil_walk_scan(g))
+        selective += len(surfaces._full_scan_points(g)) < f.q + 1
+    # dense sextics need 27 points, more than GF(16) has
+    assert selective >= {4: 4, 6: 15, 8: 15}[k]
+    # the line x0 = 0 splits on every x0*Q + Gamma^2, through the pencil at b = 0
+    assert all((1, 0, 0) in pencil_walk_lines(g) for g in x0_kind)
+
+
+def test_full_scan_walks_every_pencil_when_the_conditions_share_a_component():
+    f = BinaryField(6, 0b1000011)
+    g = _every_line_through_the_origin_splits(f, random.Random(3))
+    assert all(not p[0] for p in surfaces._odd_coefficients_in_b_c(g))  # each P has the factor c
+    assert surfaces._full_scan_points(g) == surfaces._points_at_infinity(f)
+    found = scan_splitting_lines(g, "full")
+    assert found == list(pencil_walk_scan(g))
+    assert {(1, b, 0) for b in range(f.q)} <= {l for l, _ in found}
+
+
+def test_odd_coefficients_specialize_to_the_pencil_restriction(gf16):
+    f = gf16
+    rng = random.Random("odd-coefficients")
+    at = lambda row, b: reduce(xor, (f.mul(c, f.pow(b, e)) for e, c in enumerate(row)), 0)
+    for g in _seeded_sextics(f, rng):
+        polys = surfaces._odd_coefficients_in_b_c(g)
+        for b in range(f.q):
+            rows = surfaces._restrict_to_pencil(g, (1, b, 0), (0, 0, 1))[1::2]
+            assert [trim([at(row, b) for row in p]) for p in polys] == rows
+
+
+def test_full_scan_raises_when_the_resultant_misses_its_re_check(gf256, monkeypatch):
+    # the interpolant through d_i*d_j + 1 values must also match the next one
+    g = schroeer_sextic(gf256, 3, 5)
+    real = surfaces.resultant
+    calls = []
+
+    def off_at_the_last_point(f, a, b, da, db):
+        calls.append(None)
+        value = real(f, a, b, da, db)
+        return value ^ 1 if len(calls) == 10 else value
+
+    monkeypatch.setattr(surfaces, "resultant", off_at_the_last_point)
+    with pytest.raises(SurfaceError, match="differs at b = 9"):
+        scan_splitting_lines(g, "full")
+
+
+@pytest.mark.parametrize("framed", [False, True], ids=["family-member", "framed-normal-form"])
+def test_full_scan_k16_budget(gf65536, framed):
+    f = gf65536
+    g = schroeer_sextic(f, 3, 5)
+    if framed:
+        g = apply_frame(normal_form_sextic(f, 0x123), ((1, 0x5A, 3), (7, 1, 0x9C), (0x21, 0x400, 1)))
+    start = time.perf_counter()
+    found = scan_splitting_lines(g, "full")
+    # the walk over all 65,537 pencils took about 1.7 s
+    assert time.perf_counter() - start < 0.1
+    assert len(found) == 5
+    assert len(surfaces._full_scan_points(g)) < 30

@@ -118,6 +118,35 @@ def test_lattice_run_multiplies_by_the_complement_gram_once_per_root_and_indecom
     assert complement and max(complement) <= budget
 
 
+# a fresh process counts the symmetric eliminations of one whole run, by matrix size
+ELIMINATION_COUNTER = """
+import collections, json, os, sys
+from k3lat import cli, exact_arith
+seen = collections.Counter()
+real = exact_arith._eliminate
+def counting(a):
+    seen[a.rows] += 1
+    return real(a)
+exact_arith._eliminate = counting
+code = cli.main(sys.argv[1:] + ["--out", os.devnull])
+print(json.dumps({"code": code, "calls": seen}))
+"""
+
+
+def test_lattice_run_eliminates_the_complement_gram_once():
+    # the complement's signature and the root enumeration on it share one elimination
+    proc = subprocess.run(
+        [sys.executable, "-c", ELIMINATION_COUNTER, "lattice", "--with-extra-glue", "w"],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    result = json.loads(proc.stdout)
+    assert result["code"] == EXIT_OK
+    assert result["calls"]["21"] == 1
+
+
 # a fresh process counts every class box scan of one whole run
 BOX_SCAN_COUNTER = """
 import collections, json, os, sys

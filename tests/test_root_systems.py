@@ -6,6 +6,7 @@ from operator import mul
 
 import pytest
 
+from k3lat import exact_arith
 from k3lat.exact_arith import IntMatrix, det, symmetric_elimination
 from k3lat.lattice_core import (
     DiscClass,
@@ -831,3 +832,38 @@ def test_box_scan_evaluates_every_leaf_form_at_every_point(box):
     forms = [counted(k, f) for k, f in enumerate(_d4_leaf_forms(leaf))]
     _box_scan(d4, rep, box, forms)
     assert calls == [(2 * box + 1) ** 4] * 4
+
+
+def test_elimination_of_the_negated_gram_is_read_off_the_gram():
+    # short_vectors enumerates -gram from the steps of gram: the entries at
+    # step i are (i + 1)-minors, so negating the matrix scales step i by (-1)^(i+1);
+    # hyperbolic steps, skipped pivots and singular matrices included
+    rng = random.Random(2024)
+    cases = [[[0, 1], [1, 0]], [[0, 0], [0, 0]], [[-2, 2], [2, -2]], [[0, 1, 0], [1, 0, 1], [0, 1, 2]]]
+    for _ in range(200):
+        n = rng.randrange(1, 7)
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                a[i][j] = a[j][i] = rng.choice([0, 0, 0, 1, -1, 2, -2, 3])
+        cases.append(a)
+    for a in cases:
+        steps = symmetric_elimination(IntMatrix(a))
+        sign = lambda i: -1 if i % 2 == 0 else 1
+        expected = tuple(
+            (piv, sign(i) * p, tuple(sign(i) * x for x in row)) for i, (piv, p, row) in enumerate(steps)
+        )
+        assert symmetric_elimination(IntMatrix([[-x for x in row] for row in a])) == expected
+
+
+def test_enumerating_the_roots_of_a_lattice_eliminates_its_gram_once(monkeypatch):
+    # the signature check and the Fincke-Pohst enumeration share one elimination
+    calls = []
+    real = exact_arith._eliminate
+    monkeypatch.setattr(exact_arith, "_eliminate", lambda a: calls.append(a.rows) or real(a))
+    lat = Lattice(_root_sum([lattice_D4()] * 2 + [lattice_A1()] * 3))
+    assert lat.is_negative_definite()
+    assert len(enumerate_roots(lat)) == 2 * 24 + 3 * 2
+    assert calls == [11]
+    with pytest.raises(RootSystemError, match="requires a negative-definite lattice"):
+        enumerate_roots(Lattice(IntMatrix([[-2, 3], [3, -2]])))
