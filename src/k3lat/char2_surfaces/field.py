@@ -73,6 +73,8 @@ class BinaryField:
             if k not in DEFAULT_MODULI:
                 raise FieldError(f"no default modulus shipped for k={k}; pass one explicitly")
             modulus = DEFAULT_MODULI[k]
+        if modulus < 0:  # its bits never clear, so trial division would not end
+            raise FieldError(f"modulus {modulus} is negative")
         if not _is_irreducible(modulus, k):
             raise FieldError(f"modulus {bin(modulus)} is not irreducible of degree {k}")
         self.k = k

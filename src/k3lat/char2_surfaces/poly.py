@@ -225,9 +225,20 @@ class HomPoly:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "HomPoly":
+        """Inverse of ``to_json_obj``; a non-int degree or exponent, or a repeated triple, raises."""
         fld = BinaryField(obj["field"]["k"], int(obj["field"]["modulus_bits"], 2))
-        terms = {tuple(t["exp"]): int(t["coeff"], 2) for t in obj["terms"]}
-        return HomPoly(fld, obj["degree"], terms)
+        degree = obj["degree"]
+        if type(degree) is not int:
+            raise PolyError(f"degree {degree!r} is not an integer")
+        terms: dict[tuple[int, int, int], int] = {}
+        for t in obj["terms"]:
+            exp = tuple(t["exp"])
+            if any(type(n) is not int for n in exp):
+                raise PolyError(f"exponent triple {list(exp)} is not of integers")
+            if exp in terms:
+                raise PolyError(f"exponent triple {list(exp)} is given twice")
+            terms[exp] = int(t["coeff"], 2)
+        return HomPoly(fld, degree, terms)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True)

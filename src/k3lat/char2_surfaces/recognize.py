@@ -269,7 +269,7 @@ class RecognitionResult(NamedTuple):
     t_from_points: int
 
 
-def recognize_surface(g: HomPoly, line_scan: str = "singular") -> RecognitionResult:
+def recognize_surface(g: HomPoly) -> RecognitionResult:
     """Full pipeline: singular points, labeling, frame, normal-form parameter.
 
     The parameter read from the coefficient relations must agree with the
@@ -281,8 +281,7 @@ def recognize_surface(g: HomPoly, line_scan: str = "singular") -> RecognitionRes
     a1 = report.of_type("A1")
     if len(d4) != 4 or len(a1) != 5 or len(report.points) != 9:
         raise RecognitionError("surface does not carry the nine-point configuration")
-    scan = scan_splitting_lines(g, mode=line_scan, points=[p for p, _ in report.points])
-    config = label_configuration(f, d4, a1, [l for l, _ in scan])
+    config = label_configuration(f, d4, a1, [l for l, _ in scan_splitting_lines(g)])
     pts = config.points
     frame = normalize_frame(
         f, pts["q(inf)"], pts["q(1)"], pts["q(0)"], pts["p(00)"], pts["p(10)"]

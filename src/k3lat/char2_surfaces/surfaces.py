@@ -233,33 +233,23 @@ def line_poly(field: BinaryField, l: Line) -> HomPoly:
     return HomPoly.linear(field, l)
 
 
-def scan_splitting_lines(
-    g: HomPoly, mode: str = "full", points: Sequence[Point] = ()
-) -> list[tuple[Line, SplittingCertificate]]:
+def scan_splitting_lines(g: HomPoly) -> list[tuple[Line, SplittingCertificate]]:
     """Every rational line whose restriction is a square, with certificates.
 
-    Both modes search pencils of lines: on the lines a + t*b the odd
-    coefficients of the restricted sextic are polynomials in t, and the
-    lines that split are their common roots.  Mode 'full' takes pencils
-    through points of x2 = 0, whose q + 1 pencils together contain every
-    line, and walks only those that an elimination in the dual plane
-    selects (see ``_full_scan_points``; all q + 1 when it cannot select);
-    mode 'singular' takes the pencils through the given points.  A splitting
-    line always meets the singular locus, so with the singular points given
-    the restricted scan is exhaustive whenever that locus is rational (as
-    it is for the nine-point configurations).  Each line found is checked
+    On the lines a + t*b of a pencil the odd coefficients of the restricted
+    form are polynomials in t, and the lines that split are their common
+    roots.  The pencils through the q + 1 points of x2 = 0 together contain
+    every line; an elimination in the dual plane selects the few that can
+    hold a splitting line (see ``_full_scan_points``; all q + 1 when it
+    cannot select), and only those are walked.  Each line found is checked
     by building its certificate and multiplying it out.
     """
     f = g.field
-    if mode not in ("full", "singular"):
-        raise SurfaceError(f"unknown scan mode {mode!r}")
     if g.degree % 2:  # a binary form of odd degree is never a square
         return []
-    if mode == "full":
-        points = _full_scan_points(g)
     odd = lambda a, b: _restrict_to_pencil(g, a, b)[1::2]
     out = []
-    for l in _lines_where(f, odd, [_pencil_through(f, p) for p in points]):
+    for l in _lines_where(f, odd, [_pencil_through(f, p) for p in _full_scan_points(g)]):
         cert = is_splitting(g, line_poly(f, l))
         if cert is None:
             raise SurfaceError(f"line {l} solves the pencil equations but does not split")
@@ -543,19 +533,14 @@ class ConfigurationReport(NamedTuple):
         return self.report.total_milnor
 
 
-def verify_configuration(
-    g: HomPoly,
-    r: int | None = None,
-    s: int | None = None,
-    line_scan: str = "full",
-) -> ConfigurationReport:
+def verify_configuration(g: HomPoly, r: int | None = None, s: int | None = None) -> ConfigurationReport:
     """Check the nine-point, five-line shape of a family member.
 
     (a) counts and types 4 D4 + 5 A1 with total Milnor number 21, (b) the
     five A1 images collinear on a splitting line, (c) with r and s given,
     the labeled coordinates and the incidence pattern of the five standard
-    lines, (d) the full list of splitting rational lines.  Mismatches are
-    reported as findings, not raised.
+    lines, (d) every splitting rational line (the scan is exhaustive and
+    independent of (a)).  Mismatches are reported as findings, not raised.
     """
     f = g.field
     findings: list[str] = []
@@ -569,7 +554,7 @@ def verify_configuration(
     if report.total_milnor != 21:
         findings.append(f"total Milnor number {report.total_milnor} != 21")
 
-    scan = scan_splitting_lines(g, mode=line_scan, points=[p for p, _ in report.points])
+    scan = scan_splitting_lines(g)
     split_lines = tuple(l for l, _ in scan)
 
     if len(a1) == 5:

@@ -230,9 +230,9 @@ def _sample_pairs(field: BinaryField, count: int, seed: int) -> list[tuple[int, 
     return list(pairs)
 
 
-def _surface_case(field: BinaryField, r: int, s: int, line_scan: str) -> tuple[bool, dict]:
+def _surface_case(field: BinaryField, r: int, s: int) -> tuple[bool, dict]:
     g = schroeer_sextic(field, r, s)
-    conf = verify_configuration(g, r=r, s=s, line_scan=line_scan)
+    conf = verify_configuration(g, r=r, s=s)
     # on the cube locus both diagonals of the four fork points split as well
     extra_expected = field.pow(r, 3) == field.pow(s, 3)
     n_expected = 7 if extra_expected else 5
@@ -318,7 +318,7 @@ def cmd_surface(args, g: HomPoly | None, family, checks: Checks) -> None:
     if g is not None:
         # recognition reads its field from the file
         def recog():
-            res = recognize_surface(g, line_scan=args.line_scan)
+            res = recognize_surface(g)
             return True, {"t": format(res.t, "x")}
 
         checks.run("recognize", recog)
@@ -329,7 +329,7 @@ def cmd_surface(args, g: HomPoly | None, family, checks: Checks) -> None:
         rx, sx = format(r, "x"), format(s, "x")
         checks.run(
             f"surface_r={rx}_s={sx}",
-            lambda r=r, s=s: _surface_case(field, r, s, args.line_scan),
+            lambda r=r, s=s: _surface_case(field, r, s),
             r=rx,
             s=sx,
         )
@@ -412,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--samples", type=_int_in_range(1), default=3)
         sp.add_argument("--seed", type=int, default=1)
         sp.add_argument("--allow-degenerate", action="store_true")
-        sp.add_argument("--line-scan", choices=("full", "singular"), default="singular")
+        # nothing reads it: there is one, exhaustive, scan; kept so invocations naming it parse
+        sp.add_argument("--line-scan", choices=("full",), default="full")
         sp.add_argument("--recognize", default=None, help="polynomial JSON file")
 
     lat = sub.add_parser("lattice", help="lattice-side checks")

@@ -15,7 +15,7 @@ from k3lat.char2_surfaces.surfaces import is_splitting, line_poly
 
 @functools.cache
 def pencil_walk_lines(g):
-    """Full mode's lines as they were found: every pencil through x2 = 0.
+    """The full scan's lines as they were found: every pencil through x2 = 0.
 
     Memoised per sextic (the field is part of a form's equality), so tests
     that compare against the same sextic walk it once.
@@ -30,7 +30,7 @@ def pencil_walk_lines(g):
 
 @functools.cache
 def pencil_walk_scan(g):
-    """Full mode as it was: the walk's lines, each with its certificate."""
+    """The full scan as it was: the walk's lines, each with its certificate."""
     return tuple((l, is_splitting(g, line_poly(g.field, l))) for l in pencil_walk_lines(g))
 
 

@@ -240,12 +240,12 @@ def test_criterion_08_dichotomy_exhaustive(gf16):
                 assert splits == (f.pow(r, 3) == f.pow(s, 3)), (r, s)
 
 
-def _config_profile(field, g, line_scan="singular"):
+def _config_profile(field, g):
     """Combinatorial invariant of a configuration: point and line incidence."""
     report = analyze_singularities(g)
     pts = [p for p, _ in report.points]
     types = dict(report.points)
-    lines = [l for l, _ in scan_splitting_lines(g, mode=line_scan, points=pts)]
+    lines = [l for l, _ in scan_splitting_lines(g)]
     point_profile = sorted(
         (types[p], sum(1 for l in lines if point_on_line(field, p, l))) for p in pts
     )

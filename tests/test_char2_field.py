@@ -18,6 +18,12 @@ def test_reducible_modulus_rejected():
         BinaryField(2, 0b101)  # x^2 + 1 = (x+1)^2
 
 
+def test_negative_modulus_rejected():
+    # -19 has the bit length of x^4 + x + 1, but trial division never ends on it
+    with pytest.raises(FieldError, match="negative"):
+        BinaryField(4, -19)
+
+
 def test_custom_modulus():
     f = BinaryField(3, 0b1011)  # x^3 + x + 1
     assert f.q == 8

@@ -181,7 +181,7 @@ def test_diagonal_line_does_not_split(gf16):
 def test_full_configuration_gf16(gf16):
     f = gf16
     r, s = 1, f.generator
-    conf = verify_configuration(schroeer_sextic(f, r, s), r=r, s=s, line_scan="full")
+    conf = verify_configuration(schroeer_sextic(f, r, s), r=r, s=s)
     assert conf.ok, conf.findings
     assert conf.total_milnor == 21
     assert len(conf.splitting_lines) == 5
@@ -190,20 +190,10 @@ def test_full_configuration_gf16(gf16):
         assert cert.verify(schroeer_sextic(f, r, s))
 
 
-def test_configuration_singular_scan_agrees(gf16):
-    f = gf16
-    r, s = 1, f.generator
-    g = schroeer_sextic(f, r, s)
-    full = verify_configuration(g, r=r, s=s, line_scan="full")
-    fast = verify_configuration(g, r=r, s=s, line_scan="singular")
-    assert full.splitting_lines == fast.splitting_lines
-    assert fast.ok
-
-
 def test_full_scan_gf256_finds_exactly_five_lines():
     f = BinaryField(8)
     r, s = 1, f.generator
-    conf = verify_configuration(schroeer_sextic(f, r, s), r=r, s=s, line_scan="full")
+    conf = verify_configuration(schroeer_sextic(f, r, s), r=r, s=s)
     assert conf.ok, conf.findings
     assert len(conf.splitting_lines) == 5
     assert set(conf.splitting_lines) == set(table_lines(f, r, s).values())
@@ -218,7 +208,7 @@ def test_extra_line_when_cubes_match(gf16):
     m = line_through(f, (0, 0, 1), (r, s, 1))
     cert = is_splitting(g, line_poly(f, m))
     assert cert is not None and cert.verify(g)
-    conf = verify_configuration(g, r=r, s=s, line_scan="full")
+    conf = verify_configuration(g, r=r, s=s)
     # the five standard lines plus both diagonals of the fork points
     assert len(conf.splitting_lines) == 7
     assert m in conf.splitting_lines
@@ -554,49 +544,13 @@ def per_line_scan(g, candidates):
     return out
 
 
-def joins_through(f, p):
-    """The q + 1 lines through p: its joins with the points of a coordinate line missing p."""
-    m = next(v for v in range(3) if p[v])
-    i, j = (v for v in range(3) if v != m)
-    others = []
-    for u in range(f.q):
-        r = [0, 0, 0]
-        r[i], r[j] = u, 1
-        others.append(tuple(r))
-    r = [0, 0, 0]
-    r[i] = 1
-    others.append(tuple(r))
-    return {line_through(f, p, r) for r in others}
-
-
-def _scan_points(g, rng):
-    """The singular points when they are finite, else three seeded points."""
-    try:
-        return singular_points(g)
-    except SurfaceError:
-        q = g.field.q
-        return [normalize_point(g.field, (rng.randrange(q), rng.randrange(q), 1)) for _ in range(3)]
-
-
 @pytest.mark.parametrize("k,modulus", SMALL_FIELDS, ids=["k2", "k4", "k6"])
 def test_full_scan_matches_per_line_oracle(k, modulus):
     f = BinaryField(k, modulus)
     rng = random.Random(f"full-scan/{k}")
     for g in _seeded_sextics(f, rng):
         # lines and certificates alike
-        assert scan_splitting_lines(g, "full") == per_line_scan(g, all_lines(f))
-
-
-@pytest.mark.parametrize(
-    "k,modulus", SMALL_FIELDS + [(8, None)], ids=["k2", "k4", "k6", "k8"]
-)
-def test_singular_scan_matches_per_line_oracle(k, modulus):
-    f = BinaryField(k, modulus)
-    rng = random.Random(f"singular-scan/{k}")
-    for g in _seeded_sextics(f, rng):
-        pts = _scan_points(g, rng)
-        candidates = set().union(*(joins_through(f, p) for p in pts))
-        assert scan_splitting_lines(g, "singular", pts) == per_line_scan(g, candidates)
+        assert scan_splitting_lines(g) == per_line_scan(g, all_lines(f))
 
 
 def old_nonreduced_lines(c, g):
@@ -640,8 +594,7 @@ def test_nonreduced_lines_match_all_lines_oracle(k, modulus):
     assert hits >= 20
 
 
-@pytest.mark.parametrize("mode", ["full", "singular"])
-def test_scan_calls_is_splitting_once_per_reported_line(gf256, monkeypatch, mode):
+def test_scan_calls_is_splitting_once_per_reported_line(gf256, monkeypatch):
     f = gf256
     w = f.omega()
     for r, s, count in ((3, 7, 5), (2, f.mul(w, 2), 7)):
@@ -654,7 +607,7 @@ def test_scan_calls_is_splitting_once_per_reported_line(gf256, monkeypatch, mode
             return real(g, ell)
 
         monkeypatch.setattr(surfaces, "is_splitting", counting)
-        found = scan_splitting_lines(g, mode, list(table_points(f, r, s).values()))
+        found = scan_splitting_lines(g)
         monkeypatch.undo()
         assert len(found) == count
         assert calls == [line_poly(f, l) for l, _ in found]
@@ -664,17 +617,15 @@ def test_scan_calls_is_splitting_once_per_reported_line(gf256, monkeypatch, mode
 def test_odd_degree_form_has_no_splitting_lines(gf16):
     # is_splitting never certifies an odd-degree restriction, not even zero
     g = HomPoly(gf16, 5, {(0, 0, 5): 1, (1, 4, 0): 3, (2, 2, 1): 5})
-    for mode in ("full", "singular"):
-        assert scan_splitting_lines(g, mode, [(0, 0, 1), (1, 0, 0)]) == []
+    assert scan_splitting_lines(g) == []
     assert per_line_scan(g, all_lines(gf16)) == []
 
 
 def test_scan_raises_when_a_pencil_root_does_not_split(gf16, monkeypatch):
     g = schroeer_sextic(gf16, 1, gf16.generator)
     monkeypatch.setattr(surfaces, "is_splitting", lambda g, ell: None)
-    for mode in ("full", "singular"):
-        with pytest.raises(SurfaceError, match="does not split"):
-            scan_splitting_lines(g, mode, singular_points(g))
+    with pytest.raises(SurfaceError, match="does not split"):
+        scan_splitting_lines(g)
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +690,7 @@ def test_full_scan_matches_the_pencil_walk(k, modulus):
             assert _selected_lines(g) == pencil_walk_lines(g)
         else:
             # lines and certificates alike
-            assert scan_splitting_lines(g, "full") == list(pencil_walk_scan(g))
+            assert scan_splitting_lines(g) == list(pencil_walk_scan(g))
         selective += len(surfaces._full_scan_points(g)) < f.q + 1
     # dense sextics need 27 points, more than GF(16) has
     assert selective >= {4: 4, 6: 15, 8: 15}[k]
@@ -752,7 +703,7 @@ def test_full_scan_walks_every_pencil_when_the_conditions_share_a_component():
     g = _every_line_through_the_origin_splits(f, random.Random(3))
     assert all(not p[0] for p in surfaces._odd_coefficients_in_b_c(g))  # each P has the factor c
     assert surfaces._full_scan_points(g) == surfaces._points_at_infinity(f)
-    found = scan_splitting_lines(g, "full")
+    found = scan_splitting_lines(g)
     assert found == list(pencil_walk_scan(g))
     assert {(1, b, 0) for b in range(f.q)} <= {l for l, _ in found}
 
@@ -781,7 +732,7 @@ def test_full_scan_raises_when_the_resultant_misses_its_re_check(gf256, monkeypa
 
     monkeypatch.setattr(surfaces, "resultant", off_at_the_last_point)
     with pytest.raises(SurfaceError, match="differs at b = 9"):
-        scan_splitting_lines(g, "full")
+        scan_splitting_lines(g)
 
 
 @pytest.mark.parametrize("framed", [False, True], ids=["family-member", "framed-normal-form"])
@@ -791,7 +742,7 @@ def test_full_scan_k16_budget(gf65536, framed):
     if framed:
         g = apply_frame(normal_form_sextic(f, 0x123), ((1, 0x5A, 3), (7, 1, 0x9C), (0x21, 0x400, 1)))
     start = time.perf_counter()
-    found = scan_splitting_lines(g, "full")
+    found = scan_splitting_lines(g)
     # the walk over all 65,537 pencils took about 1.7 s
     assert time.perf_counter() - start < 0.1
     assert len(found) == 5

@@ -251,8 +251,8 @@ def test_surface_cube_locus_pair(capsys):
 
 
 # whole surface reports, apart from timing, pinned byte for byte: a sampled
-# GF(256) run in singular line-scan mode, and a GF(16) member on the cube
-# locus (6 is omega) with its 7 splitting lines found by the full scan
+# GF(256) run, and a GF(16) member on the cube locus (6 is omega) with its 7
+# splitting lines
 
 
 @pytest.mark.parametrize(
@@ -290,11 +290,7 @@ def test_surface_k12_family_member_finishes(tmp_path):
     path.write_text(framed.to_json())
     member = ["surface", "--k", "12", "--modulus", "0x1053", "--r", "3", "--s", "5"]
     env = {**os.environ, "PYTHONPATH": SRC}
-    for argv in (
-        member,
-        member + ["--line-scan", "full"],
-        ["surface", "--recognize", str(path), "--line-scan", "full"],
-    ):
+    for argv in (member, ["surface", "--recognize", str(path), "--line-scan", "full"]):
         proc = subprocess.run(
             [sys.executable, "-m", "k3lat.cli", *argv, "--format", "text"],
             env=env,
@@ -442,6 +438,14 @@ def _poly_file_text(k, modulus_bits, terms):
     return json.dumps({"field": {"k": k, "modulus_bits": modulus_bits}, "degree": 6, "terms": terms})
 
 
+def _with_a_repeated_term(g, exp):
+    """g's file with the term at exp given a second time, with coefficient 1."""
+    obj = g.to_json_obj()
+    assert any(t["exp"] == exp for t in obj["terms"])
+    obj["terms"].append({"exp": exp, "coeff": "1"})
+    return json.dumps(obj)
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -450,8 +454,20 @@ def _poly_file_text(k, modulus_bits, terms):
         json.dumps([1, 2, 3]),
         _poly_file_text(4, "10011", [{"exp": [1, 1, 1], "coeff": "1"}]),
         _poly_file_text(4, "10011", [{"exp": [1, 4, 1], "coeff": "2"}]),
+        _with_a_repeated_term(normal_form_sextic(BinaryField(8), 3), [1, 2, 3]),
+        json.dumps({"field": {"k": 4, "modulus_bits": "10011"}, "degree": 6.0, "terms": []}),
+        _poly_file_text(4, "10011", [{"exp": [1.0, 2, 3], "coeff": "1"}]),
     ],
-    ids=["not-json", "k20-field", "not-an-object", "wrong-degree", "coeff-not-binary"],
+    ids=[
+        "not-json",
+        "k20-field",
+        "not-an-object",
+        "wrong-degree",
+        "coeff-not-binary",
+        "repeated-exponent",
+        "float-degree",
+        "float-exponent",
+    ],
 )
 def test_bad_recognize_file_is_a_usage_error(tmp_path, capsys, text):
     path = tmp_path / "poly.json"
@@ -492,6 +508,8 @@ def test_sextic_failing_recognition_is_a_failed_check(tmp_path, capsys):
         ["surface", "--recognize", os.path.join(DATA, "no_such_file.json")],
         ["surface", "--recognize", os.path.join(DATA, "lattice_extra_glue_1.json")],
         ["all", "--recognize", os.path.join(DATA, "no_such_file.json")],
+        ["surface", "--line-scan", "singular"],
+        ["surface", "--k", "4", "--modulus=-19", "--r", "1", "--s", "2"],
     ],
     ids=[
         "k2-sampling",
@@ -508,6 +526,8 @@ def test_sextic_failing_recognition_is_a_failed_check(tmp_path, capsys):
         "recognize-missing-file",
         "recognize-wrong-schema",
         "all-recognize-missing-file",
+        "line-scan-singular",
+        "negative-modulus",
     ],
 )
 def test_unbounded_or_vacuous_flags_are_usage_errors(argv):
