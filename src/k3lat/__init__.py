@@ -23,7 +23,6 @@ from .root_systems import (
     RootSet,
     ade_type,
     bounded_class_minimizers,
-    decompose_root,
     enumerate_roots,
     irreducible_decomposition,
     positive_indecomposables,

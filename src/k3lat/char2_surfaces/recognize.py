@@ -273,8 +273,11 @@ def recognize_surface(g: HomPoly) -> RecognitionResult:
     """Full pipeline: singular points, labeling, frame, normal-form parameter.
 
     The parameter read from the coefficient relations must agree with the
-    one read from the position of the fifth anchor point.
+    one read from the position of the fifth anchor point.  Only a sextic
+    can carry the configuration.
     """
+    if g.degree != 6:
+        raise RecognitionError(f"only sextics are recognized, not degree {g.degree}")
     f = g.field
     report = analyze_singularities(g)
     d4 = report.of_type("D4")

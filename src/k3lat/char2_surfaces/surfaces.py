@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from itertools import combinations
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .field import BinaryField
 from .poly import BinForm, HomPoly, PolyError, cubic_has_distinct_roots
@@ -79,27 +79,6 @@ def intersect_lines(field: BinaryField, l1: Line, l2: Line) -> Point:
     if not any(p):
         raise SurfaceError("lines coincide; no unique intersection")
     return normalize_point(field, p)
-
-
-def _points_at_infinity(field: BinaryField) -> list[Point]:
-    """The q + 1 points of the line x2 = 0; the pencils through them hold every line."""
-    return [(x, 1, 0) for x in range(field.q)] + [(1, 0, 0)]
-
-
-def _pencil_through(field: BinaryField, p: Sequence[int]) -> tuple[Line, Line]:
-    """(a, b) such that the lines a + t*b, t in GF(q), and b are the q + 1 lines through p.
-
-    With p normalized: through (x, y, 1) pass (1, 0, x) + t*(0, 1, y) and
-    (0, 1, y); through (x, 1, 0) pass (1, x, 0) + t*(0, 0, 1) and (0, 0, 1);
-    through (1, 0, 0) pass (0, 1, 0) + t*(0, 0, 1) and (0, 0, 1).  Each of
-    these lines is normalized.
-    """
-    x, y, z = normalize_point(field, p)
-    if z:
-        return (1, 0, x), (0, 1, y)
-    if y:
-        return (1, x, 0), (0, 0, 1)
-    return (0, 1, 0), (0, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -236,99 +215,101 @@ def line_poly(field: BinaryField, l: Line) -> HomPoly:
 def scan_splitting_lines(g: HomPoly) -> list[tuple[Line, SplittingCertificate]]:
     """Every rational line whose restriction is a square, with certificates.
 
-    On the lines a + t*b of a pencil the odd coefficients of the restricted
-    form are polynomials in t, and the lines that split are their common
-    roots.  The pencils through the q + 1 points of x2 = 0 together contain
-    every line; an elimination in the dual plane selects the few that can
-    hold a splitting line (see ``_full_scan_points``; all q + 1 when it
-    cannot select), and only those are walked.  Each line found is checked
-    by building its certificate and multiplying it out.
+    A restriction of even degree is a square exactly when its odd
+    coefficients vanish, so the lines are those of ``_lines_where`` for the
+    one condition (g, odd).  Each line found is checked by building its
+    certificate and multiplying it out.
     """
     f = g.field
     if g.degree % 2:  # a binary form of odd degree is never a square
         return []
-    odd = lambda a, b: _restrict_to_pencil(g, a, b)[1::2]
     out = []
-    for l in _lines_where(f, odd, [_pencil_through(f, p) for p in _full_scan_points(g)]):
+    for l in _lines_where([(g, _ODD)]):
         cert = is_splitting(g, line_poly(f, l))
         if cert is None:
-            raise SurfaceError(f"line {l} solves the pencil equations but does not split")
+            raise SurfaceError(f"line {l} solves the elimination but does not split")
         out.append((l, cert))
     return out
 
 
-def _full_scan_points(g: HomPoly) -> list[Point]:
-    """Points of x2 = 0 whose pencils hold every splitting line of g (even degree d).
+_ODD = slice(1, None, 2)  # the coefficients a square lacks
+_ALL = slice(None)  # the coefficients of a form that vanishes on the line
 
-    A line with a0 != 0 is x0 = b*x1 + c*x2, the line (1, b, c) of the
-    pencil through (b, 1, 0); it splits exactly when the odd coefficients
-    P_m(b, c) of g restricted to it vanish (see ``_odd_coefficients_in_b_c``).
-    For two of them R(b) = Res_c(P_i, P_j), with their c-degrees as formal
-    degrees, vanishes at the b of every splitting line, so the pencils
-    through (b, 1, 0) at the roots of R, with the pencil through (1, 0, 0)
-    (the lines with a0 = 0), hold them all.  By Bezout R has degree at most
-    d_i * d_j, with d the total degrees: ``upoly.resultant`` evaluates it at
-    d_i * d_j + 1 points, Newton interpolation recovers it, and one more
-    point re-checks the interpolant, raising on a miss.  The first pair not
-    both free of c whose R is not zero is used.  When R is zero for every
-    pair (the P's share a component) or GF(q) has too few points for a
-    pair, all q + 1 points of x2 = 0 are returned.
+
+def _lines_where(conditions: Sequence[tuple[HomPoly, slice]]) -> list[Line]:
+    """The rational lines on which the selected coefficients of every form restrict to zero.
+
+    Each condition is a form with ``_ODD`` or ``_ALL`` selecting the
+    coefficients of its restriction that must vanish.  A line with a0 != 0
+    is x0 = b*x1 + c*x2, the line (1, b, c), and its selected coefficients
+    are polynomials P_m(b, c) (see ``_coefficients_in_b_c``): at each b of
+    ``_candidate_bs`` the lines are the common roots in c of the P's.  The
+    lines with a0 = 0 are the pencil (0, 1, 0) + t*(0, 0, 1), where the
+    coefficients are polynomials in t, and the line x2 = 0, where they are
+    constants.  Sorted, each line once.
     """
-    f = g.field
-    at = lambda p, b: trim([poly_eval(f, row, b) for row in p])  # P(b, c) as a polynomial in c
-    for pi, pj in combinations(_odd_coefficients_in_b_c(g), 2):
+    f = conditions[0][0].field
+    restricted = lambda a, b: [
+        row for form, which in conditions for row in _restrict_to_pencil(form, a, b)[which]
+    ]
+    found: list[Line] = [] if any(restricted((0, 0, 1), (0, 0, 0))) else [(0, 0, 1)]
+    found += [(0, 1, t) for t in common_roots(f, restricted((0, 1, 0), (0, 0, 1)))]
+    polys = [p for form, which in conditions for p in _coefficients_in_b_c(form, which)]
+    for b in _candidate_bs(f, polys):
+        found += [(1, b, c) for c in common_roots(f, (_at(f, p, b) for p in polys))]
+    return found
+
+
+def _candidate_bs(f: BinaryField, polys: list[list[list[int]]]) -> Sequence[int]:
+    """Ascending b's that include the b of every line (1, b, c) where all the P's vanish.
+
+    For two of them R(b) = Res_c(P_i, P_j), with their c-degrees as formal
+    degrees, vanishes at the b of every such line.  By Bezout R has degree
+    at most d_i * d_j, with d the total degrees: ``upoly.resultant``
+    evaluates it at d_i * d_j + 1 points, Newton interpolation recovers it,
+    and one more point re-checks the interpolant, raising on a miss.  The
+    roots of R for the first pair not both free of c whose R is not zero
+    are returned.  When R is zero for every pair (the P's share a
+    component) or GF(q) has too few points for a pair, every b is.
+    """
+    for pi, pj in combinations(polys, 2):
         if not pi or not pj or len(pi) == len(pj) == 1:
             continue  # a zero P makes R zero; two P's free of c give no R
         n = _total_degree(pi) * _total_degree(pj) + 1
         if n >= f.q:
             continue
-        values = [resultant(f, at(pi, b), at(pj, b), len(pi) - 1, len(pj) - 1) for b in range(n + 1)]
+        values = [resultant(f, _at(f, pi, b), _at(f, pj, b), len(pi) - 1, len(pj) - 1) for b in range(n + 1)]
         r = interpolate(f, range(n), values[:n])
         if poly_eval(f, r, n) != values[n]:
             raise SurfaceError(f"the resultant differs at b = {n} from its interpolant of degree < {n}")
         if r:
-            return [(b, 1, 0) for b in common_roots(f, [r])] + [(1, 0, 0)]
-    return _points_at_infinity(f)
+            return common_roots(f, [r])
+    return range(f.q)
 
 
-def _odd_coefficients_in_b_c(g: HomPoly) -> list[list[list[int]]]:
-    """P_m(b, c) for odd m: the coefficient of x1^m x2^(d-m) in g(b*x1 + c*x2, x1, x2).
+def _coefficients_in_b_c(g: HomPoly, which: slice) -> list[list[list[int]]]:
+    """P_m(b, c) for the selected m: the coefficient of x1^m x2^(d-m) in g(b*x1 + c*x2, x1, x2).
 
     A term x0^n x1^e1 x2^e2 gives b^s c^(n-s) to P_(e1+s) for each s with
-    C(n, s) odd.  For even d only n < d reaches an odd m, so each P has
-    total degree below d.  A P is a list over the power of c of polynomials
-    in b, trimmed at both levels.
+    C(n, s) odd, so each P has total degree at most d.  A P is a list over
+    the power of c of polynomials in b, trimmed at both levels.
     """
     d = g.degree
-    polys = {m: [[0] * d for _ in range(d)] for m in range(1, d, 2)}
+    polys = {m: [[0] * (d + 1) for _ in range(d + 1)] for m in range(d + 1)[which]}
     for (n, e1, _), c in g.terms.items():
         for s in _odd_binomials(n):
-            if (e1 + s) % 2:
+            if e1 + s in polys:
                 polys[e1 + s][n - s][s] = c
     return [trim([trim(row) for row in p]) for p in polys.values()]
 
 
+def _at(f: BinaryField, p: list[list[int]], b: int) -> list[int]:
+    """P(b, c) as a polynomial in c."""
+    return trim([poly_eval(f, row, b) for row in p])
+
+
 def _total_degree(p: list[list[int]]) -> int:
     return max(k + len(row) - 1 for k, row in enumerate(p) if row)
-
-
-def _lines_where(
-    f: BinaryField,
-    conditions: Callable[[Line, Line], list[list[int]]],
-    pencils: Iterable[tuple[Line, Line]],
-) -> list[Line]:
-    """The lines of the pencils on which every polynomial of conditions(a, b) vanishes.
-
-    A pencil (a, b) holds the lines a + t*b for t in GF(q) and the line b,
-    which is the one line of the pencil (b, 0).  Sorted, each line once.
-    """
-    found: set[Line] = set()
-    for a, b in pencils:
-        for t in common_roots(f, conditions(a, b)):
-            found.add(tuple(ai ^ f.mul(t, bi) for ai, bi in zip(a, b)))
-        if not any(conditions(b, (0, 0, 0))):
-            found.add(b)
-    return sorted(found)
 
 
 # ---------------------------------------------------------------------------
@@ -339,19 +320,23 @@ def singular_points(g: HomPoly) -> list[Point]:
     """All rational points where the three formal partials vanish.
 
     The chart z = 1 is covered by the vertical lines x0 = x*x2, the pencil
-    through (0, 1, 0).  On the line at x the partials restrict to
-    polynomials in y, each y^m coefficient a polynomial in x evaluated by
-    Horner, and the singular points on it are their common roots in GF(q)
-    (see ``upoly.common_roots``): an x costs a few small gcds, and a root
-    split only where a rational singular point lies.  On the line z = 0 the
-    partials at (x, 1, 0) are polynomials in x, whose common roots are found
-    the same way, and (1, 0, 0) is evaluated directly.  Points come out in
-    chart order: x, then y, then the line at infinity.  An infinite singular
-    locus is an error: all partials identically zero, or more points than
-    the Bezout bound 25 for two quintics without a common component (raised
-    as soon as the 26th point is found, so a rational singular curve costs
-    O(26 q) evaluations).
+    (1, 0, 0) + x*(0, 0, 1) through (0, 1, 0).  On the line at x the
+    partials restrict to polynomials in y, each y^m coefficient a
+    polynomial in x evaluated by Horner, and the singular points on it are
+    their common roots in GF(q) (see ``upoly.common_roots``): an x costs a
+    few small gcds, and a root split only where a rational singular point
+    lies.  On the line z = 0 the partials at (x, 1, 0) are polynomials in
+    x, whose common roots are found the same way, and (1, 0, 0) is
+    evaluated directly.  Points come out in chart order: x, then y, then
+    the line at infinity.  An infinite singular locus is an error: all
+    partials identically zero, or more points than the Bezout bound 25 for
+    two quintics without a common component (raised as soon as the 26th
+    point is found, so a rational singular curve costs O(26 q)
+    evaluations).  Only sextics are accepted, since the bound is a sextic
+    fact.
     """
+    if g.degree != 6:
+        raise SurfaceError(f"singular points are computed for sextics, not for degree {g.degree}")
     f = g.field
     parts = [g.partial(v) for v in range(3)]
     if all(p.is_zero() for p in parts):
@@ -366,7 +351,7 @@ def singular_points(g: HomPoly) -> list[Point]:
                 "without a common component; this indicates a curve in the singular locus"
             )
 
-    vertical = [_restrict_to_pencil(p, *_pencil_through(f, (0, 1, 0))) for p in parts]
+    vertical = [_restrict_to_pencil(p, (1, 0, 0), (0, 0, 1)) for p in parts]
     for x in range(f.q):
         in_y = (trim([poly_eval(f, c, x) for c in rows]) for rows in vertical)
         for y in common_roots(f, in_y):
@@ -608,7 +593,8 @@ def nonreduced_splitting_lines_separable(c: HomPoly, g: HomPoly) -> list[Line]:
     """Non-reduced splitting lines of the separable cover w^2 + w*C + G = 0.
 
     A line is of non-reduced type exactly when C restricts to zero on it and
-    the restriction of G is a square; every such line divides C, so there
+    the restriction of G is a square: the lines of ``_lines_where`` for the
+    conditions (C, all) and (G, odd).  Every such line divides C, so there
     are at most deg C = 3 of them.
     """
     if c.degree != 3 or c.is_zero():
@@ -616,8 +602,7 @@ def nonreduced_splitting_lines_separable(c: HomPoly, g: HomPoly) -> list[Line]:
     if g.degree != 6:
         raise SurfaceError("cover term must be a sextic")
     f = c.field
-    on_c_and_square = lambda a, b: _restrict_to_pencil(c, a, b) + _restrict_to_pencil(g, a, b)[1::2]
-    out = _lines_where(f, on_c_and_square, [_pencil_through(f, p) for p in _points_at_infinity(f)])
+    out = _lines_where([(c, _ALL), (g, _ODD)])
     for l in out:
         if not linear_divides(line_poly(f, l), c):
             raise SurfaceError("non-reduced line does not divide the separable term")

@@ -266,12 +266,15 @@ def _surface_case(field: BinaryField, r: int, s: int) -> tuple[bool, dict]:
 
 
 def _read_sextic(path: str) -> HomPoly:
-    """The polynomial file given to --recognize; anything unreadable is a usage error."""
+    """The sextic in the --recognize file; anything unreadable or of another degree is a usage error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return HomPoly.from_json(fh.read())
+            g = HomPoly.from_json(fh.read())
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"--recognize {path}: {type(exc).__name__}: {exc}")
+    if g.degree != 6:
+        raise UsageError(f"--recognize {path}: degree {g.degree}, but only sextics are recognized")
+    return g
 
 
 def _open_out(path: str):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .exact_arith import IntMatrix, hnf_rows, inertia, invert, symmetric_elimination
@@ -276,32 +276,34 @@ def positive_indecomposables(
     return out
 
 
-def decompose_root(
+def _positive_root_coordinates(
     component: RootComponent,
     alpha: PositivityFunctional,
-    root: Sequence[int],
-) -> tuple[int, ...]:
-    """The unique non-negative integer expression of a positive root in the indecomposables."""
-    root = tuple(root)
-    if alpha.value(root) <= 0:
-        raise RootSystemError("root is not in the positive part")
-    eps = positive_indecomposables(component, alpha)
-    gram = component.lattice.gram
-    images = [gram.mul_vec(a) for a in eps]
-    m = IntMatrix([[sum(map(mul, ga, b)) for b in eps] for ga in images])
-    rhs = [sum(map(mul, ga, root)) for ga in images]
-    inv_num, inv_den = invert(m)
-    scaled = inv_num.mul_vec(rhs)
-    if any(c % inv_den or c < 0 for c in scaled):
-        raise RootSystemError("root does not decompose with non-negative integers")
-    coeffs = tuple(c // inv_den for c in scaled)
-    rebuilt = [0] * len(root)
-    for c, e in zip(coeffs, eps):
-        for i, ei in enumerate(e):
-            rebuilt[i] += c * ei
-    if tuple(rebuilt) != root:
-        raise RootSystemError("root lies outside the span of the indecomposables")
-    return coeffs
+    basis: Sequence[tuple[int, ...]],
+) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Every positive root as its non-negative integer coordinates over the basis.
+
+    In increasing order of alpha, a positive root is a basis root, or a
+    basis root e plus a positive root r - e already written; its
+    coordinates are then those of r - e with one added at e, so they rebuild
+    it.  The first positive root that is neither is named in a
+    RootSystemError.  No inverse is taken, so no Gram is inverted twice in
+    one run.
+    """
+    units = {e: tuple(int(i == j) for j in range(len(basis))) for i, e in enumerate(basis)}
+    out: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for r in sorted(positive_part(component, alpha), key=alpha.value):
+        if r in units:
+            out[r] = units[r]
+            continue
+        for e, unit in units.items():
+            rest = out.get(tuple(map(sub, r, e)))
+            if rest is not None:
+                out[r] = tuple(map(add, rest, unit))
+                break
+        else:
+            raise RootSystemError(f"positive root {r} does not decompose into the indecomposables")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +392,9 @@ def ade_type(component: RootComponent, alpha: PositivityFunctional) -> str:
     """Dynkin type of a root component, certified against the Cartan matrix.
 
     The indecomposables are ordered canonically and their Gram matrix is
-    checked to equal minus the Cartan matrix of the reported type.
+    checked to equal minus the Cartan matrix of the reported type; then
+    every positive root is checked to be a non-negative integer
+    combination of them (``_positive_root_coordinates``).
     """
     eps = positive_indecomposables(component, alpha)
     gram = component.lattice.gram
@@ -413,6 +417,7 @@ def ade_type(component: RootComponent, alpha: PositivityFunctional) -> str:
     actual = [[-pair(a, b) for b in order] for a in order]
     if actual != [list(r) for r in cartan.entries]:
         raise RootSystemError("Gram of the indecomposables does not match the Cartan matrix")
+    _positive_root_coordinates(component, alpha, eps)
     return label
 
 

@@ -1,7 +1,8 @@
 """Replaced surface-side algorithms, kept as oracles for the tests.
 
 The full line scan walked every one of the q + 1 pencils through the
-points of x2 = 0; the scan now walks only the pencils an elimination
+points of x2 = 0, and so did the bound on non-reduced lines; both now read
+one elimination in the dual plane, which walks only the b's a resultant
 selects.  Roots were found by scanning t = 0, 1, 2, ... up to the largest
 one; they are now split by traces.  The resultant that drives the
 elimination is checked against the Sylvester determinant it stands for.
@@ -9,23 +10,32 @@ elimination is checked against the Sylvester determinant it stands for.
 
 import functools
 
-from k3lat.char2_surfaces import surfaces
-from k3lat.char2_surfaces.surfaces import is_splitting, line_poly
+from k3lat.char2_surfaces.surfaces import _restrict_to_pencil, is_splitting, line_poly
+from k3lat.char2_surfaces.upoly import common_roots
 
 
 @functools.cache
 def pencil_walk_lines(g):
     """The full scan's lines as they were found: every pencil through x2 = 0.
 
+    Through (x, 1, 0) pass the lines (1, x, 0) + t*(0, 0, 1) and (0, 0, 1);
+    through (1, 0, 0) pass (0, 1, 0) + t*(0, 0, 1) and (0, 0, 1).  On the
+    lines a + t*b of a pencil the odd coefficients of the restriction are
+    polynomials in t, and the lines that split are their common roots.
     Memoised per sextic (the field is part of a form's equality), so tests
     that compare against the same sextic walk it once.
     """
     f = g.field
     if g.degree % 2:
         return ()
-    odd = lambda a, b: surfaces._restrict_to_pencil(g, a, b)[1::2]
-    pencils = [surfaces._pencil_through(f, p) for p in surfaces._points_at_infinity(f)]
-    return tuple(surfaces._lines_where(f, odd, pencils))
+    pencils = [((1, x, 0), (0, 0, 1)) for x in range(f.q)] + [((0, 1, 0), (0, 0, 1))]
+    found = set()
+    for a, b in pencils:
+        for t in common_roots(f, _restrict_to_pencil(g, a, b)[1::2]):
+            found.add(tuple(ai ^ f.mul(t, bi) for ai, bi in zip(a, b)))
+    if not any(_restrict_to_pencil(g, (0, 0, 1), (0, 0, 0))[1::2]):
+        found.add((0, 0, 1))
+    return tuple(sorted(found))
 
 
 @functools.cache

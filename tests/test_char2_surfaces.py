@@ -361,38 +361,11 @@ def test_lemma_bound_rejects_bad_degrees(gf16):
 SMALL_FIELDS = [(2, None), (4, None), (6, 0b1000011)]
 
 
-def pencil_lines(f, p):
-    """The lines a + t*b for t = 0, 1, ..., then b, of the pencil through p."""
-    a, b = surfaces._pencil_through(f, p)
-    return [tuple(ai ^ f.mul(t, bi) for ai, bi in zip(a, b)) for t in range(f.q)] + [b]
-
-
-@pytest.mark.parametrize("k,modulus", SMALL_FIELDS, ids=["k2", "k4", "k6"])
-def test_lines_through_matches_incidence_filter(k, modulus):
-    f = BinaryField(k, modulus)
-    q = f.q
-    lines = list(all_lines(f))
-    # the incidence filter keeps the lines l of all_lines with point_on_line(f, p, l);
-    # a product table computes the same sum of l_i * p_i in reach of k = 6
-    table = [[f.mul(a, b) for b in range(q)] for a in range(q)]
-    for p in all_points(f):
-        a, b, c = (table[x] for x in p)
-        expected = [l for l in lines if not (a[l[0]] ^ b[l[1]] ^ c[l[2]])]
-        pencil = pencil_lines(f, p)
-        assert pencil == expected
-        assert len(pencil) == len(set(pencil)) == q + 1
-        # normalized: the first nonzero coefficient is 1
-        assert all(next(c for c in l if c) == 1 for l in pencil)
-
-
-def test_lines_through_normalizes_the_point(gf16):
+def test_normalize_point_is_scale_invariant(gf16):
     f = gf16
     for p in [(3, 5, 1), (7, 1, 0), (1, 0, 0)]:
         for scale in (2, 9, 15):
-            scaled = tuple(f.mul(scale, c) for c in p)
-            assert normalize_point(f, scaled) == p
-            assert surfaces._pencil_through(f, scaled) == surfaces._pencil_through(f, p)
-            assert pencil_lines(f, scaled) == pencil_lines(f, p)
+            assert normalize_point(f, tuple(f.mul(scale, c) for c in p)) == p
 
 
 def brute_force_singular_points(g):
@@ -503,6 +476,14 @@ def test_singular_curve_stops_at_the_bezout_bound_k16(gf65536, square):
     assert time.perf_counter() - start < 5.0
 
 
+@pytest.mark.parametrize("degree", [0, 4, 5, 7])
+def test_singular_points_need_a_sextic(gf16, degree):
+    # the Bezout bound 25 and the chart rules are sextic facts
+    g = HomPoly(gf16, degree, {(degree, 0, 0): 1, (0, 0, degree): 3})
+    with pytest.raises(SurfaceError, match=f"not for degree {degree}"):
+        singular_points(g)
+
+
 def test_singular_curve_without_rational_points_is_not_scanned():
     # the gcd of the partials is nonconstant at every x; a scan over y at
     # each of them would make 4096^2 evaluations (about 20 s)
@@ -522,15 +503,16 @@ def test_pencil_restriction_specializes_to_each_line(gf16):
     f = gf16
     rng = random.Random("pencil-restriction")
     for g in _seeded_sextics(f, rng):
-        p = rng.choice(list(all_points(f)))
-        a, b = surfaces._pencil_through(f, p)
-        rows = surfaces._restrict_to_pencil(g, a, b)
-        e = next(v for v in range(3) if a[v])
-        for t in range(f.q):
-            line = tuple(ai ^ f.mul(t, bi) for ai, bi in zip(a, b))
-            coeffs, _ = compose_onto_line(g, line, e)
-            at_t = [reduce(xor, (f.mul(c, f.pow(t, k)) for k, c in enumerate(row)), 0) for row in rows]
-            assert tuple(reversed(at_t)) == coeffs
+        x, y = rng.randrange(f.q), rng.randrange(f.q)
+        # the pencils through (x, y, 1), (x, 1, 0) and (1, 0, 0)
+        for a, b in (((1, 0, x), (0, 1, y)), ((1, x, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1))):
+            rows = surfaces._restrict_to_pencil(g, a, b)
+            e = next(v for v in range(3) if a[v])
+            for t in range(f.q):
+                line = tuple(ai ^ f.mul(t, bi) for ai, bi in zip(a, b))
+                coeffs, _ = compose_onto_line(g, line, e)
+                at_t = [reduce(xor, (f.mul(c, f.pow(t, k)) for k, c in enumerate(row)), 0) for row in rows]
+                assert tuple(reversed(at_t)) == coeffs
 
 
 def per_line_scan(g, candidates):
@@ -592,6 +574,24 @@ def test_nonreduced_lines_match_all_lines_oracle(k, modulus):
         assert nonreduced_splitting_lines_separable(c, g) == expected
         hits += len(expected)
     assert hits >= 20
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense-G", "G-a-square"])
+def test_nonreduced_bound_k16_budget(gf65536, dense):
+    f = gf65536
+    c = HomPoly(f, 3, {(1, 1, 1): 1})  # x0*x1*x2
+    if dense:
+        rng = random.Random("nonreduced-k16")
+        g = HomPoly(f, 6, {(l, m, 6 - l - m): rng.randrange(1, f.q) for l in range(7) for m in range(7 - l)})
+    else:
+        g = HomPoly(f, 6, {(2, 2, 2): 1})  # a square: every line of the plane splits
+    start = time.perf_counter()
+    lines = nonreduced_splitting_lines_separable(c, g)
+    # the walk over all 65,537 pencils took about 10 s
+    assert time.perf_counter() - start <= 0.1
+    coordinate_lines = [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert lines == [l for l in coordinate_lines if is_splitting(g, line_poly(f, l)) is not None]
+    assert dense or lines == coordinate_lines
 
 
 def test_scan_calls_is_splitting_once_per_reported_line(gf256, monkeypatch):
@@ -663,11 +663,13 @@ def _every_line_through_the_origin_splits(f, rng):
 
 
 def _selected_lines(g):
-    """The lines the full scan certifies: those of the pencils the elimination selects."""
-    f = g.field
-    odd = lambda a, b: surfaces._restrict_to_pencil(g, a, b)[1::2]
-    pencils = [surfaces._pencil_through(f, p) for p in surfaces._full_scan_points(g)]
-    return tuple(surfaces._lines_where(f, odd, pencils))
+    """The lines the full scan certifies: those the elimination finds."""
+    return tuple(surfaces._lines_where([(g, surfaces._ODD)]))
+
+
+def _selected_bs(g):
+    """The b's of the lines (1, b, c) that the elimination walks for the scan of g."""
+    return surfaces._candidate_bs(g.field, surfaces._coefficients_in_b_c(g, surfaces._ODD))
 
 
 @pytest.mark.parametrize("k,modulus", [(4, None), (6, 0b1000011), (8, None)], ids=["k4", "k6", "k8"])
@@ -691,7 +693,7 @@ def test_full_scan_matches_the_pencil_walk(k, modulus):
         else:
             # lines and certificates alike
             assert scan_splitting_lines(g) == list(pencil_walk_scan(g))
-        selective += len(surfaces._full_scan_points(g)) < f.q + 1
+        selective += len(_selected_bs(g)) < f.q
     # dense sextics need 27 points, more than GF(16) has
     assert selective >= {4: 4, 6: 15, 8: 15}[k]
     # the line x0 = 0 splits on every x0*Q + Gamma^2, through the pencil at b = 0
@@ -701,8 +703,8 @@ def test_full_scan_matches_the_pencil_walk(k, modulus):
 def test_full_scan_walks_every_pencil_when_the_conditions_share_a_component():
     f = BinaryField(6, 0b1000011)
     g = _every_line_through_the_origin_splits(f, random.Random(3))
-    assert all(not p[0] for p in surfaces._odd_coefficients_in_b_c(g))  # each P has the factor c
-    assert surfaces._full_scan_points(g) == surfaces._points_at_infinity(f)
+    assert all(not p[0] for p in surfaces._coefficients_in_b_c(g, surfaces._ODD))  # each P has the factor c
+    assert list(_selected_bs(g)) == list(range(f.q))
     found = scan_splitting_lines(g)
     assert found == list(pencil_walk_scan(g))
     assert {(1, b, 0) for b in range(f.q)} <= {l for l, _ in found}
@@ -713,10 +715,11 @@ def test_odd_coefficients_specialize_to_the_pencil_restriction(gf16):
     rng = random.Random("odd-coefficients")
     at = lambda row, b: reduce(xor, (f.mul(c, f.pow(b, e)) for e, c in enumerate(row)), 0)
     for g in _seeded_sextics(f, rng):
-        polys = surfaces._odd_coefficients_in_b_c(g)
-        for b in range(f.q):
-            rows = surfaces._restrict_to_pencil(g, (1, b, 0), (0, 0, 1))[1::2]
-            assert [trim([at(row, b) for row in p]) for p in polys] == rows
+        for which in (surfaces._ODD, surfaces._ALL):
+            polys = surfaces._coefficients_in_b_c(g, which)
+            for b in range(f.q):
+                rows = surfaces._restrict_to_pencil(g, (1, b, 0), (0, 0, 1))[which]
+                assert [trim([at(row, b) for row in p]) for p in polys] == rows
 
 
 def test_full_scan_raises_when_the_resultant_misses_its_re_check(gf256, monkeypatch):
@@ -746,4 +749,5 @@ def test_full_scan_k16_budget(gf65536, framed):
     # the walk over all 65,537 pencils took about 1.7 s
     assert time.perf_counter() - start < 0.1
     assert len(found) == 5
-    assert len(surfaces._full_scan_points(g)) < 30
+    # the pencils walked: one per b, and the one holding the lines with a0 = 0
+    assert len(_selected_bs(g)) + 1 < 30

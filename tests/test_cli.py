@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from k3lat import cli
 from k3lat.char2_surfaces.field import BinaryField
+from k3lat.char2_surfaces.poly import HomPoly
 from k3lat.char2_surfaces.recognize import apply_frame, normal_form_sextic
 from k3lat.char2_surfaces.surfaces import SurfaceError, schroeer_sextic
 from k3lat.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
@@ -457,6 +459,11 @@ def _with_a_repeated_term(g, exp):
         _with_a_repeated_term(normal_form_sextic(BinaryField(8), 3), [1, 2, 3]),
         json.dumps({"field": {"k": 4, "modulus_bits": "10011"}, "degree": 6.0, "terms": []}),
         _poly_file_text(4, "10011", [{"exp": [1.0, 2, 3], "coeff": "1"}]),
+        HomPoly(BinaryField(4), 0, {(0, 0, 0): 1}).to_json(),
+        HomPoly(BinaryField(4), 5, {(5, 0, 0): 1, (0, 2, 3): 3}).to_json(),
+        HomPoly(BinaryField(4), 7, {(0, 0, 7): 1, (3, 4, 0): 5}).to_json(),
+        # two terms; recognized as a form, it took seconds and cited a sextic's Bezout bound
+        HomPoly(BinaryField(4), 1600, {(1600, 0, 0): 1, (0, 1, 1599): 1}).to_json(),
     ],
     ids=[
         "not-json",
@@ -467,6 +474,10 @@ def _with_a_repeated_term(g, exp):
         "repeated-exponent",
         "float-degree",
         "float-exponent",
+        "degree-0",
+        "degree-5",
+        "degree-7",
+        "degree-1600",
     ],
 )
 def test_bad_recognize_file_is_a_usage_error(tmp_path, capsys, text):
@@ -477,6 +488,15 @@ def test_bad_recognize_file_is_a_usage_error(tmp_path, capsys, text):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--recognize" in captured.err
+
+
+def test_recognize_file_of_another_degree_is_named_before_any_work(tmp_path, capsys):
+    path = tmp_path / "poly.json"
+    path.write_text(HomPoly(BinaryField(4), 1600, {(1600, 0, 0): 1, (0, 1, 1599): 1}).to_json())
+    start = time.perf_counter()
+    assert main(["surface", "--recognize", str(path)]) == EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    assert "degree 1600" in capsys.readouterr().err
 
 
 def test_sextic_failing_recognition_is_a_failed_check(tmp_path, capsys):

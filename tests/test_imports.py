@@ -80,3 +80,28 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# each public function without a caller in src, with the reason it stays
+NO_CALLER_IN_SRC = {
+    "nonreduced_splitting_lines_separable": "acceptance criterion 10",
+}
+
+
+def test_every_public_function_has_a_caller_in_src():
+    # a reference inside the function's own def (recursion) or an __init__
+    # re-export is not a caller
+    defined, referenced = [], set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(stmt, "name", None)
+            if isinstance(stmt, ast.FunctionDef) and not owner.startswith("_"):
+                defined.append((path.relative_to(PACKAGE), owner))
+            for node in ast.walk(stmt):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name is not None and name != owner:
+                    referenced.add(name)
+    uncalled = {name: str(path) for path, name in defined if name not in referenced}
+    assert sorted(uncalled) == sorted(NO_CALLER_IN_SRC), uncalled

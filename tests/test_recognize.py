@@ -100,6 +100,15 @@ def test_recognize_rejects_pattern_violation(gf16):
         recognize_normal_form(bad, IDENTITY)
 
 
+@pytest.mark.parametrize("degree", [5, 7, 12])
+def test_recognize_surface_needs_a_sextic(gf16, degree):
+    # every certificate is a sextic fact; degree 12 is the normal form squared
+    g = normal_form_sextic(gf16, 3)
+    g = g * g if degree == 12 else HomPoly(gf16, degree, {(degree, 0, 0): 1, (1, 1, degree - 2): 1})
+    with pytest.raises(RecognitionError, match=f"not degree {degree}"):
+        recognize_surface(g)
+
+
 def test_pipeline_on_normal_form(gf16):
     f = gf16
     rng = random.Random(12)

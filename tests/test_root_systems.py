@@ -34,10 +34,10 @@ from k3lat.root_systems import (
     _d4_leaf_forms,
     _match_rep,
     _pairing_components,
+    _positive_root_coordinates,
     ade_type,
     bounded_class_minimizers,
     cartan_matrix,
-    decompose_root,
     enumerate_roots,
     irreducible_decomposition,
     positive_indecomposables,
@@ -489,13 +489,13 @@ def test_positivity_functional_must_not_vanish():
 
 
 # ---------------------------------------------------------------------------
-# decompose_root
+# decomposition of the positive roots, the last check of ade_type
 # ---------------------------------------------------------------------------
 
 def _coeffs_by_simple_root(comp, alpha, root):
-    """Map decompose_root output back onto the simple roots for readability."""
+    """Map a root's coordinates over the indecomposables onto them for readability."""
     eps = positive_indecomposables(comp, alpha)
-    coeffs = decompose_root(comp, alpha, root)
+    coeffs = _positive_root_coordinates(comp, alpha, eps)[root]
     return dict(zip(eps, coeffs))
 
 
@@ -532,10 +532,12 @@ def test_decompose_second_path_and_nonnegativity():
     comp = irreducible_decomposition(enumerate_roots(d4))[0]
     alpha = dominant_functional(d4)
     eps = positive_indecomposables(comp, alpha)
+    coordinates = _positive_root_coordinates(comp, alpha, eps)
     for r in comp.roots:
         if alpha.value(r) <= 0:
+            assert r not in coordinates
             continue
-        coeffs = decompose_root(comp, alpha, r)
+        coeffs = coordinates[r]
         assert all(c >= 0 for c in coeffs)
         # second path: plain coordinate solve against the simple-root matrix
         rebuilt = [0] * 4
@@ -543,6 +545,18 @@ def test_decompose_second_path_and_nonnegativity():
             for i in range(4):
                 rebuilt[i] += c * e[i]
         assert tuple(rebuilt) == r
+
+
+def test_decomposition_check_names_the_first_root_that_fails():
+    # with D3 swapped for the highest root theta = D1 + D2 + 2*D3 + D4_, D3
+    # is the lowest positive root that neither is in the basis nor is a basis
+    # root plus a lower positive root
+    d4 = lattice_D4()
+    comp = irreducible_decomposition(enumerate_roots(d4))[0]
+    alpha = dominant_functional(d4)
+    basis = [D4_, (1, 1, 2, 1), D2, D1]
+    with pytest.raises(RootSystemError, match=r"positive root \(0, 0, 1, 0\) does not decompose"):
+        _positive_root_coordinates(comp, alpha, basis)
 
 
 def test_unique_nonneg_spanning_set_is_the_indecomposables():
@@ -556,8 +570,7 @@ def test_unique_nonneg_spanning_set_is_the_indecomposables():
         plus = [r for r in comp.roots if alpha.value(r) > 0]
         # every positive root decomposes uniquely over eps with non-negative
         # integers, and no proper subset can do it
-        for r in plus:
-            decompose_root(comp, alpha, r)
+        assert set(_positive_root_coordinates(comp, alpha, eps)) == set(plus)
         for drop in range(len(eps)):
             subset = [e for i, e in enumerate(eps) if i != drop]
             assert not all(_expressible(lat, subset, r) for r in plus)
