@@ -11,8 +11,8 @@ separable cubic 3-jet means D4.
 from __future__ import annotations
 
 import functools
-from itertools import combinations
-from typing import NamedTuple, Sequence
+from itertools import chain, combinations, islice
+from typing import Iterator, NamedTuple, Sequence
 
 from .field import BinaryField
 from .poly import BinForm, HomPoly, PolyError, cubic_has_distinct_roots
@@ -242,11 +242,10 @@ def _lines_where(conditions: Sequence[tuple[HomPoly, slice]]) -> list[Line]:
     Each condition is a form with ``_ODD`` or ``_ALL`` selecting the
     coefficients of its restriction that must vanish.  A line with a0 != 0
     is x0 = b*x1 + c*x2, the line (1, b, c), and its selected coefficients
-    are polynomials P_m(b, c) (see ``_coefficients_in_b_c``): at each b of
-    ``_candidate_bs`` the lines are the common roots in c of the P's.  The
-    lines with a0 = 0 are the pencil (0, 1, 0) + t*(0, 0, 1), where the
-    coefficients are polynomials in t, and the line x2 = 0, where they are
-    constants.  Sorted, each line once.
+    are polynomials P_m(b, c) (see ``_coefficients_in_b_c``) whose common
+    zeros ``_affine_zeros`` finds.  The lines with a0 = 0 are the pencil
+    (0, 1, 0) + t*(0, 0, 1), where the coefficients are polynomials in t,
+    and the line x2 = 0, where they are constants.  Sorted, each line once.
     """
     f = conditions[0][0].field
     restricted = lambda a, b: [
@@ -255,16 +254,24 @@ def _lines_where(conditions: Sequence[tuple[HomPoly, slice]]) -> list[Line]:
     found: list[Line] = [] if any(restricted((0, 0, 1), (0, 0, 0))) else [(0, 0, 1)]
     found += [(0, 1, t) for t in common_roots(f, restricted((0, 1, 0), (0, 0, 1)))]
     polys = [p for form, which in conditions for p in _coefficients_in_b_c(form, which)]
-    for b in _candidate_bs(f, polys):
-        found += [(1, b, c) for c in common_roots(f, (_at(f, p, b) for p in polys))]
+    found += [(1, b, c) for b, c in _affine_zeros(f, polys)]
     return found
 
 
+def _affine_zeros(f: BinaryField, polys: list[list[list[int]]]) -> Iterator[tuple[int, int]]:
+    """The (b, c) in GF(q)^2 where every P(b, c) vanishes, ascending and lazily.
+
+    A P is a list over the power of c of polynomials in b, trimmed at both
+    levels.  At each b of ``_candidate_bs`` the c's are the common roots.
+    """
+    return ((b, c) for b in _candidate_bs(f, polys) for c in common_roots(f, (_at(f, p, b) for p in polys)))
+
+
 def _candidate_bs(f: BinaryField, polys: list[list[list[int]]]) -> Sequence[int]:
-    """Ascending b's that include the b of every line (1, b, c) where all the P's vanish.
+    """Ascending b's that include the b of every (b, c) where all the P's vanish.
 
     For two of them R(b) = Res_c(P_i, P_j), with their c-degrees as formal
-    degrees, vanishes at the b of every such line.  By Bezout R has degree
+    degrees, vanishes at the b of every such zero.  By Bezout R has degree
     at most d_i * d_j, with d the total degrees: ``upoly.resultant``
     evaluates it at d_i * d_j + 1 points, Newton interpolation recovers it,
     and one more point re-checks the interpolant, raising on a miss.  The
@@ -320,20 +327,17 @@ def singular_points(g: HomPoly) -> list[Point]:
     """All rational points where the three formal partials vanish.
 
     The chart z = 1 is covered by the vertical lines x0 = x*x2, the pencil
-    (1, 0, 0) + x*(0, 0, 1) through (0, 1, 0).  On the line at x the
-    partials restrict to polynomials in y, each y^m coefficient a
-    polynomial in x evaluated by Horner, and the singular points on it are
-    their common roots in GF(q) (see ``upoly.common_roots``): an x costs a
-    few small gcds, and a root split only where a rational singular point
-    lies.  On the line z = 0 the partials at (x, 1, 0) are polynomials in
-    x, whose common roots are found the same way, and (1, 0, 0) is
-    evaluated directly.  Points come out in chart order: x, then y, then
-    the line at infinity.  An infinite singular locus is an error: all
-    partials identically zero, or more points than the Bezout bound 25 for
-    two quintics without a common component (raised as soon as the 26th
-    point is found, so a rational singular curve costs O(26 q)
-    evaluations).  Only sextics are accepted, since the bound is a sextic
-    fact.
+    (1, 0, 0) + x*(0, 0, 1) through (0, 1, 0).  Restricted to it, the
+    partials are polynomials in (x, y) whose common zeros ``_affine_zeros``
+    finds, as it finds the lines of the scan: at the roots of a resultant in
+    x, or at every x when the partials share a component or k <= 4.  On the
+    line z = 0 the partials at (x, 1, 0) are polynomials in x, whose common
+    roots are found by gcds, and (1, 0, 0) is evaluated directly.  Points
+    come out in chart order: x, then y, then the line at infinity.  An
+    infinite singular locus is an error: all partials identically zero, or
+    more points than the Bezout bound 25 for two quintics without a common
+    component (raised as soon as the 26th point is found).  Only sextics
+    are accepted, since the bound is a sextic fact.
     """
     if g.degree != 6:
         raise SurfaceError(f"singular points are computed for sextics, not for degree {g.degree}")
@@ -341,29 +345,21 @@ def singular_points(g: HomPoly) -> list[Point]:
     parts = [g.partial(v) for v in range(3)]
     if all(p.is_zero() for p in parts):
         raise SurfaceError("all partials vanish identically; singular locus is infinite")
-    out: list[Point] = []
-
-    def found(p: Point) -> None:
-        out.append(p)
-        if len(out) > 25:
-            raise SurfaceError(
-                "more singular points than the Bezout bound 25 for two quintics "
-                "without a common component; this indicates a curve in the singular locus"
-            )
-
-    vertical = [_restrict_to_pencil(p, (1, 0, 0), (0, 0, 1)) for p in parts]
-    for x in range(f.q):
-        in_y = (trim([poly_eval(f, c, x) for c in rows]) for rows in vertical)
-        for y in common_roots(f, in_y):
-            found((x, y, 1))
-    # chart z = 0: on x2 = 0 entry m of a restricted partial is its
-    # coefficient of x0^m x1^(d-m), so the points (x, 1, 0) are the common
-    # roots of the polynomials in x; (1, 0, 0) is evaluated directly
+    # trimmed to the true degree in y, or every formal-degree resultant vanishes
+    vertical = [trim(_restrict_to_pencil(p, (1, 0, 0), (0, 0, 1))) for p in parts]
+    # on x2 = 0 entry m of a restricted partial is its coefficient of x0^m x1^(d-m)
     at_infinity = (_restrict_to_pencil(p, (0, 0, 1), (0, 0, 0)) for p in parts)
-    for x in common_roots(f, (trim([c[0] if c else 0 for c in rows]) for rows in at_infinity)):
-        found((x, 1, 0))
-    if all(part.evaluate((1, 0, 0)) == 0 for part in parts):
-        found((1, 0, 0))
+    points = chain(
+        ((x, y, 1) for x, y in _affine_zeros(f, vertical)),
+        ((x, 1, 0) for x in common_roots(f, (_at(f, rows, 0) for rows in at_infinity))),
+        [(1, 0, 0)] if all(part.evaluate((1, 0, 0)) == 0 for part in parts) else [],
+    )
+    out = list(islice(points, 26))
+    if len(out) > 25:
+        raise SurfaceError(
+            "more singular points than the Bezout bound 25 for two quintics "
+            "without a common component; this indicates a curve in the singular locus"
+        )
     return out
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from operator import add, mul, sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .exact_arith import IntMatrix, hnf_rows, inertia, invert, symmetric_elimination
+from .exact_arith import IntMatrix, hnf_rows, inertia, symmetric_elimination
 from .frozen import Frozen
 from .lattice_core import (
     DiscClass,

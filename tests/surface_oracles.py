@@ -3,15 +3,17 @@
 The full line scan walked every one of the q + 1 pencils through the
 points of x2 = 0, and so did the bound on non-reduced lines; both now read
 one elimination in the dual plane, which walks only the b's a resultant
-selects.  Roots were found by scanning t = 0, 1, 2, ... up to the largest
-one; they are now split by traces.  The resultant that drives the
-elimination is checked against the Sylvester determinant it stands for.
+selects.  Singular points were found one vertical line at a time, at
+every x of GF(q); they now come from the same elimination.  Roots were
+found by scanning t = 0, 1, 2, ... up to the largest one; they are now
+split by traces.  The resultant that drives the elimination is checked
+against the Sylvester determinant it stands for.
 """
 
 import functools
 
 from k3lat.char2_surfaces.surfaces import _restrict_to_pencil, is_splitting, line_poly
-from k3lat.char2_surfaces.upoly import common_roots
+from k3lat.char2_surfaces.upoly import common_roots, poly_eval, trim
 
 
 @functools.cache
@@ -42,6 +44,34 @@ def pencil_walk_lines(g):
 def pencil_walk_scan(g):
     """The full scan as it was: the walk's lines, each with its certificate."""
     return tuple((l, is_splitting(g, line_poly(g.field, l))) for l in pencil_walk_lines(g))
+
+
+@functools.cache
+def per_x_singular_points(g):
+    """The singular points as they were found: one vertical line x0 = x*x2 at a time.
+
+    At every x of GF(q) the partials restricted to the line are polynomials
+    in y, each coefficient a polynomial in x evaluated by Horner, and the
+    points (x, y, 1) are their common roots.  On z = 0 the partials at
+    (x, 1, 0) are polynomials in x, and (1, 0, 0) is evaluated directly.
+    Returns None when all partials vanish and every point otherwise, in
+    chart order and however many: no Bezout bound stops the walk.
+    Memoised per sextic.
+    """
+    f = g.field
+    parts = [g.partial(v) for v in range(3)]
+    if all(p.is_zero() for p in parts):
+        return None
+    vertical = [_restrict_to_pencil(p, (1, 0, 0), (0, 0, 1)) for p in parts]
+    out = []
+    for x in range(f.q):
+        in_y = (trim([poly_eval(f, c, x) for c in rows]) for rows in vertical)
+        out += [(x, y, 1) for y in common_roots(f, in_y)]
+    at_infinity = (_restrict_to_pencil(p, (0, 0, 1), (0, 0, 0)) for p in parts)
+    out += [(x, 1, 0) for x in common_roots(f, (trim([c[0] if c else 0 for c in rows]) for rows in at_infinity))]
+    if all(part.evaluate((1, 0, 0)) == 0 for part in parts):
+        out.append((1, 0, 0))
+    return tuple(out)
 
 
 def sylvester_resultant(f, a, b, da, db):

@@ -8,7 +8,7 @@ import pytest
 from k3lat.char2_surfaces import surfaces
 from k3lat.char2_surfaces.field import BinaryField
 from k3lat.char2_surfaces.poly import HomPoly
-from k3lat.char2_surfaces.recognize import RecognitionError, apply_frame, normal_form_sextic
+from k3lat.char2_surfaces.recognize import RecognitionError, apply_frame, normal_form_sextic, recognize_surface
 from k3lat.char2_surfaces.upoly import trim
 from k3lat.char2_surfaces.surfaces import (
     SurfaceError,
@@ -30,7 +30,7 @@ from k3lat.char2_surfaces.surfaces import (
     table_points,
     verify_configuration,
 )
-from surface_oracles import pencil_walk_lines, pencil_walk_scan
+from surface_oracles import pencil_walk_lines, pencil_walk_scan, per_x_singular_points
 from test_char2_poly import compose_onto_line, multiplicity_at
 
 
@@ -431,7 +431,8 @@ def _conjugate_lines_sextic(f, quadric_terms):
     The partials share the factor N^2, so every vertical line x0 = x meets
     the singular locus, but the only rational point of N = 0 is (0:0:1).
     """
-    c = next(c for c in range(1, f.q) if all(f.sqr(u) ^ u ^ c for u in range(f.q)))
+    artin_schreier = {f.sqr(u) ^ u for u in range(f.q)}
+    c = next(c for c in range(1, f.q) if c not in artin_schreier)
     n = HomPoly(f, 2, {(2, 0, 0): 1, (1, 1, 0): 1, (0, 2, 0): c})
     return n.square() * HomPoly(f, 2, quadric_terms)
 
@@ -497,6 +498,67 @@ def test_singular_curve_without_rational_points_is_not_scanned():
     # linear forms dH/dx_i meet (for a quadric in characteristic 2 they do)
     nucleus = intersect_lines(f, (0, a01, a02), (a01, 0, a12))
     assert pts == sorted({(0, 0, 1), nucleus}, key=lambda p: (-p[2], p))
+
+
+# ---------------------------------------------------------------------------
+# singular points by elimination against the walk over every x
+# ---------------------------------------------------------------------------
+
+_FRAME = ((1, 0x5A, 3), (7, 1, 0x9C), (0x21, 0x400, 1))
+
+
+def _candidate_xs(g):
+    """The x's of the points (x, y, 1) that the elimination walks for the singular points of g."""
+    vertical = [trim(surfaces._restrict_to_pencil(g.partial(v), (1, 0, 0), (0, 0, 1))) for v in range(3)]
+    return surfaces._candidate_bs(g.field, vertical)
+
+
+def test_singular_points_match_the_per_x_walk_k12():
+    f = BinaryField(12, 0x1053)
+    seeded = _seeded_sextics(f, random.Random("per-x/12"))
+    # family members, sparse and dense kinds, and the kind singular on z = 0
+    # only; N^2 * H is pinned by its own test, and a square factor puts
+    # 4097 points into the walk
+    cases = seeded[:10] + seeded[-1:] + [apply_frame(normal_form_sextic(f, 0x123), _FRAME)]
+    finite = 0
+    for g in cases:
+        expected = per_x_singular_points(g)
+        if expected is None or len(expected) > 25:
+            with pytest.raises(SurfaceError):
+                singular_points(g)
+        else:
+            assert singular_points(g) == list(expected)
+            finite += 1
+    assert finite >= 10
+
+
+def test_singular_points_eliminate_before_they_walk():
+    f = BinaryField(8)
+    rng = random.Random("candidate-xs")
+    members = [schroeer_sextic(f, rng.randrange(1, f.q), rng.randrange(1, f.q)) for _ in range(4)]
+    members += [schroeer_sextic(f, 0, 7), schroeer_sextic(f, 7, 0)]
+    # a resultant of two quintics has at most 25 roots
+    assert all(len(_candidate_xs(g)) <= 25 for g in members)
+    f12 = BinaryField(12, 0x1053)
+    assert len(_candidate_xs(apply_frame(normal_form_sextic(f12, 0x123), _FRAME))) <= 25
+    # the partials of N^2 * H share N: every resultant is zero and every x is walked
+    g = _conjugate_lines_sextic(f12, {(1, 1, 0): 1, (1, 0, 1): 0x234, (0, 1, 1): 1})
+    assert list(_candidate_xs(g)) == list(range(f12.q))
+
+
+@pytest.mark.parametrize("framed", [False, True], ids=["member", "framed"])
+def test_singular_points_k16_budget(gf65536, framed):
+    f = gf65536
+    g = apply_frame(normal_form_sextic(f, 0x123), _FRAME) if framed else schroeer_sextic(f, 3, 5)
+    start = time.perf_counter()
+    pts = singular_points(g)
+    # the walk over every x took about 1.2 s on the member and 2.8 s framed
+    assert time.perf_counter() - start <= 0.1
+    assert len(pts) == 9
+    if framed:
+        assert recognize_surface(g).t == 0x123
+    else:
+        assert set(pts) == set(table_points(f, 3, 5).values())
 
 
 def test_pencil_restriction_specializes_to_each_line(gf16):
