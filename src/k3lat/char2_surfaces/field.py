@@ -129,9 +129,6 @@ class BinaryField:
             raise FieldError(f"element {a} out of range for GF(2^{self.k})")
         return a
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0

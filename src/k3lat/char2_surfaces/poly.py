@@ -225,8 +225,12 @@ class HomPoly:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "HomPoly":
-        """Inverse of ``to_json_obj``; a non-int degree or exponent, or a repeated triple, raises."""
-        fld = BinaryField(obj["field"]["k"], int(obj["field"]["modulus_bits"], 2))
+        """Inverse of ``to_json_obj``; a non-int field degree, degree or exponent,
+        or a repeated triple, raises."""
+        k = obj["field"]["k"]
+        if type(k) is not int:
+            raise PolyError(f"field degree {k!r} is not an integer")
+        fld = BinaryField(k, int(obj["field"]["modulus_bits"], 2))
         degree = obj["degree"]
         if type(degree) is not int:
             raise PolyError(f"degree {degree!r} is not an integer")

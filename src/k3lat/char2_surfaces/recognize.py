@@ -22,6 +22,7 @@ from .surfaces import (
     Line,
     Point,
     analyze_singularities,
+    cross,
     intersect_lines,
     normalize_point,
     point_on_line,
@@ -71,20 +72,15 @@ def _mat_vec(field: BinaryField, a, v):
 
 
 def _mat_inv(field: BinaryField, a):
-    m = field.mul
-    cof = [
-        [
-            m(a[(i + 1) % 3][(j + 1) % 3], a[(i + 2) % 3][(j + 2) % 3])
-            ^ m(a[(i + 1) % 3][(j + 2) % 3], a[(i + 2) % 3][(j + 1) % 3])
-            for i in range(3)
-        ]
-        for j in range(3)
-    ]
-    det = m(a[0][0], cof[0][0]) ^ m(a[1][0], cof[0][1]) ^ m(a[2][0], cof[0][2])
+    # with columns c0, c1, c2 the rows of the inverse are c1 x c2, c2 x c0
+    # and c0 x c1 over det = c0 . (c1 x c2)
+    c0, c1, c2 = zip(*a)
+    rows = (cross(field, c1, c2), cross(field, c2, c0), cross(field, c0, c1))
+    det = field.mul(c0[0], rows[0][0]) ^ field.mul(c0[1], rows[0][1]) ^ field.mul(c0[2], rows[0][2])
     if det == 0:
         raise RecognitionError("singular projective transformation")
     dinv = field.inv(det)
-    return tuple(tuple(m(dinv, cof[i][j]) for j in range(3)) for i in range(3))
+    return tuple(tuple(field.mul(dinv, c) for c in row) for row in rows)
 
 
 def normalize_frame(
@@ -136,24 +132,18 @@ def apply_frame(g: HomPoly, frame) -> HomPoly:
 # deterministic labeling of a configuration
 # ---------------------------------------------------------------------------
 
-class LabeledConfiguration(NamedTuple):
-    points: dict[str, Point]
-    lines: dict[str, Line]
-    extra_lines: tuple[Line, ...]
-
-
 def label_configuration(
     field: BinaryField,
     d4_points: list[Point],
     a1_points: list[Point],
     splitting: list[Line],
-) -> LabeledConfiguration:
-    """Assign the standard labels to a nine-point five-line configuration.
+) -> dict[str, Point]:
+    """The standard labels of the nine points of a five-line configuration.
 
     Ties (which A1 anchor plays the unit role, which line through an anchor
     comes first) are broken by coordinate order, so an already-normalized
-    configuration receives the identity labeling.  A sixth splitting line
-    joining two D4 points is set aside as extra.
+    configuration receives the identity labeling.  Side lines through the
+    other A1 points (the two diagonals on the cube locus) are not used.
     """
     if len(d4_points) != 4 or len(a1_points) != 5:
         raise RecognitionError("labeling needs 4 D4 and 5 A1 points")
@@ -178,9 +168,6 @@ def label_configuration(
     if len(doubles) not in (2, 3):
         raise RecognitionError("expected two or three A1 points on two side lines each")
     q_inf, q_zero = doubles[0], doubles[1]
-    extra = tuple(
-        l for p, ls in by_a1.items() if p not in (q_inf, q_zero) for l in ls
-    )
     l0, l1 = sorted(by_a1[q_inf])
     m0, m1 = sorted(by_a1[q_zero])
     p00 = intersect_lines(field, l0, m0)
@@ -191,7 +178,7 @@ def label_configuration(
         raise RecognitionError("side-line intersections do not match the D4 points")
     q_rest = sorted(p for p in a1_points if p not in (q_inf, q_zero))
     q_one = q_rest[0]
-    points = {
+    return {
         "q(inf)": q_inf,
         "q(0)": q_zero,
         "q(1)": q_one,
@@ -202,8 +189,6 @@ def label_configuration(
         "p(10)": p10,
         "p(11)": p11,
     }
-    lines = {"L(inf)": a1_line, "L(0*)": l0, "L(1*)": l1, "L(*0)": m0, "L(*1)": m1}
-    return LabeledConfiguration(points=points, lines=lines, extra_lines=extra)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +249,6 @@ def recognize_normal_form(g: HomPoly, frame) -> int:
 
 class RecognitionResult(NamedTuple):
     t: int
-    config: LabeledConfiguration
-    frame: tuple
     t_from_points: int
 
 
@@ -284,8 +267,7 @@ def recognize_surface(g: HomPoly) -> RecognitionResult:
     a1 = report.of_type("A1")
     if len(d4) != 4 or len(a1) != 5 or len(report.points) != 9:
         raise RecognitionError("surface does not carry the nine-point configuration")
-    config = label_configuration(f, d4, a1, [l for l, _ in scan_splitting_lines(g)])
-    pts = config.points
+    pts = label_configuration(f, d4, a1, [l for l, _ in scan_splitting_lines(g)])
     frame = normalize_frame(
         f, pts["q(inf)"], pts["q(1)"], pts["q(0)"], pts["p(00)"], pts["p(10)"]
     )
@@ -299,4 +281,4 @@ def recognize_surface(g: HomPoly) -> RecognitionResult:
     t = recognize_normal_form(g, frame)
     if t != t_points:
         raise RecognitionError("coefficient parameter disagrees with the anchor position")
-    return RecognitionResult(t=t, config=config, frame=frame, t_from_points=t_points)
+    return RecognitionResult(t=t, t_from_points=t_points)

@@ -56,26 +56,26 @@ def point_on_line(field: BinaryField, p: Point, l: Line) -> bool:
     return acc == 0
 
 
-def line_through(field: BinaryField, p: Point, r: Point) -> Line:
-    """The line through two distinct points (projective cross product)."""
+def cross(field: BinaryField, a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int]:
+    """The cross product a x b: the line through two points, or the point on two lines."""
     m = field.mul
-    l = (
-        m(p[1], r[2]) ^ m(p[2], r[1]),
-        m(p[2], r[0]) ^ m(p[0], r[2]),
-        m(p[0], r[1]) ^ m(p[1], r[0]),
+    return (
+        m(a[1], b[2]) ^ m(a[2], b[1]),
+        m(a[2], b[0]) ^ m(a[0], b[2]),
+        m(a[0], b[1]) ^ m(a[1], b[0]),
     )
+
+
+def line_through(field: BinaryField, p: Point, r: Point) -> Line:
+    """The line through two distinct points."""
+    l = cross(field, p, r)
     if not any(l):
         raise SurfaceError("points coincide; no unique line")
     return normalize_line(field, l)
 
 
 def intersect_lines(field: BinaryField, l1: Line, l2: Line) -> Point:
-    m = field.mul
-    p = (
-        m(l1[1], l2[2]) ^ m(l1[2], l2[1]),
-        m(l1[2], l2[0]) ^ m(l1[0], l2[2]),
-        m(l1[0], l2[1]) ^ m(l1[1], l2[0]),
-    )
+    p = cross(field, l1, l2)
     if not any(p):
         raise SurfaceError("lines coincide; no unique intersection")
     return normalize_point(field, p)
@@ -208,10 +208,6 @@ def is_splitting(g: HomPoly, ell: HomPoly) -> SplittingCertificate | None:
     return cert
 
 
-def line_poly(field: BinaryField, l: Line) -> HomPoly:
-    return HomPoly.linear(field, l)
-
-
 def scan_splitting_lines(g: HomPoly) -> list[tuple[Line, SplittingCertificate]]:
     """Every rational line whose restriction is a square, with certificates.
 
@@ -225,7 +221,7 @@ def scan_splitting_lines(g: HomPoly) -> list[tuple[Line, SplittingCertificate]]:
         return []
     out = []
     for l in _lines_where([(g, _ODD)]):
-        cert = is_splitting(g, line_poly(f, l))
+        cert = is_splitting(g, HomPoly.linear(f, l))
         if cert is None:
             raise SurfaceError(f"line {l} solves the elimination but does not split")
         out.append((l, cert))
@@ -379,13 +375,9 @@ def _local_expansion(g: HomPoly, p: Point) -> dict[tuple[int, int], int]:
         eu, ev = exp[kept[0]], exp[kept[1]]
         # binomial expansion of (u + a)^eu (v + b)^ev with char-2 binomials
         a, b = pn[kept[0]], pn[kept[1]]
-        for i in range(eu + 1):
-            if (eu - i) & i:
-                continue
+        for i in _odd_binomials(eu):
             ca = f.mul(c, f.pow(a, eu - i))
-            for j in range(ev + 1):
-                if (ev - j) & j:
-                    continue
+            for j in _odd_binomials(ev):
                 cb = f.mul(ca, f.pow(b, ev - j))
                 if cb:
                     key = (i, j)
@@ -600,7 +592,7 @@ def nonreduced_splitting_lines_separable(c: HomPoly, g: HomPoly) -> list[Line]:
     f = c.field
     out = _lines_where([(c, _ALL), (g, _ODD)])
     for l in out:
-        if not linear_divides(line_poly(f, l), c):
+        if not linear_divides(HomPoly.linear(f, l), c):
             raise SurfaceError("non-reduced line does not divide the separable term")
     if len(out) > 3:
         raise SurfaceError("more non-reduced lines than deg C = 3")

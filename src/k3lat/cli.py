@@ -15,21 +15,22 @@ import sys
 import time
 from fractions import Fraction
 
-from . import ns_glue
-from .char2_surfaces import (
-    BinaryField,
-    HomPoly,
-    recognize_surface,
+from .char2_surfaces.field import BinaryField
+from .char2_surfaces.poly import HomPoly
+from .char2_surfaces.recognize import recognize_surface
+from .char2_surfaces.surfaces import (
+    is_splitting,
+    line_through,
     schroeer_sextic,
+    table_points,
     verify_configuration,
 )
-from .char2_surfaces.surfaces import line_through, line_poly, is_splitting, table_points
 from .lattice_core import discriminant_group, is_even, is_p_elementary, lattice_A1, lattice_D4
 from .root_systems import bounded_class_minimizers
 from .ns_glue import (
     EXTRA_GLUE_CHOICES,
     L_LABELS,
-    OverlatticeSpec,
+    GlueVector,
     artin_invariant,
     build_lambda,
     build_overlattice,
@@ -97,7 +98,7 @@ def cmd_lattice(args, checks: Checks) -> None:
         bad = glue[1].vector
         coords = list(bad.coords)
         coords[3] += Fraction(1, 2)
-        glue[1] = ns_glue.GlueVector(glue[1].name, ls.lattice.vector(coords))
+        glue[1] = GlueVector(glue[1].name, ls.lattice.vector(coords))
 
     def independence():
         for gv in glue:
@@ -117,7 +118,7 @@ def cmd_lattice(args, checks: Checks) -> None:
     ns_holder = {}
 
     def overlattice():
-        ns = build_overlattice(OverlatticeSpec(ls, tuple(glue)))
+        ns = build_overlattice(ls, tuple(glue))
         ns_holder["ns"] = ns
         sigma = artin_invariant(ns.lattice, 2)
         witness = {
@@ -142,7 +143,7 @@ def cmd_lattice(args, checks: Checks) -> None:
     if args.with_extra_glue:
         def overlattice_extra():
             extra = extra_glue_class(ls, args.with_extra_glue)
-            ns1 = build_overlattice(OverlatticeSpec(ls, tuple(glue) + (extra,)))
+            ns1 = build_overlattice(ls, tuple(glue) + (extra,))
             sigma = artin_invariant(ns1.lattice, 2)
             witness = {"index": ns1.index, "det": str(ns1.lattice.det()), "sigma": sigma}
             return ns1.index == 64 and ns1.lattice.det() == -4 and sigma == 1, witness
@@ -267,10 +268,11 @@ def _surface_case(field: BinaryField, r: int, s: int) -> tuple[bool, dict]:
 
 def _read_sextic(path: str) -> HomPoly:
     """The sextic in the --recognize file; anything unreadable or of another degree is a usage error."""
+    # json raises RecursionError on a deeply nested file
     try:
         with open(path, "r", encoding="utf-8") as fh:
             g = HomPoly.from_json(fh.read())
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise UsageError(f"--recognize {path}: {type(exc).__name__}: {exc}")
     if g.degree != 6:
         raise UsageError(f"--recognize {path}: degree {g.degree}, but only sextics are recognized")
@@ -344,7 +346,7 @@ def cmd_surface(args, g: HomPoly | None, family, checks: Checks) -> None:
         for r, s in pairs:
             g = schroeer_sextic(field, r, s)
             l = line_through(field, (0, 0, 1), (r, s, 1))
-            splits = is_splitting(g, line_poly(field, l)) is not None
+            splits = is_splitting(g, HomPoly.linear(field, l)) is not None
             expected = field.pow(r, 3) == field.pow(s, 3)
             seen.append(
                 {"r": format(r, "x"), "s": format(s, "x"), "splits": splits, "cube": expected}

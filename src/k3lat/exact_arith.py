@@ -45,9 +45,6 @@ class IntMatrix(Frozen):
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        return self.entries[ij[0]][ij[1]]
-
     @staticmethod
     def identity(n: int) -> "IntMatrix":
         return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])

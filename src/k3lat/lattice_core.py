@@ -33,8 +33,8 @@ class LatticeError(ValueError):
 
 
 class Lattice(Frozen):
-    # _det is set by the constructor, _inertia and _dual_basis on first use
-    __slots__ = ("gram", "labels", "_det", "_inertia", "_dual_basis")
+    # _det is set by the constructor, _dual_basis on first use
+    __slots__ = ("gram", "labels", "_det", "_dual_basis")
     gram: IntMatrix
     labels: tuple[str, ...]
 
@@ -62,12 +62,8 @@ class Lattice(Frozen):
         return self._det
 
     def inertia(self) -> tuple[int, int, int]:
-        """Signature counts of the Gram, computed once per lattice."""
-        cached = getattr(self, "_inertia", None)
-        if cached is None:
-            cached = inertia(self.gram)
-            object.__setattr__(self, "_inertia", cached)
-        return cached
+        """Signature counts of the Gram, read off the elimination kept on it."""
+        return inertia(self.gram)
 
     def is_negative_definite(self) -> bool:
         return self.inertia() == (0, self.rank, 0)
@@ -285,21 +281,21 @@ class DiscClass(Frozen):
         return hash((self.group.lattice, self.component))
 
 
-_DISC_CACHE: dict[tuple, DiscriminantGroup] = {}
-
-
 def discriminant_group(lattice: Lattice) -> DiscriminantGroup:
     """Invariant factors and generating dual vectors of the discriminant group.
 
     With U*G*V = S, the class of a dual vector v is U*(G v) reduced modulo
     the invariant factors, and the generator for factor d_i > 1 is the
     column of G^{-1} U^{-1} = V S^{-1} at position i, i.e. column i of V
-    over d_i.  Results are memoized per Gram matrix and label tuple.
+    over d_i.  Results are memoized per lattice; equal lattices share one.
     """
-    key = (lattice.gram.entries, lattice.labels)
-    cached = _DISC_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _discriminant_group(lattice)
+
+
+# the memo sits behind a plain function, as _class_search does, so the
+# per-layer tracer, which wraps plain functions only, still sees every call
+@functools.cache
+def _discriminant_group(lattice: Lattice) -> DiscriminantGroup:
     g = lattice.gram
     r = snf(g)
     factors = r.invariant_factors
@@ -314,7 +310,6 @@ def discriminant_group(lattice: Lattice) -> DiscriminantGroup:
     for gen in gens:
         if not gen.is_dual_vector():
             raise LatticeError("discriminant generator does not pair integrally")
-    _DISC_CACHE[key] = grp
     return grp
 
 
@@ -330,7 +325,6 @@ class Sublattice(NamedTuple):
     """
 
     lattice: Lattice
-    ambient: Lattice
     basis_in_ambient: IntMatrix
 
 
@@ -346,4 +340,4 @@ def orthogonal_complement(lattice: Lattice, v: DualVector) -> Sublattice:
     b = IntMatrix(basis)
     gram = b.mul(lattice.gram).mul(b.transpose())
     labels = tuple(f"c{i}" for i in range(len(basis)))
-    return Sublattice(Lattice(gram, labels), lattice, b)
+    return Sublattice(Lattice(gram, labels), b)

@@ -166,15 +166,10 @@ def extra_glue_class(ls: LabeledSum, c: str) -> GlueVector:
 # overlattices
 # ---------------------------------------------------------------------------
 
-class OverlatticeSpec(NamedTuple):
-    base: LabeledSum
-    glue: tuple[GlueVector, ...]
-
-
 class OverlatticeResult(Frozen):
     # a class, not a NamedTuple: the field index would shadow tuple.index
-    __slots__ = ("spec", "lattice", "basis_num", "basis_den", "base_in_result", "index")
-    spec: OverlatticeSpec
+    __slots__ = ("base", "lattice", "basis_num", "basis_den", "base_in_result", "index")
+    base: LabeledSum
     lattice: Lattice
     basis_num: IntMatrix  # rows over basis_den: new basis in base coordinates
     basis_den: int
@@ -223,38 +218,37 @@ def _f2_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def build_overlattice(spec: OverlatticeSpec) -> OverlatticeResult:
+def build_overlattice(base: LabeledSum, glue: Sequence[GlueVector]) -> OverlatticeResult:
     """Saturate the base plus glue into an integral even overlattice.
 
     Glue vectors must pair integrally with the base and each other and have
     even norms; the index equals 2 to the F2-rank of the glue classes and
     the determinant shrinks by the square of the index.
     """
-    ls = spec.base
-    base = ls.lattice
-    n = base.rank
-    for gv in spec.glue:
+    lattice = base.lattice
+    n = lattice.rank
+    for gv in glue:
         if not gv.vector.is_dual_vector():
             raise GlueError(f"glue vector {gv.name} does not pair integrally with the base")
         norm = gv.vector.norm()
         if norm.denominator != 1 or int(norm) % 2 != 0:
             raise GlueError(f"glue vector {gv.name} has non-even norm {norm}")
-    for i, a in enumerate(spec.glue):
-        for b in spec.glue[i + 1 :]:
+    for i, a in enumerate(glue):
+        for b in glue[i + 1 :]:
             p = pairing(a.vector, b.vector)
             if p.denominator != 1:
                 raise GlueError(f"glue vectors {a.name}, {b.name} pair non-integrally")
 
     # integer generators over one common denominator: denom*I and denom*glue
-    denom = math.lcm(*(gv.vector.den for gv in spec.glue))
+    denom = math.lcm(*(gv.vector.den for gv in glue))
     gen_rows = [[denom if i == j else 0 for j in range(n)] for i in range(n)]
-    gen_rows += [[c * (denom // gv.vector.den) for c in gv.vector.num] for gv in spec.glue]
+    gen_rows += [[c * (denom // gv.vector.den) for c in gv.vector.num] for gv in glue]
     b = IntMatrix(hnf_rows(IntMatrix(gen_rows)))
     if b.rows != n:
         raise GlueError("overlattice basis has wrong rank")
 
     # the form on basis/denom is b G b^T / denom^2
-    scaled = b.mul(base.gram).mul(b.transpose())
+    scaled = b.mul(lattice.gram).mul(b.transpose())
     if any(x % (denom * denom) for row in scaled.entries for x in row):
         raise GlueError("overlattice form is not integral")
     gram = IntMatrix([[x // (denom * denom) for x in row] for row in scaled.entries])
@@ -268,16 +262,16 @@ def build_overlattice(spec: OverlatticeSpec) -> OverlatticeResult:
         raise GlueError("base vector escapes the overlattice")
     base_in_result = [[c * denom // inv_den for c in row] for row in inv_num.entries]
 
-    d_base = base.det()
+    d_base = lattice.det()
     d_new = lat.det()
     if d_base % d_new != 0:
         raise GlueError("determinant drop is not integral")
     ratio = d_base // d_new
-    _, glue_rank = independence_check(ls, spec.glue)
+    _, glue_rank = independence_check(base, glue)
     index = 2**glue_rank
     if ratio != index * index:
         raise GlueError("index does not match the F2-rank of the glue classes")
-    return OverlatticeResult(spec, lat, b, denom, IntMatrix(base_in_result), index)
+    return OverlatticeResult(base, lat, b, denom, IntMatrix(base_in_result), index)
 
 
 def artin_invariant(lattice: Lattice, p: int) -> int:
@@ -313,7 +307,7 @@ def canonical_positivity(ns: OverlatticeResult, comp: Sublattice) -> PositivityF
     positive; the form on the sublattice basis is that 0/1 pairing vector
     pushed through the two embeddings.
     """
-    w_pairings = [0 if s.kind == "H" else 1 for s in ns.spec.base.summands for _ in range(s.rank)]
+    w_pairings = [0 if s.kind == "H" else 1 for s in ns.base.summands for _ in range(s.rank)]
     form = comp.basis_in_ambient.mul_vec(ns.basis_num.mul_vec(w_pairings))
     return PositivityFunctional(comp.lattice, tuple(form), ns.basis_den)
 

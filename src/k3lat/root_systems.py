@@ -153,7 +153,6 @@ class RootComponent(NamedTuple):
     lattice: Lattice
     roots: tuple[tuple[int, ...], ...]
     basis: tuple[tuple[int, ...], ...]
-    gram: IntMatrix
 
     @property
     def rank(self) -> int:
@@ -213,15 +212,12 @@ def _pairing_components(
 
 def irreducible_decomposition(root_set: RootSet) -> list[RootComponent]:
     """Connected components of the graph on roots with edges where the pairing is nonzero."""
-    gram = root_set.lattice.gram
     roots = root_set.roots
     comps = []
     for indices in _pairing_components(roots, root_set.gram_images()):
         members = sorted(roots[i] for i in indices)
         basis = hnf_rows(IntMatrix(members))
-        b = IntMatrix(basis)
-        sub_gram = b.mul(gram).mul(b.transpose())
-        comps.append(RootComponent(root_set.lattice, tuple(members), tuple(basis), sub_gram))
+        comps.append(RootComponent(root_set.lattice, tuple(members), tuple(basis)))
     comps.sort(key=lambda c: c.roots[0])
     return comps
 
@@ -443,9 +439,7 @@ class ClassNormSearch(NamedTuple):
     rep + x in the box satisfying those constraints, by decreasing norm.
     """
 
-    lattice: Lattice
     rep: DualVector
-    box: int
     max_norm: Fraction
     maximizers: tuple[DualVector, ...]
     runner_up: Fraction | None
@@ -625,9 +619,7 @@ def _class_search(lattice: Lattice, cls: DiscClass, box: int) -> ClassNormSearch
     if outside > max_norm:
         raise RootSystemError("sufficiency certificate does not cover the box")
     return ClassNormSearch(
-        lattice=lattice,
         rep=rep,
-        box=box,
         max_norm=max_norm,
         maximizers=maximizers,
         runner_up=runner_up,

@@ -12,7 +12,8 @@ against the Sylvester determinant it stands for.
 
 import functools
 
-from k3lat.char2_surfaces.surfaces import _restrict_to_pencil, is_splitting, line_poly
+from k3lat.char2_surfaces.poly import HomPoly
+from k3lat.char2_surfaces.surfaces import _restrict_to_pencil, is_splitting
 from k3lat.char2_surfaces.upoly import common_roots, poly_eval, trim
 
 
@@ -43,7 +44,7 @@ def pencil_walk_lines(g):
 @functools.cache
 def pencil_walk_scan(g):
     """The full scan as it was: the walk's lines, each with its certificate."""
-    return tuple((l, is_splitting(g, line_poly(g.field, l))) for l in pencil_walk_lines(g))
+    return tuple((l, is_splitting(g, HomPoly.linear(g.field, l))) for l in pencil_walk_lines(g))
 
 
 @functools.cache

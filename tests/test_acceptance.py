@@ -23,7 +23,6 @@ from k3lat.root_systems import (
 )
 from k3lat.ns_glue import (
     L_LABELS,
-    OverlatticeSpec,
     artin_invariant,
     build_lambda,
     build_overlattice,
@@ -43,7 +42,6 @@ from k3lat.char2_surfaces.recognize import (
 from k3lat.char2_surfaces.surfaces import (
     analyze_singularities,
     is_splitting,
-    line_poly,
     line_through,
     nonreduced_splitting_lines_separable,
     point_on_line,
@@ -75,7 +73,7 @@ def lambda_sum():
 @pytest.fixture(scope="module")
 def ns_sigma2(lambda_sum):
     glue = tuple(halfline_class(lambda_sum, lam) for lam in L_LABELS)
-    return build_overlattice(OverlatticeSpec(lambda_sum, glue))
+    return build_overlattice(lambda_sum, glue)
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +171,7 @@ def test_criterion_04_overlattice_arithmetic(lambda_sum, ns_sigma2):
         assert artin_invariant(ns_sigma2.lattice, 2) == 2
 
         extra = extra_glue_class(lambda_sum, "w")
-        ns1 = build_overlattice(OverlatticeSpec(lambda_sum, tuple(glue) + (extra,)))
+        ns1 = build_overlattice(lambda_sum, tuple(glue) + (extra,))
         assert ns1.lattice.det() == -(2**2)
         assert artin_invariant(ns1.lattice, 2) == 1
 
@@ -224,7 +222,7 @@ def test_criterion_07_surface_samples(gf256):
             assert len(report.of_type("A1")) == 5
             assert report.total_milnor == 21
             for name, l in table_lines(f, r, s).items():
-                cert = is_splitting(g, line_poly(f, l))
+                cert = is_splitting(g, HomPoly.linear(f, l))
                 assert cert is not None, name
                 assert (cert.line * cert.quintic) + cert.cubic.square() == g
 
@@ -236,7 +234,7 @@ def test_criterion_08_dichotomy_exhaustive(gf16):
             for s in range(1, f.q):
                 g = schroeer_sextic(f, r, s)
                 m = line_through(f, (0, 0, 1), (r, s, 1))
-                splits = is_splitting(g, line_poly(f, m)) is not None
+                splits = is_splitting(g, HomPoly.linear(f, m)) is not None
                 assert splits == (f.pow(r, 3) == f.pow(s, 3)), (r, s)
 
 
@@ -283,7 +281,7 @@ def test_criterion_09_recognition_roundtrip(gf256):
         assert {p for p, _ in report.points} == set(table_points(f, t, 1).values())
         assert report.total_milnor == 21
         for name, l in table_lines(f, t, 1).items():
-            cert = is_splitting(gt1, line_poly(f, l))
+            cert = is_splitting(gt1, HomPoly.linear(f, l))
             assert cert is not None and cert.verify(gt1)
         assert _config_profile(f, g1s) == _config_profile(f, gt1)
 

@@ -6,7 +6,6 @@ import pytest
 from k3lat.char2_surfaces.field import BinaryField
 from k3lat.char2_surfaces.poly import BinForm, HomPoly, PolyError, cubic_has_distinct_roots
 from k3lat.char2_surfaces.surfaces import (
-    line_poly,
     restrict_to_line,
     schroeer_sextic,
 )
@@ -114,17 +113,17 @@ def test_is_square_examples(gf16):
 def test_restriction_kills_multiples(gf16):
     # the family sextic has x2 as a factor, so restricting to x2 = 0 gives zero
     g = schroeer_sextic(gf16, 1, 2)
-    ell = line_poly(gf16, (0, 0, 1))
+    ell = HomPoly.linear(gf16, (0, 0, 1))
     assert restrict_to_line(g, ell).is_zero()
     # same for x0 = 0
-    assert restrict_to_line(g, line_poly(gf16, (1, 0, 0))).is_zero()
+    assert restrict_to_line(g, HomPoly.linear(gf16, (1, 0, 0))).is_zero()
 
 
 def test_restriction_fork_line_both_parametrizations(gf16):
     f = gf16
     r, s = 3, 7
     g = schroeer_sextic(f, r, s)
-    ell = line_poly(f, (1, 0, r))  # x0 + r*x2 = 0
+    ell = HomPoly.linear(f, (1, 0, r))  # x0 + r*x2 = 0
 
     # canonical: eliminate x2 = x0/r, kept variables (x0, x1)
     rho = restrict_to_line(g, ell)
@@ -149,7 +148,7 @@ def test_restriction_diagonal_not_square(gf16):
     f = gf16
     s = 2  # outside GF(2)
     g = schroeer_sextic(f, 1, s)
-    rho = restrict_to_line(g, line_poly(f, (1, 1, 0)))
+    rho = restrict_to_line(g, HomPoly.linear(f, (1, 1, 0)))
     # (1 + s^2) u^3 v^3 in the kept variables (x0, x2)
     assert rho.kept == (0, 2)
     assert rho.coeff(3) == 1 ^ f.sqr(s)
@@ -187,13 +186,13 @@ def test_restriction_matches_composition_oracle(gf16):
                 continue
             e = max(v for v in range(3) if l[v])
             normalized = tuple(f.mul(f.inv(l[e]), c) for c in l)
-            rho = restrict_to_line(g, line_poly(f, l))
+            rho = restrict_to_line(g, HomPoly.linear(f, l))
             assert (rho.coeffs, rho.kept) == compose_onto_line(g, normalized, e)
 
 
 def test_restriction_degree(gf16):
     g = schroeer_sextic(gf16, 1, 2)
-    rho = restrict_to_line(g, line_poly(gf16, (1, 2, 3)))
+    rho = restrict_to_line(g, HomPoly.linear(gf16, (1, 2, 3)))
     assert rho.degree == 6
 
 
@@ -221,7 +220,7 @@ def test_divide_by_linear_roundtrip(gf16):
 
 def test_divide_by_linear_rejects_nondivisor(gf16):
     g = HomPoly.monomial(gf16, (6, 0, 0))
-    ell = line_poly(gf16, (0, 1, 0))
+    ell = HomPoly.linear(gf16, (0, 1, 0))
     with pytest.raises(PolyError):
         g.divide_by_linear(ell)
 

@@ -16,7 +16,6 @@ from k3lat.char2_surfaces.surfaces import (
     classify_singularity,
     intersect_lines,
     is_splitting,
-    line_poly,
     line_through,
     nonreduced_splitting_lines_separable,
     normalize_line,
@@ -149,7 +148,7 @@ def test_five_standard_lines_split_with_certificates(gf16):
     r, s = 1, f.generator
     g = schroeer_sextic(f, r, s)
     for name, l in table_lines(f, r, s).items():
-        cert = is_splitting(g, line_poly(f, l))
+        cert = is_splitting(g, HomPoly.linear(f, l))
         assert cert is not None, name
         assert cert.verify(g)
 
@@ -163,7 +162,7 @@ def test_fork_line_certificate_shape(gf16):
     gamma = HomPoly(
         f, 3, {(0, 2, 1): sqrt_r, (0, 1, 2): f.mul(sqrt_r, s)}
     )
-    ell = line_poly(f, (1, 0, r))
+    ell = HomPoly.linear(f, (1, 0, r))
     quintic = (g + gamma.square()).divide_by_linear(ell)
     assert (ell * quintic) + gamma.square() == g
     # the canonical certificate differs but also verifies
@@ -175,7 +174,7 @@ def test_diagonal_line_does_not_split(gf16):
     f = gf16
     s = f.generator
     g = schroeer_sextic(f, 1, s)
-    assert is_splitting(g, line_poly(f, (1, 1, 0))) is None
+    assert is_splitting(g, HomPoly.linear(f, (1, 1, 0))) is None
 
 
 def test_full_configuration_gf16(gf16):
@@ -206,7 +205,7 @@ def test_extra_line_when_cubes_match(gf16):
     s = f.mul(w, r)  # r^3 = s^3 with r != s
     g = schroeer_sextic(f, r, s)
     m = line_through(f, (0, 0, 1), (r, s, 1))
-    cert = is_splitting(g, line_poly(f, m))
+    cert = is_splitting(g, HomPoly.linear(f, m))
     assert cert is not None and cert.verify(g)
     conf = verify_configuration(g, r=r, s=s)
     # the five standard lines plus both diagonals of the fork points
@@ -228,7 +227,7 @@ def test_dichotomy_sampled_pairs(gf16):
     for r, s in cases:
         g = schroeer_sextic(f, r, s)
         m = line_through(f, (0, 0, 1), (r, s, 1))
-        splits = is_splitting(g, line_poly(f, m)) is not None
+        splits = is_splitting(g, HomPoly.linear(f, m)) is not None
         assert splits == (f.pow(r, 3) == f.pow(s, 3))
 
 
@@ -244,7 +243,7 @@ def test_dichotomy_sampled_gf256():
         for rr, ss in ((r, s), (r, f.mul(w, r))):
             g = schroeer_sextic(f, rr, ss)
             m = line_through(f, (0, 0, 1), (rr, ss, 1))
-            splits = is_splitting(g, line_poly(f, m)) is not None
+            splits = is_splitting(g, HomPoly.linear(f, m)) is not None
             assert splits == (f.pow(rr, 3) == f.pow(ss, 3))
 
 
@@ -293,7 +292,7 @@ def test_quintic_transversality_matches_classification(gf16):
     g = schroeer_sextic(f, r, s)
     singular = set(singular_points(g))
     for name, l in table_lines(f, r, s).items():
-        ell = line_poly(f, l)
+        ell = HomPoly.linear(f, l)
         cert = is_splitting(g, ell)
         restricted_quintic = restrict_to_line(cert.quintic, ell)
         elim = max(v for v in range(3) if ell.coeff(tuple(1 if i == v else 0 for i in range(3))))
@@ -582,7 +581,7 @@ def per_line_scan(g, candidates):
     f = g.field
     out = []
     for l in sorted(set(candidates)):
-        cert = is_splitting(g, line_poly(f, l))
+        cert = is_splitting(g, HomPoly.linear(f, l))
         if cert is not None:
             out.append((l, cert))
     return out
@@ -602,7 +601,7 @@ def old_nonreduced_lines(c, g):
     f = c.field
     out = []
     for l in all_lines(f):
-        ell = line_poly(f, l)
+        ell = HomPoly.linear(f, l)
         if restrict_to_line(c, ell).is_zero() and restrict_to_line(g, ell).is_square() is not None:
             out.append(l)
     return sorted(out)
@@ -652,7 +651,7 @@ def test_nonreduced_bound_k16_budget(gf65536, dense):
     # the walk over all 65,537 pencils took about 10 s
     assert time.perf_counter() - start <= 0.1
     coordinate_lines = [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
-    assert lines == [l for l in coordinate_lines if is_splitting(g, line_poly(f, l)) is not None]
+    assert lines == [l for l in coordinate_lines if is_splitting(g, HomPoly.linear(f, l)) is not None]
     assert dense or lines == coordinate_lines
 
 
@@ -672,7 +671,7 @@ def test_scan_calls_is_splitting_once_per_reported_line(gf256, monkeypatch):
         found = scan_splitting_lines(g)
         monkeypatch.undo()
         assert len(found) == count
-        assert calls == [line_poly(f, l) for l, _ in found]
+        assert calls == [HomPoly.linear(f, l) for l, _ in found]
         assert set(table_lines(f, r, s).values()) <= {l for l, _ in found}
 
 

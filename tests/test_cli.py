@@ -464,6 +464,12 @@ def _with_a_repeated_term(g, exp):
         HomPoly(BinaryField(4), 7, {(0, 0, 7): 1, (3, 4, 0): 5}).to_json(),
         # two terms; recognized as a form, it took seconds and cited a sextic's Bezout bound
         HomPoly(BinaryField(4), 1600, {(1600, 0, 0): 1, (0, 1, 1599): 1}).to_json(),
+        # json gave up with a RecursionError traceback
+        "[" * 200000 + "]" * 200000,
+        # GF(2^True) was built and recognition failed on it
+        _poly_file_text(True, "11", [{"exp": [1, 4, 1], "coeff": "1"}]),
+        # rejected only through the TypeError of 1 << 8.0
+        _poly_file_text(8.0, "100011011", [{"exp": [1, 4, 1], "coeff": "1"}]),
     ],
     ids=[
         "not-json",
@@ -478,6 +484,9 @@ def _with_a_repeated_term(g, exp):
         "degree-5",
         "degree-7",
         "degree-1600",
+        "nested-json",
+        "bool-k",
+        "float-k",
     ],
 )
 def test_bad_recognize_file_is_a_usage_error(tmp_path, capsys, text):

@@ -18,7 +18,6 @@ from k3lat.exact_arith import (
 from k3lat.ns_glue import (
     EXTRA_GLUE_CHOICES,
     L_LABELS,
-    OverlatticeSpec,
     build_lambda,
     build_overlattice,
     extra_glue_class,
@@ -381,7 +380,7 @@ def lattice_matrices() -> dict[str, IntMatrix]:
     specs = [("sigma2", halflines)]
     specs += [(f"sigma1-{c}", halflines + (extra_glue_class(ls, c),)) for c in EXTRA_GLUE_CHOICES]
     for name, glue in specs:
-        ns = build_overlattice(OverlatticeSpec(ls, glue))
+        ns = build_overlattice(ls, glue)
         out[name] = ns.lattice.gram
         out[f"{name}-basis"] = ns.basis_num
         if name == "sigma2":

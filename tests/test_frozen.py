@@ -6,7 +6,7 @@ from k3lat import root_systems
 from k3lat.exact_arith import IntMatrix, snf
 from k3lat.frozen import Frozen
 from k3lat.lattice_core import DualVector, Lattice, discriminant_group, lattice_D4
-from k3lat.ns_glue import L_LABELS, OverlatticeSpec, build_lambda, build_overlattice, halfline_class
+from k3lat.ns_glue import L_LABELS, build_lambda, build_overlattice, halfline_class
 from k3lat.root_systems import bounded_class_minimizers, enumerate_roots
 
 
@@ -87,7 +87,7 @@ def test_fields_cannot_be_assigned_or_deleted():
 
 def test_records_whose_tuple_behaviour_would_leak_are_not_tuples():
     ls = build_lambda()
-    ns = build_overlattice(OverlatticeSpec(ls, tuple(halfline_class(ls, lam) for lam in L_LABELS)))
+    ns = build_overlattice(ls, tuple(halfline_class(ls, lam) for lam in L_LABELS))
     assert not isinstance(ns, tuple)
     assert ns.index == 32
     roots = enumerate_roots(lattice_D4())

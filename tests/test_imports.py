@@ -4,7 +4,8 @@ import pathlib
 import subprocess
 import sys
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "k3lat"
+REPO = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "k3lat"
 
 
 def test_no_module_imports_a_private_name_from_another_module():
@@ -105,3 +106,34 @@ def test_every_public_function_has_a_caller_in_src():
                     referenced.add(name)
     uncalled = {name: str(path) for path, name in defined if name not in referenced}
     assert sorted(uncalled) == sorted(NO_CALLER_IN_SRC), uncalled
+
+
+def _imports_from(path: pathlib.Path, package: tuple[str, ...]):
+    """(module, alias) for each ``from module import`` alias in path, with
+    relative imports resolved against its package."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else ()
+            module = base + (tuple(node.module.split(".")) if node.module else ())
+            for alias in node.names:
+                yield ".".join(module), alias
+
+
+def test_every_package_re_export_is_imported_from_the_package():
+    # names are imported from their defining module; an __init__ binds a name
+    # from a submodule only when some module imports it from the package
+    exported = set()
+    for init in sorted(PACKAGE.rglob("__init__.py")):
+        package = init.parent.relative_to(PACKAGE.parent).parts
+        name = ".".join(package)
+        exported |= {
+            (name, alias.asname or alias.name)
+            for module, alias in _imports_from(init, package)
+            if module.startswith(name + ".")
+        }
+    imported = set()
+    for root in ("src", "tests", "perfbench"):
+        for path in sorted((REPO / root).rglob("*.py")):
+            package = path.relative_to(REPO / root).parent.parts
+            imported |= {(module, alias.name) for module, alias in _imports_from(path, package)}
+    assert sorted(exported - imported) == []

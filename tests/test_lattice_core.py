@@ -22,7 +22,6 @@ from k3lat.lattice_core import (
 from k3lat.ns_glue import (
     EXTRA_GLUE_CHOICES,
     L_LABELS,
-    OverlatticeSpec,
     build_lambda,
     build_overlattice,
     extra_glue_class,
@@ -234,7 +233,7 @@ def test_pairing_numerators_match_the_rational_product_on_glue_and_generators():
     halflines = [halfline_class(ls, lam) for lam in L_LABELS]
     vectors = [gv.vector for gv in halflines]
     vectors += [extra_glue_class(ls, c).vector for c in EXTRA_GLUE_CHOICES]
-    ns = build_overlattice(OverlatticeSpec(ls, tuple(halflines)))
+    ns = build_overlattice(ls, tuple(halflines))
     for lat in (ls.lattice, ns.lattice, lattice_A1(), lattice_D4(), lattice_hyperbolic2()):
         vectors += discriminant_group(lat).generators
         vectors += [lat.dual_basis_vector(j) for j in range(lat.rank)]

@@ -18,7 +18,6 @@ from k3lat.ns_glue import (
     GlueError,
     GlueVector,
     L_LABELS,
-    OverlatticeSpec,
     artin_invariant,
     build_lambda,
     build_overlattice,
@@ -51,7 +50,7 @@ def ls():
 @pytest.fixture(scope="module")
 def ns(ls):
     glue = tuple(halfline_class(ls, lam) for lam in L_LABELS)
-    return build_overlattice(OverlatticeSpec(ls, glue))
+    return build_overlattice(ls, glue)
 
 
 def test_base_lattice_shape(ls):
@@ -143,14 +142,14 @@ def test_overlattice_sigma2(ls, ns):
 
 def test_overlattice_sigma1(ls):
     glue = tuple(halfline_class(ls, lam) for lam in L_LABELS) + (extra_glue_class(ls, "w"),)
-    ns1 = build_overlattice(OverlatticeSpec(ls, glue))
+    ns1 = build_overlattice(ls, glue)
     assert ns1.index == 64
     assert ns1.lattice.det() == -4
     assert artin_invariant(ns1.lattice, 2) == 1
 
 
 def test_overlattice_no_glue_is_base(ls):
-    same = build_overlattice(OverlatticeSpec(ls, ()))
+    same = build_overlattice(ls, ())
     assert same.index == 1
     assert same.lattice.det() == ls.lattice.det()
     assert same.lattice.gram.entries == ls.lattice.gram.entries
@@ -184,7 +183,7 @@ def test_overlattice_matches_rational_oracle(ls, case):
     glue = () if case == "no-glue" else tuple(halfline_class(ls, lam) for lam in L_LABELS)
     if case in EXTRA_GLUE_CHOICES:
         glue += (extra_glue_class(ls, case),)
-    res = build_overlattice(OverlatticeSpec(ls, glue))
+    res = build_overlattice(ls, glue)
     gram, basis, base_rows = _rational_overlattice(ls, glue)
     assert res.lattice.gram.entries == gram
     assert _rational_basis(res) == basis
@@ -207,7 +206,7 @@ def test_overlattice_makes_one_inverse(ls, monkeypatch):
         if name.split(".")[0] == "k3lat" and "invert" in vars(module):
             assert module.invert is real, name
             monkeypatch.setattr(module, "invert", counted(real))
-    build_overlattice(OverlatticeSpec(ls, glue))
+    build_overlattice(ls, glue)
     assert len(calls) == 1
 
 
@@ -216,7 +215,7 @@ def test_overlattice_rejects_bad_glue(ls):
     coords[3] += Fraction(1, 2)
     bad = GlueVector("bad", ls.lattice.vector(coords))
     with pytest.raises(GlueError):
-        build_overlattice(OverlatticeSpec(ls, (bad,)))
+        build_overlattice(ls, (bad,))
 
 
 def test_overlattice_rejects_odd_norm(ls):
@@ -231,7 +230,7 @@ def test_overlattice_rejects_odd_norm(ls):
     odd = GlueVector("odd", ls.lattice.vector(coords2))
     # norm 1/2 is not an even integer
     with pytest.raises(GlueError):
-        build_overlattice(OverlatticeSpec(ls, (odd,)))
+        build_overlattice(ls, (odd,))
 
 
 def test_base_embeds_in_overlattice(ls, ns):

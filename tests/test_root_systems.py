@@ -19,7 +19,6 @@ from k3lat.lattice_core import (
 )
 from k3lat.ns_glue import (
     L_LABELS,
-    OverlatticeSpec,
     build_lambda,
     build_overlattice,
     canonical_positivity,
@@ -199,7 +198,7 @@ def test_short_vectors_4d4_5a1_bound_6_from_the_summands():
 
 def test_short_vectors_match_rational_oracle_on_the_complement():
     ls = build_lambda()
-    ns = build_overlattice(OverlatticeSpec(ls, tuple(halfline_class(ls, lam) for lam in L_LABELS)))
+    ns = build_overlattice(ls, tuple(halfline_class(ls, lam) for lam in L_LABELS))
     gram = orthogonal_complement(ns.lattice, ns.h_in_result()).lattice.gram
     got = short_vectors(gram, 2)
     assert len(got) == 106
@@ -246,7 +245,7 @@ def test_elimination_matches_the_cholesky_oracle():
     grams = [_random_even_negative_definite(rng, n) for n in range(1, 8) for _ in range(3)]
     grams.append(_root_sum([lattice_D4()] * 4 + [lattice_A1()] * 5))
     ls = build_lambda()
-    ns = build_overlattice(OverlatticeSpec(ls, tuple(halfline_class(ls, lam) for lam in L_LABELS)))
+    ns = build_overlattice(ls, tuple(halfline_class(ls, lam) for lam in L_LABELS))
     grams.append(orthogonal_complement(ns.lattice, ns.h_in_result()).lattice.gram)
     for gram in grams:
         q = [[Fraction(-v) for v in row] for row in gram.entries]
@@ -268,7 +267,7 @@ def test_short_vectors_rejects_what_the_cholesky_oracle_rejects(rows):
 
 def test_positivity_value_matches_the_rational_sum():
     ls = build_lambda()
-    ns = build_overlattice(OverlatticeSpec(ls, tuple(halfline_class(ls, lam) for lam in L_LABELS)))
+    ns = build_overlattice(ls, tuple(halfline_class(ls, lam) for lam in L_LABELS))
     comp = orthogonal_complement(ns.lattice, ns.h_in_result())
     rng = random.Random(4)
     cases = [(dominant_functional(lattice_D4()), 4), (canonical_positivity(ns, comp), 21)]
@@ -373,7 +372,7 @@ def test_pairing_components_match_the_pairwise_oracle_on_the_complements(extra):
     glue = tuple(halfline_class(ls, lam) for lam in L_LABELS)
     if extra is not None:
         glue += (extra_glue_class(ls, extra),)
-    ns = build_overlattice(OverlatticeSpec(ls, glue))
+    ns = build_overlattice(ls, glue)
     lattice = orthogonal_complement(ns.lattice, ns.h_in_result()).lattice
     rs = enumerate_roots(lattice)
     assert len(rs) == 106
