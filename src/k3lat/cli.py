@@ -209,7 +209,7 @@ def cmd_lattice(args, checks: Checks) -> None:
         for lam in L_LABELS:
             res = unique_halfline_search(ls, lam, ns)
             witness[f"F({res.label})"] = res.to_json_obj(ls)
-            ok = ok and res.is_unique_expected(ls)
+            ok = ok and res.is_unique_expected()
         return ok, witness
 
     checks.run("halfline_uniqueness", uniqueness)

@@ -5,12 +5,14 @@ floating point and no rational type.  The kernels are fraction-free:
 determinants, the inverse and the symmetric elimination behind the
 signature all run Bareiss updates on integers, and the inverse comes back
 as an integer matrix over one denominator.  Smith normal form comes with
-its transformation matrices and is re-checked on every call.
+its transformation matrices and is re-checked on every call.  Products
+visit only the nonzero entries of their factors, since the Grams and
+transforms of the lattice side are mostly zeros.
 """
 
 from __future__ import annotations
 
-from operator import mul
+import math
 from typing import Iterable, NamedTuple, Sequence
 
 from .frozen import Frozen
@@ -21,7 +23,7 @@ class ExactArithError(ValueError):
 
 
 def _freeze_int(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    out = tuple(tuple(int(x) for x in row) for row in rows)
+    out = tuple(tuple(map(int, row)) for row in rows)
     if out and any(len(r) != len(out[0]) for r in out):
         raise ExactArithError("ragged matrix")
     return out
@@ -77,15 +79,33 @@ class IntMatrix(Frozen):
         return IntMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
+        """The product, summing a * (row k of other) over the nonzero a of each row.
+
+        The Grams, Smith transforms and embeddings multiplied here are mostly
+        zeros, so only the nonzero entries of both factors are visited.
+        """
         if self.cols != other.rows:
             raise ExactArithError("dimension mismatch in mul")
-        cols = list(zip(*other.entries))
-        return IntMatrix([[sum(map(mul, row, col)) for col in cols] for row in self.entries])
+        terms = [[(j, y) for j, y in enumerate(row) if y] for row in other.entries]
+        out = []
+        for row in self.entries:
+            acc = [0] * other.cols
+            for a, row_terms in zip(row, terms):
+                if a:
+                    for j, y in row_terms:
+                        acc[j] += a * y
+            out.append(acc)
+        return IntMatrix(out)
 
     def mul_vec(self, v: Sequence[int]) -> tuple[int, ...]:
+        """A v as the sum of x * (column k) over the nonzero coordinates x = v[k]."""
         if self.cols != len(v):
             raise ExactArithError("dimension mismatch in mul_vec")
-        return tuple(sum(map(mul, row, v)) for row in self.entries)
+        acc = [0] * self.rows
+        for k, x in enumerate(v):
+            if x:
+                acc = [s + x * row[k] for s, row in zip(acc, self.entries)]
+        return tuple(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +136,12 @@ def det(a: IntMatrix) -> int:
         for i in range(k + 1, n):
             row = m[i]
             f = row[k]
-            # entries left of column k + 1 are never read again
-            m[i] = [0] * (k + 1) + [(x * p - f * y) // prev for x, y in zip(row[k + 1 :], tail)]
+            # entries left of column k + 1 are never read again; a row with
+            # f = 0 is only scaled by p / prev, often 1 on the Smith transforms
+            if f:
+                m[i] = [0] * (k + 1) + [(x * p - f * y) // prev for x, y in zip(row[k + 1 :], tail)]
+            elif p != prev:
+                m[i] = [0] * (k + 1) + [x * p // prev for x in row[k + 1 :]]
         prev = p
     return sign * m[n - 1][n - 1]
 
@@ -158,7 +182,7 @@ def invert(a: IntMatrix) -> tuple[IntMatrix, int]:
             f = row[k]
             if f:
                 m[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
-            else:
+            elif p != prev:
                 m[i] = [p * x // prev for x in row]
         prev = p
     sign = 1 if prev > 0 else -1
@@ -366,6 +390,39 @@ def _check_snf(a: IntMatrix, r: SnfResult) -> None:
             raise ExactArithError("SNF verification failed: divisibility chain")
         if d[i] == 0 and d[i + 1] != 0:
             raise ExactArithError("SNF verification failed: zeros not trailing")
+
+
+# ---------------------------------------------------------------------------
+# rank over a prime field
+# ---------------------------------------------------------------------------
+
+def is_prime(p: int) -> bool:
+    """Trial division; the primes asked about here are small."""
+    return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
+
+
+def rank_mod_p(a: IntMatrix, p: int) -> int:
+    """Rank of A reduced modulo the prime p, by Gaussian elimination over F_p.
+
+    It counts the invariant factors of A that are prime to p.
+    """
+    if not is_prime(p):
+        raise ExactArithError(f"rank over F_p needs a prime p, not {p}")
+    m = [[x % p for x in row] for row in a.entries]
+    rank = 0
+    for c in range(a.cols):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        pivot_row = m[rank]
+        inv = pow(pivot_row[c], -1, p)
+        for i in range(rank + 1, len(m)):
+            f = m[i][c] * inv % p
+            if f:
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], pivot_row)]
+        rank += 1
+    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,9 @@ from .exact_arith import (
     det,
     inertia,
     invert,
+    is_prime,
     kernel_basis,
+    rank_mod_p,
     snf,
 )
 from .frozen import Frozen
@@ -211,8 +213,19 @@ def is_even(lattice: Lattice) -> bool:
 
 
 def is_p_elementary(lattice: Lattice, p: int) -> bool:
-    """True when the discriminant group is annihilated by the prime p."""
-    return all(f in (1, p) for f in discriminant_group(lattice).invariant_factors)
+    """True when the discriminant group is annihilated by the prime p.
+
+    The rank of the Gram over F_p counts its invariant factors prime to p,
+    so the group is (Z/p)^a exactly when |det| = p^a and the F_p corank is
+    a.  No Smith form is computed.
+    """
+    if not is_prime(p):
+        raise LatticeError(f"p-elementarity needs a prime p, not {p}")
+    d, a = abs(lattice.det()), 0
+    while d % p == 0:
+        d //= p
+        a += 1
+    return d == 1 and lattice.rank - rank_mod_p(lattice.gram, p) == a
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .exact_arith import IntMatrix, hnf_rows, invert
+from .exact_arith import IntMatrix, hnf_rows, invert, is_prime, rank_mod_p
 from .frozen import Frozen
 from .lattice_core import (
     DiscClass,
@@ -198,24 +198,8 @@ def independence_check(
     for gv in classes:
         cls = grp.class_of(gv.vector)
         rows.append([c % 2 for c in cls.component])
-    rank = _f2_rank(rows)
+    rank = rank_mod_p(IntMatrix(rows), 2)
     return rank == len(classes), rank
-
-
-def _f2_rank(rows: list[list[int]]) -> int:
-    rows = [r[:] for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                rows[i] = [(a + b) % 2 for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
 
 
 def build_overlattice(base: LabeledSum, glue: Sequence[GlueVector]) -> OverlatticeResult:
@@ -276,6 +260,8 @@ def build_overlattice(base: LabeledSum, glue: Sequence[GlueVector]) -> Overlatti
 
 def artin_invariant(lattice: Lattice, p: int) -> int:
     """Half the p-adic valuation of minus the determinant, when det = -p^(2*sigma)."""
+    if not is_prime(p):
+        raise GlueError(f"the Artin invariant needs a prime p, not {p}")
     d = lattice.det()
     if d >= 0:
         raise GlueError("determinant is not negative")
@@ -358,18 +344,18 @@ def component_breakdown(ls: LabeledSum, v: DualVector) -> dict[str, list[str]]:
 
 class HalflineSearchResult(NamedTuple):
     label: str
+    target: DualVector  # the half-line glue vector the search was run for
     candidates: tuple[DualVector, ...]
     budget_checked: int
     component_candidate_counts: dict[str, int]
 
-    def is_unique_expected(self, ls: LabeledSum) -> bool:
-        expected = halfline_class(ls, self.label).vector
-        return len(self.candidates) == 1 and self.candidates[0] == expected
+    def is_unique_expected(self) -> bool:
+        return len(self.candidates) == 1 and self.candidates[0] == self.target
 
     def to_json_obj(self, ls: LabeledSum) -> dict:
         return {
             "label": f"F({self.label})",
-            "unique_expected": self.is_unique_expected(ls),
+            "unique_expected": self.is_unique_expected(),
             "assemblies_checked": self.budget_checked,
             "per_summand_candidates": dict(sorted(self.component_candidate_counts.items())),
             "candidates": [component_breakdown(ls, v) for v in self.candidates],
@@ -468,6 +454,7 @@ def unique_halfline_search(
     results.sort(key=lambda v: v.coords)
     return HalflineSearchResult(
         label=lam,
+        target=target,
         candidates=tuple(results),
         budget_checked=checked,
         component_candidate_counts=counts,

@@ -192,7 +192,7 @@ def test_criterion_06_halfline_uniqueness(lambda_sum, ns_sigma2):
         for lam in L_LABELS:
             res = unique_halfline_search(lambda_sum, lam, ns_sigma2)
             assert len(res.candidates) == 1
-            assert res.is_unique_expected(lambda_sum)
+            assert res.is_unique_expected()
             v = res.candidates[0]
             assert v.norm() == -2
             total = Fraction(0)

@@ -84,6 +84,40 @@ def test_lattice_run_inverts_each_gram_at_most_once():
     assert sorted(result["inverses"]) == [[1, 1], [4, 1], [22, 1], [22, 1]]
 
 
+# a fresh process counts every Smith form of one whole run, by shape, at
+# every loaded k3lat module that binds snf
+SNF_COUNTER = """
+import collections, json, os, sys
+from k3lat import cli, exact_arith
+seen = collections.Counter()
+real = exact_arith.snf
+def counting(a):
+    seen[a.rows, a.cols] += 1
+    return real(a)
+for name, module in list(sys.modules.items()):
+    if name.split(".")[0] == "k3lat" and "snf" in vars(module):
+        assert module.snf is real, name
+        module.snf = counting
+code = cli.main(sys.argv[1:] + ["--out", os.devnull])
+print(json.dumps({"code": code, "smith_forms": [[r, c, n] for (r, c), n in seen.items()]}))
+"""
+
+
+def test_lattice_run_puts_no_overlattice_gram_in_smith_form():
+    # A1, the kernel of h's pairing row, D4 and the base Gram, once each;
+    # 2-elementarity of the sigma = 2 Gram comes from its F_2 corank
+    proc = subprocess.run(
+        [sys.executable, "-c", SNF_COUNTER, "lattice", "--with-extra-glue", "w"],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    result = json.loads(proc.stdout)
+    assert result["code"] == EXIT_OK
+    assert sorted(result["smith_forms"]) == [[1, 1, 1], [1, 22, 1], [4, 4, 1], [22, 22, 1]]
+
+
 # a fresh process counts the G v products of one whole run, per matrix
 MUL_VEC_COUNTER = """
 import collections, json, sys

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import pytest
 
@@ -12,6 +13,7 @@ from k3lat.exact_arith import (
     inertia,
     invert,
     kernel_basis,
+    rank_mod_p,
     snf,
     symmetric_elimination,
 )
@@ -100,6 +102,70 @@ def random_unimodular(n: int, rng: random.Random) -> IntMatrix:
         c = rng.choice([-2, -1, 1, 2])
         m[i] = [a + c * b for a, b in zip(m[i], m[j])]
     return IntMatrix(m)
+
+
+# ---------------------------------------------------------------------------
+# products
+# ---------------------------------------------------------------------------
+
+def _sparse_random(rng: random.Random, rows: int, cols: int) -> list[list[int]]:
+    """Mostly zeros, negative entries too, with a zero row and a zero column
+    about half the time."""
+    m = [[rng.choice([0, 0, 0, -3, -1, 1, 2, 7]) for _ in range(cols)] for _ in range(rows)]
+    if rng.random() < 0.5:
+        m[rng.randrange(rows)] = [0] * cols
+    if rng.random() < 0.5:
+        j = rng.randrange(cols)
+        for row in m:
+            row[j] = 0
+    return m
+
+
+def test_products_match_the_dense_definition():
+    rng = random.Random(2007)
+    shapes = [(1, 1), (1, 5), (5, 1), (1, 22), (22, 1), (3, 4), (6, 6), (22, 22)]
+    for _ in range(60):
+        r, k = rng.choice(shapes)
+        c = rng.choice([1, 3, 5, 22])
+        a, b = _sparse_random(rng, r, k), _sparse_random(rng, k, c)
+        cols = list(zip(*b))
+        dense = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+        assert IntMatrix(a).mul(IntMatrix(b)).entries == dense
+        for v in (_sparse_random(rng, 1, k)[0], [0] * k, [rng.randrange(-9, 10) for _ in range(k)]):
+            assert IntMatrix(a).mul_vec(v) == tuple(sum(map(mul, row, v)) for row in a)
+
+
+def test_products_reject_a_dimension_mismatch():
+    a = IntMatrix([[1, 0, 2], [0, -1, 0]])
+    with pytest.raises(ExactArithError):
+        a.mul(a)
+    with pytest.raises(ExactArithError):
+        a.mul(IntMatrix([[1], [2]]))
+    with pytest.raises(ExactArithError):
+        a.mul_vec((1, 2))
+    with pytest.raises(ExactArithError):
+        a.mul_vec((0, 0, 0, 0))
+
+
+# ---------------------------------------------------------------------------
+# rank over F_p
+# ---------------------------------------------------------------------------
+
+def test_rank_mod_p_counts_the_invariant_factors_prime_to_p():
+    # oracle: the Smith form, whose factors prime to p stay units over F_p
+    rng = random.Random(4)
+    for _ in range(60):
+        n, m = rng.randrange(1, 6), rng.randrange(1, 6)
+        a = IntMatrix([[rng.choice([0, 0, 1, -1, 2, 3, -4, 6]) for _ in range(m)] for _ in range(n)])
+        factors = snf(a).invariant_factors
+        for p in (2, 3, 5):
+            assert rank_mod_p(a, p) == sum(1 for f in factors if f % p)
+
+
+@pytest.mark.parametrize("p", [-2, 0, 1, 4, 9])
+def test_rank_mod_p_rejects_a_non_prime(p):
+    with pytest.raises(ExactArithError):
+        rank_mod_p(IntMatrix([[2, 0], [0, 3]]), p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -37,6 +41,7 @@ from rational_oracles import (
     to_rational,
 )
 
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 BUILTINS = {"A1": lattice_A1, "D4": lattice_D4, "hyperbolic2": lattice_hyperbolic2}
 
 
@@ -141,6 +146,95 @@ def test_is_p_elementary():
     a3 = Lattice(IntMatrix([[-2, 1, 0], [1, -2, 1], [0, 1, -2]]))
     assert not is_p_elementary(a3, 2)  # discriminant Z/4
     assert is_p_elementary(Lattice(IntMatrix([[1]])), 5)  # trivial group
+
+
+def smith_is_p_elementary(lattice: Lattice, p: int) -> bool:
+    """The definition, read off the Smith form: every invariant factor is 1 or p."""
+    return all(f in (1, p) for f in discriminant_group(lattice).invariant_factors)
+
+
+def test_is_p_elementary_matches_the_smith_form_on_the_paper_lattices():
+    ls = build_lambda()
+    halflines = tuple(halfline_class(ls, lam) for lam in L_LABELS)
+    ns = build_overlattice(ls, halflines)
+    lattices = {
+        "base": ls.lattice,
+        "sigma2": ns.lattice,
+        "complement": orthogonal_complement(ns.lattice, ns.h_in_result()).lattice,
+        "A1": lattice_A1(),
+        "D4": lattice_D4(),
+        "A3": Lattice(IntMatrix([[-2, 1, 0], [1, -2, 1], [0, 1, -2]])),
+    }
+    for c in EXTRA_GLUE_CHOICES:
+        lattices[f"sigma1-{c}"] = build_overlattice(ls, halflines + (extra_glue_class(ls, c),)).lattice
+    verdicts = {}
+    for name, lat in lattices.items():
+        for p in (2, 3):
+            verdicts[name, p] = is_p_elementary(lat, p)
+            assert verdicts[name, p] == smith_is_p_elementary(lat, p), (name, p)
+    # all but A3 (discriminant Z/4) are 2-elementary, and none is 3-elementary
+    assert [name for name in lattices if not verdicts[name, 2]] == ["A3"]
+    assert not any(verdicts[name, 3] for name in lattices)
+
+
+def test_is_p_elementary_matches_the_smith_form_on_random_grams():
+    # half the Grams are U^T D U with D of small primes and prime powers, so
+    # both verdicts occur at every p
+    rng = random.Random(2)
+    seen = set()
+    done = 0
+    while done < 150:
+        n = rng.randrange(1, 7)
+        if rng.random() < 0.5:
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    rows[i][j] = rows[j][i] = rng.randrange(-4, 5)
+            gram = IntMatrix(rows)
+        else:
+            d = IntMatrix([[rng.choice([1, -1, 2, -2, 3, 4, -5, 9]) if i == j else 0 for j in range(n)]
+                           for i in range(n)])
+            u = [list(row) for row in IntMatrix.identity(n).entries]
+            for _ in range(2 * n):
+                i, j = rng.randrange(n), rng.randrange(n)
+                if i != j:
+                    u[i] = [a + b for a, b in zip(u[i], u[j])]
+            gram = IntMatrix(u).transpose().mul(d).mul(IntMatrix(u))
+        try:
+            lat = Lattice(gram)
+        except LatticeError:  # degenerate
+            continue
+        for p in (2, 3, 5):
+            verdict = is_p_elementary(lat, p)
+            assert verdict == smith_is_p_elementary(lat, p), (gram.entries, p)
+            seen.add((p, verdict))
+        done += 1
+    assert seen == {(p, v) for p in (2, 3, 5) for v in (False, True)}
+
+
+# a fresh process, so a p that makes the valuation loop spin fails on the timeout
+BAD_P = """
+import json
+from k3lat.lattice_core import LatticeError, is_p_elementary, lattice_D4
+out = {}
+for p in (0, 1, 4):
+    try:
+        out[p] = repr(is_p_elementary(lattice_D4(), p))
+    except LatticeError:
+        out[p] = "LatticeError"
+print(json.dumps(out))
+"""
+
+
+def test_is_p_elementary_rejects_a_p_that_is_not_prime():
+    proc = subprocess.run(
+        [sys.executable, "-c", BAD_P],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert json.loads(proc.stdout) == {"0": "LatticeError", "1": "LatticeError", "4": "LatticeError"}
 
 
 def test_orthogonal_complement_simple():

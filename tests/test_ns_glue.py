@@ -1,4 +1,7 @@
+import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -290,6 +293,31 @@ def test_artin_invariant_shapes(ls):
         artin_invariant(Lattice(IntMatrix.block_diagonal([IntMatrix([[2]]), IntMatrix([[-6]])])), 2)
 
 
+# a fresh process, so a p that makes the valuation loop spin fails on the timeout
+BAD_P = """
+import json
+from k3lat.ns_glue import GlueError, artin_invariant, build_lambda
+out = {}
+for p in (0, 1, 4):
+    try:
+        out[p] = repr(artin_invariant(build_lambda().lattice, p))
+    except GlueError:
+        out[p] = "GlueError"
+print(json.dumps(out))
+"""
+
+
+def test_artin_invariant_rejects_a_p_that_is_not_prime():
+    proc = subprocess.run(
+        [sys.executable, "-c", BAD_P],
+        env={**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert json.loads(proc.stdout) == {"0": "GlueError", "1": "GlueError", "4": "GlueError"}
+
+
 def test_exceptional_root_analysis(ns):
     report = exceptional_root_analysis(ns)
     assert report.complement_rank == 21
@@ -304,7 +332,7 @@ def test_halfline_searches_unique(ls, ns):
     for lam in L_LABELS:
         res = unique_halfline_search(ls, lam, ns)
         assert len(res.candidates) == 1
-        assert res.is_unique_expected(ls)
+        assert res.is_unique_expected()
 
 
 def test_halfline_searches_scan_each_class_once(ls, ns, monkeypatch):
@@ -320,9 +348,26 @@ def test_halfline_searches_scan_each_class_once(ls, ns, monkeypatch):
     monkeypatch.setattr(root_systems, "_box_scan", counting)
     root_systems._class_search.cache_clear()
     for lam in L_LABELS:
-        assert unique_halfline_search(ls, lam, ns).is_unique_expected(ls)
+        assert unique_halfline_search(ls, lam, ns).is_unique_expected()
     assert len(calls) == 5
     assert len(set(calls)) == 5
+
+
+def test_halfline_search_builds_each_target_once(ls, ns, monkeypatch):
+    # the verdict and the report compare against the target the search kept
+    calls = []
+    real = ns_glue.halfline_class
+
+    def counting(ls_, lam):
+        calls.append(lam)
+        return real(ls_, lam)
+
+    monkeypatch.setattr(ns_glue, "halfline_class", counting)
+    for lam in L_LABELS:
+        res = unique_halfline_search(ls, lam, ns)
+        assert res.to_json_obj(ls)["unique_expected"] and res.is_unique_expected()
+        assert res.target == real(ls, lam).vector
+    assert calls == list(L_LABELS)
 
 
 def test_halfline_search_component_values(ls, ns):
