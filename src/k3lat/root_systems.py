@@ -9,12 +9,13 @@ dual-class norm searches used by the glue-vector uniqueness arguments.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from operator import add, mul, sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .exact_arith import IntMatrix, hnf_rows, inertia, symmetric_elimination
+from .exact_arith import IntMatrix, hnf_rows, symmetric_elimination
 from .frozen import Frozen
 from .lattice_core import (
     DiscClass,
@@ -432,11 +433,13 @@ def root_type(components: Iterable[tuple[str, int]]) -> str:
 class ClassNormSearch(NamedTuple):
     """Outcome of the exhaustive box search over one dual class.
 
-    ``outside_bound`` is a certified upper bound on the norm of any class
-    representative outside the box that satisfies the positivity
-    constraints, so the reported maximum (and runner-up threshold) is
-    global, not merely in-box.  ``in_box`` holds every (norm, x) with
-    rep + x in the box satisfying those constraints, by decreasing norm.
+    ``outside_bound`` is a certified upper bound on the norm of every class
+    representative outside the box (``_outside_bound``), so the reported
+    maximum (and runner-up threshold) is global, not merely in-box.
+    ``in_box`` holds every (norm, x) with rep + x in the box pairing
+    non-negatively with every basis vector, by decreasing norm.
+    ``norms_all_odd`` holds for a D4 leaf class, whose norms are all odd
+    on the whole class (``_leaf_certificate``), and is False otherwise.
     """
 
     rep: DualVector
@@ -482,17 +485,56 @@ def _match_rep(lattice: Lattice, cls: DiscClass) -> tuple[str, DualVector, int |
     raise RootSystemError("class is not in the discriminant group")
 
 
+def _leaf_certificate(
+    lattice: Lattice, rep: DualVector, forms: Sequence[Callable[[Sequence[int]], int]]
+) -> bool:
+    """Certify 2 (rep + x)^2 = -(f_0^2 + ... + f_3^2) on all of Z^4, and
+    return whether every norm of the class is odd.
+
+    Both sides have degree <= 2 in each x_i, so agreeing on the 81 points
+    of {-1, 0, 1}^4 makes them equal everywhere.  Adding 2 to one x_i adds
+    an even number to every f_k, so f_k^2 mod 4, and with it the norm
+    mod 4, depends only on x mod 2: the 16 points of {0, 1}^4 decide
+    the parity.
+    """
+    twice_norms = {}
+    for x in itertools.product((-1, 0, 1), repeat=lattice.rank):
+        nv = 2 * (rep + DualVector(lattice, x)).norm()
+        if nv != -sum(f(x) ** 2 for f in forms):
+            raise RootSystemError("leaf-class norm identity failed")
+        twice_norms[x] = nv
+    return all(twice_norms[x] % 4 == 2 for x in itertools.product((0, 1), repeat=lattice.rank))
+
+
+def _outside_bound(lattice: Lattice, rep: DualVector, box: int) -> Fraction:
+    """An upper bound on v*v for every v in rep + Z^n outside rep + [-box, box]^n.
+
+    Such a v has |v_i - rep_i| >= box + 1 for some i, so it lies beyond one
+    of the hyperplanes v_i = t, t = rep_i +- (box + 1).  Q(v) = -v*v is
+    positive definite with its minimum at 0, which |rep_i| < box + 1 keeps
+    on the near side, so beyond the hyperplane Q is at least its minimum
+    t^2 / (Q^-1)_ii on it.  (Q^-1)_ii = -(G^-1)_ii is read off the cached
+    dual basis.
+    """
+    if not lattice.is_negative_definite():
+        raise RootSystemError("outside bound requires a negative-definite lattice")
+    reach = box + 1
+    bounds = []
+    for i, r in enumerate(rep.coords):
+        if abs(r) >= reach:
+            raise RootSystemError("representative coordinate is not inside the box")
+        dual = lattice.dual_basis_vector(i)  # (G^-1)_ii = dual.num[i] / dual.den
+        bounds += [t * t * dual.den / dual.num[i] for t in (r + reach, r - reach)]
+    return max(bounds)
+
+
 def _box_scan(
-    lattice: Lattice,
-    rep: DualVector,
-    box: int,
-    forms,
-) -> tuple[list[tuple[Fraction, tuple[int, ...]]], bool]:
+    lattice: Lattice, rep: DualVector, box: int
+) -> list[tuple[Fraction, tuple[int, ...]]]:
     """Integer-arithmetic scan of rep + {|x_i| <= box}, in lexicographic order.
 
     Returns the (norm, x) pairs of the points pairing non-negatively with
-    every basis vector, plus the all-norms-odd flag for leaf classes.  The
-    leaf norm identity is re-derived at every point of the box.
+    every basis vector.
 
     The coordinates are fixed one at a time.  Fixing x_j = v on a prefix
     adds v times column j of G to G x, and 4 v (G rep + G x)_j + 2 v^2 G_jj
@@ -508,14 +550,10 @@ def _box_scan(
         raise RootSystemError("representative norm is not half-integral")
     values = range(-box, box + 1)
     cols = [tuple(g[i][j] for i in range(n)) for j in range(n)]
-    if forms is not None:
-        f0, f1, f2, f3 = forms
-    all_odd = True
     out = []
 
     def scan(prefix: tuple[int, ...], pair: list[int], norm2: int) -> None:
         # pair = G (rep + x) and norm2 = 2 (rep + x)^2 for the prefix x
-        nonlocal all_odd
         j = len(prefix)
         col, lin, sq = cols[j], 4 * pair[j], 2 * g[j][j]
         if j + 1 < n:
@@ -530,25 +568,12 @@ def _box_scan(
             elif c < 0:
                 hi = min(hi, a // -c)  # v <= floor(a / -c)
             elif a < 0:
-                lo, hi = 1, 0
-                break
-        if forms is None:
-            for v in range(lo, hi + 1):
-                out.append((norm2 + v * (lin + v * sq), prefix + (v,)))
-            return
-        for v in values:
-            x = prefix + (v,)
-            nv = norm2 + v * (lin + v * sq)
-            a, b, c, d = f0(x), f1(x), f2(x), f3(x)
-            if nv != -(a * a + b * b + c * c + d * d):
-                raise RootSystemError("leaf-class norm identity failed")
-            if nv % 4 != 2:
-                all_odd = False
-            if lo <= v <= hi:
-                out.append((nv, x))
+                return
+        for v in range(lo, hi + 1):
+            out.append((norm2 + v * (lin + v * sq), prefix + (v,)))
 
     scan((), grep, int(rep_norm2))
-    return [(Fraction(nv, 2), x) for nv, x in out], all_odd
+    return [(Fraction(nv, 2), x) for nv, x in out]
 
 
 def bounded_class_minimizers(
@@ -560,8 +585,9 @@ def bounded_class_minimizers(
     with every basis vector.
 
     The search runs over representative-plus-lattice translates with all
-    coordinates bounded by ``box``; an exact case analysis certifies that
-    any vector outside the box has norm at most ``outside_bound``.
+    coordinates bounded by ``box``; the hyperplane bound of
+    ``_outside_bound`` certifies that any vector outside the box has norm at
+    most ``outside_bound``.
     """
     if box < 3:
         raise RootSystemError("box radius below 3 has no sufficiency certificate")
@@ -576,12 +602,8 @@ def _class_search(lattice: Lattice, cls: DiscClass, box: int) -> ClassNormSearch
     so each distinct key is scanned once per process.
     """
     name, rep, leaf = _match_rep(lattice, cls)
-    n = lattice.rank
-
-    is_leaf_class = leaf is not None
-    forms = _d4_leaf_forms(leaf) if is_leaf_class else None
-
-    found, all_odd = _box_scan(lattice, rep, box, forms)
+    all_odd = leaf is not None and _leaf_certificate(lattice, rep, _d4_leaf_forms(leaf))
+    found = _box_scan(lattice, rep, box)
     if not found:
         raise RootSystemError("empty constrained search")
     found.sort(key=lambda t: (-t[0], t[1]))
@@ -589,33 +611,7 @@ def _class_search(lattice: Lattice, cls: DiscClass, box: int) -> ClassNormSearch
     maximizers = tuple(rep + DualVector(lattice, x) for norm, x in found if norm == max_norm)
     rest = [norm for norm, _ in found if norm < max_norm]
     runner_up = max(rest) if rest else None
-
-    b = box
-    if lattice.rank == 1:
-        e = rep.coords[0]
-        outside = -2 * (Fraction(b + 1) - abs(e)) ** 2
-    elif is_leaf_class:
-        outside = max(
-            -1 - Fraction(b * b - 2, 2),
-            -1 - Fraction((b + 1) ** 2 - 2, 2),
-            -1 - Fraction((b + 2) ** 2 - 2, 2),
-        )
-    else:
-        # zero class on D4: 4*(-gram) - I is positive definite (checked
-        # exactly), so -v*v > |x|^2/4 and escaping the box forces
-        # v*v < -(box+1)^2/4
-        four_q_minus_i = IntMatrix(
-            [
-                [
-                    -4 * lattice.gram.entries[i][j] - (1 if i == j else 0)
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-        )
-        if inertia(four_q_minus_i)[0] != n:
-            raise RootSystemError("spectral certificate for the zero class failed")
-        outside = -Fraction((b + 1) ** 2, 4)
+    outside = _outside_bound(lattice, rep, box)
     if outside > max_norm:
         raise RootSystemError("sufficiency certificate does not cover the box")
     return ClassNormSearch(
@@ -624,6 +620,6 @@ def _class_search(lattice: Lattice, cls: DiscClass, box: int) -> ClassNormSearch
         maximizers=maximizers,
         runner_up=runner_up,
         outside_bound=outside,
-        norms_all_odd=all_odd and is_leaf_class,
+        norms_all_odd=all_odd,
         in_box=tuple(found),
     )

@@ -51,6 +51,23 @@ def test_lattice_with_extra_glue(capsys, extra):
     assert json.dumps(strip_timing(report), sort_keys=True, indent=2) + "\n" == golden
 
 
+@pytest.mark.parametrize(
+    "argv,expected_code,golden",
+    [
+        ([], EXIT_OK, "lattice_default.json"),
+        (["--inject-corrupt-glue"], EXIT_CHECK_FAILED, "lattice_inject_corrupt_glue.json"),
+        (["--lemma-box", "16"], EXIT_OK, "lattice_lemma_box_16.json"),
+    ],
+    ids=["default", "inject-corrupt-glue", "lemma-box-16"],
+)
+def test_lattice_report_matches_golden(capsys, argv, expected_code, golden):
+    code, out = run_cli(capsys, "lattice", *argv)
+    assert code == expected_code
+    with open(os.path.join(DATA, golden), encoding="utf-8") as fh:
+        expected = fh.read()
+    assert json.dumps(strip_timing(json.loads(out)), sort_keys=True, indent=2) + "\n" == expected
+
+
 # a fresh process counts every inverse of one whole run, at every loaded
 # k3lat module that binds invert
 INVERSE_COUNTER = """
@@ -189,9 +206,9 @@ import collections, json, os, sys
 from k3lat import cli, root_systems
 seen = collections.Counter()
 real = root_systems._box_scan
-def counting(lattice, rep, box, forms):
+def counting(lattice, rep, box):
     seen[repr((lattice.gram.entries, rep.coords, box))] += 1
-    return real(lattice, rep, box, forms)
+    return real(lattice, rep, box)
 root_systems._box_scan = counting
 code = cli.main(sys.argv[1:] + ["--out", os.devnull])
 print(json.dumps({"code": code, "scans": seen}))

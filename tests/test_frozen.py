@@ -102,9 +102,9 @@ def test_rebuilt_lattice_hits_the_class_search_memo(monkeypatch):
     scans = []
     real = root_systems._box_scan
 
-    def counting(lattice, rep, box, forms):
+    def counting(lattice, rep, box):
         scans.append(lattice.gram.entries)
-        return real(lattice, rep, box, forms)
+        return real(lattice, rep, box)
 
     monkeypatch.setattr(root_systems, "_box_scan", counting)
     root_systems._class_search.cache_clear()

@@ -341,9 +341,9 @@ def test_halfline_searches_scan_each_class_once(ls, ns, monkeypatch):
     calls = []
     real = root_systems._box_scan
 
-    def counting(lattice, rep, box, forms):
+    def counting(lattice, rep, box):
         calls.append((lattice.gram.entries, rep.coords))
-        return real(lattice, rep, box, forms)
+        return real(lattice, rep, box)
 
     monkeypatch.setattr(root_systems, "_box_scan", counting)
     root_systems._class_search.cache_clear()
@@ -351,6 +351,19 @@ def test_halfline_searches_scan_each_class_once(ls, ns, monkeypatch):
         assert unique_halfline_search(ls, lam, ns).is_unique_expected()
     assert len(calls) == 5
     assert len(set(calls)) == 5
+
+
+def test_halfline_search_rejects_a_box_not_certified_against_the_budget(ls, ns, monkeypatch):
+    # an outside bound that reaches the budget of -5/2 leaves the box scan
+    # short of exhaustive; the memoized searches themselves stay untouched
+    real = ns_glue.bounded_class_minimizers
+
+    def at_budget(sub, cls, box=3):
+        return real(sub, cls, box=box)._replace(outside_bound=Fraction(-5, 2))
+
+    monkeypatch.setattr(ns_glue, "bounded_class_minimizers", at_budget)
+    with pytest.raises(GlueError, match="candidate box cannot be certified against the budget"):
+        unique_halfline_search(ls, L_LABELS[0], ns)
 
 
 def test_halfline_search_builds_each_target_once(ls, ns, monkeypatch):

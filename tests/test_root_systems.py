@@ -1,13 +1,14 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 from operator import mul
 
 import pytest
 
-from k3lat import exact_arith
-from k3lat.exact_arith import IntMatrix, det, symmetric_elimination
+from k3lat import exact_arith, root_systems
+from k3lat.exact_arith import IntMatrix, det, inertia, symmetric_elimination
 from k3lat.lattice_core import (
     DiscClass,
     Lattice,
@@ -31,7 +32,9 @@ from k3lat.root_systems import (
     RootSystemError,
     _box_scan,
     _d4_leaf_forms,
+    _leaf_certificate,
     _match_rep,
+    _outside_bound,
     _pairing_components,
     _positive_root_coordinates,
     ade_type,
@@ -776,7 +779,9 @@ def test_unsupported_lattice_rejected():
 
 
 def product_box_scan(lattice: Lattice, rep, box: int, forms) -> tuple:
-    """Oracle: the former scan, G x summed in full at every point of the box."""
+    """Oracle: the former scan, G x summed in full at every point of the box,
+    with the leaf norm identity checked and the parity of the norm read at
+    every point instead of certified once."""
     g = lattice.gram.entries
     n = lattice.rank
     grep = list(rep.integer_pairings())
@@ -788,12 +793,10 @@ def product_box_scan(lattice: Lattice, rep, box: int, forms) -> tuple:
         quad = sum(x[i] * gx[i] for i in range(n))
         cross = sum(a * b for a, b in zip(grep, x))
         norm2 = rep_norm2 + 4 * cross + 2 * quad
-        if forms is not None:
-            s = sum(f(x) ** 2 for f in forms)
-            if norm2 != -2 - (s - 2):
-                raise RootSystemError("leaf-class norm identity failed")
-            if norm2 % 4 != 2:
-                all_odd = False
+        if forms is not None and norm2 != -sum(f(x) ** 2 for f in forms):
+            raise RootSystemError("leaf-class norm identity failed")
+        if norm2 % 4 != 2:
+            all_odd = False
         if all(a + b >= 0 for a, b in zip(grep, gx)):
             out.append((Fraction(norm2, 2), x))
     return out, all_odd
@@ -808,15 +811,28 @@ def _every_class():
 
 @pytest.mark.parametrize("box", [3, 4])
 def test_box_scan_matches_the_product_scan(box):
+    # every class takes the one interval scan; the certified parity flag
+    # agrees with the parity read at every point of the box
     seen = set()
     for lattice, cls in _every_class():
         name, rep, leaf = _match_rep(lattice, cls)
         seen.add((lattice.rank, name))
         forms = _d4_leaf_forms(leaf) if leaf is not None else None
-        assert _box_scan(lattice, rep, box, forms) == product_box_scan(lattice, rep, box, forms)
+        found, all_odd = product_box_scan(lattice, rep, box, forms)
+        assert _box_scan(lattice, rep, box) == found
+        assert bounded_class_minimizers(lattice, cls, box).norms_all_odd == all_odd
     assert seen == {
         (1, "zero"), (1, "a_dual"), (4, "zero"), (4, "d1_dual"), (4, "d2_dual"), (4, "d4_dual")
     }
+
+
+def test_leaf_certificate_matches_the_product_scan_at_box_8():
+    d4 = lattice_D4()
+    name, rep, leaf = _match_rep(d4, discriminant_group(d4).class_of(d4.dual_basis_vector(0)))
+    found, all_odd = product_box_scan(d4, rep, 8, _d4_leaf_forms(leaf))
+    assert all_odd
+    assert _box_scan(d4, rep, 8) == found
+    assert _leaf_certificate(d4, rep, _d4_leaf_forms(leaf)) == all_odd
 
 
 def test_box_scan_rejects_a_corrupted_leaf_form():
@@ -825,14 +841,16 @@ def test_box_scan_rejects_a_corrupted_leaf_form():
     forms = _d4_leaf_forms(leaf)
     forms[3] = lambda x: x[2]  # the correct form is x[2] - 1
     with pytest.raises(RootSystemError, match="leaf-class norm identity failed"):
-        _box_scan(d4, rep, 3, forms)
+        _leaf_certificate(d4, rep, forms)
 
 
 @pytest.mark.parametrize("box", [3, 4])
-def test_box_scan_evaluates_every_leaf_form_at_every_point(box):
+def test_leaf_forms_are_evaluated_on_the_certificate_grid_only(box, monkeypatch):
+    # the identity is certified on the 81 points of {-1, 0, 1}^4, whatever the box
     d4 = lattice_D4()
-    name, rep, leaf = _match_rep(d4, discriminant_group(d4).class_of(d4.dual_basis_vector(0)))
+    cls = discriminant_group(d4).class_of(d4.dual_basis_vector(0))
     calls = [0] * 4
+    real = root_systems._d4_leaf_forms
 
     def counted(k, form):
         def wrapper(x):
@@ -841,9 +859,108 @@ def test_box_scan_evaluates_every_leaf_form_at_every_point(box):
 
         return wrapper
 
-    forms = [counted(k, f) for k, f in enumerate(_d4_leaf_forms(leaf))]
-    _box_scan(d4, rep, box, forms)
-    assert calls == [(2 * box + 1) ** 4] * 4
+    def counted_forms(leaf):
+        return [counted(k, f) for k, f in enumerate(real(leaf))]
+
+    monkeypatch.setattr(root_systems, "_d4_leaf_forms", counted_forms)
+    assert root_systems._class_search.__wrapped__(d4, cls, box).norms_all_odd
+    assert calls == [81] * 4
+
+
+def hand_derived_outside_bound(lattice: Lattice, rep, leaf, box: int) -> Fraction:
+    """Oracle: the three case-by-case bounds that the hyperplane bound replaced."""
+    b = box
+    if lattice.rank == 1:
+        return -2 * (Fraction(b + 1) - abs(rep.coords[0])) ** 2
+    if leaf is not None:
+        return max(
+            -1 - Fraction(b * b - 2, 2),
+            -1 - Fraction((b + 1) ** 2 - 2, 2),
+            -1 - Fraction((b + 2) ** 2 - 2, 2),
+        )
+    # zero class on D4: 4 (-G) - I is positive definite, so -v*v > |x|^2 / 4
+    # and leaving the box forces v*v < -(b + 1)^2 / 4
+    n = lattice.rank
+    g = lattice.gram.entries
+    four_q_minus_i = IntMatrix([[-4 * g[i][j] - (i == j) for j in range(n)] for i in range(n)])
+    assert inertia(four_q_minus_i)[0] == n
+    return -Fraction((b + 1) ** 2, 4)
+
+
+@pytest.mark.parametrize("box", [3, 4, 8, 16])
+def test_outside_bound_matches_the_hand_derived_bounds(box):
+    # equal on both A1 classes and the three D4 leaf classes, tighter on the D4 zero class
+    for lattice, cls in _every_class():
+        name, rep, leaf = _match_rep(lattice, cls)
+        bound = _outside_bound(lattice, rep, box)
+        oracle = hand_derived_outside_bound(lattice, rep, leaf, box)
+        if (lattice.rank, name) == (4, "zero"):
+            assert bound <= oracle
+        else:
+            assert bound == oracle
+
+
+def test_outside_bounds_at_box_3():
+    pinned = {
+        (1, "zero"): -32,
+        (1, "a_dual"): Fraction(-49, 2),
+        (4, "zero"): -8,
+        (4, "d1_dual"): Fraction(-9, 2),
+        (4, "d2_dual"): Fraction(-9, 2),
+        (4, "d4_dual"): Fraction(-9, 2),
+    }
+    for lattice, cls in _every_class():
+        name = _match_rep(lattice, cls)[0]
+        assert bounded_class_minimizers(lattice, cls).outside_bound == pinned[(lattice.rank, name)]
+
+
+def test_outside_bound_holds_on_a_shell_around_the_box():
+    # every class vector one step outside the box 3 sits at or below
+    # the bound; -rep has coordinates of the other sign, so both hyperplanes count
+    box, width = 3, 1
+    for lattice, cls in _every_class():
+        g = lattice.gram.entries
+        n = lattice.rank
+        rep = _match_rep(lattice, cls)[1]
+        for r in (rep, -rep):
+            grep = r.integer_pairings()
+            top = None
+            for x in itertools.product(range(-box - width, box + width + 1), repeat=n):
+                if max(map(abs, x)) <= box:
+                    continue
+                quad = sum(x[i] * g[i][j] * x[j] for i in range(n) for j in range(n))
+                norm = r.norm() + 2 * sum(map(mul, grep, x)) + quad
+                top = norm if top is None else max(top, norm)
+            assert top <= _outside_bound(lattice, r, box)
+
+
+def test_outside_bound_requires_a_negative_definite_lattice():
+    lattice = Lattice(IntMatrix([[2]]))
+    with pytest.raises(RootSystemError, match="outside bound requires a negative-definite lattice"):
+        _outside_bound(lattice, lattice.zero(), 3)
+
+
+def test_outside_bound_requires_the_representative_inside_the_box():
+    d4 = lattice_D4()
+    with pytest.raises(RootSystemError, match="representative coordinate is not inside the box"):
+        _outside_bound(d4, d4.vector([0, 0, -4, 0]), 3)
+
+
+def test_class_search_rejects_a_bound_above_the_maximum(monkeypatch):
+    a1 = lattice_A1()
+    monkeypatch.setattr(root_systems, "_outside_bound", lambda lattice, rep, box: Fraction(1))
+    with pytest.raises(RootSystemError, match="sufficiency certificate does not cover the box"):
+        root_systems._class_search.__wrapped__(a1, discriminant_group(a1).zero_class(), 3)
+
+
+def test_d4_class_searches_at_box_16_fit_the_budget():
+    # four scans of 33^4 points each, with the leaf identity certified once per class
+    root_systems._class_search.cache_clear()
+    start = time.perf_counter()
+    for lattice, cls in _every_class():
+        if lattice.rank == 4:
+            assert bounded_class_minimizers(lattice, cls, box=16).outside_bound <= -3
+    assert time.perf_counter() - start <= 1.0
 
 
 def test_elimination_of_the_negated_gram_is_read_off_the_gram():
