@@ -249,7 +249,6 @@ def recognize_normal_form(g: HomPoly, frame) -> int:
 
 class RecognitionResult(NamedTuple):
     t: int
-    t_from_points: int
 
 
 def recognize_surface(g: HomPoly) -> RecognitionResult:
@@ -281,4 +280,4 @@ def recognize_surface(g: HomPoly) -> RecognitionResult:
     t = recognize_normal_form(g, frame)
     if t != t_points:
         raise RecognitionError("coefficient parameter disagrees with the anchor position")
-    return RecognitionResult(t=t, t_from_points=t_points)
+    return RecognitionResult(t=t)

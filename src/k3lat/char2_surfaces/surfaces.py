@@ -506,14 +506,15 @@ class ConfigurationReport(NamedTuple):
         return self.report.total_milnor
 
 
-def verify_configuration(g: HomPoly, r: int | None = None, s: int | None = None) -> ConfigurationReport:
+def verify_configuration(g: HomPoly, r: int, s: int) -> ConfigurationReport:
     """Check the nine-point, five-line shape of a family member.
 
     (a) counts and types 4 D4 + 5 A1 with total Milnor number 21, (b) the
-    five A1 images collinear on a splitting line, (c) with r and s given,
-    the labeled coordinates and the incidence pattern of the five standard
-    lines, (d) every splitting rational line (the scan is exhaustive and
-    independent of (a)).  Mismatches are reported as findings, not raised.
+    five A1 images collinear on a splitting line, (c) the labeled
+    coordinates of the points of (r, s) and the incidence pattern of the
+    five standard lines, (d) every splitting rational line (the scan is
+    exhaustive and independent of (a)).  Mismatches are reported as
+    findings, not raised.
     """
     f = g.field
     findings: list[str] = []
@@ -543,27 +544,26 @@ def verify_configuration(g: HomPoly, r: int | None = None, s: int | None = None)
         except SurfaceError:
             findings.append("degenerate A1 point set")
 
-    if r is not None and s is not None:
-        expected_pts = table_points(f, r, s)
-        actual_d4 = set(d4)
-        actual_a1 = set(a1)
-        exp_d4 = {v for k, v in expected_pts.items() if k.startswith("p")}
-        exp_a1 = {v for k, v in expected_pts.items() if k.startswith("q")}
-        if actual_d4 != exp_d4:
-            findings.append("D4 points differ from the labeled coordinates")
-        if actual_a1 != exp_a1:
-            findings.append("A1 points differ from the labeled coordinates")
-        expected_ln = table_lines(f, r, s)
-        for name, l in expected_ln.items():
-            if l not in split_lines:
-                findings.append(f"{name} is not splitting")
-            on = {
-                label
-                for label, pt in expected_pts.items()
-                if point_on_line(f, pt, l)
-            }
-            if on != set(EXPECTED_INCIDENCE[name]):
-                findings.append(f"incidence of {name} differs: {sorted(on)}")
+    expected_pts = table_points(f, r, s)
+    actual_d4 = set(d4)
+    actual_a1 = set(a1)
+    exp_d4 = {v for k, v in expected_pts.items() if k.startswith("p")}
+    exp_a1 = {v for k, v in expected_pts.items() if k.startswith("q")}
+    if actual_d4 != exp_d4:
+        findings.append("D4 points differ from the labeled coordinates")
+    if actual_a1 != exp_a1:
+        findings.append("A1 points differ from the labeled coordinates")
+    expected_ln = table_lines(f, r, s)
+    for name, l in expected_ln.items():
+        if l not in split_lines:
+            findings.append(f"{name} is not splitting")
+        on = {
+            label
+            for label, pt in expected_pts.items()
+            if point_on_line(f, pt, l)
+        }
+        if on != set(EXPECTED_INCIDENCE[name]):
+            findings.append(f"incidence of {name} differs: {sorted(on)}")
     return ConfigurationReport(
         ok=not findings,
         findings=tuple(findings),

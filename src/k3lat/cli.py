@@ -177,25 +177,23 @@ def cmd_lattice(args, checks: Checks) -> None:
         d4 = lattice_D4()
         ga = discriminant_group(a1)
         gd = discriminant_group(d4)
+        # each class has one maximizer; the runner-up and every norm outside
+        # the box sit at or below the threshold
+        cases = [
+            ("A1_zero", a1, ga.zero_class(), 0, -2),
+            ("A1_dual", a1, ga.class_of(a1.dual_basis_vector(0)), Fraction(-1, 2), Fraction(-9, 2)),
+            ("D4_zero", d4, gd.zero_class(), 0, -2),
+            ("D4_dual", d4, gd.class_of(d4.dual_basis_vector(0)), -1, -3),
+        ]
         out = {}
-        s = bounded_class_minimizers(a1, ga.zero_class(), box=box)
-        out["A1_zero"] = {"max": str(s.max_norm), "next": str(s.runner_up)}
-        ok = s.max_norm == 0 and len(s.maximizers) == 1 and s.runner_up <= -2
-        s = bounded_class_minimizers(a1, ga.class_of(a1.dual_basis_vector(0)), box=box)
-        out["A1_dual"] = {"max": str(s.max_norm), "next": str(s.runner_up)}
-        ok = ok and s.max_norm == Fraction(-1, 2) and len(s.maximizers) == 1
-        ok = ok and s.runner_up <= Fraction(-9, 2)
-        s = bounded_class_minimizers(d4, gd.zero_class(), box=box)
-        out["D4_zero"] = {"max": str(s.max_norm), "next": str(s.runner_up)}
-        ok = ok and s.max_norm == 0 and len(s.maximizers) == 1 and s.runner_up <= -2
-        s = bounded_class_minimizers(d4, gd.class_of(d4.dual_basis_vector(0)), box=box)
-        out["D4_dual"] = {
-            "max": str(s.max_norm),
-            "next": str(s.runner_up),
-            "all_odd": s.norms_all_odd,
-        }
-        ok = ok and s.max_norm == -1 and len(s.maximizers) == 1
-        ok = ok and s.runner_up <= -3 and s.norms_all_odd
+        ok = True
+        for key, lattice, cls, max_norm, threshold in cases:
+            s = bounded_class_minimizers(lattice, cls, box=box)
+            out[key] = {"max": str(s.max_norm), "next": str(s.runner_up)}
+            ok = ok and s.max_norm == max_norm and len(s.maximizers) == 1
+            ok = ok and s.runner_up <= threshold and s.outside_bound <= threshold
+        out["D4_dual"]["all_odd"] = s.norms_all_odd
+        ok = ok and s.norms_all_odd
         return ok, out
 
     checks.run("bounded_class_searches", class_searches)

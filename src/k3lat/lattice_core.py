@@ -1,4 +1,4 @@
-"""Lattices with explicit Gram matrices and labeled bases.
+"""Lattices with explicit Gram matrices.
 
 A lattice here is a free Z-module with a non-degenerate symmetric integer
 bilinear form, given by its Gram matrix in a distinguished basis.  Dual
@@ -36,23 +36,16 @@ class LatticeError(ValueError):
 
 class Lattice(Frozen):
     # _det is set by the constructor, _dual_basis on first use
-    __slots__ = ("gram", "labels", "_det", "_dual_basis")
+    __slots__ = ("gram", "_det", "_dual_basis")
     gram: IntMatrix
-    labels: tuple[str, ...]
 
-    def __init__(self, gram: IntMatrix, labels: Sequence[str] | None = None):
+    def __init__(self, gram: IntMatrix):
         if not gram.is_symmetric():
             raise LatticeError("Gram matrix must be symmetric")
         d = det(gram)
         if d == 0:
             raise LatticeError("Gram matrix must be non-degenerate")
-        if labels is None:
-            labels = tuple(f"e{i}" for i in range(gram.rows))
-        labels = tuple(labels)
-        if len(labels) != gram.rows:
-            raise LatticeError("label count must equal the rank")
         object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_det", d)
 
     @property
@@ -180,7 +173,7 @@ def pairing(u: DualVector, v: DualVector) -> Fraction:
 @functools.cache
 def lattice_A1() -> Lattice:
     """Rank-1 root lattice with Gram (-2)."""
-    return Lattice(IntMatrix([[-2]]), ("a",))
+    return Lattice(IntMatrix([[-2]]))
 
 
 @functools.cache
@@ -194,13 +187,13 @@ def lattice_D4() -> Lattice:
             [0, 0, 1, -2],
         ]
     )
-    return Lattice(gram, ("d1", "d2", "d3", "d4"))
+    return Lattice(gram)
 
 
 @functools.cache
 def lattice_hyperbolic2() -> Lattice:
     """Rank-1 lattice with Gram (2); carries a degree-2 polarization class."""
-    return Lattice(IntMatrix([[2]]), ("h",))
+    return Lattice(IntMatrix([[2]]))
 
 
 # ---------------------------------------------------------------------------
@@ -352,5 +345,4 @@ def orthogonal_complement(lattice: Lattice, v: DualVector) -> Sublattice:
     basis = kernel_basis(IntMatrix([v.integer_pairings()]))
     b = IntMatrix(basis)
     gram = b.mul(lattice.gram).mul(b.transpose())
-    labels = tuple(f"c{i}" for i in range(len(basis)))
-    return Sublattice(Lattice(gram, labels), b)
+    return Sublattice(Lattice(gram), b)

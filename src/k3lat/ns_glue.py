@@ -1,7 +1,7 @@
 """The labeled rank-22 direct sum, its glue vectors and Neron-Severi overlattices.
 
 The base lattice is <2> + four copies of D4 + five copies of A1, with the
-basis labeled after the polarization class, the sixteen exceptional
+basis ordered after the polarization class, the sixteen exceptional
 curves over the D4 points and the five exceptional curves over the A1
 points.  Half-line classes are glue vectors of norm -2; adding all five
 produces the overlattice of Artin invariant 2, and one extra class drops
@@ -96,20 +96,17 @@ class LabeledSum(NamedTuple):
 def build_lambda() -> LabeledSum:
     """The rank-22 labeled sum: det -2^14, hyperbolic, discriminant (Z/2)^14."""
     blocks = [lattice_hyperbolic2().gram]
-    labels = ["h"]
     summands = [Summand("H", "H", 0, 1)]
     off = 1
     for ab in P_LABELS:
         blocks.append(lattice_D4().gram)
-        labels += [f"d{i}({ab})" for i in range(1, 5)]
         summands.append(Summand(f"P({ab})", "D4", off, 4))
         off += 4
     for g in Q_LABELS:
         blocks.append(lattice_A1().gram)
-        labels.append(f"a({g})")
         summands.append(Summand(f"Q({g})", "A1", off, 1))
         off += 1
-    lattice = Lattice(IntMatrix.block_diagonal(blocks), tuple(labels))
+    lattice = Lattice(IntMatrix.block_diagonal(blocks))
     return LabeledSum(lattice, tuple(summands))
 
 
@@ -236,7 +233,7 @@ def build_overlattice(base: LabeledSum, glue: Sequence[GlueVector]) -> Overlatti
     if any(x % (denom * denom) for row in scaled.entries for x in row):
         raise GlueError("overlattice form is not integral")
     gram = IntMatrix([[x // (denom * denom) for x in row] for row in scaled.entries])
-    lat = Lattice(gram, tuple(f"n{i}" for i in range(n)))
+    lat = Lattice(gram)
     if not is_even(lat):
         raise GlueError("overlattice is not even")
 

@@ -9,11 +9,10 @@ dual-class norm searches used by the glue-vector uniqueness arguments.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from fractions import Fraction
 from operator import add, mul, sub
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .exact_arith import IntMatrix, hnf_rows, symmetric_elimination
 from .frozen import Frozen
@@ -23,8 +22,6 @@ from .lattice_core import (
     Lattice,
     discriminant_group,
     is_even,
-    lattice_A1,
-    lattice_D4,
 )
 
 
@@ -427,7 +424,7 @@ def root_type(components: Iterable[tuple[str, int]]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# bounded dual-class norm searches on A1 and D4
+# bounded dual-class norm searches
 # ---------------------------------------------------------------------------
 
 class ClassNormSearch(NamedTuple):
@@ -438,8 +435,9 @@ class ClassNormSearch(NamedTuple):
     maximum (and runner-up threshold) is global, not merely in-box.
     ``in_box`` holds every (norm, x) with rep + x in the box pairing
     non-negatively with every basis vector, by decreasing norm.
-    ``norms_all_odd`` holds for a D4 leaf class, whose norms are all odd
-    on the whole class (``_leaf_certificate``), and is False otherwise.
+    ``norms_all_odd`` holds when every norm of the class is odd, which the
+    parity of the representative's norm decides (``_norms_all_odd``); it
+    holds on the D4 leaf classes and on no A1 class.
     """
 
     rep: DualVector
@@ -451,59 +449,32 @@ class ClassNormSearch(NamedTuple):
     in_box: tuple[tuple[Fraction, tuple[int, ...]], ...]
 
 
-_D4_LEAVES = (0, 1, 3)  # basis positions of the three outer nodes; position 2 is the center
-
-
-def _d4_leaf_forms(leaf: int) -> list[Callable[[Sequence[int]], int]]:
-    others = [k for k in _D4_LEAVES if k != leaf]
-    return [
-        lambda x, j=leaf: 1 - 2 * x[j] + x[2],
-        lambda x, k=others[0]: -2 * x[k] + x[2],
-        lambda x, k=others[1]: -2 * x[k] + x[2],
-        lambda x: x[2] - 1,
-    ]
-
-
-def _match_rep(lattice: Lattice, cls: DiscClass) -> tuple[str, DualVector, int | None]:
-    """Pick the canonical representative of the class among the named dual vectors."""
-    grp = discriminant_group(lattice)
+def _match_rep(lattice: Lattice, cls: DiscClass) -> DualVector:
+    """The first of zero and the dual basis vectors that lies in the class."""
     if cls.group.lattice != lattice:
         raise RootSystemError("class belongs to a different lattice")
-    if lattice.gram.entries == lattice_A1().gram.entries:
-        for name, rep in (("zero", lattice.zero()), ("a_dual", lattice.dual_basis_vector(0))):
-            if grp.class_of(rep) == cls:
-                return name, rep, None
-    elif lattice.gram.entries == lattice_D4().gram.entries:
-        named = [("zero", lattice.zero(), None)] + [
-            (f"d{j + 1}_dual", lattice.dual_basis_vector(j), j) for j in _D4_LEAVES
-        ]
-        for name, rep, leaf in named:
-            if grp.class_of(rep) == cls:
-                return name, rep, leaf
-    else:
-        raise RootSystemError("bounded searches support only the A1 and D4 lattices")
-    raise RootSystemError("class is not in the discriminant group")
+    grp = discriminant_group(lattice)
+    duals = [lattice.dual_basis_vector(j) for j in range(lattice.rank)]
+    for rep in [lattice.zero()] + duals:
+        if grp.class_of(rep) == cls:
+            return rep
+    raise RootSystemError("no dual basis vector represents the class")
 
 
-def _leaf_certificate(
-    lattice: Lattice, rep: DualVector, forms: Sequence[Callable[[Sequence[int]], int]]
-) -> bool:
-    """Certify 2 (rep + x)^2 = -(f_0^2 + ... + f_3^2) on all of Z^4, and
-    return whether every norm of the class is odd.
+def _norms_all_odd(lattice: Lattice, rep: DualVector) -> bool:
+    """Whether every vector of the class rep + L has odd norm.
 
-    Both sides have degree <= 2 in each x_i, so agreeing on the 81 points
-    of {-1, 0, 1}^4 makes them equal everywhere.  Adding 2 to one x_i adds
-    an even number to every f_k, so f_k^2 mod 4, and with it the norm
-    mod 4, depends only on x mod 2: the 16 points of {0, 1}^4 decide
-    the parity.
+    For x in L, (rep + x)^2 = rep^2 + 2 rep.x + x^2 with rep.x an integer
+    and, on an even lattice, x^2 even: the norm of a dual vector is well
+    defined mod 2 on its class (the discriminant quadratic form), so the
+    class has only odd norms exactly when rep^2 is an odd integer.
     """
-    twice_norms = {}
-    for x in itertools.product((-1, 0, 1), repeat=lattice.rank):
-        nv = 2 * (rep + DualVector(lattice, x)).norm()
-        if nv != -sum(f(x) ** 2 for f in forms):
-            raise RootSystemError("leaf-class norm identity failed")
-        twice_norms[x] = nv
-    return all(twice_norms[x] % 4 == 2 for x in itertools.product((0, 1), repeat=lattice.rank))
+    if not is_even(lattice):
+        raise RootSystemError("norm parity requires an even lattice")
+    if not rep.is_dual_vector():
+        raise RootSystemError("norm parity requires a dual vector")
+    norm = rep.norm()
+    return norm.denominator == 1 and norm.numerator % 2 == 1
 
 
 def _outside_bound(lattice: Lattice, rep: DualVector, box: int) -> Fraction:
@@ -598,11 +569,14 @@ def bounded_class_minimizers(
 def _class_search(lattice: Lattice, cls: DiscClass, box: int) -> ClassNormSearch:
     """The search behind bounded_class_minimizers, memoized per (lattice, class, box).
 
-    The bounded-class check and the half-line walk ask for the same classes,
-    so each distinct key is scanned once per process.
+    The representative is zero or a dual basis vector (``_match_rep``), and
+    the parity of its norm is the parity of every norm in the class
+    (``_norms_all_odd``).  The bounded-class check and the half-line walk
+    ask for the same classes, so each distinct key is scanned once per
+    process.
     """
-    name, rep, leaf = _match_rep(lattice, cls)
-    all_odd = leaf is not None and _leaf_certificate(lattice, rep, _d4_leaf_forms(leaf))
+    rep = _match_rep(lattice, cls)
+    all_odd = _norms_all_odd(lattice, rep)
     found = _box_scan(lattice, rep, box)
     if not found:
         raise RootSystemError("empty constrained search")

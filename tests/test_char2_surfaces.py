@@ -170,6 +170,15 @@ def test_fork_line_certificate_shape(gf16):
     assert cert is not None and cert.verify(g)
 
 
+def test_is_splitting_rejects_a_certificate_that_does_not_verify(gf16, monkeypatch):
+    f = gf16
+    g = schroeer_sextic(f, 1, f.generator)
+    ell = HomPoly.linear(f, scan_splitting_lines(g)[0][0])
+    monkeypatch.setattr(surfaces.SplittingCertificate, "verify", lambda self, g: False)
+    with pytest.raises(SurfaceError, match="splitting certificate failed to verify"):
+        is_splitting(g, ell)
+
+
 def test_diagonal_line_does_not_split(gf16):
     f = gf16
     s = f.generator

@@ -3,10 +3,11 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
-from k3lat import cli
+from k3lat import cli, root_systems
 from k3lat.char2_surfaces.field import BinaryField
 from k3lat.char2_surfaces.poly import HomPoly
 from k3lat.char2_surfaces.recognize import apply_frame, normal_form_sextic
@@ -245,6 +246,24 @@ def test_lattice_box_option_is_not_answered_from_the_box_3_memo():
     assert sorted(key.endswith(", 4)") for key in scans) == [False] * 5 + [True] * 4
 
 
+def test_class_search_check_requires_the_outside_bound_below_the_runner_up(capsys, monkeypatch):
+    # -1 is below every maximum but above the A1 and D4 zero-class
+    # threshold -2: the maxima are certified, the runner-ups are not
+    root_systems._class_search.cache_clear()
+    monkeypatch.setattr(root_systems, "_outside_bound", lambda lattice, rep, box: Fraction(-1))
+    try:
+        code, out = run_cli(capsys, "lattice")
+    finally:
+        monkeypatch.undo()
+        root_systems._class_search.cache_clear()
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    with open(os.path.join(DATA, "lattice_default.json"), encoding="utf-8") as fh:
+        golden = {c["name"]: c for c in json.load(fh)["checks"]}
+    check = checks["bounded_class_searches"]
+    assert code == EXIT_CHECK_FAILED and check["pass"] is False
+    assert check["witness"] == golden["bounded_class_searches"]["witness"]
+
+
 def test_lattice_corrupted_glue_fails_with_witness(capsys):
     code, out = run_cli(capsys, "lattice", "--inject-corrupt-glue")
     assert code == EXIT_CHECK_FAILED
@@ -359,6 +378,22 @@ def test_surface_rejects_degenerate_without_flag(capsys):
     code = main(["surface", "--k", "4", "--r", "0", "--s", "2"])
     capsys.readouterr()
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("r, s", [("0", "2"), ("0", "0")], ids=["r0-s2", "r0-s0"])
+def test_surface_with_a_degenerate_pair_fails_without_a_traceback(capsys, r, s):
+    code = main(["surface", "--k", "4", "--r", r, "--s", s, "--allow-degenerate"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CHECK_FAILED
+    assert "Traceback" not in captured.err
+    checks = {c["name"]: c for c in json.loads(captured.out)["checks"]}
+    case = checks[f"surface_r={r}_s={s}"]
+    assert case["pass"] is False and case["witness"]["findings"]
+    dichotomy = checks["extra_line_dichotomy"]
+    assert dichotomy["pass"] is False
+    if s == "0":
+        # r = s = 0 puts the two fork points together, so no line joins them
+        assert dichotomy["witness"]["error_type"] == "SurfaceError"
 
 
 def test_surface_sampling_deterministic(capsys):

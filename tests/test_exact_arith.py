@@ -8,6 +8,8 @@ import pytest
 from k3lat.exact_arith import (
     ExactArithError,
     IntMatrix,
+    SnfResult,
+    _check_snf,
     det,
     hnf_rows,
     inertia,
@@ -198,6 +200,23 @@ def test_snf_random_matrices():
             assert d[i] >= 0
             if d[i + 1] != 0:
                 assert d[i] != 0 and d[i + 1] % d[i] == 0
+
+
+@pytest.mark.parametrize(
+    "a, u, s, message",
+    [
+        ([[2]], [[1]], [[1]], r"U\*A\*V != S"),
+        ([[1]], [[2]], [[2]], "transform not unimodular"),
+        ([[2, 0], [0, 3]], [[1, 0], [0, 1]], [[2, 0], [0, 3]], "divisibility chain"),
+        ([[0, 0], [0, 1]], [[1, 0], [0, 1]], [[0, 0], [0, 1]], "zeros not trailing"),
+    ],
+    ids=["product", "unimodular", "divisibility", "zeros"],
+)
+def test_snf_check_rejects_a_wrong_result(a, u, s, message):
+    # V is the identity, so U*A*V = S holds exactly when U*A = S
+    v = IntMatrix.identity(len(a[0]))
+    with pytest.raises(ExactArithError, match=f"SNF verification failed: {message}"):
+        _check_snf(IntMatrix(a), SnfResult(IntMatrix(u), IntMatrix(s), v))
 
 
 def test_snf_det_is_product_of_factors():

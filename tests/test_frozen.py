@@ -19,7 +19,7 @@ def _twice(build):
 def _values():
     gram = [[-2, 1], [1, -2]]
     yield _twice(lambda: IntMatrix(gram))
-    yield _twice(lambda: Lattice(IntMatrix(gram), ("x", "y")))
+    yield _twice(lambda: Lattice(IntMatrix(gram)))
     # the same vector over two different denominators before reduction
     lat = Lattice(IntMatrix(gram))
     yield DualVector(lat, [2, -4], 6), DualVector(Lattice(IntMatrix(gram)), [1, -2], 3)
@@ -45,7 +45,7 @@ def test_caches_take_no_part_in_equality():
     u.pairing_numerators()
     assert u == v and hash(u) == hash(v)
     assert DualVector(a, [1, 0]) != u
-    assert Lattice(gram, ("x", "y")) != a  # labels are a field
+    assert Lattice(IntMatrix([[-2, 0], [0, -2]])) != a  # the Gram is the one field
 
 
 def test_values_of_other_types_or_plain_tuples_are_not_equal():

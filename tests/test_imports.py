@@ -137,3 +137,31 @@ def test_every_package_re_export_is_imported_from_the_package():
             package = path.relative_to(REPO / root).parent.parts
             imported |= {(module, alias.name) for module, alias in _imports_from(path, package)}
     assert sorted(exported - imported) == []
+
+
+# each record field that nothing in src reads, with the reason it stays
+FIELD_WITHOUT_READER = {
+    "ExceptionalRootReport.component_types": "acceptance criterion 5",
+    "DiscriminantGroup.generators": "checked at construction, pinned in test_lattice_core.py",
+}
+
+
+def test_every_record_field_is_read_in_src():
+    # NamedTuple fields and public __slots__ names; a constructor keyword
+    # writes a field, and only an attribute load reads one
+    fields, read = [], set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases):
+                annotated = [s for s in node.body if isinstance(s, ast.AnnAssign)]
+                fields += [(node.name, s.target.id) for s in annotated]
+            for s in node.body:
+                if isinstance(s, ast.Assign) and getattr(s.targets[0], "id", None) == "__slots__":
+                    fields += [(node.name, e.value) for e in s.value.elts if e.value[0] != "_"]
+    assert ("Lattice", "gram") in fields and ("ClassNormSearch", "norms_all_odd") in fields
+    unread = sorted(f"{cls}.{name}" for cls, name in fields if name not in read)
+    assert unread == sorted(FIELD_WITHOUT_READER), unread

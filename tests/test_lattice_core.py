@@ -50,8 +50,6 @@ def test_constructor_validation():
         Lattice(IntMatrix([[0, 1], [2, 0]]))  # not symmetric
     with pytest.raises(LatticeError):
         Lattice(IntMatrix([[1, 1], [1, 1]]))  # degenerate
-    with pytest.raises(LatticeError):
-        Lattice(IntMatrix([[2]]), ("a", "b"))
 
 
 def test_named_constructors():

@@ -62,9 +62,11 @@ def test_base_lattice_shape(ls):
     assert lat.det() == -(2**14)
     assert lat.inertia() == (1, 21, 0)
     assert is_even(lat)
-    assert lat.labels[0] == "h"
-    assert lat.labels[1] == "d1(00)"
-    assert lat.labels[-1] == "a(inf)"
+    # the summand table names the basis: h, then d1..d4 of each D4, then the A1s
+    assert [(s.name, s.kind, s.offset, s.rank) for s in ls.summands[:2]] == [
+        ("H", "H", 0, 1), ("P(00)", "D4", 1, 4)
+    ]
+    assert ls.summands[-1] == ("Q(inf)", "A1", 21, 1)
 
 
 def test_base_discriminant_is_f2_14(ls):

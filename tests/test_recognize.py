@@ -116,7 +116,6 @@ def test_pipeline_on_normal_form(gf16):
         t = rng.randrange(1, f.q)
         res = recognize_surface(normal_form_sextic(f, t))
         assert res.t == t
-        assert res.t_from_points == t
 
 
 def test_pipeline_on_normal_form_plus_square(gf16):

@@ -31,9 +31,8 @@ from k3lat.root_systems import (
     RootSet,
     RootSystemError,
     _box_scan,
-    _d4_leaf_forms,
-    _leaf_certificate,
     _match_rep,
+    _norms_all_odd,
     _outside_bound,
     _pairing_components,
     _positive_root_coordinates,
@@ -772,16 +771,72 @@ def test_box_below_three_rejected():
 
 
 def test_unsupported_lattice_rejected():
+    # A2 is even and negative definite: its zero class certifies, and its two
+    # nonzero classes, of norm -2/3 mod 2, have no half-integral norm to scan
     a2 = Lattice(IntMatrix([[-2, 1], [1, -2]]))
     grp = discriminant_group(a2)
-    with pytest.raises(RootSystemError):
-        bounded_class_minimizers(a2, grp.zero_class())
+    res = bounded_class_minimizers(a2, grp.zero_class())
+    assert (res.max_norm, res.runner_up, res.norms_all_odd) == (0, -2, False)
+    classes = {grp.class_of(a2.dual_basis_vector(j)) for j in range(2)}
+    assert len(classes) == 2 and grp.zero_class() not in classes
+    for cls in classes:
+        with pytest.raises(RootSystemError, match="representative norm is not half-integral"):
+            bounded_class_minimizers(a2, cls)
+
+
+def test_match_rep_rejects_a_class_no_dual_basis_vector_represents():
+    # the class (1, 1) of A1 + A1 is the sum of the two dual basis classes
+    lattice = a1_plus_a1()
+    grp = discriminant_group(lattice)
+    cls = grp.class_of(lattice.dual_basis_vector(0)) + grp.class_of(lattice.dual_basis_vector(1))
+    with pytest.raises(RootSystemError, match="no dual basis vector represents the class"):
+        _match_rep(lattice, cls)
+
+
+def test_norm_parity_requires_an_even_lattice():
+    odd = Lattice(IntMatrix([[-1]]))
+    with pytest.raises(RootSystemError, match="norm parity requires an even lattice"):
+        _norms_all_odd(odd, odd.zero())
+
+
+def test_norm_parity_requires_a_dual_vector():
+    a1 = lattice_A1()
+    with pytest.raises(RootSystemError, match="norm parity requires a dual vector"):
+        _norms_all_odd(a1, a1.vector([Fraction(1, 4)]))
+
+
+D4_LEAVES = (0, 1, 3)  # basis positions of the three outer nodes; position 2 is the center
+
+
+def d4_leaf_forms(leaf: int) -> list:
+    """Oracle: the paper's identity 2 (rep + x)^2 = -(f_0^2 + ... + f_3^2) on
+    the class of the dual of a D4 leaf, as the four linear forms f_k."""
+    others = [k for k in D4_LEAVES if k != leaf]
+    return [
+        lambda x, j=leaf: 1 - 2 * x[j] + x[2],
+        lambda x, k=others[0]: -2 * x[k] + x[2],
+        lambda x, k=others[1]: -2 * x[k] + x[2],
+        lambda x: x[2] - 1,
+    ]
+
+
+def named_rep(lattice: Lattice, cls) -> tuple:
+    """(name, rep, leaf): the representative _match_rep picks, named zero,
+    a_dual or d<j>_dual, with the basis position of the leaf on a D4 leaf
+    class and None otherwise."""
+    rep = _match_rep(lattice, cls)
+    if not any(rep.num):
+        return "zero", rep, None
+    j = next(j for j in range(lattice.rank) if rep == lattice.dual_basis_vector(j))
+    if lattice.rank == 1:
+        return "a_dual", rep, None
+    return f"d{j + 1}_dual", rep, j
 
 
 def product_box_scan(lattice: Lattice, rep, box: int, forms) -> tuple:
     """Oracle: the former scan, G x summed in full at every point of the box,
     with the leaf norm identity checked and the parity of the norm read at
-    every point instead of certified once."""
+    every point."""
     g = lattice.gram.entries
     n = lattice.rank
     grep = list(rep.integer_pairings())
@@ -809,15 +864,16 @@ def _every_class():
             yield lattice, DiscClass(grp, comp)
 
 
-@pytest.mark.parametrize("box", [3, 4])
+@pytest.mark.parametrize("box", [3, 4, 8])
 def test_box_scan_matches_the_product_scan(box):
-    # every class takes the one interval scan; the certified parity flag
-    # agrees with the parity read at every point of the box
+    # every class takes the one interval scan; the parity of the
+    # representative's norm agrees with the parity read at every point of
+    # the box, where the leaf classes also satisfy the paper's identity
     seen = set()
     for lattice, cls in _every_class():
-        name, rep, leaf = _match_rep(lattice, cls)
+        name, rep, leaf = named_rep(lattice, cls)
         seen.add((lattice.rank, name))
-        forms = _d4_leaf_forms(leaf) if leaf is not None else None
+        forms = d4_leaf_forms(leaf) if leaf is not None else None
         found, all_odd = product_box_scan(lattice, rep, box, forms)
         assert _box_scan(lattice, rep, box) == found
         assert bounded_class_minimizers(lattice, cls, box).norms_all_odd == all_odd
@@ -826,45 +882,49 @@ def test_box_scan_matches_the_product_scan(box):
     }
 
 
-def test_leaf_certificate_matches_the_product_scan_at_box_8():
-    d4 = lattice_D4()
-    name, rep, leaf = _match_rep(d4, discriminant_group(d4).class_of(d4.dual_basis_vector(0)))
-    found, all_odd = product_box_scan(d4, rep, 8, _d4_leaf_forms(leaf))
-    assert all_odd
-    assert _box_scan(d4, rep, 8) == found
-    assert _leaf_certificate(d4, rep, _d4_leaf_forms(leaf)) == all_odd
+BLOCKS = {
+    "A1": [[-2]],
+    "A2": [[-2, 1], [1, -2]],
+    "A3": [[-2, 1, 0], [1, -2, 1], [0, 1, -2]],
+    "D4": [list(row) for row in lattice_D4().gram.entries],
+}
+
+
+def test_norm_parity_matches_the_product_scan_on_block_sums():
+    # every half-integral class that zero or a dual basis vector represents,
+    # on seeded block sums of rank <= 4
+    rng = random.Random(22)
+    parities = set()
+    for _ in range(12):
+        blocks, rank = [], 0
+        while not blocks or rng.random() < 0.6:
+            fits = [name for name, g in BLOCKS.items() if rank + len(g) <= 4]
+            if not fits:
+                break
+            blocks.append(rng.choice(fits))
+            rank += len(BLOCKS[blocks[-1]])
+        lattice = Lattice(IntMatrix.block_diagonal([IntMatrix(BLOCKS[b]) for b in blocks]))
+        grp = discriminant_group(lattice)
+        duals = [lattice.dual_basis_vector(j) for j in range(lattice.rank)]
+        for vector in [lattice.zero()] + duals:
+            if (2 * vector.norm()).denominator != 1:
+                continue
+            res = bounded_class_minimizers(lattice, grp.class_of(vector), 3)
+            found, all_odd = product_box_scan(lattice, res.rep, 3, None)
+            assert list(res.in_box) == sorted(found, key=lambda t: (-t[0], t[1]))
+            assert res.norms_all_odd == all_odd, blocks
+            parities.add(all_odd)
+    assert parities == {False, True}
 
 
 def test_box_scan_rejects_a_corrupted_leaf_form():
+    # the oracle scan is not vacuous: a wrong leaf form breaks the identity
     d4 = lattice_D4()
-    name, rep, leaf = _match_rep(d4, discriminant_group(d4).class_of(d4.dual_basis_vector(0)))
-    forms = _d4_leaf_forms(leaf)
+    name, rep, leaf = named_rep(d4, discriminant_group(d4).class_of(d4.dual_basis_vector(0)))
+    forms = d4_leaf_forms(leaf)
     forms[3] = lambda x: x[2]  # the correct form is x[2] - 1
     with pytest.raises(RootSystemError, match="leaf-class norm identity failed"):
-        _leaf_certificate(d4, rep, forms)
-
-
-@pytest.mark.parametrize("box", [3, 4])
-def test_leaf_forms_are_evaluated_on_the_certificate_grid_only(box, monkeypatch):
-    # the identity is certified on the 81 points of {-1, 0, 1}^4, whatever the box
-    d4 = lattice_D4()
-    cls = discriminant_group(d4).class_of(d4.dual_basis_vector(0))
-    calls = [0] * 4
-    real = root_systems._d4_leaf_forms
-
-    def counted(k, form):
-        def wrapper(x):
-            calls[k] += 1
-            return form(x)
-
-        return wrapper
-
-    def counted_forms(leaf):
-        return [counted(k, f) for k, f in enumerate(real(leaf))]
-
-    monkeypatch.setattr(root_systems, "_d4_leaf_forms", counted_forms)
-    assert root_systems._class_search.__wrapped__(d4, cls, box).norms_all_odd
-    assert calls == [81] * 4
+        product_box_scan(d4, rep, 3, forms)
 
 
 def hand_derived_outside_bound(lattice: Lattice, rep, leaf, box: int) -> Fraction:
@@ -891,7 +951,7 @@ def hand_derived_outside_bound(lattice: Lattice, rep, leaf, box: int) -> Fractio
 def test_outside_bound_matches_the_hand_derived_bounds(box):
     # equal on both A1 classes and the three D4 leaf classes, tighter on the D4 zero class
     for lattice, cls in _every_class():
-        name, rep, leaf = _match_rep(lattice, cls)
+        name, rep, leaf = named_rep(lattice, cls)
         bound = _outside_bound(lattice, rep, box)
         oracle = hand_derived_outside_bound(lattice, rep, leaf, box)
         if (lattice.rank, name) == (4, "zero"):
@@ -910,7 +970,7 @@ def test_outside_bounds_at_box_3():
         (4, "d4_dual"): Fraction(-9, 2),
     }
     for lattice, cls in _every_class():
-        name = _match_rep(lattice, cls)[0]
+        name = named_rep(lattice, cls)[0]
         assert bounded_class_minimizers(lattice, cls).outside_bound == pinned[(lattice.rank, name)]
 
 
@@ -921,7 +981,7 @@ def test_outside_bound_holds_on_a_shell_around_the_box():
     for lattice, cls in _every_class():
         g = lattice.gram.entries
         n = lattice.rank
-        rep = _match_rep(lattice, cls)[1]
+        rep = _match_rep(lattice, cls)
         for r in (rep, -rep):
             grep = r.integer_pairings()
             top = None
@@ -954,7 +1014,7 @@ def test_class_search_rejects_a_bound_above_the_maximum(monkeypatch):
 
 
 def test_d4_class_searches_at_box_16_fit_the_budget():
-    # four scans of 33^4 points each, with the leaf identity certified once per class
+    # four scans of 33^4 points each; the parity is read off each representative's norm
     root_systems._class_search.cache_clear()
     start = time.perf_counter()
     for lattice, cls in _every_class():
