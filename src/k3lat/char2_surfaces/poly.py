@@ -45,10 +45,6 @@ class HomPoly:
         return HomPoly(field, degree, {})
 
     @staticmethod
-    def monomial(field: BinaryField, exp: tuple[int, int, int], coeff: int = 1) -> "HomPoly":
-        return HomPoly(field, sum(exp), {exp: coeff})
-
-    @staticmethod
     def linear(field: BinaryField, coeffs: Sequence[int]) -> "HomPoly":
         a, b, c = coeffs
         return HomPoly(field, 1, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c})

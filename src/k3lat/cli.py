@@ -13,7 +13,6 @@ import json
 import random
 import sys
 import time
-from fractions import Fraction
 
 from .char2_surfaces.field import BinaryField
 from .char2_surfaces.poly import HomPoly
@@ -25,7 +24,15 @@ from .char2_surfaces.surfaces import (
     table_points,
     verify_configuration,
 )
-from .lattice_core import discriminant_group, is_even, is_p_elementary, lattice_A1, lattice_D4
+from .lattice_core import (
+    DualVector,
+    discriminant_group,
+    is_even,
+    is_p_elementary,
+    lattice_A1,
+    lattice_D4,
+    ratio,
+)
 from .root_systems import bounded_class_minimizers
 from .ns_glue import (
     EXTRA_GLUE_CHOICES,
@@ -95,20 +102,18 @@ def cmd_lattice(args, checks: Checks) -> None:
 
     glue = [halfline_class(ls, lam) for lam in L_LABELS]
     if args.inject_corrupt_glue:
-        bad = glue[1].vector
-        coords = list(bad.coords)
-        coords[3] += Fraction(1, 2)
-        glue[1] = GlueVector(glue[1].name, ls.lattice.vector(coords))
+        # half the basis vector e_3 breaks integrality against the base
+        e3 = DualVector(ls.lattice, [int(j == 3) for j in range(ls.lattice.rank)], 2)
+        glue[1] = GlueVector(glue[1].name, glue[1].vector + e3)
 
     def independence():
         for gv in glue:
-            if not gv.vector.is_dual_vector():
+            v = gv.vector
+            if not v.is_dual_vector():
                 return False, {
                     "offender": gv.name,
-                    "coords": [str(c) for c in gv.vector.coords],
-                    "basis_pairings": [
-                        str(Fraction(x, gv.vector.den)) for x in gv.vector.pairing_numerators()
-                    ],
+                    "coords": [ratio(c, v.den) for c in v.num],
+                    "basis_pairings": [ratio(x, v.den) for x in v.pairing_numerators()],
                 }
         ok, rank = independence_check(ls, glue)
         return ok and rank == 5, {"rank": rank}
@@ -178,20 +183,21 @@ def cmd_lattice(args, checks: Checks) -> None:
         ga = discriminant_group(a1)
         gd = discriminant_group(d4)
         # each class has one maximizer; the runner-up and every norm outside
-        # the box sit at or below the threshold
+        # the box sit at or below the threshold; norms in half-units, 2 v*v
         cases = [
-            ("A1_zero", a1, ga.zero_class(), 0, -2),
-            ("A1_dual", a1, ga.class_of(a1.dual_basis_vector(0)), Fraction(-1, 2), Fraction(-9, 2)),
-            ("D4_zero", d4, gd.zero_class(), 0, -2),
-            ("D4_dual", d4, gd.class_of(d4.dual_basis_vector(0)), -1, -3),
+            ("A1_zero", a1, ga.zero_class(), 0, -4),
+            ("A1_dual", a1, ga.class_of(a1.dual_basis_vector(0)), -1, -9),
+            ("D4_zero", d4, gd.zero_class(), 0, -4),
+            ("D4_dual", d4, gd.class_of(d4.dual_basis_vector(0)), -2, -6),
         ]
         out = {}
         ok = True
-        for key, lattice, cls, max_norm, threshold in cases:
+        for key, lattice, cls, max_norm2, threshold2 in cases:
             s = bounded_class_minimizers(lattice, cls, box=box)
-            out[key] = {"max": str(s.max_norm), "next": str(s.runner_up)}
-            ok = ok and s.max_norm == max_norm and len(s.maximizers) == 1
-            ok = ok and s.runner_up <= threshold and s.outside_bound <= threshold
+            runner_up = "None" if s.runner_up2 is None else ratio(s.runner_up2, 2)
+            out[key] = {"max": ratio(s.max_norm2, 2), "next": runner_up}
+            ok = ok and s.max_norm2 == max_norm2 and len(s.maximizers) == 1
+            ok = ok and s.runner_up2 <= threshold2 and s.outside_bound2 <= threshold2
         out["D4_dual"]["all_odd"] = s.norms_all_odd
         ok = ok and s.norms_all_odd
         return ok, out

@@ -48,10 +48,6 @@ class IntMatrix(Frozen):
         return len(self.entries[0]) if self.entries else 0
 
     @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
     def block_diagonal(blocks: Sequence["IntMatrix"]) -> "IntMatrix":
         n = sum(b.rows for b in blocks)
         rows = [[0] * n for _ in range(n)]

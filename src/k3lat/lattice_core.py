@@ -6,14 +6,15 @@ vectors are stored in that same basis as integers over one denominator,
 in lowest terms, so the lattice itself is exactly the set of vectors of
 denominator 1 and the dual consists of vectors pairing integrally with
 the whole basis.  The pairings G v of a vector are one integer product
-over its denominator; the Gram itself never becomes a rational matrix.
+over its denominator, and u.v is the integer ``pairing_numerator(u, v)``
+over den_u den_v; the Gram itself never becomes a rational matrix, and a
+rational becomes a string only through ``ratio``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -63,17 +64,8 @@ class Lattice(Frozen):
     def is_negative_definite(self) -> bool:
         return self.inertia() == (0, self.rank, 0)
 
-    def basis_vector(self, i: int) -> "DualVector":
-        return DualVector(self, [int(j == i) for j in range(self.rank)])
-
     def zero(self) -> "DualVector":
         return DualVector(self, [0] * self.rank)
-
-    def vector(self, coords: Sequence) -> "DualVector":
-        """The vector with these rational coordinates, written over their lcm."""
-        coords = [Fraction(c) for c in coords]
-        d = math.lcm(*(c.denominator for c in coords))
-        return DualVector(self, [c.numerator * (d // c.denominator) for c in coords], d)
 
     def dual_basis_vector(self, j: int) -> "DualVector":
         """Column j of the inverse Gram; the Gram is inverted once per lattice."""
@@ -110,11 +102,6 @@ class DualVector(Frozen):
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    @property
-    def coords(self) -> tuple[Fraction, ...]:
-        """The rational coordinates num / den."""
-        return tuple(Fraction(c, self.den) for c in self.num)
 
     def __add__(self, other: "DualVector") -> "DualVector":
         self._same(other)
@@ -153,14 +140,20 @@ class DualVector(Frozen):
         """True when the vector pairs integrally with every basis vector."""
         return all(x % self.den == 0 for x in self.pairing_numerators())
 
-    def norm(self) -> Fraction:
-        return pairing(self, self)
 
-
-def pairing(u: DualVector, v: DualVector) -> Fraction:
-    """Bilinear form extended to the dual: u^T G v = num_u . (G num_v) / (den_u den_v)."""
+def pairing_numerator(u: DualVector, v: DualVector) -> int:
+    """num_u . (G num_v): the bilinear form is u.v = this / (den_u den_v)."""
     u._same(v)
-    return Fraction(sum(map(mul, u.num, v.pairing_numerators())), u.den * v.den)
+    return sum(map(mul, u.num, v.pairing_numerators()))
+
+
+def ratio(n: int, d: int) -> str:
+    """n / d in lowest terms, printed as str(fractions.Fraction(n, d)) prints it."""
+    if d == 0:
+        raise ZeroDivisionError(f"ratio({n}, 0)")
+    g = math.gcd(n, d) * (1 if d > 0 else -1)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +333,7 @@ def orthogonal_complement(lattice: Lattice, v: DualVector) -> Sublattice:
         raise LatticeError("vector lives in a different lattice")
     if not v.is_lattice_vector():
         raise LatticeError("complement requires a lattice vector")
-    if v.norm() == 0:
+    if pairing_numerator(v, v) == 0:
         raise LatticeError("complement requires a vector of nonzero norm")
     basis = kernel_basis(IntMatrix([v.integer_pairings()]))
     b = IntMatrix(basis)

@@ -11,7 +11,6 @@ the invariant to 1.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -28,7 +27,8 @@ from .lattice_core import (
     lattice_D4,
     lattice_hyperbolic2,
     orthogonal_complement,
-    pairing,
+    pairing_numerator,
+    ratio,
 )
 from .root_systems import (
     PositivityFunctional,
@@ -115,7 +115,7 @@ def build_lambda() -> LabeledSum:
 # ---------------------------------------------------------------------------
 
 def h_vee(ls: LabeledSum) -> DualVector:
-    return ls.assemble({"H": lattice_hyperbolic2().vector([Fraction(1, 2)])})
+    return ls.assemble({"H": DualVector(lattice_hyperbolic2(), [1], 2)})
 
 
 def d_vee(ls: LabeledSum, i: int, ab: str) -> DualVector:
@@ -123,7 +123,7 @@ def d_vee(ls: LabeledSum, i: int, ab: str) -> DualVector:
 
 
 def a_vee(ls: LabeledSum, g: str) -> DualVector:
-    return ls.assemble({f"Q({g})": lattice_A1().vector([Fraction(-1, 2)])})
+    return ls.assemble({f"Q({g})": DualVector(lattice_A1(), [-1], 2)})
 
 
 class GlueVector(NamedTuple):
@@ -165,11 +165,10 @@ def extra_glue_class(ls: LabeledSum, c: str) -> GlueVector:
 
 class OverlatticeResult(Frozen):
     # a class, not a NamedTuple: the field index would shadow tuple.index
-    __slots__ = ("base", "lattice", "basis_num", "basis_den", "base_in_result", "index")
+    __slots__ = ("base", "lattice", "basis_num", "base_in_result", "index")
     base: LabeledSum
     lattice: Lattice
-    basis_num: IntMatrix  # rows over basis_den: new basis in base coordinates
-    basis_den: int
+    basis_num: IntMatrix  # rows over a common denominator: new basis in base coordinates
     base_in_result: IntMatrix  # rows: base basis in new coordinates
     index: int
 
@@ -209,15 +208,16 @@ def build_overlattice(base: LabeledSum, glue: Sequence[GlueVector]) -> Overlatti
     lattice = base.lattice
     n = lattice.rank
     for gv in glue:
-        if not gv.vector.is_dual_vector():
+        v = gv.vector
+        if not v.is_dual_vector():
             raise GlueError(f"glue vector {gv.name} does not pair integrally with the base")
-        norm = gv.vector.norm()
-        if norm.denominator != 1 or int(norm) % 2 != 0:
-            raise GlueError(f"glue vector {gv.name} has non-even norm {norm}")
+        # v^2 = norm / den^2 is even iff 2 den^2 divides norm
+        norm, d2 = pairing_numerator(v, v), v.den * v.den
+        if norm % (2 * d2):
+            raise GlueError(f"glue vector {gv.name} has non-even norm {ratio(norm, d2)}")
     for i, a in enumerate(glue):
         for b in glue[i + 1 :]:
-            p = pairing(a.vector, b.vector)
-            if p.denominator != 1:
+            if pairing_numerator(a.vector, b.vector) % (a.vector.den * b.vector.den):
                 raise GlueError(f"glue vectors {a.name}, {b.name} pair non-integrally")
 
     # integer generators over one common denominator: denom*I and denom*glue
@@ -247,12 +247,12 @@ def build_overlattice(base: LabeledSum, glue: Sequence[GlueVector]) -> Overlatti
     d_new = lat.det()
     if d_base % d_new != 0:
         raise GlueError("determinant drop is not integral")
-    ratio = d_base // d_new
+    drop = d_base // d_new
     _, glue_rank = independence_check(base, glue)
     index = 2**glue_rank
-    if ratio != index * index:
+    if drop != index * index:
         raise GlueError("index does not match the F2-rank of the glue classes")
-    return OverlatticeResult(base, lat, b, denom, IntMatrix(base_in_result), index)
+    return OverlatticeResult(base, lat, b, IntMatrix(base_in_result), index)
 
 
 def artin_invariant(lattice: Lattice, p: int) -> int:
@@ -288,11 +288,12 @@ def canonical_positivity(ns: OverlatticeResult, comp: Sublattice) -> PositivityF
     That dual vector pairs to +1 with each of the 21 exceptional classes and
     to 0 with the polarization, so the distinguished simple roots come out
     positive; the form on the sublattice basis is that 0/1 pairing vector
-    pushed through the two embeddings.
+    pushed through the two embeddings, up to the positive common denominator
+    of the overlattice basis.
     """
     w_pairings = [0 if s.kind == "H" else 1 for s in ns.base.summands for _ in range(s.rank)]
     form = comp.basis_in_ambient.mul_vec(ns.basis_num.mul_vec(w_pairings))
-    return PositivityFunctional(comp.lattice, tuple(form), ns.basis_den)
+    return PositivityFunctional(comp.lattice, tuple(form))
 
 
 class ExceptionalRootReport(NamedTuple):
@@ -335,7 +336,7 @@ def component_breakdown(ls: LabeledSum, v: DualVector) -> dict[str, list[str]]:
     out = {}
     for s in ls.summands:
         comp = ls.component(v, s)
-        out[f"{s.name}-component"] = [str(c) for c in comp.coords]
+        out[f"{s.name}-component"] = [ratio(c, comp.den) for c in comp.num]
     return out
 
 
@@ -362,10 +363,11 @@ class HalflineSearchResult(NamedTuple):
 def _summand_candidates(
     sub: Lattice,
     cls: DiscClass,
-    budget: Fraction,
-) -> tuple[tuple[Fraction, DualVector], ...]:
-    """All dual vectors of one summand in a given class with norm >= budget and
-    non-negative pairing against the summand's basis roots.
+    budget2: int,
+) -> tuple[tuple[int, DualVector], ...]:
+    """(norm2, v) for all dual vectors v of one summand in a given class with
+    norm2 = 2 v*v >= budget2 and non-negative pairing against the summand's
+    basis roots.
 
     The box scan behind it is memoized in bounded_class_minimizers, which the
     bounded-class check shares.
@@ -373,11 +375,13 @@ def _summand_candidates(
     search = bounded_class_minimizers(sub, cls, box=3)
     # anything outside the box is certified to sit strictly below the budget,
     # so the box scan is exhaustive for this summand
-    if search.outside_bound >= budget:
+    if search.outside_bound2 >= budget2:
         raise GlueError("candidate box cannot be certified against the budget")
     rep = search.rep
-    # in_box is sorted by (-norm, x); adding rep keeps that order on coordinates
-    return tuple((norm, rep + DualVector(sub, x)) for norm, x in search.in_box if norm >= budget)
+    # in_box is sorted by (-norm2, x); adding rep keeps that order on coordinates
+    return tuple(
+        (norm2, rep + DualVector(sub, x)) for norm2, x in search.in_box if norm2 >= budget2
+    )
 
 
 def unique_halfline_search(
@@ -387,14 +391,16 @@ def unique_halfline_search(
     non-negative against every exceptional class, in the class of the
     half-line glue vector.
 
-    The search fixes the polarization component, then walks the summands
-    with the remaining norm budget of -5/2 threaded as a running bound.
+    The search fixes the polarization component (norm 1/2), then walks the
+    summands with the remaining norm budget of -5/2 threaded as a running
+    bound.  Summand norms are in 1/2 Z, so the walk counts in half-units:
+    the budget is -5 and each candidate adds 2 v*v.
     """
     target = halfline_class(ls, lam).vector
     grp = discriminant_group(ls.lattice)
-    budget = Fraction(-5, 2)
+    budget2 = -5
 
-    per_summand: list[tuple[Summand, tuple[tuple[Fraction, DualVector], ...]]] = []
+    per_summand: list[tuple[Summand, tuple[tuple[int, DualVector], ...]]] = []
     counts: dict[str, int] = {}
     for s in ls.summands:
         if s.kind == "H":
@@ -402,35 +408,35 @@ def unique_halfline_search(
         sub = ls.summand_lattice(s)
         comp = ls.component(target, s)
         cls = discriminant_group(sub).class_of(comp)
-        cands = _summand_candidates(sub, cls, budget)
+        cands = _summand_candidates(sub, cls, budget2)
         per_summand.append((s, cands))
         counts[s.name] = len(cands)
 
     # D4 components first, then A1: mirrors the budget pruning order
     per_summand.sort(key=lambda t: (t[0].kind != "D4", t[0].offset))
-    max_tail = [Fraction(0)] * (len(per_summand) + 1)
+    max_tail = [0] * (len(per_summand) + 1)
     for i in range(len(per_summand) - 1, -1, -1):
-        best = per_summand[i][1][0][0] if per_summand[i][1] else Fraction(0)
+        best = per_summand[i][1][0][0] if per_summand[i][1] else 0
         max_tail[i] = max_tail[i + 1] + best
 
     results: list[DualVector] = []
     checked = 0
-    choice: list[tuple[Fraction, DualVector]] = []
+    choice: list[tuple[int, DualVector]] = []
 
-    def walk(i: int, used: Fraction) -> None:
+    def walk(i: int, used: int) -> None:
         nonlocal checked
-        if used + max_tail[i] < budget:
+        if used + max_tail[i] < budget2:
             return
         if i == len(per_summand):
             checked += 1
-            if used != budget:
+            if used != budget2:
                 return
             v = h_vee(ls) + ls.assemble(
                 {s.name: part for (s, _), (_, part) in zip(per_summand, choice)}
             )
             # position 0 pairs with the polarization, the other 21 with the exceptional classes
             gv = v.integer_pairings()
-            if v.norm() != -2 or gv[0] != 1:
+            if pairing_numerator(v, v) != -2 * v.den * v.den or gv[0] != 1:
                 raise GlueError("assembled candidate violates the norm or degree condition")
             if any(x < 0 for x in gv[1:]):
                 return
@@ -440,15 +446,16 @@ def unique_halfline_search(
                 raise GlueError("assembled candidate is not in the overlattice")
             results.append(v)
             return
-        for norm, part in per_summand[i][1]:
-            if used + norm + max_tail[i + 1] < budget:
+        for norm2, part in per_summand[i][1]:
+            if used + norm2 + max_tail[i + 1] < budget2:
                 break
-            choice.append((norm, part))
-            walk(i + 1, used + norm)
+            choice.append((norm2, part))
+            walk(i + 1, used + norm2)
             choice.pop()
 
-    walk(0, Fraction(0))
-    results.sort(key=lambda v: v.coords)
+    walk(0, 0)
+    # every result is in the class of target, so all share its denominator
+    results.sort(key=lambda v: v.num)
     return HalflineSearchResult(
         label=lam,
         target=target,

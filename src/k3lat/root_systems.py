@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
@@ -22,6 +21,7 @@ from .lattice_core import (
     Lattice,
     discriminant_group,
     is_even,
+    pairing_numerator,
 )
 
 
@@ -225,19 +225,15 @@ def irreducible_decomposition(root_set: RootSet) -> list[RootComponent]:
 # ---------------------------------------------------------------------------
 
 class PositivityFunctional(NamedTuple):
-    """Linear form alpha(x) = (num * x) / den; pairing against a dual vector
-    v has num / den = G v."""
+    """Linear form alpha(x) = num . x, up to a positive scale; pairing
+    against a dual vector v has num = G num_v.  Only the signs and the
+    order of its values are read, which the scale does not change."""
 
     lattice: Lattice
     num: tuple[int, ...]
-    den: int
 
-    @staticmethod
-    def from_dual_vector(v: DualVector) -> "PositivityFunctional":
-        return PositivityFunctional(v.lattice, v.pairing_numerators(), v.den)
-
-    def value(self, x: Sequence[int]) -> Fraction:
-        return Fraction(sum(map(mul, self.num, x)), self.den)
+    def value(self, x: Sequence[int]) -> int:
+        return sum(map(mul, self.num, x))
 
 
 def positive_part(component: RootComponent, alpha: PositivityFunctional) -> list[tuple[int, ...]]:
@@ -430,23 +426,24 @@ def root_type(components: Iterable[tuple[str, int]]) -> str:
 class ClassNormSearch(NamedTuple):
     """Outcome of the exhaustive box search over one dual class.
 
-    ``outside_bound`` is a certified upper bound on the norm of every class
-    representative outside the box (``_outside_bound``), so the reported
-    maximum (and runner-up threshold) is global, not merely in-box.
-    ``in_box`` holds every (norm, x) with rep + x in the box pairing
-    non-negatively with every basis vector, by decreasing norm.
-    ``norms_all_odd`` holds when every norm of the class is odd, which the
-    parity of the representative's norm decides (``_norms_all_odd``); it
-    holds on the D4 leaf classes and on no A1 class.
+    The norms of the class are in 1/2 Z and are carried in half-units, as
+    the integers norm2 = 2 v*v.  ``outside_bound2`` is a certified upper
+    bound on norm2 of every class representative outside the box
+    (``_outside_bound``), so the reported maximum (and runner-up threshold)
+    is global, not merely in-box.  ``in_box`` holds every (norm2, x) with
+    rep + x in the box pairing non-negatively with every basis vector, by
+    decreasing norm.  ``norms_all_odd`` holds when every norm of the class
+    is odd, which the parity of the representative's norm decides
+    (``_norms_all_odd``); it holds on the D4 leaf classes and on no A1 class.
     """
 
     rep: DualVector
-    max_norm: Fraction
+    max_norm2: int
     maximizers: tuple[DualVector, ...]
-    runner_up: Fraction | None
-    outside_bound: Fraction
+    runner_up2: int | None
+    outside_bound2: int
     norms_all_odd: bool
-    in_box: tuple[tuple[Fraction, tuple[int, ...]], ...]
+    in_box: tuple[tuple[int, tuple[int, ...]], ...]
 
 
 def _match_rep(lattice: Lattice, cls: DiscClass) -> DualVector:
@@ -473,39 +470,41 @@ def _norms_all_odd(lattice: Lattice, rep: DualVector) -> bool:
         raise RootSystemError("norm parity requires an even lattice")
     if not rep.is_dual_vector():
         raise RootSystemError("norm parity requires a dual vector")
-    norm = rep.norm()
-    return norm.denominator == 1 and norm.numerator % 2 == 1
+    d2 = rep.den * rep.den  # rep^2 = pairing_numerator(rep, rep) / d2
+    return pairing_numerator(rep, rep) % (2 * d2) == d2
 
 
-def _outside_bound(lattice: Lattice, rep: DualVector, box: int) -> Fraction:
-    """An upper bound on v*v for every v in rep + Z^n outside rep + [-box, box]^n.
+def _outside_bound(lattice: Lattice, rep: DualVector, box: int) -> int:
+    """floor(2 B) for B an upper bound on v*v over rep + Z^n outside rep + [-box, box]^n.
 
     Such a v has |v_i - rep_i| >= box + 1 for some i, so it lies beyond one
     of the hyperplanes v_i = t, t = rep_i +- (box + 1).  Q(v) = -v*v is
     positive definite with its minimum at 0, which |rep_i| < box + 1 keeps
     on the near side, so beyond the hyperplane Q is at least its minimum
-    t^2 / (Q^-1)_ii on it.  (Q^-1)_ii = -(G^-1)_ii is read off the cached
-    dual basis.
+    t^2 / (Q^-1)_ii on it; B is the largest -t^2 / (Q^-1)_ii, and
+    (Q^-1)_ii = -(G^-1)_ii is read off the cached dual basis.  For an
+    integer n, n <= 2 B iff n <= floor(2 B), so on the half-integral norms
+    of the class (``_box_scan`` raises unless they are) floor(2 B) bounds
+    norm2 = 2 v*v exactly as B bounds v*v.
     """
     if not lattice.is_negative_definite():
         raise RootSystemError("outside bound requires a negative-definite lattice")
-    reach = box + 1
+    reach = (box + 1) * rep.den  # box + 1, and each t below, over rep.den
     bounds = []
-    for i, r in enumerate(rep.coords):
+    for i, r in enumerate(rep.num):
         if abs(r) >= reach:
             raise RootSystemError("representative coordinate is not inside the box")
-        dual = lattice.dual_basis_vector(i)  # (G^-1)_ii = dual.num[i] / dual.den
-        bounds += [t * t * dual.den / dual.num[i] for t in (r + reach, r - reach)]
+        dual = lattice.dual_basis_vector(i)  # (G^-1)_ii = dual.num[i] / dual.den < 0
+        scale = rep.den * rep.den * dual.num[i]
+        bounds += [2 * t * t * dual.den // scale for t in (r + reach, r - reach)]
     return max(bounds)
 
 
-def _box_scan(
-    lattice: Lattice, rep: DualVector, box: int
-) -> list[tuple[Fraction, tuple[int, ...]]]:
+def _box_scan(lattice: Lattice, rep: DualVector, box: int) -> list[tuple[int, tuple[int, ...]]]:
     """Integer-arithmetic scan of rep + {|x_i| <= box}, in lexicographic order.
 
-    Returns the (norm, x) pairs of the points pairing non-negatively with
-    every basis vector.
+    Returns the (norm2, x) pairs, norm2 = 2 (rep + x)^2, of the points
+    pairing non-negatively with every basis vector.
 
     The coordinates are fixed one at a time.  Fixing x_j = v on a prefix
     adds v times column j of G to G x, and 4 v (G rep + G x)_j + 2 v^2 G_jj
@@ -516,8 +515,8 @@ def _box_scan(
     g = lattice.gram.entries
     n = lattice.rank
     grep = rep.integer_pairings()
-    rep_norm2 = 2 * rep.norm()
-    if rep_norm2.denominator != 1:
+    rep_norm2, odd = divmod(2 * pairing_numerator(rep, rep), rep.den * rep.den)
+    if odd:
         raise RootSystemError("representative norm is not half-integral")
     values = range(-box, box + 1)
     cols = [tuple(g[i][j] for i in range(n)) for j in range(n)]
@@ -543,8 +542,8 @@ def _box_scan(
         for v in range(lo, hi + 1):
             out.append((norm2 + v * (lin + v * sq), prefix + (v,)))
 
-    scan((), grep, int(rep_norm2))
-    return [(Fraction(nv, 2), x) for nv, x in out]
+    scan((), grep, rep_norm2)
+    return out
 
 
 def bounded_class_minimizers(
@@ -557,8 +556,8 @@ def bounded_class_minimizers(
 
     The search runs over representative-plus-lattice translates with all
     coordinates bounded by ``box``; the hyperplane bound of
-    ``_outside_bound`` certifies that any vector outside the box has norm at
-    most ``outside_bound``.
+    ``_outside_bound`` certifies that any vector outside the box has twice its
+    norm at most ``outside_bound2``.
     """
     if box < 3:
         raise RootSystemError("box radius below 3 has no sufficiency certificate")
@@ -581,19 +580,19 @@ def _class_search(lattice: Lattice, cls: DiscClass, box: int) -> ClassNormSearch
     if not found:
         raise RootSystemError("empty constrained search")
     found.sort(key=lambda t: (-t[0], t[1]))
-    max_norm = found[0][0]
-    maximizers = tuple(rep + DualVector(lattice, x) for norm, x in found if norm == max_norm)
-    rest = [norm for norm, _ in found if norm < max_norm]
-    runner_up = max(rest) if rest else None
-    outside = _outside_bound(lattice, rep, box)
-    if outside > max_norm:
+    max_norm2 = found[0][0]
+    maximizers = tuple(rep + DualVector(lattice, x) for norm2, x in found if norm2 == max_norm2)
+    rest = [norm2 for norm2, _ in found if norm2 < max_norm2]
+    runner_up2 = max(rest) if rest else None
+    outside2 = _outside_bound(lattice, rep, box)
+    if outside2 > max_norm2:
         raise RootSystemError("sufficiency certificate does not cover the box")
     return ClassNormSearch(
         rep=rep,
-        max_norm=max_norm,
+        max_norm2=max_norm2,
         maximizers=maximizers,
-        runner_up=runner_up,
-        outside_bound=outside,
+        runner_up2=runner_up2,
+        outside_bound2=outside2,
         norms_all_odd=all_odd,
         in_box=tuple(found),
     )

@@ -4,15 +4,44 @@ The package computes inverses, signatures, the Fincke-Pohst factorization
 and G v fraction-free, and holds dual vectors and inverses as integers
 over one denominator.  These are the rational algorithms they replaced,
 on plain tuples of tuples of ``Fraction``, plus the rational matrix
-products the oracles need, and the pairwise search of the root-pairing
-graph that packed integer products replaced.
+products the oracles need, the pairwise search of the root-pairing
+graph that packed integer products replaced, and the conversions between
+rational coordinates and ``DualVector`` (with the basis vectors, which the
+package no longer builds).
 """
 
+import math
 from fractions import Fraction
 from operator import mul
 
 from k3lat.exact_arith import ExactArithError, IntMatrix, snf
+from k3lat.lattice_core import DualVector, Lattice, pairing_numerator
 from k3lat.root_systems import RootSystemError
+
+
+def vector(lattice: Lattice, coords) -> DualVector:
+    """The vector with these rational coordinates, written over their lcm."""
+    coords = [Fraction(c) for c in coords]
+    d = math.lcm(*(c.denominator for c in coords))
+    return DualVector(lattice, [c.numerator * (d // c.denominator) for c in coords], d)
+
+
+def basis_vector(lattice: Lattice, i: int) -> DualVector:
+    return DualVector(lattice, [int(j == i) for j in range(lattice.rank)])
+
+
+def coords(v: DualVector) -> tuple[Fraction, ...]:
+    """The rational coordinates num / den of a vector."""
+    return tuple(Fraction(c, v.den) for c in v.num)
+
+
+def pairing(u: DualVector, v: DualVector) -> Fraction:
+    """u.v as a Fraction: pairing_numerator over den_u den_v."""
+    return Fraction(pairing_numerator(u, v), u.den * v.den)
+
+
+def norm(v: DualVector) -> Fraction:
+    return pairing(v, v)
 
 
 def to_rational(a) -> tuple[tuple[Fraction, ...], ...]:

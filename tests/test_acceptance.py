@@ -50,6 +50,7 @@ from k3lat.char2_surfaces.surfaces import (
     table_lines,
     table_points,
 )
+from rational_oracles import coords, norm
 
 
 @contextmanager
@@ -108,23 +109,24 @@ def test_criterion_02_bounded_class_searches():
         ga = discriminant_group(a1)
         gd = discriminant_group(d4)
 
+        # norms in half-units: max_norm2 = 2 max v*v, and so on
         s = bounded_class_minimizers(a1, ga.zero_class())
-        assert s.max_norm == 0 and [v.coords for v in s.maximizers] == [(Fraction(0),)]
-        assert s.runner_up <= -2 and s.outside_bound <= -2
+        assert s.max_norm2 == 0 and [coords(v) for v in s.maximizers] == [(Fraction(0),)]
+        assert s.runner_up2 <= -4 and s.outside_bound2 <= -4
 
         s = bounded_class_minimizers(a1, ga.class_of(a1.dual_basis_vector(0)))
-        assert s.max_norm == Fraction(-1, 2)
-        assert [v.coords for v in s.maximizers] == [(Fraction(-1, 2),)]
-        assert s.runner_up <= Fraction(-9, 2) and s.outside_bound <= Fraction(-9, 2)
+        assert s.max_norm2 == -1
+        assert [coords(v) for v in s.maximizers] == [(Fraction(-1, 2),)]
+        assert s.runner_up2 <= -9 and s.outside_bound2 <= -9
 
         s = bounded_class_minimizers(d4, gd.zero_class())
-        assert s.max_norm == 0 and len(s.maximizers) == 1
-        assert s.runner_up <= -2 and s.outside_bound <= -2
+        assert s.max_norm2 == 0 and len(s.maximizers) == 1
+        assert s.runner_up2 <= -4 and s.outside_bound2 <= -4
 
         s = bounded_class_minimizers(d4, gd.class_of(d4.dual_basis_vector(0)))
-        assert s.max_norm == -1
-        assert [v.coords for v in s.maximizers] == [d4.dual_basis_vector(0).coords]
-        assert s.runner_up <= -3 and s.outside_bound <= -3
+        assert s.max_norm2 == -2
+        assert [coords(v) for v in s.maximizers] == [coords(d4.dual_basis_vector(0))]
+        assert s.runner_up2 <= -6 and s.outside_bound2 <= -6
         assert s.norms_all_odd
 
 
@@ -147,7 +149,7 @@ def test_criterion_03_root_counts():
         total = d4.zero()
         for i in range(4):
             total = total + d4.dual_basis_vector(i)
-        alpha = PositivityFunctional.from_dual_vector(total)
+        alpha = PositivityFunctional(d4, total.pairing_numerators())
         comp = irreducible_decomposition(enumerate_roots(d4))[0]
         assert ade_type(comp, alpha) == "D4"
 
@@ -194,11 +196,11 @@ def test_criterion_06_halfline_uniqueness(lambda_sum, ns_sigma2):
             assert len(res.candidates) == 1
             assert res.is_unique_expected()
             v = res.candidates[0]
-            assert v.norm() == -2
+            assert norm(v) == -2
             total = Fraction(0)
             for s in lambda_sum.summands:
                 if s.kind != "H":
-                    total += lambda_sum.component(v, s).norm()
+                    total += norm(lambda_sum.component(v, s))
             assert total == Fraction(-5, 2)
             assert res.budget_checked >= 1
 
@@ -297,6 +299,6 @@ def test_criterion_10_separable_nonreduced_bound(gf16):
 
         c0 = next(c for c in range(1, f.q) if all(f.sqr(u) ^ u ^ c for u in range(f.q)))
         quad = HomPoly(f, 2, {(2, 0, 0): 1, (1, 1, 0): 1, (0, 2, 0): c0})
-        c_single = HomPoly.monomial(f, (0, 0, 1)) * quad
+        c_single = HomPoly(f, 1, {(0, 0, 1): 1}) * quad
         g_single = HomPoly(f, 6, {(5, 0, 1): 1, (0, 6, 0): 1})
         assert nonreduced_splitting_lines_separable(c_single, g_single) == [(0, 0, 1)]

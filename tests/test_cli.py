@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -208,7 +207,7 @@ from k3lat import cli, root_systems
 seen = collections.Counter()
 real = root_systems._box_scan
 def counting(lattice, rep, box):
-    seen[repr((lattice.gram.entries, rep.coords, box))] += 1
+    seen[repr((lattice.gram.entries, rep.num, rep.den, box))] += 1
     return real(lattice, rep, box)
 root_systems._box_scan = counting
 code = cli.main(sys.argv[1:] + ["--out", os.devnull])
@@ -247,10 +246,11 @@ def test_lattice_box_option_is_not_answered_from_the_box_3_memo():
 
 
 def test_class_search_check_requires_the_outside_bound_below_the_runner_up(capsys, monkeypatch):
-    # -1 is below every maximum but above the A1 and D4 zero-class
-    # threshold -2: the maxima are certified, the runner-ups are not
+    # a norm bound of -1 (-2 in half-units) is below every maximum but above
+    # the A1 and D4 zero-class threshold -2: the maxima are certified, the
+    # runner-ups are not
     root_systems._class_search.cache_clear()
-    monkeypatch.setattr(root_systems, "_outside_bound", lambda lattice, rep, box: Fraction(-1))
+    monkeypatch.setattr(root_systems, "_outside_bound", lambda lattice, rep, box: -2)
     try:
         code, out = run_cli(capsys, "lattice")
     finally:
@@ -323,20 +323,25 @@ def test_surface_cube_locus_pair(capsys):
 
 
 # whole surface reports, apart from timing, pinned byte for byte: a sampled
-# GF(256) run, and a GF(16) member on the cube locus (6 is omega) with its 7
-# splitting lines
+# GF(256) run, a GF(16) member on the cube locus (6 is omega) with its 7
+# splitting lines, a GF(2^16) member, and a whole `all` run over GF(16)
 
 
 @pytest.mark.parametrize(
     "argv,golden",
     [
-        (["--k", "8", "--samples", "4", "--seed", "12345"], "surface_k8_samples4_seed12345.json"),
-        (["--k", "4", "--r", "1", "--s", "6", "--line-scan", "full"], "surface_k4_r1_s6_full.json"),
+        (["surface", "--k", "8", "--samples", "4", "--seed", "12345"],
+         "surface_k8_samples4_seed12345.json"),
+        (["surface", "--k", "4", "--r", "1", "--s", "6", "--line-scan", "full"],
+         "surface_k4_r1_s6_full.json"),
+        (["surface", "--k", "16", "--modulus", "0x1002D", "--r", "3", "--s", "5"],
+         "surface_k16_r3_s5.json"),
+        (["all", "--k", "4", "--samples", "3"], "all_k4_samples3.json"),
     ],
-    ids=["k8-samples", "k4-cube-locus"],
+    ids=["k8-samples", "k4-cube-locus", "k16-member", "all-k4-samples3"],
 )
 def test_surface_report_matches_golden(capsys, argv, golden):
-    code, out = run_cli(capsys, "surface", *argv)
+    code, out = run_cli(capsys, *argv)
     assert code == EXIT_OK
     with open(os.path.join(DATA, golden), encoding="utf-8") as fh:
         expected = fh.read()

@@ -21,7 +21,8 @@ from k3lat.lattice_core import (
     lattice_D4,
     lattice_hyperbolic2,
     orthogonal_complement,
-    pairing,
+    pairing_numerator,
+    ratio,
 )
 from k3lat.ns_glue import (
     EXTRA_GLUE_CHOICES,
@@ -33,12 +34,17 @@ from k3lat.ns_glue import (
 )
 from rational_oracles import (
     as_fractions,
+    basis_vector,
+    coords,
     invert_rational,
+    norm,
+    pairing,
     rat_mul,
     rational_class,
     rational_gv,
     rational_pairing,
     to_rational,
+    vector,
 )
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -61,7 +67,7 @@ def test_named_constructors():
 def test_pairing_examples():
     a1 = lattice_A1()
     a_dual = a1.dual_basis_vector(0)
-    assert a_dual.coords == (Fraction(-1, 2),)
+    assert coords(a_dual) == (Fraction(-1, 2),)
     assert pairing(a_dual, a_dual) == Fraction(-1, 2)
 
     d4 = lattice_D4()
@@ -72,14 +78,14 @@ def test_pairing_examples():
 
 def test_pairing_lattice_mismatch():
     with pytest.raises(LatticeError):
-        pairing(lattice_A1().basis_vector(0), lattice_hyperbolic2().basis_vector(0))
+        pairing_numerator(basis_vector(lattice_A1(), 0), basis_vector(lattice_hyperbolic2(), 0))
 
 
 def test_dual_basis_pairs_as_kronecker():
     d4 = lattice_D4()
     for i in range(4):
         for j in range(4):
-            assert pairing(d4.dual_basis_vector(i), d4.basis_vector(j)) == (1 if i == j else 0)
+            assert pairing(d4.dual_basis_vector(i), basis_vector(d4, j)) == (1 if i == j else 0)
 
 
 def test_discriminant_group_a1():
@@ -119,7 +125,7 @@ def test_discriminant_group_unimodular():
 def test_disc_class_examples():
     d4 = lattice_D4()
     grp = discriminant_group(d4)
-    assert grp.class_of(d4.basis_vector(1)).is_zero()
+    assert grp.class_of(basis_vector(d4, 1)).is_zero()
     v = d4.dual_basis_vector(0) + d4.dual_basis_vector(3)
     cls = grp.class_of(v)
     assert cls == grp.class_of(d4.dual_basis_vector(0)) + grp.class_of(d4.dual_basis_vector(3))
@@ -129,7 +135,7 @@ def test_disc_class_examples():
 def test_disc_class_rejects_non_dual_vectors():
     a1 = lattice_A1()
     with pytest.raises(LatticeError):
-        discriminant_group(a1).class_of(a1.vector([Fraction(1, 3)]))
+        discriminant_group(a1).class_of(vector(a1, [Fraction(1, 3)]))
 
 
 def test_is_even():
@@ -192,7 +198,7 @@ def test_is_p_elementary_matches_the_smith_form_on_random_grams():
         else:
             d = IntMatrix([[rng.choice([1, -1, 2, -2, 3, 4, -5, 9]) if i == j else 0 for j in range(n)]
                            for i in range(n)])
-            u = [list(row) for row in IntMatrix.identity(n).entries]
+            u = [[int(i == j) for j in range(n)] for i in range(n)]
             for _ in range(2 * n):
                 i, j = rng.randrange(n), rng.randrange(n)
                 if i != j:
@@ -237,13 +243,13 @@ def test_is_p_elementary_rejects_a_p_that_is_not_prime():
 
 def test_orthogonal_complement_simple():
     l = Lattice(IntMatrix.block_diagonal([IntMatrix([[2]]), IntMatrix([[-2]])]))
-    comp = orthogonal_complement(l, l.basis_vector(0))
+    comp = orthogonal_complement(l, basis_vector(l, 0))
     assert comp.lattice.gram.entries == ((-2,),)
 
 
 def test_orthogonal_complement_diagonal_vector():
     l = Lattice(IntMatrix.block_diagonal([IntMatrix([[-2]]), IntMatrix([[-2]])]))
-    v = l.vector([1, 1])
+    v = vector(l, [1, 1])
     comp = orthogonal_complement(l, v)
     assert comp.lattice.rank == 1
     assert comp.lattice.gram.entries == ((-4,),)
@@ -254,7 +260,7 @@ def test_orthogonal_complement_diagonal_vector():
 def test_orthogonal_complement_requires_membership():
     a1 = lattice_A1()
     with pytest.raises(LatticeError):
-        orthogonal_complement(a1, a1.vector([Fraction(1, 2)]))
+        orthogonal_complement(a1, vector(a1, [Fraction(1, 2)]))
 
 
 def test_complement_is_saturated():
@@ -269,7 +275,7 @@ def test_complement_is_saturated():
             ]
         )
     )
-    comp = orthogonal_complement(l, l.basis_vector(0))
+    comp = orthogonal_complement(l, basis_vector(l, 0))
     factors = snf(comp.basis_in_ambient).invariant_factors
     assert all(f == 1 for f in factors)
 
@@ -280,7 +286,7 @@ def test_disc_quadratic_well_defined_mod_2z():
     v = d4.dual_basis_vector(0)
     base_norm = pairing(v, v)
     for _ in range(20):
-        shift = d4.vector([rng.randrange(-4, 5) for _ in range(4)])
+        shift = vector(d4, [rng.randrange(-4, 5) for _ in range(4)])
         w = v + shift
         delta = pairing(w, w) - base_norm
         assert delta.denominator == 1 and int(delta) % 2 == 0
@@ -303,19 +309,19 @@ def test_discriminant_generators_match_inverse_oracle(name):
         for i, f in enumerate(r.invariant_factors)
         if f > 1
     ]
-    assert [gen.coords for gen in discriminant_group(lat).generators] == expected
+    assert [coords(gen) for gen in discriminant_group(lat).generators] == expected
 
 
 def test_pairing_numerators_are_cached_and_match_gram_product():
     d4 = lattice_D4()
     rng = random.Random(5)
     for _ in range(10):
-        u = d4.vector([Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(4)])
-        v = d4.vector([Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(4)])
+        u = vector(d4, [Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(4)])
+        v = vector(d4, [Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(4)])
         gnum = v.pairing_numerators()
         assert v.pairing_numerators() is gnum
         expected = sum(
-            u.coords[i] * d4.gram.entries[i][j] * v.coords[j] for i in range(4) for j in range(4)
+            coords(u)[i] * d4.gram.entries[i][j] * coords(v)[j] for i in range(4) for j in range(4)
         )
         assert pairing(u, v) == expected
 
@@ -332,7 +338,46 @@ def test_pairing_numerators_match_the_rational_product_on_glue_and_generators():
     assert len(vectors) == 5 + 3 + (14 + 4 + 1 + 2 + 1) + (22 + 22 + 1 + 4 + 1)
     for v in vectors:
         gv = tuple(Fraction(x, v.den) for x in v.pairing_numerators())
-        assert gv == rational_gv(v.lattice.gram, v.coords)
+        assert gv == rational_gv(v.lattice.gram, coords(v))
+
+
+def test_pairing_numerator_matches_the_rational_pairing():
+    # u.v = pairing_numerator(u, v) / (den_u den_v) against the Fraction
+    # oracle, on seeded rational vectors and on the glue vectors of the base
+    rng = random.Random(29)
+    ls = build_lambda()
+    glue = [halfline_class(ls, lam).vector for lam in L_LABELS]
+    glue += [extra_glue_class(ls, c).vector for c in EXTRA_GLUE_CHOICES]
+    pairs = [(u, v) for u in glue for v in glue]
+    for lat in (lattice_A1(), lattice_D4(), lattice_hyperbolic2(), ls.lattice):
+        for _ in range(40):
+            a, b = (
+                [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4))) for _ in range(lat.rank)]
+                for _ in range(2)
+            )
+            pairs.append((vector(lat, a), vector(lat, b)))
+    for u, v in pairs:
+        expected = rational_pairing(u.lattice.gram, coords(u), coords(v))
+        assert Fraction(pairing_numerator(u, v), u.den * v.den) == expected
+        assert pairing_numerator(u, v) == pairing_numerator(v, u)
+
+
+def test_ratio_prints_what_fraction_prints():
+    # zero, d = +-1, negative d, common factors and big ints, seeded
+    rng = random.Random(31)
+    cases = [(0, 1), (0, -1), (0, 5), (0, -5), (7, 1), (7, -1), (-7, -1), (3, -6), (-4, 6)]
+    cases += [(12, 4), (-12, -4), (2**130 * 3, -(2**128)), (-(10**40) - 1, 10**40)]
+    for _ in range(400):
+        bits = rng.choice((4, 16, 200))
+        g = rng.randint(1, 2**bits)
+        n, d = rng.randint(-(2**bits), 2**bits), rng.randint(1, 2**bits) * rng.choice((1, -1))
+        cases += [(n, d), (n * g, d * g)]
+    for n, d in cases:
+        assert ratio(n, d) == str(Fraction(n, d)), (n, d)
+    with pytest.raises(ZeroDivisionError):
+        ratio(1, 0)
+    with pytest.raises(ZeroDivisionError):
+        ratio(0, 0)
 
 
 def test_det_is_computed_once_per_lattice(monkeypatch):
@@ -373,9 +418,9 @@ def test_named_root_lattices_are_built_once(monkeypatch):
 
 def test_dual_vectors_are_stored_in_lowest_terms():
     a1 = lattice_A1()
-    half = a1.vector([Fraction(1, 2)])
+    half = vector(a1, [Fraction(1, 2)])
     assert (half.num, half.den) == ((1,), 2)
-    for same in (a1.vector([Fraction(2, 4)]), DualVector(a1, [2], 4), DualVector(a1, [-3], -6)):
+    for same in (vector(a1, [Fraction(2, 4)]), DualVector(a1, [2], 4), DualVector(a1, [-3], -6)):
         assert same == half and hash(same) == hash(half)
     assert DualVector(a1, [0], 7) == a1.zero()
     assert (half + half).den == 1 and (half - half) == a1.zero()
@@ -410,15 +455,15 @@ def test_dual_vector_arithmetic_matches_the_fraction_oracle(name):
     classes_seen = set()
     for _ in range(60):
         a, b = rational_coords(), rational_coords()
-        u, v = lat.vector(a), lat.vector(b)
+        u, v = vector(lat, a), vector(lat, b)
         assert u.den > 0 and math.gcd(u.den, *u.num) == 1
-        assert u.coords == tuple(a)
-        assert (u + v).coords == tuple(x + y for x, y in zip(a, b))
-        assert (u - v).coords == tuple(x - y for x, y in zip(a, b))
-        assert (-u).coords == tuple(-x for x in a)
+        assert coords(u) == tuple(a)
+        assert coords(u + v) == tuple(x + y for x, y in zip(a, b))
+        assert coords(u - v) == tuple(x - y for x, y in zip(a, b))
+        assert coords(-u) == tuple(-x for x in a)
         assert u + v - v == u and hash(u + v - v) == hash(u)
         assert pairing(u, v) == rational_pairing(gram, a, b)
-        assert u.norm() == rational_pairing(gram, a, a)
+        assert norm(u) == rational_pairing(gram, a, a)
         assert tuple(Fraction(x, u.den) for x in u.pairing_numerators()) == rational_gv(gram, a)
         assert u.is_lattice_vector() == all(x.denominator == 1 for x in a)
         assert u.is_dual_vector() == all(x.denominator == 1 for x in rational_gv(gram, a))

@@ -14,13 +14,13 @@ from k3lat.lattice_core import (
     is_even,
     is_p_elementary,
     orthogonal_complement,
-    pairing,
 )
 from k3lat.ns_glue import (
     EXTRA_GLUE_CHOICES,
     GlueError,
     GlueVector,
     L_LABELS,
+    a_vee,
     artin_invariant,
     build_lambda,
     build_overlattice,
@@ -33,12 +33,17 @@ from k3lat.ns_glue import (
     unique_halfline_search,
 )
 from rational_oracles import (
+    basis_vector,
+    coords,
     invert_rational,
+    norm,
+    pairing,
     rat_mul,
     rat_mul_vec,
     rat_transpose,
     rational_gv,
     to_rational,
+    vector,
 )
 
 
@@ -78,7 +83,7 @@ def test_base_discriminant_is_f2_14(ls):
 def test_halfline_norms_and_pairings(ls):
     vs = {lam: halfline_class(ls, lam).vector for lam in L_LABELS}
     for v in vs.values():
-        assert v.norm() == -2
+        assert norm(v) == -2
         assert v.is_dual_vector()
     # worked pairing: the 0* and *0 classes share only the polarization and
     # one mixed dual product, 1/2 - 1/2 = 0
@@ -90,18 +95,18 @@ def test_halfline_norms_and_pairings(ls):
 
 def test_halfline_infinity_components(ls):
     v = halfline_class(ls, "inf").vector
-    assert v.coords[0] == Fraction(1, 2)
-    assert all(v.coords[off] == Fraction(-1, 2) for off in range(17, 22))
-    assert all(c == 0 for c in v.coords[1:17])
+    assert coords(v)[0] == Fraction(1, 2)
+    assert all(coords(v)[off] == Fraction(-1, 2) for off in range(17, 22))
+    assert all(c == 0 for c in coords(v)[1:17])
 
 
 def test_halfline_0star_components(ls):
     v = halfline_class(ls, "0*").vector
     col1 = (Fraction(-1), Fraction(-1, 2), Fraction(-1), Fraction(-1, 2))
-    assert v.coords[1:5] == col1  # P(00)
-    assert v.coords[5:9] == col1  # P(01)
-    assert all(c == 0 for c in v.coords[9:17])
-    assert v.coords[21] == Fraction(-1, 2)  # a(inf)
+    assert coords(v)[1:5] == col1  # P(00)
+    assert coords(v)[5:9] == col1  # P(01)
+    assert all(c == 0 for c in coords(v)[9:17])
+    assert coords(v)[21] == Fraction(-1, 2)  # a(inf)
 
 
 def test_unknown_label_rejected(ls):
@@ -111,8 +116,8 @@ def test_unknown_label_rejected(ls):
 
 def test_extra_glue_class(ls):
     g = extra_glue_class(ls, "w")
-    assert g.vector.norm() == -2
-    assert pairing(g.vector, ls.lattice.basis_vector(0)) == 1
+    assert norm(g.vector) == -2
+    assert pairing(g.vector, basis_vector(ls.lattice, 0)) == 1
     with pytest.raises(GlueError):
         extra_glue_class(ls, "0")
 
@@ -166,7 +171,7 @@ def _rational_overlattice(ls, glue):
     solved for in the new basis through the inverse of basis^T."""
     n = ls.lattice.rank
     rows = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    rows += [list(gv.vector.coords) for gv in glue]
+    rows += [list(coords(gv.vector)) for gv in glue]
     denom = math.lcm(*(c.denominator for row in rows for c in row))
     hnf = hnf_rows(IntMatrix([[int(c * denom) for c in row] for row in rows]))
     basis = tuple(tuple(Fraction(x, denom) for x in row) for row in hnf)
@@ -178,9 +183,21 @@ def _rational_overlattice(ls, glue):
     return gram, basis, tuple(tuple(row) for row in base_rows)
 
 
+def _basis_den(ns) -> int:
+    """The common denominator d of the overlattice basis rows basis_num / d:
+    row i of base_in_result writes e_i in that basis, so
+    base_in_result * basis_num = d I."""
+    prod = ns.base_in_result.mul(ns.basis_num).entries
+    d = prod[0][0]
+    n = len(prod)
+    assert d > 0 and prod == tuple(tuple(d * (i == j) for j in range(n)) for i in range(n))
+    return d
+
+
 def _rational_basis(ns) -> tuple[tuple[Fraction, ...], ...]:
     """The overlattice basis rows as rationals: the integer HNF rows over their denominator."""
-    return tuple(tuple(Fraction(x, ns.basis_den) for x in row) for row in ns.basis_num.entries)
+    d = _basis_den(ns)
+    return tuple(tuple(Fraction(x, d) for x in row) for row in ns.basis_num.entries)
 
 
 @pytest.mark.parametrize("case", ["no-glue", "sigma2", "1", "w", "wb"])
@@ -216,9 +233,9 @@ def test_overlattice_makes_one_inverse(ls, monkeypatch):
 
 
 def test_overlattice_rejects_bad_glue(ls):
-    coords = list(halfline_class(ls, "0*").vector.coords)
-    coords[3] += Fraction(1, 2)
-    bad = GlueVector("bad", ls.lattice.vector(coords))
+    xs = list(coords(halfline_class(ls, "0*").vector))
+    xs[3] += Fraction(1, 2)
+    bad = GlueVector("bad", vector(ls.lattice, xs))
     with pytest.raises(GlueError):
         build_overlattice(ls, (bad,))
 
@@ -228,19 +245,33 @@ def test_overlattice_rejects_odd_norm(ls):
     coords = [Fraction(0)] * 22
     coords[0] = Fraction(1)  # h has norm 2; fine
     coords[1] = Fraction(1)
-    v = ls.lattice.vector(coords)
-    assert v.norm() == 0
+    v = vector(ls.lattice, coords)
+    assert norm(v) == 0
     coords2 = [Fraction(0)] * 22
     coords2[0] = Fraction(1, 2)
-    odd = GlueVector("odd", ls.lattice.vector(coords2))
+    odd = GlueVector("odd", vector(ls.lattice, coords2))
     # norm 1/2 is not an even integer
-    with pytest.raises(GlueError):
+    with pytest.raises(GlueError, match="glue vector odd has non-even norm 1/2"):
         build_overlattice(ls, (odd,))
+    # nor is the odd integer -1 of a D4 leaf dual
+    leaf = GlueVector("leaf", d_vee(ls, 1, "00"))
+    with pytest.raises(GlueError, match="glue vector leaf has non-even norm -1$"):
+        build_overlattice(ls, (leaf,))
+
+
+def test_overlattice_rejects_glue_vectors_pairing_non_integrally(ls):
+    # two sums of four A1 duals: each of norm -2, sharing three nodes, so u.v = -3/2
+    u = GlueVector("u", sum((a_vee(ls, g) for g in ("0", "1", "w", "wb")), ls.lattice.zero()))
+    v = GlueVector("v", sum((a_vee(ls, g) for g in ("0", "1", "w", "inf")), ls.lattice.zero()))
+    assert norm(u.vector) == norm(v.vector) == -2
+    assert pairing(u.vector, v.vector) == Fraction(-3, 2)
+    with pytest.raises(GlueError, match="glue vectors u, v pair non-integrally"):
+        build_overlattice(ls, (u, v))
 
 
 def test_base_embeds_in_overlattice(ls, ns):
     for i in range(22):
-        coords = ns.to_result_coords(ls.lattice.basis_vector(i))
+        coords = ns.to_result_coords(basis_vector(ls.lattice, i))
         assert coords is not None
     for lam in L_LABELS:
         assert ns.to_result_coords(halfline_class(ls, lam).vector) is not None
@@ -249,10 +280,10 @@ def test_base_embeds_in_overlattice(ls, ns):
 def test_to_result_coords_matches_inverse_oracle(ls, ns):
     # oracle: solve basis^T x = v with a full rational inverse
     binv = invert_rational(rat_transpose(_rational_basis(ns)))
-    vectors = [ls.lattice.basis_vector(i) for i in range(22)]
+    vectors = [basis_vector(ls.lattice, i) for i in range(22)]
     vectors += [halfline_class(ls, lam).vector for lam in L_LABELS]
     for v in vectors:
-        expected = rat_mul_vec(binv, v.coords)
+        expected = rat_mul_vec(binv, coords(v))
         assert all(c.denominator == 1 for c in expected)
         assert ns.to_result_coords(v) == tuple(int(c) for c in expected)
 
@@ -262,7 +293,7 @@ def test_to_result_coords_rejects_a_vector_outside(ls, ns):
     # lies outside the sigma = 2 overlattice
     v = extra_glue_class(ls, "w").vector
     assert ns.to_result_coords(v) is None
-    oracle = rat_mul_vec(invert_rational(rat_transpose(_rational_basis(ns))), v.coords)
+    oracle = rat_mul_vec(invert_rational(rat_transpose(_rational_basis(ns))), coords(v))
     assert any(c.denominator != 1 for c in oracle)
 
 
@@ -277,10 +308,11 @@ def test_canonical_positivity_matches_summed_dual_basis(ls, ns):
             for j in range(s.rank):
                 w = w + ls.assemble({s.name: sub.dual_basis_vector(j)})
     complement_rows = rat_mul(to_rational(comp.basis_in_ambient), _rational_basis(ns))
-    p = rat_mul_vec(complement_rows, rational_gv(ls.lattice.gram, w.coords))
+    p = rat_mul_vec(complement_rows, rational_gv(ls.lattice.gram, coords(w)))
     coeffs = rat_mul_vec(invert_rational(to_rational(comp.lattice.gram)), p)
     alpha = canonical_positivity(ns, comp)
-    form = tuple(Fraction(c, alpha.den) for c in alpha.num)
+    # alpha.num is the form over the positive denominator of the overlattice basis
+    form = tuple(Fraction(c, _basis_den(ns)) for c in alpha.num)
     assert form == rational_gv(comp.lattice.gram, coeffs)
 
 
@@ -344,7 +376,7 @@ def test_halfline_searches_scan_each_class_once(ls, ns, monkeypatch):
     real = root_systems._box_scan
 
     def counting(lattice, rep, box):
-        calls.append((lattice.gram.entries, rep.coords))
+        calls.append((lattice.gram.entries, coords(rep)))
         return real(lattice, rep, box)
 
     monkeypatch.setattr(root_systems, "_box_scan", counting)
@@ -361,11 +393,48 @@ def test_halfline_search_rejects_a_box_not_certified_against_the_budget(ls, ns, 
     real = ns_glue.bounded_class_minimizers
 
     def at_budget(sub, cls, box=3):
-        return real(sub, cls, box=box)._replace(outside_bound=Fraction(-5, 2))
+        return real(sub, cls, box=box)._replace(outside_bound2=-5)
 
     monkeypatch.setattr(ns_glue, "bounded_class_minimizers", at_budget)
     with pytest.raises(GlueError, match="candidate box cannot be certified against the budget"):
         unique_halfline_search(ls, L_LABELS[0], ns)
+
+
+def test_halfline_search_rejects_a_misreported_candidate_norm(ls, ns, monkeypatch):
+    # every D4 in-box norm reported one unit high: assemblies that meet the
+    # budget on paper fall short of norm -2
+    real = ns_glue.bounded_class_minimizers
+
+    def misreported(sub, cls, box=3):
+        search = real(sub, cls, box=box)
+        shift = 2 if sub.rank == 4 else 0
+        return search._replace(in_box=tuple((n2 + shift, x) for n2, x in search.in_box))
+
+    monkeypatch.setattr(ns_glue, "bounded_class_minimizers", misreported)
+    with pytest.raises(GlueError, match="assembled candidate violates the norm or degree condition"):
+        unique_halfline_search(ls, "inf", ns)
+
+
+def test_halfline_search_rejects_a_candidate_outside_the_class(ls, ns, monkeypatch):
+    # a discriminant group of the base whose classes never compare equal
+    real = ns_glue.discriminant_group
+
+    class Unequal:
+        def class_of(self, v):
+            return object()
+
+    monkeypatch.setattr(
+        ns_glue, "discriminant_group", lambda lat: Unequal() if lat == ls.lattice else real(lat)
+    )
+    with pytest.raises(GlueError, match="assembled candidate left the glue class"):
+        unique_halfline_search(ls, "inf", ns)
+
+
+def test_halfline_search_rejects_a_candidate_outside_the_overlattice(ls):
+    # the base itself, glued with nothing, does not contain the half-line class
+    base = build_overlattice(ls, ())
+    with pytest.raises(GlueError, match="assembled candidate is not in the overlattice"):
+        unique_halfline_search(ls, "inf", base)
 
 
 def test_halfline_search_builds_each_target_once(ls, ns, monkeypatch):
@@ -390,9 +459,9 @@ def test_halfline_search_component_values(ls, ns):
     # the five nodes
     res = unique_halfline_search(ls, "inf", ns)
     v = res.candidates[0]
-    assert v.coords[0] == Fraction(1, 2)
-    assert all(c == 0 for c in v.coords[1:17])
-    assert all(v.coords[off] == Fraction(-1, 2) for off in range(17, 22))
+    assert coords(v)[0] == Fraction(1, 2)
+    assert all(c == 0 for c in coords(v)[1:17])
+    assert all(coords(v)[off] == Fraction(-1, 2) for off in range(17, 22))
 
 
 def test_halfline_search_report_breakdown(ls, ns):
@@ -415,4 +484,4 @@ def test_candidate_component_norms_satisfy_dichotomies(ls, ns):
             for s in ls.summands:
                 if s.kind == "H":
                     continue
-                assert ls.component(v, s).norm() in allowed
+                assert norm(ls.component(v, s)) in allowed

@@ -95,7 +95,7 @@ def test_recognize_ignores_square_rescaling(gf16):
 
 def test_recognize_rejects_pattern_violation(gf16):
     f = gf16
-    bad = normal_form_sextic(f, 3) + HomPoly.monomial(f, (0, 5, 1))
+    bad = normal_form_sextic(f, 3) + HomPoly(f, 6, {(0, 5, 1): 1})
     with pytest.raises(RecognitionError):
         recognize_normal_form(bad, IDENTITY)
 

@@ -16,7 +16,6 @@ from k3lat.lattice_core import (
     lattice_A1,
     lattice_D4,
     orthogonal_complement,
-    pairing,
 )
 from k3lat.ns_glue import (
     L_LABELS,
@@ -44,7 +43,18 @@ from k3lat.root_systems import (
     positive_indecomposables,
     short_vectors,
 )
-from rational_oracles import cholesky, pairwise_components
+from rational_oracles import (
+    basis_vector,
+    cholesky,
+    coords,
+    invert_rational,
+    norm,
+    pairing,
+    pairwise_components,
+    rational_gv,
+    to_rational,
+    vector,
+)
 
 
 def naive_box_roots(lattice: Lattice, radius: int = 5) -> set:
@@ -68,7 +78,7 @@ def dominant_functional(lattice: Lattice) -> PositivityFunctional:
     total = lattice.zero()
     for i in range(lattice.rank):
         total = total + lattice.dual_basis_vector(i)
-    return PositivityFunctional.from_dual_vector(total)
+    return PositivityFunctional(lattice, total.pairing_numerators())
 
 
 # ---------------------------------------------------------------------------
@@ -268,16 +278,26 @@ def test_short_vectors_rejects_what_the_cholesky_oracle_rejects(rows):
 
 
 def test_positivity_value_matches_the_rational_sum():
+    # value is the rational form scaled by a positive denominator: the
+    # summed dual basis over its den on D4, and on the complement the
+    # overlattice basis over d, with base_in_result * basis_num = d I
     ls = build_lambda()
     ns = build_overlattice(ls, tuple(halfline_class(ls, lam) for lam in L_LABELS))
     comp = orthogonal_complement(ns.lattice, ns.h_in_result())
+    d4 = lattice_D4()
+    total = sum((d4.dual_basis_vector(i) for i in range(4)), d4.zero())
+    d = ns.base_in_result.mul(ns.basis_num).entries[0][0]
+    alpha = canonical_positivity(ns, comp)
     rng = random.Random(4)
-    cases = [(dominant_functional(lattice_D4()), 4), (canonical_positivity(ns, comp), 21)]
-    for alpha, n in cases:
+    cases = [
+        (dominant_functional(d4), 4, total.den, rational_gv(d4.gram, coords(total))),
+        (alpha, 21, d, [Fraction(c, d) for c in alpha.num]),
+    ]
+    for alpha, n, scale, form in cases:
+        assert scale > 0
         for _ in range(50):
             x = [rng.randint(-3, 3) for _ in range(n)]
-            form = [Fraction(c, alpha.den) for c in alpha.num]
-            assert alpha.value(x) == sum(a * c for a, c in zip(form, x))
+            assert Fraction(alpha.value(x), scale) == sum(a * c for a, c in zip(form, x))
 
 
 def test_short_vectors_bound_zero_and_negative():
@@ -470,18 +490,19 @@ def test_indecomposable_count_equals_rank():
 def test_positivity_value_is_pairing_with_the_dual_vector():
     d4 = lattice_D4()
     duals = [d4.dual_basis_vector(j) for j in range(4)]
-    vectors = duals + [duals[0] + duals[1] + duals[2] + duals[3], d4.vector((1, -1, 0, 2))]
+    vectors = duals + [duals[0] + duals[1] + duals[2] + duals[3], vector(d4, (1, -1, 0, 2))]
     roots = enumerate_roots(d4).roots
     assert len(roots) == 24
     for v in vectors:
-        alpha = PositivityFunctional.from_dual_vector(v)
+        # the form G num_v is v.r scaled by the positive v.den
+        alpha = PositivityFunctional(d4, v.pairing_numerators())
         for r in roots:
-            assert alpha.value(r) == pairing(v, d4.vector(r))
+            assert Fraction(alpha.value(r), v.den) == pairing(v, vector(d4, r))
 
 
 def test_positivity_functional_must_not_vanish():
     lat = a1_plus_a1()
-    alpha = PositivityFunctional.from_dual_vector(lat.dual_basis_vector(0))
+    alpha = PositivityFunctional(lat, lat.dual_basis_vector(0).pairing_numerators())
     comps = irreducible_decomposition(enumerate_roots(lat))
     bad = [c for c in comps if all(alpha.value(r) == 0 for r in c.roots)]
     assert bad
@@ -675,30 +696,31 @@ def test_a1_zero_class_search():
     a1 = lattice_A1()
     grp = discriminant_group(a1)
     res = bounded_class_minimizers(a1, grp.zero_class())
-    assert res.max_norm == 0
-    assert [v.coords for v in res.maximizers] == [(Fraction(0),)]
-    assert res.runner_up == -2
-    assert res.outside_bound < -2
+    assert res.max_norm2 == 0
+    assert [coords(v) for v in res.maximizers] == [(Fraction(0),)]
+    assert res.runner_up2 == -4
+    assert res.outside_bound2 < -4
 
 
 def test_a1_dual_class_search():
     a1 = lattice_A1()
     grp = discriminant_group(a1)
     res = bounded_class_minimizers(a1, grp.class_of(a1.dual_basis_vector(0)))
-    assert res.max_norm == Fraction(-1, 2)
-    assert [v.coords for v in res.maximizers] == [(Fraction(-1, 2),)]
-    assert res.runner_up == Fraction(-9, 2)
-    assert res.outside_bound <= Fraction(-9, 2)
+    assert res.max_norm2 == -1
+    assert [coords(v) for v in res.maximizers] == [(Fraction(-1, 2),)]
+    assert res.runner_up2 == -9
+    assert res.outside_bound2 <= -9
 
 
 def test_d4_zero_class_search():
     d4 = lattice_D4()
     grp = discriminant_group(d4)
     res = bounded_class_minimizers(d4, grp.zero_class())
-    assert res.max_norm == 0
+    assert res.max_norm2 == 0
     assert len(res.maximizers) == 1
-    assert res.runner_up == -2
-    assert res.outside_bound <= Fraction(-25, 4) or res.outside_bound == -4
+    assert res.runner_up2 == -4
+    # the norm bound -25/4 or -4, in half-units
+    assert res.outside_bound2 <= math.floor(2 * Fraction(-25, 4)) or res.outside_bound2 == -8
 
 
 def test_d4_leaf_class_search():
@@ -706,11 +728,11 @@ def test_d4_leaf_class_search():
     grp = discriminant_group(d4)
     d1_dual = d4.dual_basis_vector(0)
     res = bounded_class_minimizers(d4, grp.class_of(d1_dual))
-    assert res.max_norm == -1
-    assert [v.coords for v in res.maximizers] == [d1_dual.coords]
-    assert res.runner_up <= -3
+    assert res.max_norm2 == -2
+    assert [coords(v) for v in res.maximizers] == [coords(d1_dual)]
+    assert res.runner_up2 <= -6
     assert res.norms_all_odd
-    assert res.outside_bound <= -3
+    assert res.outside_bound2 <= -6
 
 
 def test_d4_other_leaf_class_search():
@@ -718,8 +740,8 @@ def test_d4_other_leaf_class_search():
     grp = discriminant_group(d4)
     d4_dual = d4.dual_basis_vector(3)
     res = bounded_class_minimizers(d4, grp.class_of(d4_dual))
-    assert res.max_norm == -1
-    assert [v.coords for v in res.maximizers] == [d4_dual.coords]
+    assert res.max_norm2 == -2
+    assert [coords(v) for v in res.maximizers] == [coords(d4_dual)]
     assert res.norms_all_odd
 
 
@@ -731,19 +753,19 @@ def test_d4_sum_class_search():
     cls = grp.class_of(d2_dual)
     assert cls == grp.class_of(d4.dual_basis_vector(0)) + grp.class_of(d4.dual_basis_vector(3))
     res = bounded_class_minimizers(d4, cls)
-    assert res.max_norm == -1
+    assert res.max_norm2 == -2
     assert res.norms_all_odd
 
 
 def naive_in_box(lattice: Lattice, rep, box: int) -> list:
     """Independent oracle: every rep + x in the box pairing non-negatively with
-    each basis vector, as (norm, x) by decreasing norm, computed with pairing."""
-    basis = [lattice.basis_vector(i) for i in range(lattice.rank)]
+    each basis vector, as (2 v*v, x) by decreasing norm, computed with pairing."""
+    basis = [basis_vector(lattice, i) for i in range(lattice.rank)]
     out = []
     for x in itertools.product(range(-box, box + 1), repeat=lattice.rank):
-        v = rep + lattice.vector(x)
+        v = rep + vector(lattice, x)
         if all(pairing(v, e) >= 0 for e in basis):
-            out.append((pairing(v, v), x))
+            out.append((2 * pairing(v, v), x))
     out.sort(key=lambda t: (-t[0], t[1]))
     return out
 
@@ -760,7 +782,7 @@ def test_in_box_points_match_naive_enumeration(name, dual_index):
     res = bounded_class_minimizers(lattice, grp.class_of(rep), box=3)
     assert list(res.in_box) == naive_in_box(lattice, res.rep, 3)
     assert grp.class_of(res.rep) == grp.class_of(rep)
-    assert res.in_box[0][0] == res.max_norm
+    assert res.in_box[0][0] == res.max_norm2
 
 
 def test_box_below_three_rejected():
@@ -776,7 +798,7 @@ def test_unsupported_lattice_rejected():
     a2 = Lattice(IntMatrix([[-2, 1], [1, -2]]))
     grp = discriminant_group(a2)
     res = bounded_class_minimizers(a2, grp.zero_class())
-    assert (res.max_norm, res.runner_up, res.norms_all_odd) == (0, -2, False)
+    assert (res.max_norm2, res.runner_up2, res.norms_all_odd) == (0, -4, False)
     classes = {grp.class_of(a2.dual_basis_vector(j)) for j in range(2)}
     assert len(classes) == 2 and grp.zero_class() not in classes
     for cls in classes:
@@ -802,7 +824,7 @@ def test_norm_parity_requires_an_even_lattice():
 def test_norm_parity_requires_a_dual_vector():
     a1 = lattice_A1()
     with pytest.raises(RootSystemError, match="norm parity requires a dual vector"):
-        _norms_all_odd(a1, a1.vector([Fraction(1, 4)]))
+        _norms_all_odd(a1, vector(a1, [Fraction(1, 4)]))
 
 
 D4_LEAVES = (0, 1, 3)  # basis positions of the three outer nodes; position 2 is the center
@@ -836,11 +858,11 @@ def named_rep(lattice: Lattice, cls) -> tuple:
 def product_box_scan(lattice: Lattice, rep, box: int, forms) -> tuple:
     """Oracle: the former scan, G x summed in full at every point of the box,
     with the leaf norm identity checked and the parity of the norm read at
-    every point."""
+    every point; the points as (2 v*v, x)."""
     g = lattice.gram.entries
     n = lattice.rank
     grep = list(rep.integer_pairings())
-    rep_norm2 = int(2 * rep.norm())
+    rep_norm2 = int(2 * norm(rep))
     all_odd = True
     out = []
     for x in itertools.product(range(-box, box + 1), repeat=n):
@@ -853,7 +875,7 @@ def product_box_scan(lattice: Lattice, rep, box: int, forms) -> tuple:
         if norm2 % 4 != 2:
             all_odd = False
         if all(a + b >= 0 for a, b in zip(grep, gx)):
-            out.append((Fraction(norm2, 2), x))
+            out.append((norm2, x))
     return out, all_odd
 
 
@@ -906,10 +928,10 @@ def test_norm_parity_matches_the_product_scan_on_block_sums():
         lattice = Lattice(IntMatrix.block_diagonal([IntMatrix(BLOCKS[b]) for b in blocks]))
         grp = discriminant_group(lattice)
         duals = [lattice.dual_basis_vector(j) for j in range(lattice.rank)]
-        for vector in [lattice.zero()] + duals:
-            if (2 * vector.norm()).denominator != 1:
+        for v in [lattice.zero()] + duals:
+            if (2 * norm(v)).denominator != 1:
                 continue
-            res = bounded_class_minimizers(lattice, grp.class_of(vector), 3)
+            res = bounded_class_minimizers(lattice, grp.class_of(v), 3)
             found, all_odd = product_box_scan(lattice, res.rep, 3, None)
             assert list(res.in_box) == sorted(found, key=lambda t: (-t[0], t[1]))
             assert res.norms_all_odd == all_odd, blocks
@@ -931,7 +953,7 @@ def hand_derived_outside_bound(lattice: Lattice, rep, leaf, box: int) -> Fractio
     """Oracle: the three case-by-case bounds that the hyperplane bound replaced."""
     b = box
     if lattice.rank == 1:
-        return -2 * (Fraction(b + 1) - abs(rep.coords[0])) ** 2
+        return -2 * (Fraction(b + 1) - abs(coords(rep)[0])) ** 2
     if leaf is not None:
         return max(
             -1 - Fraction(b * b - 2, 2),
@@ -949,15 +971,39 @@ def hand_derived_outside_bound(lattice: Lattice, rep, leaf, box: int) -> Fractio
 
 @pytest.mark.parametrize("box", [3, 4, 8, 16])
 def test_outside_bound_matches_the_hand_derived_bounds(box):
-    # equal on both A1 classes and the three D4 leaf classes, tighter on the D4 zero class
+    # floor(2 B) for the hand-derived norm bound B: equal on both A1 classes
+    # and the three D4 leaf classes, tighter on the D4 zero class
     for lattice, cls in _every_class():
         name, rep, leaf = named_rep(lattice, cls)
         bound = _outside_bound(lattice, rep, box)
-        oracle = hand_derived_outside_bound(lattice, rep, leaf, box)
+        oracle = math.floor(2 * hand_derived_outside_bound(lattice, rep, leaf, box))
         if (lattice.rank, name) == (4, "zero"):
             assert bound <= oracle
         else:
             assert bound == oracle
+
+
+def rational_outside_bound(lattice: Lattice, rep, box: int) -> Fraction:
+    """Oracle: the hyperplane bound B in Fractions, the largest t^2 / (G^-1)_ii
+    over i and t = rep_i +- (box + 1), with a rational inverse of the Gram."""
+    ginv = invert_rational(to_rational(lattice.gram))
+    reach = box + 1
+    return max(t * t / ginv[i][i] for i, r in enumerate(coords(rep)) for t in (r + reach, r - reach))
+
+
+@pytest.mark.parametrize("box", [3, 4, 7])
+def test_outside_bound_is_the_floor_of_twice_the_rational_bound(box):
+    # on block sums with A2 and A3, where 2 B is not always an integer, so
+    # rounding up instead of down would show
+    fractional = 0
+    for blocks in (["A1"], ["D4"], ["A2"], ["A3"], ["A1", "A2"], ["A2", "A2"], ["A1", "A3"]):
+        lattice = Lattice(IntMatrix.block_diagonal([IntMatrix(BLOCKS[b]) for b in blocks]))
+        for rep in [lattice.zero()] + [lattice.dual_basis_vector(j) for j in range(lattice.rank)]:
+            for r in (rep, -rep):
+                bound = rational_outside_bound(lattice, r, box)
+                assert _outside_bound(lattice, r, box) == math.floor(2 * bound), blocks
+                fractional += (2 * bound).denominator != 1
+    assert fractional > 0
 
 
 def test_outside_bounds_at_box_3():
@@ -971,12 +1017,14 @@ def test_outside_bounds_at_box_3():
     }
     for lattice, cls in _every_class():
         name = named_rep(lattice, cls)[0]
-        assert bounded_class_minimizers(lattice, cls).outside_bound == pinned[(lattice.rank, name)]
+        bound2 = bounded_class_minimizers(lattice, cls).outside_bound2
+        assert bound2 == 2 * pinned[(lattice.rank, name)]
 
 
 def test_outside_bound_holds_on_a_shell_around_the_box():
     # every class vector one step outside the box 3 sits at or below
-    # the bound; -rep has coordinates of the other sign, so both hyperplanes count
+    # the bound, in half-units; -rep has coordinates of the other sign, so
+    # both hyperplanes count
     box, width = 3, 1
     for lattice, cls in _every_class():
         g = lattice.gram.entries
@@ -989,8 +1037,8 @@ def test_outside_bound_holds_on_a_shell_around_the_box():
                 if max(map(abs, x)) <= box:
                     continue
                 quad = sum(x[i] * g[i][j] * x[j] for i in range(n) for j in range(n))
-                norm = r.norm() + 2 * sum(map(mul, grep, x)) + quad
-                top = norm if top is None else max(top, norm)
+                norm2 = 2 * norm(r) + 4 * sum(map(mul, grep, x)) + 2 * quad
+                top = norm2 if top is None else max(top, norm2)
             assert top <= _outside_bound(lattice, r, box)
 
 
@@ -1003,12 +1051,13 @@ def test_outside_bound_requires_a_negative_definite_lattice():
 def test_outside_bound_requires_the_representative_inside_the_box():
     d4 = lattice_D4()
     with pytest.raises(RootSystemError, match="representative coordinate is not inside the box"):
-        _outside_bound(d4, d4.vector([0, 0, -4, 0]), 3)
+        _outside_bound(d4, vector(d4, [0, 0, -4, 0]), 3)
 
 
 def test_class_search_rejects_a_bound_above_the_maximum(monkeypatch):
     a1 = lattice_A1()
-    monkeypatch.setattr(root_systems, "_outside_bound", lambda lattice, rep, box: Fraction(1))
+    # a norm bound of 1, in half-units
+    monkeypatch.setattr(root_systems, "_outside_bound", lambda lattice, rep, box: 2)
     with pytest.raises(RootSystemError, match="sufficiency certificate does not cover the box"):
         root_systems._class_search.__wrapped__(a1, discriminant_group(a1).zero_class(), 3)
 
@@ -1019,7 +1068,7 @@ def test_d4_class_searches_at_box_16_fit_the_budget():
     start = time.perf_counter()
     for lattice, cls in _every_class():
         if lattice.rank == 4:
-            assert bounded_class_minimizers(lattice, cls, box=16).outside_bound <= -3
+            assert bounded_class_minimizers(lattice, cls, box=16).outside_bound2 <= -6
     assert time.perf_counter() - start <= 1.0
 
 
