@@ -159,20 +159,6 @@ class HomPoly:
             out = out + t
         return out
 
-    # -- squares ---------------------------------------------------------------
-
-    def is_square(self) -> "HomPoly | None":
-        """Return g with g*g = self, or None; squares have all exponents even."""
-        f = self.field
-        if self.degree % 2 != 0:
-            return None
-        root: dict[tuple[int, int, int], int] = {}
-        for (l, m, n), c in self.terms.items():
-            if l % 2 or m % 2 or n % 2:
-                return None
-            root[(l // 2, m // 2, n // 2)] = f.sqrt(c)
-        return HomPoly(f, self.degree // 2, root)
-
     # -- division by a linear form ----------------------------------------------
 
     def divide_by_linear(self, ell: "HomPoly") -> "HomPoly":
@@ -273,20 +259,6 @@ class BinForm(Frozen):
         if len(coeffs) != degree + 1:
             raise PolyError("coefficient list does not match the degree")
         super().__init__(field, degree, coeffs, kept)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def coeff(self, i_u: int) -> int:
-        return self.coeffs[self.degree - i_u]
-
-    def evaluate(self, u: int, v: int) -> int:
-        f = self.field
-        acc = 0
-        for i, c in enumerate(self.coeffs):
-            if c:
-                acc ^= f.mul(c, f.mul(f.pow(u, self.degree - i), f.pow(v, i)))
-        return acc
 
     def is_square(self) -> "BinForm | None":
         f = self.field

@@ -191,15 +191,16 @@ def cmd_lattice(args, checks: Checks) -> None:
             ("D4_dual", d4, gd.class_of(d4.dual_basis_vector(0)), -2, -6),
         ]
         out = {}
+        searches = {}
         ok = True
         for key, lattice, cls, max_norm2, threshold2 in cases:
-            s = bounded_class_minimizers(lattice, cls, box=box)
+            s = searches[key] = bounded_class_minimizers(lattice, cls, box=box)
             runner_up = "None" if s.runner_up2 is None else ratio(s.runner_up2, 2)
             out[key] = {"max": ratio(s.max_norm2, 2), "next": runner_up}
             ok = ok and s.max_norm2 == max_norm2 and len(s.maximizers) == 1
             ok = ok and s.runner_up2 <= threshold2 and s.outside_bound2 <= threshold2
-        out["D4_dual"]["all_odd"] = s.norms_all_odd
-        ok = ok and s.norms_all_odd
+        out["D4_dual"]["all_odd"] = searches["D4_dual"].norms_all_odd
+        ok = ok and searches["D4_dual"].norms_all_odd
         return ok, out
 
     checks.run("bounded_class_searches", class_searches)

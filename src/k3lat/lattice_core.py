@@ -255,9 +255,6 @@ class DiscClass(Frozen):
     group: DiscriminantGroup
     component: tuple[int, ...]
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.component)
-
     def __add__(self, other: "DiscClass") -> "DiscClass":
         if self.group.lattice != other.group.lattice:
             raise LatticeError("classes from different groups")

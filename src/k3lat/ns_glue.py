@@ -293,7 +293,7 @@ def canonical_positivity(ns: OverlatticeResult, comp: Sublattice) -> PositivityF
     """
     w_pairings = [0 if s.kind == "H" else 1 for s in ns.base.summands for _ in range(s.rank)]
     form = comp.basis_in_ambient.mul_vec(ns.basis_num.mul_vec(w_pairings))
-    return PositivityFunctional(comp.lattice, tuple(form))
+    return PositivityFunctional(tuple(form))
 
 
 class ExceptionalRootReport(NamedTuple):

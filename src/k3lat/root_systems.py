@@ -229,7 +229,6 @@ class PositivityFunctional(NamedTuple):
     against a dual vector v has num = G num_v.  Only the signs and the
     order of its values are read, which the scale does not change."""
 
-    lattice: Lattice
     num: tuple[int, ...]
 
     def value(self, x: Sequence[int]) -> int:

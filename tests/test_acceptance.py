@@ -149,7 +149,7 @@ def test_criterion_03_root_counts():
         total = d4.zero()
         for i in range(4):
             total = total + d4.dual_basis_vector(i)
-        alpha = PositivityFunctional(d4, total.pairing_numerators())
+        alpha = PositivityFunctional(total.pairing_numerators())
         comp = irreducible_decomposition(enumerate_roots(d4))[0]
         assert ade_type(comp, alpha) == "D4"
 

@@ -46,6 +46,15 @@ def test_omega_is_cube_root():
         assert f.sqr(w) ^ w ^ 1 == 0
 
 
+def test_omega_check_fires_on_a_corrupt_antilog_table():
+    # the table entry at (q - 1) / 3 is the cube root; make it 1
+    f = BinaryField(4)
+    f.exp = list(f.exp)
+    f.exp[(f.q - 1) // 3] = 1
+    with pytest.raises(FieldError, match="cube-root construction failed"):
+        f.omega()
+
+
 def test_sqrt_inverts_squaring_exhaustively():
     f = BinaryField(4)
     for a in range(f.q):

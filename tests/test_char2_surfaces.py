@@ -314,7 +314,7 @@ def test_quintic_transversality_matches_classification(gf16):
             u, v = p[kept[0]], p[kept[1]]
             mult = (
                 multiplicity_at(restricted_quintic, u, v)
-                if not restricted_quintic.is_zero()
+                if any(restricted_quintic.coeffs)
                 else None
             )
             if mult == 0:
@@ -611,7 +611,7 @@ def old_nonreduced_lines(c, g):
     out = []
     for l in all_lines(f):
         ell = HomPoly.linear(f, l)
-        if restrict_to_line(c, ell).is_zero() and restrict_to_line(g, ell).is_square() is not None:
+        if not any(restrict_to_line(c, ell).coeffs) and restrict_to_line(g, ell).is_square() is not None:
             out.append(l)
     return sorted(out)
 

@@ -13,8 +13,9 @@ from k3lat.char2_surfaces.recognize import apply_frame, normal_form_sextic
 from k3lat.char2_surfaces.surfaces import SurfaceError, schroeer_sextic
 from k3lat.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
 
+from goldens import DATA, FRAMED_INPUTS, LATTICE_GOLDENS, SURFACE_GOLDENS, framed_normal_form
+
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
-DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def run_cli(capsys, *argv):
@@ -25,6 +26,19 @@ def run_cli(capsys, *argv):
 
 def strip_timing(report: dict) -> dict:
     return {k: v for k, v in report.items() if k != "timing_ms"}
+
+
+def golden_params(goldens):
+    return [pytest.param(argv, code, report, id=name) for name, argv, code, report in goldens]
+
+
+def assert_matches_golden(capsys, monkeypatch, argv, expected_code, golden):
+    monkeypatch.chdir(DATA)
+    code, out = run_cli(capsys, *argv)
+    assert code == expected_code
+    with open(golden, encoding="utf-8") as fh:
+        expected = fh.read()
+    assert json.dumps(strip_timing(json.loads(out)), sort_keys=True, indent=2) + "\n" == expected
 
 
 def test_lattice_default(capsys):
@@ -51,21 +65,9 @@ def test_lattice_with_extra_glue(capsys, extra):
     assert json.dumps(strip_timing(report), sort_keys=True, indent=2) + "\n" == golden
 
 
-@pytest.mark.parametrize(
-    "argv,expected_code,golden",
-    [
-        ([], EXIT_OK, "lattice_default.json"),
-        (["--inject-corrupt-glue"], EXIT_CHECK_FAILED, "lattice_inject_corrupt_glue.json"),
-        (["--lemma-box", "16"], EXIT_OK, "lattice_lemma_box_16.json"),
-    ],
-    ids=["default", "inject-corrupt-glue", "lemma-box-16"],
-)
-def test_lattice_report_matches_golden(capsys, argv, expected_code, golden):
-    code, out = run_cli(capsys, "lattice", *argv)
-    assert code == expected_code
-    with open(os.path.join(DATA, golden), encoding="utf-8") as fh:
-        expected = fh.read()
-    assert json.dumps(strip_timing(json.loads(out)), sort_keys=True, indent=2) + "\n" == expected
+@pytest.mark.parametrize("argv,expected_code,golden", golden_params(LATTICE_GOLDENS))
+def test_lattice_report_matches_golden(capsys, monkeypatch, argv, expected_code, golden):
+    assert_matches_golden(capsys, monkeypatch, argv, expected_code, golden)
 
 
 # a fresh process counts every inverse of one whole run, at every loaded
@@ -322,30 +324,15 @@ def test_surface_cube_locus_pair(capsys):
     assert dich["witness"]["cases"][0]["splits"] is True
 
 
-# whole surface reports, apart from timing, pinned byte for byte: a sampled
-# GF(256) run, a GF(16) member on the cube locus (6 is omega) with its 7
-# splitting lines, a GF(2^16) member, and a whole `all` run over GF(16)
+@pytest.mark.parametrize("argv,expected_code,golden", golden_params(SURFACE_GOLDENS))
+def test_surface_report_matches_golden(capsys, monkeypatch, argv, expected_code, golden):
+    assert_matches_golden(capsys, monkeypatch, argv, expected_code, golden)
 
 
-@pytest.mark.parametrize(
-    "argv,golden",
-    [
-        (["surface", "--k", "8", "--samples", "4", "--seed", "12345"],
-         "surface_k8_samples4_seed12345.json"),
-        (["surface", "--k", "4", "--r", "1", "--s", "6", "--line-scan", "full"],
-         "surface_k4_r1_s6_full.json"),
-        (["surface", "--k", "16", "--modulus", "0x1002D", "--r", "3", "--s", "5"],
-         "surface_k16_r3_s5.json"),
-        (["all", "--k", "4", "--samples", "3"], "all_k4_samples3.json"),
-    ],
-    ids=["k8-samples", "k4-cube-locus", "k16-member", "all-k4-samples3"],
-)
-def test_surface_report_matches_golden(capsys, argv, golden):
-    code, out = run_cli(capsys, *argv)
-    assert code == EXIT_OK
-    with open(os.path.join(DATA, golden), encoding="utf-8") as fh:
-        expected = fh.read()
-    assert json.dumps(strip_timing(json.loads(out)), sort_keys=True, indent=2) + "\n" == expected
+def test_framed_recognition_inputs_are_their_seeded_frames():
+    for name, (k, modulus, t, seed) in FRAMED_INPUTS.items():
+        with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+            assert HomPoly.from_json(fh.read()) == framed_normal_form(k, modulus, t, seed)
 
 
 def test_every_surface_case_is_timed_under_its_check_name(capsys):

@@ -1,8 +1,11 @@
 import ast
+import json
 import os
 import pathlib
 import subprocess
 import sys
+
+from goldens import DATA, FRAMED_INPUTS, GOLDENS
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "k3lat"
@@ -86,48 +89,6 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout.strip() == "[]"
 
 
-# each public function or method without a caller in src, with the reason it stays
-NO_CALLER_IN_SRC = {
-    "nonreduced_splitting_lines_separable": "acceptance criterion 10",
-    "HomPoly.to_json": "the README names it as the writer of the --recognize format",
-}
-
-
-def test_every_public_function_has_a_caller_in_src():
-    # public functions and public (non-dunder) methods, matched by name; a
-    # reference inside the function's own def (recursion) or an __init__
-    # re-export is not a caller
-    defined, referenced = [], set()
-
-    def refer(tree, owner):
-        for node in ast.walk(tree):
-            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-            if name is not None and name != owner:
-                referenced.add(name)
-
-    for path in sorted(PACKAGE.rglob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            if not isinstance(stmt, ast.ClassDef):
-                owner = getattr(stmt, "name", None)
-                if isinstance(stmt, ast.FunctionDef) and not owner.startswith("_"):
-                    defined.append((path.relative_to(PACKAGE), owner, owner))
-                refer(stmt, owner)
-                continue
-            for node in stmt.bases + stmt.keywords + stmt.decorator_list:
-                refer(node, None)
-            for item in stmt.body:
-                method = item.name if isinstance(item, ast.FunctionDef) else None
-                if method is not None and not method.startswith("_"):
-                    defined.append((path.relative_to(PACKAGE), f"{stmt.name}.{method}", method))
-                refer(item, method)
-    uncalled = {label: str(path) for path, label, name in defined if name not in referenced}
-    labels = {(str(path), label) for path, label, _ in defined}
-    assert {("cli.py", "main"), ("exact_arith.py", "IntMatrix.mul_vec")} <= labels
-    assert sorted(uncalled) == sorted(NO_CALLER_IN_SRC), uncalled
-
-
 def _imports_from(path: pathlib.Path, package: tuple[str, ...]):
     """(module, alias) for each ``from module import`` alias in path, with
     relative imports resolved against its package."""
@@ -159,29 +120,139 @@ def test_every_package_re_export_is_imported_from_the_package():
     assert sorted(exported - imported) == []
 
 
-# each record field that nothing in src reads, with the reason it stays
-FIELD_WITHOUT_READER = {
-    "ExceptionalRootReport.component_types": "acceptance criterion 5",
-    "DiscriminantGroup.generators": "checked at construction, pinned in test_lattice_core.py",
+# the CLI traffic of the execution guard, run in tests/data: the command of
+# every golden (among them the benchmark's op shapes `lattice
+# --with-extra-glue c`, `surface --k 8 --samples 4 --seed N` and `surface
+# --k 8 --recognize FILE --line-scan full`), text and --out output, and a
+# degenerate pair, with the exit code each one ends with
+EXTRA_TRAFFIC = [
+    (["surface", "--k", "4", "--r", "1", "--s", "2", "--format", "text"], 0),
+    (["lattice", "--out", os.devnull], 0),
+    (["surface", "--k", "4", "--r", "0", "--s", "5", "--allow-degenerate"], 1),
+]
+
+# each function or method that the traffic never calls, with the reason it stays
+NOT_RUN_BY_THE_CLI = {
+    "char2_surfaces/surfaces.py:nonreduced_splitting_lines_separable": "acceptance criterion 10",
+    "char2_surfaces/surfaces.py:linear_divides":
+        "its one caller is nonreduced_splitting_lines_separable",
+    "char2_surfaces/poly.py:HomPoly.to_json":
+        "the README names it as the writer of the --recognize format",
 }
 
+# each record field that the traffic never reads, with the reason it stays
+FIELD_WITHOUT_READER = {
+    "ns_glue.ExceptionalRootReport.component_types": "acceptance criterion 5",
+    "lattice_core.DiscriminantGroup.generators":
+        "checked at construction, pinned in test_lattice_core.py",
+}
 
-def test_every_record_field_is_read_in_src():
-    # NamedTuple fields and public __slots__ names; a constructor keyword
-    # writes a field, and only an attribute load reads one
-    fields, read = [], set()
+# Runs the traffic through k3lat.cli.main in one process. A profile hook
+# keeps the code object of every Python call, and every NamedTuple field and
+# public __slots__ name of a k3lat class becomes a property that counts its
+# reads and passes gets and sets to the original descriptor. Prints the
+# exit codes, the (file, qualified name, first line) of each k3lat code
+# object that ran, and the read count of each field.
+EXECUTION_RECORDER = r"""
+import contextlib, importlib, io, json, os, pkgutil, sys
+import k3lat, k3lat.cli
+
+for info in pkgutil.walk_packages(k3lat.__path__, "k3lat."):
+    importlib.import_module(info.name)
+reads = {}
+
+def counted(label, descriptor):
+    reads[label] = 0
+
+    def get(obj):
+        reads[label] += 1
+        return descriptor.__get__(obj, type(obj))
+
+    return property(get, descriptor.__set__)
+
+for name, module in sorted(sys.modules.items()):
+    if name.split(".")[0] != "k3lat":
+        continue
+    for cls in list(vars(module).values()):
+        if not isinstance(cls, type) or cls.__module__ != name:
+            continue
+        if issubclass(cls, tuple):
+            fields = getattr(cls, "_fields", ())
+        else:
+            fields = [slot for slot in vars(cls).get("__slots__", ()) if slot[0] != "_"]
+        for field in fields:
+            label = f"{name.removeprefix('k3lat.')}.{cls.__qualname__}.{field}"
+            setattr(cls, field, counted(label, vars(cls)[field]))
+
+called = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        called.add(frame.f_code)
+
+codes = []
+sys.setprofile(profile)
+try:
+    for argv in json.loads(sys.argv[1]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes.append(k3lat.cli.main(argv))
+finally:
+    sys.setprofile(None)
+root = os.path.dirname(k3lat.__file__)
+ran = sorted(
+    (os.path.relpath(c.co_filename, root), getattr(c, "co_qualname", None), c.co_firstlineno)
+    for c in called
+    if c.co_filename.startswith(root + os.sep)
+)
+print(json.dumps({"codes": codes, "ran": ran, "reads": reads}))
+"""
+
+
+def _defined_functions():
+    """(file, qualified name, first line) of each module-level function and
+    each non-dunder method in src; a decorated def starts at its first
+    decorator, as its code object does."""
+    out = []
+
+    def walk(body, path, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                walk(node.body, path, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if prefix and node.name.startswith("__") and node.name.endswith("__"):
+                    continue
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                out.append((path, prefix + node.name, first))
+
     for path in sorted(PACKAGE.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases):
-                annotated = [s for s in node.body if isinstance(s, ast.AnnAssign)]
-                fields += [(node.name, s.target.id) for s in annotated]
-            for s in node.body:
-                if isinstance(s, ast.Assign) and getattr(s.targets[0], "id", None) == "__slots__":
-                    fields += [(node.name, e.value) for e in s.value.elts if e.value[0] != "_"]
-    assert ("Lattice", "gram") in fields and ("ClassNormSearch", "norms_all_odd") in fields
-    unread = sorted(f"{cls}.{name}" for cls, name in fields if name not in read)
-    assert unread == sorted(FIELD_WITHOUT_READER), unread
+        walk(ast.parse(path.read_text(encoding="utf-8")).body, str(path.relative_to(PACKAGE)), "")
+    return out
+
+
+def test_every_function_runs_and_every_field_is_read_under_the_cli_traffic():
+    assert sorted(os.listdir(DATA)) == sorted([g[3] for g in GOLDENS] + list(FRAMED_INPUTS))
+    traffic = [(argv, code) for _, argv, code, _ in GOLDENS] + EXTRA_TRAFFIC
+    # a fresh process, so that no memo is warm from an earlier test
+    proc = subprocess.run(
+        [sys.executable, "-c", EXECUTION_RECORDER, json.dumps([argv for argv, _ in traffic])],
+        cwd=DATA,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["codes"] == [code for _, code in traffic]
+
+    defined = _defined_functions()
+    assert {("cli.py", "main"), ("exact_arith.py", "IntMatrix.mul_vec")} <= {d[:2] for d in defined}
+    # co_qualname is new in Python 3.11; before it a def is known by its first line
+    key = 1 if sys.version_info >= (3, 11) else 2
+    ran = {(d[0], d[key]) for d in record["ran"]}
+    not_run = [f"{d[0]}:{d[1]}" for d in defined if (d[0], d[key]) not in ran]
+    assert sorted(not_run) == sorted(NOT_RUN_BY_THE_CLI)
+
+    reads = record["reads"]
+    assert {"lattice_core.Lattice.gram", "root_systems.ClassNormSearch.norms_all_odd"} <= set(reads)
+    assert sorted(label for label, n in reads.items() if n == 0) == sorted(FIELD_WITHOUT_READER)

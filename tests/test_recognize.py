@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from k3lat.char2_surfaces import recognize
 from k3lat.char2_surfaces.field import BinaryField
 from k3lat.char2_surfaces.poly import HomPoly
 from k3lat.char2_surfaces.recognize import (
@@ -68,6 +69,14 @@ def test_normalize_frame_rejects_collinear_anchors(gf16):
         normalize_frame(f, (1, 0, 0), (1, 1, 0), (0, 1, 0), (1, 2, 0), (1, 3, 0))
 
 
+def test_frame_check_fires_when_the_diagonal_scaling_is_lost(gf16, monkeypatch):
+    # anchors whose triangle is the coordinate one, so the frame is the
+    # scaling alone; a product that drops it leaves q_one at [1:2:0]
+    monkeypatch.setattr(recognize, "_mat_mul", lambda field, a, b: b)
+    with pytest.raises(RecognitionError, match="frame failed to pin an anchor point"):
+        normalize_frame(gf16, (0, 1, 0), (1, 2, 0), (1, 0, 0), (0, 0, 1), (1, 0, 3))
+
+
 def test_recognize_normal_form_direct(gf16):
     f = gf16
     for t in (1, 2, 9):
@@ -98,6 +107,31 @@ def test_recognize_rejects_pattern_violation(gf16):
     bad = normal_form_sextic(f, 3) + HomPoly(f, 6, {(0, 5, 1): 1})
     with pytest.raises(RecognitionError):
         recognize_normal_form(bad, IDENTITY)
+
+
+@pytest.mark.parametrize(
+    "term,message",
+    [
+        # x y^3 z^2 is one of the terms that the splitting lines rule out
+        ({(1, 3, 2): 1}, "transversality constraints fail"),
+        # the x^2 y z^3 coefficient becomes 2, while d, at x^4 y z, stays 1
+        ({(2, 1, 3): 3}, "the two fork-line relations disagree"),
+        # b = 1 breaks a + b + c + d = 0 while the fork relation still holds
+        ({(2, 3, 1): 1}, "the unit-point relation fails"),
+    ],
+)
+def test_recognize_pattern_checks_fire(gf16, term, message):
+    bad = normal_form_sextic(gf16, 3) + HomPoly(gf16, 6, term)
+    with pytest.raises(RecognitionError, match=message):
+        recognize_normal_form(bad, IDENTITY)
+
+
+def test_recognize_surface_checks_the_coefficient_against_the_anchor_parameter(gf16, monkeypatch):
+    # the anchors give t = 9; the coefficient reading is made to give 8
+    real = recognize.recognize_normal_form
+    monkeypatch.setattr(recognize, "recognize_normal_form", lambda g, frame: real(g, frame) ^ 1)
+    with pytest.raises(RecognitionError, match="coefficient parameter disagrees with the anchor position"):
+        recognize_surface(normal_form_sextic(gf16, 9))
 
 
 @pytest.mark.parametrize("degree", [5, 7, 12])

@@ -78,7 +78,7 @@ def dominant_functional(lattice: Lattice) -> PositivityFunctional:
     total = lattice.zero()
     for i in range(lattice.rank):
         total = total + lattice.dual_basis_vector(i)
-    return PositivityFunctional(lattice, total.pairing_numerators())
+    return PositivityFunctional(total.pairing_numerators())
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +487,14 @@ def test_indecomposable_count_equals_rank():
             assert len(positive_indecomposables(comp, alpha)) == comp.rank
 
 
+def test_indecomposable_count_check_fires_on_a_basis_one_short():
+    d4 = lattice_D4()
+    comp = irreducible_decomposition(enumerate_roots(d4))[0]
+    short = comp._replace(basis=comp.basis[:3])
+    with pytest.raises(RootSystemError, match="indecomposable count differs from the component rank"):
+        positive_indecomposables(short, dominant_functional(d4))
+
+
 def test_positivity_value_is_pairing_with_the_dual_vector():
     d4 = lattice_D4()
     duals = [d4.dual_basis_vector(j) for j in range(4)]
@@ -495,14 +503,14 @@ def test_positivity_value_is_pairing_with_the_dual_vector():
     assert len(roots) == 24
     for v in vectors:
         # the form G num_v is v.r scaled by the positive v.den
-        alpha = PositivityFunctional(d4, v.pairing_numerators())
+        alpha = PositivityFunctional(v.pairing_numerators())
         for r in roots:
             assert Fraction(alpha.value(r), v.den) == pairing(v, vector(d4, r))
 
 
 def test_positivity_functional_must_not_vanish():
     lat = a1_plus_a1()
-    alpha = PositivityFunctional(lat, lat.dual_basis_vector(0).pairing_numerators())
+    alpha = PositivityFunctional(lat.dual_basis_vector(0).pairing_numerators())
     comps = irreducible_decomposition(enumerate_roots(lat))
     bad = [c for c in comps if all(alpha.value(r) == 0 for r in c.roots)]
     assert bad
