@@ -1,4 +1,5 @@
 import ast
+import functools
 import json
 import os
 import pathlib
@@ -229,7 +230,9 @@ def _defined_functions():
     return out
 
 
-def test_every_function_runs_and_every_field_is_read_under_the_cli_traffic():
+@functools.lru_cache(maxsize=None)
+def _cli_traffic_record():
+    """Runs the traffic once for both guards and checks its exit codes."""
     assert sorted(os.listdir(DATA)) == sorted([g[3] for g in GOLDENS] + list(FRAMED_INPUTS))
     traffic = [(argv, code) for _, argv, code, _ in GOLDENS] + EXTRA_TRAFFIC
     # a fresh process, so that no memo is warm from an earlier test
@@ -244,7 +247,13 @@ def test_every_function_runs_and_every_field_is_read_under_the_cli_traffic():
     assert proc.returncode == 0, proc.stderr
     record = json.loads(proc.stdout)
     assert record["codes"] == [code for _, code in traffic]
+    return record
 
+
+def test_every_public_function_has_a_caller_in_src():
+    # by execution: every function and method, private ones included, runs
+    # under the CLI traffic
+    record = _cli_traffic_record()
     defined = _defined_functions()
     assert {("cli.py", "main"), ("exact_arith.py", "IntMatrix.mul_vec")} <= {d[:2] for d in defined}
     # co_qualname is new in Python 3.11; before it a def is known by its first line
@@ -253,6 +262,9 @@ def test_every_function_runs_and_every_field_is_read_under_the_cli_traffic():
     not_run = [f"{d[0]}:{d[1]}" for d in defined if (d[0], d[key]) not in ran]
     assert sorted(not_run) == sorted(NOT_RUN_BY_THE_CLI)
 
-    reads = record["reads"]
+
+def test_every_record_field_is_read_in_src():
+    # by execution: every record field is read under the CLI traffic
+    reads = _cli_traffic_record()["reads"]
     assert {"lattice_core.Lattice.gram", "root_systems.ClassNormSearch.norms_all_odd"} <= set(reads)
     assert sorted(label for label, n in reads.items() if n == 0) == sorted(FIELD_WITHOUT_READER)
