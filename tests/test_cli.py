@@ -13,7 +13,14 @@ from k3lat.char2_surfaces.recognize import apply_frame, normal_form_sextic
 from k3lat.char2_surfaces.surfaces import SurfaceError, schroeer_sextic
 from k3lat.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
 
-from goldens import DATA, FRAMED_INPUTS, LATTICE_GOLDENS, SURFACE_GOLDENS, framed_normal_form
+from goldens import (
+    DATA,
+    EXTRA_GLUE_GOLDENS,
+    FRAMED_INPUTS,
+    LATTICE_GOLDENS,
+    SURFACE_GOLDENS,
+    framed_normal_form,
+)
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -33,12 +40,15 @@ def golden_params(goldens):
 
 
 def assert_matches_golden(capsys, monkeypatch, argv, expected_code, golden):
+    """Runs argv in tests/data, checks it against the golden and returns the report."""
     monkeypatch.chdir(DATA)
     code, out = run_cli(capsys, *argv)
     assert code == expected_code
     with open(golden, encoding="utf-8") as fh:
         expected = fh.read()
-    assert json.dumps(strip_timing(json.loads(out)), sort_keys=True, indent=2) + "\n" == expected
+    report = json.loads(out)
+    assert json.dumps(strip_timing(report), sort_keys=True, indent=2) + "\n" == expected
+    return report
 
 
 def test_lattice_default(capsys):
@@ -52,17 +62,12 @@ def test_lattice_default(capsys):
     assert names["halfline_uniqueness"]["pass"]
 
 
-@pytest.mark.parametrize("extra", ["1", "w", "wb"])
-def test_lattice_with_extra_glue(capsys, extra):
-    code, out = run_cli(capsys, "lattice", "--with-extra-glue", extra)
-    assert code == EXIT_OK
-    report = json.loads(out)
+@pytest.mark.parametrize("argv,expected_code,golden", golden_params(EXTRA_GLUE_GOLDENS))
+def test_lattice_with_extra_glue(capsys, monkeypatch, argv, expected_code, golden):
+    # the whole report, apart from timing, is pinned byte for byte
+    report = assert_matches_golden(capsys, monkeypatch, argv, expected_code, golden)
     names = {c["name"]: c for c in report["checks"]}
     assert names["overlattice_sigma1"]["witness"]["sigma"] == 1
-    # the whole report, apart from timing, is pinned byte for byte
-    with open(os.path.join(DATA, f"lattice_extra_glue_{extra}.json"), encoding="utf-8") as fh:
-        golden = fh.read()
-    assert json.dumps(strip_timing(report), sort_keys=True, indent=2) + "\n" == golden
 
 
 @pytest.mark.parametrize("argv,expected_code,golden", golden_params(LATTICE_GOLDENS))
