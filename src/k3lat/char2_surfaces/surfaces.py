@@ -104,14 +104,6 @@ def restrict_to_line(g: HomPoly, ell: HomPoly) -> BinForm:
     return BinForm(f, g.degree, coeffs, tuple(v for v in range(3) if v != e))
 
 
-def linear_divides(ell: HomPoly, g: HomPoly) -> bool:
-    try:
-        g.divide_by_linear(ell)
-        return True
-    except PolyError:
-        return False
-
-
 def _restrict_to_pencil(g: HomPoly, a: Line, b: Line, e: int | None = None) -> list[list[int]]:
     """The restriction of g to the lines a + t*b, with polynomials in t as coefficients.
 
@@ -592,8 +584,10 @@ def nonreduced_splitting_lines_separable(c: HomPoly, g: HomPoly) -> list[Line]:
     f = c.field
     out = _lines_where([(c, _ALL), (g, _ODD)])
     for l in out:
-        if not linear_divides(HomPoly.linear(f, l), c):
-            raise SurfaceError("non-reduced line does not divide the separable term")
+        try:
+            c.divide_by_linear(HomPoly.linear(f, l))
+        except PolyError:
+            raise SurfaceError("non-reduced line does not divide the separable term") from None
     if len(out) > 3:
         raise SurfaceError("more non-reduced lines than deg C = 3")
     return out

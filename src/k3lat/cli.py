@@ -24,9 +24,10 @@ from .char2_surfaces.surfaces import (
     table_points,
     verify_configuration,
 )
+from .exact_arith import snf
 from .lattice_core import (
     DualVector,
-    discriminant_group,
+    class_of,
     is_even,
     is_p_elementary,
     lattice_A1,
@@ -87,7 +88,7 @@ def cmd_lattice(args, checks: Checks) -> None:
             "rank": lat.rank,
             "det": str(lat.det()),
             "inertia": list(lat.inertia()),
-            "discriminant": [f for f in discriminant_group(lat).invariant_factors if f > 1],
+            "discriminant": [f for f in snf(lat.gram).invariant_factors if f > 1],
         }
         ok = (
             lat.rank == 22
@@ -115,7 +116,7 @@ def cmd_lattice(args, checks: Checks) -> None:
                     "coords": [ratio(c, v.den) for c in v.num],
                     "basis_pairings": [ratio(x, v.den) for x in v.pairing_numerators()],
                 }
-        ok, rank = independence_check(ls, glue)
+        ok, rank = independence_check(glue)
         return ok and rank == 5, {"rank": rank}
 
     checks.run("glue_independence", independence)
@@ -180,15 +181,13 @@ def cmd_lattice(args, checks: Checks) -> None:
         box = args.lemma_box
         a1 = lattice_A1()
         d4 = lattice_D4()
-        ga = discriminant_group(a1)
-        gd = discriminant_group(d4)
         # each class has one maximizer; the runner-up and every norm outside
         # the box sit at or below the threshold; norms in half-units, 2 v*v
         cases = [
-            ("A1_zero", a1, ga.zero_class(), 0, -4),
-            ("A1_dual", a1, ga.class_of(a1.dual_basis_vector(0)), -1, -9),
-            ("D4_zero", d4, gd.zero_class(), 0, -4),
-            ("D4_dual", d4, gd.class_of(d4.dual_basis_vector(0)), -2, -6),
+            ("A1_zero", a1, class_of(a1.zero()), 0, -4),
+            ("A1_dual", a1, class_of(a1.dual_basis_vector(0)), -1, -9),
+            ("D4_zero", d4, class_of(d4.zero()), 0, -4),
+            ("D4_dual", d4, class_of(d4.dual_basis_vector(0)), -2, -6),
         ]
         out = {}
         searches = {}

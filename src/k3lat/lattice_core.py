@@ -5,7 +5,9 @@ bilinear form, given by its Gram matrix in a distinguished basis.  Dual
 vectors are stored in that same basis as integers over one denominator,
 in lowest terms, so the lattice itself is exactly the set of vectors of
 denominator 1 and the dual consists of vectors pairing integrally with
-the whole basis.  The pairings G v of a vector are one integer product
+the whole basis.  The class v + L of a dual vector in the discriminant
+group is therefore v's coordinates mod 1 (``class_of``), and no Smith form
+is built for it.  The pairings G v of a vector are one integer product
 over its denominator, and u.v is the integer ``pairing_numerator(u, v)``
 over den_u den_v; the Gram itself never becomes a rational matrix, and a
 rational becomes a string only through ``ratio``.
@@ -26,7 +28,6 @@ from .exact_arith import (
     is_prime,
     kernel_basis,
     rank_mod_p,
-    snf,
 )
 from .frozen import Frozen
 
@@ -215,98 +216,28 @@ def is_p_elementary(lattice: Lattice, p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# discriminant group
+# discriminant classes
 # ---------------------------------------------------------------------------
 
-class DiscriminantGroup(NamedTuple):
-    """The finite quotient (dual lattice)/(lattice), with explicit generators.
-
-    ``generators[i]`` is a dual vector whose class has order
-    ``invariant_factors[i]``; factors equal to 1 are kept (with zero
-    generators dropped) so classes are tuples over the full factor list.
-    ``u`` is the left transform of the Smith form U G V = S of the Gram.
-    """
-
-    lattice: Lattice
-    invariant_factors: tuple[int, ...]
-    generators: tuple[DualVector, ...]
-    u: IntMatrix
-
-    @property
-    def order(self) -> int:
-        n = 1
-        for f in self.invariant_factors:
-            n *= f
-        return n
-
-    def class_of(self, v: DualVector) -> "DiscClass":
-        if v.lattice != self.lattice:
-            raise LatticeError("vector lives in a different lattice")
-        y = self.u.mul_vec(v.integer_pairings())
-        comp = tuple(y[i] % f for i, f in enumerate(self.invariant_factors))
-        return DiscClass(self, comp)
-
-    def zero_class(self) -> "DiscClass":
-        return DiscClass(self, tuple(0 for _ in self.invariant_factors))
-
-
 class DiscClass(Frozen):
-    __slots__ = ("group", "component")
-    group: DiscriminantGroup
-    component: tuple[int, ...]
+    """The class v + L of a dual vector in the discriminant group L^dual / L.
 
-    def __add__(self, other: "DiscClass") -> "DiscClass":
-        if self.group.lattice != other.group.lattice:
-            raise LatticeError("classes from different groups")
-        return DiscClass(
-            self.group,
-            tuple(
-                (a + b) % f
-                for a, b, f in zip(self.component, other.component, self.group.invariant_factors)
-            ),
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DiscClass)
-            and self.group.lattice == other.group.lattice
-            and self.component == other.component
-        )
-
-    def __hash__(self):
-        return hash((self.group.lattice, self.component))
-
-
-def discriminant_group(lattice: Lattice) -> DiscriminantGroup:
-    """Invariant factors and generating dual vectors of the discriminant group.
-
-    With U*G*V = S, the class of a dual vector v is U*(G v) reduced modulo
-    the invariant factors, and the generator for factor d_i > 1 is the
-    column of G^{-1} U^{-1} = V S^{-1} at position i, i.e. column i of V
-    over d_i.  Results are memoized per lattice; equal lattices share one.
+    ``component`` is the pair (num, den) of v's coordinates reduced mod 1,
+    in lowest terms: two dual vectors share a class exactly when their
+    difference has denominator 1, so equal classes have equal components.
     """
-    return _discriminant_group(lattice)
+
+    __slots__ = ("lattice", "component")
+    lattice: Lattice
+    component: tuple[tuple[int, ...], int]
 
 
-# the memo sits behind a plain function, as _class_search does, so the
-# per-layer tracer, which wraps plain functions only, still sees every call
-@functools.cache
-def _discriminant_group(lattice: Lattice) -> DiscriminantGroup:
-    g = lattice.gram
-    r = snf(g)
-    factors = r.invariant_factors
-    gens = [
-        DualVector(lattice, [row[i] for row in r.v.entries], f)
-        for i, f in enumerate(factors)
-        if f > 1
-    ]
-    grp = DiscriminantGroup(lattice, factors, tuple(gens), r.u)
-    if grp.order != abs(lattice.det()):
-        raise LatticeError("discriminant group order mismatch")
-    for gen in gens:
-        if not gen.is_dual_vector():
-            raise LatticeError("discriminant generator does not pair integrally")
-    return grp
+def class_of(v: DualVector) -> DiscClass:
+    """The discriminant class of a dual vector; raises unless v pairs integrally."""
+    if not v.is_dual_vector():
+        raise LatticeError("vector does not pair integrally with the lattice")
+    r = DualVector(v.lattice, [c % v.den for c in v.num], v.den)
+    return DiscClass(v.lattice, (r.num, r.den))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .lattice_core import (
     DualVector,
     Lattice,
     Sublattice,
-    discriminant_group,
+    class_of,
     is_even,
     lattice_A1,
     lattice_D4,
@@ -185,15 +185,13 @@ class OverlatticeResult(Frozen):
         return DualVector(self.lattice, self.base_in_result.entries[0])
 
 
-def independence_check(
-    ls: LabeledSum, classes: Sequence[GlueVector]
-) -> tuple[bool, int]:
-    """Rank over F2 of the glue classes inside the discriminant group."""
-    grp = discriminant_group(ls.lattice)
-    rows = []
-    for gv in classes:
-        cls = grp.class_of(gv.vector)
-        rows.append([c % 2 for c in cls.component])
+def independence_check(classes: Sequence[GlueVector]) -> tuple[bool, int]:
+    """Rank over F2 of the glue classes inside the discriminant group.
+
+    The base lattice is 2-elementary, so a class's reduced numerators sit
+    over den 1 or 2 and, read mod 2, are its coordinates in (Z/2)^22.
+    """
+    rows = [[c % 2 for c in class_of(gv.vector).component[0]] for gv in classes]
     rank = rank_mod_p(IntMatrix(rows), 2)
     return rank == len(classes), rank
 
@@ -248,7 +246,7 @@ def build_overlattice(base: LabeledSum, glue: Sequence[GlueVector]) -> Overlatti
     if d_base % d_new != 0:
         raise GlueError("determinant drop is not integral")
     drop = d_base // d_new
-    _, glue_rank = independence_check(base, glue)
+    _, glue_rank = independence_check(glue)
     index = 2**glue_rank
     if drop != index * index:
         raise GlueError("index does not match the F2-rank of the glue classes")
@@ -397,7 +395,7 @@ def unique_halfline_search(
     the budget is -5 and each candidate adds 2 v*v.
     """
     target = halfline_class(ls, lam).vector
-    grp = discriminant_group(ls.lattice)
+    target_class = class_of(target)
     budget2 = -5
 
     per_summand: list[tuple[Summand, tuple[tuple[int, DualVector], ...]]] = []
@@ -407,8 +405,7 @@ def unique_halfline_search(
             continue
         sub = ls.summand_lattice(s)
         comp = ls.component(target, s)
-        cls = discriminant_group(sub).class_of(comp)
-        cands = _summand_candidates(sub, cls, budget2)
+        cands = _summand_candidates(sub, class_of(comp), budget2)
         per_summand.append((s, cands))
         counts[s.name] = len(cands)
 
@@ -440,7 +437,7 @@ def unique_halfline_search(
                 raise GlueError("assembled candidate violates the norm or degree condition")
             if any(x < 0 for x in gv[1:]):
                 return
-            if grp.class_of(v) != grp.class_of(target):
+            if class_of(v) != target_class:
                 raise GlueError("assembled candidate left the glue class")
             if ns.to_result_coords(v) is None:
                 raise GlueError("assembled candidate is not in the overlattice")

@@ -19,7 +19,7 @@ from .lattice_core import (
     DiscClass,
     DualVector,
     Lattice,
-    discriminant_group,
+    class_of,
     is_even,
     pairing_numerator,
 )
@@ -447,12 +447,11 @@ class ClassNormSearch(NamedTuple):
 
 def _match_rep(lattice: Lattice, cls: DiscClass) -> DualVector:
     """The first of zero and the dual basis vectors that lies in the class."""
-    if cls.group.lattice != lattice:
+    if cls.lattice != lattice:
         raise RootSystemError("class belongs to a different lattice")
-    grp = discriminant_group(lattice)
     duals = [lattice.dual_basis_vector(j) for j in range(lattice.rank)]
     for rep in [lattice.zero()] + duals:
-        if grp.class_of(rep) == cls:
+        if class_of(rep) == cls:
             return rep
     raise RootSystemError("no dual basis vector represents the class")
 

@@ -7,7 +7,8 @@ on plain tuples of tuples of ``Fraction``, plus the rational matrix
 products the oracles need, the pairwise search of the root-pairing
 graph that packed integer products replaced, and the conversions between
 rational coordinates and ``DualVector`` (with the basis vectors, which the
-package no longer builds).
+package no longer builds).  The discriminant class by the Smith form, with
+its generators, is the algorithm that coordinates mod 1 replaced.
 """
 
 import math
@@ -94,6 +95,32 @@ def rational_class(gram: IntMatrix, coords) -> tuple[int, ...] | None:
     r = snf(gram)
     y = r.u.mul_vec([int(x) for x in gv])
     return tuple(c % f for c, f in zip(y, r.invariant_factors))
+
+
+def f2_rank(rows) -> int:
+    """Rank over F_2 of rows given as bit masks, by an xor basis keyed on
+    the leading bit."""
+    basis = {}
+    for row in rows:
+        while row:
+            top = row.bit_length()
+            if top not in basis:
+                basis[top] = row
+                break
+            row ^= basis[top]
+    return len(basis)
+
+
+def smith_generators(lattice: Lattice) -> list[DualVector]:
+    """Dual vectors whose classes generate the discriminant group, one of
+    order d_i for each invariant factor d_i > 1: column i of V over d_i,
+    with U*G*V = S the Smith form."""
+    r = snf(lattice.gram)
+    return [
+        DualVector(lattice, [row[i] for row in r.v.entries], f)
+        for i, f in enumerate(r.invariant_factors)
+        if f > 1
+    ]
 
 
 def invert_rational(a) -> tuple[tuple[Fraction, ...], ...]:

@@ -12,8 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from k3lat.exact_arith import invert
-from k3lat.lattice_core import discriminant_group, is_even, is_p_elementary, lattice_A1, lattice_D4
+from k3lat.exact_arith import invert, snf
+from k3lat.lattice_core import class_of, is_even, is_p_elementary, lattice_A1, lattice_D4
 from k3lat.root_systems import (
     PositivityFunctional,
     ade_type,
@@ -106,24 +106,22 @@ def test_criterion_02_bounded_class_searches():
     with criterion(2, 1.0, "bounded class searches reproduce the norm dichotomies"):
         a1 = lattice_A1()
         d4 = lattice_D4()
-        ga = discriminant_group(a1)
-        gd = discriminant_group(d4)
 
         # norms in half-units: max_norm2 = 2 max v*v, and so on
-        s = bounded_class_minimizers(a1, ga.zero_class())
+        s = bounded_class_minimizers(a1, class_of(a1.zero()))
         assert s.max_norm2 == 0 and [coords(v) for v in s.maximizers] == [(Fraction(0),)]
         assert s.runner_up2 <= -4 and s.outside_bound2 <= -4
 
-        s = bounded_class_minimizers(a1, ga.class_of(a1.dual_basis_vector(0)))
+        s = bounded_class_minimizers(a1, class_of(a1.dual_basis_vector(0)))
         assert s.max_norm2 == -1
         assert [coords(v) for v in s.maximizers] == [(Fraction(-1, 2),)]
         assert s.runner_up2 <= -9 and s.outside_bound2 <= -9
 
-        s = bounded_class_minimizers(d4, gd.zero_class())
+        s = bounded_class_minimizers(d4, class_of(d4.zero()))
         assert s.max_norm2 == 0 and len(s.maximizers) == 1
         assert s.runner_up2 <= -4 and s.outside_bound2 <= -4
 
-        s = bounded_class_minimizers(d4, gd.class_of(d4.dual_basis_vector(0)))
+        s = bounded_class_minimizers(d4, class_of(d4.dual_basis_vector(0)))
         assert s.max_norm2 == -2
         assert [coords(v) for v in s.maximizers] == [coords(d4.dual_basis_vector(0))]
         assert s.runner_up2 <= -6 and s.outside_bound2 <= -6
@@ -159,11 +157,10 @@ def test_criterion_04_overlattice_arithmetic(lambda_sum, ns_sigma2):
         base = lambda_sum.lattice
         assert base.det() == -(2**14)
         assert base.inertia() == (1, 21, 0)
-        grp = discriminant_group(base)
-        assert [f for f in grp.invariant_factors if f > 1] == [2] * 14
+        assert [f for f in snf(base.gram).invariant_factors if f > 1] == [2] * 14
 
         glue = [halfline_class(lambda_sum, lam) for lam in L_LABELS]
-        ok, rank = independence_check(lambda_sum, glue)
+        ok, rank = independence_check(glue)
         assert ok and rank == 5
 
         assert ns_sigma2.index == 2**5

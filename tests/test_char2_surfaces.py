@@ -361,6 +361,25 @@ def test_lemma_bound_rejects_bad_degrees(gf16):
         )
 
 
+def test_lemma_bound_rejects_a_line_that_does_not_divide_the_cubic(gf16, monkeypatch):
+    c = HomPoly(gf16, 3, {(1, 1, 1): 1})  # x*y*z
+    g = HomPoly(gf16, 6, {(2, 2, 2): 1})
+    # the line x + y = 0 does not divide x*y*z
+    monkeypatch.setattr(surfaces, "_lines_where", lambda conditions: [(1, 1, 0)])
+    with pytest.raises(SurfaceError, match="non-reduced line does not divide the separable term"):
+        nonreduced_splitting_lines_separable(c, g)
+
+
+def test_lemma_bound_rejects_more_lines_than_the_cubic_degree(gf16, monkeypatch):
+    c = HomPoly(gf16, 3, {(1, 1, 1): 1})  # x*y*z
+    g = HomPoly(gf16, 6, {(2, 2, 2): 1})
+    # four lines, each dividing x*y*z: z = 0 twice
+    four = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1)]
+    monkeypatch.setattr(surfaces, "_lines_where", lambda conditions: four)
+    with pytest.raises(SurfaceError, match="more non-reduced lines than deg C = 3"):
+        nonreduced_splitting_lines_separable(c, g)
+
+
 # ---------------------------------------------------------------------------
 # pencil searches and the gcd singular-point search against the replaced
 # per-line and per-point algorithms, kept here as oracles

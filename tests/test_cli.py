@@ -128,8 +128,9 @@ print(json.dumps({"code": code, "smith_forms": [[r, c, n] for (r, c), n in seen.
 
 
 def test_lattice_run_puts_no_overlattice_gram_in_smith_form():
-    # A1, the kernel of h's pairing row, D4 and the base Gram, once each;
-    # 2-elementarity of the sigma = 2 Gram comes from its F_2 corank
+    # the kernel of h's pairing row and the base Gram's discriminant witness,
+    # once each; 2-elementarity of the sigma = 2 Gram comes from its F_2
+    # corank, and discriminant classes from coordinates mod 1
     proc = subprocess.run(
         [sys.executable, "-c", SNF_COUNTER, "lattice", "--with-extra-glue", "w"],
         env={**os.environ, "PYTHONPATH": SRC},
@@ -139,7 +140,7 @@ def test_lattice_run_puts_no_overlattice_gram_in_smith_form():
     )
     result = json.loads(proc.stdout)
     assert result["code"] == EXIT_OK
-    assert sorted(result["smith_forms"]) == [[1, 1, 1], [1, 22, 1], [4, 4, 1], [22, 22, 1]]
+    assert sorted(result["smith_forms"]) == [[1, 22, 1], [22, 22, 1]]
 
 
 # a fresh process counts the G v products of one whole run, per matrix

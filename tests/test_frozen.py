@@ -5,7 +5,7 @@ import pytest
 from k3lat import root_systems
 from k3lat.exact_arith import IntMatrix, snf
 from k3lat.frozen import Frozen
-from k3lat.lattice_core import DualVector, Lattice, discriminant_group, lattice_D4
+from k3lat.lattice_core import DualVector, Lattice, class_of, lattice_D4
 from k3lat.ns_glue import L_LABELS, build_lambda, build_overlattice, halfline_class
 from k3lat.root_systems import bounded_class_minimizers, enumerate_roots
 
@@ -93,9 +93,11 @@ def test_records_whose_tuple_behaviour_would_leak_are_not_tuples():
     roots = enumerate_roots(lattice_D4())
     assert not isinstance(roots, tuple)
     assert len(roots) == 24
-    cls = discriminant_group(lattice_D4()).zero_class()
+    cls = class_of(lattice_D4().zero())
     assert not isinstance(cls, tuple)
-    assert cls + cls == cls
+    # Frozen's equality: a rebuilt lattice, and the integral center dual vector
+    same = class_of(Lattice(lattice_D4().gram).dual_basis_vector(2))
+    assert cls == same and hash(cls) == hash(same)
 
 
 def test_rebuilt_lattice_hits_the_class_search_memo(monkeypatch):
@@ -109,7 +111,7 @@ def test_rebuilt_lattice_hits_the_class_search_memo(monkeypatch):
     monkeypatch.setattr(root_systems, "_box_scan", counting)
     root_systems._class_search.cache_clear()
     first, second = Lattice(lattice_D4().gram), Lattice(lattice_D4().gram)
-    a = bounded_class_minimizers(first, discriminant_group(first).zero_class())
-    b = bounded_class_minimizers(second, discriminant_group(second).zero_class())
+    a = bounded_class_minimizers(first, class_of(first.zero()))
+    b = bounded_class_minimizers(second, class_of(second.zero()))
     assert a is b
     assert len(scans) == 1

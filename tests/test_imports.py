@@ -135,8 +135,6 @@ EXTRA_TRAFFIC = [
 # each function or method that the traffic never calls, with the reason it stays
 NOT_RUN_BY_THE_CLI = {
     "char2_surfaces/surfaces.py:nonreduced_splitting_lines_separable": "acceptance criterion 10",
-    "char2_surfaces/surfaces.py:linear_divides":
-        "its one caller is nonreduced_splitting_lines_separable",
     "char2_surfaces/poly.py:HomPoly.to_json":
         "the README names it as the writer of the --recognize format",
 }
@@ -144,8 +142,6 @@ NOT_RUN_BY_THE_CLI = {
 # each record field that the traffic never reads, with the reason it stays
 FIELD_WITHOUT_READER = {
     "ns_glue.ExceptionalRootReport.component_types": "acceptance criterion 5",
-    "lattice_core.DiscriminantGroup.generators":
-        "checked at construction, pinned in test_lattice_core.py",
 }
 
 # Runs the traffic through k3lat.cli.main in one process. A profile hook

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from k3lat.lattice_core import (
     DualVector,
     Lattice,
     LatticeError,
-    discriminant_group,
+    class_of,
     is_even,
     is_p_elementary,
     lattice_A1,
@@ -36,6 +37,7 @@ from rational_oracles import (
     as_fractions,
     basis_vector,
     coords,
+    f2_rank,
     invert_rational,
     norm,
     pairing,
@@ -43,6 +45,7 @@ from rational_oracles import (
     rational_class,
     rational_gv,
     rational_pairing,
+    smith_generators,
     to_rational,
     vector,
 )
@@ -88,55 +91,60 @@ def test_dual_basis_pairs_as_kronecker():
             assert pairing(d4.dual_basis_vector(i), basis_vector(d4, j)) == (1 if i == j else 0)
 
 
+def every_class(lattice: Lattice) -> set:
+    """Oracle: the classes of G^-1 y for y in {0, ..., |det| - 1}^n, which
+    meet every class, since |det| Z^n lies in G Z^n."""
+    num, den = invert(lattice.gram)
+    d = abs(lattice.det())
+    classes = set()
+    for y in itertools.product(range(d), repeat=lattice.rank):
+        classes.add(class_of(DualVector(lattice, num.mul_vec(y), den)))
+    return classes
+
+
 def test_discriminant_group_a1():
     a1 = lattice_A1()
-    grp = discriminant_group(a1)
-    assert [f for f in grp.invariant_factors if f > 1] == [2]
-    assert grp.order == 2
-    # the dual generator represents the nonzero class
-    cls = grp.class_of(a1.dual_basis_vector(0))
-    assert cls != grp.zero_class()
-    assert len(grp.generators) == 1
-    diff = grp.generators[0] - a1.dual_basis_vector(0)
-    assert grp.class_of(diff) == grp.zero_class() or grp.class_of(grp.generators[0]) == cls
+    # the dual basis vector represents the nonzero class
+    cls = class_of(a1.dual_basis_vector(0))
+    assert cls != class_of(a1.zero())
+    assert cls.component == ((1,), 2)
+    assert every_class(a1) == {cls, class_of(a1.zero())}
+    assert class_of(a1.dual_basis_vector(0) + basis_vector(a1, 0)) == cls
 
 
 def test_discriminant_group_d4():
     d4 = lattice_D4()
-    grp = discriminant_group(d4)
-    assert [f for f in grp.invariant_factors if f > 1] == [2, 2]
-    assert grp.order == 4
-    c1 = grp.class_of(d4.dual_basis_vector(0))
-    c4 = grp.class_of(d4.dual_basis_vector(3))
-    zero = grp.zero_class()
+    c1 = class_of(d4.dual_basis_vector(0))
+    c4 = class_of(d4.dual_basis_vector(3))
+    zero = class_of(d4.zero())
     assert c1 != zero and c4 != zero and c1 != c4
     # d1-dual and d4-dual generate: their classes and the sum cover the nonzero classes
-    assert c1 + c4 != zero
+    c14 = class_of(d4.dual_basis_vector(0) + d4.dual_basis_vector(3))
+    assert every_class(d4) == {zero, c1, c4, c14}
     # the center dual vector is integral, so its class vanishes
-    assert grp.class_of(d4.dual_basis_vector(2)) == zero
+    assert class_of(d4.dual_basis_vector(2)) == zero
 
 
 def test_discriminant_group_unimodular():
     u = Lattice(IntMatrix([[1, 0], [0, -1]]))
-    grp = discriminant_group(u)
-    assert grp.order == 1
-    assert grp.generators == ()
+    assert every_class(u) == {class_of(u.zero())}
+    assert {class_of(u.dual_basis_vector(j)) for j in range(2)} == {class_of(u.zero())}
 
 
 def test_disc_class_examples():
     d4 = lattice_D4()
-    grp = discriminant_group(d4)
-    assert grp.class_of(basis_vector(d4, 1)) == grp.zero_class()
+    assert class_of(basis_vector(d4, 1)) == class_of(d4.zero())
     v = d4.dual_basis_vector(0) + d4.dual_basis_vector(3)
-    cls = grp.class_of(v)
-    assert cls == grp.class_of(d4.dual_basis_vector(0)) + grp.class_of(d4.dual_basis_vector(3))
-    assert cls != grp.zero_class()
+    cls = class_of(v)
+    # the second dual vector is the sum of the two leaf duals modulo D4
+    assert cls == class_of(d4.dual_basis_vector(1))
+    assert cls != class_of(d4.zero())
 
 
 def test_disc_class_rejects_non_dual_vectors():
     a1 = lattice_A1()
-    with pytest.raises(LatticeError):
-        discriminant_group(a1).class_of(vector(a1, [Fraction(1, 3)]))
+    with pytest.raises(LatticeError, match="vector does not pair integrally with the lattice"):
+        class_of(vector(a1, [Fraction(1, 3)]))
 
 
 def test_is_even():
@@ -155,7 +163,7 @@ def test_is_p_elementary():
 
 def smith_is_p_elementary(lattice: Lattice, p: int) -> bool:
     """The definition, read off the Smith form: every invariant factor is 1 or p."""
-    return all(f in (1, p) for f in discriminant_group(lattice).invariant_factors)
+    return all(f in (1, p) for f in snf(lattice.gram).invariant_factors)
 
 
 def test_is_p_elementary_matches_the_smith_form_on_the_paper_lattices():
@@ -296,7 +304,7 @@ def test_disc_quadratic_well_defined_mod_2z():
 def test_order_matches_det_on_builtins():
     for build in BUILTINS.values():
         lat = build()
-        assert discriminant_group(lat).order == abs(lat.det())
+        assert len(every_class(lat)) == abs(lat.det())
 
 
 @pytest.mark.parametrize("name", ["A1", "D4", "hyperbolic2", "Lambda"])
@@ -310,7 +318,16 @@ def test_discriminant_generators_match_inverse_oracle(name):
         for i, f in enumerate(r.invariant_factors)
         if f > 1
     ]
-    assert [coords(gen) for gen in discriminant_group(lat).generators] == expected
+    gens = smith_generators(lat)
+    assert [coords(gen) for gen in gens] == expected
+    # every lattice here is 2-elementary: the generators' classes have order
+    # 2 and span (Z/2)^a, |det| = 2^a, in the coordinates mod 1
+    rows = []
+    for gen in gens:
+        num, den = class_of(gen).component
+        assert den == 2 and class_of(gen + gen) == class_of(lat.zero())
+        rows.append(sum(c % 2 << i for i, c in enumerate(num)))
+    assert 2 ** f2_rank(rows) == abs(lat.det())
 
 
 def test_pairing_numerators_are_cached_and_match_gram_product():
@@ -334,7 +351,7 @@ def test_pairing_numerators_match_the_rational_product_on_glue_and_generators():
     vectors += [extra_glue_class(ls, c).vector for c in EXTRA_GLUE_CHOICES]
     ns = build_overlattice(ls, tuple(halflines))
     for lat in (ls.lattice, ns.lattice, lattice_A1(), lattice_D4(), lattice_hyperbolic2()):
-        vectors += discriminant_group(lat).generators
+        vectors += smith_generators(lat)
         vectors += [lat.dual_basis_vector(j) for j in range(lat.rank)]
     assert len(vectors) == 5 + 3 + (14 + 4 + 1 + 2 + 1) + (22 + 22 + 1 + 4 + 1)
     for v in vectors:
@@ -392,7 +409,7 @@ def test_det_is_computed_once_per_lattice(monkeypatch):
     monkeypatch.setattr(lattice_core, "det", counting)
     lat = Lattice(IntMatrix([[-2, 1], [1, -2]]))
     assert [lat.det() for _ in range(3)] == [3, 3, 3]
-    assert discriminant_group(lat).order == 3
+    assert is_p_elementary(lat, 3)
     assert len(calls) == 1
 
 
@@ -429,16 +446,20 @@ def test_dual_vectors_are_stored_in_lowest_terms():
         DualVector(a1, [1], 0)
 
 
-@pytest.mark.parametrize("name", ["D4", "A1+A1", "Lambda"])
+@pytest.mark.parametrize("name", ["A1", "D4", "A1+A1", "A3", "Lambda"])
 def test_dual_vector_arithmetic_matches_the_fraction_oracle(name):
-    if name == "D4":
+    if name == "A1":
+        lat = lattice_A1()
+    elif name == "D4":
         lat = lattice_D4()
     elif name == "A1+A1":
         lat = Lattice(IntMatrix.block_diagonal([lattice_A1().gram, lattice_A1().gram]))
+    elif name == "A3":
+        # discriminant group Z/4, so classes of order 4 occur
+        lat = Lattice(IntMatrix([[-2, 1, 0], [1, -2, 1], [0, 1, -2]]))
     else:
         lat = build_lambda().lattice
     n, gram = lat.rank, lat.gram
-    grp = discriminant_group(lat)
     dual_columns = list(zip(*invert_rational(to_rational(gram))))
     rng = random.Random(41)
 
@@ -454,6 +475,7 @@ def test_dual_vector_arithmetic_matches_the_fraction_oracle(name):
         return coords
 
     classes_seen = set()
+    duals = []  # (vector, Smith-form class) of every dual vector drawn
     for _ in range(60):
         a, b = rational_coords(), rational_coords()
         u, v = vector(lat, a), vector(lat, b)
@@ -468,12 +490,24 @@ def test_dual_vector_arithmetic_matches_the_fraction_oracle(name):
         assert tuple(Fraction(x, u.den) for x in u.pairing_numerators()) == rational_gv(gram, a)
         assert u.is_lattice_vector() == all(x.denominator == 1 for x in a)
         assert u.is_dual_vector() == all(x.denominator == 1 for x in rational_gv(gram, a))
-        expected = rational_class(gram, a)
-        if expected is None:
-            with pytest.raises(LatticeError):
-                grp.class_of(u)
-        else:
-            assert grp.class_of(u).component == expected
-            classes_seen.add(expected)
+        for w, c in ((u, a), (v, b)):
+            expected = rational_class(gram, c)
+            if expected is None:
+                with pytest.raises(LatticeError, match="does not pair integrally"):
+                    class_of(w)
+            else:
+                duals.append((w, expected))
+                classes_seen.add(expected)
+    # coordinates mod 1 and the Smith form tell classes apart alike, on
+    # every pair of dual vectors drawn
+    agreements = set()
+    for w, expected in duals:
+        for x, other in duals:
+            same = class_of(w) == class_of(x)
+            assert same == (expected == other), (coords(w), coords(x))
+            agreements.add(same)
+    assert agreements == {False, True}
     # the dual draws reach more than the zero class
     assert len(classes_seen) > 1
+    if name == "A3":
+        assert 4 in {class_of(w).component[1] for w, _ in duals}

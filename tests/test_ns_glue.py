@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -8,9 +9,8 @@ from fractions import Fraction
 import pytest
 
 from k3lat import exact_arith, lattice_core, ns_glue, root_systems
-from k3lat.exact_arith import IntMatrix, hnf_rows
+from k3lat.exact_arith import IntMatrix, hnf_rows, snf
 from k3lat.lattice_core import (
-    discriminant_group,
     is_even,
     is_p_elementary,
     orthogonal_complement,
@@ -35,12 +35,14 @@ from k3lat.ns_glue import (
 from rational_oracles import (
     basis_vector,
     coords,
+    f2_rank,
     invert_rational,
     norm,
     pairing,
     rat_mul,
     rat_mul_vec,
     rat_transpose,
+    rational_class,
     rational_gv,
     to_rational,
     vector,
@@ -75,9 +77,9 @@ def test_base_lattice_shape(ls):
 
 
 def test_base_discriminant_is_f2_14(ls):
-    grp = discriminant_group(ls.lattice)
-    assert [f for f in grp.invariant_factors if f > 1] == [2] * 14
-    assert grp.order == 2**14
+    factors = snf(ls.lattice.gram).invariant_factors
+    assert [f for f in factors if f > 1] == [2] * 14
+    assert math.prod(factors) == 2**14
 
 
 def test_halfline_norms_and_pairings(ls):
@@ -131,12 +133,33 @@ def test_d2_dual_congruence(ls):
 
 def test_independence_ranks(ls):
     glue = [halfline_class(ls, lam) for lam in L_LABELS]
-    ok, rank = independence_check(ls, glue)
+    ok, rank = independence_check(glue)
     assert ok and rank == 5
-    ok6, rank6 = independence_check(ls, glue + [extra_glue_class(ls, "w")])
+    ok6, rank6 = independence_check(glue + [extra_glue_class(ls, "w")])
     assert ok6 and rank6 == 6
-    okdup, rankdup = independence_check(ls, glue + [glue[0]])
+    okdup, rankdup = independence_check(glue + [glue[0]])
     assert not okdup and rankdup == 5
+
+
+def test_independence_rank_matches_the_smith_form_classes(ls):
+    # every nonempty subset of the eight glue classes: the F2 rank of the
+    # classes as coordinates mod 1 equals that of their Smith-form
+    # components, which on the 2-elementary base lie in (Z/2)^22
+    glue = [halfline_class(ls, lam) for lam in L_LABELS]
+    glue += [extra_glue_class(ls, c) for c in EXTRA_GLUE_CHOICES]
+    masks = []
+    for gv in glue:
+        comp = rational_class(ls.lattice.gram, coords(gv.vector))
+        masks.append(sum(c % 2 << i for i, c in enumerate(comp)))
+    ranks = set()
+    for size in range(1, len(glue) + 1):
+        for subset in itertools.combinations(range(len(glue)), size):
+            ok, rank = independence_check([glue[i] for i in subset])
+            assert rank == f2_rank([masks[i] for i in subset]), subset
+            assert ok == (rank == size)
+            ranks.add(rank)
+    # the eight classes are independent, so every size occurs as a rank
+    assert ranks == set(range(1, 9))
 
 
 def test_overlattice_sigma2(ls, ns):
@@ -144,8 +167,7 @@ def test_overlattice_sigma2(ls, ns):
     assert ns.lattice.det() == -(2**4)
     assert is_even(ns.lattice)
     assert is_p_elementary(ns.lattice, 2)
-    grp = discriminant_group(ns.lattice)
-    assert [f for f in grp.invariant_factors if f > 1] == [2, 2, 2, 2]
+    assert [f for f in snf(ns.lattice.gram).invariant_factors if f > 1] == [2, 2, 2, 2]
     assert artin_invariant(ns.lattice, 2) == 2
     assert ns.lattice.inertia() == (1, 21, 0)
 
@@ -416,15 +438,10 @@ def test_halfline_search_rejects_a_misreported_candidate_norm(ls, ns, monkeypatc
 
 
 def test_halfline_search_rejects_a_candidate_outside_the_class(ls, ns, monkeypatch):
-    # a discriminant group of the base whose classes never compare equal
-    real = ns_glue.discriminant_group
-
-    class Unequal:
-        def class_of(self, v):
-            return object()
-
+    # classes of base vectors that never compare equal
+    real = ns_glue.class_of
     monkeypatch.setattr(
-        ns_glue, "discriminant_group", lambda lat: Unequal() if lat == ls.lattice else real(lat)
+        ns_glue, "class_of", lambda v: object() if v.lattice == ls.lattice else real(v)
     )
     with pytest.raises(GlueError, match="assembled candidate left the glue class"):
         unique_halfline_search(ls, "inf", ns)

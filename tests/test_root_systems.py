@@ -10,9 +10,8 @@ import pytest
 from k3lat import exact_arith, root_systems
 from k3lat.exact_arith import IntMatrix, det, inertia, symmetric_elimination
 from k3lat.lattice_core import (
-    DiscClass,
     Lattice,
-    discriminant_group,
+    class_of,
     lattice_A1,
     lattice_D4,
     orthogonal_complement,
@@ -702,8 +701,7 @@ def test_root_set_json():
 
 def test_a1_zero_class_search():
     a1 = lattice_A1()
-    grp = discriminant_group(a1)
-    res = bounded_class_minimizers(a1, grp.zero_class())
+    res = bounded_class_minimizers(a1, class_of(a1.zero()))
     assert res.max_norm2 == 0
     assert [coords(v) for v in res.maximizers] == [(Fraction(0),)]
     assert res.runner_up2 == -4
@@ -712,8 +710,7 @@ def test_a1_zero_class_search():
 
 def test_a1_dual_class_search():
     a1 = lattice_A1()
-    grp = discriminant_group(a1)
-    res = bounded_class_minimizers(a1, grp.class_of(a1.dual_basis_vector(0)))
+    res = bounded_class_minimizers(a1, class_of(a1.dual_basis_vector(0)))
     assert res.max_norm2 == -1
     assert [coords(v) for v in res.maximizers] == [(Fraction(-1, 2),)]
     assert res.runner_up2 == -9
@@ -722,8 +719,7 @@ def test_a1_dual_class_search():
 
 def test_d4_zero_class_search():
     d4 = lattice_D4()
-    grp = discriminant_group(d4)
-    res = bounded_class_minimizers(d4, grp.zero_class())
+    res = bounded_class_minimizers(d4, class_of(d4.zero()))
     assert res.max_norm2 == 0
     assert len(res.maximizers) == 1
     assert res.runner_up2 == -4
@@ -733,9 +729,8 @@ def test_d4_zero_class_search():
 
 def test_d4_leaf_class_search():
     d4 = lattice_D4()
-    grp = discriminant_group(d4)
     d1_dual = d4.dual_basis_vector(0)
-    res = bounded_class_minimizers(d4, grp.class_of(d1_dual))
+    res = bounded_class_minimizers(d4, class_of(d1_dual))
     assert res.max_norm2 == -2
     assert [coords(v) for v in res.maximizers] == [coords(d1_dual)]
     assert res.runner_up2 <= -6
@@ -745,9 +740,8 @@ def test_d4_leaf_class_search():
 
 def test_d4_other_leaf_class_search():
     d4 = lattice_D4()
-    grp = discriminant_group(d4)
     d4_dual = d4.dual_basis_vector(3)
-    res = bounded_class_minimizers(d4, grp.class_of(d4_dual))
+    res = bounded_class_minimizers(d4, class_of(d4_dual))
     assert res.max_norm2 == -2
     assert [coords(v) for v in res.maximizers] == [coords(d4_dual)]
     assert res.norms_all_odd
@@ -756,10 +750,9 @@ def test_d4_other_leaf_class_search():
 def test_d4_sum_class_search():
     # the class of the second dual vector equals the sum of the two leaf classes
     d4 = lattice_D4()
-    grp = discriminant_group(d4)
     d2_dual = d4.dual_basis_vector(1)
-    cls = grp.class_of(d2_dual)
-    assert cls == grp.class_of(d4.dual_basis_vector(0)) + grp.class_of(d4.dual_basis_vector(3))
+    cls = class_of(d2_dual)
+    assert cls == class_of(d4.dual_basis_vector(0) + d4.dual_basis_vector(3))
     res = bounded_class_minimizers(d4, cls)
     assert res.max_norm2 == -2
     assert res.norms_all_odd
@@ -785,30 +778,27 @@ def naive_in_box(lattice: Lattice, rep, box: int) -> list:
 )
 def test_in_box_points_match_naive_enumeration(name, dual_index):
     lattice = lattice_A1() if name == "A1" else lattice_D4()
-    grp = discriminant_group(lattice)
     rep = lattice.zero() if dual_index is None else lattice.dual_basis_vector(dual_index)
-    res = bounded_class_minimizers(lattice, grp.class_of(rep), box=3)
+    res = bounded_class_minimizers(lattice, class_of(rep), box=3)
     assert list(res.in_box) == naive_in_box(lattice, res.rep, 3)
-    assert grp.class_of(res.rep) == grp.class_of(rep)
+    assert class_of(res.rep) == class_of(rep)
     assert res.in_box[0][0] == res.max_norm2
 
 
 def test_box_below_three_rejected():
     a1 = lattice_A1()
-    grp = discriminant_group(a1)
     with pytest.raises(RootSystemError):
-        bounded_class_minimizers(a1, grp.zero_class(), box=2)
+        bounded_class_minimizers(a1, class_of(a1.zero()), box=2)
 
 
 def test_unsupported_lattice_rejected():
     # A2 is even and negative definite: its zero class certifies, and its two
     # nonzero classes, of norm -2/3 mod 2, have no half-integral norm to scan
     a2 = Lattice(IntMatrix([[-2, 1], [1, -2]]))
-    grp = discriminant_group(a2)
-    res = bounded_class_minimizers(a2, grp.zero_class())
+    res = bounded_class_minimizers(a2, class_of(a2.zero()))
     assert (res.max_norm2, res.runner_up2, res.norms_all_odd) == (0, -4, False)
-    classes = {grp.class_of(a2.dual_basis_vector(j)) for j in range(2)}
-    assert len(classes) == 2 and grp.zero_class() not in classes
+    classes = {class_of(a2.dual_basis_vector(j)) for j in range(2)}
+    assert len(classes) == 2 and class_of(a2.zero()) not in classes
     for cls in classes:
         with pytest.raises(RootSystemError, match="representative norm is not half-integral"):
             bounded_class_minimizers(a2, cls)
@@ -817,8 +807,7 @@ def test_unsupported_lattice_rejected():
 def test_match_rep_rejects_a_class_no_dual_basis_vector_represents():
     # the class (1, 1) of A1 + A1 is the sum of the two dual basis classes
     lattice = a1_plus_a1()
-    grp = discriminant_group(lattice)
-    cls = grp.class_of(lattice.dual_basis_vector(0)) + grp.class_of(lattice.dual_basis_vector(1))
+    cls = class_of(lattice.dual_basis_vector(0) + lattice.dual_basis_vector(1))
     with pytest.raises(RootSystemError, match="no dual basis vector represents the class"):
         _match_rep(lattice, cls)
 
@@ -888,10 +877,19 @@ def product_box_scan(lattice: Lattice, rep, box: int, forms) -> tuple:
 
 
 def _every_class():
+    # the dual basis generates the dual lattice, and 2-elementarity makes
+    # its 0/1 combinations meet every class
     for lattice in (lattice_A1(), lattice_D4()):
-        grp = discriminant_group(lattice)
-        for comp in itertools.product(*(range(f) for f in grp.invariant_factors)):
-            yield lattice, DiscClass(grp, comp)
+        classes = {}
+        for bits in itertools.product((0, 1), repeat=lattice.rank):
+            v = lattice.zero()
+            for j, bit in enumerate(bits):
+                if bit:
+                    v = v + lattice.dual_basis_vector(j)
+            classes.setdefault(class_of(v), None)
+        assert len(classes) == abs(lattice.det())
+        for cls in classes:
+            yield lattice, cls
 
 
 @pytest.mark.parametrize("box", [3, 4, 8])
@@ -934,12 +932,11 @@ def test_norm_parity_matches_the_product_scan_on_block_sums():
             blocks.append(rng.choice(fits))
             rank += len(BLOCKS[blocks[-1]])
         lattice = Lattice(IntMatrix.block_diagonal([IntMatrix(BLOCKS[b]) for b in blocks]))
-        grp = discriminant_group(lattice)
         duals = [lattice.dual_basis_vector(j) for j in range(lattice.rank)]
         for v in [lattice.zero()] + duals:
             if (2 * norm(v)).denominator != 1:
                 continue
-            res = bounded_class_minimizers(lattice, grp.class_of(v), 3)
+            res = bounded_class_minimizers(lattice, class_of(v), 3)
             found, all_odd = product_box_scan(lattice, res.rep, 3, None)
             assert list(res.in_box) == sorted(found, key=lambda t: (-t[0], t[1]))
             assert res.norms_all_odd == all_odd, blocks
@@ -950,7 +947,7 @@ def test_norm_parity_matches_the_product_scan_on_block_sums():
 def test_box_scan_rejects_a_corrupted_leaf_form():
     # the oracle scan is not vacuous: a wrong leaf form breaks the identity
     d4 = lattice_D4()
-    name, rep, leaf = named_rep(d4, discriminant_group(d4).class_of(d4.dual_basis_vector(0)))
+    name, rep, leaf = named_rep(d4, class_of(d4.dual_basis_vector(0)))
     forms = d4_leaf_forms(leaf)
     forms[3] = lambda x: x[2]  # the correct form is x[2] - 1
     with pytest.raises(RootSystemError, match="leaf-class norm identity failed"):
@@ -1067,7 +1064,7 @@ def test_class_search_rejects_a_bound_above_the_maximum(monkeypatch):
     # a norm bound of 1, in half-units
     monkeypatch.setattr(root_systems, "_outside_bound", lambda lattice, rep, box: 2)
     with pytest.raises(RootSystemError, match="sufficiency certificate does not cover the box"):
-        root_systems._class_search.__wrapped__(a1, discriminant_group(a1).zero_class(), 3)
+        root_systems._class_search.__wrapped__(a1, class_of(a1.zero()), 3)
 
 
 def test_d4_class_searches_at_box_16_fit_the_budget():
