@@ -24,10 +24,10 @@ from .char2_surfaces.surfaces import (
     table_points,
     verify_configuration,
 )
-from .exact_arith import snf
 from .lattice_core import (
     DualVector,
     class_of,
+    elementary_factors,
     is_even,
     is_p_elementary,
     lattice_A1,
@@ -88,7 +88,7 @@ def cmd_lattice(args, checks: Checks) -> None:
             "rank": lat.rank,
             "det": str(lat.det()),
             "inertia": list(lat.inertia()),
-            "discriminant": [f for f in snf(lat.gram).invariant_factors if f > 1],
+            "discriminant": elementary_factors(lat, 2),
         }
         ok = (
             lat.rank == 22
@@ -178,11 +178,10 @@ def cmd_lattice(args, checks: Checks) -> None:
     checks.run("exceptional_root_type", root_type_check)
 
     def class_searches():
-        box = args.lemma_box
         a1 = lattice_A1()
         d4 = lattice_D4()
-        # each class has one maximizer; the runner-up and every norm outside
-        # the box sit at or below the threshold; norms in half-units, 2 v*v
+        # each class has one maximizer, and the search is exhaustive down to
+        # the threshold, where the runner-up sits; norms in half-units, 2 v*v
         cases = [
             ("A1_zero", a1, class_of(a1.zero()), 0, -4),
             ("A1_dual", a1, class_of(a1.dual_basis_vector(0)), -1, -9),
@@ -193,11 +192,12 @@ def cmd_lattice(args, checks: Checks) -> None:
         searches = {}
         ok = True
         for key, lattice, cls, max_norm2, threshold2 in cases:
-            s = searches[key] = bounded_class_minimizers(lattice, cls, box=box)
+            s = searches[key] = bounded_class_minimizers(lattice, cls, threshold2)
             runner_up = "None" if s.runner_up2 is None else ratio(s.runner_up2, 2)
             out[key] = {"max": ratio(s.max_norm2, 2), "next": runner_up}
             ok = ok and s.max_norm2 == max_norm2 and len(s.maximizers) == 1
-            ok = ok and s.runner_up2 <= threshold2 and s.outside_bound2 <= threshold2
+            ok = ok and s.floor2 <= threshold2
+            ok = ok and s.runner_up2 is not None and s.runner_up2 <= threshold2
         out["D4_dual"]["all_odd"] = searches["D4_dual"].norms_all_odd
         ok = ok and searches["D4_dual"].norms_all_odd
         return ok, out
@@ -383,21 +383,11 @@ def _modulus(text: str) -> int:
         raise argparse.ArgumentTypeError(f"{text!r} is not decimal, 0x-hex or 0b-binary") from None
 
 
-def _int_in_range(low: int, high: int | None = None):
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}")
-        if high is not None and value > high:
-            raise argparse.ArgumentTypeError(f"must be at most {high}")
-        return value
-
-    return parse
-
-
-# the D4 class scans walk (2 * box + 1)^3 prefixes and cut the last coordinate
-# as one interval: the class searches take about 0.1 s at box 16, 0.9 s at box 32
-LEMMA_BOX_MAX = 16
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def lattice_flags(sp):
         sp.add_argument("--with-extra-glue", choices=EXTRA_GLUE_CHOICES, default=None)
-        sp.add_argument("--lemma-box", type=_int_in_range(3, LEMMA_BOX_MAX), default=3)
         sp.add_argument("--inject-corrupt-glue", action="store_true", help=argparse.SUPPRESS)
 
     def surface_flags(sp, k_default):
@@ -418,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--modulus", type=_modulus, default=None)
         sp.add_argument("--r", default=None, help="hex bitstring")
         sp.add_argument("--s", default=None, help="hex bitstring")
-        sp.add_argument("--samples", type=_int_in_range(1), default=3)
+        sp.add_argument("--samples", type=_positive_int, default=3)
         sp.add_argument("--seed", type=int, default=1)
         sp.add_argument("--allow-degenerate", action="store_true")
         # nothing reads it: there is one, exhaustive, scan; kept so invocations naming it parse

@@ -4,16 +4,16 @@ Everything here runs on arbitrary-precision integers; there is no
 floating point and no rational type.  The kernels are fraction-free:
 determinants, the inverse and the symmetric elimination behind the
 signature all run Bareiss updates on integers, and the inverse comes back
-as an integer matrix over one denominator.  Smith normal form comes with
-its transformation matrices and is re-checked on every call.  Products
-visit only the nonzero entries of their factors, since the Grams and
-transforms of the lattice side are mostly zeros.
+as an integer matrix over one denominator.  Integer kernels come from the
+row Hermite form and are re-checked on every call.  Products visit only
+the nonzero entries of their factors, since the Grams and embeddings of
+the lattice side are mostly zeros.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .frozen import Frozen
 
@@ -77,8 +77,8 @@ class IntMatrix(Frozen):
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         """The product, summing a * (row k of other) over the nonzero a of each row.
 
-        The Grams, Smith transforms and embeddings multiplied here are mostly
-        zeros, so only the nonzero entries of both factors are visited.
+        The Grams and embeddings multiplied here are mostly zeros, so only
+        the nonzero entries of both factors are visited.
         """
         if self.cols != other.rows:
             raise ExactArithError("dimension mismatch in mul")
@@ -133,7 +133,7 @@ def det(a: IntMatrix) -> int:
             row = m[i]
             f = row[k]
             # entries left of column k + 1 are never read again; a row with
-            # f = 0 is only scaled by p / prev, often 1 on the Smith transforms
+            # f = 0 is only scaled by p / prev, often 1 on unimodular transforms
             if f:
                 m[i] = [0] * (k + 1) + [(x * p - f * y) // prev for x, y in zip(row[k + 1 :], tail)]
             elif p != prev:
@@ -268,127 +268,6 @@ def inertia(a: IntMatrix) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
-# ---------------------------------------------------------------------------
-
-class SnfResult(NamedTuple):
-    """U * A * V = S with U, V unimodular and S = diag(d1 | d2 | ...)."""
-
-    u: IntMatrix
-    s: IntMatrix
-    v: IntMatrix
-
-    @property
-    def invariant_factors(self) -> tuple[int, ...]:
-        n = min(self.s.rows, self.s.cols)
-        return tuple(self.s.entries[i][i] for i in range(n))
-
-
-def snf(a: IntMatrix) -> SnfResult:
-    """Smith normal form by elementary operations with smallest-pivot selection.
-
-    The result is verified on every call: U*A*V == S, |det U| = |det V| = 1,
-    and the divisibility chain of the diagonal.
-    """
-    rows, cols = a.rows, a.cols
-    m = [list(r) for r in a.entries]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def row_swap(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for r in m:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def row_add(dst, src, q):
-        m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def col_add(dst, src, q):
-        for r in m:
-            r[dst] += q * r[src]
-        for r in v:
-            r[dst] += q * r[src]
-
-    def row_negate(i):
-        m[i] = [-x for x in m[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = abs(m[i][j])
-                if x != 0 and (best is None or x < best[0]):
-                    best = (x, i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != t:
-            row_swap(t, bi)
-        if bj != t:
-            col_swap(t, bj)
-        dirty = False
-        for i in range(t + 1, rows):
-            if m[i][t] != 0:
-                q = m[i][t] // m[t][t]
-                row_add(i, t, -q)
-                if m[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, cols):
-            if m[t][j] != 0:
-                q = m[t][j] // m[t][t]
-                col_add(j, t, -q)
-                if m[t][j] != 0:
-                    dirty = True
-        if dirty:
-            continue
-        # pivot must divide the rest of the block; otherwise fold an offending
-        # row into row t and restart the step
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if m[i][j] % m[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_add(t, offender, 1)
-            continue
-        if m[t][t] < 0:
-            row_negate(t)
-        t += 1
-
-    s = [[0] * cols for _ in range(rows)]
-    for i in range(min(rows, cols)):
-        s[i][i] = m[i][i]
-    result = SnfResult(IntMatrix(u), IntMatrix(s), IntMatrix(v))
-    _check_snf(a, result)
-    return result
-
-
-def _check_snf(a: IntMatrix, r: SnfResult) -> None:
-    if r.u.mul(a).mul(r.v).entries != r.s.entries:
-        raise ExactArithError("SNF verification failed: U*A*V != S")
-    if abs(det(r.u)) != 1 or abs(det(r.v)) != 1:
-        raise ExactArithError("SNF verification failed: transform not unimodular")
-    d = r.invariant_factors
-    for i in range(len(d) - 1):
-        if d[i] < 0 or (d[i + 1] != 0 and d[i] != 0 and d[i + 1] % d[i] != 0):
-            raise ExactArithError("SNF verification failed: divisibility chain")
-        if d[i] == 0 and d[i + 1] != 0:
-            raise ExactArithError("SNF verification failed: zeros not trailing")
-
-
-# ---------------------------------------------------------------------------
 # rank over a prime field
 # ---------------------------------------------------------------------------
 
@@ -428,15 +307,21 @@ def rank_mod_p(a: IntMatrix, p: int) -> int:
 def kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
     """Saturated basis of the right integer kernel {x : A x = 0}.
 
-    Columns of the SNF column transform sitting over zero invariant factors;
-    saturation is automatic because the transform is unimodular.
+    The row Hermite form of [A^T | I] is T [A^T | I] with T unimodular, and
+    T is its right block.  The rows of T whose left block is zero are the
+    t with A t = 0, and they span the kernel saturated because T is
+    unimodular.  Both facts are re-checked on every call: A t = 0 on each
+    kernel row, and |det T| = 1 by Bareiss.
     """
-    r = snf(a)
-    d = r.invariant_factors
-    rank = sum(1 for x in d if x != 0)
-    n = a.cols
-    vt = r.v.transpose().entries
-    return [vt[j] for j in range(rank, n)]
+    m, n = a.rows, a.cols
+    at = a.transpose().entries
+    rows = hnf_rows(IntMatrix([list(at[i]) + [int(i == j) for j in range(n)] for i in range(n)]))
+    kernel = [row[m:] for row in rows if not any(row[:m])]
+    if any(any(a.mul_vec(t)) for t in kernel):
+        raise ExactArithError("kernel verification failed: A t != 0")
+    if abs(det(IntMatrix([row[m:] for row in rows]))) != 1:
+        raise ExactArithError("kernel verification failed: transform not unimodular")
+    return kernel
 
 
 def hnf_rows(a: IntMatrix) -> list[tuple[int, ...]]:

@@ -6,8 +6,8 @@ vectors are stored in that same basis as integers over one denominator,
 in lowest terms, so the lattice itself is exactly the set of vectors of
 denominator 1 and the dual consists of vectors pairing integrally with
 the whole basis.  The class v + L of a dual vector in the discriminant
-group is therefore v's coordinates mod 1 (``class_of``), and no Smith form
-is built for it.  The pairings G v of a vector are one integer product
+group is therefore v's coordinates mod 1 (``class_of``), and no diagonal
+form of the Gram is built for it.  The pairings G v of a vector are one integer product
 over its denominator, and u.v is the integer ``pairing_numerator(u, v)``
 over den_u den_v; the Gram itself never becomes a rational matrix, and a
 rational becomes a string only through ``ratio``.
@@ -199,12 +199,13 @@ def is_even(lattice: Lattice) -> bool:
     return all(lattice.gram.entries[i][i] % 2 == 0 for i in range(lattice.rank))
 
 
-def is_p_elementary(lattice: Lattice, p: int) -> bool:
-    """True when the discriminant group is annihilated by the prime p.
+def elementary_factors(lattice: Lattice, p: int) -> list[int] | None:
+    """The nontrivial invariant factors [p] * a of the Gram when the
+    discriminant group is (Z/p)^a, and None when it is not.
 
     The rank of the Gram over F_p counts its invariant factors prime to p,
     so the group is (Z/p)^a exactly when |det| = p^a and the F_p corank is
-    a.  No Smith form is computed.
+    a, and then the a factors divisible by p multiply to p^a, so each is p.
     """
     if not is_prime(p):
         raise LatticeError(f"p-elementarity needs a prime p, not {p}")
@@ -212,7 +213,14 @@ def is_p_elementary(lattice: Lattice, p: int) -> bool:
     while d % p == 0:
         d //= p
         a += 1
-    return d == 1 and lattice.rank - rank_mod_p(lattice.gram, p) == a
+    if d == 1 and lattice.rank - rank_mod_p(lattice.gram, p) == a:
+        return [p] * a
+    return None
+
+
+def is_p_elementary(lattice: Lattice, p: int) -> bool:
+    """True when the discriminant group is annihilated by the prime p."""
+    return elementary_factors(lattice, p) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -367,19 +367,15 @@ def _summand_candidates(
     norm2 = 2 v*v >= budget2 and non-negative pairing against the summand's
     basis roots.
 
-    The box scan behind it is memoized in bounded_class_minimizers, which the
-    bounded-class check shares.
+    These are the ``found`` vectors of the class search down to the budget,
+    which is exhaustive by construction; bounded_class_minimizers memoizes
+    it per (lattice, class, floor), so each class is enumerated once per
+    process.
     """
-    search = bounded_class_minimizers(sub, cls, box=3)
-    # anything outside the box is certified to sit strictly below the budget,
-    # so the box scan is exhaustive for this summand
-    if search.outside_bound2 >= budget2:
-        raise GlueError("candidate box cannot be certified against the budget")
+    search = bounded_class_minimizers(sub, cls, budget2)
     rep = search.rep
-    # in_box is sorted by (-norm2, x); adding rep keeps that order on coordinates
-    return tuple(
-        (norm2, rep + DualVector(sub, x)) for norm2, x in search.in_box if norm2 >= budget2
-    )
+    # found is sorted by (-norm2, x); adding rep keeps that order on coordinates
+    return tuple((norm2, rep + DualVector(sub, x)) for norm2, x in search.found)
 
 
 def unique_halfline_search(

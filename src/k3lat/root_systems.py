@@ -19,7 +19,6 @@ from .lattice_core import (
     DiscClass,
     DualVector,
     Lattice,
-    class_of,
     is_even,
     pairing_numerator,
 )
@@ -29,9 +28,16 @@ class RootSystemError(ValueError):
     pass
 
 
-def short_vectors(gram: IntMatrix, bound: int) -> list[tuple[int, ...]]:
-    """All nonzero integer vectors with x^T (-gram) x <= bound, gram negative
-    definite, sorted.
+def short_vectors(
+    gram: IntMatrix, bound: int, coset: tuple[Sequence[int], int] | None = None
+) -> list[tuple[int, ...]]:
+    """All nonzero integer vectors x with x^T (-gram) x <= bound, gram
+    negative definite, sorted.
+
+    With ``coset`` = (num, den), the points are y = num + den x, the vectors
+    y / den of the coset num / den + Z^n, and the result is every x, zero
+    included, with y^T (-gram) y <= bound; on the zero coset that is the
+    default with the zero vector kept.
 
     Fincke-Pohst enumeration in integers.  The symmetric elimination of
     -gram takes its pivots in order and gives the leading minors
@@ -39,14 +45,16 @@ def short_vectors(gram: IntMatrix, bound: int) -> list[tuple[int, ...]]:
     (see ``symmetric_elimination``, kept on the matrix, so the lattice's
     signature shares it): the entries at step i are (i + 1)-minors by
     Sylvester's identity, so negating the matrix multiplies step i by
-    (-1)^(i+1).  With B_i its integer row i (B_ii = D_i), -gram(x) = sum_i (B_i . x)^2 / (D_(i-1) D_i).  Row i
+    (-1)^(i+1).  With B_i its integer row i (B_ii = D_i), -gram(y) = sum_i (B_i . y)^2 / (D_(i-1) D_i).  Row i
     divided by its gcd g_i is den_i = D_i / g_i on the diagonal and a_ij
     after it, with weight g_i^2 / (D_(i-1) D_i); the weights and the bound
     are put over one common denominator as integers W_i and B.  The form
-    becomes sum_i W_i (den_i x_i + s_i)^2 with s_i = sum_{j>i} a_ij x_j, so
-    each node's interval for x_i comes from an integer square root and
-    every comparison is exact.  A form that is not positive definite has
-    some D_i <= 0 (or fewer than n pivots) and raises.
+    becomes sum_i W_i (den_i y_i + s_i)^2 with s_i = sum_{j>i} a_ij y_j, so
+    each node's interval for x_i, where y_i = num_i + den x_i, comes from an
+    integer square root and a floor division, and every comparison is
+    exact.  A form that is not positive definite has some D_i <= 0 (or
+    fewer than n pivots) and raises.  The enumeration is exhaustive for its
+    bound by construction.
     """
     if bound < 0:
         raise RootSystemError("negative bound")
@@ -68,26 +76,31 @@ def short_vectors(gram: IntMatrix, bound: int) -> list[tuple[int, ...]]:
         prev = p
     scale = math.lcm(*(den for _, den in weights))
     w_int = [num * (scale // den) for num, den in weights]
+    keep_zero = coset is not None
+    num, step = coset if keep_zero else ((0,) * n, 1)
     out: list[tuple[int, ...]] = []
     x = [0] * n
+    y = list(num)  # y = num + step * x
 
     def recurse(i: int, remaining: int) -> None:
-        s = sum(a * x[j] for j, a in rows[i])
-        w, den = w_int[i], dens[i]
+        s = dens[i] * num[i] + sum(a * y[j] for j, a in rows[i])
+        w, den = w_int[i], dens[i] * step
         m = math.isqrt(remaining // w)
         # -m <= den*x_i + s <= m, so every x_i in the range fits the budget
         lo, hi = -((m + s) // den), (m - s) // den
         if i == 0:
             for xi in range(lo, hi + 1):
                 x[0] = xi
-                if any(x):
+                if keep_zero or any(x):
                     out.append(tuple(x))
         else:
             for xi in range(lo, hi + 1):
                 t = den * xi + s
                 x[i] = xi
+                y[i] = num[i] + step * xi
                 recurse(i - 1, remaining - w * t * t)
         x[i] = 0
+        y[i] = num[i]
 
     recurse(n - 1, bound * scale)
     out.sort()
@@ -423,37 +436,27 @@ def root_type(components: Iterable[tuple[str, int]]) -> str:
 # ---------------------------------------------------------------------------
 
 class ClassNormSearch(NamedTuple):
-    """Outcome of the exhaustive box search over one dual class.
+    """Outcome of the exhaustive search over one dual class, down to a floor.
 
     The norms of the class are in 1/2 Z and are carried in half-units, as
-    the integers norm2 = 2 v*v.  ``outside_bound2`` is a certified upper
-    bound on norm2 of every class representative outside the box
-    (``_outside_bound``), so the reported maximum (and runner-up threshold)
-    is global, not merely in-box.  ``in_box`` holds every (norm2, x) with
-    rep + x in the box pairing non-negatively with every basis vector, by
-    decreasing norm.  ``norms_all_odd`` holds when every norm of the class
-    is odd, which the parity of the representative's norm decides
-    (``_norms_all_odd``); it holds on the D4 leaf classes and on no A1 class.
+    the integers norm2 = 2 v*v.  ``found`` holds every (norm2, x) with
+    norm2 >= ``floor2`` and rep + x pairing non-negatively with every basis
+    vector, by decreasing norm; every such vector that is not found has
+    norm2 < floor2.  So the maximum is global, and ``runner_up2``, the
+    largest norm2 below it, is exact whenever it is not None.  ``rep`` is
+    the class's component (num mod den) / den.  ``norms_all_odd`` holds
+    when every norm of the class is odd, which the parity of the
+    representative's norm decides (``_norms_all_odd``); it holds on the D4
+    leaf classes and on no A1 class.
     """
 
     rep: DualVector
     max_norm2: int
     maximizers: tuple[DualVector, ...]
     runner_up2: int | None
-    outside_bound2: int
+    floor2: int
     norms_all_odd: bool
-    in_box: tuple[tuple[int, tuple[int, ...]], ...]
-
-
-def _match_rep(lattice: Lattice, cls: DiscClass) -> DualVector:
-    """The first of zero and the dual basis vectors that lies in the class."""
-    if cls.lattice != lattice:
-        raise RootSystemError("class belongs to a different lattice")
-    duals = [lattice.dual_basis_vector(j) for j in range(lattice.rank)]
-    for rep in [lattice.zero()] + duals:
-        if class_of(rep) == cls:
-            return rep
-    raise RootSystemError("no dual basis vector represents the class")
+    found: tuple[tuple[int, tuple[int, ...]], ...]
 
 
 def _norms_all_odd(lattice: Lattice, rep: DualVector) -> bool:
@@ -472,125 +475,56 @@ def _norms_all_odd(lattice: Lattice, rep: DualVector) -> bool:
     return pairing_numerator(rep, rep) % (2 * d2) == d2
 
 
-def _outside_bound(lattice: Lattice, rep: DualVector, box: int) -> int:
-    """floor(2 B) for B an upper bound on v*v over rep + Z^n outside rep + [-box, box]^n.
-
-    Such a v has |v_i - rep_i| >= box + 1 for some i, so it lies beyond one
-    of the hyperplanes v_i = t, t = rep_i +- (box + 1).  Q(v) = -v*v is
-    positive definite with its minimum at 0, which |rep_i| < box + 1 keeps
-    on the near side, so beyond the hyperplane Q is at least its minimum
-    t^2 / (Q^-1)_ii on it; B is the largest -t^2 / (Q^-1)_ii, and
-    (Q^-1)_ii = -(G^-1)_ii is read off the cached dual basis.  For an
-    integer n, n <= 2 B iff n <= floor(2 B), so on the half-integral norms
-    of the class (``_box_scan`` raises unless they are) floor(2 B) bounds
-    norm2 = 2 v*v exactly as B bounds v*v.
-    """
-    if not lattice.is_negative_definite():
-        raise RootSystemError("outside bound requires a negative-definite lattice")
-    reach = (box + 1) * rep.den  # box + 1, and each t below, over rep.den
-    bounds = []
-    for i, r in enumerate(rep.num):
-        if abs(r) >= reach:
-            raise RootSystemError("representative coordinate is not inside the box")
-        dual = lattice.dual_basis_vector(i)  # (G^-1)_ii = dual.num[i] / dual.den < 0
-        scale = rep.den * rep.den * dual.num[i]
-        bounds += [2 * t * t * dual.den // scale for t in (r + reach, r - reach)]
-    return max(bounds)
-
-
-def _box_scan(lattice: Lattice, rep: DualVector, box: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Integer-arithmetic scan of rep + {|x_i| <= box}, in lexicographic order.
-
-    Returns the (norm2, x) pairs, norm2 = 2 (rep + x)^2, of the points
-    pairing non-negatively with every basis vector.
-
-    The coordinates are fixed one at a time.  Fixing x_j = v on a prefix
-    adds v times column j of G to G x, and 4 v (G rep + G x)_j + 2 v^2 G_jj
-    to twice the norm, so each point costs one column update.  On the last
-    coordinate the constraints pair_i + v col_i >= 0 cut out one interval
-    of v, found by floor division.
-    """
-    g = lattice.gram.entries
-    n = lattice.rank
-    grep = rep.integer_pairings()
-    rep_norm2, odd = divmod(2 * pairing_numerator(rep, rep), rep.den * rep.den)
-    if odd:
-        raise RootSystemError("representative norm is not half-integral")
-    values = range(-box, box + 1)
-    cols = [tuple(g[i][j] for i in range(n)) for j in range(n)]
-    out = []
-
-    def scan(prefix: tuple[int, ...], pair: list[int], norm2: int) -> None:
-        # pair = G (rep + x) and norm2 = 2 (rep + x)^2 for the prefix x
-        j = len(prefix)
-        col, lin, sq = cols[j], 4 * pair[j], 2 * g[j][j]
-        if j + 1 < n:
-            for v in values:
-                p = [a + v * c for a, c in zip(pair, col)]
-                scan(prefix + (v,), p, norm2 + v * (lin + v * sq))
-            return
-        lo, hi = -box, box
-        for a, c in zip(pair, col):
-            if c > 0:
-                lo = max(lo, -(a // c))  # v >= ceil(-a / c)
-            elif c < 0:
-                hi = min(hi, a // -c)  # v <= floor(a / -c)
-            elif a < 0:
-                return
-        for v in range(lo, hi + 1):
-            out.append((norm2 + v * (lin + v * sq), prefix + (v,)))
-
-    scan((), grep, rep_norm2)
-    return out
-
-
-def bounded_class_minimizers(
-    lattice: Lattice,
-    cls: DiscClass,
-    box: int = 3,
-) -> ClassNormSearch:
+def bounded_class_minimizers(lattice: Lattice, cls: DiscClass, floor2: int = -5) -> ClassNormSearch:
     """Maximum of v*v over dual vectors in a fixed class pairing non-negatively
-    with every basis vector.
+    with every basis vector, and every such vector with 2 v*v >= floor2.
 
-    The search runs over representative-plus-lattice translates with all
-    coordinates bounded by ``box``; the hyperplane bound of
-    ``_outside_bound`` certifies that any vector outside the box has twice its
-    norm at most ``outside_bound2``.
+    The search is the Fincke-Pohst enumeration of the coset (``short_vectors``),
+    exhaustive down to the floor, which defaults to -5 (norm -5/2, the
+    budget of the half-line walk).
     """
-    if box < 3:
-        raise RootSystemError("box radius below 3 has no sufficiency certificate")
-    return _class_search(lattice, cls, box)
+    if cls.lattice != lattice:
+        raise RootSystemError("class belongs to a different lattice")
+    return _class_search(lattice, cls, floor2)
 
 
 @functools.cache
-def _class_search(lattice: Lattice, cls: DiscClass, box: int) -> ClassNormSearch:
-    """The search behind bounded_class_minimizers, memoized per (lattice, class, box).
+def _class_search(lattice: Lattice, cls: DiscClass, floor2: int) -> ClassNormSearch:
+    """The search behind bounded_class_minimizers, memoized per (lattice, class, floor).
 
-    The representative is zero or a dual basis vector (``_match_rep``), and
-    the parity of its norm is the parity of every norm in the class
-    (``_norms_all_odd``).  The bounded-class check and the half-line walk
-    ask for the same classes, so each distinct key is scanned once per
-    process.
+    The representative is the class's component, and the parity of its norm
+    is the parity of every norm in the class (``_norms_all_odd``).  The
+    enumeration runs over y = num + den x with y^T (-G) y <= -floor2 den^2 / 2,
+    which is norm2 >= floor2, and keeps the y with G y >= 0.
     """
-    rep = _match_rep(lattice, cls)
+    num, den = cls.component
+    rep = DualVector(lattice, num, den)
+    if 2 * pairing_numerator(rep, rep) % (den * den):
+        raise RootSystemError("representative norm is not half-integral")
     all_odd = _norms_all_odd(lattice, rep)
-    found = _box_scan(lattice, rep, box)
+    gram = lattice.gram
+    rows = list(zip(gram.mul_vec(num), gram.entries))
+    found = []
+    for x in short_vectors(gram, -floor2 * den * den // 2, (num, den)):
+        # G y = G num + den G x, row by row: most points leave the cone early
+        for gnum, row in rows:
+            if gnum + den * sum(map(mul, row, x)) < 0:
+                break
+        else:
+            y = [a + den * b for a, b in zip(num, x)]
+            found.append((2 * sum(map(mul, y, gram.mul_vec(y))) // (den * den), x))
     if not found:
         raise RootSystemError("empty constrained search")
     found.sort(key=lambda t: (-t[0], t[1]))
     max_norm2 = found[0][0]
     maximizers = tuple(rep + DualVector(lattice, x) for norm2, x in found if norm2 == max_norm2)
     rest = [norm2 for norm2, _ in found if norm2 < max_norm2]
-    runner_up2 = max(rest) if rest else None
-    outside2 = _outside_bound(lattice, rep, box)
-    if outside2 > max_norm2:
-        raise RootSystemError("sufficiency certificate does not cover the box")
     return ClassNormSearch(
         rep=rep,
         max_norm2=max_norm2,
         maximizers=maximizers,
-        runner_up2=runner_up2,
-        outside_bound2=outside2,
+        runner_up2=max(rest) if rest else None,
+        floor2=floor2,
         norms_all_odd=all_odd,
-        in_box=tuple(found),
+        found=tuple(found),
     )

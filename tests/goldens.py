@@ -18,7 +18,6 @@ LATTICE_GOLDENS = [
     ("default", ["lattice"], 0, "lattice_default.json"),
     ("inject-corrupt-glue", ["lattice", "--inject-corrupt-glue"], 1,
      "lattice_inject_corrupt_glue.json"),
-    ("lemma-box-16", ["lattice", "--lemma-box", "16"], 0, "lattice_lemma_box_16.json"),
 ]
 
 EXTRA_GLUE_GOLDENS = [

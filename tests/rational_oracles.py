@@ -8,17 +8,224 @@ products the oracles need, the pairwise search of the root-pairing
 graph that packed integer products replaced, and the conversions between
 rational coordinates and ``DualVector`` (with the basis vectors, which the
 package no longer builds).  The discriminant class by the Smith form, with
-its generators, is the algorithm that coordinates mod 1 replaced.
+its generators, is the algorithm that coordinates mod 1 replaced, and the
+Smith form itself, re-checked on every call, is what the Hermite kernel
+and the F_2-rank discriminant witness replaced.  The class searches once
+scanned a box around the representative and bounded everything outside it
+by a hyperplane certificate; that scan and that bound are kept as the
+oracle of the coset enumeration.
 """
 
 import math
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
-from k3lat.exact_arith import ExactArithError, IntMatrix, snf
+from k3lat.exact_arith import ExactArithError, IntMatrix, det
 from k3lat.lattice_core import DualVector, Lattice, pairing_numerator
 from k3lat.root_systems import RootSystemError
 
+
+# ---------------------------------------------------------------------------
+# Smith normal form
+# ---------------------------------------------------------------------------
+
+class SnfResult(NamedTuple):
+    """U * A * V = S with U, V unimodular and S = diag(d1 | d2 | ...)."""
+
+    u: IntMatrix
+    s: IntMatrix
+    v: IntMatrix
+
+    @property
+    def invariant_factors(self) -> tuple[int, ...]:
+        n = min(self.s.rows, self.s.cols)
+        return tuple(self.s.entries[i][i] for i in range(n))
+
+
+def snf(a: IntMatrix) -> SnfResult:
+    """Smith normal form by elementary operations with smallest-pivot selection.
+
+    The result is verified on every call: U*A*V == S, |det U| = |det V| = 1,
+    and the divisibility chain of the diagonal.
+    """
+    rows, cols = a.rows, a.cols
+    m = [list(r) for r in a.entries]
+    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+
+    def row_swap(i, j):
+        m[i], m[j] = m[j], m[i]
+        u[i], u[j] = u[j], u[i]
+
+    def col_swap(i, j):
+        for r in m:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+
+    def row_add(dst, src, q):
+        m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
+        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+
+    def col_add(dst, src, q):
+        for r in m:
+            r[dst] += q * r[src]
+        for r in v:
+            r[dst] += q * r[src]
+
+    def row_negate(i):
+        m[i] = [-x for x in m[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    limit = min(rows, cols)
+    while t < limit:
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                x = abs(m[i][j])
+                if x != 0 and (best is None or x < best[0]):
+                    best = (x, i, j)
+        if best is None:
+            break
+        _, bi, bj = best
+        if bi != t:
+            row_swap(t, bi)
+        if bj != t:
+            col_swap(t, bj)
+        dirty = False
+        for i in range(t + 1, rows):
+            if m[i][t] != 0:
+                q = m[i][t] // m[t][t]
+                row_add(i, t, -q)
+                if m[i][t] != 0:
+                    dirty = True
+        for j in range(t + 1, cols):
+            if m[t][j] != 0:
+                q = m[t][j] // m[t][t]
+                col_add(j, t, -q)
+                if m[t][j] != 0:
+                    dirty = True
+        if dirty:
+            continue
+        # pivot must divide the rest of the block; otherwise fold an offending
+        # row into row t and restart the step
+        offender = None
+        for i in range(t + 1, rows):
+            for j in range(t + 1, cols):
+                if m[i][j] % m[t][t] != 0:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            row_add(t, offender, 1)
+            continue
+        if m[t][t] < 0:
+            row_negate(t)
+        t += 1
+
+    s = [[0] * cols for _ in range(rows)]
+    for i in range(min(rows, cols)):
+        s[i][i] = m[i][i]
+    result = SnfResult(IntMatrix(u), IntMatrix(s), IntMatrix(v))
+    check_snf(a, result)
+    return result
+
+
+def check_snf(a: IntMatrix, r: SnfResult) -> None:
+    if r.u.mul(a).mul(r.v).entries != r.s.entries:
+        raise ExactArithError("SNF verification failed: U*A*V != S")
+    if abs(det(r.u)) != 1 or abs(det(r.v)) != 1:
+        raise ExactArithError("SNF verification failed: transform not unimodular")
+    d = r.invariant_factors
+    for i in range(len(d) - 1):
+        if d[i] < 0 or (d[i + 1] != 0 and d[i] != 0 and d[i + 1] % d[i] != 0):
+            raise ExactArithError("SNF verification failed: divisibility chain")
+        if d[i] == 0 and d[i + 1] != 0:
+            raise ExactArithError("SNF verification failed: zeros not trailing")
+
+
+# ---------------------------------------------------------------------------
+# the box scan and its hyperplane certificate
+# ---------------------------------------------------------------------------
+
+def outside_bound(lattice: Lattice, rep: DualVector, box: int) -> int:
+    """floor(2 B) for B an upper bound on v*v over rep + Z^n outside rep + [-box, box]^n.
+
+    Such a v has |v_i - rep_i| >= box + 1 for some i, so it lies beyond one
+    of the hyperplanes v_i = t, t = rep_i +- (box + 1).  Q(v) = -v*v is
+    positive definite with its minimum at 0, which |rep_i| < box + 1 keeps
+    on the near side, so beyond the hyperplane Q is at least its minimum
+    t^2 / (Q^-1)_ii on it; B is the largest -t^2 / (Q^-1)_ii, and
+    (Q^-1)_ii = -(G^-1)_ii is read off the cached dual basis.  For an
+    integer n, n <= 2 B iff n <= floor(2 B), so on the half-integral norms
+    of the class (``box_scan`` raises unless they are) floor(2 B) bounds
+    norm2 = 2 v*v exactly as B bounds v*v.
+    """
+    if not lattice.is_negative_definite():
+        raise RootSystemError("outside bound requires a negative-definite lattice")
+    reach = (box + 1) * rep.den  # box + 1, and each t below, over rep.den
+    bounds = []
+    for i, r in enumerate(rep.num):
+        if abs(r) >= reach:
+            raise RootSystemError("representative coordinate is not inside the box")
+        dual = lattice.dual_basis_vector(i)  # (G^-1)_ii = dual.num[i] / dual.den < 0
+        scale = rep.den * rep.den * dual.num[i]
+        bounds += [2 * t * t * dual.den // scale for t in (r + reach, r - reach)]
+    return max(bounds)
+
+
+def box_scan(lattice: Lattice, rep: DualVector, box: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Integer-arithmetic scan of rep + {|x_i| <= box}, in lexicographic order.
+
+    Returns the (norm2, x) pairs, norm2 = 2 (rep + x)^2, of the points
+    pairing non-negatively with every basis vector.
+
+    The coordinates are fixed one at a time.  Fixing x_j = v on a prefix
+    adds v times column j of G to G x, and 4 v (G rep + G x)_j + 2 v^2 G_jj
+    to twice the norm, so each point costs one column update.  On the last
+    coordinate the constraints pair_i + v col_i >= 0 cut out one interval
+    of v, found by floor division.
+    """
+    g = lattice.gram.entries
+    n = lattice.rank
+    grep = rep.integer_pairings()
+    rep_norm2, odd = divmod(2 * pairing_numerator(rep, rep), rep.den * rep.den)
+    if odd:
+        raise RootSystemError("representative norm is not half-integral")
+    values = range(-box, box + 1)
+    cols = [tuple(g[i][j] for i in range(n)) for j in range(n)]
+    out = []
+
+    def scan(prefix: tuple[int, ...], pair: list[int], norm2: int) -> None:
+        # pair = G (rep + x) and norm2 = 2 (rep + x)^2 for the prefix x
+        j = len(prefix)
+        col, lin, sq = cols[j], 4 * pair[j], 2 * g[j][j]
+        if j + 1 < n:
+            for v in values:
+                p = [a + v * c for a, c in zip(pair, col)]
+                scan(prefix + (v,), p, norm2 + v * (lin + v * sq))
+            return
+        lo, hi = -box, box
+        for a, c in zip(pair, col):
+            if c > 0:
+                lo = max(lo, -(a // c))  # v >= ceil(-a / c)
+            elif c < 0:
+                hi = min(hi, a // -c)  # v <= floor(a / -c)
+            elif a < 0:
+                return
+        for v in range(lo, hi + 1):
+            out.append((norm2 + v * (lin + v * sq), prefix + (v,)))
+
+    scan((), grep, rep_norm2)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# rational coordinates
+# ---------------------------------------------------------------------------
 
 def vector(lattice: Lattice, coords) -> DualVector:
     """The vector with these rational coordinates, written over their lcm."""

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from k3lat.exact_arith import invert, snf
+from k3lat.exact_arith import invert
 from k3lat.lattice_core import class_of, is_even, is_p_elementary, lattice_A1, lattice_D4
 from k3lat.root_systems import (
     PositivityFunctional,
@@ -50,7 +50,7 @@ from k3lat.char2_surfaces.surfaces import (
     table_lines,
     table_points,
 )
-from rational_oracles import coords, norm
+from rational_oracles import coords, norm, snf
 
 
 @contextmanager
@@ -107,24 +107,25 @@ def test_criterion_02_bounded_class_searches():
         a1 = lattice_A1()
         d4 = lattice_D4()
 
-        # norms in half-units: max_norm2 = 2 max v*v, and so on
-        s = bounded_class_minimizers(a1, class_of(a1.zero()))
+        # norms in half-units: max_norm2 = 2 max v*v, and so on; each search
+        # is exhaustive down to its threshold
+        s = bounded_class_minimizers(a1, class_of(a1.zero()), -4)
         assert s.max_norm2 == 0 and [coords(v) for v in s.maximizers] == [(Fraction(0),)]
-        assert s.runner_up2 <= -4 and s.outside_bound2 <= -4
+        assert s.runner_up2 <= -4 and s.floor2 <= -4
 
-        s = bounded_class_minimizers(a1, class_of(a1.dual_basis_vector(0)))
+        s = bounded_class_minimizers(a1, class_of(a1.dual_basis_vector(0)), -9)
         assert s.max_norm2 == -1
         assert [coords(v) for v in s.maximizers] == [(Fraction(-1, 2),)]
-        assert s.runner_up2 <= -9 and s.outside_bound2 <= -9
+        assert s.runner_up2 <= -9 and s.floor2 <= -9
 
-        s = bounded_class_minimizers(d4, class_of(d4.zero()))
+        s = bounded_class_minimizers(d4, class_of(d4.zero()), -4)
         assert s.max_norm2 == 0 and len(s.maximizers) == 1
-        assert s.runner_up2 <= -4 and s.outside_bound2 <= -4
+        assert s.runner_up2 <= -4 and s.floor2 <= -4
 
-        s = bounded_class_minimizers(d4, class_of(d4.dual_basis_vector(0)))
+        s = bounded_class_minimizers(d4, class_of(d4.dual_basis_vector(0)), -6)
         assert s.max_norm2 == -2
         assert [coords(v) for v in s.maximizers] == [coords(d4.dual_basis_vector(0))]
-        assert s.runner_up2 <= -6 and s.outside_bound2 <= -6
+        assert s.runner_up2 <= -6 and s.floor2 <= -6
         assert s.norms_all_odd
 
 

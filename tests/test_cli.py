@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from k3lat import cli, root_systems
+from k3lat import cli
 from k3lat.char2_surfaces.field import BinaryField
 from k3lat.char2_surfaces.poly import HomPoly
 from k3lat.char2_surfaces.recognize import apply_frame, normal_form_sextic
@@ -108,31 +108,34 @@ def test_lattice_run_inverts_each_gram_at_most_once():
     assert sorted(result["inverses"]) == [[1, 1], [4, 1], [22, 1], [22, 1]]
 
 
-# a fresh process counts every Smith form of one whole run, by shape, at
-# every loaded k3lat module that binds snf
-SNF_COUNTER = """
+# a fresh process counts every integer kernel of one whole run, by shape, at
+# every loaded k3lat module that binds kernel_basis, and lists the k3lat
+# modules that bind a Smith form
+KERNEL_COUNTER = """
 import collections, json, os, sys
 from k3lat import cli, exact_arith
 seen = collections.Counter()
-real = exact_arith.snf
+real = exact_arith.kernel_basis
 def counting(a):
     seen[a.rows, a.cols] += 1
     return real(a)
 for name, module in list(sys.modules.items()):
-    if name.split(".")[0] == "k3lat" and "snf" in vars(module):
-        assert module.snf is real, name
-        module.snf = counting
+    if name.split(".")[0] == "k3lat" and "kernel_basis" in vars(module):
+        assert module.kernel_basis is real, name
+        module.kernel_basis = counting
 code = cli.main(sys.argv[1:] + ["--out", os.devnull])
-print(json.dumps({"code": code, "smith_forms": [[r, c, n] for (r, c), n in seen.items()]}))
+smith = [name for name, module in sys.modules.items() if name.split(".")[0] == "k3lat" and "snf" in vars(module)]
+print(json.dumps({"code": code, "kernels": [[r, c, n] for (r, c), n in seen.items()], "smith": smith}))
 """
 
 
 def test_lattice_run_puts_no_overlattice_gram_in_smith_form():
-    # the kernel of h's pairing row and the base Gram's discriminant witness,
-    # once each; 2-elementarity of the sigma = 2 Gram comes from its F_2
-    # corank, and discriminant classes from coordinates mod 1
+    # no Smith form is taken at all: the kernel of h's pairing row comes from
+    # the Hermite form, once; the base Gram's discriminant witness and the
+    # 2-elementarity of the sigma = 2 Gram come from det and the F_2 corank,
+    # and discriminant classes from coordinates mod 1
     proc = subprocess.run(
-        [sys.executable, "-c", SNF_COUNTER, "lattice", "--with-extra-glue", "w"],
+        [sys.executable, "-c", KERNEL_COUNTER, "lattice", "--with-extra-glue", "w"],
         env={**os.environ, "PYTHONPATH": SRC},
         capture_output=True,
         text=True,
@@ -140,7 +143,8 @@ def test_lattice_run_puts_no_overlattice_gram_in_smith_form():
     )
     result = json.loads(proc.stdout)
     assert result["code"] == EXIT_OK
-    assert sorted(result["smith_forms"]) == [[1, 22, 1], [22, 22, 1]]
+    assert result["kernels"] == [[1, 22, 1]]
+    assert result["smith"] == []
 
 
 # a fresh process counts the G v products of one whole run, per matrix
@@ -208,24 +212,26 @@ def test_lattice_run_eliminates_the_complement_gram_once():
     assert result["calls"]["21"] == 1
 
 
-# a fresh process counts every class box scan of one whole run
-BOX_SCAN_COUNTER = """
+# a fresh process counts every coset enumeration of one whole run; the
+# root enumeration, which takes no coset, is not counted
+COSET_COUNTER = """
 import collections, json, os, sys
 from k3lat import cli, root_systems
 seen = collections.Counter()
-real = root_systems._box_scan
-def counting(lattice, rep, box):
-    seen[repr((lattice.gram.entries, rep.num, rep.den, box))] += 1
-    return real(lattice, rep, box)
-root_systems._box_scan = counting
+real = root_systems.short_vectors
+def counting(gram, bound, coset=None):
+    if coset is not None:
+        seen[repr((gram.entries, bound, coset))] += 1
+    return real(gram, bound, coset)
+root_systems.short_vectors = counting
 code = cli.main(sys.argv[1:] + ["--out", os.devnull])
 print(json.dumps({"code": code, "scans": seen}))
 """
 
 
-def _count_box_scans(*argv) -> dict:
+def _count_coset_enumerations(*argv) -> dict:
     proc = subprocess.run(
-        [sys.executable, "-c", BOX_SCAN_COUNTER, *argv],
+        [sys.executable, "-c", COSET_COUNTER, *argv],
         env={**os.environ, "PYTHONPATH": SRC},
         capture_output=True,
         text=True,
@@ -237,33 +243,29 @@ def _count_box_scans(*argv) -> dict:
 
 
 def test_lattice_run_shares_class_scans_with_the_halfline_walk():
-    # 4 class checks and 5 half-line classes would be 9 scans, but A1 zero,
-    # A1 a_dual, D4 zero and D4 d1_dual are the same (lattice, class, box)
-    # in both, so 5 distinct scans remain
-    scans = _count_box_scans("lattice", "--with-extra-glue", "w")
-    assert sum(scans.values()) == 5
-    assert set(scans.values()) == {1}
-
-
-def test_lattice_box_option_is_not_answered_from_the_box_3_memo():
-    # the class checks scan at box 4, the half-line walk at box 3: nothing is shared
-    scans = _count_box_scans("lattice", "--with-extra-glue", "w", "--lemma-box", "4")
+    # the 4 class checks enumerate down to their thresholds (-4, -9, -4, -6
+    # in half-units) and the 5 half-line classes down to the budget -5, so
+    # the floors differ and no search is shared: 9 enumerations, each
+    # memoized and run once although the 5 walks visit 45 summands.  On the
+    # A1 and D4 zero classes the floors -4 and -5 ask for the same bound 2
+    # on -x^T G x, so 7 distinct arguments remain
+    scans = _count_coset_enumerations("lattice", "--with-extra-glue", "w")
     assert sum(scans.values()) == 9
-    assert set(scans.values()) == {1}
-    assert sorted(key.endswith(", 4)") for key in scans) == [False] * 5 + [True] * 4
+    assert sorted(scans.values()) == [1] * 5 + [2] * 2
 
 
 def test_class_search_check_requires_the_outside_bound_below_the_runner_up(capsys, monkeypatch):
-    # a norm bound of -1 (-2 in half-units) is below every maximum but above
-    # the A1 and D4 zero-class threshold -2: the maxima are certified, the
-    # runner-ups are not
-    root_systems._class_search.cache_clear()
-    monkeypatch.setattr(root_systems, "_outside_bound", lambda lattice, rep, box: -2)
-    try:
-        code, out = run_cli(capsys, "lattice")
-    finally:
-        monkeypatch.undo()
-        root_systems._class_search.cache_clear()
+    # searches that promise nothing below one half-unit above each threshold:
+    # every vector not found is only known to lie below floor2, so the
+    # runner-ups at the thresholds are not certified and the check fails
+    # with the witness unchanged
+    real = cli.bounded_class_minimizers
+    monkeypatch.setattr(
+        cli,
+        "bounded_class_minimizers",
+        lambda lattice, cls, floor2: real(lattice, cls, floor2)._replace(floor2=floor2 + 1),
+    )
+    code, out = run_cli(capsys, "lattice")
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     with open(os.path.join(DATA, "lattice_default.json"), encoding="utf-8") as fh:
         golden = {c["name"]: c for c in json.load(fh)["checks"]}
@@ -614,6 +616,8 @@ def test_sextic_failing_recognition_is_a_failed_check(tmp_path, capsys):
         ["lattice", "--lemma-box", "2"],
         ["lattice", "--lemma-box", "17"],
         ["all", "--lemma-box", "1000000"],
+        ["lattice", "--lemma-box", "3"],
+        ["all", "--lemma-box", "3"],
         ["surface", "--k", "3", "--modulus", "0b1011", "--samples", "1"],
         ["surface", "--k", "5", "--modulus", "0b100101", "--r", "1", "--s", "2"],
         ["surface", "--k", "4", "--r", "zz", "--s", "1"],
@@ -632,6 +636,8 @@ def test_sextic_failing_recognition_is_a_failed_check(tmp_path, capsys):
         "lemma-box-2",
         "lemma-box-17",
         "lemma-box-huge",
+        "lemma-box-3",
+        "all-lemma-box-3",
         "odd-k-sampling",
         "odd-k-pair",
         "r-not-hex",
@@ -654,13 +660,6 @@ def test_unbounded_or_vacuous_flags_are_usage_errors(argv):
     )
     assert proc.returncode == EXIT_USAGE
     assert proc.stdout == ""
-
-
-def test_lemma_box_accepts_its_whole_range():
-    parser = build_parser()
-    for command in ("lattice", "all"):
-        for box in (3, 16):
-            assert parser.parse_args([command, "--lemma-box", str(box)]).lemma_box == box
 
 
 def test_k2_with_explicit_pair_is_accepted(capsys):

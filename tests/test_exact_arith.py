@@ -5,18 +5,16 @@ from operator import mul
 
 import pytest
 
+from k3lat import exact_arith
 from k3lat.exact_arith import (
     ExactArithError,
     IntMatrix,
-    SnfResult,
-    _check_snf,
     det,
     hnf_rows,
     inertia,
     invert,
     kernel_basis,
     rank_mod_p,
-    snf,
     symmetric_elimination,
 )
 from k3lat.ns_glue import (
@@ -29,11 +27,14 @@ from k3lat.ns_glue import (
 )
 from k3lat.lattice_core import orthogonal_complement
 from rational_oracles import (
+    SnfResult,
     as_fractions,
+    check_snf,
     invert_rational,
     rat_identity,
     rat_mul,
     rational_inertia,
+    snf,
     to_rational,
 )
 
@@ -175,7 +176,7 @@ def test_rank_mod_p_rejects_a_non_prime(p):
 
 
 # ---------------------------------------------------------------------------
-# snf
+# the Smith form oracle
 # ---------------------------------------------------------------------------
 
 def test_snf_identity():
@@ -220,7 +221,7 @@ def test_snf_check_rejects_a_wrong_result(a, u, s, message):
     # V is the identity, so U*A*V = S holds exactly when U*A = S
     v = identity(len(a[0]))
     with pytest.raises(ExactArithError, match=f"SNF verification failed: {message}"):
-        _check_snf(IntMatrix(a), SnfResult(IntMatrix(u), IntMatrix(s), v))
+        check_snf(IntMatrix(a), SnfResult(IntMatrix(u), IntMatrix(s), v))
 
 
 def test_snf_det_is_product_of_factors():
@@ -349,6 +350,72 @@ def test_kernel_basis_simple():
     x = basis[0]
     assert 2 * x[0] - 2 * x[1] == 0
     assert gcd(x[0], x[1]) == 1  # saturated
+
+
+def smith_kernel(a: IntMatrix) -> list[tuple[int, ...]]:
+    """Oracle: the columns of the Smith column transform V over the zero
+    invariant factors, saturated because V is unimodular."""
+    r = snf(a)
+    rank = sum(1 for f in r.invariant_factors if f)
+    return [tuple(row[j] for row in r.v.entries) for j in range(rank, a.cols)]
+
+
+def test_kernel_basis_matches_the_smith_kernel_on_random_matrices():
+    # the same saturated lattice: the row Hermite form of a basis is
+    # canonical, so two bases span the same lattice exactly when their
+    # Hermite forms are equal; kernels of rank 0 to 4 occur
+    rng = random.Random(16)
+    ranks = set()
+    for _ in range(80):
+        n, m = rng.randrange(1, 5), rng.randrange(1, 7)
+        a = IntMatrix([[rng.choice([0, 0, 1, -1, 2, -3, 4, 6]) for _ in range(m)] for _ in range(n)])
+        got, expected = kernel_basis(a), smith_kernel(a)
+        assert len(got) == len(expected)
+        if got:
+            assert hnf_rows(IntMatrix(got)) == hnf_rows(IntMatrix(expected)), a.entries
+            assert all(f == 1 for f in snf(IntMatrix(got)).invariant_factors)
+        ranks.add(len(got))
+    assert ranks >= {0, 1, 2, 3, 4}
+
+
+def test_kernel_basis_of_the_polarization_row_is_the_rest_of_the_basis():
+    # h pairs with the sigma = 2 overlattice basis as (1, 0, ..., 0)
+    ls = build_lambda()
+    ns = build_overlattice(ls, tuple(halfline_class(ls, lam) for lam in L_LABELS))
+    row = ns.h_in_result().integer_pairings()
+    assert row == (1,) + (0,) * 21
+    basis = kernel_basis(IntMatrix([row]))
+    assert basis == [tuple(int(i == j) for j in range(22)) for i in range(1, 22)]
+    assert hnf_rows(IntMatrix(basis)) == hnf_rows(IntMatrix(smith_kernel(IntMatrix([row]))))
+
+
+def _corrupt_hnf(monkeypatch, change):
+    real = exact_arith.hnf_rows
+    monkeypatch.setattr(exact_arith, "hnf_rows", lambda a: change([list(r) for r in real(a)]))
+
+
+def test_kernel_basis_rejects_a_kernel_row_that_a_does_not_kill(monkeypatch):
+    # [A^T | I] for A = (1 1) reduces to rows (1 | 0 1) and (0 | 1 -1); the
+    # kernel row with its right block changed to (1 0) is not killed by A
+    def change(rows):
+        rows[1][1:] = [1, 0]
+        return rows
+
+    _corrupt_hnf(monkeypatch, change)
+    with pytest.raises(ExactArithError, match=r"kernel verification failed: A t != 0"):
+        kernel_basis(IntMatrix([[1, 1]]))
+
+
+def test_kernel_basis_rejects_a_transform_that_is_not_unimodular(monkeypatch):
+    # the kernel row doubled is still killed by A, but T has det 2 and the
+    # doubled row is not saturated
+    def change(rows):
+        rows[1] = [2 * x for x in rows[1]]
+        return rows
+
+    _corrupt_hnf(monkeypatch, change)
+    with pytest.raises(ExactArithError, match="kernel verification failed: transform not unimodular"):
+        kernel_basis(IntMatrix([[1, 1]]))
 
 
 def test_hnf_rows_spans_same_lattice():

@@ -3,7 +3,7 @@
 import pytest
 
 from k3lat import root_systems
-from k3lat.exact_arith import IntMatrix, snf
+from k3lat.exact_arith import IntMatrix
 from k3lat.frozen import Frozen
 from k3lat.lattice_core import DualVector, Lattice, class_of, lattice_D4
 from k3lat.ns_glue import L_LABELS, build_lambda, build_overlattice, halfline_class
@@ -79,10 +79,10 @@ def test_fields_cannot_be_assigned_or_deleted():
         with pytest.raises(AttributeError):
             value.undeclared = 1
         assert getattr(value, name, None) == before
-    record = snf(gram)
+    record = bounded_class_minimizers(lat, class_of(lat.zero()))
     with pytest.raises(AttributeError):
-        record.u = gram
-    assert record.invariant_factors == (1, 3)
+        record.found = ()
+    assert (record.max_norm2, record.runner_up2) == (0, -4)
 
 
 def test_records_whose_tuple_behaviour_would_leak_are_not_tuples():
@@ -102,13 +102,13 @@ def test_records_whose_tuple_behaviour_would_leak_are_not_tuples():
 
 def test_rebuilt_lattice_hits_the_class_search_memo(monkeypatch):
     scans = []
-    real = root_systems._box_scan
+    real = root_systems.short_vectors
 
-    def counting(lattice, rep, box):
-        scans.append(lattice.gram.entries)
-        return real(lattice, rep, box)
+    def counting(gram, bound, coset=None):
+        scans.append(gram.entries)
+        return real(gram, bound, coset)
 
-    monkeypatch.setattr(root_systems, "_box_scan", counting)
+    monkeypatch.setattr(root_systems, "short_vectors", counting)
     root_systems._class_search.cache_clear()
     first, second = Lattice(lattice_D4().gram), Lattice(lattice_D4().gram)
     a = bounded_class_minimizers(first, class_of(first.zero()))

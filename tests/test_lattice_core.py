@@ -10,12 +10,13 @@ from fractions import Fraction
 import pytest
 
 from k3lat import lattice_core
-from k3lat.exact_arith import IntMatrix, invert, snf
+from k3lat.exact_arith import IntMatrix, invert
 from k3lat.lattice_core import (
     DualVector,
     Lattice,
     LatticeError,
     class_of,
+    elementary_factors,
     is_even,
     is_p_elementary,
     lattice_A1,
@@ -46,6 +47,7 @@ from rational_oracles import (
     rational_gv,
     rational_pairing,
     smith_generators,
+    snf,
     to_rational,
     vector,
 )
@@ -161,9 +163,11 @@ def test_is_p_elementary():
     assert is_p_elementary(Lattice(IntMatrix([[1]])), 5)  # trivial group
 
 
-def smith_is_p_elementary(lattice: Lattice, p: int) -> bool:
-    """The definition, read off the Smith form: every invariant factor is 1 or p."""
-    return all(f in (1, p) for f in snf(lattice.gram).invariant_factors)
+def smith_elementary_factors(lattice: Lattice, p: int) -> list[int] | None:
+    """The definition, read off the Smith form: the invariant factors above 1
+    when every invariant factor is 1 or p, and None otherwise."""
+    factors = snf(lattice.gram).invariant_factors
+    return [f for f in factors if f > 1] if all(f in (1, p) for f in factors) else None
 
 
 def test_is_p_elementary_matches_the_smith_form_on_the_paper_lattices():
@@ -184,10 +188,14 @@ def test_is_p_elementary_matches_the_smith_form_on_the_paper_lattices():
     for name, lat in lattices.items():
         for p in (2, 3):
             verdicts[name, p] = is_p_elementary(lat, p)
-            assert verdicts[name, p] == smith_is_p_elementary(lat, p), (name, p)
+            oracle = smith_elementary_factors(lat, p)
+            assert verdicts[name, p] == (oracle is not None), (name, p)
+            assert elementary_factors(lat, p) == oracle, (name, p)
     # all but A3 (discriminant Z/4) are 2-elementary, and none is 3-elementary
     assert [name for name in lattices if not verdicts[name, 2]] == ["A3"]
     assert not any(verdicts[name, 3] for name in lattices)
+    # the base lattice's discriminant witness in the lattice report
+    assert elementary_factors(lattices["base"], 2) == [2] * 14
 
 
 def test_is_p_elementary_matches_the_smith_form_on_random_grams():
@@ -219,7 +227,9 @@ def test_is_p_elementary_matches_the_smith_form_on_random_grams():
             continue
         for p in (2, 3, 5):
             verdict = is_p_elementary(lat, p)
-            assert verdict == smith_is_p_elementary(lat, p), (gram.entries, p)
+            oracle = smith_elementary_factors(lat, p)
+            assert verdict == (oracle is not None), (gram.entries, p)
+            assert elementary_factors(lat, p) == oracle, (gram.entries, p)
             seen.add((p, verdict))
         done += 1
     assert seen == {(p, v) for p in (2, 3, 5) for v in (False, True)}
@@ -273,8 +283,6 @@ def test_orthogonal_complement_requires_membership():
 
 
 def test_complement_is_saturated():
-    from k3lat.exact_arith import snf
-
     l = Lattice(
         IntMatrix(
             [

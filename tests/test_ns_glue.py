@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from k3lat import exact_arith, lattice_core, ns_glue, root_systems
-from k3lat.exact_arith import IntMatrix, hnf_rows, snf
+from k3lat.exact_arith import IntMatrix, hnf_rows
 from k3lat.lattice_core import (
     is_even,
     is_p_elementary,
@@ -44,6 +44,7 @@ from rational_oracles import (
     rat_transpose,
     rational_class,
     rational_gv,
+    snf,
     to_rational,
     vector,
 )
@@ -393,15 +394,16 @@ def test_halfline_searches_unique(ls, ns):
 
 def test_halfline_searches_scan_each_class_once(ls, ns, monkeypatch):
     # 9 summands in each of 5 searches, but only 5 distinct (lattice, class)
-    # keys; the memo sits under bounded_class_minimizers, so count box scans
+    # keys; the memo sits under bounded_class_minimizers, so count coset
+    # enumerations
     calls = []
-    real = root_systems._box_scan
+    real = root_systems.short_vectors
 
-    def counting(lattice, rep, box):
-        calls.append((lattice.gram.entries, coords(rep)))
-        return real(lattice, rep, box)
+    def counting(gram, bound, coset=None):
+        calls.append((gram.entries, bound, coset))
+        return real(gram, bound, coset)
 
-    monkeypatch.setattr(root_systems, "_box_scan", counting)
+    monkeypatch.setattr(root_systems, "short_vectors", counting)
     root_systems._class_search.cache_clear()
     for lam in L_LABELS:
         assert unique_halfline_search(ls, lam, ns).is_unique_expected()
@@ -409,28 +411,15 @@ def test_halfline_searches_scan_each_class_once(ls, ns, monkeypatch):
     assert len(set(calls)) == 5
 
 
-def test_halfline_search_rejects_a_box_not_certified_against_the_budget(ls, ns, monkeypatch):
-    # an outside bound that reaches the budget of -5/2 leaves the box scan
-    # short of exhaustive; the memoized searches themselves stay untouched
-    real = ns_glue.bounded_class_minimizers
-
-    def at_budget(sub, cls, box=3):
-        return real(sub, cls, box=box)._replace(outside_bound2=-5)
-
-    monkeypatch.setattr(ns_glue, "bounded_class_minimizers", at_budget)
-    with pytest.raises(GlueError, match="candidate box cannot be certified against the budget"):
-        unique_halfline_search(ls, L_LABELS[0], ns)
-
-
 def test_halfline_search_rejects_a_misreported_candidate_norm(ls, ns, monkeypatch):
-    # every D4 in-box norm reported one unit high: assemblies that meet the
+    # every D4 norm found reported one unit high: assemblies that meet the
     # budget on paper fall short of norm -2
     real = ns_glue.bounded_class_minimizers
 
-    def misreported(sub, cls, box=3):
-        search = real(sub, cls, box=box)
+    def misreported(sub, cls, floor2):
+        search = real(sub, cls, floor2)
         shift = 2 if sub.rank == 4 else 0
-        return search._replace(in_box=tuple((n2 + shift, x) for n2, x in search.in_box))
+        return search._replace(found=tuple((n2 + shift, x) for n2, x in search.found))
 
     monkeypatch.setattr(ns_glue, "bounded_class_minimizers", misreported)
     with pytest.raises(GlueError, match="assembled candidate violates the norm or degree condition"):

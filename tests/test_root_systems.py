@@ -10,6 +10,7 @@ import pytest
 from k3lat import exact_arith, root_systems
 from k3lat.exact_arith import IntMatrix, det, inertia, symmetric_elimination
 from k3lat.lattice_core import (
+    DualVector,
     Lattice,
     class_of,
     lattice_A1,
@@ -28,10 +29,7 @@ from k3lat.root_systems import (
     PositivityFunctional,
     RootSet,
     RootSystemError,
-    _box_scan,
-    _match_rep,
     _norms_all_odd,
-    _outside_bound,
     _pairing_components,
     _positive_root_coordinates,
     ade_type,
@@ -44,10 +42,12 @@ from k3lat.root_systems import (
 )
 from rational_oracles import (
     basis_vector,
+    box_scan,
     cholesky,
     coords,
     invert_rational,
     norm,
+    outside_bound,
     pairing,
     pairwise_components,
     rational_gv,
@@ -701,41 +701,40 @@ def test_root_set_json():
 
 def test_a1_zero_class_search():
     a1 = lattice_A1()
-    res = bounded_class_minimizers(a1, class_of(a1.zero()))
+    res = bounded_class_minimizers(a1, class_of(a1.zero()), -4)
     assert res.max_norm2 == 0
     assert [coords(v) for v in res.maximizers] == [(Fraction(0),)]
     assert res.runner_up2 == -4
-    assert res.outside_bound2 < -4
+    assert res.floor2 == -4
 
 
 def test_a1_dual_class_search():
     a1 = lattice_A1()
-    res = bounded_class_minimizers(a1, class_of(a1.dual_basis_vector(0)))
+    res = bounded_class_minimizers(a1, class_of(a1.dual_basis_vector(0)), -9)
     assert res.max_norm2 == -1
     assert [coords(v) for v in res.maximizers] == [(Fraction(-1, 2),)]
     assert res.runner_up2 == -9
-    assert res.outside_bound2 <= -9
+    assert res.floor2 == -9
 
 
 def test_d4_zero_class_search():
     d4 = lattice_D4()
-    res = bounded_class_minimizers(d4, class_of(d4.zero()))
+    res = bounded_class_minimizers(d4, class_of(d4.zero()), -4)
     assert res.max_norm2 == 0
     assert len(res.maximizers) == 1
     assert res.runner_up2 == -4
-    # the norm bound -25/4 or -4, in half-units
-    assert res.outside_bound2 <= math.floor(2 * Fraction(-25, 4)) or res.outside_bound2 == -8
+    assert res.floor2 == -4
 
 
 def test_d4_leaf_class_search():
     d4 = lattice_D4()
     d1_dual = d4.dual_basis_vector(0)
-    res = bounded_class_minimizers(d4, class_of(d1_dual))
+    res = bounded_class_minimizers(d4, class_of(d1_dual), -6)
     assert res.max_norm2 == -2
     assert [coords(v) for v in res.maximizers] == [coords(d1_dual)]
     assert res.runner_up2 <= -6
     assert res.norms_all_odd
-    assert res.outside_bound2 <= -6
+    assert res.floor2 <= -6
 
 
 def test_d4_other_leaf_class_search():
@@ -777,18 +776,16 @@ def naive_in_box(lattice: Lattice, rep, box: int) -> list:
     ids=["A1-zero", "A1-dual", "D4-zero", "D4-d1", "D4-d2", "D4-d4"],
 )
 def test_in_box_points_match_naive_enumeration(name, dual_index):
+    # the hyperplane bound puts every vector outside the box 3 below the
+    # budget floor -5, so the search down to it finds exactly the naive box
+    # points at or above it
     lattice = lattice_A1() if name == "A1" else lattice_D4()
     rep = lattice.zero() if dual_index is None else lattice.dual_basis_vector(dual_index)
-    res = bounded_class_minimizers(lattice, class_of(rep), box=3)
-    assert list(res.in_box) == naive_in_box(lattice, res.rep, 3)
+    res = bounded_class_minimizers(lattice, class_of(rep), -5)
+    assert outside_bound(lattice, res.rep, 3) < -5
+    assert list(res.found) == [t for t in naive_in_box(lattice, res.rep, 3) if t[0] >= -5]
     assert class_of(res.rep) == class_of(rep)
-    assert res.in_box[0][0] == res.max_norm2
-
-
-def test_box_below_three_rejected():
-    a1 = lattice_A1()
-    with pytest.raises(RootSystemError):
-        bounded_class_minimizers(a1, class_of(a1.zero()), box=2)
+    assert res.found[0][0] == res.max_norm2
 
 
 def test_unsupported_lattice_rejected():
@@ -804,12 +801,23 @@ def test_unsupported_lattice_rejected():
             bounded_class_minimizers(a2, cls)
 
 
-def test_match_rep_rejects_a_class_no_dual_basis_vector_represents():
-    # the class (1, 1) of A1 + A1 is the sum of the two dual basis classes
+def test_class_search_takes_a_class_no_dual_basis_vector_represents():
+    # the class (1, 1) of A1 + A1 is the sum of the two dual basis classes;
+    # its component (1/2, 1/2) is the representative, and the cone's maximum
+    # is -(1/2, 1/2), then -(1/2, 3/2) and -(3/2, 1/2) at norm -5
     lattice = a1_plus_a1()
     cls = class_of(lattice.dual_basis_vector(0) + lattice.dual_basis_vector(1))
-    with pytest.raises(RootSystemError, match="no dual basis vector represents the class"):
-        _match_rep(lattice, cls)
+    res = bounded_class_minimizers(lattice, cls, -10)
+    assert coords(res.rep) == (Fraction(1, 2), Fraction(1, 2))
+    assert res.max_norm2 == -2 and res.runner_up2 == -10
+    assert [coords(v) for v in res.maximizers] == [(Fraction(-1, 2), Fraction(-1, 2))]
+    assert [norm2 for norm2, _ in res.found] == [-2, -10, -10]
+
+
+def test_class_search_rejects_a_class_of_another_lattice():
+    a1, d4 = lattice_A1(), lattice_D4()
+    with pytest.raises(RootSystemError, match="class belongs to a different lattice"):
+        bounded_class_minimizers(d4, class_of(a1.zero()))
 
 
 def test_norm_parity_requires_an_even_lattice():
@@ -840,13 +848,13 @@ def d4_leaf_forms(leaf: int) -> list:
 
 
 def named_rep(lattice: Lattice, cls) -> tuple:
-    """(name, rep, leaf): the representative _match_rep picks, named zero,
-    a_dual or d<j>_dual, with the basis position of the leaf on a D4 leaf
-    class and None otherwise."""
-    rep = _match_rep(lattice, cls)
-    if not any(rep.num):
-        return "zero", rep, None
-    j = next(j for j in range(lattice.rank) if rep == lattice.dual_basis_vector(j))
+    """(name, rep, leaf): the first of zero and the dual basis vectors that
+    lies in the class, named zero, a_dual or d<j>_dual, with the basis
+    position of the leaf on a D4 leaf class and None otherwise."""
+    if cls == class_of(lattice.zero()):
+        return "zero", lattice.zero(), None
+    j = next(j for j in range(lattice.rank) if class_of(lattice.dual_basis_vector(j)) == cls)
+    rep = lattice.dual_basis_vector(j)
     if lattice.rank == 1:
         return "a_dual", rep, None
     return f"d{j + 1}_dual", rep, j
@@ -894,7 +902,7 @@ def _every_class():
 
 @pytest.mark.parametrize("box", [3, 4, 8])
 def test_box_scan_matches_the_product_scan(box):
-    # every class takes the one interval scan; the parity of the
+    # the box scan oracle takes the one interval scan; the parity of the
     # representative's norm agrees with the parity read at every point of
     # the box, where the leaf classes also satisfy the paper's identity
     seen = set()
@@ -903,8 +911,8 @@ def test_box_scan_matches_the_product_scan(box):
         seen.add((lattice.rank, name))
         forms = d4_leaf_forms(leaf) if leaf is not None else None
         found, all_odd = product_box_scan(lattice, rep, box, forms)
-        assert _box_scan(lattice, rep, box) == found
-        assert bounded_class_minimizers(lattice, cls, box).norms_all_odd == all_odd
+        assert box_scan(lattice, rep, box) == found
+        assert bounded_class_minimizers(lattice, cls).norms_all_odd == all_odd
     assert seen == {
         (1, "zero"), (1, "a_dual"), (4, "zero"), (4, "d1_dual"), (4, "d2_dual"), (4, "d4_dual")
     }
@@ -918,9 +926,89 @@ BLOCKS = {
 }
 
 
+def _block_sum(blocks: list) -> Lattice:
+    return Lattice(IntMatrix.block_diagonal([IntMatrix(BLOCKS[b]) for b in blocks]))
+
+
+def _all_classes(lattice: Lattice) -> list:
+    """Every discriminant class: the dual basis generates the dual lattice
+    and |det| kills the group, so the combinations with coefficients below
+    |det| meet every class."""
+    d = abs(lattice.det())
+    duals = [lattice.dual_basis_vector(j) for j in range(lattice.rank)]
+    classes = {}
+    for coeffs in itertools.product(range(d), repeat=lattice.rank):
+        v = lattice.zero()
+        for c, w in zip(coeffs, duals):
+            v = v + DualVector(lattice, [c * a for a in w.num], w.den)
+        classes.setdefault(class_of(v), None)
+    return list(classes)
+
+
+@pytest.mark.parametrize("box", [3, 8])
+def test_found_matches_the_box_scan_oracle(box):
+    # the hyperplane bound puts every vector outside the box below the floor
+    # one half-unit above it, so down to that floor (and to the budget -5)
+    # the coset enumeration finds exactly the box scan's points; on every
+    # class of A1, D4, A1 + A1 and A3, whose classes of order 4 have no
+    # half-integral norm and are rejected
+    rejected = searched = 0
+    for blocks in (["A1"], ["D4"], ["A1", "A1"], ["A3"]):
+        lattice = _block_sum(blocks)
+        for cls in _all_classes(lattice):
+            rep = DualVector(lattice, *cls.component)
+            if (2 * norm(rep)).denominator != 1:
+                assert cls.component[1] == 4
+                with pytest.raises(RootSystemError, match="not half-integral"):
+                    bounded_class_minimizers(lattice, cls)
+                rejected += 1
+                continue
+            scan = sorted(box_scan(lattice, rep, box), key=lambda t: (-t[0], t[1]))
+            bound2 = outside_bound(lattice, rep, box)
+            for floor2 in {bound2 + 1, -5}:
+                res = bounded_class_minimizers(lattice, cls, floor2)
+                assert res.rep == rep and res.floor2 == floor2
+                assert list(res.found) == [t for t in scan if t[0] >= floor2], (blocks, cls)
+            searched += 1
+    assert (searched, rejected) == (2 + 4 + 4 + 2, 2)
+
+
+def _naive_coset_points(gram: IntMatrix, bound: int, num, den: int, radius: int) -> list:
+    """Oracle: every x in the box of the radius with y = num + den x and
+    y^T (-gram) y <= bound, checked to sit strictly inside the box."""
+    n = gram.rows
+    g = gram.entries
+    out = []
+    for x in itertools.product(range(-radius, radius + 1), repeat=n):
+        y = [a + den * b for a, b in zip(num, x)]
+        if -sum(y[i] * g[i][j] * y[j] for i in range(n) for j in range(n)) <= bound:
+            assert max(map(abs, x)) < radius
+            out.append(x)
+    return out
+
+
+def test_short_vectors_on_a_coset_match_the_naive_scan():
+    # the classes of order 4 of A3 included, and a coset over 3 that is no
+    # discriminant class; zero is kept on every coset
+    cases = []
+    for blocks, bound in ((["A1"], 10), (["A1", "A1"], 10), (["A3"], 6), (["D4"], 3)):
+        lattice = _block_sum(blocks)
+        for cls in _all_classes(lattice):
+            num, den = cls.component
+            # -v*v <= bound for v = y / den
+            cases.append((lattice.gram, bound * den * den, num, den))
+    cases.append((_block_sum(["A2"]).gram, 20, (1, 2), 3))
+    assert {den for *_, den in cases} == {1, 2, 3, 4}
+    for gram, bound, num, den in cases:
+        got = short_vectors(gram, bound, (num, den))
+        assert got and got == _naive_coset_points(gram, bound, num, den, 5)
+    assert (0,) in short_vectors(lattice_A1().gram, 2, ((0,), 1))
+
+
 def test_norm_parity_matches_the_product_scan_on_block_sums():
     # every half-integral class that zero or a dual basis vector represents,
-    # on seeded block sums of rank <= 4
+    # on seeded block sums of rank <= 4, searched down to one half-unit above
+    # the box 3 hyperplane bound
     rng = random.Random(22)
     parities = set()
     for _ in range(12):
@@ -931,14 +1019,17 @@ def test_norm_parity_matches_the_product_scan_on_block_sums():
                 break
             blocks.append(rng.choice(fits))
             rank += len(BLOCKS[blocks[-1]])
-        lattice = Lattice(IntMatrix.block_diagonal([IntMatrix(BLOCKS[b]) for b in blocks]))
+        lattice = _block_sum(blocks)
         duals = [lattice.dual_basis_vector(j) for j in range(lattice.rank)]
         for v in [lattice.zero()] + duals:
             if (2 * norm(v)).denominator != 1:
                 continue
-            res = bounded_class_minimizers(lattice, class_of(v), 3)
+            rep = DualVector(lattice, *class_of(v).component)
+            floor2 = outside_bound(lattice, rep, 3) + 1
+            res = bounded_class_minimizers(lattice, class_of(v), floor2)
             found, all_odd = product_box_scan(lattice, res.rep, 3, None)
-            assert list(res.in_box) == sorted(found, key=lambda t: (-t[0], t[1]))
+            expected = sorted((t for t in found if t[0] >= floor2), key=lambda t: (-t[0], t[1]))
+            assert list(res.found) == expected
             assert res.norms_all_odd == all_odd, blocks
             parities.add(all_odd)
     assert parities == {False, True}
@@ -954,7 +1045,7 @@ def test_box_scan_rejects_a_corrupted_leaf_form():
         product_box_scan(d4, rep, 3, forms)
 
 
-def hand_derived_outside_bound(lattice: Lattice, rep, leaf, box: int) -> Fraction:
+def hand_derivedoutside_bound(lattice: Lattice, rep, leaf, box: int) -> Fraction:
     """Oracle: the three case-by-case bounds that the hyperplane bound replaced."""
     b = box
     if lattice.rank == 1:
@@ -980,15 +1071,15 @@ def test_outside_bound_matches_the_hand_derived_bounds(box):
     # and the three D4 leaf classes, tighter on the D4 zero class
     for lattice, cls in _every_class():
         name, rep, leaf = named_rep(lattice, cls)
-        bound = _outside_bound(lattice, rep, box)
-        oracle = math.floor(2 * hand_derived_outside_bound(lattice, rep, leaf, box))
+        bound = outside_bound(lattice, rep, box)
+        oracle = math.floor(2 * hand_derivedoutside_bound(lattice, rep, leaf, box))
         if (lattice.rank, name) == (4, "zero"):
             assert bound <= oracle
         else:
             assert bound == oracle
 
 
-def rational_outside_bound(lattice: Lattice, rep, box: int) -> Fraction:
+def rationaloutside_bound(lattice: Lattice, rep, box: int) -> Fraction:
     """Oracle: the hyperplane bound B in Fractions, the largest t^2 / (G^-1)_ii
     over i and t = rep_i +- (box + 1), with a rational inverse of the Gram."""
     ginv = invert_rational(to_rational(lattice.gram))
@@ -1002,11 +1093,11 @@ def test_outside_bound_is_the_floor_of_twice_the_rational_bound(box):
     # rounding up instead of down would show
     fractional = 0
     for blocks in (["A1"], ["D4"], ["A2"], ["A3"], ["A1", "A2"], ["A2", "A2"], ["A1", "A3"]):
-        lattice = Lattice(IntMatrix.block_diagonal([IntMatrix(BLOCKS[b]) for b in blocks]))
+        lattice = _block_sum(blocks)
         for rep in [lattice.zero()] + [lattice.dual_basis_vector(j) for j in range(lattice.rank)]:
             for r in (rep, -rep):
-                bound = rational_outside_bound(lattice, r, box)
-                assert _outside_bound(lattice, r, box) == math.floor(2 * bound), blocks
+                bound = rationaloutside_bound(lattice, r, box)
+                assert outside_bound(lattice, r, box) == math.floor(2 * bound), blocks
                 fractional += (2 * bound).denominator != 1
     assert fractional > 0
 
@@ -1021,9 +1112,8 @@ def test_outside_bounds_at_box_3():
         (4, "d4_dual"): Fraction(-9, 2),
     }
     for lattice, cls in _every_class():
-        name = named_rep(lattice, cls)[0]
-        bound2 = bounded_class_minimizers(lattice, cls).outside_bound2
-        assert bound2 == 2 * pinned[(lattice.rank, name)]
+        name, rep, _ = named_rep(lattice, cls)
+        assert outside_bound(lattice, rep, 3) == 2 * pinned[(lattice.rank, name)]
 
 
 def test_outside_bound_holds_on_a_shell_around_the_box():
@@ -1034,7 +1124,7 @@ def test_outside_bound_holds_on_a_shell_around_the_box():
     for lattice, cls in _every_class():
         g = lattice.gram.entries
         n = lattice.rank
-        rep = _match_rep(lattice, cls)
+        rep = named_rep(lattice, cls)[1]
         for r in (rep, -rep):
             grep = r.integer_pairings()
             top = None
@@ -1044,36 +1134,40 @@ def test_outside_bound_holds_on_a_shell_around_the_box():
                 quad = sum(x[i] * g[i][j] * x[j] for i in range(n) for j in range(n))
                 norm2 = 2 * norm(r) + 4 * sum(map(mul, grep, x)) + 2 * quad
                 top = norm2 if top is None else max(top, norm2)
-            assert top <= _outside_bound(lattice, r, box)
+            assert top <= outside_bound(lattice, r, box)
 
 
 def test_outside_bound_requires_a_negative_definite_lattice():
     lattice = Lattice(IntMatrix([[2]]))
     with pytest.raises(RootSystemError, match="outside bound requires a negative-definite lattice"):
-        _outside_bound(lattice, lattice.zero(), 3)
+        outside_bound(lattice, lattice.zero(), 3)
 
 
 def test_outside_bound_requires_the_representative_inside_the_box():
     d4 = lattice_D4()
     with pytest.raises(RootSystemError, match="representative coordinate is not inside the box"):
-        _outside_bound(d4, vector(d4, [0, 0, -4, 0]), 3)
+        outside_bound(d4, vector(d4, [0, 0, -4, 0]), 3)
 
 
-def test_class_search_rejects_a_bound_above_the_maximum(monkeypatch):
+def test_class_search_rejects_a_bound_above_the_maximum():
+    # a floor above the class maximum -1 leaves nothing to find
     a1 = lattice_A1()
-    # a norm bound of 1, in half-units
-    monkeypatch.setattr(root_systems, "_outside_bound", lambda lattice, rep, box: 2)
-    with pytest.raises(RootSystemError, match="sufficiency certificate does not cover the box"):
-        root_systems._class_search.__wrapped__(a1, class_of(a1.zero()), 3)
+    with pytest.raises(RootSystemError, match="empty constrained search"):
+        bounded_class_minimizers(a1, class_of(a1.dual_basis_vector(0)), 0)
 
 
 def test_d4_class_searches_at_box_16_fit_the_budget():
-    # four scans of 33^4 points each; the parity is read off each representative's norm
+    # each D4 class enumerated down to one half-unit above its box 16
+    # hyperplane bound, which covers everything the box 16 scan and its
+    # certificate did; the parity is read off each representative's norm
     root_systems._class_search.cache_clear()
-    start = time.perf_counter()
+    floors = []
     for lattice, cls in _every_class():
         if lattice.rank == 4:
-            assert bounded_class_minimizers(lattice, cls, box=16).outside_bound2 <= -6
+            floors.append((lattice, cls, outside_bound(lattice, DualVector(lattice, *cls.component), 16) + 1))
+    start = time.perf_counter()
+    for lattice, cls, floor2 in floors:
+        assert bounded_class_minimizers(lattice, cls, floor2).floor2 <= -6
     assert time.perf_counter() - start <= 1.0
 
 

@@ -1,7 +1,7 @@
 """What perfbench/tracer.py binds in src, checked by running it.
 
 The benchmark's traced runs wrap the layer functions by name, read the
-arguments `lattice`, `cls` and `box` of bounded_class_minimizers and
+arguments `lattice` and `cls` of bounded_class_minimizers and
 `cls.component`, and wrap the methods of poly.BinForm.  A src change that
 breaks one of those breaks the traced runs; this test finds it in Tier-1.
 It goes away with the tracer, once the CLI reports its own stage spans.
