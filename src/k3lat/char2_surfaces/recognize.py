@@ -14,8 +14,7 @@ coordinate, and the parameter t is returned.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
+from ..frozen import Frozen
 from .field import BinaryField
 from .poly import HomPoly
 from .surfaces import (
@@ -247,7 +246,8 @@ def recognize_normal_form(g: HomPoly, frame) -> int:
     return t
 
 
-class RecognitionResult(NamedTuple):
+class RecognitionResult(Frozen):
+    __slots__ = ("t",)
     t: int
 
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import functools
 from itertools import chain, combinations, islice
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
+from ..frozen import Frozen
 from .field import BinaryField
 from .poly import BinForm, HomPoly, PolyError, cubic_has_distinct_roots
 from .upoly import common_roots, interpolate, poly_eval, resultant, trim
@@ -165,9 +166,10 @@ def _linear_powers(f: BinaryField, alpha: int, beta: int, n: int) -> list[list[t
 # splitting certificates
 # ---------------------------------------------------------------------------
 
-class SplittingCertificate(NamedTuple):
+class SplittingCertificate(Frozen):
     """G = ell * quintic + cubic^2, witnessing that the line splits."""
 
+    __slots__ = ("line", "quintic", "cubic")
     line: HomPoly
     quintic: HomPoly
     cubic: HomPoly
@@ -408,7 +410,8 @@ def classify_singularity(g: HomPoly, p: Point) -> str:
 MILNOR = {"A1": 1, "D4": 4}
 
 
-class SingularityReport(NamedTuple):
+class SingularityReport(Frozen):
+    __slots__ = ("points",)
     points: tuple[tuple[Point, str], ...]
 
     @property
@@ -486,7 +489,8 @@ EXPECTED_INCIDENCE = {
 }
 
 
-class ConfigurationReport(NamedTuple):
+class ConfigurationReport(Frozen):
+    __slots__ = ("ok", "findings", "report", "splitting_lines", "certificates")
     ok: bool
     findings: tuple[str, ...]
     report: SingularityReport

@@ -9,6 +9,7 @@ means every check passed, 1 means a check failed, 2 means a usage error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import sys
@@ -470,4 +471,9 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    code = main()
+    # the collections at interpreter shutdown skip the permanent generation,
+    # so they need not walk the modules and memos; flushing and atexit still
+    # run. main freezes nothing itself: tests and tracers call it in-process
+    gc.freeze()
+    raise SystemExit(code)

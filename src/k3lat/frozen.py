@@ -1,19 +1,37 @@
-"""Base class of the slotted immutable value types.
+"""Base class of the slotted immutable value types and records.
 
 ``__slots__`` lists the fields, then any lazily filled caches (names with a
 leading underscore); they are written once through ``object.__setattr__``
 and every later assignment raises.  Equality and hashing run over the
 fields alone, as they did for the frozen dataclasses this replaces.
+
+A record (a class whose slots are all fields) is built by position, by name
+or both, as ``Summand("H", "H", offset=0, rank=1)``; a missing, unknown or
+repeated field raises TypeError.  Records are not tuples: under postponed
+annotations the typing module's named tuples compile a ``ForwardRef`` per
+field at import, about 4 ms of every CLI process, and no record needs to
+index, unpack or order like a tuple.
 """
 
 
 class Frozen:
     __slots__ = ()
 
-    def __init__(self, *values):
-        """One value per slot, in order; a class with caches writes its own."""
-        for name, value in zip(self.__slots__, values, strict=True):
+    def __init__(self, *values, **named):
+        """One value per slot, by position and then by name; a class with
+        caches writes its own."""
+        names = self.__slots__
+        cls = type(self).__name__
+        if len(values) > len(names):
+            raise TypeError(f"{cls} takes {len(names)} fields, not {len(values)}")
+        for name, value in zip(names, values):
             object.__setattr__(self, name, value)
+        for name in names[len(values):]:
+            if name not in named:
+                raise TypeError(f"{cls} is missing field {name!r}")
+            object.__setattr__(self, name, named.pop(name))
+        if named:
+            raise TypeError(f"{cls} got unexpected or repeated fields {sorted(named)}")
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")

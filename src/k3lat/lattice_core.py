@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .exact_arith import (
     IntMatrix,
@@ -252,13 +252,14 @@ def class_of(v: DualVector) -> DiscClass:
 # orthogonal complements
 # ---------------------------------------------------------------------------
 
-class Sublattice(NamedTuple):
+class Sublattice(Frozen):
     """A primitive sublattice presented by its own Gram plus an embedding.
 
     ``basis_in_ambient`` rows are the coordinates of the sublattice basis in
     the ambient lattice basis.
     """
 
+    __slots__ = ("lattice", "basis_in_ambient")
     lattice: Lattice
     basis_in_ambient: IntMatrix
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .exact_arith import IntMatrix, hnf_rows, invert, is_prime, rank_mod_p
 from .frozen import Frozen
@@ -50,16 +50,18 @@ L_LABELS = ("inf", "0*", "1*", "*0", "*1")
 EXTRA_GLUE_CHOICES = ("1", "w", "wb")
 
 
-class Summand(NamedTuple):
+class Summand(Frozen):
+    __slots__ = ("name", "kind", "offset", "rank")
     name: str
     kind: str  # "H", "D4" or "A1"
     offset: int
     rank: int
 
 
-class LabeledSum(NamedTuple):
+class LabeledSum(Frozen):
     """The rank-22 block direct sum with its summand table."""
 
+    __slots__ = ("lattice", "summands")
     lattice: Lattice
     summands: tuple[Summand, ...]
 
@@ -126,7 +128,8 @@ def a_vee(ls: LabeledSum, g: str) -> DualVector:
     return ls.assemble({f"Q({g})": DualVector(lattice_A1(), [-1], 2)})
 
 
-class GlueVector(NamedTuple):
+class GlueVector(Frozen):
+    __slots__ = ("name", "vector")
     name: str
     vector: DualVector
 
@@ -164,7 +167,6 @@ def extra_glue_class(ls: LabeledSum, c: str) -> GlueVector:
 # ---------------------------------------------------------------------------
 
 class OverlatticeResult(Frozen):
-    # a class, not a NamedTuple: the field index would shadow tuple.index
     __slots__ = ("base", "lattice", "basis_num", "base_in_result", "index")
     base: LabeledSum
     lattice: Lattice
@@ -294,7 +296,15 @@ def canonical_positivity(ns: OverlatticeResult, comp: Sublattice) -> PositivityF
     return PositivityFunctional(tuple(form))
 
 
-class ExceptionalRootReport(NamedTuple):
+class ExceptionalRootReport(Frozen):
+    __slots__ = (
+        "complement_rank",
+        "complement_inertia",
+        "root_count",
+        "component_types",
+        "type_string",
+        "total_component_rank",
+    )
     complement_rank: int
     complement_inertia: tuple[int, int, int]
     root_count: int
@@ -338,7 +348,9 @@ def component_breakdown(ls: LabeledSum, v: DualVector) -> dict[str, list[str]]:
     return out
 
 
-class HalflineSearchResult(NamedTuple):
+class HalflineSearchResult(Frozen):
+    __slots__ = ("label", "target", "candidates", "budget_checked",
+                 "component_candidate_counts")
     label: str
     target: DualVector  # the half-line glue vector the search was run for
     candidates: tuple[DualVector, ...]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from operator import add, mul, sub
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .exact_arith import IntMatrix, hnf_rows, symmetric_elimination
 from .frozen import Frozen
@@ -108,7 +108,6 @@ def short_vectors(
 
 
 class RootSet(Frozen):
-    # a class, not a NamedTuple: len() counts the roots, not the fields
     __slots__ = ("lattice", "roots", "_groots")  # G r per root, cached
     lattice: Lattice
     roots: tuple[tuple[int, ...], ...]
@@ -158,9 +157,10 @@ def enumerate_roots(lattice: Lattice) -> RootSet:
 # irreducible decomposition
 # ---------------------------------------------------------------------------
 
-class RootComponent(NamedTuple):
+class RootComponent(Frozen):
     """A connected class of roots together with the sublattice they generate."""
 
+    __slots__ = ("lattice", "roots", "basis")
     lattice: Lattice
     roots: tuple[tuple[int, ...], ...]
     basis: tuple[tuple[int, ...], ...]
@@ -237,11 +237,12 @@ def irreducible_decomposition(root_set: RootSet) -> list[RootComponent]:
 # positivity functionals, indecomposable roots
 # ---------------------------------------------------------------------------
 
-class PositivityFunctional(NamedTuple):
+class PositivityFunctional(Frozen):
     """Linear form alpha(x) = num . x, up to a positive scale; pairing
     against a dual vector v has num = G num_v.  Only the signs and the
     order of its values are read, which the scale does not change."""
 
+    __slots__ = ("num",)
     num: tuple[int, ...]
 
     def value(self, x: Sequence[int]) -> int:
@@ -435,7 +436,7 @@ def root_type(components: Iterable[tuple[str, int]]) -> str:
 # bounded dual-class norm searches
 # ---------------------------------------------------------------------------
 
-class ClassNormSearch(NamedTuple):
+class ClassNormSearch(Frozen):
     """Outcome of the exhaustive search over one dual class, down to a floor.
 
     The norms of the class are in 1/2 Z and are carried in half-units, as
@@ -450,6 +451,8 @@ class ClassNormSearch(NamedTuple):
     leaf classes and on no A1 class.
     """
 
+    __slots__ = ("rep", "max_norm2", "maximizers", "runner_up2", "floor2", "norms_all_odd",
+                 "found")
     rep: DualVector
     max_norm2: int
     maximizers: tuple[DualVector, ...]

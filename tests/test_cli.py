@@ -1,5 +1,7 @@
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,6 +14,7 @@ from k3lat.char2_surfaces.poly import HomPoly
 from k3lat.char2_surfaces.recognize import apply_frame, normal_form_sextic
 from k3lat.char2_surfaces.surfaces import SurfaceError, schroeer_sextic
 from k3lat.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
+from k3lat.root_systems import ClassNormSearch
 
 from goldens import (
     DATA,
@@ -260,11 +263,20 @@ def test_class_search_check_requires_the_outside_bound_below_the_runner_up(capsy
     # runner-ups at the thresholds are not certified and the check fails
     # with the witness unchanged
     real = cli.bounded_class_minimizers
-    monkeypatch.setattr(
-        cli,
-        "bounded_class_minimizers",
-        lambda lattice, cls, floor2: real(lattice, cls, floor2)._replace(floor2=floor2 + 1),
-    )
+
+    def raised_floor(lattice, cls, floor2):
+        s = real(lattice, cls, floor2)
+        return ClassNormSearch(
+            rep=s.rep,
+            max_norm2=s.max_norm2,
+            maximizers=s.maximizers,
+            runner_up2=s.runner_up2,
+            floor2=floor2 + 1,
+            norms_all_odd=s.norms_all_odd,
+            found=s.found,
+        )
+
+    monkeypatch.setattr(cli, "bounded_class_minimizers", raised_floor)
     code, out = run_cli(capsys, "lattice")
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     with open(os.path.join(DATA, "lattice_default.json"), encoding="utf-8") as fh:
@@ -444,6 +456,72 @@ def test_out_file(tmp_path, capsys):
     text_path = tmp_path / "report.txt"
     assert run_cli(capsys, "lattice", "--format", "text", "--out", str(text_path)) == (code, "")
     assert text_path.read_text() == out
+
+
+# one command per exit code, a text run and an --out run, with the exit code
+# each ends with; each runs in a fresh directory, so --out names report.json
+EXIT_PATHS = [
+    ("exit-0", ["surface", "--k", "4", "--r", "1", "--s", "2"], EXIT_OK),
+    ("exit-1", ["surface", "--k", "4", "--r", "0", "--s", "5", "--allow-degenerate"],
+     EXIT_CHECK_FAILED),
+    ("exit-2", ["surface", "--k", "3"], EXIT_USAGE),
+    ("exit-2-parse", ["lattice", "--k", "4"], EXIT_USAGE),
+    ("text", ["surface", "--k", "4", "--r", "0", "--s", "5", "--allow-degenerate",
+              "--format", "text"], EXIT_CHECK_FAILED),
+    ("out", ["lattice", "--with-extra-glue", "w", "--out", "report.json"], EXIT_OK),
+]
+
+
+def _untimed(data: bytes) -> bytes:
+    # a timing_ms block is flat: check name to milliseconds
+    return re.sub(rb'"timing_ms": \{[^}]*\}', b'"timing_ms": {}', data)
+
+
+@pytest.mark.parametrize(
+    "argv, expected_code", [pytest.param(argv, code, id=name) for name, argv, code in EXIT_PATHS]
+)
+def test_a_cli_process_ends_as_an_in_process_main_call(
+    tmp_path, capsys, monkeypatch, argv, expected_code
+):
+    # python -m k3lat.cli freezes the heap after main returns; the exit code,
+    # the streams and the --out file are the bytes main gives in-process, and
+    # main itself freezes nothing. The process gets no PYTHONUNBUFFERED, so
+    # its piped stdout is block-buffered and must be flushed at exit
+    outputs = []
+    for side in ("process", "in-process"):
+        cwd = tmp_path / side
+        cwd.mkdir()
+        if side == "process":
+            proc = subprocess.run(
+                [sys.executable, "-m", "k3lat.cli", *argv],
+                cwd=cwd,
+                env={
+                    "PATH": os.environ.get("PATH", os.defpath),
+                    "PYTHONPATH": os.path.abspath(SRC),
+                },
+                capture_output=True,
+                timeout=60,
+            )
+            code, out, err = proc.returncode, proc.stdout, proc.stderr
+        else:
+            monkeypatch.chdir(cwd)
+            frozen = gc.get_freeze_count()
+            code = main(list(argv))
+            assert gc.get_freeze_count() == frozen
+            captured = capsys.readouterr()
+            out, err = captured.out.encode(), captured.err.encode()
+        report = cwd / "report.json"
+        written = _untimed(report.read_bytes()) if report.exists() else None
+        outputs.append((code, _untimed(out), err, written))
+    assert outputs[0] == outputs[1]
+    code, out, err, written = outputs[0]
+    assert code == expected_code
+    assert (err != b"") == (code == EXIT_USAGE)
+    assert (written is not None) == ("--out" in argv)
+    if "--out" in argv:
+        assert out == b"" and b'"sigma": 1' in written
+    if "text" in argv:
+        assert out.startswith(b"FAIL surface_r=0_s=5")
 
 
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])

@@ -1,4 +1,6 @@
-"""Value semantics of the slotted classes and the NamedTuple records."""
+"""Value semantics of the slotted Frozen classes: the value types, whose
+constructors normalise, and the records, which Frozen builds by position or
+by name."""
 
 import pytest
 
@@ -6,7 +8,7 @@ from k3lat import root_systems
 from k3lat.exact_arith import IntMatrix
 from k3lat.frozen import Frozen
 from k3lat.lattice_core import DualVector, Lattice, class_of, lattice_D4
-from k3lat.ns_glue import L_LABELS, build_lambda, build_overlattice, halfline_class
+from k3lat.ns_glue import L_LABELS, Summand, build_lambda, build_overlattice, halfline_class
 from k3lat.root_systems import bounded_class_minimizers, enumerate_roots
 
 
@@ -58,6 +60,35 @@ def test_values_of_other_types_or_plain_tuples_are_not_equal():
     assert m != Entries(((1, 2),))
     lat = Lattice(IntMatrix([[-2]]))
     assert DualVector(lat, [1]) != (lat, (1,), 1)
+
+
+def test_records_built_by_position_or_by_name_are_equal():
+    by_position = Summand("P(00)", "D4", 1, 4)
+    builds = [
+        Summand(name="P(00)", kind="D4", offset=1, rank=4),
+        Summand(rank=4, offset=1, kind="D4", name="P(00)"),
+        Summand("P(00)", "D4", rank=4, offset=1),
+    ]
+    for record in builds:
+        assert record == by_position and hash(record) == hash(by_position)
+        assert repr(record) == "Summand(name='P(00)', kind='D4', offset=1, rank=4)"
+    assert Summand("P(00)", "D4", 1, rank=5) != by_position
+
+
+@pytest.mark.parametrize(
+    "args, named, message",
+    [
+        (("P(00)", "D4", 1), {"rnak": 4}, "missing field 'rank'"),
+        (("P(00)", "D4", 1, 4), {"rnak": 4}, r"unexpected or repeated fields \['rnak'\]"),
+        (("P(00)", "D4", 1, 4), {"name": "P(01)"}, r"unexpected or repeated fields \['name'\]"),
+        (("P(00)", "D4"), {"rank": 4}, "missing field 'offset'"),
+        (("P(00)", "D4", 1, 4, 0), {}, "takes 4 fields, not 5"),
+    ],
+    ids=["unknown-and-missing", "unknown", "repeated", "missing", "too-many"],
+)
+def test_records_reject_an_unknown_missing_or_repeated_field(args, named, message):
+    with pytest.raises(TypeError, match=message):
+        Summand(*args, **named)
 
 
 def test_fields_cannot_be_assigned_or_deleted():

@@ -39,7 +39,7 @@ def test_no_import_inside_a_function_body():
 
 def test_no_module_imports_dataclasses():
     # building frozen dataclasses cost about a quarter of every CLI process;
-    # the value types are NamedTuples or slotted k3lat.frozen.Frozen classes
+    # the value types and records are slotted k3lat.frozen.Frozen classes
     offenders = []
     for path in sorted(PACKAGE.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -50,6 +50,25 @@ def test_no_module_imports_dataclasses():
             else:
                 continue
             if any(name.split(".")[0] == "dataclasses" for name in names):
+                offenders.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert offenders == []
+
+
+def test_no_module_imports_or_subclasses_namedtuple():
+    # under postponed annotations each typing.NamedTuple compiles a ForwardRef
+    # per field at import: as NamedTuples the 13 records cost `import
+    # k3lat.cli` about 4 ms of 14.5 (-X importtime, median of 7, 2-core x86
+    # VM, Python 3.11); records are Frozen classes
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ClassDef):
+                names = [ast.unparse(base).split(".")[-1] for base in node.bases]
+            else:
+                continue
+            if "NamedTuple" in names:
                 offenders.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
     assert offenders == []
 
@@ -145,9 +164,9 @@ FIELD_WITHOUT_READER = {
 }
 
 # Runs the traffic through k3lat.cli.main in one process. A profile hook
-# keeps the code object of every Python call, and every NamedTuple field and
-# public __slots__ name of a k3lat class becomes a property that counts its
-# reads and passes gets and sets to the original descriptor. A read made in
+# keeps the code object of every Python call, and every public __slots__ name
+# of a k3lat class (every field of a value type or record) becomes a property
+# that counts its reads and passes gets and sets to the original descriptor. A read made in
 # frozen.py is not counted: Frozen's _key (behind __eq__ and __hash__) and
 # __repr__ read every field of every record they see. Prints the exit codes,
 # the (file, first line) of each k3lat code object that ran, and the read
@@ -177,10 +196,7 @@ for name, module in sorted(sys.modules.items()):
     for cls in list(vars(module).values()):
         if not isinstance(cls, type) or cls.__module__ != name:
             continue
-        if issubclass(cls, tuple):
-            fields = getattr(cls, "_fields", ())
-        else:
-            fields = [slot for slot in vars(cls).get("__slots__", ()) if slot[0] != "_"]
+        fields = [slot for slot in vars(cls).get("__slots__", ()) if slot[0] != "_"]
         for field in fields:
             label = f"{name.removeprefix('k3lat.')}.{cls.__qualname__}.{field}"
             setattr(cls, field, counted(label, vars(cls)[field]))

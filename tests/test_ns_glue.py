@@ -20,6 +20,7 @@ from k3lat.ns_glue import (
     GlueError,
     GlueVector,
     L_LABELS,
+    Summand,
     a_vee,
     artin_invariant,
     build_lambda,
@@ -32,6 +33,7 @@ from k3lat.ns_glue import (
     independence_check,
     unique_halfline_search,
 )
+from k3lat.root_systems import ClassNormSearch
 from rational_oracles import (
     basis_vector,
     coords,
@@ -74,7 +76,7 @@ def test_base_lattice_shape(ls):
     assert [(s.name, s.kind, s.offset, s.rank) for s in ls.summands[:2]] == [
         ("H", "H", 0, 1), ("P(00)", "D4", 1, 4)
     ]
-    assert ls.summands[-1] == ("Q(inf)", "A1", 21, 1)
+    assert ls.summands[-1] == Summand("Q(inf)", "A1", 21, 1)
 
 
 def test_base_discriminant_is_f2_14(ls):
@@ -419,7 +421,15 @@ def test_halfline_search_rejects_a_misreported_candidate_norm(ls, ns, monkeypatc
     def misreported(sub, cls, floor2):
         search = real(sub, cls, floor2)
         shift = 2 if sub.rank == 4 else 0
-        return search._replace(found=tuple((n2 + shift, x) for n2, x in search.found))
+        return ClassNormSearch(
+            rep=search.rep,
+            max_norm2=search.max_norm2,
+            maximizers=search.maximizers,
+            runner_up2=search.runner_up2,
+            floor2=search.floor2,
+            norms_all_odd=search.norms_all_odd,
+            found=tuple((n2 + shift, x) for n2, x in search.found),
+        )
 
     monkeypatch.setattr(ns_glue, "bounded_class_minimizers", misreported)
     with pytest.raises(GlueError, match="assembled candidate violates the norm or degree condition"):

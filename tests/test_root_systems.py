@@ -27,6 +27,7 @@ from k3lat.ns_glue import (
 )
 from k3lat.root_systems import (
     PositivityFunctional,
+    RootComponent,
     RootSet,
     RootSystemError,
     _norms_all_odd,
@@ -489,7 +490,7 @@ def test_indecomposable_count_equals_rank():
 def test_indecomposable_count_check_fires_on_a_basis_one_short():
     d4 = lattice_D4()
     comp = irreducible_decomposition(enumerate_roots(d4))[0]
-    short = comp._replace(basis=comp.basis[:3])
+    short = RootComponent(comp.lattice, comp.roots, comp.basis[:3])
     with pytest.raises(RootSystemError, match="indecomposable count differs from the component rank"):
         positive_indecomposables(short, dominant_functional(d4))
 
