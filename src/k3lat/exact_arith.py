@@ -13,6 +13,7 @@ the lattice side are mostly zeros.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .frozen import Frozen
@@ -23,7 +24,11 @@ class ExactArithError(ValueError):
 
 
 def _freeze_int(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    out = tuple(tuple(map(int, row)) for row in rows)
+    """The rows as tuples; an entry that is not an int (a bool, a float or a
+    string) raises rather than being coerced."""
+    out = tuple(map(tuple, rows))
+    if not {int}.issuperset(map(type, chain.from_iterable(out))):
+        raise ExactArithError("matrix entries must be int")
     if out and any(len(r) != len(out[0]) for r in out):
         raise ExactArithError("ragged matrix")
     return out
@@ -32,8 +37,9 @@ def _freeze_int(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
 class IntMatrix(Frozen):
     """Immutable integer matrix, row-major."""
 
-    # _elimination: the steps of symmetric_elimination, kept on first use
-    __slots__ = ("entries", "_elimination")
+    # _elimination: the steps of symmetric_elimination, and _columns: the
+    # nonzero entries of each column, both kept on first use
+    __slots__ = ("entries", "_elimination", "_columns")
     entries: tuple[tuple[int, ...], ...]
 
     def __init__(self, entries: Iterable[Iterable[int]]):
@@ -94,13 +100,22 @@ class IntMatrix(Frozen):
         return IntMatrix(out)
 
     def mul_vec(self, v: Sequence[int]) -> tuple[int, ...]:
-        """A v as the sum of x * (column k) over the nonzero coordinates x = v[k]."""
+        """A v as the sum of x * (column k) over the nonzero coordinates x = v[k].
+
+        Each column is visited at its nonzero entries only; they are listed
+        once per matrix, since the Grams are applied to many vectors.
+        """
         if self.cols != len(v):
             raise ExactArithError("dimension mismatch in mul_vec")
+        columns = getattr(self, "_columns", None)
+        if columns is None:
+            columns = tuple([(i, y) for i, y in enumerate(col) if y] for col in zip(*self.entries))
+            object.__setattr__(self, "_columns", columns)
         acc = [0] * self.rows
-        for k, x in enumerate(v):
+        for x, terms in zip(v, columns):
             if x:
-                acc = [s + x * row[k] for s, row in zip(acc, self.entries)]
+                for i, y in terms:
+                    acc[i] += x * y
         return tuple(acc)
 
 
@@ -109,37 +124,53 @@ class IntMatrix(Frozen):
 # ---------------------------------------------------------------------------
 
 def det(a: IntMatrix) -> int:
-    """Exact determinant of a square integer matrix."""
+    """Exact determinant of a square integer matrix.
+
+    Bareiss: with p the pivot of step k and prev the pivot before it (1 at
+    the start), each row below becomes (p * row - f * pivot_row) // prev, f
+    its entry in column k.  A row with f = 0 would only be scaled by
+    p / prev, so it is left as it is until a step needs it; the scalings it
+    skipped since step s telescope to prevs[k] / prevs[s], prevs[k] being
+    prev at step k, and the division is exact because the scaled entries
+    are minors.  Block-diagonal Grams thus skip most rows at most steps.
+    """
     if not a.is_square():
         raise ExactArithError("determinant of a non-square matrix")
     n = a.rows
     if n == 0:
         return 1
     m = [list(row) for row in a.entries]
+    at = [0] * n  # row i holds its values after at[i] steps
+    prevs = [1]
     sign = 1
-    prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             for i in range(k + 1, n):
                 if m[i][k] != 0:
                     m[k], m[i] = m[i], m[k]
+                    at[k], at[i] = at[i], at[k]
                     sign = -sign
                     break
             else:
                 return 0
+        prev = prevs[k]
+        if at[k] < k:
+            s = prevs[at[k]]
+            m[k] = [x * prev // s for x in m[k]]
         p = m[k][k]
         tail = m[k][k + 1 :]
         for i in range(k + 1, n):
             row = m[i]
-            f = row[k]
-            # entries left of column k + 1 are never read again; a row with
-            # f = 0 is only scaled by p / prev, often 1 on unimodular transforms
-            if f:
+            if row[k]:
+                if at[i] < k:
+                    s = prevs[at[i]]
+                    row = [x * prev // s for x in row]
+                f = row[k]
+                # entries left of column k + 1 are never read again
                 m[i] = [0] * (k + 1) + [(x * p - f * y) // prev for x, y in zip(row[k + 1 :], tail)]
-            elif p != prev:
-                m[i] = [0] * (k + 1) + [x * p // prev for x in row[k + 1 :]]
-        prev = p
-    return sign * m[n - 1][n - 1]
+                at[i] = k + 1
+        prevs.append(p)
+    return sign * m[n - 1][n - 1] * prevs[n - 1] // prevs[at[n - 1]]
 
 
 # ---------------------------------------------------------------------------

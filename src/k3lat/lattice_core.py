@@ -265,14 +265,22 @@ class Sublattice(Frozen):
 
 
 def orthogonal_complement(lattice: Lattice, v: DualVector) -> Sublattice:
-    """Saturated orthogonal complement of a lattice vector with v*v != 0."""
+    """Saturated orthogonal complement of a lattice vector with v*v != 0.
+
+    The basis is the integer kernel of v's pairing row, stably sorted by
+    increasing |r.r|.  That is a reordering, not a reduction: a
+    Fincke-Pohst enumeration of the complement's Gram (``short_vectors``)
+    branches on the last coordinate first, so the longest basis vectors sit
+    at the top of its tree, where the intervals are narrowest.
+    """
     if v.lattice != lattice:
         raise LatticeError("vector lives in a different lattice")
     if not v.is_lattice_vector():
         raise LatticeError("complement requires a lattice vector")
     if pairing_numerator(v, v) == 0:
         raise LatticeError("complement requires a vector of nonzero norm")
+    gram = lattice.gram
     basis = kernel_basis(IntMatrix([v.integer_pairings()]))
+    basis.sort(key=lambda r: abs(sum(map(mul, r, gram.mul_vec(r)))))
     b = IntMatrix(basis)
-    gram = b.mul(lattice.gram).mul(b.transpose())
-    return Sublattice(Lattice(gram), b)
+    return Sublattice(Lattice(b.mul(gram).mul(b.transpose())), b)

@@ -14,7 +14,7 @@ import math
 from operator import mul
 from typing import Sequence
 
-from .exact_arith import IntMatrix, hnf_rows, invert, is_prime, rank_mod_p
+from .exact_arith import IntMatrix, hnf_rows, is_prime, rank_mod_p
 from .frozen import Frozen
 from .lattice_core import (
     DiscClass,
@@ -198,12 +198,47 @@ def independence_check(classes: Sequence[GlueVector]) -> tuple[bool, int]:
     return rank == len(classes), rank
 
 
+def _base_in_result(b: IntMatrix, denom: int) -> list[list[int]]:
+    """The integer X with X b = denom I: row i writes e_i in the basis b / denom.
+
+    b is a row Hermite form of full rank n in n columns, so it is upper
+    triangular with a positive diagonal, and so is X.  Row i is solved by
+    back-substitution: rem starts as denom e_i, and for j = i, ..., n - 1
+    x_ij = rem_j / b_jj, then x_ij times row j of b leaves rem.  A division
+    that is not exact means e_i is not an integer combination of the basis.
+    Only the nonzero entries right of each pivot are visited, since the
+    basis is mostly denom on the diagonal.
+    """
+    n = b.rows
+    tails = [
+        [(k, c) for k, c in enumerate(row[j + 1 :], j + 1) if c] for j, row in enumerate(b.entries)
+    ]
+    out = []
+    for i in range(n):
+        rem = [0] * n
+        rem[i] = denom
+        x = [0] * n
+        for j in range(i, n):
+            q, r = divmod(rem[j], b.entries[j][j])
+            if r:
+                raise GlueError("base vector escapes the overlattice")
+            if q:
+                x[j] = q
+                for k, c in tails[j]:
+                    rem[k] -= q * c
+        out.append(x)
+    return out
+
+
 def build_overlattice(base: LabeledSum, glue: Sequence[GlueVector]) -> OverlatticeResult:
     """Saturate the base plus glue into an integral even overlattice.
 
     Glue vectors must pair integrally with the base and each other and have
     even norms; the index equals 2 to the F2-rank of the glue classes and
-    the determinant shrinks by the square of the index.
+    the determinant shrinks by the square of the index.  The basis is the
+    row Hermite form b of denom I and the glue over their common
+    denominator denom, and ``base_in_result`` is X with X b = denom I,
+    solved by back-substitution on the triangular b (``_base_in_result``).
     """
     lattice = base.lattice
     n = lattice.rank
@@ -237,11 +272,7 @@ def build_overlattice(base: LabeledSum, glue: Sequence[GlueVector]) -> Overlatti
     if not is_even(lat):
         raise GlueError("overlattice is not even")
 
-    # e_i = sum_j x_j b_j / denom, so row i of denom * b^-1 writes e_i in the new basis
-    inv_num, inv_den = invert(b)
-    if any(c * denom % inv_den for row in inv_num.entries for c in row):
-        raise GlueError("base vector escapes the overlattice")
-    base_in_result = [[c * denom // inv_den for c in row] for row in inv_num.entries]
+    base_in_result = _base_in_result(b, denom)
 
     d_base = lattice.det()
     d_new = lat.det()

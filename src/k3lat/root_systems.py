@@ -496,29 +496,21 @@ def _class_search(lattice: Lattice, cls: DiscClass, floor2: int) -> ClassNormSea
     """The search behind bounded_class_minimizers, memoized per (lattice, class, floor).
 
     The representative is the class's component, and the parity of its norm
-    is the parity of every norm in the class (``_norms_all_odd``).  The
-    enumeration runs over y = num + den x with y^T (-G) y <= -floor2 den^2 / 2,
-    which is norm2 >= floor2, and keeps the y with G y >= 0.
+    is the parity of every norm in the class (``_norms_all_odd``).  With
+    y = num + den x, norm2 >= floor2 is y^T (-G) y <= -floor2 den^2 / 2, so
+    the floor asks for the coset scan (``_coset_scan``) at the bound
+    floor(-floor2 den^2 / 2), and floors that round to one bound share it.
+    Every point of that scan has norm2 >= -2 bound / den^2 >= floor2, and
+    every point outside it has norm2 < floor2, so the scan is ``found``.
     """
     num, den = cls.component
     rep = DualVector(lattice, num, den)
     if 2 * pairing_numerator(rep, rep) % (den * den):
         raise RootSystemError("representative norm is not half-integral")
     all_odd = _norms_all_odd(lattice, rep)
-    gram = lattice.gram
-    rows = list(zip(gram.mul_vec(num), gram.entries))
-    found = []
-    for x in short_vectors(gram, -floor2 * den * den // 2, (num, den)):
-        # G y = G num + den G x, row by row: most points leave the cone early
-        for gnum, row in rows:
-            if gnum + den * sum(map(mul, row, x)) < 0:
-                break
-        else:
-            y = [a + den * b for a, b in zip(num, x)]
-            found.append((2 * sum(map(mul, y, gram.mul_vec(y))) // (den * den), x))
+    found = _coset_scan(lattice, cls, -floor2 * den * den // 2)
     if not found:
         raise RootSystemError("empty constrained search")
-    found.sort(key=lambda t: (-t[0], t[1]))
     max_norm2 = found[0][0]
     maximizers = tuple(rep + DualVector(lattice, x) for norm2, x in found if norm2 == max_norm2)
     rest = [norm2 for norm2, _ in found if norm2 < max_norm2]
@@ -529,5 +521,29 @@ def _class_search(lattice: Lattice, cls: DiscClass, floor2: int) -> ClassNormSea
         runner_up2=max(rest) if rest else None,
         floor2=floor2,
         norms_all_odd=all_odd,
-        found=tuple(found),
+        found=found,
     )
+
+
+@functools.cache
+def _coset_scan(
+    lattice: Lattice, cls: DiscClass, bound: int
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Every (norm2, x) of the class's coset with y = num + den x,
+    y^T (-G) y <= bound and G y >= 0, sorted by (-norm2, x): the Fincke-Pohst
+    enumeration (``short_vectors``), memoized per (lattice, class, bound).
+    """
+    num, den = cls.component
+    gram = lattice.gram
+    rows = list(zip(gram.mul_vec(num), gram.entries))
+    found = []
+    for x in short_vectors(gram, bound, (num, den)):
+        # G y = G num + den G x, row by row: most points leave the cone early
+        for gnum, row in rows:
+            if gnum + den * sum(map(mul, row, x)) < 0:
+                break
+        else:
+            y = [a + den * b for a, b in zip(num, x)]
+            found.append((2 * sum(map(mul, y, gram.mul_vec(y))) // (den * den), x))
+    found.sort(key=lambda t: (-t[0], t[1]))
+    return tuple(found)

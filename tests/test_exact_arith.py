@@ -138,8 +138,10 @@ def test_products_match_the_dense_definition():
         cols = list(zip(*b))
         dense = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
         assert IntMatrix(a).mul(IntMatrix(b)).entries == dense
+        # one matrix for all three vectors: its column lists are kept after the first
+        m = IntMatrix(a)
         for v in (_sparse_random(rng, 1, k)[0], [0] * k, [rng.randrange(-9, 10) for _ in range(k)]):
-            assert IntMatrix(a).mul_vec(v) == tuple(sum(map(mul, row, v)) for row in a)
+            assert m.mul_vec(v) == tuple(sum(map(mul, row, v)) for row in a)
 
 
 def test_products_reject_a_dimension_mismatch():
@@ -152,6 +154,26 @@ def test_products_reject_a_dimension_mismatch():
         a.mul_vec((1, 2))
     with pytest.raises(ExactArithError):
         a.mul_vec((0, 0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[2.5, 1], [True, -2.9]], [[1, 2], [3, "3"]], [[2.0]], [[1, 0], [0, False]], [[Fraction(2)]]],
+    ids=["float-and-bool", "string", "integral-float", "bool", "fraction"],
+)
+def test_int_matrix_rejects_entries_that_are_not_int(rows):
+    # nothing is coerced: 2.5 would become 2, True 1 and "3" 3
+    with pytest.raises(ExactArithError, match="entries must be int"):
+        IntMatrix(rows)
+    with pytest.raises(ExactArithError, match="entries must be int"):
+        IntMatrix(iter(map(iter, rows)))
+
+
+def test_int_matrix_keeps_int_entries_and_rejects_ragged_rows():
+    assert IntMatrix(iter([iter([1, -2]), (3, 2**70)])).entries == ((1, -2), (3, 2**70))
+    assert IntMatrix([]).entries == ()
+    with pytest.raises(ExactArithError, match="ragged"):
+        IntMatrix([[1, 2], [3]])
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +280,24 @@ def test_det_random_vs_cofactor():
         n = rng.randrange(1, 5)
         a = IntMatrix([[rng.randrange(-8, 9) for _ in range(n)] for _ in range(n)])
         assert det(a) == det_cofactor(a)
+
+
+def test_det_sparse_random_vs_cofactor():
+    # mostly zeros: rows skip steps, and rows swapped up as pivots lag behind,
+    # so the deferred scalings are exercised; zero rows and columns included
+    rng = random.Random(28)
+    zero = 0
+    for _ in range(300):
+        n = rng.randrange(1, 7)
+        a = IntMatrix(_sparse_random(rng, n, n))
+        d = det(a)
+        assert d == det_cofactor(a)
+        zero += d == 0
+    assert 0 < zero < 300
+    # step 1 has a zero pivot and swaps in row 3, which skipped step 0 while
+    # the row it replaces did not
+    a = IntMatrix([[3, 0, 2, 3], [-2, 0, 0, 0], [2, 0, -2, 2], [0, 2, 0, 1]])
+    assert det(a) == det_cofactor(a) == 40
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +590,8 @@ def test_invert_matches_rational_oracle_on_lattice_matrices(lattice_matrices):
         num, den = invert(a)
         assert den > 0
         assert as_fractions((num, den)) == invert_rational(to_rational(a))
+        # the Gauss-Jordan denominator is |det|, an independent route to it
+        assert abs(det(a)) == den
 
 
 def test_inertia_matches_rational_oracle_on_lattice_grams(lattice_matrices):

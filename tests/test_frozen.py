@@ -141,6 +141,7 @@ def test_rebuilt_lattice_hits_the_class_search_memo(monkeypatch):
 
     monkeypatch.setattr(root_systems, "short_vectors", counting)
     root_systems._class_search.cache_clear()
+    root_systems._coset_scan.cache_clear()
     first, second = Lattice(lattice_D4().gram), Lattice(lattice_D4().gram)
     a = bounded_class_minimizers(first, class_of(first.zero()))
     b = bounded_class_minimizers(second, class_of(second.zero()))

@@ -1,7 +1,9 @@
+import collections
 import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -237,7 +239,80 @@ def test_overlattice_matches_rational_oracle(ls, case):
     assert res.base_in_result.entries == base_rows
 
 
-def test_overlattice_makes_one_inverse(ls, monkeypatch):
+def _gauss_jordan_base_in_result(b: IntMatrix, denom: int):
+    """The Gauss-Jordan route kept as an oracle: row i of denom * b^-1 writes
+    e_i in the basis b / denom, or None when some entry is not an integer."""
+    num, den = exact_arith.invert(b)
+    if any(c * denom % den for row in num.entries for c in row):
+        return None
+    return tuple(tuple(c * denom // den for c in row) for row in num.entries)
+
+
+def _buildable_glue_subsets(ls):
+    """Every subset of the five half-line and three extra classes that pairs
+    integrally: the 128 with at most one extra class."""
+    glue = [halfline_class(ls, lam) for lam in L_LABELS]
+    glue += [extra_glue_class(ls, c) for c in EXTRA_GLUE_CHOICES]
+    for size in range(len(glue) + 1):
+        for subset in itertools.combinations(glue, size):
+            if sum(gv.name.startswith("G(") for gv in subset) <= 1:
+                yield subset
+
+
+def test_base_in_result_matches_the_gauss_jordan_oracle(ls):
+    # the CLI's overlattices (the five half-lines, with and without each
+    # extra class) are among the 128 buildable glue subsets
+    cli_sets = {tuple(L_LABELS)} | {tuple(L_LABELS) + (c,) for c in EXTRA_GLUE_CHOICES}
+    seen = set()
+    for glue in _buildable_glue_subsets(ls):
+        res = build_overlattice(ls, glue)
+        denom = math.lcm(*(gv.vector.den for gv in glue))
+        assert res.base_in_result.entries == _gauss_jordan_base_in_result(res.basis_num, denom)
+        seen.add(tuple(gv.name[2:-1] for gv in glue))
+    assert len(seen) == 128 and cli_sets <= seen
+
+
+def test_back_substitution_matches_the_gauss_jordan_oracle_on_random_bases():
+    # Hermite bases of denom I plus random rows, over denominators other than
+    # 2, each also with one row doubled: where the oracle's entries are
+    # integers the two agree, and where they are not the back-substitution
+    # raises
+    rng = random.Random(2028)
+    outcomes = collections.Counter()
+    for _ in range(60):
+        n, denom = rng.randrange(1, 7), rng.choice([2, 3, 4, 6])
+        rows = [[denom * (i == j) for j in range(n)] for i in range(n)]
+        rows += [[rng.randrange(-denom, denom) for _ in range(n)] for _ in range(rng.randrange(3))]
+        b = hnf_rows(IntMatrix(rows))
+        k = rng.randrange(n)
+        for basis in (b, [tuple(2 * c for c in row) if i == k else row for i, row in enumerate(b)]):
+            basis = IntMatrix(basis)
+            expected = _gauss_jordan_base_in_result(basis, denom)
+            if expected is None:
+                with pytest.raises(GlueError, match="base vector escapes the overlattice"):
+                    ns_glue._base_in_result(basis, denom)
+            else:
+                assert tuple(map(tuple, ns_glue._base_in_result(basis, denom))) == expected
+            outcomes[expected is None] += 1
+    assert outcomes[True] > 20 and outcomes[False] > 60
+
+
+def test_overlattice_rejects_a_basis_that_misses_a_base_vector(ls, monkeypatch):
+    # the Hermite basis with its last row doubled: triangular, of full rank,
+    # with an integral even form, but e_22 is not an integer combination of it
+    real = ns_glue.hnf_rows
+
+    def doubled_last_row(a):
+        rows = real(a)
+        return rows[:-1] + [tuple(2 * c for c in rows[-1])]
+
+    monkeypatch.setattr(ns_glue, "hnf_rows", doubled_last_row)
+    glue = tuple(halfline_class(ls, lam) for lam in L_LABELS)
+    with pytest.raises(GlueError, match="base vector escapes the overlattice"):
+        build_overlattice(ls, glue)
+
+
+def test_overlattice_takes_no_inverse(ls, monkeypatch):
     glue = tuple(halfline_class(ls, lam) for lam in L_LABELS) + (extra_glue_class(ls, "w"),)
     calls = []
 
@@ -254,7 +329,7 @@ def test_overlattice_makes_one_inverse(ls, monkeypatch):
             assert module.invert is real, name
             monkeypatch.setattr(module, "invert", counted(real))
     build_overlattice(ls, glue)
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_overlattice_rejects_bad_glue(ls):
@@ -407,6 +482,7 @@ def test_halfline_searches_scan_each_class_once(ls, ns, monkeypatch):
 
     monkeypatch.setattr(root_systems, "short_vectors", counting)
     root_systems._class_search.cache_clear()
+    root_systems._coset_scan.cache_clear()
     for lam in L_LABELS:
         assert unique_halfline_search(ls, lam, ns).is_unique_expected()
     assert len(calls) == 5

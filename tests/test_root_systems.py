@@ -217,6 +217,35 @@ def test_short_vectors_match_rational_oracle_on_the_complement():
     assert got == rational_short_vectors(gram, 2)
 
 
+@pytest.mark.parametrize("extra", [None, "1", "w", "wb"])
+def test_ordered_complement_has_the_roots_of_the_kernel_basis(extra):
+    # the complement basis is the kernel of h's pairing row, stably sorted by
+    # |r.r|; the unsorted kernel basis is the oracle, and its roots, mapped
+    # into the overlattice, are the same set
+    ls = build_lambda()
+    glue = tuple(halfline_class(ls, lam) for lam in L_LABELS)
+    if extra is not None:
+        glue += (extra_glue_class(ls, extra),)
+    ns = build_overlattice(ls, glue)
+    h = ns.h_in_result()
+    comp = orthogonal_complement(ns.lattice, h)
+    kernel = IntMatrix(exact_arith.kernel_basis(IntMatrix([h.integer_pairings()])))
+    ordered = comp.basis_in_ambient
+    gram = ns.lattice.gram
+    assert ordered.entries == tuple(
+        sorted(kernel.entries, key=lambda r: abs(sum(map(mul, r, gram.mul_vec(r)))))
+    )
+    assert ordered.entries != kernel.entries
+
+    def in_ambient(lattice: Lattice, basis: IntMatrix) -> set:
+        return {basis.transpose().mul_vec(r) for r in enumerate_roots(lattice).roots}
+
+    unordered = Lattice(kernel.mul(ns.lattice.gram).mul(kernel.transpose()))
+    roots = in_ambient(comp.lattice, ordered)
+    assert roots == in_ambient(unordered, kernel)
+    assert len(roots) == 106
+
+
 def _random_even_negative_definite(rng: random.Random, n: int) -> IntMatrix:
     while True:
         b = IntMatrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
@@ -1162,6 +1191,7 @@ def test_d4_class_searches_at_box_16_fit_the_budget():
     # hyperplane bound, which covers everything the box 16 scan and its
     # certificate did; the parity is read off each representative's norm
     root_systems._class_search.cache_clear()
+    root_systems._coset_scan.cache_clear()
     floors = []
     for lattice, cls in _every_class():
         if lattice.rank == 4:
