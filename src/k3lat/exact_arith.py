@@ -4,8 +4,8 @@ Everything here runs on arbitrary-precision integers; there is no
 floating point and no rational type.  The kernels are fraction-free:
 determinants, the inverse and the symmetric elimination behind the
 signature all run Bareiss updates on integers, and the inverse comes back
-as an integer matrix over one denominator.  Integer kernels come from the
-row Hermite form and are re-checked on every call.  Products visit only
+as an integer matrix over one denominator.  The row Hermite form gives
+the overlattice bases.  Products visit only
 the nonzero entries of their factors, since the Grams and embeddings of
 the lattice side are mostly zeros.
 """
@@ -332,28 +332,8 @@ def rank_mod_p(a: IntMatrix, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# integer kernels and Hermite form (row style)
+# Hermite form (row style)
 # ---------------------------------------------------------------------------
-
-def kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
-    """Saturated basis of the right integer kernel {x : A x = 0}.
-
-    The row Hermite form of [A^T | I] is T [A^T | I] with T unimodular, and
-    T is its right block.  The rows of T whose left block is zero are the
-    t with A t = 0, and they span the kernel saturated because T is
-    unimodular.  Both facts are re-checked on every call: A t = 0 on each
-    kernel row, and |det T| = 1 by Bareiss.
-    """
-    m, n = a.rows, a.cols
-    at = a.transpose().entries
-    rows = hnf_rows(IntMatrix([list(at[i]) + [int(i == j) for j in range(n)] for i in range(n)]))
-    kernel = [row[m:] for row in rows if not any(row[:m])]
-    if any(any(a.mul_vec(t)) for t in kernel):
-        raise ExactArithError("kernel verification failed: A t != 0")
-    if abs(det(IntMatrix([row[m:] for row in rows]))) != 1:
-        raise ExactArithError("kernel verification failed: transform not unimodular")
-    return kernel
-
 
 def hnf_rows(a: IntMatrix) -> list[tuple[int, ...]]:
     """Row Hermite form; returns the nonzero rows (a Z-basis of the row span)."""

@@ -26,7 +26,6 @@ from .exact_arith import (
     inertia,
     invert,
     is_prime,
-    kernel_basis,
     rank_mod_p,
 )
 from .frozen import Frozen
@@ -61,9 +60,6 @@ class Lattice(Frozen):
     def inertia(self) -> tuple[int, int, int]:
         """Signature counts of the Gram, read off the elimination kept on it."""
         return inertia(self.gram)
-
-    def is_negative_definite(self) -> bool:
-        return self.inertia() == (0, self.rank, 0)
 
     def zero(self) -> "DualVector":
         return DualVector(self, [0] * self.rank)
@@ -119,9 +115,6 @@ class DualVector(Frozen):
     def _same(self, other: "DualVector") -> None:
         if self.lattice != other.lattice:
             raise LatticeError("vectors live in different lattices")
-
-    def is_lattice_vector(self) -> bool:
-        return self.den == 1
 
     def pairing_numerators(self) -> tuple[int, ...]:
         """G num, computed once: the pairings with the basis are G num / den."""
@@ -246,41 +239,3 @@ def class_of(v: DualVector) -> DiscClass:
         raise LatticeError("vector does not pair integrally with the lattice")
     r = DualVector(v.lattice, [c % v.den for c in v.num], v.den)
     return DiscClass(v.lattice, (r.num, r.den))
-
-
-# ---------------------------------------------------------------------------
-# orthogonal complements
-# ---------------------------------------------------------------------------
-
-class Sublattice(Frozen):
-    """A primitive sublattice presented by its own Gram plus an embedding.
-
-    ``basis_in_ambient`` rows are the coordinates of the sublattice basis in
-    the ambient lattice basis.
-    """
-
-    __slots__ = ("lattice", "basis_in_ambient")
-    lattice: Lattice
-    basis_in_ambient: IntMatrix
-
-
-def orthogonal_complement(lattice: Lattice, v: DualVector) -> Sublattice:
-    """Saturated orthogonal complement of a lattice vector with v*v != 0.
-
-    The basis is the integer kernel of v's pairing row, stably sorted by
-    increasing |r.r|.  That is a reordering, not a reduction: a
-    Fincke-Pohst enumeration of the complement's Gram (``short_vectors``)
-    branches on the last coordinate first, so the longest basis vectors sit
-    at the top of its tree, where the intervals are narrowest.
-    """
-    if v.lattice != lattice:
-        raise LatticeError("vector lives in a different lattice")
-    if not v.is_lattice_vector():
-        raise LatticeError("complement requires a lattice vector")
-    if pairing_numerator(v, v) == 0:
-        raise LatticeError("complement requires a vector of nonzero norm")
-    gram = lattice.gram
-    basis = kernel_basis(IntMatrix([v.integer_pairings()]))
-    basis.sort(key=lambda r: abs(sum(map(mul, r, gram.mul_vec(r)))))
-    b = IntMatrix(basis)
-    return Sublattice(Lattice(b.mul(gram).mul(b.transpose())), b)

@@ -10,6 +10,7 @@ the invariant to 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from operator import mul
 from typing import Sequence
@@ -20,21 +21,20 @@ from .lattice_core import (
     DiscClass,
     DualVector,
     Lattice,
-    Sublattice,
     class_of,
     is_even,
     lattice_A1,
     lattice_D4,
     lattice_hyperbolic2,
-    orthogonal_complement,
     pairing_numerator,
     ratio,
 )
 from .root_systems import (
     PositivityFunctional,
+    RootSet,
     ade_type,
     bounded_class_minimizers,
-    enumerate_roots,
+    coset_points,
     irreducible_decomposition,
     root_type,
 )
@@ -167,10 +167,11 @@ def extra_glue_class(ls: LabeledSum, c: str) -> GlueVector:
 # ---------------------------------------------------------------------------
 
 class OverlatticeResult(Frozen):
-    __slots__ = ("base", "lattice", "basis_num", "base_in_result", "index")
+    __slots__ = ("base", "lattice", "basis_num", "denom", "base_in_result", "index")
     base: LabeledSum
     lattice: Lattice
-    basis_num: IntMatrix  # rows over a common denominator: new basis in base coordinates
+    basis_num: IntMatrix  # rows over denom: new basis in base coordinates
+    denom: int
     base_in_result: IntMatrix  # rows: base basis in new coordinates
     index: int
 
@@ -185,6 +186,27 @@ class OverlatticeResult(Frozen):
 
     def h_in_result(self) -> DualVector:
         return DualVector(self.lattice, self.base_in_result.entries[0])
+
+    def glue_classes(self) -> list[tuple[int, ...]]:
+        """The classes of the overlattice modulo the base, as numerators over
+        denom reduced mod denom, sorted.
+
+        They are the basis rows mod the base, closed under addition: the
+        classes found so far form a group, so a row whose class is already
+        there adds nothing, and a new class g adds the cosets of its
+        multiples.  Their count must be the index.
+        """
+        d = self.denom
+        classes = {(0,) * self.lattice.rank}
+        for row in self.basis_num.entries:
+            g = tuple(c % d for c in row)
+            new = classes if g not in classes else set()
+            while new:
+                new = {tuple((a + b) % d for a, b in zip(c, g)) for c in new} - classes
+                classes |= new
+        if len(classes) != self.index:
+            raise GlueError(f"{len(classes)} glue classes for an overlattice of index {self.index}")
+        return sorted(classes)
 
 
 def independence_check(classes: Sequence[GlueVector]) -> tuple[bool, int]:
@@ -283,7 +305,7 @@ def build_overlattice(base: LabeledSum, glue: Sequence[GlueVector]) -> Overlatti
     index = 2**glue_rank
     if drop != index * index:
         raise GlueError("index does not match the F2-rank of the glue classes")
-    return OverlatticeResult(base, lat, b, IntMatrix(base_in_result), index)
+    return OverlatticeResult(base, lat, b, denom, IntMatrix(base_in_result), index)
 
 
 def artin_invariant(lattice: Lattice, p: int) -> int:
@@ -308,23 +330,84 @@ def artin_invariant(lattice: Lattice, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the budgeted walk over the summands
+# ---------------------------------------------------------------------------
+
+def _budget_walk(
+    lists: Sequence[Sequence[tuple[int, tuple[int, ...]]]], budget: int
+) -> tuple[list[tuple[int, ...]], int]:
+    """Every choice of one (norm, part) from each list whose norms add up to
+    the budget, as the concatenation of its parts, and the number of leaves
+    the walk reached.
+
+    The norms are integers in one unit, and each list is sorted by
+    decreasing norm.  max_tail[i] is the most the lists from i on can still
+    add, so the rest of a list is cut at its first entry that can no longer
+    reach the budget.  The parts are numerator rows over one denominator,
+    so a leaf is one row, not a sum of vectors.
+    """
+    max_tail = [0] * (len(lists) + 1)
+    for i in range(len(lists) - 1, -1, -1):
+        max_tail[i] = max_tail[i + 1] + (lists[i][0][0] if lists[i] else 0)
+    hits: list[tuple[int, ...]] = []
+    checked = 0
+
+    def walk(i: int, used: int, prefix: tuple[int, ...]) -> None:
+        nonlocal checked
+        if i == len(lists):
+            checked += 1
+            if used == budget:
+                hits.append(prefix)
+            return
+        for norm, part in lists[i]:
+            if used + norm + max_tail[i + 1] < budget:
+                break
+            walk(i + 1, used + norm, prefix + part)
+
+    if max_tail[0] >= budget:
+        walk(0, 0, ())
+    return hits, checked
+
+
+# ---------------------------------------------------------------------------
 # the exceptional-root analysis of the polarization complement
 # ---------------------------------------------------------------------------
 
-def canonical_positivity(ns: OverlatticeResult, comp: Sublattice) -> PositivityFunctional:
-    """Positivity functional on a sublattice of the overlattice, induced by
-    pairing against the sum of all dual basis vectors of the exceptional
-    summands.
+def canonical_positivity(ns: OverlatticeResult) -> PositivityFunctional:
+    """Positivity functional on the overlattice, induced by pairing against
+    the sum of all dual basis vectors of the exceptional summands.
 
     That dual vector pairs to +1 with each of the 21 exceptional classes and
     to 0 with the polarization, so the distinguished simple roots come out
-    positive; the form on the sublattice basis is that 0/1 pairing vector
-    pushed through the two embeddings, up to the positive common denominator
-    of the overlattice basis.
+    positive; the form on the overlattice basis is that 0/1 pairing vector
+    pushed through the basis rows, up to their positive common denominator.
     """
     w_pairings = [0 if s.kind == "H" else 1 for s in ns.base.summands for _ in range(s.rank)]
-    form = comp.basis_in_ambient.mul_vec(ns.basis_num.mul_vec(w_pairings))
-    return PositivityFunctional(tuple(form))
+    return PositivityFunctional(ns.basis_num.mul_vec(w_pairings))
+
+
+@functools.cache
+def _root_candidates(
+    sub: Lattice, num: tuple[int, ...], den: int
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(q, y) for every vector y / den of norm at least -2 in the class of
+    num / den in one summand, with q = y^T G y its norm in units of 1/den^2,
+    sorted by (-q, y).
+
+    With d the class's reduced denominator, these are the points of its
+    coset enumeration at the bound 2 d^2 (``coset_points``, shared with the
+    class searches), scaled to den.
+    """
+    cls = class_of(DualVector(sub, num, den))
+    rep, d = cls.component
+    scale = den // d
+    gram = sub.gram
+    out = []
+    for x in coset_points(sub, cls, 2 * d * d):
+        y = tuple((a + d * b) * scale for a, b in zip(rep, x))
+        out.append((sum(map(mul, y, gram.mul_vec(y))), y))
+    out.sort(key=lambda t: (-t[0], t[1]))
+    return tuple(out)
 
 
 class ExceptionalRootReport(Frozen):
@@ -344,25 +427,80 @@ class ExceptionalRootReport(Frozen):
     total_component_rank: int
 
 
+def polarization_roots(ns: OverlatticeResult) -> RootSet:
+    """The roots of the overlattice orthogonal to the polarization h = e_0,
+    in overlattice coordinates.
+
+    Such a root has H-coordinate 0, so it is a sum of one vector per
+    exceptional summand, each in the summand class that the glue class of
+    the root fixes; their norms are at most 0 and add up to -2.  So the
+    budgeted walk (``_budget_walk``) over the lists of norm >= -2
+    (``_root_candidates``) of each glue class with zero H part
+    (``OverlatticeResult.glue_classes``) finds every root, in base
+    coordinates over denom, with the budget -2 in units of 1/denom^2.  The
+    summand table lists H first and the exceptional summands after it in
+    offset order, so a walk's row, after the zero H part, is the root's
+    numerator row.  Each root is mapped into overlattice coordinates
+    through base_in_result, where a division that is not exact raises; its
+    norm -2 and h.r = 0 are re-derived through the overlattice Gram, and
+    the root set must be closed under negation.
+    """
+    ls = ns.base
+    d = ns.denom
+    (hs,) = [s for s in ls.summands if s.kind == "H"]
+    exceptional = [s for s in ls.summands if s.kind != "H"]
+    to_result = ns.base_in_result.transpose()
+    roots = []
+    for c in ns.glue_classes():
+        if any(c[hs.offset : hs.offset + hs.rank]):
+            continue
+        lists = [
+            _root_candidates(ls.summand_lattice(s), c[s.offset : s.offset + s.rank], d)
+            for s in exceptional
+        ]
+        for row in _budget_walk(lists, -2 * d * d)[0]:
+            dx = to_result.mul_vec((0,) * hs.rank + row)
+            if any(x % d for x in dx):
+                raise GlueError("a root of the summands is not in the overlattice")
+            roots.append(tuple(x // d for x in dx))
+    rs = RootSet(ns.lattice, roots)
+    h = ns.h_in_result().num
+    for r, gr in zip(rs.roots, rs.gram_images()):
+        if sum(map(mul, r, gr)) != -2 or sum(map(mul, h, gr)):
+            raise GlueError("a root violates the norm or degree condition in the overlattice")
+    members = set(rs.roots)
+    if any(tuple(-x for x in r) not in members for r in rs.roots):
+        raise GlueError("root set is not closed under negation")
+    return rs
+
+
 def exceptional_root_analysis(ns: OverlatticeResult) -> ExceptionalRootReport:
-    """Roots orthogonal to the polarization class, decomposed and typed."""
-    h = ns.h_in_result()
-    comp = orthogonal_complement(ns.lattice, h)
-    alpha = canonical_positivity(ns, comp)
-    roots = enumerate_roots(comp.lattice)
-    comps = irreducible_decomposition(roots)
-    labels = [ade_type(c, alpha) for c in comps]
+    """Roots orthogonal to the polarization class (``polarization_roots``),
+    decomposed and typed.
+
+    The overlattice spans the base over Q, so by Sylvester's law of inertia
+    the complement of h has the base's signature less the sign of h^2 (the
+    H summand is non-degenerate), read off the elimination kept on the base
+    Gram.  The component ranks are those of their types (``ade_type``).
+    """
+    rs = polarization_roots(ns)
+    alpha = canonical_positivity(ns)
+    labels = [ade_type(c, alpha) for c in irreducible_decomposition(rs)]
     counted: dict[str, int] = {}
     for lbl in labels:
         counted[lbl] = counted.get(lbl, 0) + 1
     ordered = sorted(counted.items(), key=lambda kv: (-int(kv[0][1:]), kv[0]))
+    base = ns.base.lattice
+    pos, neg, zero = base.inertia()
+    (hs,) = [s for s in ns.base.summands if s.kind == "H"]
+    h2 = base.gram.entries[hs.offset][hs.offset]
     return ExceptionalRootReport(
-        complement_rank=comp.lattice.rank,
-        complement_inertia=comp.lattice.inertia(),
-        root_count=len(roots),
+        complement_rank=ns.lattice.rank - 1,
+        complement_inertia=(pos - (h2 > 0), neg - (h2 < 0), zero),
+        root_count=len(rs),
         component_types=tuple(labels),
         type_string=root_type(ordered),
-        total_component_rank=sum(c.rank for c in comps),
+        total_component_rank=sum(int(lbl[1:]) for lbl in labels),
     )
 
 
@@ -405,20 +543,23 @@ def _summand_candidates(
     sub: Lattice,
     cls: DiscClass,
     budget2: int,
-) -> tuple[tuple[int, DualVector], ...]:
-    """(norm2, v) for all dual vectors v of one summand in a given class with
-    norm2 = 2 v*v >= budget2 and non-negative pairing against the summand's
-    basis roots.
+    den: int,
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(norm2, y) for all dual vectors y / den of one summand in a given
+    class with norm2 = 2 v*v >= budget2 and non-negative pairing against the
+    summand's basis roots.
 
     These are the ``found`` vectors of the class search down to the budget,
     which is exhaustive by construction; bounded_class_minimizers memoizes
     it per (lattice, class, floor), so each class is enumerated once per
-    process.
+    process.  found is sorted by (-norm2, x), and rep + x keeps that order.
     """
     search = bounded_class_minimizers(sub, cls, budget2)
-    rep = search.rep
-    # found is sorted by (-norm2, x); adding rep keeps that order on coordinates
-    return tuple((norm2, rep + DualVector(sub, x)) for norm2, x in search.found)
+    rep, d = search.rep.num, search.rep.den
+    scale = den // d
+    return tuple(
+        (norm2, tuple((a + d * b) * scale for a, b in zip(rep, x))) for norm2, x in search.found
+    )
 
 
 def unique_halfline_search(
@@ -429,67 +570,45 @@ def unique_halfline_search(
     half-line glue vector.
 
     The search fixes the polarization component (norm 1/2), then walks the
-    summands with the remaining norm budget of -5/2 threaded as a running
-    bound.  Summand norms are in 1/2 Z, so the walk counts in half-units:
-    the budget is -5 and each candidate adds 2 v*v.
+    summands (``_budget_walk``) with the remaining norm budget of -5/2.
+    Summand norms are in 1/2 Z, so the walk counts in half-units: the
+    budget is -5 and each candidate adds 2 v*v.  The candidates are
+    numerator rows over the target's denominator, and the summand table
+    lists H first and the exceptional summands after it in offset order, so
+    the H part followed by a walk's row is one candidate vector.
     """
     target = halfline_class(ls, lam).vector
     target_class = class_of(target)
     budget2 = -5
+    den = target.den
 
-    per_summand: list[tuple[Summand, tuple[tuple[int, DualVector], ...]]] = []
+    head: tuple[int, ...] = ()
+    lists = []
     counts: dict[str, int] = {}
     for s in ls.summands:
         if s.kind == "H":
+            head = target.num[s.offset : s.offset + s.rank]
             continue
         sub = ls.summand_lattice(s)
-        comp = ls.component(target, s)
-        cands = _summand_candidates(sub, class_of(comp), budget2)
-        per_summand.append((s, cands))
+        cands = _summand_candidates(sub, class_of(ls.component(target, s)), budget2, den)
+        lists.append(cands)
         counts[s.name] = len(cands)
 
-    # D4 components first, then A1: mirrors the budget pruning order
-    per_summand.sort(key=lambda t: (t[0].kind != "D4", t[0].offset))
-    max_tail = [0] * (len(per_summand) + 1)
-    for i in range(len(per_summand) - 1, -1, -1):
-        best = per_summand[i][1][0][0] if per_summand[i][1] else 0
-        max_tail[i] = max_tail[i + 1] + best
-
+    rows, checked = _budget_walk(lists, budget2)
     results: list[DualVector] = []
-    checked = 0
-    choice: list[tuple[int, DualVector]] = []
-
-    def walk(i: int, used: int) -> None:
-        nonlocal checked
-        if used + max_tail[i] < budget2:
-            return
-        if i == len(per_summand):
-            checked += 1
-            if used != budget2:
-                return
-            v = h_vee(ls) + ls.assemble(
-                {s.name: part for (s, _), (_, part) in zip(per_summand, choice)}
-            )
-            # position 0 pairs with the polarization, the other 21 with the exceptional classes
-            gv = v.integer_pairings()
-            if pairing_numerator(v, v) != -2 * v.den * v.den or gv[0] != 1:
-                raise GlueError("assembled candidate violates the norm or degree condition")
-            if any(x < 0 for x in gv[1:]):
-                return
-            if class_of(v) != target_class:
-                raise GlueError("assembled candidate left the glue class")
-            if ns.to_result_coords(v) is None:
-                raise GlueError("assembled candidate is not in the overlattice")
-            results.append(v)
-            return
-        for norm2, part in per_summand[i][1]:
-            if used + norm2 + max_tail[i + 1] < budget2:
-                break
-            choice.append((norm2, part))
-            walk(i + 1, used + norm2)
-            choice.pop()
-
-    walk(0, 0)
+    for row in rows:
+        v = DualVector(ls.lattice, head + row, den)
+        # position 0 pairs with the polarization, the other 21 with the exceptional classes
+        gv = v.integer_pairings()
+        if pairing_numerator(v, v) != -2 * v.den * v.den or gv[0] != 1:
+            raise GlueError("assembled candidate violates the norm or degree condition")
+        if any(x < 0 for x in gv[1:]):
+            continue
+        if class_of(v) != target_class:
+            raise GlueError("assembled candidate left the glue class")
+        if ns.to_result_coords(v) is None:
+            raise GlueError("assembled candidate is not in the overlattice")
+        results.append(v)
     # every result is in the class of target, so all share its denominator
     results.sort(key=lambda v: v.num)
     return HalflineSearchResult(

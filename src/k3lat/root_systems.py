@@ -1,9 +1,10 @@
 """Roots of even negative-definite lattices.
 
-Enumeration of norm -2 vectors by exact lattice-point search, irreducible
-decomposition, positive and indecomposable roots with respect to a
-positivity functional, Dynkin-diagram classification, and the bounded
-dual-class norm searches used by the glue-vector uniqueness arguments.
+Exact lattice-point search on a lattice or a coset of it, irreducible
+decomposition of a root set, positive and indecomposable roots with
+respect to a positivity functional, Dynkin-diagram classification, and the
+bounded dual-class norm searches used by the glue-vector uniqueness
+arguments.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from operator import add, mul, sub
 from typing import Iterable, Sequence
 
-from .exact_arith import IntMatrix, hnf_rows, symmetric_elimination
+from .exact_arith import IntMatrix, symmetric_elimination
 from .frozen import Frozen
 from .lattice_core import (
     DiscClass,
@@ -129,45 +130,17 @@ class RootSet(Frozen):
         return cached
 
 
-def enumerate_roots(lattice: Lattice) -> RootSet:
-    """The complete set of lattice vectors of norm -2."""
-    if not is_even(lattice):
-        raise RootSystemError("root enumeration requires an even lattice")
-    if not lattice.is_negative_definite():
-        raise RootSystemError("root enumeration requires a negative-definite lattice")
-    gram = lattice.gram
-    # the enumeration is exact; the norm is re-derived through G v regardless,
-    # and the G v are kept for the pairing graph
-    roots, images = [], []
-    for v in short_vectors(gram, 2):
-        gv = gram.mul_vec(v)
-        if sum(map(mul, v, gv)) == -2:
-            roots.append(v)
-            images.append(gv)
-    rs = RootSet(lattice, roots)
-    object.__setattr__(rs, "_groots", tuple(images))
-    rset = set(rs.roots)
-    for v in rs.roots:
-        if tuple(-c for c in v) not in rset:
-            raise RootSystemError("root set is not closed under negation")
-    return rs
-
-
 # ---------------------------------------------------------------------------
 # irreducible decomposition
 # ---------------------------------------------------------------------------
 
 class RootComponent(Frozen):
-    """A connected class of roots together with the sublattice they generate."""
+    """A connected class of roots.  Its rank is the number of simple roots
+    that ``ade_type`` certifies, not counted apart."""
 
-    __slots__ = ("lattice", "roots", "basis")
+    __slots__ = ("lattice", "roots")
     lattice: Lattice
     roots: tuple[tuple[int, ...], ...]
-    basis: tuple[tuple[int, ...], ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
 
 
 def _pairing_components(
@@ -226,9 +199,7 @@ def irreducible_decomposition(root_set: RootSet) -> list[RootComponent]:
     roots = root_set.roots
     comps = []
     for indices in _pairing_components(roots, root_set.gram_images()):
-        members = sorted(roots[i] for i in indices)
-        basis = hnf_rows(IntMatrix(members))
-        comps.append(RootComponent(root_set.lattice, tuple(members), tuple(basis)))
+        comps.append(RootComponent(root_set.lattice, tuple(sorted(roots[i] for i in indices))))
     comps.sort(key=lambda c: c.roots[0])
     return comps
 
@@ -263,7 +234,13 @@ def positive_part(component: RootComponent, alpha: PositivityFunctional) -> list
 def positive_indecomposables(
     component: RootComponent, alpha: PositivityFunctional
 ) -> list[tuple[int, ...]]:
-    """Roots of the positive part that are not sums of two positive roots."""
+    """Roots of the positive part that are not sums of two positive roots.
+
+    Their count is not checked here: ``ade_type`` certifies them as the
+    simple roots, independent by the Cartan match and spanning by
+    ``_positive_root_coordinates``, so a set one short or one too many
+    fails there.
+    """
     plus = positive_part(component, alpha)
     plus_set = set(plus)
     out = []
@@ -274,8 +251,6 @@ def positive_indecomposables(
         if not decomposable:
             out.append(r)
     out.sort()
-    if len(out) != component.rank:
-        raise RootSystemError("indecomposable count differs from the component rank")
     return out
 
 
@@ -397,7 +372,10 @@ def ade_type(component: RootComponent, alpha: PositivityFunctional) -> str:
     The indecomposables are ordered canonically and their Gram matrix is
     checked to equal minus the Cartan matrix of the reported type; then
     every positive root is checked to be a non-negative integer
-    combination of them (``_positive_root_coordinates``).
+    combination of them (``_positive_root_coordinates``).  A Cartan matrix
+    is non-degenerate, so the match makes them independent, and the
+    decomposition makes them span the component: the rank n of the label is
+    the component's rank.
     """
     eps = positive_indecomposables(component, alpha)
     gram = component.lattice.gram
@@ -499,7 +477,8 @@ def _class_search(lattice: Lattice, cls: DiscClass, floor2: int) -> ClassNormSea
     is the parity of every norm in the class (``_norms_all_odd``).  With
     y = num + den x, norm2 >= floor2 is y^T (-G) y <= -floor2 den^2 / 2, so
     the floor asks for the coset scan (``_coset_scan``) at the bound
-    floor(-floor2 den^2 / 2), and floors that round to one bound share it.
+    floor(-floor2 den^2 / 2), and floors that round to one bound share its
+    enumeration (``coset_points``).
     Every point of that scan has norm2 >= -2 bound / den^2 >= floor2, and
     every point outside it has norm2 < floor2, so the scan is ``found``.
     """
@@ -526,18 +505,26 @@ def _class_search(lattice: Lattice, cls: DiscClass, floor2: int) -> ClassNormSea
 
 
 @functools.cache
+def coset_points(lattice: Lattice, cls: DiscClass, bound: int) -> tuple[tuple[int, ...], ...]:
+    """Every x with y = num + den x and y^T (-G) y <= bound, sorted, where
+    num / den is the class's component: the Fincke-Pohst enumeration of the
+    coset (``short_vectors``), memoized per (lattice, class, bound), so the
+    class searches and the root lists of ``ns_glue`` share it.
+    """
+    return tuple(short_vectors(lattice.gram, bound, cls.component))
+
+
 def _coset_scan(
     lattice: Lattice, cls: DiscClass, bound: int
 ) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Every (norm2, x) of the class's coset with y = num + den x,
-    y^T (-G) y <= bound and G y >= 0, sorted by (-norm2, x): the Fincke-Pohst
-    enumeration (``short_vectors``), memoized per (lattice, class, bound).
+    """Every (norm2, x) of ``coset_points`` at the bound with G y >= 0,
+    sorted by (-norm2, x).
     """
     num, den = cls.component
     gram = lattice.gram
     rows = list(zip(gram.mul_vec(num), gram.entries))
     found = []
-    for x in short_vectors(gram, bound, (num, den)):
+    for x in coset_points(lattice, cls, bound):
         # G y = G num + den G x, row by row: most points leave the cone early
         for gnum, row in rows:
             if gnum + den * sum(map(mul, row, x)) < 0:

@@ -13,7 +13,11 @@ Smith form itself, re-checked on every call, is what the Hermite kernel
 and the F_2-rank discriminant witness replaced.  The class searches once
 scanned a box around the representative and bounded everything outside it
 by a hyperplane certificate; that scan and that bound are kept as the
-oracle of the coset enumeration.
+oracle of the coset enumeration.  The roots orthogonal to the polarization
+were once enumerated on the rank-21 complement, the saturated Hermite
+kernel of h's pairing row; that complement, its kernel and its root
+enumeration are kept as the oracle of the walk over glue classes and
+summands.
 """
 
 import math
@@ -21,9 +25,10 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from k3lat.exact_arith import ExactArithError, IntMatrix, det
-from k3lat.lattice_core import DualVector, Lattice, pairing_numerator
-from k3lat.root_systems import RootSystemError
+from k3lat.exact_arith import ExactArithError, IntMatrix, det, hnf_rows
+from k3lat.lattice_core import DualVector, Lattice, LatticeError, is_even, pairing_numerator
+from k3lat.ns_glue import OverlatticeResult, canonical_positivity
+from k3lat.root_systems import PositivityFunctional, RootSet, RootSystemError, short_vectors
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +153,105 @@ def check_snf(a: IntMatrix, r: SnfResult) -> None:
 
 
 # ---------------------------------------------------------------------------
+# the polarization complement and its root enumeration
+# ---------------------------------------------------------------------------
+
+def is_negative_definite(lattice: Lattice) -> bool:
+    return lattice.inertia() == (0, lattice.rank, 0)
+
+
+def kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
+    """Saturated basis of the right integer kernel {x : A x = 0}.
+
+    The row Hermite form of [A^T | I] is T [A^T | I] with T unimodular, and
+    T is its right block.  The rows of T whose left block is zero are the
+    t with A t = 0, and they span the kernel saturated because T is
+    unimodular.  Both facts are re-checked on every call: A t = 0 on each
+    kernel row, and |det T| = 1 by Bareiss.
+    """
+    m, n = a.rows, a.cols
+    at = a.transpose().entries
+    rows = hnf_rows(IntMatrix([list(at[i]) + [int(i == j) for j in range(n)] for i in range(n)]))
+    kernel = [row[m:] for row in rows if not any(row[:m])]
+    if any(any(a.mul_vec(t)) for t in kernel):
+        raise ExactArithError("kernel verification failed: A t != 0")
+    if abs(det(IntMatrix([row[m:] for row in rows]))) != 1:
+        raise ExactArithError("kernel verification failed: transform not unimodular")
+    return kernel
+
+
+class Sublattice(NamedTuple):
+    """A primitive sublattice presented by its own Gram plus an embedding.
+
+    ``basis_in_ambient`` rows are the coordinates of the sublattice basis in
+    the ambient lattice basis.
+    """
+
+    lattice: Lattice
+    basis_in_ambient: IntMatrix
+
+
+def orthogonal_complement(lattice: Lattice, v: DualVector) -> Sublattice:
+    """Saturated orthogonal complement of a lattice vector with v*v != 0.
+
+    The basis is the integer kernel of v's pairing row, stably sorted by
+    increasing |r.r|.  That is a reordering, not a reduction: a
+    Fincke-Pohst enumeration of the complement's Gram (``short_vectors``)
+    branches on the last coordinate first, so the longest basis vectors sit
+    at the top of its tree, where the intervals are narrowest.
+    """
+    if v.lattice != lattice:
+        raise LatticeError("vector lives in a different lattice")
+    if v.den != 1:
+        raise LatticeError("complement requires a lattice vector")
+    if pairing_numerator(v, v) == 0:
+        raise LatticeError("complement requires a vector of nonzero norm")
+    gram = lattice.gram
+    basis = kernel_basis(IntMatrix([v.integer_pairings()]))
+    basis.sort(key=lambda r: abs(sum(map(mul, r, gram.mul_vec(r)))))
+    b = IntMatrix(basis)
+    return Sublattice(Lattice(b.mul(gram).mul(b.transpose())), b)
+
+
+def enumerate_roots(lattice: Lattice) -> RootSet:
+    """The complete set of lattice vectors of norm -2, by one Fincke-Pohst
+    enumeration of the whole lattice, with G r kept per root."""
+    if not is_even(lattice):
+        raise RootSystemError("root enumeration requires an even lattice")
+    if not is_negative_definite(lattice):
+        raise RootSystemError("root enumeration requires a negative-definite lattice")
+    gram = lattice.gram
+    # the enumeration is exact; the norm is re-derived through G v regardless,
+    # and the G v are kept for the pairing graph
+    roots, images = [], []
+    for v in short_vectors(gram, 2):
+        gv = gram.mul_vec(v)
+        if sum(map(mul, v, gv)) == -2:
+            roots.append(v)
+            images.append(gv)
+    rs = RootSet(lattice, roots)
+    object.__setattr__(rs, "_groots", tuple(images))
+    rset = set(rs.roots)
+    for v in rs.roots:
+        if tuple(-c for c in v) not in rset:
+            raise RootSystemError("root set is not closed under negation")
+    return rs
+
+
+def complement_positivity(ns: OverlatticeResult, comp: Sublattice) -> PositivityFunctional:
+    """The overlattice's positivity functional pulled back to the complement basis."""
+    return PositivityFunctional(comp.basis_in_ambient.mul_vec(canonical_positivity(ns).num))
+
+
+def complement_roots(ns: OverlatticeResult) -> set[tuple[int, ...]]:
+    """The roots orthogonal to the polarization in overlattice coordinates,
+    by enumerating the complement and mapping its roots into the overlattice."""
+    comp = orthogonal_complement(ns.lattice, ns.h_in_result())
+    embed = comp.basis_in_ambient.transpose()
+    return {embed.mul_vec(r) for r in enumerate_roots(comp.lattice).roots}
+
+
+# ---------------------------------------------------------------------------
 # the box scan and its hyperplane certificate
 # ---------------------------------------------------------------------------
 
@@ -164,7 +268,7 @@ def outside_bound(lattice: Lattice, rep: DualVector, box: int) -> int:
     of the class (``box_scan`` raises unless they are) floor(2 B) bounds
     norm2 = 2 v*v exactly as B bounds v*v.
     """
-    if not lattice.is_negative_definite():
+    if not is_negative_definite(lattice):
         raise RootSystemError("outside bound requires a negative-definite lattice")
     reach = (box + 1) * rep.den  # box + 1, and each t below, over rep.den
     bounds = []

@@ -18,7 +18,6 @@ from k3lat.root_systems import (
     PositivityFunctional,
     ade_type,
     bounded_class_minimizers,
-    enumerate_roots,
     irreducible_decomposition,
 )
 from k3lat.ns_glue import (
@@ -50,7 +49,7 @@ from k3lat.char2_surfaces.surfaces import (
     table_lines,
     table_points,
 )
-from rational_oracles import coords, norm, snf
+from rational_oracles import coords, enumerate_roots, norm, snf
 
 
 @contextmanager

@@ -112,32 +112,31 @@ def test_lattice_run_inverts_each_gram_at_most_once():
     assert sorted(result["inverses"]) == [[1, 1], [4, 1]]
 
 
-# a fresh process counts every integer kernel of one whole run, by shape, at
-# every loaded k3lat module that binds kernel_basis, and lists the k3lat
-# modules that bind a Smith form
+# a fresh process runs one whole lattice run and lists each loaded k3lat
+# module that binds a Smith form, an integer kernel, a complement or a root
+# enumeration of a whole lattice
 KERNEL_COUNTER = """
-import collections, json, os, sys
-from k3lat import cli, exact_arith
-seen = collections.Counter()
-real = exact_arith.kernel_basis
-def counting(a):
-    seen[a.rows, a.cols] += 1
-    return real(a)
-for name, module in list(sys.modules.items()):
-    if name.split(".")[0] == "k3lat" and "kernel_basis" in vars(module):
-        assert module.kernel_basis is real, name
-        module.kernel_basis = counting
+import json, os, sys
+from k3lat import cli
 code = cli.main(sys.argv[1:] + ["--out", os.devnull])
-smith = [name for name, module in sys.modules.items() if name.split(".")[0] == "k3lat" and "snf" in vars(module)]
-print(json.dumps({"code": code, "kernels": [[r, c, n] for (r, c), n in seen.items()], "smith": smith}))
+names = ("snf", "kernel_basis", "orthogonal_complement", "Sublattice", "enumerate_roots")
+bound = [
+    f"{name}.{attr}"
+    for name, module in sys.modules.items()
+    if name.split(".")[0] == "k3lat"
+    for attr in names
+    if attr in vars(module)
+]
+print(json.dumps({"code": code, "bound": bound}))
 """
 
 
 def test_lattice_run_puts_no_overlattice_gram_in_smith_form():
-    # no Smith form is taken at all: the kernel of h's pairing row comes from
-    # the Hermite form, once; the base Gram's discriminant witness and the
-    # 2-elementarity of the sigma = 2 Gram come from det and the F_2 corank,
-    # and discriminant classes from coordinates mod 1
+    # no Smith form and no integer kernel is taken at all: the base Gram's
+    # discriminant witness and the 2-elementarity of the sigma = 2 Gram come
+    # from det and the F_2 corank, discriminant classes from coordinates
+    # mod 1, and the roots orthogonal to h from the glue classes and the
+    # summands, with no complement of h
     proc = subprocess.run(
         [sys.executable, "-c", KERNEL_COUNTER, "lattice", "--with-extra-glue", "w"],
         env={**os.environ, "PYTHONPATH": SRC},
@@ -147,14 +146,14 @@ def test_lattice_run_puts_no_overlattice_gram_in_smith_form():
     )
     result = json.loads(proc.stdout)
     assert result["code"] == EXIT_OK
-    assert result["kernels"] == [[1, 22, 1]]
-    assert result["smith"] == []
+    assert result["bound"] == []
 
 
-# a fresh process counts the G v products of one whole run, per matrix
+# a fresh process counts the G v products of one whole run, per matrix, and
+# those by the sigma = 2 overlattice Gram
 MUL_VEC_COUNTER = """
 import collections, json, sys
-from k3lat import cli, exact_arith
+from k3lat import cli, exact_arith, ns_glue
 seen = collections.Counter()
 real = exact_arith.IntMatrix.mul_vec
 def counting(self, v):
@@ -162,13 +161,18 @@ def counting(self, v):
     return real(self, v)
 exact_arith.IntMatrix.mul_vec = counting
 code = cli.main(sys.argv[1:])
-print(json.dumps({"code": code, "calls": [[len(m), len(m[0]), n] for m, n in seen.items()]}))
+exact_arith.IntMatrix.mul_vec = real
+ls = ns_glue.build_lambda()
+ns = ns_glue.build_overlattice(ls, tuple(ns_glue.halfline_class(ls, lam) for lam in ns_glue.L_LABELS))
+calls = [[len(m), len(m[0]), n] for m, n in seen.items()]
+print(json.dumps({"code": code, "calls": calls, "sigma2": seen[ns.lattice.gram.entries]}))
 """
 
 
-def test_lattice_run_multiplies_by_the_complement_gram_once_per_root_and_indecomposable(tmp_path):
-    # enumerate_roots keeps G r for its norm re-check, the pairing graph and
-    # the decomposition reuse it, and ade_type takes G e once per indecomposable
+def test_lattice_run_multiplies_by_the_overlattice_gram_once_per_root_and_indecomposable(tmp_path):
+    # the root set keeps G r for the norm and degree re-check, the pairing
+    # graph and the decomposition reuse it, and ade_type takes G e once per
+    # indecomposable
     out = tmp_path / "report.json"
     proc = subprocess.run(
         [sys.executable, "-c", MUL_VEC_COUNTER, "lattice", "--with-extra-glue", "w", "--out", str(out)],
@@ -183,8 +187,8 @@ def test_lattice_run_multiplies_by_the_complement_gram_once_per_root_and_indecom
     witness = checks["exceptional_root_type"]
     budget = witness["root_count"] + witness["total_component_rank"]
     assert budget == 106 + 21
-    complement = [n for rows, cols, n in result["calls"] if rows == cols == 21]
-    assert complement and max(complement) <= budget
+    assert result["sigma2"] == budget
+    assert not [n for rows, cols, n in result["calls"] if rows == cols == 21]
 
 
 # a fresh process counts the symmetric eliminations of one whole run, by matrix size
@@ -202,8 +206,10 @@ print(json.dumps({"code": code, "calls": seen}))
 """
 
 
-def test_lattice_run_eliminates_the_complement_gram_once():
-    # the complement's signature and the root enumeration on it share one elimination
+def test_lattice_run_eliminates_the_base_gram_alone_among_rank_22_grams():
+    # the complement's signature is the base's, less the polarization's
+    # sign, read off the elimination kept on the base Gram: no complement
+    # Gram is built, and no overlattice Gram is eliminated
     proc = subprocess.run(
         [sys.executable, "-c", ELIMINATION_COUNTER, "lattice", "--with-extra-glue", "w"],
         env={**os.environ, "PYTHONPATH": SRC},
@@ -213,23 +219,25 @@ def test_lattice_run_eliminates_the_complement_gram_once():
     )
     result = json.loads(proc.stdout)
     assert result["code"] == EXIT_OK
-    assert result["calls"]["21"] == 1
+    assert result["calls"] == {"22": 1, "4": 1, "1": 1}
 
 
-# a fresh process counts every coset enumeration of one whole run; the
-# root enumeration, which takes no coset, is not counted
+# a fresh process counts every coset enumeration of one whole run, and the
+# rank of the Gram of every enumeration, with or without a coset
 COSET_COUNTER = """
 import collections, json, os, sys
 from k3lat import cli, root_systems
 seen = collections.Counter()
+ranks = collections.Counter()
 real = root_systems.short_vectors
 def counting(gram, bound, coset=None):
+    ranks[gram.rows] += 1
     if coset is not None:
         seen[repr((gram.entries, bound, coset))] += 1
     return real(gram, bound, coset)
 root_systems.short_vectors = counting
 code = cli.main(sys.argv[1:] + ["--out", os.devnull])
-print(json.dumps({"code": code, "scans": seen}))
+print(json.dumps({"code": code, "scans": seen, "ranks": ranks}))
 """
 
 
@@ -243,7 +251,7 @@ def _count_coset_enumerations(*argv) -> dict:
     )
     result = json.loads(proc.stdout)
     assert result["code"] == EXIT_OK
-    return result["scans"]
+    return result
 
 
 def test_lattice_run_shares_class_scans_with_the_halfline_walk():
@@ -251,10 +259,20 @@ def test_lattice_run_shares_class_scans_with_the_halfline_walk():
     # half-units) and the 5 half-line classes down to the budget -5, 9
     # searches in all although the 5 walks visit 45 summands.  On the A1 and
     # D4 zero classes the floors -4 and -5 ask for the same bound 2 on
-    # -x^T G x, and the enumeration is keyed on that bound: 7 enumerations,
-    # each run once
-    scans = _count_coset_enumerations("lattice", "--with-extra-glue", "w")
-    assert sorted(scans.values()) == [1] * 7
+    # -x^T G x, and the enumeration is keyed on that bound: 7 enumerations.
+    # The root lists of the 16 glue classes orthogonal to h ask for norm
+    # >= -2: the zero classes at the same bound 2, shared, and the A1 class
+    # and the three D4 classes of denominator 2 at the bound 8, 4 more.  11
+    # enumerations, each run once
+    scans = _count_coset_enumerations("lattice", "--with-extra-glue", "w")["scans"]
+    assert sorted(scans.values()) == [1] * 11
+
+
+def test_lattice_run_enumerates_no_gram_of_rank_above_4():
+    # the roots orthogonal to h come from the A1 and D4 summands: no
+    # enumeration runs on the rank-21 complement or any rank-22 Gram
+    ranks = _count_coset_enumerations("lattice", "--with-extra-glue", "w")["ranks"]
+    assert ranks and max(map(int, ranks)) <= 4
 
 
 def test_class_search_check_requires_the_outside_bound_below_the_runner_up(capsys, monkeypatch):

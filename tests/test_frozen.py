@@ -9,7 +9,8 @@ from k3lat.exact_arith import IntMatrix
 from k3lat.frozen import Frozen
 from k3lat.lattice_core import DualVector, Lattice, class_of, lattice_D4
 from k3lat.ns_glue import L_LABELS, Summand, build_lambda, build_overlattice, halfline_class
-from k3lat.root_systems import bounded_class_minimizers, enumerate_roots
+from k3lat.root_systems import bounded_class_minimizers
+from rational_oracles import enumerate_roots
 
 
 def _twice(build):
@@ -141,7 +142,7 @@ def test_rebuilt_lattice_hits_the_class_search_memo(monkeypatch):
 
     monkeypatch.setattr(root_systems, "short_vectors", counting)
     root_systems._class_search.cache_clear()
-    root_systems._coset_scan.cache_clear()
+    root_systems.coset_points.cache_clear()
     first, second = Lattice(lattice_D4().gram), Lattice(lattice_D4().gram)
     a = bounded_class_minimizers(first, class_of(first.zero()))
     b = bounded_class_minimizers(second, class_of(second.zero()))

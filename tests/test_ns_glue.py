@@ -12,16 +12,13 @@ import pytest
 
 from k3lat import exact_arith, lattice_core, ns_glue, root_systems
 from k3lat.exact_arith import IntMatrix, hnf_rows
-from k3lat.lattice_core import (
-    is_even,
-    is_p_elementary,
-    orthogonal_complement,
-)
+from k3lat.lattice_core import Lattice, is_even, is_p_elementary
 from k3lat.ns_glue import (
     EXTRA_GLUE_CHOICES,
     GlueError,
     GlueVector,
     L_LABELS,
+    OverlatticeResult,
     Summand,
     a_vee,
     artin_invariant,
@@ -33,15 +30,20 @@ from k3lat.ns_glue import (
     extra_glue_class,
     halfline_class,
     independence_check,
+    polarization_roots,
     unique_halfline_search,
 )
-from k3lat.root_systems import ClassNormSearch
+from k3lat.root_systems import ClassNormSearch, ade_type, irreducible_decomposition
 from rational_oracles import (
     basis_vector,
+    complement_positivity,
+    complement_roots,
     coords,
+    enumerate_roots,
     f2_rank,
     invert_rational,
     norm,
+    orthogonal_complement,
     pairing,
     rat_mul,
     rat_mul_vec,
@@ -133,7 +135,7 @@ def test_d2_dual_congruence(ls):
     # inside one D4 block the second dual vector differs from the sum of the
     # two leaf duals by a lattice vector
     diff = d_vee(ls, 2, "00") - (d_vee(ls, 1, "00") + d_vee(ls, 4, "00"))
-    assert diff.is_lattice_vector()
+    assert diff.den == 1
 
 
 def test_independence_ranks(ls):
@@ -218,6 +220,7 @@ def _basis_den(ns) -> int:
     d = prod[0][0]
     n = len(prod)
     assert d > 0 and prod == tuple(tuple(d * (i == j) for j in range(n)) for i in range(n))
+    assert d == ns.denom
     return d
 
 
@@ -398,22 +401,23 @@ def test_to_result_coords_rejects_a_vector_outside(ls, ns):
 
 
 def test_canonical_positivity_matches_summed_dual_basis(ls, ns):
-    # oracle: sum the 21 exceptional dual basis vectors, pull their pairings
-    # back to the complement basis and solve for the dual coordinates there
-    comp = orthogonal_complement(ns.lattice, ns.h_in_result())
+    # oracle: sum the 21 exceptional dual basis vectors, pair them with the
+    # rational overlattice basis, and solve for their dual coordinates in
+    # the overlattice
     w = ls.lattice.zero()
     for s in ls.summands:
         if s.kind != "H":
             sub = ls.summand_lattice(s)
             for j in range(s.rank):
                 w = w + ls.assemble({s.name: sub.dual_basis_vector(j)})
-    complement_rows = rat_mul(to_rational(comp.basis_in_ambient), _rational_basis(ns))
-    p = rat_mul_vec(complement_rows, rational_gv(ls.lattice.gram, coords(w)))
-    coeffs = rat_mul_vec(invert_rational(to_rational(comp.lattice.gram)), p)
-    alpha = canonical_positivity(ns, comp)
+    p = rat_mul_vec(_rational_basis(ns), rational_gv(ls.lattice.gram, coords(w)))
+    coeffs = rat_mul_vec(invert_rational(to_rational(ns.lattice.gram)), p)
+    alpha = canonical_positivity(ns)
     # alpha.num is the form over the positive denominator of the overlattice basis
     form = tuple(Fraction(c, _basis_den(ns)) for c in alpha.num)
-    assert form == rational_gv(comp.lattice.gram, coeffs)
+    assert form == rational_gv(ns.lattice.gram, coeffs)
+    # the 0/1 pairing: +1 on each exceptional class, 0 on the polarization
+    assert [pairing(w, basis_vector(ls.lattice, i)) for i in range(22)] == [0] + [1] * 21
 
 
 def test_artin_invariant_shapes(ls):
@@ -462,6 +466,113 @@ def test_exceptional_root_analysis(ns):
     assert report.total_component_rank == 21
 
 
+def _root_glue(ls):
+    # norms -1, -1/2 and -1/2: the nonzero coset of this class carries roots
+    return GlueVector("R", d_vee(ls, 1, "00") + a_vee(ls, "0") + a_vee(ls, "1"))
+
+
+def _oracle_case(ls, case):
+    glue = tuple(halfline_class(ls, lam) for lam in L_LABELS)
+    if case == "no-glue":
+        return ()
+    if case in EXTRA_GLUE_CHOICES:
+        return glue + (extra_glue_class(ls, case),)
+    if case == "root-coset":
+        return (_root_glue(ls),)
+    if case == "root-coset+F":
+        return (_root_glue(ls), halfline_class(ls, "inf"), halfline_class(ls, "0*"))
+    return glue
+
+
+@pytest.mark.parametrize(
+    "case, count",
+    [
+        ("sigma2", 106),
+        ("1", 106),
+        ("w", 106),
+        ("wb", 106),
+        ("no-glue", 106),
+        ("root-coset", 138),
+        ("root-coset+F", 170),
+    ],
+)
+def test_polarization_roots_match_the_complement_enumeration(ls, case, count):
+    # oracle: the Fincke-Pohst enumeration of the rank-21 complement of h,
+    # its roots mapped into the overlattice
+    ns_case = build_overlattice(ls, _oracle_case(ls, case))
+    roots = polarization_roots(ns_case)
+    assert len(roots) == len(set(roots.roots)) == count
+    assert set(roots.roots) == complement_roots(ns_case)
+
+
+@pytest.mark.parametrize("case", ["sigma2", "1", "w", "wb", "no-glue"])
+def test_root_types_match_the_complement_enumeration(ls, case):
+    # the same components and types from the complement's roots, typed with
+    # the positivity functional pulled back to the complement basis
+    ns_case = build_overlattice(ls, _oracle_case(ls, case))
+    comp = orthogonal_complement(ns_case.lattice, ns_case.h_in_result())
+    alpha = complement_positivity(ns_case, comp)
+    components = irreducible_decomposition(enumerate_roots(comp.lattice))
+    report = exceptional_root_analysis(ns_case)
+    assert sorted(report.component_types) == sorted(ade_type(c, alpha) for c in components)
+    assert report.complement_rank == comp.lattice.rank
+    assert report.complement_inertia == comp.lattice.inertia()
+    assert report.total_component_rank == sum(len(hnf_rows(IntMatrix(c.roots))) for c in components)
+
+
+@pytest.mark.parametrize("case", ["sigma2", "w", "no-glue", "root-coset", "root-coset+F"])
+def test_glue_classes_are_the_overlattice_modulo_the_base(ls, case):
+    # a group of order index, and every class is the class of an overlattice vector
+    ns_case = build_overlattice(ls, _oracle_case(ls, case))
+    classes = ns_case.glue_classes()
+    d = ns_case.denom
+    assert len(classes) == len(set(classes)) == ns_case.index
+    assert classes[0] == (0,) * 22
+    group = set(classes)
+    assert all(tuple((a + b) % d for a, b in zip(u, v)) in group for u in classes for v in classes)
+    for c in classes:
+        assert ns_case.to_result_coords(lattice_core.DualVector(ls.lattice, c, d)) is not None
+
+
+def test_glue_class_count_check_fires_on_a_wrong_index(ns):
+    wrong = OverlatticeResult(ns.base, ns.lattice, ns.basis_num, ns.denom, ns.base_in_result, 2 * ns.index)
+    with pytest.raises(GlueError, match="32 glue classes for an overlattice of index 64"):
+        wrong.glue_classes()
+
+
+def test_polarization_roots_reject_a_root_outside_the_overlattice(ls):
+    # the glue classes of the root-coset overlattice, but the base's
+    # coordinates: the roots of the nonzero coset are not in the base
+    glued = build_overlattice(ls, (_root_glue(ls),))
+    base = build_overlattice(ls, ())
+    wrong = OverlatticeResult(
+        ls, base.lattice, glued.basis_num, glued.denom, base.base_in_result, glued.index
+    )
+    with pytest.raises(GlueError, match="a root of the summands is not in the overlattice"):
+        polarization_roots(wrong)
+
+
+def test_polarization_roots_reject_a_norm_mismatch(ns):
+    # the overlattice Gram doubled: every root found has norm -4 through it
+    doubled = Lattice(IntMatrix([[2 * x for x in row] for row in ns.lattice.gram.entries]))
+    wrong = OverlatticeResult(ns.base, doubled, ns.basis_num, ns.denom, ns.base_in_result, ns.index)
+    with pytest.raises(GlueError, match="a root violates the norm or degree condition"):
+        polarization_roots(wrong)
+
+
+def test_polarization_roots_reject_a_set_not_closed_under_negation(ns, monkeypatch):
+    # the walk loses the last root of each glue class
+    real = ns_glue._budget_walk
+
+    def lossy(lists, budget):
+        rows, checked = real(lists, budget)
+        return rows[:-1], checked
+
+    monkeypatch.setattr(ns_glue, "_budget_walk", lossy)
+    with pytest.raises(GlueError, match="root set is not closed under negation"):
+        polarization_roots(ns)
+
+
 def test_halfline_searches_unique(ls, ns):
     for lam in L_LABELS:
         res = unique_halfline_search(ls, lam, ns)
@@ -482,7 +593,7 @@ def test_halfline_searches_scan_each_class_once(ls, ns, monkeypatch):
 
     monkeypatch.setattr(root_systems, "short_vectors", counting)
     root_systems._class_search.cache_clear()
-    root_systems._coset_scan.cache_clear()
+    root_systems.coset_points.cache_clear()
     for lam in L_LABELS:
         assert unique_halfline_search(ls, lam, ns).is_unique_expected()
     assert len(calls) == 5

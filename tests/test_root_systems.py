@@ -8,14 +8,13 @@ from operator import mul
 import pytest
 
 from k3lat import exact_arith, root_systems
-from k3lat.exact_arith import IntMatrix, det, inertia, symmetric_elimination
+from k3lat.exact_arith import IntMatrix, det, hnf_rows, inertia, symmetric_elimination
 from k3lat.lattice_core import (
     DualVector,
     Lattice,
     class_of,
     lattice_A1,
     lattice_D4,
-    orthogonal_complement,
 )
 from k3lat.ns_glue import (
     L_LABELS,
@@ -27,7 +26,6 @@ from k3lat.ns_glue import (
 )
 from k3lat.root_systems import (
     PositivityFunctional,
-    RootComponent,
     RootSet,
     RootSystemError,
     _norms_all_odd,
@@ -36,7 +34,6 @@ from k3lat.root_systems import (
     ade_type,
     bounded_class_minimizers,
     cartan_matrix,
-    enumerate_roots,
     irreducible_decomposition,
     positive_indecomposables,
     short_vectors,
@@ -46,8 +43,12 @@ from rational_oracles import (
     box_scan,
     cholesky,
     coords,
+    enumerate_roots,
     invert_rational,
+    is_negative_definite,
+    kernel_basis,
     norm,
+    orthogonal_complement,
     outside_bound,
     pairing,
     pairwise_components,
@@ -229,7 +230,7 @@ def test_ordered_complement_has_the_roots_of_the_kernel_basis(extra):
     ns = build_overlattice(ls, glue)
     h = ns.h_in_result()
     comp = orthogonal_complement(ns.lattice, h)
-    kernel = IntMatrix(exact_arith.kernel_basis(IntMatrix([h.integer_pairings()])))
+    kernel = IntMatrix(kernel_basis(IntMatrix([h.integer_pairings()])))
     ordered = comp.basis_in_ambient
     gram = ns.lattice.gram
     assert ordered.entries == tuple(
@@ -308,19 +309,21 @@ def test_short_vectors_rejects_what_the_cholesky_oracle_rejects(rows):
 
 def test_positivity_value_matches_the_rational_sum():
     # value is the rational form scaled by a positive denominator: the
-    # summed dual basis over its den on D4, and on the complement the
-    # overlattice basis over d, with base_in_result * basis_num = d I
+    # summed dual basis over its den on D4, and on the overlattice the
+    # 0/1 pairings of the exceptional dual vectors pushed through the basis
+    # rows over d, with base_in_result * basis_num = d I
     ls = build_lambda()
     ns = build_overlattice(ls, tuple(halfline_class(ls, lam) for lam in L_LABELS))
-    comp = orthogonal_complement(ns.lattice, ns.h_in_result())
     d4 = lattice_D4()
     total = sum((d4.dual_basis_vector(i) for i in range(4)), d4.zero())
     d = ns.base_in_result.mul(ns.basis_num).entries[0][0]
-    alpha = canonical_positivity(ns, comp)
+    assert d == ns.denom
+    w = [Fraction(0)] + [Fraction(1)] * 21
+    form = [sum(Fraction(b, d) * c for b, c in zip(row, w)) for row in ns.basis_num.entries]
     rng = random.Random(4)
     cases = [
         (dominant_functional(d4), 4, total.den, rational_gv(d4.gram, coords(total))),
-        (alpha, 21, d, [Fraction(c, d) for c in alpha.num]),
+        (canonical_positivity(ns), 22, d, form),
     ]
     for alpha, n, scale, form in cases:
         assert scale > 0
@@ -357,7 +360,7 @@ def test_decomposition_d4_connected():
     comps = irreducible_decomposition(enumerate_roots(lattice_D4()))
     assert len(comps) == 1
     assert len(comps[0].roots) == 24
-    assert comps[0].rank == 4
+    assert len(hnf_rows(IntMatrix(comps[0].roots))) == 4
     # oracle: every root is reachable from the first by nonzero-pairing steps
     roots = comps[0].roots
     g = lattice_D4().gram
@@ -510,18 +513,38 @@ def test_indecomposables_d4_are_basis_roots():
 
 
 def test_indecomposable_count_equals_rank():
+    # the rank of the span of the component's roots, by the Hermite form
     for lat in (lattice_A1(), lattice_D4(), a1_plus_a1()):
         alpha = dominant_functional(lat)
         for comp in irreducible_decomposition(enumerate_roots(lat)):
-            assert len(positive_indecomposables(comp, alpha)) == comp.rank
+            rank = len(hnf_rows(IntMatrix(comp.roots)))
+            assert len(positive_indecomposables(comp, alpha)) == rank
 
 
-def test_indecomposable_count_check_fires_on_a_basis_one_short():
+def _ade_type_with_simple_roots(monkeypatch, change):
+    """ade_type of the D4 component, with its simple roots changed."""
     d4 = lattice_D4()
     comp = irreducible_decomposition(enumerate_roots(d4))[0]
-    short = RootComponent(comp.lattice, comp.roots, comp.basis[:3])
-    with pytest.raises(RootSystemError, match="indecomposable count differs from the component rank"):
-        positive_indecomposables(short, dominant_functional(d4))
+    alpha = dominant_functional(d4)
+    real = root_systems.positive_indecomposables
+    assert ade_type(comp, alpha) == "D4"
+    monkeypatch.setattr(root_systems, "positive_indecomposables", lambda c, a: change(real(c, a)))
+    return ade_type(comp, alpha)
+
+
+def test_indecomposable_count_check_fires_on_a_basis_one_short(monkeypatch):
+    # the component's rank is the number of simple roots that ade_type
+    # certifies; with a leaf dropped, the positive roots through it do not
+    # decompose over the rest
+    with pytest.raises(RootSystemError, match="does not decompose into the indecomposables"):
+        _ade_type_with_simple_roots(monkeypatch, lambda eps: eps[1:])
+
+
+def test_indecomposable_count_check_fires_on_a_basis_one_too_many(monkeypatch):
+    # a positive root that is not simple pairs to -1 with a simple root; in
+    # any case a Gram of 5 roots in rank 4 is singular, and no Cartan matrix is
+    with pytest.raises(RootSystemError, match="indecomposable pairing outside"):
+        _ade_type_with_simple_roots(monkeypatch, lambda eps: eps + [(1, 0, 1, 0)])
 
 
 def test_positivity_value_is_pairing_with_the_dual_vector():
@@ -698,7 +721,7 @@ def test_gram_of_indecomposables_is_minus_cartan():
     comp = irreducible_decomposition(enumerate_roots(d4))[0]
     alpha = dominant_functional(d4)
     label = ade_type(comp, alpha)
-    assert cartan_matrix(label).rows == comp.rank
+    assert cartan_matrix(label).rows == len(hnf_rows(IntMatrix(comp.roots))) == 4
 
 
 def test_non_ade_diagram_rejected():
@@ -722,7 +745,7 @@ def test_root_set_json():
     rs = enumerate_roots(lattice_A1())
     assert rs.lattice.rank == 1 and rs.roots == ((-1,), (1,)) and len(rs) == 2
     comp = irreducible_decomposition(rs)[0]
-    assert comp.rank == 1 and comp.roots == rs.roots and len(comp.roots) == 2
+    assert comp.roots == rs.roots and len(comp.roots) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -1191,7 +1214,7 @@ def test_d4_class_searches_at_box_16_fit_the_budget():
     # hyperplane bound, which covers everything the box 16 scan and its
     # certificate did; the parity is read off each representative's norm
     root_systems._class_search.cache_clear()
-    root_systems._coset_scan.cache_clear()
+    root_systems.coset_points.cache_clear()
     floors = []
     for lattice, cls in _every_class():
         if lattice.rank == 4:
@@ -1230,7 +1253,7 @@ def test_enumerating_the_roots_of_a_lattice_eliminates_its_gram_once(monkeypatch
     real = exact_arith._eliminate
     monkeypatch.setattr(exact_arith, "_eliminate", lambda a: calls.append(a.rows) or real(a))
     lat = Lattice(_root_sum([lattice_D4()] * 2 + [lattice_A1()] * 3))
-    assert lat.is_negative_definite()
+    assert is_negative_definite(lat)
     assert len(enumerate_roots(lat)) == 2 * 24 + 3 * 2
     assert calls == [11]
     with pytest.raises(RootSystemError, match="requires a negative-definite lattice"):
