@@ -8,10 +8,10 @@ means every check passed, 1 means a check failed, 2 means a usage error.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import random
+import re
 import sys
 import time
 
@@ -80,7 +80,7 @@ class Checks:
 # lattice subcommand
 # ---------------------------------------------------------------------------
 
-def cmd_lattice(args, checks: Checks) -> None:
+def cmd_lattice(config: dict, checks: Checks) -> None:
     ls = build_lambda()
 
     def base_check():
@@ -103,7 +103,7 @@ def cmd_lattice(args, checks: Checks) -> None:
     checks.run("base_lattice", base_check)
 
     glue = [halfline_class(ls, lam) for lam in L_LABELS]
-    if args.inject_corrupt_glue:
+    if config["inject_corrupt_glue"]:
         # half the basis vector e_3 breaks integrality against the base
         e3 = DualVector(ls.lattice, [int(j == 3) for j in range(ls.lattice.rank)], 2)
         glue[1] = GlueVector(glue[1].name, glue[1].vector + e3)
@@ -147,9 +147,9 @@ def cmd_lattice(args, checks: Checks) -> None:
 
     checks.run("overlattice_sigma2", overlattice)
 
-    if args.with_extra_glue:
+    if config["with_extra_glue"]:
         def overlattice_extra():
-            extra = extra_glue_class(ls, args.with_extra_glue)
+            extra = extra_glue_class(ls, config["with_extra_glue"])
             ns1 = build_overlattice(ls, tuple(glue) + (extra,))
             sigma = artin_invariant(ns1.lattice, 2)
             witness = {"index": ns1.index, "det": str(ns1.lattice.det()), "sigma": sigma}
@@ -292,38 +292,39 @@ def _open_out(path: str):
         raise UsageError(f"--out {path}: {type(exc).__name__}: {exc}")
 
 
-def _family_inputs(args) -> tuple[BinaryField, list[tuple[int, int]]]:
+def _family_inputs(config: dict) -> tuple[BinaryField, list[tuple[int, int]]]:
     """The field and the (r, s) pairs of the family cases; a bad value is a usage error."""
+    k, rx, sx, samples = config["k"], config["r"], config["s"], config["samples"]
     # the family's nine points need a cube root of unity, which GF(2^k) has iff k is even
-    if args.k % 2:
+    if k % 2:
         raise UsageError("family cases need a cube root of unity, so --k must be even")
     try:
-        field = BinaryField(args.k, args.modulus)
+        field = BinaryField(k, config["modulus"])
     except Exception as exc:
         raise UsageError(str(exc))
-    if args.r is None and args.s is None:
+    if rx is None and sx is None:
         # for even k, r^3 = s^3 has three solutions s for each nonzero r
         off_cube = (field.q - 1) * (field.q - 4)
-        if args.samples > off_cube:
-            raise UsageError(f"--samples {args.samples} exceeds the {off_cube} pairs (r, s) "
+        if samples > off_cube:
+            raise UsageError(f"--samples {samples} exceeds the {off_cube} pairs (r, s) "
                              f"off the cube locus in GF(2^{field.k})")
-        return field, _sample_pairs(field, args.samples, args.seed)
-    if args.r is None or args.s is None:
+        return field, _sample_pairs(field, samples, config["seed"])
+    if rx is None or sx is None:
         raise UsageError("--r and --s must be given together")
     try:
-        r = BinaryField.parse_bits(args.r)
-        s = BinaryField.parse_bits(args.s)
+        r = BinaryField.parse_bits(rx)
+        s = BinaryField.parse_bits(sx)
     except ValueError:
         raise UsageError("--r and --s must be hex, 0x-hex or 0b-binary field elements")
     if not (0 <= r < field.q and 0 <= s < field.q):
         raise UsageError(f"r and s must be elements of GF(2^{field.k})")
-    if (r == 0 or s == 0) and not args.allow_degenerate:
+    if (r == 0 or s == 0) and not config["allow_degenerate"]:
         raise UsageError("r = 0 or s = 0 is outside the verified regime "
                          "(pass --allow-degenerate to build anyway)")
     return field, [(r, s)]
 
 
-def cmd_surface(args, g: HomPoly | None, family, checks: Checks) -> None:
+def cmd_surface(g: HomPoly | None, family, checks: Checks) -> None:
     """Recognition of g (from --recognize), or the family cases of _family_inputs."""
     if g is not None:
         # recognition reads its field from the file
@@ -377,86 +378,163 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the usage block of README.md, printed on stdout by -h and --help
+USAGE = """\
+k3lat lattice [--with-extra-glue 1|w|wb] [--format json|text] [--out PATH]
+k3lat surface [--k N] [--modulus M] (--r HEX --s HEX | --samples N --seed N)
+              [--line-scan full] [--allow-degenerate]
+              [--recognize FILE] [--format json|text] [--out PATH]
+k3lat all     [--with-extra-glue 1|w|wb]
+              [--k N] [--modulus M] (--r HEX --s HEX | --samples N --seed N)
+              [--line-scan full] [--allow-degenerate]
+              [--recognize FILE] [--format json|text] [--out PATH]
+k3lat [lattice|surface|all] -h|--help
+"""
+
+
 def _modulus(text: str) -> int:
     try:
         return int(text, 0)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not decimal, 0x-hex or 0b-binary") from None
+        raise ValueError(f"{text!r} is not decimal, 0x-hex or 0b-binary") from None
 
 
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
+        raise ValueError("must be at least 1")
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="k3lat", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
+# Each flag maps to (dest, kind, default).  The kind is a converter, a tuple
+# of the accepted values, or SWITCH for a flag that takes no value and sets
+# its dest to True.
+SWITCH = None
 
-    def common(sp):
-        sp.add_argument("--format", choices=("json", "text"), default="json")
-        sp.add_argument("--out", default=None, help="write the report to a file")
+COMMON_FLAGS = {
+    "--format": ("format", ("json", "text"), "json"),
+    "--out": ("out", str, None),
+}
 
-    def lattice_flags(sp):
-        sp.add_argument("--with-extra-glue", choices=EXTRA_GLUE_CHOICES, default=None)
-        sp.add_argument("--inject-corrupt-glue", action="store_true", help=argparse.SUPPRESS)
+LATTICE_FLAGS = {
+    "--with-extra-glue": ("with_extra_glue", EXTRA_GLUE_CHOICES, None),
+    # unlisted in USAGE: breaks one glue vector, so that the suite must fail
+    "--inject-corrupt-glue": ("inject_corrupt_glue", SWITCH, False),
+}
 
-    def surface_flags(sp, k_default):
-        sp.add_argument("--k", type=int, default=k_default, help="field is GF(2^k)")
-        sp.add_argument("--modulus", type=_modulus, default=None)
-        sp.add_argument("--r", default=None, help="hex bitstring")
-        sp.add_argument("--s", default=None, help="hex bitstring")
-        sp.add_argument("--samples", type=_positive_int, default=3)
-        sp.add_argument("--seed", type=int, default=1)
-        sp.add_argument("--allow-degenerate", action="store_true")
-        # nothing reads it: there is one, exhaustive, scan; kept so invocations naming it parse
-        sp.add_argument("--line-scan", choices=("full",), default="full")
-        sp.add_argument("--recognize", default=None, help="polynomial JSON file")
+SURFACE_FLAGS = {
+    "--k": ("k", int, 8),
+    "--modulus": ("modulus", _modulus, None),
+    "--r": ("r", str, None),
+    "--s": ("s", str, None),
+    "--samples": ("samples", _positive_int, 3),
+    "--seed": ("seed", int, 1),
+    "--allow-degenerate": ("allow_degenerate", SWITCH, False),
+    # nothing reads it: there is one, exhaustive, scan; kept so invocations naming it parse
+    "--line-scan": ("line_scan", ("full",), "full"),
+    "--recognize": ("recognize", str, None),
+}
 
-    lat = sub.add_parser("lattice", help="lattice-side checks")
-    common(lat)
-    lattice_flags(lat)
+# all takes the union of the lattice and surface flags; only --k's default differs
+FLAGS = {
+    "lattice": COMMON_FLAGS | LATTICE_FLAGS,
+    "surface": COMMON_FLAGS | SURFACE_FLAGS,
+    "all": COMMON_FLAGS | LATTICE_FLAGS | SURFACE_FLAGS | {"--k": ("k", int, 4)},
+}
 
-    surf = sub.add_parser("surface", help="surface-side checks")
-    common(surf)
-    surface_flags(surf, 8)
 
-    allp = sub.add_parser("all", help="both suites")
-    common(allp)
-    lattice_flags(allp)
-    surface_flags(allp, 4)
-    return p
+def _flag_like(arg: str) -> bool:
+    """Whether arg reads as a flag rather than a value: it starts with '-' and
+    is not '-', a negative number or a string with a space."""
+    return (
+        arg[:1] == "-"
+        and arg != "-"
+        and " " not in arg
+        and not re.match(r"^-\d+$|^-\d*\.\d+$", arg)
+    )
+
+
+def parse_args(argv: list[str]) -> tuple[str, dict] | None:
+    """The command of a command line and its config, the value of every flag
+    in the command's table by dest, in sorted order; None when -h or --help
+    asks for the usage block.  A bad command line raises UsageError.
+
+    A flag is matched by its exact name, and its value follows it or an '='.
+    The last of a repeated flag wins, and an unrecognized argument is
+    reported only at the end, so help asked for after one is still given.
+    """
+    command, flags, config, unknown = None, {}, {}, []
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        i += 1
+        if arg in ("-h", "--help"):
+            return None
+        if command is None and not _flag_like(arg):
+            if arg not in FLAGS:
+                raise UsageError(f"invalid command {arg!r} (choose from {', '.join(FLAGS)})")
+            command, flags = arg, FLAGS[arg]
+            config = {dest: default for dest, _, default in flags.values()}
+            continue
+        name, eq, value = arg.partition("=")
+        if name not in flags:
+            unknown.append(arg)
+            continue
+        dest, kind, _ = flags[name]
+        if kind is SWITCH:
+            if eq:
+                raise UsageError(f"argument {name}: takes no value")
+            config[dest] = True
+            continue
+        if not eq:
+            if i == len(argv) or _flag_like(argv[i]):
+                raise UsageError(f"argument {name}: expected one value")
+            value = argv[i]
+            i += 1
+        if type(kind) is tuple:
+            if value not in kind:
+                raise UsageError(
+                    f"argument {name}: invalid choice {value!r} (choose from {', '.join(kind)})"
+                )
+        else:
+            try:
+                value = kind(value)
+            except ValueError as exc:
+                raise UsageError(f"argument {name}: {exc}") from None
+        config[dest] = value
+    if command is None:
+        raise UsageError(f"a command is required: {', '.join(FLAGS)}")
+    if unknown:
+        raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    return command, dict(sorted(config.items()))
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    config = {k: v for k, v in sorted(vars(args).items()) if k not in ("command",)}
     out = None
     try:
+        parsed = parse_args(sys.argv[1:] if argv is None else argv)
+        if parsed is None:
+            sys.stdout.write(USAGE)
+            return EXIT_OK
+        command, config = parsed
         # the --recognize file is read, the family arguments checked and the
         # --out file opened before any suite runs
-        g = _read_sextic(args.recognize) if getattr(args, "recognize", None) else None
-        family = _family_inputs(args) if args.command != "lattice" and g is None else None
-        out = _open_out(args.out) if args.out else None
+        g = _read_sextic(config["recognize"]) if config.get("recognize") else None
+        family = _family_inputs(config) if command != "lattice" and g is None else None
+        out = _open_out(config["out"]) if config["out"] else None
         checks = Checks()
         # lattice checks come first in an all run
-        if args.command != "surface":
-            cmd_lattice(args, checks)
-        if args.command != "lattice":
-            cmd_surface(args, g, family, checks)
+        if command != "surface":
+            cmd_lattice(config, checks)
+        if command != "lattice":
+            cmd_surface(g, family, checks)
         report = {
             "config": config,
             "checks": checks.results,
             "timing_ms": checks.timing,
             "pass": checks.all_passed,
         }
-        if args.format == "json":
+        if config["format"] == "json":
             text = json.dumps(report, sort_keys=True, indent=2) + "\n"
         else:
             text = _render_text(report)

@@ -13,13 +13,15 @@ from k3lat.char2_surfaces.field import BinaryField
 from k3lat.char2_surfaces.poly import HomPoly
 from k3lat.char2_surfaces.recognize import apply_frame, normal_form_sextic
 from k3lat.char2_surfaces.surfaces import SurfaceError, schroeer_sextic
-from k3lat.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
+from k3lat.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, FLAGS, main, parse_args
 from k3lat.root_systems import ClassNormSearch
 
+import argparse_oracle
 from goldens import (
     DATA,
     EXTRA_GLUE_GOLDENS,
     FRAMED_INPUTS,
+    GOLDENS,
     LATTICE_GOLDENS,
     SURFACE_GOLDENS,
     framed_normal_form,
@@ -700,51 +702,35 @@ def test_sextic_failing_recognition_is_a_failed_check(tmp_path, capsys):
 
 # every accepted input ends in bounded time; each argv below is a usage error
 # and runs under a timeout, so a hang (GF(4) has no off-cube pair) fails the test
+UNBOUNDED_OR_VACUOUS = [
+    pytest.param(["surface", "--k", "2", "--samples", "1"], id="k2-sampling"),
+    pytest.param(["surface", "--k", "4", "--samples", "181"], id="k4-more-samples-than-pairs"),
+    pytest.param(["surface", "--samples", "0"], id="samples-0"),
+    pytest.param(["surface", "--samples", "-1"], id="samples-negative"),
+    pytest.param(["lattice", "--lemma-box", "2"], id="lemma-box-2"),
+    pytest.param(["lattice", "--lemma-box", "17"], id="lemma-box-17"),
+    pytest.param(["all", "--lemma-box", "1000000"], id="lemma-box-huge"),
+    pytest.param(["lattice", "--lemma-box", "3"], id="lemma-box-3"),
+    pytest.param(["all", "--lemma-box", "3"], id="all-lemma-box-3"),
+    pytest.param(["surface", "--k", "3", "--modulus", "0b1011", "--samples", "1"],
+                 id="odd-k-sampling"),
+    pytest.param(["surface", "--k", "5", "--modulus", "0b100101", "--r", "1", "--s", "2"],
+                 id="odd-k-pair"),
+    pytest.param(["surface", "--k", "4", "--r", "zz", "--s", "1"], id="r-not-hex"),
+    pytest.param(["surface", "--k", "4", "--r", "1", "--s", "0x"], id="s-empty-hex"),
+    pytest.param(["surface", "--recognize", os.path.join(DATA, "no_such_file.json")],
+                 id="recognize-missing-file"),
+    pytest.param(["surface", "--recognize", os.path.join(DATA, "lattice_extra_glue_1.json")],
+                 id="recognize-wrong-schema"),
+    pytest.param(["all", "--recognize", os.path.join(DATA, "no_such_file.json")],
+                 id="all-recognize-missing-file"),
+    pytest.param(["surface", "--line-scan", "singular"], id="line-scan-singular"),
+    pytest.param(["surface", "--k", "4", "--modulus=-19", "--r", "1", "--s", "2"],
+                 id="negative-modulus"),
+]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["surface", "--k", "2", "--samples", "1"],
-        ["surface", "--k", "4", "--samples", "181"],
-        ["surface", "--samples", "0"],
-        ["surface", "--samples", "-1"],
-        ["lattice", "--lemma-box", "2"],
-        ["lattice", "--lemma-box", "17"],
-        ["all", "--lemma-box", "1000000"],
-        ["lattice", "--lemma-box", "3"],
-        ["all", "--lemma-box", "3"],
-        ["surface", "--k", "3", "--modulus", "0b1011", "--samples", "1"],
-        ["surface", "--k", "5", "--modulus", "0b100101", "--r", "1", "--s", "2"],
-        ["surface", "--k", "4", "--r", "zz", "--s", "1"],
-        ["surface", "--k", "4", "--r", "1", "--s", "0x"],
-        ["surface", "--recognize", os.path.join(DATA, "no_such_file.json")],
-        ["surface", "--recognize", os.path.join(DATA, "lattice_extra_glue_1.json")],
-        ["all", "--recognize", os.path.join(DATA, "no_such_file.json")],
-        ["surface", "--line-scan", "singular"],
-        ["surface", "--k", "4", "--modulus=-19", "--r", "1", "--s", "2"],
-    ],
-    ids=[
-        "k2-sampling",
-        "k4-more-samples-than-pairs",
-        "samples-0",
-        "samples-negative",
-        "lemma-box-2",
-        "lemma-box-17",
-        "lemma-box-huge",
-        "lemma-box-3",
-        "all-lemma-box-3",
-        "odd-k-sampling",
-        "odd-k-pair",
-        "r-not-hex",
-        "s-empty-hex",
-        "recognize-missing-file",
-        "recognize-wrong-schema",
-        "all-recognize-missing-file",
-        "line-scan-singular",
-        "negative-modulus",
-    ],
-)
+@pytest.mark.parametrize("argv", UNBOUNDED_OR_VACUOUS)
 def test_unbounded_or_vacuous_flags_are_usage_errors(argv):
     env = {**os.environ, "PYTHONPATH": SRC}
     proc = subprocess.run(
@@ -764,18 +750,139 @@ def test_k2_with_explicit_pair_is_accepted(capsys):
     assert json.loads(out)["pass"] is True
 
 
-def _defaults(parser, command):
-    return {k: v for k, v in vars(parser.parse_args([command])).items() if k != "command"}
-
-
 def test_all_declares_the_union_of_lattice_and_surface_flags():
-    parser = build_parser()
-    lat, surf, both = (_defaults(parser, c) for c in ("lattice", "surface", "all"))
-    assert set(both) == set(lat) | set(surf)
-    assert surf["k"] == 8 and both["k"] == 4
-    for key, value in both.items():
-        if key != "k":
-            assert value == {**lat, **surf}[key]
-    again = build_parser()
-    for command in ("lattice", "surface", "all"):
-        assert _defaults(again, command) == _defaults(parser, command)
+    lat, surf, both = (FLAGS[c] for c in ("lattice", "surface", "all"))
+    assert both.keys() == lat.keys() | surf.keys()
+    assert surf["--k"] == ("k", int, 8) and both["--k"] == ("k", int, 4)
+    for flag, spec in both.items():
+        if flag != "--k":
+            assert spec == {**lat, **surf}[flag]
+    defaults = {c: parse_args([c])[1] for c in FLAGS}
+    assert set(defaults["all"]) == set(defaults["lattice"]) | set(defaults["surface"])
+    # parsing a command line leaves the table's defaults as they were
+    parse_args(["all", "--k", "6", "--with-extra-glue", "w", "--allow-degenerate"])
+    assert {c: parse_args([c])[1] for c in FLAGS} == defaults
+
+
+# argv for the flag table against the argparse front end it replaced: every
+# golden command and every usage error above, negative values, repeated
+# flags (the last wins), unknown flags, missing values, bad choices, help,
+# and no arguments at all
+ORACLE_ARGV = (
+    [argv for _, argv, _, _ in GOLDENS]
+    + [p.values[0] for p in UNBOUNDED_OR_VACUOUS]
+    + [
+        ["surface", "--k", "4", "--modulus=-19"],
+        ["surface", "--seed", "-3"],
+        ["surface", "--seed", "-3.5"],
+        ["surface", "--r", "-1", "--s", "2"],
+        ["surface", "--k", "4", "--k", "16", "--modulus", "0x1002D", "--modulus", "0b10011"],
+        ["lattice", "--format", "text", "--format=json", "--with-extra-glue", "1",
+         "--with-extra-glue", "wb"],
+        ["all", "--allow-degenerate", "--allow-degenerate", "--inject-corrupt-glue"],
+        ["surface", "--out=", "--r=a=b", "--s", "-", "--recognize", "-x y"],
+        ["lattice", "--bogus"],
+        ["lattice", "--k", "4"],
+        ["lattice", "extra"],
+        ["-x", "lattice"],
+        ["--format", "json", "lattice"],
+        ["lattice", "--"],
+        ["surface", "--k"],
+        ["surface", "--out", "--format", "text"],
+        ["surface", "--out", "-x"],
+        ["surface", "--k=", "4"],
+        ["surface", "--k", "x"],
+        ["surface", "--samples", "x"],
+        ["lattice", "--inject-corrupt-glue=1"],
+        ["lattice", "--format", "xml"],
+        ["lattice", "--format=json=x"],
+        ["lattice", "--with-extra-glue", "2"],
+        ["surface", "--line-scan", "none"],
+        ["bogus"],
+        [],
+        ["-h"],
+        ["--help", "bogus"],
+        ["lattice", "-h"],
+        ["surface", "--k", "4", "--help"],
+        ["all", "-h", "--k", "x"],
+        ["lattice", "--bogus", "-h"],
+        ["-x", "-h"],
+        ["surface", "--k", "x", "-h"],
+        ["surface", "--out", "-h"],
+        ["lattice", "-hx"],
+        ["lattice", "--help=x"],
+    ]
+)
+
+
+def _argv_id(argv):
+    """argv as a test id: files by their names, and no spaces."""
+    return "_".join(os.path.basename(arg).replace(" ", "-") for arg in argv) or "no-arguments"
+
+
+def _table_outcome(argv):
+    """parse_args's result in argparse_oracle.parse's shape."""
+    try:
+        parsed = parse_args(argv)
+    except cli.UsageError:
+        return "usage"
+    return "help" if parsed is None else parsed
+
+
+@pytest.mark.parametrize("argv", ORACLE_ARGV, ids=_argv_id)
+def test_the_flag_table_parses_as_the_argparse_front_end(capsys, argv):
+    expected = argparse_oracle.parse(argv)
+    assert _table_outcome(argv) == expected
+    assert type(expected) is tuple or expected in ("help", "usage")
+    if expected == "usage":
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["surface", "--samp", "4"], ["lattice", "--with=w"], ["all", "--inject", "--allow"]],
+    ids=_argv_id,
+)
+def test_a_flag_prefix_is_a_usage_error(capsys, argv):
+    # argparse took a unique prefix of a flag; the table takes exact names only
+    assert type(argparse_oracle.parse(argv)) is tuple
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: unrecognized arguments: --")
+
+
+def _readme_usage_block() -> str:
+    with open(os.path.join(SRC, "..", "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    start = readme.index("```sh\n", readme.index("\n## CLI\n")) + len("```sh\n")
+    return readme[start:readme.index("```", start)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], ["--help"], ["lattice", "-h"], ["surface", "--help"], ["all", "--k", "4", "-h"]],
+    ids=_argv_id,
+)
+def test_help_prints_the_readme_usage_block(capsys, argv):
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == _readme_usage_block()
+    assert captured.err == ""
+    assert all(flag in captured.out for table in FLAGS.values() for flag in table
+               if flag != "--inject-corrupt-glue")
+
+
+def test_a_process_without_arguments_is_a_usage_error():
+    # perfbench times this run as setup_s, and counts it as set up only on exit 2
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3lat.cli"],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")

@@ -51,6 +51,25 @@ def test_caches_take_no_part_in_equality():
     assert Lattice(IntMatrix([[-2, 0], [0, -2]])) != a  # the Gram is the one field
 
 
+def test_a_matrix_keeps_its_hash_outside_its_fields():
+    # IntMatrix keeps the hash of its entries in the _hash slot, first use on
+    gram = [[-2, 1], [1, -2]]
+    a, b = IntMatrix(gram), IntMatrix(gram)
+    assert getattr(a, "_hash", None) is None
+    assert hash(a) == hash(b) == hash(a) == hash((a.entries,))
+    assert a._hash == hash(a) and a == b
+    # a cached hash takes no part in equality, repr or the fields
+    assert getattr(b, "_hash") == a._hash and a._key() == (a.entries,)
+    assert repr(a) == "IntMatrix(entries=((-2, 1), (1, -2)))"
+    assert IntMatrix([[-2, 0], [0, -2]]) != a
+    # nor do records built on it: equal lattices hash equal whichever was hashed first
+    first, second = Lattice(a), Lattice(IntMatrix(gram))
+    assert hash(first) == hash(second) and first == second
+    assert len({first, second, Lattice(b)}) == 1
+    with pytest.raises(AttributeError):
+        a._hash = 0
+
+
 def test_values_of_other_types_or_plain_tuples_are_not_equal():
     m = IntMatrix([[1, 2]])
     assert m != ((1, 2),)

@@ -109,6 +109,24 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout.strip() == "[]"
 
 
+def test_a_cli_run_loads_no_argument_parser():
+    # import argparse, its first parser and the gettext and locale lookups it
+    # makes took about 7 ms of every CLI process; the CLI parses its own flag table
+    unwanted = {"argparse", "gettext", "locale"}
+    code = (
+        "import os, sys, k3lat.cli\n"
+        "codes = [k3lat.cli.main(argv) for argv in (\n"
+        "    ['surface', '--k', '4', '--r', '1', '--s', '2', '--out', os.devnull], [])]\n"
+        f"print(codes, sorted({unwanted!r} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 2] []"
+
+
 def _imports_from(path: pathlib.Path, package: tuple[str, ...]):
     """(module, alias) for each ``from module import`` alias in path, with
     relative imports resolved against its package."""
