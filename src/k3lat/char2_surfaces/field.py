@@ -1,9 +1,14 @@
 """GF(2^k) arithmetic on bitmask-encoded polynomials.
 
 Elements are Python ints holding the coefficient bits of a residue modulo a
-fixed irreducible polynomial.  Multiplication runs on log/antilog tables,
-square roots are exact (the Frobenius is bijective), and the shipped moduli
-are pinned per degree for reproducible test vectors:
+fixed irreducible polynomial.  Multiplication runs on log/antilog tables:
+``log[a]`` is the discrete logarithm of a nonzero a to the generator, and
+the antilog table ``exp`` is stored twice over, with length 2(q - 1), so
+that ``exp[log[a] + log[b]]`` is the product of two nonzero elements with
+no reduction modulo q - 1.  The polynomial kernels in ``upoly``, ``poly``
+and ``surfaces`` read both tables directly and add logs in their inner
+loops.  Square roots are exact (the Frobenius is bijective), and the
+shipped moduli are pinned per degree for reproducible test vectors:
 
     k = 2:  x^2 + x + 1          (0b111)
     k = 4:  x^4 + x + 1          (0b10011)
@@ -85,7 +90,7 @@ class BinaryField:
     def _build_tables(self) -> None:
         q = self.q
         if q == 2:
-            self.exp = [1]
+            self.exp = [1, 1]
             self.log = [0, 0]
             self.generator = 1
             return
@@ -105,7 +110,7 @@ class BinaryField:
                 log = [0] * q
                 for i, v in enumerate(exp):
                     log[v] = i
-                self.exp = exp
+                self.exp = exp + exp
                 self.log = log
                 self.generator = g
                 return
@@ -132,15 +137,21 @@ class BinaryField:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
+        log = self.log
+        return self.exp[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise FieldError("inversion of zero")
-        return self.exp[(self.q - 1 - self.log[a]) % (self.q - 1)]
+        return self.exp[self.q - 1 - self.log[a]]
 
     def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
+        if b == 0:
+            raise FieldError("inversion of zero")
+        if a == 0:
+            return 0
+        log = self.log
+        return self.exp[log[a] + self.q - 1 - log[b]]
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -152,7 +163,7 @@ class BinaryField:
         return self.exp[(self.log[a] * e) % (self.q - 1)]
 
     def sqr(self, a: int) -> int:
-        return self.mul(a, a)
+        return self.exp[2 * self.log[a]] if a else 0
 
     def sqrt(self, a: int) -> int:
         """The unique square root: a^(2^(k-1))."""

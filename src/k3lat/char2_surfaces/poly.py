@@ -27,11 +27,13 @@ class HomPoly:
 
     def __init__(self, field: BinaryField, degree: int, terms: Mapping[tuple[int, int, int], int]):
         clean: dict[tuple[int, int, int], int] = {}
+        q = field.q
         for exp, c in terms.items():
             l, m, n = exp
             if l < 0 or m < 0 or n < 0 or l + m + n != degree:
                 raise PolyError(f"exponent triple {exp} does not sum to degree {degree}")
-            c = field.check(c)
+            if not 0 <= c < q:
+                field.check(c)  # raises with the field's message
             if c:
                 clean[(l, m, n)] = c
         self.field = field
@@ -39,10 +41,6 @@ class HomPoly:
         self.terms = clean
 
     # -- construction helpers -----------------------------------------------
-
-    @staticmethod
-    def zero(field: BinaryField, degree: int) -> "HomPoly":
-        return HomPoly(field, degree, {})
 
     @staticmethod
     def linear(field: BinaryField, coeffs: Sequence[int]) -> "HomPoly":
@@ -90,16 +88,18 @@ class HomPoly:
         if self.field != other.field:
             raise PolyError("product over different fields")
         f = self.field
+        antilog, log = f.exp, f.log
+        right = [(e, log[c]) for e, c in other.terms.items()]
         terms: dict[tuple[int, int, int], int] = {}
         for (l1, m1, n1), c1 in self.terms.items():
-            for (l2, m2, n2), c2 in other.terms.items():
+            lc1 = log[c1]
+            for (l2, m2, n2), lc2 in right:
                 exp = (l1 + l2, m1 + m2, n1 + n2)
-                c = f.mul(c1, c2)
-                r = terms.get(exp, 0) ^ c
+                r = terms.get(exp, 0) ^ antilog[lc1 + lc2]
                 if r:
                     terms[exp] = r
                 else:
-                    terms.pop(exp, None)
+                    del terms[exp]
         return HomPoly(f, self.degree + other.degree, terms)
 
     def scale(self, c: int) -> "HomPoly":
@@ -137,61 +137,95 @@ class HomPoly:
         return acc
 
     def compose_linear(self, mat: Sequence[Sequence[int]]) -> "HomPoly":
-        """Substitute x_i -> sum_j mat[i][j] * y_j."""
+        """Substitute x_i -> sum_j mat[i][j] * y_j.
+
+        The powers L_i^e (e <= degree) of the three substituted linear forms
+        are built once, as (packed exponent, log of coefficient) lists, where
+        the triple (a, b, c) packs to a*B^2 + b*B + c with B = degree + 1:
+        two triples of total degree at most the degree add without a carry.
+        The terms are grouped by their x0 exponent l, each group's sum of
+        c * L1^m * L2^n is formed first and multiplied by L0^l once.
+        """
         f = self.field
-        subs = [
-            HomPoly(
-                f,
-                1,
-                {(1, 0, 0): mat[i][0], (0, 1, 0): mat[i][1], (0, 0, 1): mat[i][2]},
-            )
-            for i in range(3)
-        ]
-        out = HomPoly.zero(f, self.degree)
-        for (l, m, n), c in self.terms.items():
-            t = HomPoly(f, 0, {(0, 0, 0): c})
-            for var, e in ((0, l), (1, m), (2, n)):
-                for _ in range(e):
-                    t = t * subs[var]
-            pad = self.degree - t.degree
-            if pad:
-                raise PolyError("composition changed the degree")
-            out = out + t
-        return out
+        antilog, log, m = f.exp, f.log, f.q - 1
+        d = self.degree
+        base = d + 1
+        units = (base * base, base, 1)
+        powers = []
+        for row in mat:
+            # L^e = L^(e-1) * L, with L's nonzero coefficients at packed unit exponents
+            form = [(u, log[a]) for u, a in zip(units, row) if a]
+            rows = [[(0, 0)]]
+            for _ in range(d):
+                nxt: dict[int, int] = {}
+                for k1, lc1 in rows[-1]:
+                    for k2, lc2 in form:
+                        nxt[k1 + k2] = nxt.get(k1 + k2, 0) ^ antilog[lc1 + lc2]
+                rows.append([(k, log[c]) for k, c in nxt.items() if c])
+            powers.append(rows)
+        pow0, pow1, pow2 = powers
+        groups: dict[int, dict[int, int]] = {}
+        for (l, e1, e2), c in self.terms.items():
+            acc = groups.setdefault(l, {})
+            lc = log[c]
+            for k1, lc1 in pow1[e1]:
+                lcc = lc + lc1
+                if lcc >= m:
+                    lcc -= m
+                for k2, lc2 in pow2[e2]:
+                    acc[k1 + k2] = acc.get(k1 + k2, 0) ^ antilog[lcc + lc2]
+        out: dict[int, int] = {}
+        for l, acc in groups.items():
+            for k1, c1 in acc.items():
+                if c1:
+                    lc1 = log[c1]
+                    for k2, lc2 in pow0[l]:
+                        out[k1 + k2] = out.get(k1 + k2, 0) ^ antilog[lc1 + lc2]
+        return HomPoly(
+            f, d, {(k // units[0], k // base % base, k % base): c for k, c in out.items() if c}
+        )
 
     # -- division by a linear form ----------------------------------------------
 
     def divide_by_linear(self, ell: "HomPoly") -> "HomPoly":
-        """Exact division by a nonzero linear form; raises if there is a remainder."""
+        """Exact division by a nonzero linear form; raises if there is a remainder.
+
+        Monomials are peeled level by level of the leading variable's power,
+        highest first: a step on level e adds only to level e - 1, so each
+        level is final when its turn comes, and a nonzero level 0 is the
+        remainder.
+        """
         if ell.degree != 1 or ell.is_zero():
             raise PolyError("divisor must be a nonzero linear form")
         f = self.field
-        var = max(v for v in (0, 1, 2) if ell.coeff(_unit(v)))
-        lead = ell.coeff(_unit(var))
-        lead_inv = f.inv(lead)
-        rest = [(v, ell.coeff(_unit(v))) for v in (0, 1, 2) if v != var and ell.coeff(_unit(v))]
-        remainder = {exp: c for exp, c in self.terms.items()}
+        antilog, log, m = f.exp, f.log, f.q - 1
+        cf = [ell.coeff(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        var = max(v for v in (0, 1, 2) if cf[v])
+        lead = m - log[cf[var]]
+        rest = [(v, log[cf[v]]) for v in (0, 1, 2) if v != var and cf[v]]
+        levels: list[dict[tuple[int, int, int], int]] = [{} for _ in range(self.degree + 1)]
+        for exp, c in self.terms.items():
+            levels[exp[var]][exp] = c
         quotient: dict[tuple[int, int, int], int] = {}
-        # peel monomials with the highest power of the leading variable first
-        while remainder:
-            exp = max(remainder, key=lambda e: (e[var], e))
-            if exp[var] == 0:
-                raise PolyError("linear form does not divide the polynomial")
-            c = remainder.pop(exp)
-            qc = f.mul(c, lead_inv)
-            qexp = list(exp)
-            qexp[var] -= 1
-            quotient[tuple(qexp)] = quotient.get(tuple(qexp), 0) ^ qc
-            for v, a in rest:
-                nexp = list(qexp)
-                nexp[v] += 1
-                key = tuple(nexp)
-                r = remainder.get(key, 0) ^ f.mul(qc, a)
-                if r:
-                    remainder[key] = r
-                else:
-                    remainder.pop(key, None)
-        return HomPoly(f, self.degree - 1, {e: c for e, c in quotient.items() if c})
+        for level in range(self.degree, 0, -1):
+            below = levels[level - 1]
+            for exp, c in levels[level].items():
+                if not c:
+                    continue
+                lq = log[c] + lead
+                if lq >= m:
+                    lq -= m
+                qexp = list(exp)
+                qexp[var] -= 1
+                quotient[tuple(qexp)] = antilog[lq]
+                for v, la in rest:
+                    nexp = list(qexp)
+                    nexp[v] += 1
+                    key = tuple(nexp)
+                    below[key] = below.get(key, 0) ^ antilog[lq + la]
+        if any(levels[0].values()):
+            raise PolyError("linear form does not divide the polynomial")
+        return HomPoly(f, self.degree - 1, quotient)
 
     # -- serialization -----------------------------------------------------------
 
@@ -232,10 +266,6 @@ class HomPoly:
     @staticmethod
     def from_json(text: str) -> "HomPoly":
         return HomPoly.from_json_obj(json.loads(text))
-
-
-def _unit(var: int) -> tuple[int, int, int]:
-    return tuple(1 if i == var else 0 for i in range(3))
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,7 @@ def _restrict_to_pencil(g: HomPoly, a: Line, b: Line, e: int | None = None) -> l
     x_i^m * x_j^(d-m): a univariate polynomial in t.
     """
     f = g.field
-    mul = f.mul
+    antilog, log, m = f.exp, f.log, f.q - 1
     d = g.degree
     if e is None:
         e = min(v for v in range(3) if a[v])
@@ -128,12 +128,15 @@ def _restrict_to_pencil(g: HomPoly, a: Line, b: Line, e: int | None = None) -> l
     for exp, c in g.terms.items():
         n = exp[e]
         base = exp[i]
+        lc = log[c]
         for s in _odd_binomials(n):
             row = rows[base + s]
-            for k1, c1 in pow_i[s]:
-                c1 = mul(c, c1)
-                for k2, c2 in pow_j[n - s]:
-                    row[k1 + k2] ^= mul(c1, c2)
+            for k1, l1 in pow_i[s]:
+                l1 += lc
+                if l1 >= m:
+                    l1 -= m
+                for k2, l2 in pow_j[n - s]:
+                    row[k1 + k2] ^= antilog[l1 + l2]
     return [trim(row) for row in rows]
 
 
@@ -144,22 +147,21 @@ def _odd_binomials(n: int) -> tuple[int, ...]:
 
 
 def _linear_powers(f: BinaryField, alpha: int, beta: int, n: int) -> list[list[tuple[int, int]]]:
-    """(alpha + beta*t)^s for s = 0..n, as lists of the nonzero (k, coefficient of t^k)."""
-    out = [[(0, 1)]]
-    if not beta:
-        p = 1
-        for _ in range(n):
-            p = f.mul(p, alpha)
-            out.append([(0, p)] if p else [])
-        return out
-    dense = [1]
-    for _ in range(n):
-        nxt = [f.mul(alpha, c) for c in dense] + [0]
-        for k, c in enumerate(dense):
-            nxt[k + 1] ^= f.mul(beta, c)
-        dense = nxt
-        out.append([(k, c) for k, c in enumerate(dense) if c])
-    return out
+    """(alpha + beta*t)^s for s = 0..n, as lists of (k, log of the nonzero coefficient of t^k).
+
+    In characteristic 2 the coefficient of t^k is alpha^(s-k) * beta^k when
+    C(s, k) is odd and 0 otherwise, with 0^0 = 1.
+    """
+    m = f.q - 1
+    la, lb = f.log[alpha], f.log[beta]
+    return [
+        [
+            (k, (la * (s - k) + lb * k) % m)
+            for k in _odd_binomials(s)
+            if (alpha or k == s) and (beta or not k)
+        ]
+        for s in range(n + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -358,29 +360,42 @@ def singular_points(g: HomPoly) -> list[Point]:
 # ---------------------------------------------------------------------------
 
 def _local_expansion(g: HomPoly, p: Point) -> dict[tuple[int, int], int]:
-    """Dehomogenize at a chart containing p and translate p to the origin."""
+    """Dehomogenize at a chart containing p and translate p to the origin.
+
+    With p scaled so that p[chart] = 1, the kept coordinates become u + a
+    and v + b, and each term c * x_kept^(eu, ev) expands by char-2 binomials
+    into c * a^(eu-i) * b^(ev-j) * u^i * v^j over the odd C(eu, i) and
+    C(ev, j).  The logs of the powers of a and of b are listed once (None
+    for a zero power).
+    """
     f = g.field
+    antilog, log, m = f.exp, f.log, f.q - 1
     chart = max(i for i in range(3) if p[i])
     kept = [i for i in range(3) if i != chart]
-    # x_kept = u + p_kept, x_chart = 1 after scaling p so that p[chart] = 1
     pn = normalize_point(f, p)
-    coeffs: dict[tuple[int, int], int] = {}
+    pow_a, pow_b = (
+        [0] + [(log[c] * e) % m if c else None for e in range(1, g.degree + 1)]
+        for c in (pn[kept[0]], pn[kept[1]])
+    )
+    # the coefficient of u^i v^j at flat index i * (d + 1) + j
+    width = g.degree + 1
+    flat = [0] * (width * width)
     for exp, c in g.terms.items():
         eu, ev = exp[kept[0]], exp[kept[1]]
-        # binomial expansion of (u + a)^eu (v + b)^ev with char-2 binomials
-        a, b = pn[kept[0]], pn[kept[1]]
+        lc = log[c]
         for i in _odd_binomials(eu):
-            ca = f.mul(c, f.pow(a, eu - i))
+            la = pow_a[eu - i]
+            if la is None:
+                continue
+            la += lc
+            if la >= m:
+                la -= m
+            row = i * width
             for j in _odd_binomials(ev):
-                cb = f.mul(ca, f.pow(b, ev - j))
-                if cb:
-                    key = (i, j)
-                    r = coeffs.get(key, 0) ^ cb
-                    if r:
-                        coeffs[key] = r
-                    else:
-                        coeffs.pop(key, None)
-    return coeffs
+                lb = pow_b[ev - j]
+                if lb is not None:
+                    flat[row + j] ^= antilog[la + lb]
+    return {divmod(k, width): c for k, c in enumerate(flat) if c}
 
 
 def classify_singularity(g: HomPoly, p: Point) -> str:

@@ -3,7 +3,9 @@
 ``__slots__`` lists the fields, then any lazily filled caches (names with a
 leading underscore); they are written once through ``object.__setattr__``
 and every later assignment raises.  Equality and hashing run over the
-fields alone, as they did for the frozen dataclasses this replaces.
+fields alone, as they did for the frozen dataclasses this replaces; each
+subclass lists its fields once, at class creation, with an ``attrgetter``
+of them, so a hash or comparison does not walk ``__slots__``.
 
 A record (a class whose slots are all fields) is built by position, by name
 or both, as ``Summand("H", "H", offset=0, rank=1)``; a missing, unknown or
@@ -14,8 +16,22 @@ index, unpack or order like a tuple.
 """
 
 
+from operator import attrgetter
+
+
 class Frozen:
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        """Names the class's fields once, and keeps a getter of all of them as
+        one tuple (also for a class with a single field)."""
+        super().__init_subclass__(**kwargs)
+        cls._fields = fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        if len(fields) == 1:
+            get = attrgetter(fields[0])
+            cls._fields_of = staticmethod(lambda obj: (get(obj),))
+        else:
+            cls._fields_of = attrgetter(*fields)
 
     def __init__(self, *values, **named):
         """One value per slot, by position and then by name; a class with
@@ -34,7 +50,7 @@ class Frozen:
             raise TypeError(f"{cls} got unexpected or repeated fields {sorted(named)}")
 
     def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
+        return self._fields_of(self)
 
     def __eq__(self, other):
         if self is other:
@@ -53,5 +69,5 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
     def __repr__(self) -> str:
-        names = [name for name in self.__slots__ if name[0] != "_"]
-        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({fields})"

@@ -8,12 +8,18 @@ every x of GF(q); they now come from the same elimination.  Roots were
 found by scanning t = 0, 1, 2, ... up to the largest one; they are now
 split by traces.  The resultant that drives the elimination is checked
 against the Sylvester determinant it stands for.
+
+The polynomial kernels now add logs over the field's doubled antilog
+table.  Their earlier forms, one ``f.mul`` per product, stay here: a
+substitution built term by term from sparse products, the
+remainder and exact quotient, the trace splitting that squares its own
+Frobenius powers, and the local expansion with two ``f.pow`` per term pair.
 """
 
 import functools
 
 from k3lat.char2_surfaces.poly import HomPoly
-from k3lat.char2_surfaces.surfaces import _restrict_to_pencil, is_splitting
+from k3lat.char2_surfaces.surfaces import _odd_binomials, _restrict_to_pencil, is_splitting, normalize_point
 from k3lat.char2_surfaces.upoly import common_roots, poly_eval, trim
 
 
@@ -119,3 +125,119 @@ def scan_roots(f, h):
         if acc == 0:
             out.append(t)
     return out
+
+
+def product(f, a, b):
+    """The product of two term maps {exponent triple: coefficient}, one f.mul per term pair."""
+    out = {}
+    for (l1, m1, n1), c1 in a.items():
+        for (l2, m2, n2), c2 in b.items():
+            exp = (l1 + l2, m1 + m2, n1 + n2)
+            out[exp] = out.get(exp, 0) ^ f.mul(c1, c2)
+    return {e: c for e, c in out.items() if c}
+
+
+def compose_linear(g, mat):
+    """g with x_i -> sum_j mat[i][j] * y_j, term by term, one sparse product per factor."""
+    f = g.field
+    subs = [{(1, 0, 0): row[0], (0, 1, 0): row[1], (0, 0, 1): row[2]} for row in mat]
+    out = {}
+    for (l, m, n), c in g.terms.items():
+        t = {(0, 0, 0): c}
+        for var, e in ((0, l), (1, m), (2, n)):
+            for _ in range(e):
+                t = product(f, t, subs[var])
+        for exp, tc in t.items():
+            out[exp] = out.get(exp, 0) ^ tc
+    return HomPoly(f, g.degree, out)
+
+
+def poly_rem(f, a, b):
+    """Remainder of a modulo the nonzero b, one f.mul per product."""
+    a = list(a)
+    inv = f.inv(b[-1])
+    db = len(b) - 1
+    while len(a) > db:
+        c = f.mul(a[-1], inv)
+        shift = len(a) - 1 - db
+        for i, bc in enumerate(b):
+            a[shift + i] ^= f.mul(c, bc)
+        trim(a)
+    return a
+
+
+def poly_quo(f, a, b):
+    """The quotient of a by the nonzero b, which must divide it exactly."""
+    a = list(a)
+    inv = f.inv(b[-1])
+    db = len(b) - 1
+    out = [0] * max(len(a) - db, 0)
+    for shift in range(len(out) - 1, -1, -1):
+        c = f.mul(a[shift + db], inv)
+        out[shift] = c
+        for i, bc in enumerate(b):
+            a[shift + i] ^= f.mul(c, bc)
+    if any(a):
+        raise ValueError("inexact polynomial division")
+    return out
+
+
+def _gcd(f, a, b):
+    while b:
+        a, b = b, poly_rem(f, a, b)
+    return a
+
+
+def _square_mod(f, a, m):
+    sq = [0] * (2 * len(a) - 1) if a else []
+    for i, c in enumerate(a):
+        sq[2 * i] = f.sqr(c)
+    return poly_rem(f, sq, m)
+
+
+def split_roots(f, h):
+    """Trace splitting as it was: the k powers t^(2^i) mod h squared here, from t."""
+    if len(h) <= 2:
+        return [f.div(h[0], h[1])] if len(h) == 2 else []
+    powers = [poly_rem(f, [0, 1], h)]
+    for _ in range(f.k - 1):
+        powers.append(_square_mod(f, powers[-1], h))
+    roots = []
+    todo = [h]
+    for i in range(f.k):
+        beta = 1 << i
+        trace = [0] * (len(h) - 1)
+        for p in powers:
+            for j, c in enumerate(p):
+                trace[j] ^= f.mul(beta, c)
+            beta = f.sqr(beta)
+        trim(trace)
+        pending = []
+        for g in todo:
+            d = _gcd(f, g, poly_rem(f, trace, g))
+            for part in [d, poly_quo(f, g, d)] if 1 < len(d) < len(g) else [g]:
+                if len(part) == 2:
+                    roots.append(f.div(part[0], part[1]))
+                else:
+                    pending.append(part)
+        todo = pending
+        if not todo:
+            return sorted(roots)
+    raise ValueError("polynomial is not a product of distinct rational linear factors")
+
+
+def local_expansion(g, p):
+    """g dehomogenized at p's chart and translated to p, two f.pow per term pair."""
+    f = g.field
+    chart = max(i for i in range(3) if p[i])
+    kept = [i for i in range(3) if i != chart]
+    pn = normalize_point(f, p)
+    a, b = pn[kept[0]], pn[kept[1]]
+    coeffs = {}
+    for exp, c in g.terms.items():
+        eu, ev = exp[kept[0]], exp[kept[1]]
+        for i in _odd_binomials(eu):
+            ca = f.mul(c, f.pow(a, eu - i))
+            for j in _odd_binomials(ev):
+                coeffs[(i, j)] = coeffs.get((i, j), 0) ^ f.mul(ca, f.pow(b, ev - j))
+    return {e: c for e, c in coeffs.items() if c}

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from k3lat.char2_surfaces.field import BinaryField, FieldError
+from k3lat.char2_surfaces.field import BinaryField, FieldError, _poly_mulmod
 
 
 def test_shipped_moduli_build():
@@ -47,12 +47,34 @@ def test_omega_is_cube_root():
 
 
 def test_omega_check_fires_on_a_corrupt_antilog_table():
-    # the table entry at (q - 1) / 3 is the cube root; make it 1
+    # the table entry at (q - 1) / 3 is the cube root; make it 1 in the first
+    # copy of the doubled table, the one omega reads
     f = BinaryField(4)
+    assert len(f.exp) == 2 * (f.q - 1)
     f.exp = list(f.exp)
     f.exp[(f.q - 1) // 3] = 1
     with pytest.raises(FieldError, match="cube-root construction failed"):
         f.omega()
+
+
+@pytest.mark.parametrize("k,modulus", [(1, 0b11), (2, 0b111), (3, 0b1011), (4, 0b10011)])
+def test_table_arithmetic_matches_shift_and_xor_exhaustively(k, modulus):
+    # the doubled antilog table: products whose logs sum past q - 2 read its
+    # upper half, and GF(2) has the table [1, 1]
+    f = BinaryField(k, modulus)
+    assert len(f.exp) == 2 * (f.q - 1) and f.exp[: f.q - 1] == f.exp[f.q - 1 :]
+    times = lambda a, b: _poly_mulmod(a, b, modulus, k)
+    for a in range(f.q):
+        for b in range(f.q):
+            assert f.mul(a, b) == times(a, b)
+            if b:
+                assert times(f.div(a, b), b) == a
+        assert f.sqr(a) == times(a, a)
+        assert times(f.sqrt(a), f.sqrt(a)) == a
+        if a:
+            assert times(a, f.inv(a)) == 1
+    with pytest.raises(FieldError, match="inversion of zero"):
+        f.div(1, 0)
 
 
 def test_sqrt_inverts_squaring_exhaustively():

@@ -354,10 +354,10 @@ def test_lemma_bound_single_line(gf16):
 
 def test_lemma_bound_rejects_bad_degrees(gf16):
     with pytest.raises(SurfaceError):
-        nonreduced_splitting_lines_separable(HomPoly.zero(gf16, 3), HomPoly.zero(gf16, 6))
+        nonreduced_splitting_lines_separable(HomPoly(gf16, 3, {}), HomPoly(gf16, 6, {}))
     with pytest.raises(SurfaceError):
         nonreduced_splitting_lines_separable(
-            HomPoly(gf16, 2, {(1, 1, 0): 1}), HomPoly.zero(gf16, 6)
+            HomPoly(gf16, 2, {(1, 1, 0): 1}), HomPoly(gf16, 6, {})
         )
 
 

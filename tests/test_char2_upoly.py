@@ -5,6 +5,7 @@ import pytest
 from k3lat.char2_surfaces.field import BinaryField
 from k3lat.char2_surfaces.upoly import (
     common_roots,
+    frobenius_powers,
     interpolate,
     poly_eval,
     poly_quo,
@@ -82,7 +83,7 @@ def test_split_roots_match_the_scan(k, modulus):
     for _ in range(60):
         roots = sorted(rng.sample(range(f.q), rng.randrange(min(f.q, 12) + 1)))
         h = _product(f, [[rng.randrange(1, f.q)]] + [[t, 1] for t in roots])
-        assert split_roots(f, h) == scan_roots(f, h) == roots
+        assert split_roots(f, h, frobenius_powers(f, h)) == scan_roots(f, h) == roots
 
 
 @pytest.mark.parametrize("k,modulus", FIELDS, ids=FIELD_IDS)
@@ -105,10 +106,11 @@ def test_split_roots_refuses_a_factor_without_rational_roots():
     f = BinaryField(4)
     # t^2 + t + c has no root in GF(16) when c has trace 1; its rational part is a constant
     c = next(c for c in range(1, f.q) if not scan_roots(f, [c, 1, 1]))
-    assert len(rational_roots_part(f, [c, 1, 1])) == 1
+    powers = frobenius_powers(f, [c, 1, 1])
+    assert len(rational_roots_part(f, [c, 1, 1], powers)) == 1
     assert list(common_roots(f, [[c, 1, 1]])) == []
     with pytest.raises(ValueError, match="distinct rational linear factors"):
-        split_roots(f, [c, 1, 1])
+        split_roots(f, [c, 1, 1], powers)
 
 
 def test_exact_quotient_and_its_refusal():
