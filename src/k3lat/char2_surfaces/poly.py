@@ -115,7 +115,7 @@ class HomPoly:
             {(2 * l, 2 * m, 2 * n): f.sqr(c) for (l, m, n), c in self.terms.items()},
         )
 
-    # -- calculus and evaluation ----------------------------------------------
+    # -- calculus and substitution --------------------------------------------
 
     def partial(self, var: int) -> "HomPoly":
         """Formal derivative; even exponents vanish in characteristic 2."""
@@ -127,14 +127,6 @@ class HomPoly:
                 new[var] = e - 1
                 terms[tuple(new)] = c
         return HomPoly(self.field, max(self.degree - 1, 0), terms)
-
-    def evaluate(self, point: Sequence[int]) -> int:
-        f = self.field
-        x, y, z = point
-        acc = 0
-        for (l, m, n), c in self.terms.items():
-            acc ^= f.mul(f.mul(c, f.pow(x, l)), f.mul(f.pow(y, m), f.pow(z, n)))
-        return acc
 
     def compose_linear(self, mat: Sequence[Sequence[int]]) -> "HomPoly":
         """Substitute x_i -> sum_j mat[i][j] * y_j.

@@ -324,12 +324,12 @@ def singular_points(g: HomPoly) -> list[Point]:
     finds, as it finds the lines of the scan: at the roots of a resultant in
     x, or at every x when the partials share a component or k <= 4.  On the
     line z = 0 the partials at (x, 1, 0) are polynomials in x, whose common
-    roots are found by gcds, and (1, 0, 0) is evaluated directly.  Points
-    come out in chart order: x, then y, then the line at infinity.  An
-    infinite singular locus is an error: all partials identically zero, or
-    more points than the Bezout bound 25 for two quintics without a common
-    component (raised as soon as the 26th point is found).  Only sextics
-    are accepted, since the bound is a sextic fact.
+    roots are found by gcds, and a partial's value at (1, 0, 0) is its
+    x0^5 coefficient.  Points come out in chart order: x, then y, then the
+    line at infinity.  An infinite singular locus is an error: all partials
+    identically zero, or more points than the Bezout bound 25 for two
+    quintics without a common component (raised as soon as the 26th point
+    is found).  Only sextics are accepted, since the bound is a sextic fact.
     """
     if g.degree != 6:
         raise SurfaceError(f"singular points are computed for sextics, not for degree {g.degree}")
@@ -344,7 +344,7 @@ def singular_points(g: HomPoly) -> list[Point]:
     points = chain(
         ((x, y, 1) for x, y in _affine_zeros(f, vertical)),
         ((x, 1, 0) for x in common_roots(f, (_at(f, rows, 0) for rows in at_infinity))),
-        [(1, 0, 0)] if all(part.evaluate((1, 0, 0)) == 0 for part in parts) else [],
+        [(1, 0, 0)] if not any(part.coeff((5, 0, 0)) for part in parts) else [],
     )
     out = list(islice(points, 26))
     if len(out) > 25:
@@ -511,10 +511,6 @@ class ConfigurationReport(Frozen):
     report: SingularityReport
     splitting_lines: tuple[Line, ...]
     certificates: tuple[tuple[Line, SplittingCertificate], ...]
-
-    @property
-    def total_milnor(self):
-        return self.report.total_milnor
 
 
 def verify_configuration(g: HomPoly, r: int, s: int) -> ConfigurationReport:

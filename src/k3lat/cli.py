@@ -251,7 +251,7 @@ def _surface_case(field: BinaryField, r: int, s: int) -> tuple[bool, dict]:
             label: {"coords": [format(c, "x") for c in p], "type": types.get(p, "missing")}
             for label, p in sorted(named.items())
         },
-        "milnor": conf.total_milnor,
+        "milnor": conf.report.total_milnor,
         "splitting_lines": [[format(c, "x") for c in l] for l in conf.splitting_lines],
         "certificates": [
             {

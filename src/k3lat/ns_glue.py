@@ -18,7 +18,6 @@ from typing import Sequence
 from .exact_arith import IntMatrix, hnf_rows, is_prime, rank_mod_p
 from .frozen import Frozen
 from .lattice_core import (
-    DiscClass,
     DualVector,
     Lattice,
     class_of,
@@ -386,6 +385,14 @@ def canonical_positivity(ns: OverlatticeResult) -> PositivityFunctional:
     return PositivityFunctional(ns.basis_num.mul_vec(w_pairings))
 
 
+def _rescaled(
+    points: Sequence[tuple[int, tuple[int, ...]]], d: int, den: int
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Each (norm, y) with y a numerator over d as (norm, y den / d), over den."""
+    scale = den // d
+    return tuple((norm, tuple(c * scale for c in y)) for norm, y in points)
+
+
 @functools.cache
 def _root_candidates(
     sub: Lattice, num: tuple[int, ...], den: int
@@ -396,18 +403,16 @@ def _root_candidates(
 
     With d the class's reduced denominator, these are the points of its
     coset enumeration at the bound 2 d^2 (``coset_points``, shared with the
-    class searches), scaled to den.
+    class searches), which arrive sorted by y, rescaled to den.
     """
     cls = class_of(DualVector(sub, num, den))
-    rep, d = cls.component
-    scale = den // d
-    gram = sub.gram
-    out = []
-    for x in coset_points(sub, cls, 2 * d * d):
-        y = tuple((a + d * b) * scale for a, b in zip(rep, x))
-        out.append((sum(map(mul, y, gram.mul_vec(y))), y))
-    out.sort(key=lambda t: (-t[0], t[1]))
-    return tuple(out)
+    d = cls.component[1]
+    gram, scale2 = sub.gram, (den // d) ** 2
+    points = [
+        (sum(map(mul, y, gram.mul_vec(y))) * scale2, y) for y in coset_points(sub, cls, 2 * d * d)
+    ]
+    points.sort(key=lambda t: -t[0])
+    return _rescaled(points, d, den)
 
 
 class ExceptionalRootReport(Frozen):
@@ -539,29 +544,6 @@ class HalflineSearchResult(Frozen):
         }
 
 
-def _summand_candidates(
-    sub: Lattice,
-    cls: DiscClass,
-    budget2: int,
-    den: int,
-) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(norm2, y) for all dual vectors y / den of one summand in a given
-    class with norm2 = 2 v*v >= budget2 and non-negative pairing against the
-    summand's basis roots.
-
-    These are the ``found`` vectors of the class search down to the budget,
-    which is exhaustive by construction; bounded_class_minimizers memoizes
-    it per (lattice, class, floor), so each class is enumerated once per
-    process.  found is sorted by (-norm2, x), and rep + x keeps that order.
-    """
-    search = bounded_class_minimizers(sub, cls, budget2)
-    rep, d = search.rep.num, search.rep.den
-    scale = den // d
-    return tuple(
-        (norm2, tuple((a + d * b) * scale for a, b in zip(rep, x))) for norm2, x in search.found
-    )
-
-
 def unique_halfline_search(
     ls: LabeledSum, lam: str, ns: OverlatticeResult
 ) -> HalflineSearchResult:
@@ -572,10 +554,13 @@ def unique_halfline_search(
     The search fixes the polarization component (norm 1/2), then walks the
     summands (``_budget_walk``) with the remaining norm budget of -5/2.
     Summand norms are in 1/2 Z, so the walk counts in half-units: the
-    budget is -5 and each candidate adds 2 v*v.  The candidates are
-    numerator rows over the target's denominator, and the summand table
-    lists H first and the exceptional summands after it in offset order, so
-    the H part followed by a walk's row is one candidate vector.
+    budget is -5 and each candidate adds 2 v*v.  A summand's candidates
+    are the ``found`` numerators of its class search down to the budget,
+    which is exhaustive by construction and memoized per (lattice, class,
+    floor), so each class is enumerated once per process; rescaled to the
+    target's denominator they are numerator rows over it, and the summand
+    table lists H first and the exceptional summands after it in offset
+    order, so the H part followed by a walk's row is one candidate vector.
     """
     target = halfline_class(ls, lam).vector
     target_class = class_of(target)
@@ -589,10 +574,10 @@ def unique_halfline_search(
         if s.kind == "H":
             head = target.num[s.offset : s.offset + s.rank]
             continue
-        sub = ls.summand_lattice(s)
-        cands = _summand_candidates(sub, class_of(ls.component(target, s)), budget2, den)
-        lists.append(cands)
-        counts[s.name] = len(cands)
+        cls = class_of(ls.component(target, s))
+        found = bounded_class_minimizers(ls.summand_lattice(s), cls, budget2).found
+        lists.append(_rescaled(found, cls.component[1], den))
+        counts[s.name] = len(found)
 
     rows, checked = _budget_walk(lists, budget2)
     results: list[DualVector] = []

@@ -32,13 +32,12 @@ class RootSystemError(ValueError):
 def short_vectors(
     gram: IntMatrix, bound: int, coset: tuple[Sequence[int], int] | None = None
 ) -> list[tuple[int, ...]]:
-    """All nonzero integer vectors x with x^T (-gram) x <= bound, gram
+    """All nonzero integer vectors y with y^T (-gram) y <= bound, gram
     negative definite, sorted.
 
-    With ``coset`` = (num, den), the points are y = num + den x, the vectors
-    y / den of the coset num / den + Z^n, and the result is every x, zero
-    included, with y^T (-gram) y <= bound; on the zero coset that is the
-    default with the zero vector kept.
+    With ``coset`` = (num, den), the result is every point y = num + den x,
+    x integral, with y^T (-gram) y <= bound, zero included: the numerators
+    of the vectors y / den of the coset num / den + Z^n.
 
     Fincke-Pohst enumeration in integers.  The symmetric elimination of
     -gram takes its pivots in order and gives the leading minors
@@ -46,16 +45,16 @@ def short_vectors(
     (see ``symmetric_elimination``, kept on the matrix, so the lattice's
     signature shares it): the entries at step i are (i + 1)-minors by
     Sylvester's identity, so negating the matrix multiplies step i by
-    (-1)^(i+1).  With B_i its integer row i (B_ii = D_i), -gram(y) = sum_i (B_i . y)^2 / (D_(i-1) D_i).  Row i
-    divided by its gcd g_i is den_i = D_i / g_i on the diagonal and a_ij
-    after it, with weight g_i^2 / (D_(i-1) D_i); the weights and the bound
-    are put over one common denominator as integers W_i and B.  The form
-    becomes sum_i W_i (den_i y_i + s_i)^2 with s_i = sum_{j>i} a_ij y_j, so
-    each node's interval for x_i, where y_i = num_i + den x_i, comes from an
-    integer square root and a floor division, and every comparison is
-    exact.  A form that is not positive definite has some D_i <= 0 (or
-    fewer than n pivots) and raises.  The enumeration is exhaustive for its
-    bound by construction.
+    (-1)^(i+1).  With B_i its integer row i (B_ii = D_i),
+    -gram(y) = sum_i (B_i . y)^2 / (D_(i-1) D_i).  Row i divided by its gcd
+    g_i is den_i = D_i / g_i on the diagonal and a_ij after it, with weight
+    g_i^2 / (D_(i-1) D_i); the weights and the bound are put over one
+    common denominator as integers W_i and B.  The form becomes
+    sum_i W_i (den_i y_i + s_i)^2 with s_i = sum_{j>i} a_ij y_j, so each
+    node's interval for y_i = num_i + den x_i comes from an integer square
+    root and a floor division, and every comparison is exact.  A form that
+    is not positive definite has some D_i <= 0 (or fewer than n pivots) and
+    raises.  The enumeration is exhaustive for its bound by construction.
     """
     if bound < 0:
         raise RootSystemError("negative bound")
@@ -80,28 +79,24 @@ def short_vectors(
     keep_zero = coset is not None
     num, step = coset if keep_zero else ((0,) * n, 1)
     out: list[tuple[int, ...]] = []
-    x = [0] * n
     y = list(num)  # y = num + step * x
 
     def recurse(i: int, remaining: int) -> None:
-        s = dens[i] * num[i] + sum(a * y[j] for j, a in rows[i])
-        w, den = w_int[i], dens[i] * step
+        y0, w, den = num[i], w_int[i], dens[i] * step
+        s = dens[i] * y0 + sum(a * y[j] for j, a in rows[i])
         m = math.isqrt(remaining // w)
         # -m <= den*x_i + s <= m, so every x_i in the range fits the budget
         lo, hi = -((m + s) // den), (m - s) // den
         if i == 0:
-            for xi in range(lo, hi + 1):
-                x[0] = xi
-                if keep_zero or any(x):
-                    out.append(tuple(x))
+            for yi in range(y0 + step * lo, y0 + step * hi + 1, step):
+                y[0] = yi
+                if keep_zero or any(y):
+                    out.append(tuple(y))
         else:
             for xi in range(lo, hi + 1):
                 t = den * xi + s
-                x[i] = xi
-                y[i] = num[i] + step * xi
+                y[i] = y0 + step * xi
                 recurse(i - 1, remaining - w * t * t)
-        x[i] = 0
-        y[i] = num[i]
 
     recurse(n - 1, bound * scale)
     out.sort()
@@ -418,20 +413,17 @@ class ClassNormSearch(Frozen):
     """Outcome of the exhaustive search over one dual class, down to a floor.
 
     The norms of the class are in 1/2 Z and are carried in half-units, as
-    the integers norm2 = 2 v*v.  ``found`` holds every (norm2, x) with
-    norm2 >= ``floor2`` and rep + x pairing non-negatively with every basis
-    vector, by decreasing norm; every such vector that is not found has
-    norm2 < floor2.  So the maximum is global, and ``runner_up2``, the
-    largest norm2 below it, is exact whenever it is not None.  ``rep`` is
-    the class's component (num mod den) / den.  ``norms_all_odd`` holds
-    when every norm of the class is odd, which the parity of the
-    representative's norm decides (``_norms_all_odd``); it holds on the D4
-    leaf classes and on no A1 class.
+    the integers norm2 = 2 v*v.  ``found`` holds every (norm2, y) with
+    norm2 >= ``floor2`` and v = y / den, den the class's denominator,
+    pairing non-negatively with every basis vector, by decreasing norm;
+    every such vector that is not found has norm2 < floor2.  So the maximum
+    is global, and ``runner_up2``, the largest norm2 below it, is exact
+    whenever it is not None.  ``norms_all_odd`` holds when every norm of the
+    class is odd, which the parity of the component's norm decides
+    (``_norms_all_odd``); it holds on the D4 leaf classes and on no A1 class.
     """
 
-    __slots__ = ("rep", "max_norm2", "maximizers", "runner_up2", "floor2", "norms_all_odd",
-                 "found")
-    rep: DualVector
+    __slots__ = ("max_norm2", "maximizers", "runner_up2", "floor2", "norms_all_odd", "found")
     max_norm2: int
     maximizers: tuple[DualVector, ...]
     runner_up2: int | None
@@ -456,13 +448,13 @@ def _norms_all_odd(lattice: Lattice, rep: DualVector) -> bool:
     return pairing_numerator(rep, rep) % (2 * d2) == d2
 
 
-def bounded_class_minimizers(lattice: Lattice, cls: DiscClass, floor2: int = -5) -> ClassNormSearch:
+def bounded_class_minimizers(lattice: Lattice, cls: DiscClass, floor2: int) -> ClassNormSearch:
     """Maximum of v*v over dual vectors in a fixed class pairing non-negatively
     with every basis vector, and every such vector with 2 v*v >= floor2.
 
     The search is the Fincke-Pohst enumeration of the coset (``short_vectors``),
-    exhaustive down to the floor, which defaults to -5 (norm -5/2, the
-    budget of the half-line walk).
+    exhaustive down to the floor; the half-line walk asks for -5 (norm -5/2,
+    its budget).
     """
     if cls.lattice != lattice:
         raise RootSystemError("class belongs to a different lattice")
@@ -473,64 +465,51 @@ def bounded_class_minimizers(lattice: Lattice, cls: DiscClass, floor2: int = -5)
 def _class_search(lattice: Lattice, cls: DiscClass, floor2: int) -> ClassNormSearch:
     """The search behind bounded_class_minimizers, memoized per (lattice, class, floor).
 
-    The representative is the class's component, and the parity of its norm
-    is the parity of every norm in the class (``_norms_all_odd``).  With
-    y = num + den x, norm2 >= floor2 is y^T (-G) y <= -floor2 den^2 / 2, so
-    the floor asks for the coset scan (``_coset_scan``) at the bound
-    floor(-floor2 den^2 / 2), and floors that round to one bound share its
-    enumeration (``coset_points``).
-    Every point of that scan has norm2 >= -2 bound / den^2 >= floor2, and
-    every point outside it has norm2 < floor2, so the scan is ``found``.
+    The class's component num / den represents it, and the parity of its
+    norm is the parity of every norm in the class (``_norms_all_odd``).  For
+    v = y / den, norm2 >= floor2 is y^T (-G) y <= -floor2 den^2 / 2, so the
+    floor asks for the coset points (``coset_points``) at the bound
+    floor(-floor2 den^2 / 2), and floors that round to one bound share that
+    enumeration.  Every point of it has norm2 >= -2 bound / den^2 >= floor2,
+    and every point outside it has norm2 < floor2, so ``found`` is the
+    points with G y >= 0.  The cone is tested row by row, since most points
+    leave it early; the points arrive sorted, and the stable sort by norm
+    keeps ties in that order.
     """
     num, den = cls.component
     rep = DualVector(lattice, num, den)
     if 2 * pairing_numerator(rep, rep) % (den * den):
         raise RootSystemError("representative norm is not half-integral")
     all_odd = _norms_all_odd(lattice, rep)
-    found = _coset_scan(lattice, cls, -floor2 * den * den // 2)
+    gram = lattice.gram
+    found = []
+    for y in coset_points(lattice, cls, -floor2 * den * den // 2):
+        for row in gram.entries:
+            if sum(map(mul, row, y)) < 0:
+                break
+        else:
+            found.append((2 * sum(map(mul, y, gram.mul_vec(y))) // (den * den), y))
     if not found:
         raise RootSystemError("empty constrained search")
+    found.sort(key=lambda t: -t[0])
     max_norm2 = found[0][0]
-    maximizers = tuple(rep + DualVector(lattice, x) for norm2, x in found if norm2 == max_norm2)
     rest = [norm2 for norm2, _ in found if norm2 < max_norm2]
     return ClassNormSearch(
-        rep=rep,
         max_norm2=max_norm2,
-        maximizers=maximizers,
+        maximizers=tuple(DualVector(lattice, y, den) for norm2, y in found if norm2 == max_norm2),
         runner_up2=max(rest) if rest else None,
         floor2=floor2,
         norms_all_odd=all_odd,
-        found=found,
+        found=tuple(found),
     )
 
 
 @functools.cache
 def coset_points(lattice: Lattice, cls: DiscClass, bound: int) -> tuple[tuple[int, ...], ...]:
-    """Every x with y = num + den x and y^T (-G) y <= bound, sorted, where
-    num / den is the class's component: the Fincke-Pohst enumeration of the
-    coset (``short_vectors``), memoized per (lattice, class, bound), so the
-    class searches and the root lists of ``ns_glue`` share it.
+    """Every numerator y of the class with y^T (-G) y <= bound, sorted: with
+    num / den the class's component, y = num + den x for x integral, and the
+    vector is y / den.  The Fincke-Pohst enumeration of the coset
+    (``short_vectors``), memoized per (lattice, class, bound), so the class
+    searches and the root lists of ``ns_glue`` share it.
     """
     return tuple(short_vectors(lattice.gram, bound, cls.component))
-
-
-def _coset_scan(
-    lattice: Lattice, cls: DiscClass, bound: int
-) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Every (norm2, x) of ``coset_points`` at the bound with G y >= 0,
-    sorted by (-norm2, x).
-    """
-    num, den = cls.component
-    gram = lattice.gram
-    rows = list(zip(gram.mul_vec(num), gram.entries))
-    found = []
-    for x in coset_points(lattice, cls, bound):
-        # G y = G num + den G x, row by row: most points leave the cone early
-        for gnum, row in rows:
-            if gnum + den * sum(map(mul, row, x)) < 0:
-                break
-        else:
-            y = [a + den * b for a, b in zip(num, x)]
-            found.append((2 * sum(map(mul, y, gram.mul_vec(y))) // (den * den), x))
-    found.sort(key=lambda t: (-t[0], t[1]))
-    return tuple(found)

@@ -14,6 +14,9 @@ table.  Their earlier forms, one ``f.mul`` per product, stay here: a
 substitution built term by term from sparse products, the
 remainder and exact quotient, the trace splitting that squares its own
 Frobenius powers, and the local expansion with two ``f.pow`` per term pair.
+A form is evaluated at a point term by term, one ``f.pow`` per exponent
+(``evaluate``); the program reads the one value it needs, a partial's at
+(1, 0, 0), off the partial's x0 power coefficient.
 """
 
 import functools
@@ -21,6 +24,16 @@ import functools
 from k3lat.char2_surfaces.poly import HomPoly
 from k3lat.char2_surfaces.surfaces import _odd_binomials, _restrict_to_pencil, is_splitting, normalize_point
 from k3lat.char2_surfaces.upoly import common_roots, poly_eval, trim
+
+
+def evaluate(g, point):
+    """The form g at the point (x, y, z), summed term by term."""
+    f = g.field
+    x, y, z = point
+    acc = 0
+    for (l, m, n), c in g.terms.items():
+        acc ^= f.mul(f.mul(c, f.pow(x, l)), f.mul(f.pow(y, m), f.pow(z, n)))
+    return acc
 
 
 @functools.cache
@@ -76,7 +89,7 @@ def per_x_singular_points(g):
         out += [(x, y, 1) for y in common_roots(f, in_y)]
     at_infinity = (_restrict_to_pencil(p, (0, 0, 1), (0, 0, 0)) for p in parts)
     out += [(x, 1, 0) for x in common_roots(f, (trim([c[0] if c else 0 for c in rows]) for rows in at_infinity))]
-    if all(part.evaluate((1, 0, 0)) == 0 for part in parts):
+    if all(evaluate(part, (1, 0, 0)) == 0 for part in parts):
         out.append((1, 0, 0))
     return tuple(out)
 

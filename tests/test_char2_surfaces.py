@@ -29,7 +29,7 @@ from k3lat.char2_surfaces.surfaces import (
     table_points,
     verify_configuration,
 )
-from surface_oracles import pencil_walk_lines, pencil_walk_scan, per_x_singular_points
+from surface_oracles import evaluate, pencil_walk_lines, pencil_walk_scan, per_x_singular_points
 from test_char2_poly import compose_onto_line, multiplicity_at
 
 
@@ -104,7 +104,7 @@ def test_singular_points_match_slow_oracle(gf16):
     )
     for g in (schroeer_sextic(f, 2, f.generator), generic):
         parts = [g.partial(v) for v in range(3)]
-        slow = [p for p in all_points(f) if all(q.evaluate(p) == 0 for q in parts)]
+        slow = [p for p in all_points(f) if all(evaluate(q, p) == 0 for q in parts)]
         assert sorted(singular_points(g)) == sorted(slow)
 
 
@@ -191,7 +191,7 @@ def test_full_configuration_gf16(gf16):
     r, s = 1, f.generator
     conf = verify_configuration(schroeer_sextic(f, r, s), r=r, s=s)
     assert conf.ok, conf.findings
-    assert conf.total_milnor == 21
+    assert conf.report.total_milnor == 21
     assert len(conf.splitting_lines) == 5
     assert set(conf.splitting_lines) == set(table_lines(f, r, s).values())
     for line, cert in conf.certificates:
@@ -343,7 +343,7 @@ def test_lemma_bound_single_line(gf16):
     )
     quad = HomPoly(f, 2, {(2, 0, 0): 1, (1, 1, 0): 1, (0, 2, 0): c0})
     assert all(
-        quad.evaluate((u, v, 0)) != 0
+        evaluate(quad, (u, v, 0)) != 0
         for u, v in [(1, 0)] + [(u, 1) for u in range(f.q)]
     )
     c = HomPoly(f, 1, {(0, 0, 1): 1}) * quad
@@ -418,7 +418,7 @@ def brute_force_singular_points(g):
             if all(reduce(xor, (f.mul(c, f.pow(y, m)) for m, c in sp), 0) == 0 for sp in specialized):
                 out.append((x, y, 1))
     for p in [(x, 1, 0) for x in range(f.q)] + [(1, 0, 0)]:
-        if all(part.evaluate(p) == 0 for part in parts):
+        if all(evaluate(part, p) == 0 for part in parts):
             out.append(p)
     return out
 

@@ -287,7 +287,6 @@ def test_class_search_check_requires_the_outside_bound_below_the_runner_up(capsy
     def raised_floor(lattice, cls, floor2):
         s = real(lattice, cls, floor2)
         return ClassNormSearch(
-            rep=s.rep,
             max_norm2=s.max_norm2,
             maximizers=s.maximizers,
             runner_up2=s.runner_up2,

@@ -130,7 +130,7 @@ def test_fields_cannot_be_assigned_or_deleted():
         with pytest.raises(AttributeError):
             value.undeclared = 1
         assert getattr(value, name, None) == before
-    record = bounded_class_minimizers(lat, class_of(lat.zero()))
+    record = bounded_class_minimizers(lat, class_of(lat.zero()), -5)
     with pytest.raises(AttributeError):
         record.found = ()
     assert (record.max_norm2, record.runner_up2) == (0, -4)
@@ -163,7 +163,7 @@ def test_rebuilt_lattice_hits_the_class_search_memo(monkeypatch):
     root_systems._class_search.cache_clear()
     root_systems.coset_points.cache_clear()
     first, second = Lattice(lattice_D4().gram), Lattice(lattice_D4().gram)
-    a = bounded_class_minimizers(first, class_of(first.zero()))
-    b = bounded_class_minimizers(second, class_of(second.zero()))
+    a = bounded_class_minimizers(first, class_of(first.zero()), -5)
+    b = bounded_class_minimizers(second, class_of(second.zero()), -5)
     assert a is b
     assert len(scans) == 1

@@ -609,13 +609,12 @@ def test_halfline_search_rejects_a_misreported_candidate_norm(ls, ns, monkeypatc
         search = real(sub, cls, floor2)
         shift = 2 if sub.rank == 4 else 0
         return ClassNormSearch(
-            rep=search.rep,
             max_norm2=search.max_norm2,
             maximizers=search.maximizers,
             runner_up2=search.runner_up2,
             floor2=search.floor2,
             norms_all_odd=search.norms_all_odd,
-            found=tuple((n2 + shift, x) for n2, x in search.found),
+            found=tuple((n2 + shift, y) for n2, y in search.found),
         )
 
     monkeypatch.setattr(ns_glue, "bounded_class_minimizers", misreported)

@@ -793,7 +793,7 @@ def test_d4_leaf_class_search():
 def test_d4_other_leaf_class_search():
     d4 = lattice_D4()
     d4_dual = d4.dual_basis_vector(3)
-    res = bounded_class_minimizers(d4, class_of(d4_dual))
+    res = bounded_class_minimizers(d4, class_of(d4_dual), -5)
     assert res.max_norm2 == -2
     assert [coords(v) for v in res.maximizers] == [coords(d4_dual)]
     assert res.norms_all_odd
@@ -805,9 +805,17 @@ def test_d4_sum_class_search():
     d2_dual = d4.dual_basis_vector(1)
     cls = class_of(d2_dual)
     assert cls == class_of(d4.dual_basis_vector(0) + d4.dual_basis_vector(3))
-    res = bounded_class_minimizers(d4, cls)
+    res = bounded_class_minimizers(d4, cls, -5)
     assert res.max_norm2 == -2
     assert res.norms_all_odd
+
+
+def as_numerators(cls, points) -> list:
+    """Each oracle point (norm2, x), the vector rep + x for rep the class's
+    component num / den, as the search reports it: (norm2, y) with the
+    numerator y = num + den x over den."""
+    num, den = cls.component
+    return [(norm2, tuple(a + den * b for a, b in zip(num, x))) for norm2, x in points]
 
 
 def naive_in_box(lattice: Lattice, rep, box: int) -> list:
@@ -833,11 +841,13 @@ def test_in_box_points_match_naive_enumeration(name, dual_index):
     # budget floor -5, so the search down to it finds exactly the naive box
     # points at or above it
     lattice = lattice_A1() if name == "A1" else lattice_D4()
-    rep = lattice.zero() if dual_index is None else lattice.dual_basis_vector(dual_index)
-    res = bounded_class_minimizers(lattice, class_of(rep), -5)
-    assert outside_bound(lattice, res.rep, 3) < -5
-    assert list(res.found) == [t for t in naive_in_box(lattice, res.rep, 3) if t[0] >= -5]
-    assert class_of(res.rep) == class_of(rep)
+    v = lattice.zero() if dual_index is None else lattice.dual_basis_vector(dual_index)
+    cls = class_of(v)
+    rep = DualVector(lattice, *cls.component)
+    res = bounded_class_minimizers(lattice, cls, -5)
+    assert outside_bound(lattice, rep, 3) < -5
+    naive = as_numerators(cls, naive_in_box(lattice, rep, 3))
+    assert list(res.found) == [t for t in naive if t[0] >= -5]
     assert res.found[0][0] == res.max_norm2
 
 
@@ -845,32 +855,32 @@ def test_unsupported_lattice_rejected():
     # A2 is even and negative definite: its zero class certifies, and its two
     # nonzero classes, of norm -2/3 mod 2, have no half-integral norm to scan
     a2 = Lattice(IntMatrix([[-2, 1], [1, -2]]))
-    res = bounded_class_minimizers(a2, class_of(a2.zero()))
+    res = bounded_class_minimizers(a2, class_of(a2.zero()), -5)
     assert (res.max_norm2, res.runner_up2, res.norms_all_odd) == (0, -4, False)
     classes = {class_of(a2.dual_basis_vector(j)) for j in range(2)}
     assert len(classes) == 2 and class_of(a2.zero()) not in classes
     for cls in classes:
         with pytest.raises(RootSystemError, match="representative norm is not half-integral"):
-            bounded_class_minimizers(a2, cls)
+            bounded_class_minimizers(a2, cls, -5)
 
 
 def test_class_search_takes_a_class_no_dual_basis_vector_represents():
     # the class (1, 1) of A1 + A1 is the sum of the two dual basis classes;
-    # its component (1/2, 1/2) is the representative, and the cone's maximum
-    # is -(1/2, 1/2), then -(1/2, 3/2) and -(3/2, 1/2) at norm -5
+    # its component (1/2, 1/2) gives the denominator 2 of the numerators, and
+    # the cone's maximum is -(1/2, 1/2), then -(3/2, 1/2) and -(1/2, 3/2) at
+    # norm -5
     lattice = a1_plus_a1()
     cls = class_of(lattice.dual_basis_vector(0) + lattice.dual_basis_vector(1))
     res = bounded_class_minimizers(lattice, cls, -10)
-    assert coords(res.rep) == (Fraction(1, 2), Fraction(1, 2))
     assert res.max_norm2 == -2 and res.runner_up2 == -10
     assert [coords(v) for v in res.maximizers] == [(Fraction(-1, 2), Fraction(-1, 2))]
-    assert [norm2 for norm2, _ in res.found] == [-2, -10, -10]
+    assert res.found == ((-2, (-1, -1)), (-10, (-3, -1)), (-10, (-1, -3)))
 
 
 def test_class_search_rejects_a_class_of_another_lattice():
     a1, d4 = lattice_A1(), lattice_D4()
     with pytest.raises(RootSystemError, match="class belongs to a different lattice"):
-        bounded_class_minimizers(d4, class_of(a1.zero()))
+        bounded_class_minimizers(d4, class_of(a1.zero()), -5)
 
 
 def test_norm_parity_requires_an_even_lattice():
@@ -965,7 +975,7 @@ def test_box_scan_matches_the_product_scan(box):
         forms = d4_leaf_forms(leaf) if leaf is not None else None
         found, all_odd = product_box_scan(lattice, rep, box, forms)
         assert box_scan(lattice, rep, box) == found
-        assert bounded_class_minimizers(lattice, cls).norms_all_odd == all_odd
+        assert bounded_class_minimizers(lattice, cls, -5).norms_all_odd == all_odd
     assert seen == {
         (1, "zero"), (1, "a_dual"), (4, "zero"), (4, "d1_dual"), (4, "d2_dual"), (4, "d4_dual")
     }
@@ -1013,22 +1023,23 @@ def test_found_matches_the_box_scan_oracle(box):
             if (2 * norm(rep)).denominator != 1:
                 assert cls.component[1] == 4
                 with pytest.raises(RootSystemError, match="not half-integral"):
-                    bounded_class_minimizers(lattice, cls)
+                    bounded_class_minimizers(lattice, cls, -5)
                 rejected += 1
                 continue
             scan = sorted(box_scan(lattice, rep, box), key=lambda t: (-t[0], t[1]))
+            scan = as_numerators(cls, scan)
             bound2 = outside_bound(lattice, rep, box)
             for floor2 in {bound2 + 1, -5}:
                 res = bounded_class_minimizers(lattice, cls, floor2)
-                assert res.rep == rep and res.floor2 == floor2
+                assert res.floor2 == floor2
                 assert list(res.found) == [t for t in scan if t[0] >= floor2], (blocks, cls)
             searched += 1
     assert (searched, rejected) == (2 + 4 + 4 + 2, 2)
 
 
 def _naive_coset_points(gram: IntMatrix, bound: int, num, den: int, radius: int) -> list:
-    """Oracle: every x in the box of the radius with y = num + den x and
-    y^T (-gram) y <= bound, checked to sit strictly inside the box."""
+    """Oracle: every y = num + den x with x in the box of the radius and
+    y^T (-gram) y <= bound, x checked to sit strictly inside the box."""
     n = gram.rows
     g = gram.entries
     out = []
@@ -1036,7 +1047,7 @@ def _naive_coset_points(gram: IntMatrix, bound: int, num, den: int, radius: int)
         y = [a + den * b for a, b in zip(num, x)]
         if -sum(y[i] * g[i][j] * y[j] for i in range(n) for j in range(n)) <= bound:
             assert max(map(abs, x)) < radius
-            out.append(x)
+            out.append(tuple(y))
     return out
 
 
@@ -1080,8 +1091,9 @@ def test_norm_parity_matches_the_product_scan_on_block_sums():
             rep = DualVector(lattice, *class_of(v).component)
             floor2 = outside_bound(lattice, rep, 3) + 1
             res = bounded_class_minimizers(lattice, class_of(v), floor2)
-            found, all_odd = product_box_scan(lattice, res.rep, 3, None)
+            found, all_odd = product_box_scan(lattice, rep, 3, None)
             expected = sorted((t for t in found if t[0] >= floor2), key=lambda t: (-t[0], t[1]))
+            expected = as_numerators(class_of(v), expected)
             assert list(res.found) == expected
             assert res.norms_all_odd == all_odd, blocks
             parities.add(all_odd)
