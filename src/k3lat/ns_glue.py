@@ -34,7 +34,6 @@ from .root_systems import (
     ade_type,
     bounded_class_minimizers,
     coset_points,
-    irreducible_decomposition,
     root_type,
 )
 
@@ -468,20 +467,21 @@ def polarization_roots(ns: OverlatticeResult) -> RootSet:
             if any(x % d for x in dx):
                 raise GlueError("a root of the summands is not in the overlattice")
             roots.append(tuple(x // d for x in dx))
-    rs = RootSet(ns.lattice, roots)
+    gram = ns.lattice.gram
     h = ns.h_in_result().num
-    for r, gr in zip(rs.roots, rs.gram_images()):
+    for r in roots:
+        gr = gram.mul_vec(r)
         if sum(map(mul, r, gr)) != -2 or sum(map(mul, h, gr)):
             raise GlueError("a root violates the norm or degree condition in the overlattice")
-    members = set(rs.roots)
-    if any(tuple(-x for x in r) not in members for r in rs.roots):
+    members = set(roots)
+    if any(tuple(-x for x in r) not in members for r in roots):
         raise GlueError("root set is not closed under negation")
-    return rs
+    return RootSet(ns.lattice, tuple(roots))
 
 
 def exceptional_root_analysis(ns: OverlatticeResult) -> ExceptionalRootReport:
     """Roots orthogonal to the polarization class (``polarization_roots``),
-    decomposed and typed.
+    typed component by component (``ade_type``).
 
     The overlattice spans the base over Q, so by Sylvester's law of inertia
     the complement of h has the base's signature less the sign of h^2 (the
@@ -489,8 +489,7 @@ def exceptional_root_analysis(ns: OverlatticeResult) -> ExceptionalRootReport:
     Gram.  The component ranks are those of their types (``ade_type``).
     """
     rs = polarization_roots(ns)
-    alpha = canonical_positivity(ns)
-    labels = [ade_type(c, alpha) for c in irreducible_decomposition(rs)]
+    labels = ade_type(rs, canonical_positivity(ns))
     counted: dict[str, int] = {}
     for lbl in labels:
         counted[lbl] = counted.get(lbl, 0) + 1

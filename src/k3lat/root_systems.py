@@ -1,17 +1,16 @@
 """Roots of even negative-definite lattices.
 
-Exact lattice-point search on a lattice or a coset of it, irreducible
-decomposition of a root set, positive and indecomposable roots with
-respect to a positivity functional, Dynkin-diagram classification, and the
-bounded dual-class norm searches used by the glue-vector uniqueness
-arguments.
+Exact lattice-point search on a lattice or a coset of it, the simple roots
+of a root set with respect to a positivity functional, the ADE type of its
+irreducible components from their Dynkin diagrams, and the bounded
+dual-class norm searches used by the glue-vector uniqueness arguments.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from operator import add, mul, sub
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from .exact_arith import IntMatrix, symmetric_elimination
@@ -104,103 +103,16 @@ def short_vectors(
 
 
 class RootSet(Frozen):
-    __slots__ = ("lattice", "roots", "_groots")  # G r per root, cached
-    lattice: Lattice
-    roots: tuple[tuple[int, ...], ...]
-
-    def __init__(self, lattice: Lattice, roots: Iterable[tuple[int, ...]]):
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "roots", tuple(roots))
-
-    def __len__(self) -> int:
-        return len(self.roots)
-
-    def gram_images(self) -> tuple[tuple[int, ...], ...]:
-        """G r for every root, in the order of ``roots``, computed once."""
-        cached = getattr(self, "_groots", None)
-        if cached is None:
-            gram = self.lattice.gram
-            cached = tuple(gram.mul_vec(r) for r in self.roots)
-            object.__setattr__(self, "_groots", cached)
-        return cached
-
-
-# ---------------------------------------------------------------------------
-# irreducible decomposition
-# ---------------------------------------------------------------------------
-
-class RootComponent(Frozen):
-    """A connected class of roots.  Its rank is the number of simple roots
-    that ``ade_type`` certifies, not counted apart."""
-
     __slots__ = ("lattice", "roots")
     lattice: Lattice
     roots: tuple[tuple[int, ...], ...]
 
-
-def _pairing_components(
-    roots: Sequence[Sequence[int]], images: Sequence[Sequence[int]]
-) -> list[list[int]]:
-    """Index lists of the connected components of the graph on the roots
-    with an edge where the pairing r_i . r_j = (G r_i) . r_j is nonzero.
-
-    Kronecker substitution: coordinate k of every root is packed into one
-    integer col_k, root j in the w-bit slot j, so sum_k (G r_i)_k col_k
-    holds every pairing of r_i in its slots.  Each |r_i . r_j| is at most
-    max ||r||_1 * max ||G r||_inf < 2^(w-1) = B; adding B to every slot
-    makes slot j equal r_i . r_j + B, in [1, 2^w), so no slot carries into
-    the next, and XOR with that bias leaves slot j nonzero exactly when
-    r_i . r_j is nonzero.
-    """
-    count = len(roots)
-    if not count:
-        return []
-    bound = max(sum(map(abs, r)) for r in roots) * max(max(map(abs, g)) for g in images)
-    w = bound.bit_length() + 1
-    ones = ((1 << (w * count)) - 1) // ((1 << w) - 1)  # a 1 in every slot
-    bias = ones << (w - 1)  # B in every slot: also the top bit of every slot
-    low = bias - ones  # B - 1 in every slot
-    cols = []
-    for k in range(len(roots[0])):
-        col = 0
-        for r in reversed(roots):
-            col = (col << w) + r[k]
-        cols.append(col)
-    unseen = bias  # the top bit of slot j stays set until root j is reached
-    comps = []
-    for start in range(count):
-        top = 1 << (w * start + w - 1)
-        if not unseen & top:
-            continue
-        unseen ^= top
-        stack, members = [start], []
-        while stack:
-            i = stack.pop()
-            members.append(i)
-            x = (sum(map(mul, images[i], cols)) + bias) ^ bias
-            # the top bit of each slot of x that is nonzero, in one step
-            reached = ((x & low) + low | x) & unseen
-            unseen ^= reached
-            while reached:
-                bit = reached & -reached
-                stack.append(bit.bit_length() // w - 1)
-                reached ^= bit
-        comps.append(members)
-    return comps
-
-
-def irreducible_decomposition(root_set: RootSet) -> list[RootComponent]:
-    """Connected components of the graph on roots with edges where the pairing is nonzero."""
-    roots = root_set.roots
-    comps = []
-    for indices in _pairing_components(roots, root_set.gram_images()):
-        comps.append(RootComponent(root_set.lattice, tuple(sorted(roots[i] for i in indices))))
-    comps.sort(key=lambda c: c.roots[0])
-    return comps
+    def __len__(self) -> int:
+        return len(self.roots)
 
 
 # ---------------------------------------------------------------------------
-# positivity functionals, indecomposable roots
+# positivity functionals, simple roots
 # ---------------------------------------------------------------------------
 
 class PositivityFunctional(Frozen):
@@ -215,68 +127,41 @@ class PositivityFunctional(Frozen):
         return sum(map(mul, self.num, x))
 
 
-def positive_part(component: RootComponent, alpha: PositivityFunctional) -> list[tuple[int, ...]]:
-    out = []
-    for r in component.roots:
+def simple_roots(
+    root_set: RootSet, alpha: PositivityFunctional
+) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], tuple[int, ...]]]:
+    """The simple roots of the positive roots {r : alpha(r) > 0}, in the
+    order found, and every positive root's non-negative integer coordinates
+    over them, in increasing alpha.
+
+    The positive roots are walked in increasing alpha.  A positive root that
+    is not simple is a simple root e plus a positive root (Humphreys, 10.2),
+    and alpha(e) and alpha(r - e) are both below alpha(r), so both were
+    walked before r; its coordinates are those of r - e with one added at e.
+    A difference of two simple roots is not a root, so a root for which no
+    such e is found is simple.  alpha must not vanish on a root.
+    """
+    positive = []
+    for r in root_set.roots:
         v = alpha.value(r)
         if v == 0:
             raise RootSystemError("positivity functional vanishes on a root")
         if v > 0:
-            out.append(r)
-    return out
-
-
-def positive_indecomposables(
-    component: RootComponent, alpha: PositivityFunctional
-) -> list[tuple[int, ...]]:
-    """Roots of the positive part that are not sums of two positive roots.
-
-    Their count is not checked here: ``ade_type`` certifies them as the
-    simple roots, independent by the Cartan match and spanning by
-    ``_positive_root_coordinates``, so a set one short or one too many
-    fails there.
-    """
-    plus = positive_part(component, alpha)
-    plus_set = set(plus)
-    out = []
-    for r in plus:
-        decomposable = any(
-            tuple(a - b for a, b in zip(r, r1)) in plus_set for r1 in plus
-        )
-        if not decomposable:
-            out.append(r)
-    out.sort()
-    return out
-
-
-def _positive_root_coordinates(
-    component: RootComponent,
-    alpha: PositivityFunctional,
-    basis: Sequence[tuple[int, ...]],
-) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Every positive root as its non-negative integer coordinates over the basis.
-
-    In increasing order of alpha, a positive root is a basis root, or a
-    basis root e plus a positive root r - e already written; its
-    coordinates are then those of r - e with one added at e, so they rebuild
-    it.  The first positive root that is neither is named in a
-    RootSystemError.  No inverse is taken, so no Gram is inverted twice in
-    one run.
-    """
-    units = {e: tuple(int(i == j) for j in range(len(basis))) for i, e in enumerate(basis)}
-    out: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for r in sorted(positive_part(component, alpha), key=alpha.value):
-        if r in units:
-            out[r] = units[r]
-            continue
-        for e, unit in units.items():
-            rest = out.get(tuple(map(sub, r, e)))
+            positive.append((v, r))
+    positive.sort()
+    simple: list[tuple[int, ...]] = []
+    summands: dict[tuple[int, ...], tuple[int, ...]] = {}  # indices into simple
+    for _, r in positive:
+        for i, e in enumerate(simple):
+            rest = summands.get(tuple(map(sub, r, e)))
             if rest is not None:
-                out[r] = tuple(map(add, rest, unit))
+                summands[r] = rest + (i,)
                 break
         else:
-            raise RootSystemError(f"positive root {r} does not decompose into the indecomposables")
-    return out
+            summands[r] = (len(simple),)
+            simple.append(r)
+    indices = range(len(simple))
+    return simple, {r: tuple(map(s.count, indices)) for r, s in summands.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +198,10 @@ def cartan_matrix(label: str) -> IntMatrix:
     return IntMatrix(m)
 
 
-def _diagram_order(
-    nodes: list[tuple[int, ...]], adj: dict[tuple[int, ...], list[tuple[int, ...]]]
-) -> tuple[str, list[tuple[int, ...]]]:
-    """Classify a Dynkin diagram and return the canonical node order."""
+def _diagram_order(nodes: list, adj: dict) -> tuple[str, list]:
+    """Classify a connected Dynkin diagram and return the canonical node order."""
     n = len(nodes)
-    edge_count = sum(len(v) for v in adj.values()) // 2
+    edge_count = sum(len(adj[v]) for v in nodes) // 2
     if edge_count != n - 1:
         raise RootSystemError("diagram is not a tree; not an ADE diagram")
     degs = {v: len(adj[v]) for v in nodes}
@@ -328,73 +211,89 @@ def _diagram_order(
     if len(forks) > 1:
         raise RootSystemError("diagram has two fork nodes; not an ADE diagram")
 
-    def walk(frm, nxt):
-        # nodes of the branch starting at nxt, walking away from frm
-        branch = [nxt]
-        prev, cur = frm, nxt
-        while True:
-            ahead = [w for w in adj[cur] if w != prev]
-            if not ahead:
-                return branch
-            if len(ahead) > 1:
-                raise RootSystemError("branch re-forks; not an ADE diagram")
+    def walk(prev, cur):
+        # the branch from cur away from prev; in a tree with at most one
+        # fork, every node past it has at most one node ahead
+        branch = [cur]
+        ahead = [w for w in adj[cur] if w != prev]
+        while ahead:
             prev, cur = cur, ahead[0]
             branch.append(cur)
+            ahead = [w for w in adj[cur] if w != prev]
+        return branch
 
     if not forks:
         if n == 1:
             return "A1", nodes[:]
         ends = sorted(v for v in nodes if degs[v] == 1)
-        order = walk(None, ends[0])
-        return f"A{n}", order
+        return f"A{n}", walk(None, ends[0])
     center = forks[0]
     branches = sorted((walk(center, w) for w in adj[center]), key=lambda b: (len(b), b[0]))
     lens = [len(b) for b in branches]
     if lens[0] == 1 and lens[1] == 1:
         label = f"D{n}"
-        order = [branches[0][0], branches[1][0], center] + branches[2][:]
+        order = [branches[0][0], branches[1][0], center] + branches[2]
     elif lens[0] == 1 and lens[1] == 2 and lens[2] in (2, 3, 4):
         label = f"E{n}"
-        order = [branches[0][0], branches[1][0], branches[1][1], center] + branches[2][:]
+        order = [branches[0][0], branches[1][0], branches[1][1], center] + branches[2]
     else:
         raise RootSystemError("branch profile is not of ADE shape")
     return label, order
 
 
-def ade_type(component: RootComponent, alpha: PositivityFunctional) -> str:
-    """Dynkin type of a root component, certified against the Cartan matrix.
+def ade_type(root_set: RootSet, alpha: PositivityFunctional) -> list[str]:
+    """Dynkin type of each irreducible component of a root set, certified
+    against the Cartan matrix.
 
-    The indecomposables are ordered canonically and their Gram matrix is
-    checked to equal minus the Cartan matrix of the reported type; then
-    every positive root is checked to be a non-negative integer
-    combination of them (``_positive_root_coordinates``).  A Cartan matrix
-    is non-degenerate, so the match makes them independent, and the
-    decomposition makes them span the component: the rank n of the label is
-    the component's rank.
+    The components are those of the Dynkin diagram of the simple roots
+    (``simple_roots``): distinct simple roots pair to 0 or 1, with an edge
+    at 1.  Each component's nodes are ordered canonically and their Gram is
+    checked to equal minus the Cartan matrix of its type; a Cartan matrix is
+    non-degenerate, so the simple roots are independent.  Then every
+    positive root is rebuilt from its coordinates, so they span, and the
+    rank n of each label is its component's rank.
     """
-    eps = positive_indecomposables(component, alpha)
-    gram = component.lattice.gram
-    images = {e: gram.mul_vec(e) for e in eps}
-
-    def pair(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-        return sum(map(mul, images[a], b))
-
-    adj: dict[tuple[int, ...], list[tuple[int, ...]]] = {e: [] for e in eps}
-    for i, a in enumerate(eps):
-        for b in eps[i + 1 :]:
-            p = pair(a, b)
-            if p not in (0, 1):
-                raise RootSystemError("indecomposable pairing outside {0,1}; not an ADE diagram")
-            if p == 1:
-                adj[a].append(b)
-                adj[b].append(a)
-    label, order = _diagram_order(eps, adj)
-    cartan = cartan_matrix(label)
-    actual = [[-pair(a, b) for b in order] for a in order]
-    if actual != [list(r) for r in cartan.entries]:
-        raise RootSystemError("Gram of the indecomposables does not match the Cartan matrix")
-    _positive_root_coordinates(component, alpha, eps)
-    return label
+    simple, coordinates = simple_roots(root_set, alpha)
+    gram = root_set.lattice.gram
+    images = [gram.mul_vec(e) for e in simple]
+    pairs = [[sum(map(mul, g, e)) for e in simple] for g in images]
+    n = len(simple)
+    adj: dict[int, list[int]] = {i: [] for i in range(n)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if pairs[i][j] not in (0, 1):
+                raise RootSystemError("simple roots pair outside {0,1}; not an ADE diagram")
+            if pairs[i][j]:
+                adj[i].append(j)
+                adj[j].append(i)
+    labels = []
+    unseen = set(range(n))
+    for start in range(n):
+        if start not in unseen:
+            continue
+        unseen.remove(start)
+        stack, component = [start], []
+        while stack:
+            i = stack.pop()
+            component.append(i)
+            for j in adj[i]:
+                if j in unseen:
+                    unseen.remove(j)
+                    stack.append(j)
+        label, order = _diagram_order(component, adj)
+        if [[-pairs[i][j] for j in order] for i in order] != [
+            list(row) for row in cartan_matrix(label).entries
+        ]:
+            raise RootSystemError("Gram of the simple roots does not match the Cartan matrix")
+        labels.append(label)
+    for r, coords in coordinates.items():
+        rebuilt = [0] * len(r)
+        for k, e in zip(coords, simple):
+            if k:
+                rebuilt = [x + k * y for x, y in zip(rebuilt, e)]
+        if tuple(rebuilt) != r:
+            raise RootSystemError(f"positive root {r} does not decompose into the simple roots")
+    return labels
 
 
 def root_type(components: Iterable[tuple[str, int]]) -> str:

@@ -4,8 +4,10 @@ The package computes inverses, signatures, the Fincke-Pohst factorization
 and G v fraction-free, and holds dual vectors and inverses as integers
 over one denominator.  These are the rational algorithms they replaced,
 on plain tuples of tuples of ``Fraction``, plus the rational matrix
-products the oracles need, the pairwise search of the root-pairing
-graph that packed integer products replaced, and the conversions between
+products the oracles need, the typing of a root set component by
+component (the pairwise search of the root-pairing graph, the pair test for
+indecomposable roots and the coordinate pass) that one pass over the simple
+roots replaced, and the conversions between
 rational coordinates and ``DualVector`` (with the basis vectors, which the
 package no longer builds).  The discriminant class by the Smith form, with
 its generators, is the algorithm that coordinates mod 1 replaced, and the
@@ -28,7 +30,14 @@ from typing import NamedTuple
 from k3lat.exact_arith import ExactArithError, IntMatrix, det, hnf_rows
 from k3lat.lattice_core import DualVector, Lattice, LatticeError, is_even, pairing_numerator
 from k3lat.ns_glue import OverlatticeResult, canonical_positivity
-from k3lat.root_systems import PositivityFunctional, RootSet, RootSystemError, short_vectors
+from k3lat.root_systems import (
+    PositivityFunctional,
+    RootSet,
+    RootSystemError,
+    _diagram_order,
+    cartan_matrix,
+    short_vectors,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -215,22 +224,15 @@ def orthogonal_complement(lattice: Lattice, v: DualVector) -> Sublattice:
 
 def enumerate_roots(lattice: Lattice) -> RootSet:
     """The complete set of lattice vectors of norm -2, by one Fincke-Pohst
-    enumeration of the whole lattice, with G r kept per root."""
+    enumeration of the whole lattice."""
     if not is_even(lattice):
         raise RootSystemError("root enumeration requires an even lattice")
     if not is_negative_definite(lattice):
         raise RootSystemError("root enumeration requires a negative-definite lattice")
     gram = lattice.gram
-    # the enumeration is exact; the norm is re-derived through G v regardless,
-    # and the G v are kept for the pairing graph
-    roots, images = [], []
-    for v in short_vectors(gram, 2):
-        gv = gram.mul_vec(v)
-        if sum(map(mul, v, gv)) == -2:
-            roots.append(v)
-            images.append(gv)
+    # the enumeration is exact; the norm is re-derived through G v regardless
+    roots = tuple(v for v in short_vectors(gram, 2) if sum(map(mul, v, gram.mul_vec(v))) == -2)
     rs = RootSet(lattice, roots)
-    object.__setattr__(rs, "_groots", tuple(images))
     rset = set(rs.roots)
     for v in rs.roots:
         if tuple(-c for c in v) not in rset:
@@ -543,3 +545,74 @@ def pairwise_components(roots, gram: IntMatrix) -> list[list[int]]:
                     stack.append(j)
         comps.append(members)
     return comps
+
+
+class RootComponent(NamedTuple):
+    """A component of a root set as the pairwise oracle types it."""
+
+    label: str
+    roots: tuple[tuple[int, ...], ...]
+    simple: tuple[tuple[int, ...], ...]
+    coordinates: dict  # positive root -> {simple root: its non-zero coefficient}
+
+
+def pairwise_root_types(root_set: RootSet, alpha: PositivityFunctional) -> list[RootComponent]:
+    """Each irreducible component of a root set with its Dynkin type and its
+    simple roots, one component at a time.
+
+    The components come from ``pairwise_components``.  In each one the
+    simple roots are the positive roots that are not a sum of two positive
+    roots, tested pair by pair; they must pair to 0 or 1, their diagram is
+    ordered by ``_diagram_order`` and their Gram must be minus the Cartan
+    matrix, and in increasing alpha every positive root is written over them
+    as a simple root, or as a simple root plus a positive root written before.
+    """
+    roots, gram = root_set.roots, root_set.lattice.gram
+    images = {}
+
+    def pair(a, b):
+        if a not in images:
+            images[a] = gram.mul_vec(a)
+        return sum(map(mul, images[a], b))
+
+    out = []
+    for indices in pairwise_components(roots, gram):
+        component = tuple(sorted(roots[i] for i in indices))
+        plus = []
+        for r in component:
+            v = alpha.value(r)
+            if v == 0:
+                raise RootSystemError("positivity functional vanishes on a root")
+            if v > 0:
+                plus.append(r)
+        plus_set = set(plus)
+        simple = [
+            r for r in plus if not any(tuple(a - b for a, b in zip(r, s)) in plus_set for s in plus)
+        ]
+        adj = {e: [] for e in simple}
+        for i, a in enumerate(simple):
+            for b in simple[i + 1 :]:
+                p = pair(a, b)
+                if p not in (0, 1):
+                    raise RootSystemError("simple roots pair outside {0,1}; not an ADE diagram")
+                if p == 1:
+                    adj[a].append(b)
+                    adj[b].append(a)
+        label, order = _diagram_order(simple, adj)
+        cartan = [list(r) for r in cartan_matrix(label).entries]
+        if [[-pair(a, b) for b in order] for a in order] != cartan:
+            raise RootSystemError("Gram of the simple roots does not match the Cartan matrix")
+        coordinates = {}
+        for r in sorted(plus, key=alpha.value):
+            if r in adj:
+                coordinates[r] = {r: 1}
+                continue
+            for e in simple:
+                rest = coordinates.get(tuple(a - b for a, b in zip(r, e)))
+                if rest is not None:
+                    coordinates[r] = {**rest, e: rest.get(e, 0) + 1}
+                    break
+            else:
+                raise RootSystemError(f"positive root {r} does not decompose into the simple roots")
+        out.append(RootComponent(label, component, tuple(simple), coordinates))
+    return out

@@ -14,12 +14,7 @@ import pytest
 
 from k3lat.exact_arith import invert
 from k3lat.lattice_core import class_of, is_even, is_p_elementary, lattice_A1, lattice_D4
-from k3lat.root_systems import (
-    PositivityFunctional,
-    ade_type,
-    bounded_class_minimizers,
-    irreducible_decomposition,
-)
+from k3lat.root_systems import PositivityFunctional, ade_type, bounded_class_minimizers
 from k3lat.ns_glue import (
     L_LABELS,
     artin_invariant,
@@ -148,8 +143,7 @@ def test_criterion_03_root_counts():
         for i in range(4):
             total = total + d4.dual_basis_vector(i)
         alpha = PositivityFunctional(total.pairing_numerators())
-        comp = irreducible_decomposition(enumerate_roots(d4))[0]
-        assert ade_type(comp, alpha) == "D4"
+        assert ade_type(enumerate_roots(d4), alpha) == ["D4"]
 
 
 def test_criterion_04_overlattice_arithmetic(lambda_sum, ns_sigma2):

@@ -172,9 +172,8 @@ print(json.dumps({"code": code, "calls": calls, "sigma2": seen[ns.lattice.gram.e
 
 
 def test_lattice_run_multiplies_by_the_overlattice_gram_once_per_root_and_indecomposable(tmp_path):
-    # the root set keeps G r for the norm and degree re-check, the pairing
-    # graph and the decomposition reuse it, and ade_type takes G e once per
-    # indecomposable
+    # polarization_roots takes G r once per root for its norm and degree
+    # re-check, and ade_type takes G e once per simple root
     out = tmp_path / "report.json"
     proc = subprocess.run(
         [sys.executable, "-c", MUL_VEC_COUNTER, "lattice", "--with-extra-glue", "w", "--out", str(out)],

@@ -33,7 +33,7 @@ from k3lat.ns_glue import (
     polarization_roots,
     unique_halfline_search,
 )
-from k3lat.root_systems import ClassNormSearch, ade_type, irreducible_decomposition
+from k3lat.root_systems import ClassNormSearch
 from rational_oracles import (
     basis_vector,
     complement_positivity,
@@ -45,6 +45,7 @@ from rational_oracles import (
     norm,
     orthogonal_complement,
     pairing,
+    pairwise_root_types,
     rat_mul,
     rat_mul_vec,
     rat_transpose,
@@ -512,9 +513,9 @@ def test_root_types_match_the_complement_enumeration(ls, case):
     ns_case = build_overlattice(ls, _oracle_case(ls, case))
     comp = orthogonal_complement(ns_case.lattice, ns_case.h_in_result())
     alpha = complement_positivity(ns_case, comp)
-    components = irreducible_decomposition(enumerate_roots(comp.lattice))
+    components = pairwise_root_types(enumerate_roots(comp.lattice), alpha)
     report = exceptional_root_analysis(ns_case)
-    assert sorted(report.component_types) == sorted(ade_type(c, alpha) for c in components)
+    assert sorted(report.component_types) == sorted(c.label for c in components)
     assert report.complement_rank == comp.lattice.rank
     assert report.complement_inertia == comp.lattice.inertia()
     assert report.total_component_rank == sum(len(hnf_rows(IntMatrix(c.roots))) for c in components)

@@ -29,19 +29,17 @@ from k3lat.root_systems import (
     RootSet,
     RootSystemError,
     _norms_all_odd,
-    _pairing_components,
-    _positive_root_coordinates,
     ade_type,
     bounded_class_minimizers,
     cartan_matrix,
-    irreducible_decomposition,
-    positive_indecomposables,
     short_vectors,
+    simple_roots,
 )
 from rational_oracles import (
     basis_vector,
     box_scan,
     cholesky,
+    complement_positivity,
     coords,
     enumerate_roots,
     invert_rational,
@@ -51,7 +49,7 @@ from rational_oracles import (
     orthogonal_complement,
     outside_bound,
     pairing,
-    pairwise_components,
+    pairwise_root_types,
     rational_gv,
     to_rational,
     vector,
@@ -347,23 +345,25 @@ def test_short_vectors_rejects_a_form_that_is_not_definite():
 
 
 # ---------------------------------------------------------------------------
-# decomposition
+# irreducible components
 # ---------------------------------------------------------------------------
 
 def test_decomposition_a1_plus_a1():
-    comps = irreducible_decomposition(enumerate_roots(a1_plus_a1()))
-    assert len(comps) == 2
-    assert all(len(c.roots) == 2 for c in comps)
+    lat = a1_plus_a1()
+    rs = enumerate_roots(lat)
+    assert ade_type(rs, dominant_functional(lat)) == ["A1", "A1"]
+    assert [len(c.roots) for c in pairwise_root_types(rs, dominant_functional(lat))] == [2, 2]
 
 
 def test_decomposition_d4_connected():
-    comps = irreducible_decomposition(enumerate_roots(lattice_D4()))
-    assert len(comps) == 1
-    assert len(comps[0].roots) == 24
-    assert len(hnf_rows(IntMatrix(comps[0].roots))) == 4
+    d4 = lattice_D4()
+    rs = enumerate_roots(d4)
+    assert ade_type(rs, dominant_functional(d4)) == ["D4"]
+    assert len(rs.roots) == 24
+    assert len(hnf_rows(IntMatrix(rs.roots))) == 4
     # oracle: every root is reachable from the first by nonzero-pairing steps
-    roots = comps[0].roots
-    g = lattice_D4().gram
+    roots = rs.roots
+    g = d4.gram
 
     def pair(u, v):
         return sum(u[i] * g.entries[i][j] * v[j] for i in range(4) for j in range(4))
@@ -380,23 +380,40 @@ def test_decomposition_d4_connected():
 
 
 def test_component_sublattices_orthogonal():
-    comps = irreducible_decomposition(enumerate_roots(a1_plus_a1()))
-    g = a1_plus_a1().gram
-    for c1 in comps:
-        for c2 in comps:
-            if c1 is c2:
-                continue
-            for u in c1.roots:
-                for v in c2.roots:
-                    assert sum(u[i] * g.entries[i][j] * v[j] for i in range(2) for j in range(2)) == 0
-
-
-def _same_components(a, b) -> bool:
-    return sorted(map(sorted, a)) == sorted(map(sorted, b))
+    # on D4 + A2 + A1 every positive root is written over the simple roots of
+    # one block, and roots written over different blocks are orthogonal
+    blocks = [lattice_D4().gram, IntMatrix(_cartan_gram("A2")), IntMatrix([[-2]])]
+    lat = Lattice(IntMatrix.block_diagonal(blocks))
+    alpha = dominant_functional(lat)
+    rs = enumerate_roots(lat)
+    assert sorted(ade_type(rs, alpha)) == ["A1", "A2", "D4"]
+    simple, coordinates = simple_roots(rs, alpha)
+    block = {e: 0 if any(e[:4]) else 1 if any(e[4:6]) else 2 for e in simple}
+    blocks = {}
+    for r, coeffs in coordinates.items():
+        (b,) = {block[e] for c, e in zip(coeffs, simple) if c}
+        blocks[r] = b
+    g = lat.gram
+    for u, bu in blocks.items():
+        for v, bv in blocks.items():
+            if bu != bv:
+                assert sum(map(mul, g.mul_vec(u), v)) == 0
 
 
 def _cartan_gram(label: str) -> list[list[int]]:
     return [[-x for x in row] for row in cartan_matrix(label).entries]
+
+
+def _assert_typing_matches_the_pairwise_oracle(rs: RootSet, alpha: PositivityFunctional) -> list:
+    """The labels, simple roots and coordinates of the new route equal those
+    of the pairwise oracle; returns the oracle's components."""
+    oracle = pairwise_root_types(rs, alpha)
+    assert sorted(ade_type(rs, alpha)) == sorted(c.label for c in oracle)
+    simple, coordinates = simple_roots(rs, alpha)
+    assert sorted(simple) == sorted(e for c in oracle for e in c.simple)
+    written = {r: {e: k for k, e in zip(coeffs, simple) if k} for r, coeffs in coordinates.items()}
+    assert written == {r: coeffs for c in oracle for r, coeffs in c.coordinates.items()}
+    return oracle
 
 
 # the Grams of the decomposition, indecomposable and ADE tests
@@ -413,11 +430,10 @@ DECOMPOSITION_GRAMS = {
 
 @pytest.mark.parametrize("name", sorted(DECOMPOSITION_GRAMS))
 def test_pairing_components_match_the_pairwise_oracle(name):
-    gram = IntMatrix(DECOMPOSITION_GRAMS[name])
-    rs = enumerate_roots(Lattice(gram))
-    got = _pairing_components(rs.roots, rs.gram_images())
-    assert _same_components(got, pairwise_components(rs.roots, gram))
-    assert len(got) == (2 if name == "A1+A1" else 1)
+    lat = Lattice(IntMatrix(DECOMPOSITION_GRAMS[name]))
+    rs = enumerate_roots(lat)
+    oracle = _assert_typing_matches_the_pairwise_oracle(rs, dominant_functional(lat))
+    assert len(oracle) == (2 if name == "A1+A1" else 1)
 
 
 @pytest.mark.parametrize("extra", [None, "w"], ids=["sigma2", "sigma1"])
@@ -427,76 +443,80 @@ def test_pairing_components_match_the_pairwise_oracle_on_the_complements(extra):
     if extra is not None:
         glue += (extra_glue_class(ls, extra),)
     ns = build_overlattice(ls, glue)
-    lattice = orthogonal_complement(ns.lattice, ns.h_in_result()).lattice
-    rs = enumerate_roots(lattice)
+    comp = orthogonal_complement(ns.lattice, ns.h_in_result())
+    rs = enumerate_roots(comp.lattice)
     assert len(rs) == 106
-    got = _pairing_components(rs.roots, rs.gram_images())
-    assert _same_components(got, pairwise_components(rs.roots, lattice.gram))
-    assert sorted(len(c) for c in got) == [2] * 5 + [24] * 4
+    oracle = _assert_typing_matches_the_pairwise_oracle(rs, complement_positivity(ns, comp))
+    assert sorted((len(c.roots), c.label) for c in oracle) == [(2, "A1")] * 5 + [(24, "D4")] * 4
 
 
-def _cross(a, b):
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+RANDOM_BLOCKS = ("A1", "A2", "A3", "A4", "A5", "D4", "D5", "D6", "E6", "E7", "E8")
 
 
-def test_pairing_components_match_the_pairwise_oracle_with_wide_slots():
-    # A3 + A2 + A1.  In the A3 block, u and the vectors y of its orthogonal
-    # complement pair to exactly zero although their pairings with each
-    # other run to about 10^17, so the two groups are separate components
-    # that only exact zero slots tell apart.
-    rng = random.Random(2007)
-    gram = IntMatrix.block_diagonal(
-        [IntMatrix(_cartan_gram("A3")), IntMatrix(_cartan_gram("A2")), IntMatrix([[-2]])]
-    )
-    u = (rng.randint(100, 300), rng.randint(-300, -100), rng.randint(100, 300))
-    gu = gram.mul_vec(u + (0, 0, 0))[:3]
-    y1 = _cross(gu, (1, 2, 3))
-    y2 = _cross(gu, y1)
-    vectors = [u, (2 * u[0], 2 * u[1], 2 * u[2]), y1, y2]
-    vectors = [v + (0, 0, 0) for v in vectors]
-    vectors += [(0, 0, 0, 401, -7, 0), (0, 0, 0, 13, 290, 0), (0, 0, 0, 0, 0, 5)]
-    vectors += [tuple(-c for c in v) for v in vectors]
-    rng.shuffle(vectors)
-    images = [gram.mul_vec(v) for v in vectors]
-    pairings = [sum(map(mul, a, b)) for a in images for b in vectors]
-    assert 0 in pairings and min(pairings) < 0 < max(pairings)
-    bound = max(sum(map(abs, v)) for v in vectors) * max(max(map(abs, g)) for g in images)
-    assert bound.bit_length() + 1 > 16
-    got = _pairing_components(vectors, images)
-    assert _same_components(got, pairwise_components(vectors, gram))
-    assert sorted(len(c) for c in got) == [2, 4, 4, 4]
+def _random_unimodular(rng: random.Random, n: int, steps: int):
+    """A unimodular U and its inverse V, as products of elementary row operations."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    v = [row[:] for row in u]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]  # U <- E U, E = 1 + c e_i e_j^T
+        for row in v:  # V <- V E^-1
+            row[j] -= c * row[i]
+    return IntMatrix(u), IntMatrix(v)
+
+
+def test_simple_root_typing_matches_the_pairwise_oracle_on_random_sums():
+    # sums of one to three A1-A5, D4-D6 and E6-E8 blocks in a random basis,
+    # each typed under a random functional that vanishes on no root
+    rng = random.Random(33)
+    labels = set()
+    for _ in range(48):
+        blocks = [rng.choice(RANDOM_BLOCKS) for _ in range(rng.randint(1, 3))]
+        gram = IntMatrix.block_diagonal([IntMatrix(_cartan_gram(b)) for b in blocks])
+        n = gram.rows
+        # the basis rows U B have the Gram U G U^T, and a vector with
+        # coordinates r over B has coordinates r V over U B
+        u, v = _random_unimodular(rng, n, 3 * n)
+        vt = v.transpose()
+        roots = tuple(sorted(vt.mul_vec(r) for r in short_vectors(gram, 2)))
+        rs = RootSet(Lattice(u.mul(gram).mul(u.transpose())), roots)
+        alpha = PositivityFunctional(tuple(rng.randint(-1000, 1000) for _ in range(n)))
+        while any(alpha.value(r) == 0 for r in roots):
+            alpha = PositivityFunctional(tuple(rng.randint(-1000, 1000) for _ in range(n)))
+        oracle = _assert_typing_matches_the_pairwise_oracle(rs, alpha)
+        assert sorted(c.label for c in oracle) == sorted(blocks)
+        labels.update(blocks)
+    assert labels == set(RANDOM_BLOCKS)
 
 
 def test_decomposition_of_a_lattice_without_roots_is_empty():
     rs = enumerate_roots(Lattice(IntMatrix([[-4]])))
-    assert len(rs) == 0 and rs.gram_images() == ()
-    assert irreducible_decomposition(rs) == []
+    alpha = PositivityFunctional((1,))
+    assert len(rs) == 0
+    assert simple_roots(rs, alpha) == ([], {})
+    assert ade_type(rs, alpha) == []
 
 
 def test_root_set_keeps_the_images_it_was_enumerated_with():
     d4 = lattice_D4()
     rs = enumerate_roots(d4)
-    assert rs.gram_images() == tuple(d4.gram.mul_vec(r) for r in rs.roots)
-    # the cache takes no part in equality
     assert rs == RootSet(d4, rs.roots) and hash(rs) == hash(RootSet(d4, rs.roots))
 
 
 # ---------------------------------------------------------------------------
-# positive parts and indecomposables
+# positive parts and simple roots
 # ---------------------------------------------------------------------------
 
 def test_indecomposables_a1():
     a1 = lattice_A1()
-    comp = irreducible_decomposition(enumerate_roots(a1))[0]
-    alpha = dominant_functional(a1)
-    assert positive_indecomposables(comp, alpha) == [(1,)]
+    simple, _ = simple_roots(enumerate_roots(a1), dominant_functional(a1))
+    assert simple == [(1,)]
 
 
 def test_indecomposables_d4_are_basis_roots():
     d4 = lattice_D4()
-    comp = irreducible_decomposition(enumerate_roots(d4))[0]
-    alpha = dominant_functional(d4)
-    eps = positive_indecomposables(comp, alpha)
+    eps, _ = simple_roots(enumerate_roots(d4), dominant_functional(d4))
     assert sorted(eps) == sorted(
         [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
     )
@@ -513,38 +533,52 @@ def test_indecomposables_d4_are_basis_roots():
 
 
 def test_indecomposable_count_equals_rank():
-    # the rank of the span of the component's roots, by the Hermite form
+    # the rank of the span of the roots, by the Hermite form
     for lat in (lattice_A1(), lattice_D4(), a1_plus_a1()):
         alpha = dominant_functional(lat)
-        for comp in irreducible_decomposition(enumerate_roots(lat)):
-            rank = len(hnf_rows(IntMatrix(comp.roots)))
-            assert len(positive_indecomposables(comp, alpha)) == rank
+        rs = enumerate_roots(lat)
+        rank = len(hnf_rows(IntMatrix(rs.roots)))
+        assert len(simple_roots(rs, alpha)[0]) == rank
+        assert sum(int(label[1:]) for label in ade_type(rs, alpha)) == rank
 
 
 def _ade_type_with_simple_roots(monkeypatch, change):
-    """ade_type of the D4 component, with its simple roots changed."""
+    """ade_type of D4, with the output of simple_roots changed."""
     d4 = lattice_D4()
-    comp = irreducible_decomposition(enumerate_roots(d4))[0]
+    rs = enumerate_roots(d4)
     alpha = dominant_functional(d4)
-    real = root_systems.positive_indecomposables
-    assert ade_type(comp, alpha) == "D4"
-    monkeypatch.setattr(root_systems, "positive_indecomposables", lambda c, a: change(real(c, a)))
-    return ade_type(comp, alpha)
+    real = root_systems.simple_roots
+    assert ade_type(rs, alpha) == ["D4"]
+    monkeypatch.setattr(root_systems, "simple_roots", lambda r, a: change(*real(r, a)))
+    return ade_type(rs, alpha)
+
+
+def _drop_simple_root(simple, coordinates, root):
+    i = simple.index(root)
+    return simple[:i] + simple[i + 1 :], {r: c[:i] + c[i + 1 :] for r, c in coordinates.items()}
 
 
 def test_indecomposable_count_check_fires_on_a_basis_one_short(monkeypatch):
-    # the component's rank is the number of simple roots that ade_type
-    # certifies; with a leaf dropped, the positive roots through it do not
-    # decompose over the rest
-    with pytest.raises(RootSystemError, match="does not decompose into the indecomposables"):
-        _ade_type_with_simple_roots(monkeypatch, lambda eps: eps[1:])
+    # with the leaf D1 dropped, the other simple roots are an A3 that passes
+    # the Cartan match, and D1 is not rebuilt from its coordinates
+    message = r"positive root \(1, 0, 0, 0\) does not decompose into the simple roots"
+    with pytest.raises(RootSystemError, match=message):
+        _ade_type_with_simple_roots(monkeypatch, lambda s, c: _drop_simple_root(s, c, (1, 0, 0, 0)))
 
 
 def test_indecomposable_count_check_fires_on_a_basis_one_too_many(monkeypatch):
     # a positive root that is not simple pairs to -1 with a simple root; in
     # any case a Gram of 5 roots in rank 4 is singular, and no Cartan matrix is
-    with pytest.raises(RootSystemError, match="indecomposable pairing outside"):
-        _ade_type_with_simple_roots(monkeypatch, lambda eps: eps + [(1, 0, 1, 0)])
+    with pytest.raises(RootSystemError, match="simple roots pair outside"):
+        _ade_type_with_simple_roots(monkeypatch, lambda s, c: (s + [(1, 0, 1, 0)], c))
+
+
+def test_cartan_match_fires_on_vectors_of_norm_minus_4():
+    # +-e1 of the Gram (-4) give one node with no edge, an A1 diagram whose
+    # Gram is (-4), not minus the Cartan matrix (2)
+    rs = RootSet(Lattice(IntMatrix([[-4]])), ((-1,), (1,)))
+    with pytest.raises(RootSystemError, match="does not match the Cartan matrix"):
+        ade_type(rs, PositivityFunctional((1,)))
 
 
 def test_positivity_value_is_pairing_with_the_dual_vector():
@@ -563,22 +597,22 @@ def test_positivity_value_is_pairing_with_the_dual_vector():
 def test_positivity_functional_must_not_vanish():
     lat = a1_plus_a1()
     alpha = PositivityFunctional(lat.dual_basis_vector(0).pairing_numerators())
-    comps = irreducible_decomposition(enumerate_roots(lat))
-    bad = [c for c in comps if all(alpha.value(r) == 0 for r in c.roots)]
-    assert bad
-    with pytest.raises(RootSystemError):
-        positive_indecomposables(bad[0], alpha)
+    rs = enumerate_roots(lat)
+    assert any(alpha.value(r) == 0 for r in rs.roots)
+    with pytest.raises(RootSystemError, match="vanishes on a root"):
+        simple_roots(rs, alpha)
+    with pytest.raises(RootSystemError, match="vanishes on a root"):
+        ade_type(rs, alpha)
 
 
 # ---------------------------------------------------------------------------
-# decomposition of the positive roots, the last check of ade_type
+# coordinates of the positive roots, rebuilt by the last check of ade_type
 # ---------------------------------------------------------------------------
 
-def _coeffs_by_simple_root(comp, alpha, root):
-    """Map a root's coordinates over the indecomposables onto them for readability."""
-    eps = positive_indecomposables(comp, alpha)
-    coeffs = _positive_root_coordinates(comp, alpha, eps)[root]
-    return dict(zip(eps, coeffs))
+def _coeffs_by_simple_root(rs, alpha, root):
+    """Map a root's coordinates over the simple roots onto them for readability."""
+    simple, coordinates = simple_roots(rs, alpha)
+    return dict(zip(simple, coordinates[root]))
 
 
 D1, D2, D3, D4_ = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
@@ -586,9 +620,9 @@ D1, D2, D3, D4_ = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 
 def test_decompose_simple_root_unit_vector():
     d4 = lattice_D4()
-    comp = irreducible_decomposition(enumerate_roots(d4))[0]
+    rs = enumerate_roots(d4)
     alpha = dominant_functional(d4)
-    assert _coeffs_by_simple_root(comp, alpha, D1) == {D1: 1, D2: 0, D3: 0, D4_: 0}
+    assert _coeffs_by_simple_root(rs, alpha, D1) == {D1: 1, D2: 0, D3: 0, D4_: 0}
 
 
 def test_decompose_highest_root():
@@ -597,25 +631,24 @@ def test_decompose_highest_root():
     theta = (1, 1, 2, 1)
     norm = sum(theta[i] * g.entries[i][j] * theta[j] for i in range(4) for j in range(4))
     assert norm == -2
-    comp = irreducible_decomposition(enumerate_roots(d4))[0]
+    rs = enumerate_roots(d4)
     alpha = dominant_functional(d4)
-    assert _coeffs_by_simple_root(comp, alpha, theta) == {D1: 1, D2: 1, D3: 2, D4_: 1}
+    assert _coeffs_by_simple_root(rs, alpha, theta) == {D1: 1, D2: 1, D3: 2, D4_: 1}
 
 
 def test_decompose_d1_plus_d3():
     d4 = lattice_D4()
-    comp = irreducible_decomposition(enumerate_roots(d4))[0]
+    rs = enumerate_roots(d4)
     alpha = dominant_functional(d4)
-    assert _coeffs_by_simple_root(comp, alpha, (1, 0, 1, 0)) == {D1: 1, D2: 0, D3: 1, D4_: 0}
+    assert _coeffs_by_simple_root(rs, alpha, (1, 0, 1, 0)) == {D1: 1, D2: 0, D3: 1, D4_: 0}
 
 
 def test_decompose_second_path_and_nonnegativity():
     d4 = lattice_D4()
-    comp = irreducible_decomposition(enumerate_roots(d4))[0]
+    rs = enumerate_roots(d4)
     alpha = dominant_functional(d4)
-    eps = positive_indecomposables(comp, alpha)
-    coordinates = _positive_root_coordinates(comp, alpha, eps)
-    for r in comp.roots:
+    eps, coordinates = simple_roots(rs, alpha)
+    for r in rs.roots:
         if alpha.value(r) <= 0:
             assert r not in coordinates
             continue
@@ -629,30 +662,31 @@ def test_decompose_second_path_and_nonnegativity():
         assert tuple(rebuilt) == r
 
 
-def test_decomposition_check_names_the_first_root_that_fails():
-    # with D3 swapped for the highest root theta = D1 + D2 + 2*D3 + D4_, D3
-    # is the lowest positive root that neither is in the basis nor is a basis
-    # root plus a lower positive root
-    d4 = lattice_D4()
-    comp = irreducible_decomposition(enumerate_roots(d4))[0]
-    alpha = dominant_functional(d4)
-    basis = [D4_, (1, 1, 2, 1), D2, D1]
+def test_decomposition_check_names_the_first_root_that_fails(monkeypatch):
+    # with D3 swapped for the highest root theta = D1 + D2 + 2*D3 + D4_ among
+    # the simple roots, the four are orthogonal and pass as 4A1, and D3 is
+    # the first positive root in increasing alpha that its coordinates do
+    # not rebuild
+    def swap(simple, coordinates):
+        assert simple == [D4_, D3, D2, D1]
+        return [D4_, (1, 1, 2, 1), D2, D1], coordinates
+
     with pytest.raises(RootSystemError, match=r"positive root \(0, 0, 1, 0\) does not decompose"):
-        _positive_root_coordinates(comp, alpha, basis)
+        _ade_type_with_simple_roots(monkeypatch, swap)
 
 
 def test_unique_nonneg_spanning_set_is_the_indecomposables():
     # any set with the unique-non-negative-expression property coincides with
-    # the indecomposables: verified on A1, a chain of two roots, and D4
+    # the simple roots: verified on A1, a chain of two roots, and D4
     a2 = Lattice(IntMatrix([[-2, 1], [1, -2]]))
     for lat in (lattice_A1(), a2, lattice_D4()):
         alpha = dominant_functional(lat)
-        comp = irreducible_decomposition(enumerate_roots(lat))[0]
-        eps = positive_indecomposables(comp, alpha)
-        plus = [r for r in comp.roots if alpha.value(r) > 0]
+        rs = enumerate_roots(lat)
+        eps, coordinates = simple_roots(rs, alpha)
+        plus = [r for r in rs.roots if alpha.value(r) > 0]
         # every positive root decomposes uniquely over eps with non-negative
         # integers, and no proper subset can do it
-        assert set(_positive_root_coordinates(comp, alpha, eps)) == set(plus)
+        assert set(coordinates) == set(plus)
         for drop in range(len(eps)):
             subset = [e for i, e in enumerate(eps) if i != drop]
             assert not all(_expressible(lat, subset, r) for r in plus)
@@ -673,11 +707,9 @@ def _expressible(lat, gens, target, limit=4):
 # ADE classification
 # ---------------------------------------------------------------------------
 
-def _component_of(gram_entries):
+def _roots_of(gram_entries):
     lat = Lattice(IntMatrix(gram_entries))
-    comps = irreducible_decomposition(enumerate_roots(lat))
-    assert len(comps) == 1
-    return comps[0], dominant_functional(lat)
+    return enumerate_roots(lat), dominant_functional(lat)
 
 
 def test_ade_type_a4_chain():
@@ -687,41 +719,46 @@ def test_ade_type_a4_chain():
         [0, 1, -2, 1],
         [0, 0, 1, -2],
     ]
-    comp, alpha = _component_of(gram)
-    assert ade_type(comp, alpha) == "A4"
+    assert ade_type(*_roots_of(gram)) == ["A4"]
 
 
 def test_ade_type_d4():
-    comp, alpha = _component_of([list(r) for r in lattice_D4().gram.entries])
-    assert ade_type(comp, alpha) == "D4"
+    assert ade_type(*_roots_of([list(r) for r in lattice_D4().gram.entries])) == ["D4"]
 
 
 def test_ade_type_single_root():
-    comp, alpha = _component_of([[-2]])
-    assert ade_type(comp, alpha) == "A1"
+    assert ade_type(*_roots_of([[-2]])) == ["A1"]
 
 
 def test_ade_type_e6():
-    cartan = cartan_matrix("E6")
-    gram = [[-x for x in row] for row in cartan.entries]
-    comp, alpha = _component_of(gram)
-    assert ade_type(comp, alpha) == "E6"
+    assert ade_type(*_roots_of(_cartan_gram("E6"))) == ["E6"]
 
 
 def test_ade_type_d5():
-    cartan = cartan_matrix("D5")
-    gram = [[-x for x in row] for row in cartan.entries]
-    comp, alpha = _component_of(gram)
-    assert ade_type(comp, alpha) == "D5"
+    assert ade_type(*_roots_of(_cartan_gram("D5"))) == ["D5"]
 
 
 def test_gram_of_indecomposables_is_minus_cartan():
     # the classifier itself certifies this; re-check the D4 case explicitly
     d4 = lattice_D4()
-    comp = irreducible_decomposition(enumerate_roots(d4))[0]
+    rs = enumerate_roots(d4)
     alpha = dominant_functional(d4)
-    label = ade_type(comp, alpha)
-    assert cartan_matrix(label).rows == len(hnf_rows(IntMatrix(comp.roots))) == 4
+    (label,) = ade_type(rs, alpha)
+    assert cartan_matrix(label).rows == len(hnf_rows(IntMatrix(rs.roots))) == 4
+    center, leaves = D3, [D1, D2, D4_]
+    order = leaves[:2] + [center] + leaves[2:]
+    g = d4.gram
+    assert [[-sum(map(mul, g.mul_vec(a), b)) for b in order] for a in order] == [
+        list(row) for row in cartan_matrix(label).entries
+    ]
+
+
+def _tree(edges):
+    adj = {}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    return sorted(adj), adj
 
 
 def test_non_ade_diagram_rejected():
@@ -730,22 +767,31 @@ def test_non_ade_diagram_rejected():
     # a triangle is not a tree
     nodes = [(1,), (2,), (3,)]
     adj = {(1,): [(2,), (3,)], (2,): [(1,), (3,)], (3,): [(1,), (2,)]}
-    with pytest.raises(RootSystemError):
+    with pytest.raises(RootSystemError, match="not a tree"):
         _diagram_order(nodes, adj)
     # a star with four branches has a node of degree 4
     nodes = [(0,), (1,), (2,), (3,), (4,)]
     adj = {(0,): [(1,), (2,), (3,), (4,)]}
     for i in range(1, 5):
         adj[(i,)] = [(0,)]
-    with pytest.raises(RootSystemError):
+    with pytest.raises(RootSystemError, match="degree > 3"):
         _diagram_order(nodes, adj)
+    # the affine D5 tree: two forks joined by an edge, two leaves at each
+    with pytest.raises(RootSystemError, match="two fork nodes"):
+        _diagram_order(*_tree([(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)]))
+    # the affine E6 tree: three branches of length 2
+    with pytest.raises(RootSystemError, match="branch profile is not of ADE shape"):
+        _diagram_order(*_tree([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]))
+    # the E6 tree with a branch of length 1 in place of one of them passes
+    assert _diagram_order(*_tree([(0, 1), (0, 3), (3, 4), (0, 5), (5, 6)]))[0] == "E6"
 
 
 def test_root_set_json():
     rs = enumerate_roots(lattice_A1())
     assert rs.lattice.rank == 1 and rs.roots == ((-1,), (1,)) and len(rs) == 2
-    comp = irreducible_decomposition(rs)[0]
-    assert comp.roots == rs.roots and len(comp.roots) == 2
+    alpha = dominant_functional(lattice_A1())
+    assert simple_roots(rs, alpha) == ([(1,)], {(1,): (1,)})
+    assert ade_type(rs, alpha) == ["A1"]
 
 
 # ---------------------------------------------------------------------------
