@@ -30,7 +30,6 @@ from .lattice_core import (
     class_of,
     elementary_factors,
     is_even,
-    is_p_elementary,
     lattice_A1,
     lattice_D4,
     ratio,
@@ -89,7 +88,7 @@ def cmd_lattice(config: dict, checks: Checks) -> None:
             "rank": lat.rank,
             "det": str(lat.det()),
             "inertia": list(lat.inertia()),
-            "discriminant": elementary_factors(lat, 2),
+            "discriminant": elementary_factors(lat),
         }
         ok = (
             lat.rank == 22
@@ -127,14 +126,14 @@ def cmd_lattice(config: dict, checks: Checks) -> None:
     def overlattice():
         ns = build_overlattice(ls, tuple(glue))
         ns_holder["ns"] = ns
-        sigma = artin_invariant(ns.lattice, 2)
+        sigma = artin_invariant(ns.lattice)
         witness = {
             "rank": ns.lattice.rank,
             "index": ns.index,
             "det": str(ns.lattice.det()),
             "sigma": sigma,
             "even": is_even(ns.lattice),
-            "two_elementary": is_p_elementary(ns.lattice, 2),
+            "two_elementary": elementary_factors(ns.lattice) is not None,
         }
         ok = (
             ns.index == 32
@@ -151,7 +150,7 @@ def cmd_lattice(config: dict, checks: Checks) -> None:
         def overlattice_extra():
             extra = extra_glue_class(ls, config["with_extra_glue"])
             ns1 = build_overlattice(ls, tuple(glue) + (extra,))
-            sigma = artin_invariant(ns1.lattice, 2)
+            sigma = artin_invariant(ns1.lattice)
             witness = {"index": ns1.index, "det": str(ns1.lattice.det()), "sigma": sigma}
             return ns1.index == 64 and ns1.lattice.det() == -4 and sigma == 1, witness
 

@@ -12,7 +12,6 @@ the lattice side are mostly zeros.
 
 from __future__ import annotations
 
-import math
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -48,11 +47,11 @@ class IntMatrix(Frozen):
 
     def __hash__(self) -> int:
         """Frozen's hash, kept: memos keyed on a lattice hash its Gram per lookup."""
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = Frozen.__hash__(self)
-            object.__setattr__(self, "_hash", h)
-        return h
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", Frozen.__hash__(self))
+            return self._hash
 
     @property
     def rows(self) -> int:
@@ -308,36 +307,27 @@ def inertia(a: IntMatrix) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# rank over a prime field
+# rank over F_2
 # ---------------------------------------------------------------------------
 
-def is_prime(p: int) -> bool:
-    """Trial division; the primes asked about here are small."""
-    return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
+def rank_mod_2(a: IntMatrix) -> int:
+    """Rank of A reduced modulo 2: the number of its odd invariant factors.
 
-
-def rank_mod_p(a: IntMatrix, p: int) -> int:
-    """Rank of A reduced modulo the prime p, by Gaussian elimination over F_p.
-
-    It counts the invariant factors of A that are prime to p.
+    Each row becomes the bit mask of its odd entries and is reduced against
+    the pivots found so far, each kept under its lowest set bit; xoring that
+    pivot clears the bit and sets only higher ones, so a row ends as a new
+    pivot or as zero.
     """
-    if not is_prime(p):
-        raise ExactArithError(f"rank over F_p needs a prime p, not {p}")
-    m = [[x % p for x in row] for row in a.entries]
-    rank = 0
-    for c in range(a.cols):
-        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pivot_row = m[rank]
-        inv = pow(pivot_row[c], -1, p)
-        for i in range(rank + 1, len(m)):
-            f = m[i][c] * inv % p
-            if f:
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], pivot_row)]
-        rank += 1
-    return rank
+    pivots: dict[int, int] = {}
+    for row in a.entries:
+        bits = sum(1 << j for j, x in enumerate(row) if x & 1)
+        while bits:
+            low = bits & -bits
+            if low not in pivots:
+                pivots[low] = bits
+                break
+            bits ^= pivots[low]
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,7 @@ from .exact_arith import (
     det,
     inertia,
     invert,
-    is_prime,
-    rank_mod_p,
+    rank_mod_2,
 )
 from .frozen import Frozen
 
@@ -192,28 +191,19 @@ def is_even(lattice: Lattice) -> bool:
     return all(lattice.gram.entries[i][i] % 2 == 0 for i in range(lattice.rank))
 
 
-def elementary_factors(lattice: Lattice, p: int) -> list[int] | None:
-    """The nontrivial invariant factors [p] * a of the Gram when the
-    discriminant group is (Z/p)^a, and None when it is not.
+def elementary_factors(lattice: Lattice) -> list[int] | None:
+    """The nontrivial invariant factors [2] * a of the Gram when the
+    discriminant group is (Z/2)^a, and None when it is not.
 
-    The rank of the Gram over F_p counts its invariant factors prime to p,
-    so the group is (Z/p)^a exactly when |det| = p^a and the F_p corank is
-    a, and then the a factors divisible by p multiply to p^a, so each is p.
+    The rank of the Gram over F_2 counts its odd invariant factors, so the
+    group is (Z/2)^a exactly when |det| = 2^a and the F_2 corank is a, and
+    then the a even factors multiply to 2^a, so each is 2.
     """
-    if not is_prime(p):
-        raise LatticeError(f"p-elementarity needs a prime p, not {p}")
-    d, a = abs(lattice.det()), 0
-    while d % p == 0:
-        d //= p
-        a += 1
-    if d == 1 and lattice.rank - rank_mod_p(lattice.gram, p) == a:
-        return [p] * a
+    d = abs(lattice.det())
+    a = d.bit_length() - 1
+    if d == 1 << a and lattice.rank - rank_mod_2(lattice.gram) == a:
+        return [2] * a
     return None
-
-
-def is_p_elementary(lattice: Lattice, p: int) -> bool:
-    """True when the discriminant group is annihilated by the prime p."""
-    return elementary_factors(lattice, p) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import math
 from operator import mul
 from typing import Sequence
 
-from .exact_arith import IntMatrix, hnf_rows, is_prime, rank_mod_p
+from .exact_arith import IntMatrix, hnf_rows, rank_mod_2
 from .frozen import Frozen
 from .lattice_core import (
     DualVector,
@@ -132,8 +132,10 @@ class GlueVector(Frozen):
     vector: DualVector
 
 
+@functools.cache
 def halfline_class(ls: LabeledSum, lam: str) -> GlueVector:
-    """The half-line class attached to one of the five splitting lines."""
+    """The half-line class attached to one of the five splitting lines, built
+    once per process: the overlattice and each half-line search share it."""
     hv = h_vee(ls)
     if lam == "inf":
         v = hv
@@ -213,8 +215,7 @@ def independence_check(classes: Sequence[GlueVector]) -> tuple[bool, int]:
     The base lattice is 2-elementary, so a class's reduced numerators sit
     over den 1 or 2 and, read mod 2, are its coordinates in (Z/2)^22.
     """
-    rows = [[c % 2 for c in class_of(gv.vector).component[0]] for gv in classes]
-    rank = rank_mod_p(IntMatrix(rows), 2)
+    rank = rank_mod_2(IntMatrix(class_of(gv.vector).component[0] for gv in classes))
     return rank == len(classes), rank
 
 
@@ -306,20 +307,14 @@ def build_overlattice(base: LabeledSum, glue: Sequence[GlueVector]) -> Overlatti
     return OverlatticeResult(base, lat, b, denom, IntMatrix(base_in_result), index)
 
 
-def artin_invariant(lattice: Lattice, p: int) -> int:
-    """Half the p-adic valuation of minus the determinant, when det = -p^(2*sigma)."""
-    if not is_prime(p):
-        raise GlueError(f"the Artin invariant needs a prime p, not {p}")
+def artin_invariant(lattice: Lattice) -> int:
+    """sigma when det = -2^(2*sigma): half the 2-adic valuation of minus the determinant."""
     d = lattice.det()
     if d >= 0:
         raise GlueError("determinant is not negative")
-    m = -d
-    e = 0
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1 or e % 2 != 0 or e == 0:
-        raise GlueError(f"determinant {d} is not of the form -{p}^(2*sigma)")
+    e = (-d).bit_length() - 1
+    if -d != 1 << e or e % 2 != 0 or e == 0:
+        raise GlueError(f"determinant {d} is not of the form -2^(2*sigma)")
     sigma = e // 2
     # a supersingular K3 Neron-Severi lattice has rank 22 and sigma in 1..10
     if lattice.rank == 22 and not (1 <= sigma <= 10):

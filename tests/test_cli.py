@@ -14,6 +14,7 @@ from k3lat.char2_surfaces.poly import HomPoly
 from k3lat.char2_surfaces.recognize import apply_frame, normal_form_sextic
 from k3lat.char2_surfaces.surfaces import SurfaceError, schroeer_sextic
 from k3lat.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, FLAGS, main, parse_args
+from k3lat.ns_glue import L_LABELS
 from k3lat.root_systems import ClassNormSearch
 
 import argparse_oracle
@@ -112,6 +113,35 @@ def test_lattice_run_inverts_each_gram_at_most_once():
     # the A1 and D4 Grams of the dual-basis vectors; the overlattice bases are
     # solved by back-substitution, so no 22 x 22 inverse is taken
     assert sorted(result["inverses"]) == [[1, 1], [4, 1]]
+
+
+# a fresh process counts the glue vectors ns_glue builds in one whole run
+GLUE_COUNTER = """
+import collections, json, os, sys
+from k3lat import cli, ns_glue
+built = collections.Counter()
+real = ns_glue.GlueVector
+def counting(name, vector):
+    built[name] += 1
+    return real(name, vector)
+ns_glue.GlueVector = counting
+code = cli.main(sys.argv[1:] + ["--out", os.devnull])
+print(json.dumps({"code": code, "built": built}))
+"""
+
+
+def test_lattice_run_builds_each_halfline_glue_vector_once():
+    # the overlattice and the five half-line searches share one vector per label
+    proc = subprocess.run(
+        [sys.executable, "-c", GLUE_COUNTER, "lattice", "--with-extra-glue", "w"],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    result = json.loads(proc.stdout)
+    assert result["code"] == EXIT_OK
+    assert result["built"] == {**{f"F({lam})": 1 for lam in L_LABELS}, "G(w)": 1}
 
 
 # a fresh process runs one whole lattice run and lists each loaded k3lat

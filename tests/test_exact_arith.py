@@ -13,7 +13,7 @@ from k3lat.exact_arith import (
     hnf_rows,
     inertia,
     invert,
-    rank_mod_p,
+    rank_mod_2,
     symmetric_elimination,
 )
 from k3lat.ns_glue import (
@@ -178,24 +178,26 @@ def test_int_matrix_keeps_int_entries_and_rejects_ragged_rows():
 
 
 # ---------------------------------------------------------------------------
-# rank over F_p
+# rank over F_2
 # ---------------------------------------------------------------------------
 
-def test_rank_mod_p_counts_the_invariant_factors_prime_to_p():
-    # oracle: the Smith form, whose factors prime to p stay units over F_p
+def test_rank_mod_2_counts_the_odd_invariant_factors():
+    # oracle: the Smith form, whose odd factors stay units over F_2; the
+    # matrices are rectangular, some with zero rows, and their entries
+    # include negative and large even and odd numbers
     rng = random.Random(4)
-    for _ in range(60):
-        n, m = rng.randrange(1, 6), rng.randrange(1, 6)
-        a = IntMatrix([[rng.choice([0, 0, 1, -1, 2, 3, -4, 6]) for _ in range(m)] for _ in range(n)])
+    big = 2**70
+    entries = [0, 0, 0, 1, -1, 2, 3, -4, 6, -7, big, big + 1, -big, -big - 1, 3**50]
+    for _ in range(240):
+        n, m = rng.randrange(1, 7), rng.randrange(1, 7)
+        rows = [[rng.choice(entries) for _ in range(m)] for _ in range(n)]
+        for i in range(n):
+            if rng.random() < 0.15:
+                rows[i] = [0] * m
+        a = IntMatrix(rows)
         factors = snf(a).invariant_factors
-        for p in (2, 3, 5):
-            assert rank_mod_p(a, p) == sum(1 for f in factors if f % p)
-
-
-@pytest.mark.parametrize("p", [-2, 0, 1, 4, 9])
-def test_rank_mod_p_rejects_a_non_prime(p):
-    with pytest.raises(ExactArithError):
-        rank_mod_p(IntMatrix([[2, 0], [0, 3]]), p)
+        assert rank_mod_2(a) == sum(1 for f in factors if f % 2), rows
+    assert rank_mod_2(IntMatrix([])) == 0
 
 
 # ---------------------------------------------------------------------------

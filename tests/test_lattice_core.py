@@ -1,10 +1,6 @@
 import itertools
-import json
 import math
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -18,7 +14,6 @@ from k3lat.lattice_core import (
     class_of,
     elementary_factors,
     is_even,
-    is_p_elementary,
     lattice_A1,
     lattice_D4,
     lattice_hyperbolic2,
@@ -52,7 +47,6 @@ from rational_oracles import (
     vector,
 )
 
-SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 BUILTINS = {"A1": lattice_A1, "D4": lattice_D4, "hyperbolic2": lattice_hyperbolic2}
 
 
@@ -156,18 +150,18 @@ def test_is_even():
 
 
 def test_is_p_elementary():
-    assert is_p_elementary(lattice_A1(), 2)
-    assert not is_p_elementary(lattice_D4(), 3)
+    assert elementary_factors(lattice_A1()) == [2]
+    assert elementary_factors(lattice_D4()) == [2, 2]
     a3 = Lattice(IntMatrix([[-2, 1, 0], [1, -2, 1], [0, 1, -2]]))
-    assert not is_p_elementary(a3, 2)  # discriminant Z/4
-    assert is_p_elementary(Lattice(IntMatrix([[1]])), 5)  # trivial group
+    assert elementary_factors(a3) is None  # discriminant Z/4
+    assert elementary_factors(Lattice(IntMatrix([[1]]))) == []  # trivial group
 
 
-def smith_elementary_factors(lattice: Lattice, p: int) -> list[int] | None:
+def smith_elementary_factors(lattice: Lattice) -> list[int] | None:
     """The definition, read off the Smith form: the invariant factors above 1
-    when every invariant factor is 1 or p, and None otherwise."""
+    when every invariant factor is 1 or 2, and None otherwise."""
     factors = snf(lattice.gram).invariant_factors
-    return [f for f in factors if f > 1] if all(f in (1, p) for f in factors) else None
+    return [f for f in factors if f > 1] if all(f in (1, 2) for f in factors) else None
 
 
 def test_is_p_elementary_matches_the_smith_form_on_the_paper_lattices():
@@ -184,23 +178,18 @@ def test_is_p_elementary_matches_the_smith_form_on_the_paper_lattices():
     }
     for c in EXTRA_GLUE_CHOICES:
         lattices[f"sigma1-{c}"] = build_overlattice(ls, halflines + (extra_glue_class(ls, c),)).lattice
-    verdicts = {}
+    factors = {name: elementary_factors(lat) for name, lat in lattices.items()}
     for name, lat in lattices.items():
-        for p in (2, 3):
-            verdicts[name, p] = is_p_elementary(lat, p)
-            oracle = smith_elementary_factors(lat, p)
-            assert verdicts[name, p] == (oracle is not None), (name, p)
-            assert elementary_factors(lat, p) == oracle, (name, p)
-    # all but A3 (discriminant Z/4) are 2-elementary, and none is 3-elementary
-    assert [name for name in lattices if not verdicts[name, 2]] == ["A3"]
-    assert not any(verdicts[name, 3] for name in lattices)
+        assert factors[name] == smith_elementary_factors(lat), name
+    # all but A3 (discriminant Z/4) are 2-elementary
+    assert [name for name in lattices if factors[name] is None] == ["A3"]
     # the base lattice's discriminant witness in the lattice report
-    assert elementary_factors(lattices["base"], 2) == [2] * 14
+    assert factors["base"] == [2] * 14
 
 
 def test_is_p_elementary_matches_the_smith_form_on_random_grams():
     # half the Grams are U^T D U with D of small primes and prime powers, so
-    # both verdicts occur at every p
+    # both verdicts occur
     rng = random.Random(2)
     seen = set()
     done = 0
@@ -225,39 +214,11 @@ def test_is_p_elementary_matches_the_smith_form_on_random_grams():
             lat = Lattice(gram)
         except LatticeError:  # degenerate
             continue
-        for p in (2, 3, 5):
-            verdict = is_p_elementary(lat, p)
-            oracle = smith_elementary_factors(lat, p)
-            assert verdict == (oracle is not None), (gram.entries, p)
-            assert elementary_factors(lat, p) == oracle, (gram.entries, p)
-            seen.add((p, verdict))
+        factors = elementary_factors(lat)
+        assert factors == smith_elementary_factors(lat), gram.entries
+        seen.add(factors is not None)
         done += 1
-    assert seen == {(p, v) for p in (2, 3, 5) for v in (False, True)}
-
-
-# a fresh process, so a p that makes the valuation loop spin fails on the timeout
-BAD_P = """
-import json
-from k3lat.lattice_core import LatticeError, is_p_elementary, lattice_D4
-out = {}
-for p in (0, 1, 4):
-    try:
-        out[p] = repr(is_p_elementary(lattice_D4(), p))
-    except LatticeError:
-        out[p] = "LatticeError"
-print(json.dumps(out))
-"""
-
-
-def test_is_p_elementary_rejects_a_p_that_is_not_prime():
-    proc = subprocess.run(
-        [sys.executable, "-c", BAD_P],
-        env={**os.environ, "PYTHONPATH": SRC},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert json.loads(proc.stdout) == {"0": "LatticeError", "1": "LatticeError", "4": "LatticeError"}
+    assert seen == {False, True}
 
 
 def test_orthogonal_complement_simple():
@@ -417,7 +378,7 @@ def test_det_is_computed_once_per_lattice(monkeypatch):
     monkeypatch.setattr(lattice_core, "det", counting)
     lat = Lattice(IntMatrix([[-2, 1], [1, -2]]))
     assert [lat.det() for _ in range(3)] == [3, 3, 3]
-    assert is_p_elementary(lat, 3)
+    assert elementary_factors(lat) is None  # discriminant Z/3
     assert len(calls) == 1
 
 

@@ -1,10 +1,7 @@
 import collections
 import itertools
-import json
 import math
-import os
 import random
-import subprocess
 import sys
 from fractions import Fraction
 
@@ -12,7 +9,7 @@ import pytest
 
 from k3lat import exact_arith, lattice_core, ns_glue, root_systems
 from k3lat.exact_arith import IntMatrix, hnf_rows
-from k3lat.lattice_core import Lattice, is_even, is_p_elementary
+from k3lat.lattice_core import Lattice, elementary_factors, is_even
 from k3lat.ns_glue import (
     EXTRA_GLUE_CHOICES,
     GlueError,
@@ -174,9 +171,9 @@ def test_overlattice_sigma2(ls, ns):
     assert ns.index == 32
     assert ns.lattice.det() == -(2**4)
     assert is_even(ns.lattice)
-    assert is_p_elementary(ns.lattice, 2)
+    assert elementary_factors(ns.lattice) == [2] * 4
     assert [f for f in snf(ns.lattice.gram).invariant_factors if f > 1] == [2, 2, 2, 2]
-    assert artin_invariant(ns.lattice, 2) == 2
+    assert artin_invariant(ns.lattice) == 2
     assert ns.lattice.inertia() == (1, 21, 0)
 
 
@@ -185,7 +182,7 @@ def test_overlattice_sigma1(ls):
     ns1 = build_overlattice(ls, glue)
     assert ns1.index == 64
     assert ns1.lattice.det() == -4
-    assert artin_invariant(ns1.lattice, 2) == 1
+    assert artin_invariant(ns1.lattice) == 1
 
 
 def test_overlattice_no_glue_is_base(ls):
@@ -422,39 +419,21 @@ def test_canonical_positivity_matches_summed_dual_basis(ls, ns):
 
 
 def test_artin_invariant_shapes(ls):
-    assert artin_invariant(ls.lattice, 2) == 7
-    from k3lat.lattice_core import Lattice
-    from k3lat.exact_arith import IntMatrix
+    assert artin_invariant(ls.lattice) == 7
 
-    with pytest.raises(GlueError):
-        artin_invariant(Lattice(IntMatrix([[2]])), 2)  # positive determinant
-    with pytest.raises(GlueError):
-        artin_invariant(Lattice(IntMatrix.block_diagonal([IntMatrix([[2]]), IntMatrix([[-6]])])), 2)
+    def diagonal(*entries):
+        return Lattice(IntMatrix.block_diagonal([IntMatrix([[x]]) for x in entries]))
 
-
-# a fresh process, so a p that makes the valuation loop spin fails on the timeout
-BAD_P = """
-import json
-from k3lat.ns_glue import GlueError, artin_invariant, build_lambda
-out = {}
-for p in (0, 1, 4):
-    try:
-        out[p] = repr(artin_invariant(build_lambda().lattice, p))
-    except GlueError:
-        out[p] = "GlueError"
-print(json.dumps(out))
-"""
-
-
-def test_artin_invariant_rejects_a_p_that_is_not_prime():
-    proc = subprocess.run(
-        [sys.executable, "-c", BAD_P],
-        env={**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert json.loads(proc.stdout) == {"0": "GlueError", "1": "GlueError", "4": "GlueError"}
+    with pytest.raises(GlueError, match="determinant is not negative"):
+        artin_invariant(diagonal(2))
+    # sigma = 0, an odd exponent of 2, and an odd factor 3
+    for lattice, det in ((diagonal(-1), -1), (diagonal(-2), -2), (diagonal(2, -6), -12)):
+        form = rf"determinant {det} is not of the form -2\^\(2\*sigma\)"
+        with pytest.raises(GlueError, match=form):
+            artin_invariant(lattice)
+    # <2> + 21 A1 has det -2^22
+    with pytest.raises(GlueError, match="Artin invariant 11 is impossible at rank 22"):
+        artin_invariant(diagonal(2, *[-2] * 21))
 
 
 def test_exceptional_root_analysis(ns):
