@@ -14,6 +14,7 @@ import functools
 from itertools import chain, combinations, islice
 from typing import Iterator, Sequence
 
+from ..configuration import LINES, point_labels
 from ..frozen import Frozen
 from .field import BinaryField
 from .poly import BinForm, HomPoly, PolyError, cubic_has_distinct_roots
@@ -495,15 +496,6 @@ def table_lines(field: BinaryField, r: int, s: int) -> dict[str, Line]:
     }
 
 
-EXPECTED_INCIDENCE = {
-    "L(inf)": ("q(0)", "q(1)", "q(w)", "q(wb)", "q(inf)"),
-    "L(0*)": ("p(00)", "p(01)", "q(inf)"),
-    "L(1*)": ("p(10)", "p(11)", "q(inf)"),
-    "L(*0)": ("p(00)", "p(10)", "q(0)"),
-    "L(*1)": ("p(01)", "p(11)", "q(0)"),
-}
-
-
 class ConfigurationReport(Frozen):
     __slots__ = ("ok", "findings", "report", "splitting_lines", "certificates")
     ok: bool
@@ -518,8 +510,9 @@ def verify_configuration(g: HomPoly, r: int, s: int) -> ConfigurationReport:
 
     (a) counts and types 4 D4 + 5 A1 with total Milnor number 21, (b) the
     five A1 images collinear on a splitting line, (c) the labeled
-    coordinates of the points of (r, s) and the incidence pattern of the
-    five standard lines, (d) every splitting rational line (the scan is
+    coordinates of the points of (r, s) and the incidence of the five
+    standard lines, against the rows of ``configuration.LINES``, (d) every
+    splitting rational line (the scan is
     exhaustive and independent of (a)).  Mismatches are reported as
     findings, not raised.
     """
@@ -539,11 +532,9 @@ def verify_configuration(g: HomPoly, r: int, s: int) -> ConfigurationReport:
     split_lines = tuple(l for l, _ in scan)
 
     if len(a1) == 5:
-        base = a1[0]
-        others = a1[1:]
         try:
-            common = line_through(f, base, others[0])
-            if all(point_on_line(f, p, common) for p in others[1:]):
+            common = line_through(f, a1[0], a1[1])
+            if all(point_on_line(f, p, common) for p in a1[2:]):
                 if common not in split_lines:
                     findings.append("the A1 line is not splitting")
             else:
@@ -552,24 +543,17 @@ def verify_configuration(g: HomPoly, r: int, s: int) -> ConfigurationReport:
             findings.append("degenerate A1 point set")
 
     expected_pts = table_points(f, r, s)
-    actual_d4 = set(d4)
-    actual_a1 = set(a1)
-    exp_d4 = {v for k, v in expected_pts.items() if k.startswith("p")}
-    exp_a1 = {v for k, v in expected_pts.items() if k.startswith("q")}
-    if actual_d4 != exp_d4:
-        findings.append("D4 points differ from the labeled coordinates")
-    if actual_a1 != exp_a1:
-        findings.append("A1 points differ from the labeled coordinates")
+    for typ, found, prefix in (("D4", d4, "p("), ("A1", a1, "q(")):
+        if set(found) != {v for k, v in expected_pts.items() if k.startswith(prefix)}:
+            findings.append(f"{typ} points differ from the labeled coordinates")
     expected_ln = table_lines(f, r, s)
-    for name, l in expected_ln.items():
+    for lam, row in LINES.items():
+        name = f"L({lam})"
+        l = expected_ln[name]
         if l not in split_lines:
             findings.append(f"{name} is not splitting")
-        on = {
-            label
-            for label, pt in expected_pts.items()
-            if point_on_line(f, pt, l)
-        }
-        if on != set(EXPECTED_INCIDENCE[name]):
+        on = {label for label, pt in expected_pts.items() if point_on_line(f, pt, l)}
+        if on != set(point_labels(*row)):
             findings.append(f"incidence of {name} differs: {sorted(on)}")
     return ConfigurationReport(
         ok=not findings,

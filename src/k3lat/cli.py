@@ -25,6 +25,7 @@ from .char2_surfaces.surfaces import (
     table_points,
     verify_configuration,
 )
+from .configuration import DIAGONAL_FORKS, L_LABELS, point_labels
 from .lattice_core import (
     DualVector,
     class_of,
@@ -37,7 +38,6 @@ from .lattice_core import (
 from .root_systems import bounded_class_minimizers
 from .ns_glue import (
     EXTRA_GLUE_CHOICES,
-    L_LABELS,
     GlueVector,
     artin_invariant,
     build_lambda,
@@ -223,6 +223,11 @@ def cmd_lattice(config: dict, checks: Checks) -> None:
 # surface subcommand
 # ---------------------------------------------------------------------------
 
+def _on_cube_locus(field: BinaryField, r: int, s: int) -> bool:
+    """Whether r^3 = s^3, where the diagonals of the four fork points split too."""
+    return field.pow(r, 3) == field.pow(s, 3)
+
+
 def _sample_pairs(field: BinaryField, count: int, seed: int) -> list[tuple[int, int]]:
     """count distinct seeded pairs (r, s) of nonzero elements off the cube locus r^3 = s^3."""
     rng = random.Random(seed)
@@ -230,7 +235,7 @@ def _sample_pairs(field: BinaryField, count: int, seed: int) -> list[tuple[int, 
     while len(pairs) < count:
         r = rng.randrange(1, field.q)
         s = rng.randrange(1, field.q)
-        if field.pow(r, 3) != field.pow(s, 3):
+        if not _on_cube_locus(field, r, s):
             pairs[r, s] = None
     return list(pairs)
 
@@ -238,9 +243,7 @@ def _sample_pairs(field: BinaryField, count: int, seed: int) -> list[tuple[int, 
 def _surface_case(field: BinaryField, r: int, s: int) -> tuple[bool, dict]:
     g = schroeer_sextic(field, r, s)
     conf = verify_configuration(g, r=r, s=s)
-    # on the cube locus both diagonals of the four fork points split as well
-    extra_expected = field.pow(r, 3) == field.pow(s, 3)
-    n_expected = 7 if extra_expected else 5
+    n_expected = 7 if _on_cube_locus(field, r, s) else 5
     named = table_points(field, r, s)
     types = dict(conf.report.points)
     witness = {
@@ -345,14 +348,15 @@ def cmd_surface(g: HomPoly | None, family, checks: Checks) -> None:
         )
 
     def dichotomy():
-        # the line joining the two opposite fork points splits iff r^3 = s^3
+        # the diagonal through the two opposite fork points splits iff r^3 = s^3
         ok = True
         seen = []
         for r, s in pairs:
             g = schroeer_sextic(field, r, s)
-            l = line_through(field, (0, 0, 1), (r, s, 1))
+            named = table_points(field, r, s)
+            l = line_through(field, *(named[p] for p in point_labels(DIAGONAL_FORKS, ())))
             splits = is_splitting(g, HomPoly.linear(field, l)) is not None
-            expected = field.pow(r, 3) == field.pow(s, 3)
+            expected = _on_cube_locus(field, r, s)
             seen.append(
                 {"r": format(r, "x"), "s": format(s, "x"), "splits": splits, "cube": expected}
             )

@@ -15,6 +15,7 @@ import math
 from operator import mul
 from typing import Sequence
 
+from .configuration import DIAGONALS, LINES, P_LABELS, Q_LABELS
 from .exact_arith import IntMatrix, hnf_rows, rank_mod_2
 from .frozen import Frozen
 from .lattice_core import (
@@ -42,10 +43,7 @@ class GlueError(ValueError):
     pass
 
 
-P_LABELS = ("00", "01", "10", "11")
-Q_LABELS = ("0", "1", "w", "wb", "inf")
-L_LABELS = ("inf", "0*", "1*", "*0", "*1")
-EXTRA_GLUE_CHOICES = ("1", "w", "wb")
+EXTRA_GLUE_CHOICES = tuple(DIAGONALS)
 
 
 class Summand(Frozen):
@@ -95,36 +93,19 @@ class LabeledSum(Frozen):
 
 def build_lambda() -> LabeledSum:
     """The rank-22 labeled sum: det -2^14, hyperbolic, discriminant (Z/2)^14."""
-    blocks = [lattice_hyperbolic2().gram]
-    summands = [Summand("H", "H", 0, 1)]
-    off = 1
-    for ab in P_LABELS:
-        blocks.append(lattice_D4().gram)
-        summands.append(Summand(f"P({ab})", "D4", off, 4))
-        off += 4
-    for g in Q_LABELS:
-        blocks.append(lattice_A1().gram)
-        summands.append(Summand(f"Q({g})", "A1", off, 1))
-        off += 1
-    lattice = Lattice(IntMatrix.block_diagonal(blocks))
+    lattices = {"H": lattice_hyperbolic2(), "D4": lattice_D4(), "A1": lattice_A1()}
+    kinds = [("H", "H")] + [(f"P({ab})", "D4") for ab in P_LABELS] + [(f"Q({g})", "A1") for g in Q_LABELS]
+    summands, off = [], 0
+    for name, kind in kinds:
+        summands.append(Summand(name, kind, off, lattices[kind].rank))
+        off += lattices[kind].rank
+    lattice = Lattice(IntMatrix.block_diagonal([lattices[s.kind].gram for s in summands]))
     return LabeledSum(lattice, tuple(summands))
 
 
 # ---------------------------------------------------------------------------
-# the distinguished dual vectors
+# glue vectors of the configuration rows
 # ---------------------------------------------------------------------------
-
-def h_vee(ls: LabeledSum) -> DualVector:
-    return ls.assemble({"H": DualVector(lattice_hyperbolic2(), [1], 2)})
-
-
-def d_vee(ls: LabeledSum, i: int, ab: str) -> DualVector:
-    return ls.assemble({f"P({ab})": lattice_D4().dual_basis_vector(i - 1)})
-
-
-def a_vee(ls: LabeledSum, g: str) -> DualVector:
-    return ls.assemble({f"Q({g})": DualVector(lattice_A1(), [-1], 2)})
-
 
 class GlueVector(Frozen):
     __slots__ = ("name", "vector")
@@ -132,34 +113,32 @@ class GlueVector(Frozen):
     vector: DualVector
 
 
+def _row_glue(ls: LabeledSum, name: str, row: tuple) -> GlueVector:
+    """h^ + d^_leaf at each D4 point + a^ at each A1 point of a configuration
+    row, with h^ = h/2, d^_leaf the dual basis vector of the leaf in the
+    point's P summand and a^ = -e/2 in the point's Q summand."""
+    forks, nodes = row
+    parts = {"H": DualVector(lattice_hyperbolic2(), [1], 2)}
+    parts |= {f"P({ab})": lattice_D4().dual_basis_vector(leaf - 1) for ab, leaf in forks}
+    parts |= {f"Q({g})": DualVector(lattice_A1(), [-1], 2) for g in nodes}
+    return GlueVector(name, ls.assemble(parts))
+
+
 @functools.cache
 def halfline_class(ls: LabeledSum, lam: str) -> GlueVector:
     """The half-line class attached to one of the five splitting lines, built
     once per process: the overlattice and each half-line search share it."""
-    hv = h_vee(ls)
-    if lam == "inf":
-        v = hv
-        for g in Q_LABELS:
-            v = v + a_vee(ls, g)
-    elif lam == "0*":
-        v = hv + d_vee(ls, 1, "00") + d_vee(ls, 1, "01") + a_vee(ls, "inf")
-    elif lam == "1*":
-        v = hv + d_vee(ls, 1, "10") + d_vee(ls, 1, "11") + a_vee(ls, "inf")
-    elif lam == "*0":
-        v = hv + d_vee(ls, 4, "00") + d_vee(ls, 4, "10") + a_vee(ls, "0")
-    elif lam == "*1":
-        v = hv + d_vee(ls, 4, "01") + d_vee(ls, 4, "11") + a_vee(ls, "0")
-    else:
+    if lam not in LINES:
         raise GlueError(f"unknown half-line label {lam!r}")
-    return GlueVector(f"F({lam})", v)
+    return _row_glue(ls, f"F({lam})", LINES[lam])
 
 
 def extra_glue_class(ls: LabeledSum, c: str) -> GlueVector:
-    """The extra class supported on P(00), P(11) and Q(c); drops the Artin invariant to 1."""
-    if c not in EXTRA_GLUE_CHOICES:
+    """The class of the diagonal D(c), supported on P(00), P(11) and Q(c); drops
+    the Artin invariant to 1."""
+    if c not in DIAGONALS:
         raise GlueError(f"extra glue label must be one of {EXTRA_GLUE_CHOICES}")
-    v = h_vee(ls) + d_vee(ls, 2, "00") + d_vee(ls, 2, "11") + a_vee(ls, c)
-    return GlueVector(f"G({c})", v)
+    return _row_glue(ls, f"G({c})", DIAGONALS[c])
 
 
 # ---------------------------------------------------------------------------

@@ -26,14 +26,17 @@ EXTRA_GLUE_GOLDENS = [
 ]
 
 # a sampled GF(256) run, a GF(16) member on the cube locus (6 is omega) with
-# its 7 splitting lines, a GF(2^16) member, a whole `all` run over GF(16),
-# and the recognition of a normal form moved through a seeded frame at
-# k = 8 (the benchmark's recognize op shape) and k = 16
+# its 7 splitting lines, the GF(256) members on the cube-locus diagonals
+# s = r and s = omega-bar r (omega is 0xbd), a GF(2^16) member, a whole `all`
+# run over GF(16), and the recognition of a normal form moved through a
+# seeded frame at k = 8 (the benchmark's recognize op shape) and k = 16
 SURFACE_GOLDENS = [
     ("k8-samples", ["surface", "--k", "8", "--samples", "4", "--seed", "12345"], 0,
      "surface_k8_samples4_seed12345.json"),
     ("k4-cube-locus", ["surface", "--k", "4", "--r", "1", "--s", "6", "--line-scan", "full"], 0,
      "surface_k4_r1_s6_full.json"),
+    ("k8-cube-locus-1", ["surface", "--k", "8", "--r", "3", "--s", "3"], 0, "surface_k8_r3_s3.json"),
+    ("k8-cube-locus-wb", ["surface", "--k", "8", "--r", "3", "--s", "df"], 0, "surface_k8_r3_sdf.json"),
     ("k16-member", ["surface", "--k", "16", "--modulus", "0x1002D", "--r", "3", "--s", "5"], 0,
      "surface_k16_r3_s5.json"),
     ("all-k4-samples3", ["all", "--k", "4", "--samples", "3"], 0, "all_k4_samples3.json"),

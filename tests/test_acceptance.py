@@ -15,8 +15,8 @@ import pytest
 from k3lat.exact_arith import invert
 from k3lat.lattice_core import class_of, elementary_factors, is_even, lattice_A1, lattice_D4
 from k3lat.root_systems import PositivityFunctional, ade_type, bounded_class_minimizers
+from k3lat.configuration import L_LABELS
 from k3lat.ns_glue import (
-    L_LABELS,
     artin_invariant,
     build_lambda,
     build_overlattice,

@@ -14,7 +14,7 @@ from k3lat.char2_surfaces.poly import HomPoly
 from k3lat.char2_surfaces.recognize import apply_frame, normal_form_sextic
 from k3lat.char2_surfaces.surfaces import SurfaceError, schroeer_sextic
 from k3lat.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, FLAGS, main, parse_args
-from k3lat.ns_glue import L_LABELS
+from k3lat.configuration import L_LABELS
 from k3lat.root_systems import ClassNormSearch
 
 import argparse_oracle
@@ -185,7 +185,7 @@ def test_lattice_run_puts_no_overlattice_gram_in_smith_form():
 # those by the sigma = 2 overlattice Gram
 MUL_VEC_COUNTER = """
 import collections, json, sys
-from k3lat import cli, exact_arith, ns_glue
+from k3lat import cli, configuration, exact_arith, ns_glue
 seen = collections.Counter()
 real = exact_arith.IntMatrix.mul_vec
 def counting(self, v):
@@ -195,7 +195,7 @@ exact_arith.IntMatrix.mul_vec = counting
 code = cli.main(sys.argv[1:])
 exact_arith.IntMatrix.mul_vec = real
 ls = ns_glue.build_lambda()
-ns = ns_glue.build_overlattice(ls, tuple(ns_glue.halfline_class(ls, lam) for lam in ns_glue.L_LABELS))
+ns = ns_glue.build_overlattice(ls, tuple(ns_glue.halfline_class(ls, lam) for lam in configuration.L_LABELS))
 calls = [[len(m), len(m[0]), n] for m, n in seen.items()]
 print(json.dumps({"code": code, "calls": calls, "sigma2": seen[ns.lattice.gram.entries]}))
 """

@@ -1,0 +1,118 @@
+import ast
+import pathlib
+import random
+
+import pytest
+
+from k3lat.char2_surfaces.field import BinaryField
+from k3lat.char2_surfaces.poly import HomPoly
+from k3lat.char2_surfaces.surfaces import (
+    is_splitting,
+    line_through,
+    point_on_line,
+    schroeer_sextic,
+    table_points,
+    verify_configuration,
+)
+from k3lat.configuration import DIAGONALS, LINES, P_LABELS, Q_LABELS, point_labels
+from k3lat.ns_glue import GlueVector, build_lambda, extra_glue_class, halfline_class
+
+from test_ns_glue import a_vee, d_vee, h_vee
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "k3lat"
+
+
+@pytest.fixture(scope="module")
+def ls():
+    return build_lambda()
+
+
+def row_glue(ls, name, row):
+    """h^ + the d^_leaf of the row's D4 points + the a^ of its A1 points."""
+    forks, nodes = row
+    v = h_vee(ls)
+    for ab, leaf in forks:
+        v = v + d_vee(ls, leaf, ab)
+    for g in nodes:
+        v = v + a_vee(ls, g)
+    return GlueVector(name, v)
+
+
+def cube_root(f, c):
+    w = f.omega()
+    return {"1": 1, "w": w, "wb": f.mul(w, w)}[c]
+
+
+@pytest.mark.parametrize("k", [4, 8])
+@pytest.mark.parametrize("c", ["1", "w", "wb"])
+def test_extra_glue_class_is_the_split_diagonal_of_the_cube_locus(ls, k, c):
+    f = BinaryField(k)
+    row = DIAGONALS[c]
+    assert point_labels(*row) == ("p(00)", "p(11)", f"q({c})")
+    assert extra_glue_class(ls, c) == row_glue(ls, f"G({c})", row)
+    rng = random.Random(k)
+    for r in rng.sample(range(1, f.q), 3):
+        s = f.mul(cube_root(f, c), r)
+        pts = table_points(f, r, s)
+        l = line_through(f, pts["p(00)"], pts["p(11)"])
+        assert is_splitting(schroeer_sextic(f, r, s), HomPoly.linear(f, l)) is not None
+        on = {label for label, p in pts.items() if point_on_line(f, p, l)}
+        assert on == set(point_labels(*row))
+
+
+def test_each_halfline_class_is_the_glue_of_its_row(ls):
+    for lam, row in LINES.items():
+        assert halfline_class(ls, lam) == row_glue(ls, f"F({lam})", row)
+
+
+@pytest.mark.parametrize("c", sorted(DIAGONALS))
+def test_the_lines_through_a_fork_point_meet_distinct_outer_leaves(c):
+    # on a member with s = c r the five lines and the diagonal D(c) split
+    rows = list(LINES.values()) + [DIAGONALS[c]]
+    for ab in P_LABELS:
+        leaves = [leaf for forks, _ in rows for p, leaf in forks if p == ab]
+        assert len(leaves) == len(set(leaves)) >= 2
+        assert set(leaves) <= {1, 2, 4}  # never the centre node 3
+
+
+def test_each_line_carries_two_fork_points_and_one_node_but_the_line_at_infinity():
+    assert LINES["inf"] == ((), Q_LABELS)
+    for lam, (forks, nodes) in list(LINES.items()) + list(DIAGONALS.items()):
+        if lam != "inf":
+            assert len(forks) == 2 and len(nodes) == 1, lam
+        assert {ab for ab, _ in forks} <= set(P_LABELS)
+        assert set(nodes) <= set(Q_LABELS)
+
+
+def test_the_five_lines_name_the_nine_table_points():
+    named = set().union(*(point_labels(*row) for row in LINES.values()))
+    assert named == set(table_points(BinaryField(4), 1, 2))
+
+
+def test_both_halves_read_a_moved_point(ls, monkeypatch):
+    # q(inf) moved to q(1) on L(0*): the glue vector of F(0*) changes, and the
+    # incidence check of a family member reports the line
+    forks, _ = LINES["0*"]
+    before = halfline_class.__wrapped__(ls, "0*")
+    monkeypatch.setitem(LINES, "0*", (forks, ("1",)))
+    assert halfline_class.__wrapped__(ls, "0*") != before
+    f = BinaryField(4)
+    conf = verify_configuration(schroeer_sextic(f, 1, 2), 1, 2)
+    assert [x for x in conf.findings if x.startswith("incidence")] == [
+        "incidence of L(0*) differs: ['p(00)', 'p(01)', 'q(inf)']"
+    ]
+
+
+def _imported_modules(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            yield "." * node.level + (node.module or "")
+
+
+def test_both_halves_import_the_table_and_neither_imports_the_other():
+    assert list(_imported_modules(PACKAGE / "configuration.py")) == ["__future__"]
+    lattice = set(_imported_modules(PACKAGE / "ns_glue.py"))
+    surface = set(_imported_modules(PACKAGE / "char2_surfaces" / "surfaces.py"))
+    assert ".configuration" in lattice and "..configuration" in surface
+    assert not any("char2_surfaces" in m for m in lattice)
+    assert not any("ns_glue" in m for m in surface)

@@ -16,9 +16,9 @@ from k3lat.exact_arith import (
     rank_mod_2,
     symmetric_elimination,
 )
+from k3lat.configuration import L_LABELS
 from k3lat.ns_glue import (
     EXTRA_GLUE_CHOICES,
-    L_LABELS,
     build_lambda,
     build_overlattice,
     extra_glue_class,

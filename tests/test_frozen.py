@@ -8,7 +8,8 @@ from k3lat import root_systems
 from k3lat.exact_arith import IntMatrix
 from k3lat.frozen import Frozen
 from k3lat.lattice_core import DualVector, Lattice, class_of, lattice_D4
-from k3lat.ns_glue import L_LABELS, Summand, build_lambda, build_overlattice, halfline_class
+from k3lat.configuration import L_LABELS
+from k3lat.ns_glue import Summand, build_lambda, build_overlattice, halfline_class
 from k3lat.root_systems import bounded_class_minimizers
 from rational_oracles import enumerate_roots
 

@@ -20,9 +20,9 @@ from k3lat.lattice_core import (
     pairing_numerator,
     ratio,
 )
+from k3lat.configuration import L_LABELS
 from k3lat.ns_glue import (
     EXTRA_GLUE_CHOICES,
-    L_LABELS,
     build_lambda,
     build_overlattice,
     extra_glue_class,

@@ -9,20 +9,26 @@ import pytest
 
 from k3lat import exact_arith, lattice_core, ns_glue, root_systems
 from k3lat.exact_arith import IntMatrix, hnf_rows
-from k3lat.lattice_core import Lattice, elementary_factors, is_even
+from k3lat.lattice_core import (
+    DualVector,
+    Lattice,
+    elementary_factors,
+    is_even,
+    lattice_A1,
+    lattice_D4,
+    lattice_hyperbolic2,
+)
+from k3lat.configuration import L_LABELS
 from k3lat.ns_glue import (
     EXTRA_GLUE_CHOICES,
     GlueError,
     GlueVector,
-    L_LABELS,
     OverlatticeResult,
     Summand,
-    a_vee,
     artin_invariant,
     build_lambda,
     build_overlattice,
     canonical_positivity,
-    d_vee,
     exceptional_root_analysis,
     extra_glue_class,
     halfline_class,
@@ -54,7 +60,18 @@ from rational_oracles import (
 )
 
 
-import pytest
+# the distinguished dual vectors of the labeled sum, one summand at a time:
+# the glue vectors of the configuration rows are sums of them
+def h_vee(ls):
+    return ls.assemble({"H": DualVector(lattice_hyperbolic2(), [1], 2)})
+
+
+def d_vee(ls, i, ab):
+    return ls.assemble({f"P({ab})": lattice_D4().dual_basis_vector(i - 1)})
+
+
+def a_vee(ls, g):
+    return ls.assemble({f"Q({g})": DualVector(lattice_A1(), [-1], 2)})
 
 
 @pytest.fixture(scope="module")

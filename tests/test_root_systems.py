@@ -16,8 +16,8 @@ from k3lat.lattice_core import (
     lattice_A1,
     lattice_D4,
 )
+from k3lat.configuration import L_LABELS
 from k3lat.ns_glue import (
-    L_LABELS,
     build_lambda,
     build_overlattice,
     canonical_positivity,
