@@ -26,6 +26,7 @@ from .surfaces import (
     normalize_point,
     point_on_line,
     scan_splitting_lines,
+    schroeer_sextic,
 )
 
 
@@ -34,19 +35,11 @@ class RecognitionError(ValueError):
 
 
 def normal_form_sextic(field: BinaryField, t: int) -> HomPoly:
-    """x*y*z*(t^2*y*z^2 + x*z^2 + y^3 + x^3) for a nonzero parameter t."""
+    """x*y*z*(t^2*y*z^2 + x*z^2 + y^3 + x^3) for a nonzero parameter t: the
+    family member (r, s) = (1, t)."""
     if t == 0:
         raise RecognitionError("parameter must be nonzero")
-    return HomPoly(
-        field,
-        6,
-        {
-            (1, 2, 3): field.sqr(t),
-            (2, 1, 3): 1,
-            (1, 4, 1): 1,
-            (4, 1, 1): 1,
-        },
-    )
+    return schroeer_sextic(field, 1, t)
 
 
 # ---------------------------------------------------------------------------

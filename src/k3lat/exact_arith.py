@@ -2,12 +2,12 @@
 
 Everything here runs on arbitrary-precision integers; there is no
 floating point and no rational type.  The kernels are fraction-free:
-determinants, the inverse and the symmetric elimination behind the
-signature all run Bareiss updates on integers, and the inverse comes back
-as an integer matrix over one denominator.  The row Hermite form gives
-the overlattice bases.  Products visit only
-the nonzero entries of their factors, since the Grams and embeddings of
-the lattice side are mostly zeros.
+one symmetric elimination of a Gram, kept on it, gives its determinant,
+its signature and the Fincke-Pohst factorization of its quadratic form,
+and the inverse comes from Gauss-Jordan as an integer matrix over one
+denominator.  The row Hermite form gives the overlattice bases.  Products
+visit only the nonzero entries of their factors, since the Grams and
+embeddings of the lattice side are mostly zeros.
 """
 
 from __future__ import annotations
@@ -128,60 +128,6 @@ class IntMatrix(Frozen):
 
 
 # ---------------------------------------------------------------------------
-# determinant (fraction-free Bareiss elimination)
-# ---------------------------------------------------------------------------
-
-def det(a: IntMatrix) -> int:
-    """Exact determinant of a square integer matrix.
-
-    Bareiss: with p the pivot of step k and prev the pivot before it (1 at
-    the start), each row below becomes (p * row - f * pivot_row) // prev, f
-    its entry in column k.  A row with f = 0 would only be scaled by
-    p / prev, so it is left as it is until a step needs it; the scalings it
-    skipped since step s telescope to prevs[k] / prevs[s], prevs[k] being
-    prev at step k, and the division is exact because the scaled entries
-    are minors.  Block-diagonal Grams thus skip most rows at most steps.
-    """
-    if not a.is_square():
-        raise ExactArithError("determinant of a non-square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = [list(row) for row in a.entries]
-    at = [0] * n  # row i holds its values after at[i] steps
-    prevs = [1]
-    sign = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    at[k], at[i] = at[i], at[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        prev = prevs[k]
-        if at[k] < k:
-            s = prevs[at[k]]
-            m[k] = [x * prev // s for x in m[k]]
-        p = m[k][k]
-        tail = m[k][k + 1 :]
-        for i in range(k + 1, n):
-            row = m[i]
-            if row[k]:
-                if at[i] < k:
-                    s = prevs[at[i]]
-                    row = [x * prev // s for x in row]
-                f = row[k]
-                # entries left of column k + 1 are never read again
-                m[i] = [0] * (k + 1) + [(x * p - f * y) // prev for x, y in zip(row[k + 1 :], tail)]
-                at[i] = k + 1
-        prevs.append(p)
-    return sign * m[n - 1][n - 1] * prevs[n - 1] // prevs[at[n - 1]]
-
-
-# ---------------------------------------------------------------------------
 # exact inverse (fraction-free Gauss-Jordan)
 # ---------------------------------------------------------------------------
 
@@ -246,8 +192,9 @@ def symmetric_elimination(a: IntMatrix) -> tuple[tuple[int, int, tuple[int, ...]
     zero, so the pivots run 0, 1, ..., n - 1, p is the leading principal
     minor and the row is in the original coordinates.
 
-    The steps are computed once per matrix and kept on it, so the signature
-    and a Fincke-Pohst enumeration of the same Gram share one elimination.
+    The steps are computed once per matrix and kept on it, so the
+    determinant, the signature and a Fincke-Pohst enumeration of the same
+    Gram share one elimination.
     """
     cached = getattr(a, "_elimination", None)
     if cached is None:
@@ -304,6 +251,23 @@ def inertia(a: IntMatrix) -> tuple[int, int, int]:
             neg += 1
         prev = p
     return pos, neg, a.rows - pos - neg
+
+
+def det(a: IntMatrix) -> int:
+    """Exact determinant of a symmetric integer matrix, read off its elimination.
+
+    Each p of ``symmetric_elimination`` is the determinant of the pivot
+    block so far (Sylvester's identity), so after n steps the last p is the
+    determinant of the whole matrix in the eliminated coordinates.  Those
+    differ from the original ones by a symmetric permutation, the pivot
+    order, and by the x_i -> x_i + x_j of each hyperbolic step, which is
+    unimodular; neither changes the determinant.  Fewer than n steps mean a
+    lower rank and determinant 0, and the empty matrix has determinant 1.
+    """
+    steps = symmetric_elimination(a)
+    if len(steps) < a.rows:
+        return 0
+    return steps[-1][1] if steps else 1
 
 
 # ---------------------------------------------------------------------------

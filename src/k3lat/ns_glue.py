@@ -393,14 +393,12 @@ class ExceptionalRootReport(Frozen):
         "complement_rank",
         "complement_inertia",
         "root_count",
-        "component_types",
         "type_string",
         "total_component_rank",
     )
     complement_rank: int
     complement_inertia: tuple[int, int, int]
     root_count: int
-    component_types: tuple[str, ...]
     type_string: str
     total_component_rank: int
 
@@ -476,7 +474,6 @@ def exceptional_root_analysis(ns: OverlatticeResult) -> ExceptionalRootReport:
         complement_rank=ns.lattice.rank - 1,
         complement_inertia=(pos - (h2 > 0), neg - (h2 < 0), zero),
         root_count=len(rs),
-        component_types=tuple(labels),
         type_string=root_type(ordered),
         total_component_rank=sum(int(lbl[1:]) for lbl in labels),
     )

@@ -19,7 +19,11 @@ oracle of the coset enumeration.  The roots orthogonal to the polarization
 were once enumerated on the rank-21 complement, the saturated Hermite
 kernel of h's pairing row; that complement, its kernel and its root
 enumeration are kept as the oracle of the walk over glue classes and
-summands.
+summands.  The determinant was once a Bareiss elimination of its own; the
+package now reads it off the symmetric elimination, and the Bareiss form,
+which takes any square matrix, is kept as its oracle and for the
+unimodularity checks of the Smith form and the kernel, whose transforms
+are not symmetric.
 """
 
 import math
@@ -27,7 +31,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from k3lat.exact_arith import ExactArithError, IntMatrix, det, hnf_rows
+from k3lat.exact_arith import ExactArithError, IntMatrix, hnf_rows
 from k3lat.lattice_core import DualVector, Lattice, LatticeError, is_even, pairing_numerator
 from k3lat.ns_glue import OverlatticeResult, canonical_positivity
 from k3lat.root_systems import (
@@ -38,6 +42,60 @@ from k3lat.root_systems import (
     cartan_matrix,
     short_vectors,
 )
+
+
+# ---------------------------------------------------------------------------
+# determinant (fraction-free Bareiss elimination)
+# ---------------------------------------------------------------------------
+
+def det(a: IntMatrix) -> int:
+    """Exact determinant of a square integer matrix.
+
+    Bareiss: with p the pivot of step k and prev the pivot before it (1 at
+    the start), each row below becomes (p * row - f * pivot_row) // prev, f
+    its entry in column k.  A row with f = 0 would only be scaled by
+    p / prev, so it is left as it is until a step needs it; the scalings it
+    skipped since step s telescope to prevs[k] / prevs[s], prevs[k] being
+    prev at step k, and the division is exact because the scaled entries
+    are minors.  Block-diagonal Grams thus skip most rows at most steps.
+    """
+    if not a.is_square():
+        raise ExactArithError("determinant of a non-square matrix")
+    n = a.rows
+    if n == 0:
+        return 1
+    m = [list(row) for row in a.entries]
+    at = [0] * n  # row i holds its values after at[i] steps
+    prevs = [1]
+    sign = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    at[k], at[i] = at[i], at[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        prev = prevs[k]
+        if at[k] < k:
+            s = prevs[at[k]]
+            m[k] = [x * prev // s for x in m[k]]
+        p = m[k][k]
+        tail = m[k][k + 1 :]
+        for i in range(k + 1, n):
+            row = m[i]
+            if row[k]:
+                if at[i] < k:
+                    s = prevs[at[i]]
+                    row = [x * prev // s for x in row]
+                f = row[k]
+                # entries left of column k + 1 are never read again
+                m[i] = [0] * (k + 1) + [(x * p - f * y) // prev for x, y in zip(row[k + 1 :], tail)]
+                at[i] = k + 1
+        prevs.append(p)
+    return sign * m[n - 1][n - 1] * prevs[n - 1] // prevs[at[n - 1]]
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,12 @@ from k3lat.ns_glue import (
     artin_invariant,
     build_lambda,
     build_overlattice,
+    canonical_positivity,
     exceptional_root_analysis,
     extra_glue_class,
     halfline_class,
     independence_check,
+    polarization_roots,
     unique_halfline_search,
 )
 from k3lat.char2_surfaces.field import BinaryField
@@ -174,7 +176,8 @@ def test_criterion_05_maximal_rdp_structure(ns_sigma2):
         report = exceptional_root_analysis(ns_sigma2)
         assert report.complement_rank == 21
         assert report.complement_inertia == (0, 21, 0)
-        assert sorted(report.component_types) == ["A1"] * 5 + ["D4"] * 4
+        labels = ade_type(polarization_roots(ns_sigma2), canonical_positivity(ns_sigma2))
+        assert sorted(labels) == ["A1"] * 5 + ["D4"] * 4
         assert report.type_string == "4D4+5A1"
         assert report.total_component_rank == 21
         assert report.total_component_rank == ns_sigma2.lattice.rank - 1

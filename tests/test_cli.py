@@ -237,10 +237,11 @@ print(json.dumps({"code": code, "calls": seen}))
 """
 
 
-def test_lattice_run_eliminates_the_base_gram_alone_among_rank_22_grams():
-    # the complement's signature is the base's, less the polarization's
-    # sign, read off the elimination kept on the base Gram: no complement
-    # Gram is built, and no overlattice Gram is eliminated
+def test_lattice_run_eliminates_each_rank_22_gram_once():
+    # every Gram is eliminated once, for its determinant, its signature and
+    # its root enumeration alike: the base, sigma = 2 and sigma = 1 Grams,
+    # D4, A1 and H; the complement's signature is the base's, less the
+    # polarization's sign, so no rank-21 complement Gram is built
     proc = subprocess.run(
         [sys.executable, "-c", ELIMINATION_COUNTER, "lattice", "--with-extra-glue", "w"],
         env={**os.environ, "PYTHONPATH": SRC},
@@ -250,7 +251,7 @@ def test_lattice_run_eliminates_the_base_gram_alone_among_rank_22_grams():
     )
     result = json.loads(proc.stdout)
     assert result["code"] == EXIT_OK
-    assert result["calls"] == {"22": 1, "4": 1, "1": 1}
+    assert result["calls"] == {"22": 3, "4": 1, "1": 2}
 
 
 # a fresh process counts every coset enumeration of one whole run, and the

@@ -6,10 +6,13 @@ import pytest
 
 from k3lat.char2_surfaces.field import BinaryField
 from k3lat.char2_surfaces.poly import HomPoly
+from k3lat.char2_surfaces.recognize import label_configuration
 from k3lat.char2_surfaces.surfaces import (
+    analyze_singularities,
     is_splitting,
     line_through,
     point_on_line,
+    scan_splitting_lines,
     schroeer_sextic,
     table_points,
     verify_configuration,
@@ -17,6 +20,7 @@ from k3lat.char2_surfaces.surfaces import (
 from k3lat.configuration import DIAGONALS, LINES, P_LABELS, Q_LABELS, point_labels
 from k3lat.ns_glue import GlueVector, build_lambda, extra_glue_class, halfline_class
 
+from goldens import FRAMED_INPUTS, framed_normal_form
 from test_ns_glue import a_vee, d_vee, h_vee
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "k3lat"
@@ -116,3 +120,52 @@ def test_both_halves_import_the_table_and_neither_imports_the_other():
     assert ".configuration" in lattice and "..configuration" in surface
     assert not any("char2_surfaces" in m for m in lattice)
     assert not any("ns_glue" in m for m in surface)
+
+
+# recognition labels the nine points by its own rules; the inputs are six
+# seeded family members off the cube locus at each k, the cube-locus members
+# of the goldens (seven splitting lines) and both framed recognition inputs
+MEMBER_FIELDS = {4: None, 8: None, 16: 0x1002D}
+CUBE_LOCUS_MEMBERS = {
+    f"k{k}-cube-{r:x}-{s:x}": (k, r, s) for k, r, s in ((4, 1, 6), (8, 3, 3), (8, 3, 0xDF))
+}
+LABELING_CASES = (
+    [f"k{k}-member{i}" for k in MEMBER_FIELDS for i in range(6)]
+    + list(CUBE_LOCUS_MEMBERS)
+    + sorted(FRAMED_INPUTS)
+)
+
+
+@pytest.fixture(scope="module")
+def labeling_inputs():
+    out = {}
+    for k, modulus in MEMBER_FIELDS.items():
+        f = BinaryField(k, modulus)
+        rng = random.Random(f"labeling/{k}")
+        members = []
+        while len(members) < 6:
+            r, s = rng.randrange(1, f.q), rng.randrange(1, f.q)
+            if f.pow(r, 3) != f.pow(s, 3):
+                members.append(schroeer_sextic(f, r, s))
+        out.update((f"k{k}-member{i}", g) for i, g in enumerate(members))
+    for name, (k, r, s) in CUBE_LOCUS_MEMBERS.items():
+        out[name] = schroeer_sextic(BinaryField(k), r, s)
+    for name, spec in FRAMED_INPUTS.items():
+        out[name] = framed_normal_form(*spec)
+    return out
+
+
+@pytest.mark.parametrize("case", LABELING_CASES)
+def test_recognition_labels_each_row_on_exactly_one_splitting_line(labeling_inputs, case):
+    g = labeling_inputs[case]
+    f = g.field
+    report = analyze_singularities(g)
+    lines = [l for l, _ in scan_splitting_lines(g)]
+    labels = label_configuration(f, report.of_type("D4"), report.of_type("A1"), lines)
+    for lam, row in LINES.items():
+        carriers = [
+            l
+            for l in lines
+            if {x for x, p in labels.items() if point_on_line(f, p, l)} == set(point_labels(*row))
+        ]
+        assert len(carriers) == 1, (case, lam)

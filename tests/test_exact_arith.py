@@ -9,7 +9,6 @@ from k3lat import exact_arith
 from k3lat.exact_arith import (
     ExactArithError,
     IntMatrix,
-    det,
     hnf_rows,
     inertia,
     invert,
@@ -29,6 +28,7 @@ from rational_oracles import (
     SnfResult,
     as_fractions,
     check_snf,
+    det,
     invert_rational,
     kernel_basis,
     orthogonal_complement,
@@ -261,23 +261,61 @@ def test_snf_det_is_product_of_factors():
 
 
 # ---------------------------------------------------------------------------
-# det
+# det: the package's, read off the symmetric elimination, against the
+# Bareiss oracle and the cofactor expansion
 # ---------------------------------------------------------------------------
 
 def test_det_examples():
-    assert det(IntMatrix([[-2]])) == -2
-    assert det(NEG_CARTAN_D4) == det_cofactor(NEG_CARTAN_D4) == 4
+    assert exact_arith.det(IntMatrix([[-2]])) == det(IntMatrix([[-2]])) == -2
+    assert exact_arith.det(NEG_CARTAN_D4) == det(NEG_CARTAN_D4) == det_cofactor(NEG_CARTAN_D4) == 4
     g = lambda_rs_gram()
     blocks = 2 * (4**4) * ((-2) ** 5)
-    assert det(g) == blocks == -(2**14)
+    assert exact_arith.det(g) == det(g) == blocks == -(2**14)
+    assert exact_arith.det(IntMatrix([])) == det(IntMatrix([])) == 1
+    # hyperbolic steps, then degenerate matrices
+    assert exact_arith.det(IntMatrix([[0, 1], [1, 0]])) == -1
+    assert exact_arith.det(IntMatrix([[0, 2, 0], [2, 0, 0], [0, 0, 3]])) == -12
+    assert exact_arith.det(IntMatrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])) == 2
+    assert exact_arith.det(IntMatrix([[0, 0], [0, 0]])) == 0
+    assert exact_arith.det(IntMatrix([[1, 2], [2, 4]])) == 0
 
 
 def test_det_non_square_rejected():
     with pytest.raises(ExactArithError):
+        exact_arith.det(IntMatrix([[1, 2, 3], [4, 5, 6]]))
+    with pytest.raises(ExactArithError):
         det(IntMatrix([[1, 2, 3], [4, 5, 6]]))
 
 
+def test_det_non_symmetric_rejected():
+    with pytest.raises(ExactArithError, match="non-symmetric"):
+        exact_arith.det(IntMatrix([[1, 2], [3, 4]]))
+
+
+def test_det_matches_the_oracles_on_random_symmetric_matrices():
+    # zero diagonals make the first step a hyperbolic pair x_i -> x_i + x_j,
+    # a zero corner pivots out of order, and B diag(+-1) B^T of rank below n
+    # is degenerate
+    rng = random.Random(1985)
+    hyperbolic = degenerate = 0
+    for _ in range(160):
+        n = rng.randrange(1, 8)
+        kind = rng.randrange(4)
+        a = _random_symmetric(rng, n, kind)
+        d = exact_arith.det(a)
+        assert d == det(a)
+        if n < 7:  # the cofactor expansion takes n! products
+            assert d == det_cofactor(a)
+        if kind == 1 and n > 1 and d:
+            hyperbolic += 1
+        if kind == 3:
+            assert d == 0
+            degenerate += 1
+    assert hyperbolic >= 20 and degenerate >= 20
+
+
 def test_det_random_vs_cofactor():
+    # the Bareiss oracle takes any square matrix
     rng = random.Random(3)
     for _ in range(30):
         n = rng.randrange(1, 5)
@@ -286,7 +324,7 @@ def test_det_random_vs_cofactor():
 
 
 def test_det_sparse_random_vs_cofactor():
-    # mostly zeros: rows skip steps, and rows swapped up as pivots lag behind,
+    # the Bareiss oracle on mostly zeros: rows skip steps, and rows swapped up as pivots lag behind,
     # so the deferred scalings are exercised; zero rows and columns included
     rng = random.Random(28)
     zero = 0
@@ -595,6 +633,17 @@ def test_invert_matches_rational_oracle_on_lattice_matrices(lattice_matrices):
         assert as_fractions((num, den)) == invert_rational(to_rational(a))
         # the Gauss-Jordan denominator is |det|, an independent route to it
         assert abs(det(a)) == den
+
+
+def test_det_matches_the_oracle_on_lattice_grams(lattice_matrices):
+    grams = {k: a for k, a in lattice_matrices.items() if not k.endswith("-basis")}
+    for a in grams.values():
+        assert exact_arith.det(a) == det(a)
+    # det = -2^(2 sigma) on the overlattices, sigma = 2 and 1 for every c
+    assert exact_arith.det(grams["base"]) == -(2**14)
+    assert exact_arith.det(grams["sigma2"]) == -(2**4)
+    for c in EXTRA_GLUE_CHOICES:
+        assert exact_arith.det(grams[f"sigma1-{c}"]) == -(2**2)
 
 
 def test_inertia_matches_rational_oracle_on_lattice_grams(lattice_matrices):

@@ -177,9 +177,7 @@ NOT_RUN_BY_THE_CLI = {
 }
 
 # each record field that the traffic never reads, with the reason it stays
-FIELD_WITHOUT_READER = {
-    "ns_glue.ExceptionalRootReport.component_types": "acceptance criterion 5",
-}
+FIELD_WITHOUT_READER: dict[str, str] = {}
 
 # Runs the traffic through k3lat.cli.main in one process. A profile hook
 # keeps the code object of every Python call, and every public __slots__ name

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from k3lat.char2_surfaces import recognize
-from k3lat.char2_surfaces.field import BinaryField
+from k3lat.char2_surfaces.field import BinaryField, FieldError
 from k3lat.char2_surfaces.poly import HomPoly
 from k3lat.char2_surfaces.recognize import (
     RecognitionError,
@@ -182,6 +182,21 @@ def test_normal_form_is_family_member_with_swapped_coordinates(gf16):
     t = 7
     swap = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
     assert normal_form_sextic(f, t).compose_linear(swap) == schroeer_sextic(f, t, 1)
+    # the normal form is the member (r, s) = (1, t), monomial by monomial
+    rng = random.Random(16)
+    for k in (2, 4, 8, 16):
+        f = BinaryField(k, 0x1002D) if k == 16 else BinaryField(k)
+        ts = range(1, f.q) if k < 16 else rng.sample(range(1, f.q), 64)
+        for t in ts:
+            g = normal_form_sextic(f, t)
+            assert g == schroeer_sextic(f, 1, t)
+            assert g.terms == {(1, 2, 3): f.sqr(t), (2, 1, 3): 1, (1, 4, 1): 1, (4, 1, 1): 1}
+    # t outside GF(16) is the field's error, not another member
+    with pytest.raises(RecognitionError, match="nonzero"):
+        normal_form_sextic(gf16, 0)
+    for t in (-1, 16):
+        with pytest.raises(FieldError):
+            normal_form_sextic(gf16, t)
 
 
 def test_family_orientation_recognizes_to_inverse_parameter(gf16):

@@ -8,7 +8,7 @@ from operator import mul
 import pytest
 
 from k3lat import exact_arith, root_systems
-from k3lat.exact_arith import IntMatrix, det, hnf_rows, inertia, symmetric_elimination
+from k3lat.exact_arith import IntMatrix, hnf_rows, inertia, symmetric_elimination
 from k3lat.lattice_core import (
     DualVector,
     Lattice,
@@ -41,6 +41,7 @@ from rational_oracles import (
     cholesky,
     complement_positivity,
     coords,
+    det,
     enumerate_roots,
     invert_rational,
     is_negative_definite,
