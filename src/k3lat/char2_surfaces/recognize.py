@@ -14,6 +14,7 @@ coordinate, and the parameter t is returned.
 
 from __future__ import annotations
 
+from ..configuration import LINES, P_LABELS, Q_LABELS
 from ..frozen import Frozen
 from .field import BinaryField
 from .poly import HomPoly
@@ -130,57 +131,49 @@ def label_configuration(
     a1_points: list[Point],
     splitting: list[Line],
 ) -> dict[str, Point]:
-    """The standard labels of the nine points of a five-line configuration.
+    """The standard labels of the nine points of a five-line configuration,
+    read off the rows of ``configuration.LINES``.
 
-    Ties (which A1 anchor plays the unit role, which line through an anchor
-    comes first) are broken by coordinate order, so an already-normalized
-    configuration receives the identity labeling.  Side lines through the
-    other A1 points (the two diagonals on the cube locus) are not used.
+    The A1 nodes of the one-node rows, in table order, are the anchors q(inf)
+    and q(0): they take the A1 points on two side lines each, in coordinate
+    order.  Each anchor's rows take its side lines in coordinate order, p(ab)
+    is where the lines of the two rows listing ab cross, and the other A1
+    labels take the other A1 points in order, so an already-normalized
+    configuration receives the identity labeling.  On the cube locus the
+    diagonals split too; of the three A1 points on two side lines the
+    smallest two are the anchors, and one may be q(c) with its two diagonals.
     """
     if len(d4_points) != 4 or len(a1_points) != 5:
         raise RecognitionError("labeling needs 4 D4 and 5 A1 points")
-    a1_line = None
-    for l in splitting:
-        if all(point_on_line(field, p, l) for p in a1_points):
-            a1_line = l
-            break
+    a1_line = next((l for l in splitting if all(point_on_line(field, p, l) for p in a1_points)), None)
     if a1_line is None:
         raise RecognitionError("no splitting line carries all five A1 points")
-    side = [l for l in splitting if l != a1_line]
     by_a1: dict[Point, list[Line]] = {p: [] for p in a1_points}
-    for l in side:
+    for l in (l for l in splitting if l != a1_line):
         carriers = [p for p in a1_points if point_on_line(field, p, l)]
         if len(carriers) != 1:
             raise RecognitionError("a side line does not carry exactly one A1 point")
         by_a1[carriers[0]].append(l)
     doubles = sorted(p for p, ls in by_a1.items() if len(ls) == 2)
-    # on the cube locus the two diagonals of the fork points also split and
-    # meet in a third A1 point carrying two side lines; any two of the three
-    # serve as anchors, so take the smallest pair
     if len(doubles) not in (2, 3):
         raise RecognitionError("expected two or three A1 points on two side lines each")
-    q_inf, q_zero = doubles[0], doubles[1]
-    l0, l1 = sorted(by_a1[q_inf])
-    m0, m1 = sorted(by_a1[q_zero])
-    p00 = intersect_lines(field, l0, m0)
-    p01 = intersect_lines(field, l0, m1)
-    p10 = intersect_lines(field, l1, m0)
-    p11 = intersect_lines(field, l1, m1)
-    if {p00, p01, p10, p11} != set(d4_points):
+    rows_of: dict[str, list[str]] = {}  # each anchor's one-node rows
+    for lam, (_, nodes) in LINES.items():
+        if len(nodes) == 1:
+            rows_of.setdefault(nodes[0], []).append(lam)
+    labels: dict[str, Point] = {}
+    lines: dict[str, Line] = {}
+    for (c, rows), p in zip(rows_of.items(), doubles):
+        labels[f"q({c})"] = p
+        lines.update(zip(rows, sorted(by_a1[p])))
+    rest = sorted(p for p in a1_points if p not in labels.values())
+    labels.update((f"q({c})", p) for c, p in zip([c for c in Q_LABELS if c not in rows_of], rest))
+    for ab in P_LABELS:
+        l, m = (lines[lam] for lam, (forks, _) in LINES.items() if ab in dict(forks))
+        labels[f"p({ab})"] = intersect_lines(field, l, m)
+    if {labels[f"p({ab})"] for ab in P_LABELS} != set(d4_points):
         raise RecognitionError("side-line intersections do not match the D4 points")
-    q_rest = sorted(p for p in a1_points if p not in (q_inf, q_zero))
-    q_one = q_rest[0]
-    return {
-        "q(inf)": q_inf,
-        "q(0)": q_zero,
-        "q(1)": q_one,
-        "q(w)": q_rest[1],
-        "q(wb)": q_rest[2],
-        "p(00)": p00,
-        "p(01)": p01,
-        "p(10)": p10,
-        "p(11)": p11,
-    }
+    return labels
 
 
 # ---------------------------------------------------------------------------

@@ -487,13 +487,14 @@ def table_points(field: BinaryField, r: int, s: int) -> dict[str, Point]:
 
 
 def table_lines(field: BinaryField, r: int, s: int) -> dict[str, Line]:
-    return {
-        "L(inf)": normalize_line(field, (0, 0, 1)),
-        "L(0*)": normalize_line(field, (1, 0, 0)),
-        "L(1*)": normalize_line(field, (1, 0, r)),
-        "L(*0)": normalize_line(field, (0, 1, 0)),
-        "L(*1)": normalize_line(field, (0, 1, s)),
-    }
+    """The five standard lines of the family member: L(lam) passes through
+    the first and the last point of its row of ``configuration.LINES``."""
+    pts = table_points(field, r, s)
+    lines = {}
+    for lam, row in LINES.items():
+        first, *_, last = point_labels(*row)
+        lines[f"L({lam})"] = line_through(field, pts[first], pts[last])
+    return lines
 
 
 class ConfigurationReport(Frozen):

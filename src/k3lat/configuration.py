@@ -1,11 +1,13 @@
-"""The nine points and the splitting lines of w^2 = G, written once for both halves.
+"""The nine points and the splitting lines of w^2 = G, written once.
 
 G has four D4 points p(ab) and five A1 points q(c).  A row of LINES lists the
 D4 points of a splitting line L(lam), each with the leaf of the D4 diagram
 that the line meets there (1, 2 or 4, never the centre node 3), and its A1
 points.  On the cube locus s = c r the diagonal D(c) of DIAGONALS splits too.
-The surface half checks incidence against the rows, and the lattice half
-builds the glue vector of each line from its row.
+Three readers share the rows: the lattice half builds the glue vector of each
+line from its row, the surface half draws each standard line of a family
+member through the points of its row and checks incidence against the rows,
+and recognition labels the nine points of a configuration from them.
 """
 
 from __future__ import annotations

@@ -105,12 +105,6 @@ class DualVector(Frozen):
         s, t = d // self.den, d // other.den
         return DualVector(self.lattice, [a * s + b * t for a, b in zip(self.num, other.num)], d)
 
-    def __sub__(self, other: "DualVector") -> "DualVector":
-        return self + -other
-
-    def __neg__(self) -> "DualVector":
-        return DualVector(self.lattice, [-a for a in self.num], self.den)
-
     def _same(self, other: "DualVector") -> None:
         if self.lattice != other.lattice:
             raise LatticeError("vectors live in different lattices")

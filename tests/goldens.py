@@ -29,7 +29,9 @@ EXTRA_GLUE_GOLDENS = [
 # its 7 splitting lines, the GF(256) members on the cube-locus diagonals
 # s = r and s = omega-bar r (omega is 0xbd), a GF(2^16) member, a whole `all`
 # run over GF(16), and the recognition of a normal form moved through a
-# seeded frame at k = 8 (the benchmark's recognize op shape) and k = 16
+# seeded frame at k = 8 (the benchmark's recognize op shape) and k = 16; the
+# normal form t = 1 lies on the cube locus, where three A1 points carry two
+# side lines each, and recognition picks the anchors that read t = omega
 SURFACE_GOLDENS = [
     ("k8-samples", ["surface", "--k", "8", "--samples", "4", "--seed", "12345"], 0,
      "surface_k8_samples4_seed12345.json"),
@@ -46,6 +48,9 @@ SURFACE_GOLDENS = [
     ("k16-framed-recognition",
      ["surface", "--k", "16", "--recognize", "framed_k16_t123.json"], 0,
      "surface_k16_recognize_framed_t123.json"),
+    ("k8-framed-cube-locus-recognition",
+     ["surface", "--k", "8", "--recognize", "framed_k8_t1.json"], 0,
+     "surface_k8_recognize_framed_t1.json"),
 ]
 
 GOLDENS = LATTICE_GOLDENS + EXTRA_GLUE_GOLDENS + SURFACE_GOLDENS
@@ -54,17 +59,23 @@ GOLDENS = LATTICE_GOLDENS + EXTRA_GLUE_GOLDENS + SURFACE_GOLDENS
 FRAMED_INPUTS = {
     "framed_k8_t53.json": (8, None, 0x53, 8),
     "framed_k16_t123.json": (16, 0x1002D, 0x123, 16),
+    "framed_k8_t1.json": (8, None, 0x1, 0),
 }
 
 
-def framed_normal_form(k, modulus, t, seed):
-    """normal_form_sextic(GF(2^k), t) moved through the first invertible
-    frame of entries drawn by random.Random(seed)."""
-    f = BinaryField(k, modulus)
+def seeded_frame(g, seed):
+    """g moved through the first invertible frame of entries drawn by
+    random.Random(seed)."""
+    q = g.field.q
     rng = random.Random(seed)
     while True:
-        frame = tuple(tuple(rng.randrange(f.q) for _ in range(3)) for _ in range(3))
+        frame = tuple(tuple(rng.randrange(q) for _ in range(3)) for _ in range(3))
         try:
-            return apply_frame(normal_form_sextic(f, t), frame)
+            return apply_frame(g, frame)
         except RecognitionError:  # a singular frame
             continue
+
+
+def framed_normal_form(k, modulus, t, seed):
+    """normal_form_sextic(GF(2^k), t) moved through the seeded frame."""
+    return seeded_frame(normal_form_sextic(BinaryField(k, modulus), t), seed)

@@ -7,9 +7,9 @@ on plain tuples of tuples of ``Fraction``, plus the rational matrix
 products the oracles need, the typing of a root set component by
 component (the pairwise search of the root-pairing graph, the pair test for
 indecomposable roots and the coordinate pass) that one pass over the simple
-roots replaced, and the conversions between
-rational coordinates and ``DualVector`` (with the basis vectors, which the
-package no longer builds).  The discriminant class by the Smith form, with
+roots replaced, and the conversions between rational coordinates and
+``DualVector`` (with the basis vectors and the negation, which the package
+no longer builds).  The discriminant class by the Smith form, with
 its generators, is the algorithm that coordinates mod 1 replaced, and the
 Smith form itself, re-checked on every call, is what the Hermite kernel
 and the F_2-rank discriminant witness replaced.  The class searches once
@@ -405,6 +405,11 @@ def basis_vector(lattice: Lattice, i: int) -> DualVector:
 def coords(v: DualVector) -> tuple[Fraction, ...]:
     """The rational coordinates num / den of a vector."""
     return tuple(Fraction(c, v.den) for c in v.num)
+
+
+def negated(v: DualVector) -> DualVector:
+    """-v; the package adds dual vectors but never negates one."""
+    return DualVector(v.lattice, [-c for c in v.num], v.den)
 
 
 def pairing(u: DualVector, v: DualVector) -> Fraction:

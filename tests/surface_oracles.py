@@ -17,12 +17,25 @@ Frobenius powers, and the local expansion with two ``f.pow`` per term pair.
 A form is evaluated at a point term by term, one ``f.pow`` per exponent
 (``evaluate``); the program reads the one value it needs, a partial's at
 (1, 0, 0), off the partial's x0 power coefficient.
+
+The five standard lines of a family member were written out by hand, and
+recognition labeled the nine points by rules of its own; both are now read
+off the rows of the configuration table.
 """
 
 import functools
 
 from k3lat.char2_surfaces.poly import HomPoly
-from k3lat.char2_surfaces.surfaces import _odd_binomials, _restrict_to_pencil, is_splitting, normalize_point
+from k3lat.char2_surfaces.recognize import RecognitionError
+from k3lat.char2_surfaces.surfaces import (
+    _odd_binomials,
+    _restrict_to_pencil,
+    intersect_lines,
+    is_splitting,
+    normalize_line,
+    normalize_point,
+    point_on_line,
+)
 from k3lat.char2_surfaces.upoly import common_roots, poly_eval, trim
 
 
@@ -254,3 +267,60 @@ def local_expansion(g, p):
             for j in _odd_binomials(ev):
                 coeffs[(i, j)] = coeffs.get((i, j), 0) ^ f.mul(ca, f.pow(b, ev - j))
     return {e: c for e, c in coeffs.items() if c}
+
+
+def hand_written_lines(field, r, s):
+    """The five standard lines of the family member (r, s), by their coordinates."""
+    return {
+        "L(inf)": normalize_line(field, (0, 0, 1)),
+        "L(0*)": normalize_line(field, (1, 0, 0)),
+        "L(1*)": normalize_line(field, (1, 0, r)),
+        "L(*0)": normalize_line(field, (0, 1, 0)),
+        "L(*1)": normalize_line(field, (0, 1, s)),
+    }
+
+
+def rule_labeling(field, d4_points, a1_points, splitting):
+    """The nine labels by fixed rules: q(inf) and q(0) are the smallest A1
+    points on two side lines each, p(ab) crosses the a-th side line of q(inf)
+    with the b-th of q(0), and q(1), q(w), q(wb) are the other A1 points."""
+    if len(d4_points) != 4 or len(a1_points) != 5:
+        raise RecognitionError("labeling needs 4 D4 and 5 A1 points")
+    a1_line = None
+    for l in splitting:
+        if all(point_on_line(field, p, l) for p in a1_points):
+            a1_line = l
+            break
+    if a1_line is None:
+        raise RecognitionError("no splitting line carries all five A1 points")
+    side = [l for l in splitting if l != a1_line]
+    by_a1 = {p: [] for p in a1_points}
+    for l in side:
+        carriers = [p for p in a1_points if point_on_line(field, p, l)]
+        if len(carriers) != 1:
+            raise RecognitionError("a side line does not carry exactly one A1 point")
+        by_a1[carriers[0]].append(l)
+    doubles = sorted(p for p, ls in by_a1.items() if len(ls) == 2)
+    if len(doubles) not in (2, 3):
+        raise RecognitionError("expected two or three A1 points on two side lines each")
+    q_inf, q_zero = doubles[0], doubles[1]
+    l0, l1 = sorted(by_a1[q_inf])
+    m0, m1 = sorted(by_a1[q_zero])
+    p00 = intersect_lines(field, l0, m0)
+    p01 = intersect_lines(field, l0, m1)
+    p10 = intersect_lines(field, l1, m0)
+    p11 = intersect_lines(field, l1, m1)
+    if {p00, p01, p10, p11} != set(d4_points):
+        raise RecognitionError("side-line intersections do not match the D4 points")
+    q_rest = sorted(p for p in a1_points if p not in (q_inf, q_zero))
+    return {
+        "q(inf)": q_inf,
+        "q(0)": q_zero,
+        "q(1)": q_rest[0],
+        "q(w)": q_rest[1],
+        "q(wb)": q_rest[2],
+        "p(00)": p00,
+        "p(01)": p01,
+        "p(10)": p10,
+        "p(11)": p11,
+    }

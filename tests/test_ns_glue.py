@@ -45,6 +45,7 @@ from rational_oracles import (
     enumerate_roots,
     f2_rank,
     invert_rational,
+    negated,
     norm,
     orthogonal_complement,
     pairing,
@@ -149,7 +150,7 @@ def test_extra_glue_class(ls):
 def test_d2_dual_congruence(ls):
     # inside one D4 block the second dual vector differs from the sum of the
     # two leaf duals by a lattice vector
-    diff = d_vee(ls, 2, "00") - (d_vee(ls, 1, "00") + d_vee(ls, 4, "00"))
+    diff = d_vee(ls, 2, "00") + negated(d_vee(ls, 1, "00") + d_vee(ls, 4, "00"))
     assert diff.den == 1
 
 

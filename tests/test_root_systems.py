@@ -46,6 +46,7 @@ from rational_oracles import (
     invert_rational,
     is_negative_definite,
     kernel_basis,
+    negated,
     norm,
     orthogonal_complement,
     outside_bound,
@@ -1207,7 +1208,7 @@ def test_outside_bound_is_the_floor_of_twice_the_rational_bound(box):
     for blocks in (["A1"], ["D4"], ["A2"], ["A3"], ["A1", "A2"], ["A2", "A2"], ["A1", "A3"]):
         lattice = _block_sum(blocks)
         for rep in [lattice.zero()] + [lattice.dual_basis_vector(j) for j in range(lattice.rank)]:
-            for r in (rep, -rep):
+            for r in (rep, negated(rep)):
                 bound = rationaloutside_bound(lattice, r, box)
                 assert outside_bound(lattice, r, box) == math.floor(2 * bound), blocks
                 fractional += (2 * bound).denominator != 1
@@ -1237,7 +1238,7 @@ def test_outside_bound_holds_on_a_shell_around_the_box():
         g = lattice.gram.entries
         n = lattice.rank
         rep = named_rep(lattice, cls)[1]
-        for r in (rep, -rep):
+        for r in (rep, negated(rep)):
             grep = r.integer_pairings()
             top = None
             for x in itertools.product(range(-box - width, box + width + 1), repeat=n):
