@@ -95,18 +95,15 @@ class BinaryField:
             self.generator = 1
             return
         for g in range(2, q):
-            exp = [0] * (q - 1)
-            x = 1
-            ok = True
-            seen = bytearray(q)
-            for i in range(q - 1):
-                exp[i] = x
-                if seen[x]:
-                    ok = False
-                    break
-                seen[x] = 1
+            # the modulus is irreducible, so the nonzero residues are a group
+            # and the powers of g first repeat at 1, after as many steps as
+            # the order of g: it generates when that is q - 1
+            exp = [1]
+            x = g
+            while x != 1:
+                exp.append(x)
                 x = _poly_mulmod(x, g, self.modulus, self.k)
-            if ok and x == 1:
+            if len(exp) == q - 1:
                 log = [0] * q
                 for i, v in enumerate(exp):
                     log[v] = i

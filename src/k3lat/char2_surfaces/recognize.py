@@ -47,16 +47,6 @@ def normal_form_sextic(field: BinaryField, t: int) -> HomPoly:
 # frames
 # ---------------------------------------------------------------------------
 
-def _mat_mul(field: BinaryField, a, b):
-    return tuple(
-        tuple(
-            field.mul(a[i][0], b[0][j]) ^ field.mul(a[i][1], b[1][j]) ^ field.mul(a[i][2], b[2][j])
-            for j in range(3)
-        )
-        for i in range(3)
-    )
-
-
 def _mat_vec(field: BinaryField, a, v):
     return tuple(
         field.mul(a[i][0], v[0]) ^ field.mul(a[i][1], v[1]) ^ field.mul(a[i][2], v[2])
@@ -101,8 +91,8 @@ def normalize_frame(
     u0 = field.inv(img_q1[0])
     u1 = field.inv(img_q1[1])
     u2 = field.mul(field.inv(img_p10[2]), field.mul(img_p10[0], u0))
-    scale = ((u0, 0, 0), (0, u1, 0), (0, 0, u2))
-    frame = _mat_mul(field, scale, t0)
+    # diag(u0, u1, u2) * t0: row i of t0 scaled by u_i
+    frame = tuple(tuple(field.mul(u, c) for c in row) for u, row in zip((u0, u1, u2), t0))
     for pt, target in (
         (q_zero, (1, 0, 0)),
         (q_inf, (0, 1, 0)),

@@ -533,15 +533,13 @@ def verify_configuration(g: HomPoly, r: int, s: int) -> ConfigurationReport:
     split_lines = tuple(l for l, _ in scan)
 
     if len(a1) == 5:
-        try:
-            common = line_through(f, a1[0], a1[1])
-            if all(point_on_line(f, p, common) for p in a1[2:]):
-                if common not in split_lines:
-                    findings.append("the A1 line is not splitting")
-            else:
-                findings.append("the five A1 points are not collinear")
-        except SurfaceError:
-            findings.append("degenerate A1 point set")
+        # singular_points gives distinct normalized points, so a1[0] and a1[1] span a line
+        common = line_through(f, a1[0], a1[1])
+        if all(point_on_line(f, p, common) for p in a1[2:]):
+            if common not in split_lines:
+                findings.append("the A1 line is not splitting")
+        else:
+            findings.append("the five A1 points are not collinear")
 
     expected_pts = table_points(f, r, s)
     for typ, found, prefix in (("D4", d4, "p("), ("A1", a1, "q(")):

@@ -4,7 +4,8 @@ A polynomial is a list of coefficients, constant term first, with no
 trailing zeros (zero is []).  Besides remainders and gcds the module finds
 the rational roots of a polynomial without scanning GF(q): the gcd with
 t^q + t keeps one linear factor per root, and Berlekamp's trace splitting
-(the characteristic-2 case of Cantor-Zassenhaus) separates them.  The
+(the characteristic-2 case of Cantor-Zassenhaus) separates them: a factor
+splits into its gcds with a trace polynomial T and with T + 1.  The
 resultant and Newton interpolation serve elimination: a resultant of two
 bivariate polynomials is evaluated at enough points and interpolated.
 """
@@ -64,30 +65,6 @@ def poly_rem(f: BinaryField, a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def poly_quo(f: BinaryField, a: list[int], b: list[int]) -> list[int]:
-    """The quotient of a by the nonzero b, which must divide it exactly."""
-    a = list(a)
-    exp, log, m = f.exp, f.log, f.q - 1
-    db = len(b) - 1
-    lead = m - log[b[db]]
-    row = [(i, log[c]) for i, c in enumerate(b[:db]) if c]
-    out = [0] * max(len(a) - db, 0)
-    for shift in range(len(out) - 1, -1, -1):
-        c = a[shift + db]
-        if not c:
-            continue
-        a[shift + db] = 0
-        lc = log[c] + lead
-        if lc >= m:
-            lc -= m
-        out[shift] = exp[lc]
-        for i, lb in row:
-            a[shift + i] ^= exp[lc + lb]
-    if any(a):
-        raise ValueError("inexact polynomial division")
-    return out
-
-
 def poly_gcd(f: BinaryField, a: list[int], b: list[int]) -> list[int]:
     """A gcd of a and b (not made monic); gcd(0, 0) = 0."""
     while b:
@@ -127,21 +104,26 @@ def rational_roots_part(f: BinaryField, a: list[int], powers: list[list[int]]) -
     return poly_gcd(f, a, trim(r))
 
 
+_NOT_SPLIT = "polynomial is not a product of distinct rational linear factors"
+
+
 def split_roots(f: BinaryField, h: list[int], powers: list[list[int]]) -> list[int]:
     """The roots of h, ascending, where h is a product of distinct linear factors over GF(q).
 
     Berlekamp's trace splitting.  Tr(x) = x + x^2 + ... + x^(2^(k-1)) takes
-    GF(q) onto GF(2), so for each beta the factor gcd(g, Tr(beta*t) mod g)
-    of g collects the roots r with Tr(beta*r) = 0.  With beta running over
-    the basis 1, alpha, ..., alpha^(k-1) of GF(q) over GF(2) (the field
-    elements 1, 2, 4, ... in bit encoding) some beta separates any two
-    distinct roots, because the trace form is nondegenerate.  Tr(beta*t)
-    mod h is a combination of the k powers t^(2^i) mod h, which come from
-    the caller: ``powers`` holds t^(2^i) modulo a multiple of h for
-    i = 0..k - 1 (``frobenius_powers`` of it), and each is reduced modulo h
-    once; a factor of degree 1 is read off directly.  Deterministic:
-    O(k * deg^2) field operations for the reductions, O(k * deg + deg^2) for
-    each of at most k rounds of splits.
+    GF(q) onto GF(2), so with T = Tr(beta*t) the halves of a split of g are
+    gcd(g, T), the roots r with Tr(beta*r) = 0, and gcd(g, T + 1), those
+    with Tr(beta*r) = 1.  T is separable (its derivative is beta), so their
+    degrees add up to deg g unless g has a repeated root, which raises.
+    With beta running over the basis 1, alpha, ..., alpha^(k-1) of GF(q)
+    over GF(2) (the field elements 1, 2, 4, ... in bit encoding) some beta
+    separates any two distinct roots, because the trace form is
+    nondegenerate.  Tr(beta*t) mod h is a combination of the k powers
+    t^(2^i) mod h, which come from the caller: ``powers`` holds t^(2^i)
+    modulo a multiple of h for i = 0..k - 1 (``frobenius_powers`` of it),
+    and each is reduced modulo h once; a factor of degree 1 is read off
+    directly.  Deterministic: O(k * deg^2) field operations for the
+    reductions, O(k * deg + deg^2) for each of at most k rounds of splits.
     """
     if len(h) <= 2:
         return [f.div(h[0], h[1])] if len(h) == 2 else []
@@ -158,11 +140,17 @@ def split_roots(f: BinaryField, h: list[int], powers: list[list[int]]) -> list[i
             for j, lc in row:
                 trace[j] ^= exp[lbeta + lc]
             lbeta = 2 * lbeta % m
+        other = trim([trace[0] ^ 1] + trace[1:])  # Tr(beta*t) + 1
         trim(trace)
         pending = []
         for g in todo:
             d = poly_gcd(f, g, poly_rem(f, trace, g))
-            for part in [d, poly_quo(f, g, d)] if 1 < len(d) < len(g) else [g]:
+            parts = [g]
+            if 1 < len(d) < len(g):
+                parts = [d, poly_gcd(f, g, poly_rem(f, other, g))]
+                if len(d) + len(parts[1]) != len(g) + 1:  # a repeated root
+                    raise ValueError(_NOT_SPLIT)
+            for part in parts:
                 if len(part) == 2:
                     roots.append(f.div(part[0], part[1]))
                 else:
@@ -170,7 +158,7 @@ def split_roots(f: BinaryField, h: list[int], powers: list[list[int]]) -> list[i
         todo = pending
         if not todo:
             return sorted(roots)
-    raise ValueError("polynomial is not a product of distinct rational linear factors")
+    raise ValueError(_NOT_SPLIT)
 
 
 def common_roots(f: BinaryField, polys: Iterable[list[int]]) -> Sequence[int]:

@@ -552,9 +552,10 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # no cyclic collection falls inside a check's timing_ms, and the shutdown
+    # collections skip the frozen modules and memos; flushing and atexit still
+    # run. main leaves the collector as it is: tests and tracers call it in-process
+    gc.disable()
     code = main()
-    # the collections at interpreter shutdown skip the permanent generation,
-    # so they need not walk the modules and memos; flushing and atexit still
-    # run. main freezes nothing itself: tests and tracers call it in-process
     gc.freeze()
     raise SystemExit(code)

@@ -21,6 +21,11 @@ A form is evaluated at a point term by term, one ``f.pow`` per exponent
 The five standard lines of a family member were written out by hand, and
 recognition labeled the nine points by rules of its own; both are now read
 off the rows of the configuration table.
+
+The field's generator search marked each power of a candidate in a table
+of the elements seen so far and stopped at the first repeat; the field
+now stops at the first return to 1, which is the first repeat when the
+modulus is irreducible.
 """
 
 import functools
@@ -324,3 +329,42 @@ def rule_labeling(field, d4_points, a1_points, splitting):
         "p(10)": p10,
         "p(11)": p11,
     }
+
+
+def generator_tables(k, modulus):
+    """(exp, log, generator) as the field built them: the first g whose powers
+    meet no repeat before step q - 1 and come back to 1 there, with the
+    antilog table stored twice over."""
+    q = 1 << k
+    if q == 2:
+        return [1, 1], [0, 0], 1
+
+    def times(a, b):
+        out = 0
+        while b:
+            if b & 1:
+                out ^= a
+            b >>= 1
+            a <<= 1
+            if a & q:
+                a ^= modulus
+        return out
+
+    for g in range(2, q):
+        exp = [0] * (q - 1)
+        x = 1
+        ok = True
+        seen = bytearray(q)
+        for i in range(q - 1):
+            exp[i] = x
+            if seen[x]:
+                ok = False
+                break
+            seen[x] = 1
+            x = times(x, g)
+        if ok and x == 1:
+            log = [0] * q
+            for i, v in enumerate(exp):
+                log[v] = i
+            return exp + exp, log, g
+    raise ValueError("no multiplicative generator")

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from k3lat.char2_surfaces.field import BinaryField, FieldError, _poly_mulmod
+from surface_oracles import generator_tables
 
 
 def test_shipped_moduli_build():
@@ -75,6 +76,22 @@ def test_table_arithmetic_matches_shift_and_xor_exhaustively(k, modulus):
             assert times(a, f.inv(a)) == 1
     with pytest.raises(FieldError, match="inversion of zero"):
         f.div(1, 0)
+
+
+def _irreducible_moduli(k):
+    for modulus in range(1 << k, 2 << k):
+        try:
+            yield BinaryField(k, modulus)
+        except FieldError:
+            continue
+
+
+def test_generator_by_first_return_to_1_is_the_seen_table_search():
+    # every irreducible modulus of degree at most 8, and 0x1002D at k = 16
+    fields = [f for k in range(1, 9) for f in _irreducible_moduli(k)]
+    assert [sum(f.k == k for f in fields) for k in range(1, 9)] == [2, 1, 2, 3, 6, 9, 18, 30]
+    for f in fields + [BinaryField(16, 0x1002D)]:
+        assert (f.exp, f.log, f.generator) == generator_tables(f.k, f.modulus), f
 
 
 def test_sqrt_inverts_squaring_exhaustively():

@@ -23,7 +23,6 @@ from k3lat.char2_surfaces.upoly import (
     frobenius_powers,
     interpolate,
     poly_eval,
-    poly_quo,
     poly_rem,
     split_roots,
     trim,
@@ -87,15 +86,7 @@ def test_remainder_and_quotient_match_the_oracle(k, modulus):
             a = a + [0]  # an untrimmed dividend
         assert poly_rem(f, a, b) == oracle.poly_rem(f, a, b), (a, b)
         q = _poly(f, rng, rng.randrange(-1, 8))
-        ab = _times(f, q, b)
-        assert poly_quo(f, ab, b) == oracle.poly_quo(f, ab, b) == q
-        if len(b) > 1 and ab:
-            off = list(ab)
-            off[0] ^= 1
-            with pytest.raises(ValueError, match="inexact"):
-                oracle.poly_quo(f, off, b)
-            with pytest.raises(ValueError, match="inexact"):
-                poly_quo(f, off, b)
+        assert poly_rem(f, _times(f, q, b), b) == []
 
 
 @pytest.mark.parametrize("k,modulus", FIELDS, ids=FIELD_IDS)
@@ -127,6 +118,26 @@ def test_split_roots_match_the_oracle_with_powers_of_a_multiple(k, modulus):
         # the powers may be taken modulo any multiple of h
         multiple = _times(f, h, _poly(f, rng, rng.randrange(4)))
         assert split_roots(f, h, frobenius_powers(f, multiple)) == roots
+
+
+@pytest.mark.parametrize("k,modulus", FIELDS, ids=FIELD_IDS)
+def test_split_roots_raises_on_a_repeated_root(k, modulus):
+    # the two halves of a split, gcd(g, T) and gcd(g, T + 1), keep one linear
+    # factor per root, so a repeated root leaves their degrees short of deg g
+    f = _field(k, modulus)
+    rng = random.Random(f"split-repeated/{k}")
+    cases = [[r, r] for r in range(min(f.q, 4))]
+    if k == 8:
+        cases.append([5, 5, 7])  # the quotient half once returned it as [5, 5, 7]
+    for _ in range(20):
+        distinct = rng.sample(range(f.q), rng.randrange(1, min(f.q, 6) + 1))
+        cases.append(distinct + rng.choices(distinct, k=rng.randrange(1, 3)))
+    for roots in cases:
+        h = [rng.randrange(1, f.q)]
+        for t in roots:
+            h = _times(f, h, [t, 1])
+        with pytest.raises(ValueError, match="distinct rational linear factors"):
+            split_roots(f, h, frobenius_powers(f, h))
 
 
 @pytest.mark.parametrize("k,modulus", FIELDS, ids=FIELD_IDS)

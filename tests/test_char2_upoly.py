@@ -8,7 +8,6 @@ from k3lat.char2_surfaces.upoly import (
     frobenius_powers,
     interpolate,
     poly_eval,
-    poly_quo,
     rational_roots_part,
     resultant,
     split_roots,
@@ -111,11 +110,3 @@ def test_split_roots_refuses_a_factor_without_rational_roots():
     assert list(common_roots(f, [[c, 1, 1]])) == []
     with pytest.raises(ValueError, match="distinct rational linear factors"):
         split_roots(f, [c, 1, 1], powers)
-
-
-def test_exact_quotient_and_its_refusal():
-    f = BinaryField(8)
-    a, b = [3, 0, 7, 1], [5, 1]
-    assert poly_quo(f, _product(f, [a, b]), b) == a
-    with pytest.raises(ValueError, match="inexact"):
-        poly_quo(f, _product(f, [a, b]), [6, 1])

@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import time
@@ -532,9 +533,10 @@ def _untimed(data: bytes) -> bytes:
 def test_a_cli_process_ends_as_an_in_process_main_call(
     tmp_path, capsys, monkeypatch, argv, expected_code
 ):
-    # python -m k3lat.cli freezes the heap after main returns; the exit code,
-    # the streams and the --out file are the bytes main gives in-process, and
-    # main itself freezes nothing. The process gets no PYTHONUNBUFFERED, so
+    # python -m k3lat.cli turns the collector off before main and freezes the
+    # heap after it; the exit code, the streams and the --out file are the
+    # bytes main gives in-process, and main itself neither freezes the heap
+    # nor switches the collector. The process gets no PYTHONUNBUFFERED, so
     # its piped stdout is block-buffered and must be flushed at exit
     outputs = []
     for side in ("process", "in-process"):
@@ -554,9 +556,9 @@ def test_a_cli_process_ends_as_an_in_process_main_call(
             code, out, err = proc.returncode, proc.stdout, proc.stderr
         else:
             monkeypatch.chdir(cwd)
-            frozen = gc.get_freeze_count()
+            frozen, enabled = gc.get_freeze_count(), gc.isenabled()
             code = main(list(argv))
-            assert gc.get_freeze_count() == frozen
+            assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
             captured = capsys.readouterr()
             out, err = captured.out.encode(), captured.err.encode()
         report = cwd / "report.json"
@@ -571,6 +573,23 @@ def test_a_cli_process_ends_as_an_in_process_main_call(
         assert out == b"" and b'"sigma": 1' in written
     if "text" in argv:
         assert out.startswith(b"FAIL surface_r=0_s=5")
+
+
+def test_the_main_block_leaves_the_collector_off(capsys, monkeypatch):
+    # the block python -m k3lat.cli runs, here on a usage error; k3lat.cli
+    # leaves sys.modules meanwhile, so runpy runs it as __main__ without a warning
+    monkeypatch.setattr(sys, "argv", ["k3lat.cli", "surface", "--k", "3"])
+    monkeypatch.delitem(sys.modules, "k3lat.cli")
+    assert gc.isenabled()
+    try:
+        with pytest.raises(SystemExit) as stop:
+            runpy.run_module("k3lat.cli", run_name="__main__")
+        assert not gc.isenabled()
+    finally:
+        gc.unfreeze()
+        gc.enable()
+    assert stop.value.code == EXIT_USAGE
+    assert "--k" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])

@@ -69,12 +69,14 @@ def test_normalize_frame_rejects_collinear_anchors(gf16):
         normalize_frame(f, (1, 0, 0), (1, 1, 0), (0, 1, 0), (1, 2, 0), (1, 3, 0))
 
 
-def test_frame_check_fires_when_the_diagonal_scaling_is_lost(gf16, monkeypatch):
+def test_frame_check_fires_when_the_diagonal_scaling_is_lost(monkeypatch):
     # anchors whose triangle is the coordinate one, so the frame is the
-    # scaling alone; a product that drops it leaves q_one at [1:2:0]
-    monkeypatch.setattr(recognize, "_mat_mul", lambda field, a, b: b)
+    # scaling alone; a field whose inverses are all 1 scales every row by 1
+    # and leaves q_one at [1:2:0]
+    f = BinaryField(4)
+    monkeypatch.setattr(f, "inv", lambda a: 1)
     with pytest.raises(RecognitionError, match="frame failed to pin an anchor point"):
-        normalize_frame(gf16, (0, 1, 0), (1, 2, 0), (1, 0, 0), (0, 0, 1), (1, 0, 3))
+        normalize_frame(f, (0, 1, 0), (1, 2, 0), (1, 0, 0), (0, 0, 1), (1, 0, 3))
 
 
 def test_recognize_normal_form_direct(gf16):
