@@ -9,7 +9,6 @@ recognized monomial-wise since the Frobenius is bijective.
 
 from __future__ import annotations
 
-import json
 from typing import Mapping, Sequence
 
 from ..frozen import Frozen
@@ -179,19 +178,20 @@ class HomPoly:
 
     # -- division by a linear form ----------------------------------------------
 
-    def divide_by_linear(self, ell: "HomPoly") -> "HomPoly":
-        """Exact division by a nonzero linear form; raises if there is a remainder.
+    def divide_by_linear(self, ell: Sequence[int]) -> "HomPoly":
+        """Exact division by the linear form with coefficient triple ell; raises
+        if the triple is zero or there is a remainder.
 
         Monomials are peeled level by level of the leading variable's power,
         highest first: a step on level e adds only to level e - 1, so each
         level is final when its turn comes, and a nonzero level 0 is the
         remainder.
         """
-        if ell.degree != 1 or ell.is_zero():
-            raise PolyError("divisor must be a nonzero linear form")
         f = self.field
+        cf = [f.check(c) for c in ell]
+        if not any(cf):
+            raise PolyError("divisor must be a nonzero linear form")
         antilog, log, m = f.exp, f.log, f.q - 1
-        cf = [ell.coeff(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
         var = max(v for v in (0, 1, 2) if cf[v])
         lead = m - log[cf[var]]
         rest = [(v, log[cf[v]]) for v in (0, 1, 2) if v != var and cf[v]]
@@ -252,20 +252,13 @@ class HomPoly:
             terms[exp] = int(t["coeff"], 2)
         return HomPoly(fld, degree, terms)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "HomPoly":
-        return HomPoly.from_json_obj(json.loads(text))
-
 
 # ---------------------------------------------------------------------------
 # binary forms (restrictions to lines)
 # ---------------------------------------------------------------------------
 
 class BinForm(Frozen):
-    """Homogeneous form in two variables; coeffs[i] multiplies u^(d-i) v^i.
+    """The restriction of a form to a line; coeffs[i] multiplies u^(d-i) v^i.
 
     ``kept`` records which two of the original variables the parameters
     (u, v) stand for.
@@ -296,10 +289,7 @@ class BinForm(Frozen):
         return BinForm(f, half, tuple(root), self.kept)
 
 
-def cubic_has_distinct_roots(form: BinForm) -> bool:
-    """Separability of a binary cubic: the mod-2 discriminant is (ad + bc)^2."""
-    if form.degree != 3:
-        raise PolyError("separability test expects a cubic")
-    a, b, c, d = form.coeffs
-    f = form.field
+def cubic_has_distinct_roots(f: BinaryField, a: int, b: int, c: int, d: int) -> bool:
+    """Separability of the binary cubic a u^3 + b u^2 v + c u v^2 + d v^3:
+    the mod-2 discriminant is (ad + bc)^2."""
     return f.mul(a, d) != f.mul(b, c)

@@ -87,17 +87,17 @@ def intersect_lines(field: BinaryField, l1: Line, l2: Line) -> Point:
 # restriction of a form to a line
 # ---------------------------------------------------------------------------
 
-def restrict_to_line(g: HomPoly, ell: HomPoly) -> BinForm:
-    """Compose g with a parametrization of the line ell = 0.
+def restrict_to_line(g: HomPoly, ell: Line) -> BinForm:
+    """Compose g with a parametrization of the line with coefficient triple ell.
 
     The canonical parametrization solves ell for its last variable of
     nonzero coefficient.  Squares are independent of the parametrization,
     certificates are not.
     """
-    if ell.degree != 1 or ell.is_zero():
-        raise SurfaceError("line must be a nonzero linear form")
     f = g.field
-    cf = [ell.coeff((1, 0, 0)), ell.coeff((0, 1, 0)), ell.coeff((0, 0, 1))]
+    cf = [f.check(c) for c in ell]
+    if not any(cf):
+        raise SurfaceError("line must be a nonzero linear form")
     e = max(v for v in range(3) if cf[v])
     inv = f.inv(cf[e])
     # the line alone is the pencil with b = 0: constant coefficients
@@ -170,18 +170,19 @@ def _linear_powers(f: BinaryField, alpha: int, beta: int, n: int) -> list[list[t
 # ---------------------------------------------------------------------------
 
 class SplittingCertificate(Frozen):
-    """G = ell * quintic + cubic^2, witnessing that the line splits."""
+    """G = ell * quintic + cubic^2, with ell the linear form of the coefficient
+    triple ``line``, witnessing that the line splits."""
 
     __slots__ = ("line", "quintic", "cubic")
-    line: HomPoly
+    line: Line
     quintic: HomPoly
     cubic: HomPoly
 
     def verify(self, g: HomPoly) -> bool:
-        return (self.line * self.quintic) + self.cubic.square() == g
+        return (HomPoly.linear(g.field, self.line) * self.quintic) + self.cubic.square() == g
 
 
-def is_splitting(g: HomPoly, ell: HomPoly) -> SplittingCertificate | None:
+def is_splitting(g: HomPoly, ell: Line) -> SplittingCertificate | None:
     """Certificate when the restriction of g to the line is a square, else None."""
     rho = restrict_to_line(g, ell)
     root = rho.is_square()
@@ -213,12 +214,11 @@ def scan_splitting_lines(g: HomPoly) -> list[tuple[Line, SplittingCertificate]]:
     one condition (g, odd).  Each line found is checked by building its
     certificate and multiplying it out.
     """
-    f = g.field
     if g.degree % 2:  # a binary form of odd degree is never a square
         return []
     out = []
     for l in _lines_where([(g, _ODD)]):
-        cert = is_splitting(g, HomPoly.linear(f, l))
+        cert = is_splitting(g, l)
         if cert is None:
             raise SurfaceError(f"line {l} solves the elimination but does not split")
         out.append((l, cert))
@@ -408,7 +408,6 @@ def classify_singularity(g: HomPoly, p: Point) -> str:
     reported as 'Other' (higher jets are not examined; global cross-checks
     compensate).
     """
-    f = g.field
     local = _local_expansion(g, p)
     reduced = {e: c for e, c in local.items() if e[0] % 2 or e[1] % 2}
     if reduced.get((1, 0)) or reduced.get((0, 1)):
@@ -416,11 +415,8 @@ def classify_singularity(g: HomPoly, p: Point) -> str:
     if reduced.get((1, 1)):
         return "A1"
     cubic = [reduced.get((3, 0), 0), reduced.get((2, 1), 0), reduced.get((1, 2), 0), reduced.get((0, 3), 0)]
-    if any(cubic):
-        form = BinForm(f, 3, tuple(cubic), (0, 1))
-        if cubic_has_distinct_roots(form):
-            return "D4"
-    return "Other"
+    # a zero 3-jet has ad = bc = 0, so it is not separable
+    return "D4" if cubic_has_distinct_roots(g.field, *cubic) else "Other"
 
 
 MILNOR = {"A1": 1, "D4": 4}
@@ -579,11 +575,10 @@ def nonreduced_splitting_lines_separable(c: HomPoly, g: HomPoly) -> list[Line]:
         raise SurfaceError("separable cover needs a nonzero cubic")
     if g.degree != 6:
         raise SurfaceError("cover term must be a sextic")
-    f = c.field
     out = _lines_where([(c, _ALL), (g, _ODD)])
     for l in out:
         try:
-            c.divide_by_linear(HomPoly.linear(f, l))
+            c.divide_by_linear(l)
         except PolyError:
             raise SurfaceError("non-reduced line does not divide the separable term") from None
     if len(out) > 3:

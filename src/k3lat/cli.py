@@ -3,7 +3,8 @@
 Subcommands expose the lattice-side and surface-side check suites with
 JSON or text reports.  Reports are deterministic for a fixed configuration
 (the timing block is the only part that varies between runs); exit code 0
-means every check passed, 1 means a check failed, 2 means a usage error.
+means every check passed, 1 means a check failed, 2 means a usage error or a
+report that could not be written.
 """
 
 from __future__ import annotations
@@ -278,7 +279,7 @@ def _read_sextic(path: str) -> HomPoly:
     # json raises RecursionError on a deeply nested file
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            g = HomPoly.from_json(fh.read())
+            g = HomPoly.from_json_obj(json.loads(fh.read()))
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise UsageError(f"--recognize {path}: {type(exc).__name__}: {exc}")
     if g.degree != 6:
@@ -355,7 +356,7 @@ def cmd_surface(g: HomPoly | None, family, checks: Checks) -> None:
             g = schroeer_sextic(field, r, s)
             named = table_points(field, r, s)
             l = line_through(field, *(named[p] for p in point_labels(DIAGONAL_FORKS, ())))
-            splits = is_splitting(g, HomPoly.linear(field, l)) is not None
+            splits = is_splitting(g, l) is not None
             expected = _on_cube_locus(field, r, s)
             seen.append(
                 {"r": format(r, "x"), "s": format(s, "x"), "splits": splits, "cube": expected}
@@ -541,13 +542,22 @@ def main(argv=None) -> int:
             text = json.dumps(report, sort_keys=True, indent=2) + "\n"
         else:
             text = _render_text(report)
-        (out or sys.stdout).write(text)
+        try:
+            if out is None:
+                sys.stdout.write(text)
+                sys.stdout.flush()
+            else:
+                with out:  # closing flushes, and closes the file after a failed write too
+                    out.write(text)
+        except OSError as exc:
+            where = "stdout" if out is None else f"--out {config['out']}"
+            raise UsageError(f"{where}: {type(exc).__name__}: {exc}") from None
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:
         if out is not None:
-            out.close()
+            out.close()  # a no-op after the report's close
     return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
 
 

@@ -81,7 +81,7 @@ def pencil_walk_lines(g):
 @functools.cache
 def pencil_walk_scan(g):
     """The full scan as it was: the walk's lines, each with its certificate."""
-    return tuple((l, is_splitting(g, HomPoly.linear(g.field, l))) for l in pencil_walk_lines(g))
+    return tuple((l, is_splitting(g, l)) for l in pencil_walk_lines(g))
 
 
 @functools.cache

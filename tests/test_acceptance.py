@@ -218,9 +218,9 @@ def test_criterion_07_surface_samples(gf256):
             assert len(report.of_type("A1")) == 5
             assert report.total_milnor == 21
             for name, l in table_lines(f, r, s).items():
-                cert = is_splitting(g, HomPoly.linear(f, l))
+                cert = is_splitting(g, l)
                 assert cert is not None, name
-                assert (cert.line * cert.quintic) + cert.cubic.square() == g
+                assert (HomPoly.linear(f, cert.line) * cert.quintic) + cert.cubic.square() == g
 
 
 def test_criterion_08_dichotomy_exhaustive(gf16):
@@ -230,7 +230,7 @@ def test_criterion_08_dichotomy_exhaustive(gf16):
             for s in range(1, f.q):
                 g = schroeer_sextic(f, r, s)
                 m = line_through(f, (0, 0, 1), (r, s, 1))
-                splits = is_splitting(g, HomPoly.linear(f, m)) is not None
+                splits = is_splitting(g, m) is not None
                 assert splits == (f.pow(r, 3) == f.pow(s, 3)), (r, s)
 
 
@@ -277,7 +277,7 @@ def test_criterion_09_recognition_roundtrip(gf256):
         assert {p for p, _ in report.points} == set(table_points(f, t, 1).values())
         assert report.total_milnor == 21
         for name, l in table_lines(f, t, 1).items():
-            cert = is_splitting(gt1, HomPoly.linear(f, l))
+            cert = is_splitting(gt1, l)
             assert cert is not None and cert.verify(gt1)
         assert _config_profile(f, g1s) == _config_profile(f, gt1)
 

@@ -6,7 +6,7 @@ from operator import xor
 import pytest
 
 from k3lat.char2_surfaces import surfaces
-from k3lat.char2_surfaces.field import BinaryField
+from k3lat.char2_surfaces.field import BinaryField, FieldError
 from k3lat.char2_surfaces.poly import HomPoly
 from k3lat.char2_surfaces.recognize import RecognitionError, apply_frame, normal_form_sextic, recognize_surface
 from k3lat.char2_surfaces.upoly import trim
@@ -148,7 +148,7 @@ def test_five_standard_lines_split_with_certificates(gf16):
     r, s = 1, f.generator
     g = schroeer_sextic(f, r, s)
     for name, l in table_lines(f, r, s).items():
-        cert = is_splitting(g, HomPoly.linear(f, l))
+        cert = is_splitting(g, l)
         assert cert is not None, name
         assert cert.verify(g)
 
@@ -162,28 +162,41 @@ def test_fork_line_certificate_shape(gf16):
     gamma = HomPoly(
         f, 3, {(0, 2, 1): sqrt_r, (0, 1, 2): f.mul(sqrt_r, s)}
     )
-    ell = HomPoly.linear(f, (1, 0, r))
+    ell = (1, 0, r)
     quintic = (g + gamma.square()).divide_by_linear(ell)
-    assert (ell * quintic) + gamma.square() == g
+    assert (HomPoly.linear(f, ell) * quintic) + gamma.square() == g
     # the canonical certificate differs but also verifies
     cert = is_splitting(g, ell)
     assert cert is not None and cert.verify(g)
 
 
-def test_is_splitting_rejects_a_certificate_that_does_not_verify(gf16, monkeypatch):
+@pytest.mark.parametrize(
+    "line,error,match",
+    [
+        (None, SurfaceError, "splitting certificate failed to verify"),
+        ((0, 0, 0), SurfaceError, "nonzero linear form"),
+        ((1, 16, 0), FieldError, "out of range"),
+    ],
+    ids=["unverified", "zero-triple", "outside-the-field"],
+)
+def test_is_splitting_rejects_a_certificate_that_does_not_verify(gf16, monkeypatch, line, error, match):
     f = gf16
     g = schroeer_sextic(f, 1, f.generator)
-    ell = HomPoly.linear(f, scan_splitting_lines(g)[0][0])
+    ell = scan_splitting_lines(g)[0][0] if line is None else line
     monkeypatch.setattr(surfaces.SplittingCertificate, "verify", lambda self, g: False)
-    with pytest.raises(SurfaceError, match="splitting certificate failed to verify"):
+    with pytest.raises(error, match=match):
         is_splitting(g, ell)
+    if line is not None:
+        # a triple that is not a line of the plane is rejected before any certificate
+        with pytest.raises(error, match=match):
+            restrict_to_line(g, ell)
 
 
 def test_diagonal_line_does_not_split(gf16):
     f = gf16
     s = f.generator
     g = schroeer_sextic(f, 1, s)
-    assert is_splitting(g, HomPoly.linear(f, (1, 1, 0))) is None
+    assert is_splitting(g, (1, 1, 0)) is None
 
 
 def test_full_configuration_gf16(gf16):
@@ -214,7 +227,7 @@ def test_extra_line_when_cubes_match(gf16):
     s = f.mul(w, r)  # r^3 = s^3 with r != s
     g = schroeer_sextic(f, r, s)
     m = line_through(f, (0, 0, 1), (r, s, 1))
-    cert = is_splitting(g, HomPoly.linear(f, m))
+    cert = is_splitting(g, m)
     assert cert is not None and cert.verify(g)
     conf = verify_configuration(g, r=r, s=s)
     # the five standard lines plus both diagonals of the fork points
@@ -236,7 +249,7 @@ def test_dichotomy_sampled_pairs(gf16):
     for r, s in cases:
         g = schroeer_sextic(f, r, s)
         m = line_through(f, (0, 0, 1), (r, s, 1))
-        splits = is_splitting(g, HomPoly.linear(f, m)) is not None
+        splits = is_splitting(g, m) is not None
         assert splits == (f.pow(r, 3) == f.pow(s, 3))
 
 
@@ -252,7 +265,7 @@ def test_dichotomy_sampled_gf256():
         for rr, ss in ((r, s), (r, f.mul(w, r))):
             g = schroeer_sextic(f, rr, ss)
             m = line_through(f, (0, 0, 1), (rr, ss, 1))
-            splits = is_splitting(g, HomPoly.linear(f, m)) is not None
+            splits = is_splitting(g, m) is not None
             assert splits == (f.pow(rr, 3) == f.pow(ss, 3))
 
 
@@ -282,9 +295,8 @@ def test_splitting_agrees_with_square_test_random(gf16):
             )
             cubic = HomPoly(f, 3, {(1, 1, 1): rng.randrange(f.q), (3, 0, 0): rng.randrange(f.q)})
             g = (ell * quintic) + cubic.square()
-        ell = HomPoly.linear(f, ell_coeffs)
-        cert = is_splitting(g, ell)
-        square = restrict_to_line(g, ell).is_square()
+        cert = is_splitting(g, ell_coeffs)
+        square = restrict_to_line(g, ell_coeffs).is_square()
         assert (cert is not None) == (square is not None)
         if cert is not None:
             assert cert.verify(g)
@@ -301,10 +313,9 @@ def test_quintic_transversality_matches_classification(gf16):
     g = schroeer_sextic(f, r, s)
     singular = set(singular_points(g))
     for name, l in table_lines(f, r, s).items():
-        ell = HomPoly.linear(f, l)
-        cert = is_splitting(g, ell)
-        restricted_quintic = restrict_to_line(cert.quintic, ell)
-        elim = max(v for v in range(3) if ell.coeff(tuple(1 if i == v else 0 for i in range(3))))
+        cert = is_splitting(g, l)
+        restricted_quintic = restrict_to_line(cert.quintic, l)
+        elim = max(v for v in range(3) if l[v])
         kept = tuple(v for v in range(3) if v != elim)
         for p in all_points(f):
             from k3lat.char2_surfaces.surfaces import point_on_line
@@ -606,10 +617,9 @@ def test_pencil_restriction_specializes_to_each_line(gf16):
 
 def per_line_scan(g, candidates):
     """The replaced scan: is_splitting on each candidate line, in line order."""
-    f = g.field
     out = []
     for l in sorted(set(candidates)):
-        cert = is_splitting(g, HomPoly.linear(f, l))
+        cert = is_splitting(g, l)
         if cert is not None:
             out.append((l, cert))
     return out
@@ -629,8 +639,7 @@ def old_nonreduced_lines(c, g):
     f = c.field
     out = []
     for l in all_lines(f):
-        ell = HomPoly.linear(f, l)
-        if not any(restrict_to_line(c, ell).coeffs) and restrict_to_line(g, ell).is_square() is not None:
+        if not any(restrict_to_line(c, l).coeffs) and restrict_to_line(g, l).is_square() is not None:
             out.append(l)
     return sorted(out)
 
@@ -679,7 +688,7 @@ def test_nonreduced_bound_k16_budget(gf65536, dense):
     # the walk over all 65,537 pencils took about 10 s
     assert time.perf_counter() - start <= 0.1
     coordinate_lines = [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
-    assert lines == [l for l in coordinate_lines if is_splitting(g, HomPoly.linear(f, l)) is not None]
+    assert lines == [l for l in coordinate_lines if is_splitting(g, l) is not None]
     assert dense or lines == coordinate_lines
 
 
@@ -699,7 +708,7 @@ def test_scan_calls_is_splitting_once_per_reported_line(gf256, monkeypatch):
         found = scan_splitting_lines(g)
         monkeypatch.undo()
         assert len(found) == count
-        assert calls == [HomPoly.linear(f, l) for l, _ in found]
+        assert calls == [l for l, _ in found]
         assert set(table_lines(f, r, s).values()) <= {l for l, _ in found}
 
 

@@ -402,7 +402,7 @@ def test_surface_report_matches_golden(capsys, monkeypatch, argv, expected_code,
 def test_framed_recognition_inputs_are_their_seeded_frames():
     for name, (k, modulus, t, seed) in FRAMED_INPUTS.items():
         with open(os.path.join(DATA, name), encoding="utf-8") as fh:
-            assert HomPoly.from_json(fh.read()) == framed_normal_form(k, modulus, t, seed)
+            assert HomPoly.from_json_obj(json.load(fh)) == framed_normal_form(k, modulus, t, seed)
 
 
 def test_every_surface_case_is_timed_under_its_check_name(capsys):
@@ -421,7 +421,7 @@ def test_surface_k12_family_member_finishes(tmp_path):
     f = BinaryField(12, 0x1053)
     framed = apply_frame(normal_form_sextic(f, 0x123), ((1, 0x5A, 3), (7, 1, 0x9C), (0x21, 0x400, 1)))
     path = tmp_path / "framed.json"
-    path.write_text(framed.to_json())
+    path.write_text(json.dumps(framed.to_json_obj(), sort_keys=True))
     member = ["surface", "--k", "12", "--modulus", "0x1053", "--r", "3", "--s", "5"]
     env = {**os.environ, "PYTHONPATH": SRC}
     for argv in (member, ["surface", "--recognize", str(path), "--line-scan", "full"]):
@@ -606,6 +606,29 @@ def test_unwritable_out_is_a_usage_error_before_any_suite(tmp_path, capsys, monk
     assert ran == []
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("target", ["stdout", "out"])
+def test_a_report_that_cannot_be_written_is_a_usage_error(target, fmt):
+    # every write to /dev/full fails with ENOSPC: the JSON report fails in the
+    # write, the shorter text report only when it is flushed or closed
+    argv = ["lattice", "--format", fmt] + (["--out", "/dev/full"] if target == "out" else [])
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "k3lat.cli", *argv],
+            env={**os.environ, "PYTHONPATH": SRC},
+            stdout=full if target == "stdout" else subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    assert proc.returncode == EXIT_USAGE
+    where = "stdout" if target == "stdout" else "--out /dev/full"
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {where}: OSError: "), proc.stderr
+    assert proc.stdout in (None, "")
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -652,7 +675,7 @@ def test_recognize_file(tmp_path, capsys):
     f = BinaryField(4)
     g = normal_form_sextic(f, 9)
     path = tmp_path / "poly.json"
-    path.write_text(g.to_json())
+    path.write_text(json.dumps(g.to_json_obj(), sort_keys=True))
     code, out = run_cli(capsys, "surface", "--k", "4", "--recognize", str(path))
     assert code == EXIT_OK
     report = json.loads(out)
@@ -662,7 +685,7 @@ def test_recognize_file(tmp_path, capsys):
 def test_recognize_takes_its_field_from_the_file(tmp_path, capsys):
     # no modulus is shipped for k = 6, and recognition never needs one
     path = tmp_path / "poly.json"
-    path.write_text(normal_form_sextic(BinaryField(4), 9).to_json())
+    path.write_text(json.dumps(normal_form_sextic(BinaryField(4), 9).to_json_obj(), sort_keys=True))
     code, out = run_cli(capsys, "surface", "--k", "6", "--recognize", str(path), "--format", "text")
     assert code == EXIT_OK
     assert "PASS overall" in out
@@ -691,11 +714,11 @@ def _with_a_repeated_term(g, exp):
         _with_a_repeated_term(normal_form_sextic(BinaryField(8), 3), [1, 2, 3]),
         json.dumps({"field": {"k": 4, "modulus_bits": "10011"}, "degree": 6.0, "terms": []}),
         _poly_file_text(4, "10011", [{"exp": [1.0, 2, 3], "coeff": "1"}]),
-        HomPoly(BinaryField(4), 0, {(0, 0, 0): 1}).to_json(),
-        HomPoly(BinaryField(4), 5, {(5, 0, 0): 1, (0, 2, 3): 3}).to_json(),
-        HomPoly(BinaryField(4), 7, {(0, 0, 7): 1, (3, 4, 0): 5}).to_json(),
+        json.dumps(HomPoly(BinaryField(4), 0, {(0, 0, 0): 1}).to_json_obj(), sort_keys=True),
+        json.dumps(HomPoly(BinaryField(4), 5, {(5, 0, 0): 1, (0, 2, 3): 3}).to_json_obj(), sort_keys=True),
+        json.dumps(HomPoly(BinaryField(4), 7, {(0, 0, 7): 1, (3, 4, 0): 5}).to_json_obj(), sort_keys=True),
         # two terms; recognized as a form, it took seconds and cited a sextic's Bezout bound
-        HomPoly(BinaryField(4), 1600, {(1600, 0, 0): 1, (0, 1, 1599): 1}).to_json(),
+        json.dumps(HomPoly(BinaryField(4), 1600, {(1600, 0, 0): 1, (0, 1, 1599): 1}).to_json_obj(), sort_keys=True),
         # json gave up with a RecursionError traceback
         "[" * 200000 + "]" * 200000,
         # GF(2^True) was built and recognition failed on it
@@ -733,7 +756,8 @@ def test_bad_recognize_file_is_a_usage_error(tmp_path, capsys, text):
 
 def test_recognize_file_of_another_degree_is_named_before_any_work(tmp_path, capsys):
     path = tmp_path / "poly.json"
-    path.write_text(HomPoly(BinaryField(4), 1600, {(1600, 0, 0): 1, (0, 1, 1599): 1}).to_json())
+    g = HomPoly(BinaryField(4), 1600, {(1600, 0, 0): 1, (0, 1, 1599): 1})
+    path.write_text(json.dumps(g.to_json_obj(), sort_keys=True))
     start = time.perf_counter()
     assert main(["surface", "--recognize", str(path)]) == EXIT_USAGE
     assert time.perf_counter() - start < 1.0
@@ -742,7 +766,7 @@ def test_recognize_file_of_another_degree_is_named_before_any_work(tmp_path, cap
 
 def test_sextic_failing_recognition_is_a_failed_check(tmp_path, capsys):
     path = tmp_path / "poly.json"
-    path.write_text(schroeer_sextic(BinaryField(4), 0, 0).to_json())
+    path.write_text(json.dumps(schroeer_sextic(BinaryField(4), 0, 0).to_json_obj(), sort_keys=True))
     code, out = run_cli(capsys, "surface", "--recognize", str(path))
     assert code == EXIT_CHECK_FAILED
     assert json.loads(out)["checks"][0]["pass"] is False

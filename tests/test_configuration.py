@@ -5,7 +5,6 @@ import random
 import pytest
 
 from k3lat.char2_surfaces.field import BinaryField
-from k3lat.char2_surfaces.poly import HomPoly
 from k3lat.char2_surfaces.recognize import label_configuration
 from k3lat.char2_surfaces.surfaces import (
     analyze_singularities,
@@ -61,7 +60,7 @@ def test_extra_glue_class_is_the_split_diagonal_of_the_cube_locus(ls, k, c):
         s = f.mul(cube_root(f, c), r)
         pts = table_points(f, r, s)
         l = line_through(f, pts["p(00)"], pts["p(11)"])
-        assert is_splitting(schroeer_sextic(f, r, s), HomPoly.linear(f, l)) is not None
+        assert is_splitting(schroeer_sextic(f, r, s), l) is not None
         on = {label for label, p in pts.items() if point_on_line(f, p, l)}
         assert on == set(point_labels(*row))
 

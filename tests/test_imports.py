@@ -97,6 +97,23 @@ def test_exact_arith_is_integer_only_and_no_module_has_a_rational_matrix():
     assert offenders == []
 
 
+def test_only_the_cli_imports_json():
+    # JSON text is read and written in cli.py; the other modules build and
+    # read the plain objects that it encodes and decodes
+    importers = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "json" for name in names):
+                importers.append(str(path.relative_to(PACKAGE)))
+    assert importers == ["cli.py"]
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # nor the rational number modules: fractions loads decimal and numbers
     unwanted = {"dataclasses", "inspect", "fractions", "decimal", "numbers"}
@@ -172,8 +189,6 @@ EXTRA_TRAFFIC = [
 # each function or method that the traffic never calls, with the reason it stays
 NOT_RUN_BY_THE_CLI = {
     "char2_surfaces/surfaces.py:nonreduced_splitting_lines_separable": "acceptance criterion 10",
-    "char2_surfaces/poly.py:HomPoly.to_json":
-        "the README names it as the writer of the --recognize format",
 }
 
 # each record field that the traffic never reads, with the reason it stays
