@@ -9,7 +9,8 @@ lines collapse the sextic to
     x*y*z*(t^2*y*z^2 + x*z^2 + y^3 + x^3)
 
 up to added squares and a global square rescaling of the cover
-coordinate, and the parameter t is returned.
+coordinate.  The certificate is one comparison with a*N(t), cross-checked
+by the two other D4 points, and the parameter t is returned.
 """
 
 from __future__ import annotations
@@ -182,42 +183,21 @@ def _square_reduce(g: HomPoly) -> HomPoly:
 def recognize_normal_form(g: HomPoly, frame) -> int:
     """Parameter t of the normal form after moving g through the frame.
 
-    Asserts the full vanishing and relation pattern forced by the five
-    splitting lines; a violation means the input is not of the nine-point,
-    five-splitting-line shape.
+    The scaled normal form a*N(t) has the four monomials x*y^4*z, x^4*y*z,
+    x^2*y*z^3 and x*y^2*z^3, with coefficients a, a, a and a*t^2: a is read
+    off the first, t off the last, and the whole square-reduced form must
+    equal a*N(t).  That one comparison is the certificate; a form that fails
+    it is not of the nine-point, five-splitting-line shape.
     """
     f = g.field
     h = _square_reduce(apply_frame(g, frame))
-
-    def co(l, m, n):
-        return h.coeff((l, m, n))
-
-    # the three coordinate lines split, so the sextic is divisible by xyz
-    for e in h.terms:
-        if 0 in e:
-            raise RecognitionError(f"pattern violation: monomial {e} survives the line constraints")
-    a = co(1, 4, 1)
-    b = co(2, 3, 1)
-    cc = co(3, 2, 1)
-    d = co(4, 1, 1)
+    a = h.coeff((1, 4, 1))
     if a == 0:
         raise RecognitionError("pattern violation: leading cubic coefficient vanishes")
-    if co(1, 3, 2) or co(1, 1, 4) or co(3, 1, 2):
-        raise RecognitionError("pattern violation: transversality constraints fail")
-    if co(2, 1, 3) != d:
-        raise RecognitionError("pattern violation: the two fork-line relations disagree")
-    if a ^ b ^ cc ^ d:
-        raise RecognitionError("pattern violation: the unit-point relation fails")
-    if b != 0 or cc != 0:
-        raise RecognitionError("pattern violation: the diagonal splitting lines force b = c = 0")
-    if a != d:
-        raise RecognitionError("pattern violation: outer coefficients differ")
-    t2 = f.div(co(1, 2, 3), a)
-    t = f.sqrt(t2)
+    t = f.sqrt(f.div(h.coeff((1, 2, 3)), a))
     if t == 0:
         raise RecognitionError("degenerate parameter t = 0")
-    expected = normal_form_sextic(f, t).scale(a)
-    if h != expected:
+    if h != normal_form_sextic(f, t).scale(a):
         raise RecognitionError("reduced sextic is not the scaled normal form")
     return t
 
@@ -230,9 +210,9 @@ class RecognitionResult(Frozen):
 def recognize_surface(g: HomPoly) -> RecognitionResult:
     """Full pipeline: singular points, labeling, frame, normal-form parameter.
 
-    The parameter read from the coefficient relations must agree with the
-    one read from the position of the fifth anchor point.  Only a sextic
-    can carry the configuration.
+    The parameter read from the coefficients must agree with the anchors:
+    the frame takes p(01) to (0, t, 1) and p(11) to (1, t, 1).  Only a
+    sextic can carry the configuration.
     """
     if g.degree != 6:
         raise RecognitionError(f"only sextics are recognized, not degree {g.degree}")
@@ -246,14 +226,8 @@ def recognize_surface(g: HomPoly) -> RecognitionResult:
     frame = normalize_frame(
         f, pts["q(inf)"], pts["q(1)"], pts["q(0)"], pts["p(00)"], pts["p(10)"]
     )
-    img01 = normalize_point(f, _mat_vec(f, frame, pts["p(01)"]))
-    if img01[0] != 0 or img01[2] != 1 or img01[1] == 0:
-        raise RecognitionError("the fifth anchor did not land on the reference line")
-    t_points = img01[1]
-    img11 = normalize_point(f, _mat_vec(f, frame, pts["p(11)"]))
-    if img11 != (1, t_points, 1):
-        raise RecognitionError("the opposite D4 point is not at the expected position")
     t = recognize_normal_form(g, frame)
-    if t != t_points:
+    images = [normalize_point(f, _mat_vec(f, frame, pts[p])) for p in ("p(01)", "p(11)")]
+    if images != [(0, t, 1), (1, t, 1)]:
         raise RecognitionError("coefficient parameter disagrees with the anchor position")
     return RecognitionResult(t=t)

@@ -295,6 +295,21 @@ def _open_out(path: str):
         raise UsageError(f"--out {path}: {type(exc).__name__}: {exc}")
 
 
+def _write(text: str, out=None) -> None:
+    """Write text to the opened --out file, or to stdout when out is None; a
+    failed write or flush is a usage error."""
+    try:
+        if out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with out:  # closing flushes, and closes the file after a failed write too
+                out.write(text)
+    except OSError as exc:
+        where = "stdout" if out is None else f"--out {out.name}"
+        raise UsageError(f"{where}: {type(exc).__name__}: {exc}") from None
+
+
 def _family_inputs(config: dict) -> tuple[BinaryField, list[tuple[int, int]]]:
     """The field and the (r, s) pairs of the family cases; a bad value is a usage error."""
     k, rx, sx, samples = config["k"], config["r"], config["s"], config["samples"]
@@ -518,7 +533,7 @@ def main(argv=None) -> int:
     try:
         parsed = parse_args(sys.argv[1:] if argv is None else argv)
         if parsed is None:
-            sys.stdout.write(USAGE)
+            _write(USAGE)
             return EXIT_OK
         command, config = parsed
         # the --recognize file is read, the family arguments checked and the
@@ -542,16 +557,7 @@ def main(argv=None) -> int:
             text = json.dumps(report, sort_keys=True, indent=2) + "\n"
         else:
             text = _render_text(report)
-        try:
-            if out is None:
-                sys.stdout.write(text)
-                sys.stdout.flush()
-            else:
-                with out:  # closing flushes, and closes the file after a failed write too
-                    out.write(text)
-        except OSError as exc:
-            where = "stdout" if out is None else f"--out {config['out']}"
-            raise UsageError(f"{where}: {type(exc).__name__}: {exc}") from None
+        _write(text, out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

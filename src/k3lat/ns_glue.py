@@ -553,12 +553,10 @@ def unique_halfline_search(
     results: list[DualVector] = []
     for row in rows:
         v = DualVector(ls.lattice, head + row, den)
-        # position 0 pairs with the polarization, the other 21 with the exceptional classes
-        gv = v.integer_pairings()
-        if pairing_numerator(v, v) != -2 * v.den * v.den or gv[0] != 1:
+        # position 0 pairs with the polarization; the other 21 are summand
+        # pairings, which the class searches keep non-negative
+        if pairing_numerator(v, v) != -2 * v.den * v.den or v.integer_pairings()[0] != 1:
             raise GlueError("assembled candidate violates the norm or degree condition")
-        if any(x < 0 for x in gv[1:]):
-            continue
         if class_of(v) != target_class:
             raise GlueError("assembled candidate left the glue class")
         if ns.to_result_coords(v) is None:

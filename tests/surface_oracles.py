@@ -22,6 +22,11 @@ The five standard lines of a family member were written out by hand, and
 recognition labeled the nine points by rules of its own; both are now read
 off the rows of the configuration table.
 
+Recognition ran a cascade of coefficient checks on the square-reduced
+form (no monomial off xyz, a != 0, three transversality zeros, the fork
+and unit-point relations, b = c = 0 and a = d) before it compared the form
+with a*N(t); the comparison alone rejects everything the cascade did.
+
 The field's generator search marked each power of a candidate in a table
 of the elements seen so far and stopped at the first repeat; the field
 now stops at the first return to 1, which is the first repeat when the
@@ -31,7 +36,7 @@ modulus is irreducible.
 import functools
 
 from k3lat.char2_surfaces.poly import HomPoly
-from k3lat.char2_surfaces.recognize import RecognitionError
+from k3lat.char2_surfaces.recognize import RecognitionError, apply_frame, normal_form_sextic
 from k3lat.char2_surfaces.surfaces import (
     _odd_binomials,
     _restrict_to_pencil,
@@ -329,6 +334,46 @@ def rule_labeling(field, d4_points, a1_points, splitting):
         "p(10)": p10,
         "p(11)": p11,
     }
+
+
+def cascade_normal_form(g, frame):
+    """Parameter t of the normal form after moving g through the frame,
+    through the full vanishing and relation pattern of the five splitting
+    lines before the comparison with a*N(t)."""
+    f = g.field
+    moved = apply_frame(g, frame)
+    # squares absorb into the cover coordinate
+    h = HomPoly(f, moved.degree, {e: c for e, c in moved.terms.items() if any(x % 2 for x in e)})
+
+    def co(l, m, n):
+        return h.coeff((l, m, n))
+
+    # the three coordinate lines split, so the sextic is divisible by xyz
+    for e in h.terms:
+        if 0 in e:
+            raise RecognitionError(f"pattern violation: monomial {e} survives the line constraints")
+    a = co(1, 4, 1)
+    b = co(2, 3, 1)
+    cc = co(3, 2, 1)
+    d = co(4, 1, 1)
+    if a == 0:
+        raise RecognitionError("pattern violation: leading cubic coefficient vanishes")
+    if co(1, 3, 2) or co(1, 1, 4) or co(3, 1, 2):
+        raise RecognitionError("pattern violation: transversality constraints fail")
+    if co(2, 1, 3) != d:
+        raise RecognitionError("pattern violation: the two fork-line relations disagree")
+    if a ^ b ^ cc ^ d:
+        raise RecognitionError("pattern violation: the unit-point relation fails")
+    if b != 0 or cc != 0:
+        raise RecognitionError("pattern violation: the diagonal splitting lines force b = c = 0")
+    if a != d:
+        raise RecognitionError("pattern violation: outer coefficients differ")
+    t = f.sqrt(f.div(co(1, 2, 3), a))
+    if t == 0:
+        raise RecognitionError("degenerate parameter t = 0")
+    if h != normal_form_sextic(f, t).scale(a):
+        raise RecognitionError("reduced sextic is not the scaled normal form")
+    return t
 
 
 def generator_tables(k, modulus):

@@ -607,12 +607,21 @@ def test_unwritable_out_is_a_usage_error_before_any_suite(tmp_path, capsys, monk
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-@pytest.mark.parametrize("fmt", ["json", "text"])
-@pytest.mark.parametrize("target", ["stdout", "out"])
-def test_a_report_that_cannot_be_written_is_a_usage_error(target, fmt):
+@pytest.mark.parametrize(
+    "target,argv",
+    [
+        ("out", ["lattice", "--format", "json", "--out", "/dev/full"]),
+        ("out", ["lattice", "--format", "text", "--out", "/dev/full"]),
+        ("stdout", ["lattice", "--format", "json"]),
+        ("stdout", ["lattice", "--format", "text"]),
+        ("stdout", ["-h"]),
+        ("stdout", ["--help"]),
+    ],
+    ids=["out-json", "out-text", "stdout-json", "stdout-text", "stdout-h", "stdout-help"],
+)
+def test_a_report_that_cannot_be_written_is_a_usage_error(target, argv):
     # every write to /dev/full fails with ENOSPC: the JSON report fails in the
-    # write, the shorter text report only when it is flushed or closed
-    argv = ["lattice", "--format", fmt] + (["--out", "/dev/full"] if target == "out" else [])
+    # write, the shorter text report and the usage block only when flushed or closed
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
             [sys.executable, "-m", "k3lat.cli", *argv],

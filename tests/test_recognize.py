@@ -13,6 +13,7 @@ from k3lat.char2_surfaces.recognize import (
     recognize_surface,
 )
 from k3lat.char2_surfaces.surfaces import schroeer_sextic, verify_configuration
+from surface_oracles import cascade_normal_form
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +113,7 @@ def test_recognize_rejects_pattern_violation(gf16):
 
 
 @pytest.mark.parametrize(
-    "term,message",
+    "term,broken",
     [
         # x y^3 z^2 is one of the terms that the splitting lines rule out
         ({(1, 3, 2): 1}, "transversality constraints fail"),
@@ -122,10 +123,44 @@ def test_recognize_rejects_pattern_violation(gf16):
         ({(2, 3, 1): 1}, "the unit-point relation fails"),
     ],
 )
-def test_recognize_pattern_checks_fire(gf16, term, message):
+def test_recognize_pattern_checks_fire(gf16, term, broken):
+    # each input breaks the relation named by broken; the one comparison
+    # with a*N(t) rejects it
     bad = normal_form_sextic(gf16, 3) + HomPoly(gf16, 6, term)
-    with pytest.raises(RecognitionError, match=message):
+    with pytest.raises(RecognitionError, match="reduced sextic is not the scaled normal form"):
         recognize_normal_form(bad, IDENTITY)
+
+
+def test_one_comparison_rejects_what_the_cascade_rejects():
+    # scaled normal forms plus 0-3 random monomials: the cascade of the
+    # splitting-line relations and the one comparison with a*N(t) raise on
+    # the same forms and read the same t off the others; the comparison's
+    # three raises (a = 0, t = 0, a mismatch) all fire
+    monomials = [(l, m, 6 - l - m) for l in range(7) for m in range(7 - l)]
+    messages = set()
+    accepted = 0
+    for k in (2, 4, 8):
+        f = BinaryField(k)
+        rng = random.Random(k)
+        for _ in range(2000):
+            g = normal_form_sextic(f, rng.randrange(1, f.q)).scale(rng.randrange(1, f.q))
+            extra = {e: rng.randrange(1, f.q) for e in rng.sample(monomials, rng.randrange(4))}
+            g = g + HomPoly(f, 6, extra)
+            try:
+                expected = cascade_normal_form(g, IDENTITY)
+            except RecognitionError:
+                with pytest.raises(RecognitionError) as info:
+                    recognize_normal_form(g, IDENTITY)
+                messages.add(str(info.value))
+            else:
+                assert recognize_normal_form(g, IDENTITY) == expected, (k, g)
+                accepted += 1
+    assert 2000 < accepted < 4000
+    assert messages == {
+        "pattern violation: leading cubic coefficient vanishes",
+        "degenerate parameter t = 0",
+        "reduced sextic is not the scaled normal form",
+    }
 
 
 def test_recognize_surface_checks_the_coefficient_against_the_anchor_parameter(gf16, monkeypatch):
