@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 from ..configuration import LINES, point_labels
 from ..frozen import Frozen
 from .field import BinaryField
-from .poly import BinForm, HomPoly, PolyError, cubic_has_distinct_roots
+from .poly import BinForm, HomPoly, cubic_has_distinct_roots
 from .upoly import common_roots, interpolate, poly_eval, resultant, trim
 
 
@@ -210,14 +210,14 @@ def scan_splitting_lines(g: HomPoly) -> list[tuple[Line, SplittingCertificate]]:
     """Every rational line whose restriction is a square, with certificates.
 
     A restriction of even degree is a square exactly when its odd
-    coefficients vanish, so the lines are those of ``_lines_where`` for the
-    one condition (g, odd).  Each line found is checked by building its
-    certificate and multiplying it out.
+    coefficients vanish, so the lines are those of ``_lines_where``.  Each
+    line found is checked by building its certificate and multiplying it
+    out.
     """
     if g.degree % 2:  # a binary form of odd degree is never a square
         return []
     out = []
-    for l in _lines_where([(g, _ODD)]):
+    for l in _lines_where(g):
         cert = is_splitting(g, l)
         if cert is None:
             raise SurfaceError(f"line {l} solves the elimination but does not split")
@@ -225,29 +225,21 @@ def scan_splitting_lines(g: HomPoly) -> list[tuple[Line, SplittingCertificate]]:
     return out
 
 
-_ODD = slice(1, None, 2)  # the coefficients a square lacks
-_ALL = slice(None)  # the coefficients of a form that vanishes on the line
+def _lines_where(g: HomPoly) -> list[Line]:
+    """The rational lines on which the odd coefficients of g restrict to zero.
 
-
-def _lines_where(conditions: Sequence[tuple[HomPoly, slice]]) -> list[Line]:
-    """The rational lines on which the selected coefficients of every form restrict to zero.
-
-    Each condition is a form with ``_ODD`` or ``_ALL`` selecting the
-    coefficients of its restriction that must vanish.  A line with a0 != 0
-    is x0 = b*x1 + c*x2, the line (1, b, c), and its selected coefficients
-    are polynomials P_m(b, c) (see ``_coefficients_in_b_c``) whose common
-    zeros ``_affine_zeros`` finds.  The lines with a0 = 0 are the pencil
-    (0, 1, 0) + t*(0, 0, 1), where the coefficients are polynomials in t,
-    and the line x2 = 0, where they are constants.  Sorted, each line once.
+    A line with a0 != 0 is x0 = b*x1 + c*x2, the line (1, b, c), and its
+    odd coefficients are polynomials P_m(b, c) (see
+    ``_coefficients_in_b_c``) whose common zeros ``_affine_zeros`` finds.
+    The lines with a0 = 0 are the pencil (0, 1, 0) + t*(0, 0, 1), where the
+    coefficients are polynomials in t, and the line x2 = 0, where they are
+    constants.  Sorted, each line once.
     """
-    f = conditions[0][0].field
-    restricted = lambda a, b: [
-        row for form, which in conditions for row in _restrict_to_pencil(form, a, b)[which]
-    ]
-    found: list[Line] = [] if any(restricted((0, 0, 1), (0, 0, 0))) else [(0, 0, 1)]
-    found += [(0, 1, t) for t in common_roots(f, restricted((0, 1, 0), (0, 0, 1)))]
-    polys = [p for form, which in conditions for p in _coefficients_in_b_c(form, which)]
-    found += [(1, b, c) for b, c in _affine_zeros(f, polys)]
+    f = g.field
+    odd = lambda a, b: _restrict_to_pencil(g, a, b)[1::2]
+    found: list[Line] = [] if any(odd((0, 0, 1), (0, 0, 0))) else [(0, 0, 1)]
+    found += [(0, 1, t) for t in common_roots(f, odd((0, 1, 0), (0, 0, 1)))]
+    found += [(1, b, c) for b, c in _affine_zeros(f, _coefficients_in_b_c(g))]
     return found
 
 
@@ -287,15 +279,15 @@ def _candidate_bs(f: BinaryField, polys: list[list[list[int]]]) -> Sequence[int]
     return range(f.q)
 
 
-def _coefficients_in_b_c(g: HomPoly, which: slice) -> list[list[list[int]]]:
-    """P_m(b, c) for the selected m: the coefficient of x1^m x2^(d-m) in g(b*x1 + c*x2, x1, x2).
+def _coefficients_in_b_c(g: HomPoly) -> list[list[list[int]]]:
+    """P_m(b, c) for odd m: the coefficient of x1^m x2^(d-m) in g(b*x1 + c*x2, x1, x2).
 
     A term x0^n x1^e1 x2^e2 gives b^s c^(n-s) to P_(e1+s) for each s with
     C(n, s) odd, so each P has total degree at most d.  A P is a list over
     the power of c of polynomials in b, trimmed at both levels.
     """
     d = g.degree
-    polys = {m: [[0] * (d + 1) for _ in range(d + 1)] for m in range(d + 1)[which]}
+    polys = {m: [[0] * (d + 1) for _ in range(d + 1)] for m in range(1, d + 1, 2)}
     for (n, e1, _), c in g.terms.items():
         for s in _odd_binomials(n):
             if e1 + s in polys:
@@ -557,30 +549,3 @@ def verify_configuration(g: HomPoly, r: int, s: int) -> ConfigurationReport:
         splitting_lines=split_lines,
         certificates=tuple(scan),
     )
-
-
-# ---------------------------------------------------------------------------
-# the separable-cover bound
-# ---------------------------------------------------------------------------
-
-def nonreduced_splitting_lines_separable(c: HomPoly, g: HomPoly) -> list[Line]:
-    """Non-reduced splitting lines of the separable cover w^2 + w*C + G = 0.
-
-    A line is of non-reduced type exactly when C restricts to zero on it and
-    the restriction of G is a square: the lines of ``_lines_where`` for the
-    conditions (C, all) and (G, odd).  Every such line divides C, so there
-    are at most deg C = 3 of them.
-    """
-    if c.degree != 3 or c.is_zero():
-        raise SurfaceError("separable cover needs a nonzero cubic")
-    if g.degree != 6:
-        raise SurfaceError("cover term must be a sextic")
-    out = _lines_where([(c, _ALL), (g, _ODD)])
-    for l in out:
-        try:
-            c.divide_by_linear(l)
-        except PolyError:
-            raise SurfaceError("non-reduced line does not divide the separable term") from None
-    if len(out) > 3:
-        raise SurfaceError("more non-reduced lines than deg C = 3")
-    return out

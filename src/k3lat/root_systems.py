@@ -29,14 +29,12 @@ class RootSystemError(ValueError):
 
 
 def short_vectors(
-    gram: IntMatrix, bound: int, coset: tuple[Sequence[int], int] | None = None
+    gram: IntMatrix, bound: int, coset: tuple[Sequence[int], int]
 ) -> list[tuple[int, ...]]:
-    """All nonzero integer vectors y with y^T (-gram) y <= bound, gram
-    negative definite, sorted.
-
-    With ``coset`` = (num, den), the result is every point y = num + den x,
-    x integral, with y^T (-gram) y <= bound, zero included: the numerators
-    of the vectors y / den of the coset num / den + Z^n.
+    """Every point y = num + den x, x integral, with y^T (-gram) y <= bound,
+    gram negative definite, sorted, for ``coset`` = (num, den): the
+    numerators of the vectors y / den of the coset num / den + Z^n, zero
+    included.
 
     Fincke-Pohst enumeration in integers.  The symmetric elimination of
     -gram takes its pivots in order and gives the leading minors
@@ -75,8 +73,7 @@ def short_vectors(
         prev = p
     scale = math.lcm(*(den for _, den in weights))
     w_int = [num * (scale // den) for num, den in weights]
-    keep_zero = coset is not None
-    num, step = coset if keep_zero else ((0,) * n, 1)
+    num, step = coset
     out: list[tuple[int, ...]] = []
     y = list(num)  # y = num + step * x
 
@@ -89,8 +86,7 @@ def short_vectors(
         if i == 0:
             for yi in range(y0 + step * lo, y0 + step * hi + 1, step):
                 y[0] = yi
-                if keep_zero or any(y):
-                    out.append(tuple(y))
+                out.append(tuple(y))
         else:
             for xi in range(lo, hi + 1):
                 t = den * xi + s

@@ -19,8 +19,10 @@ oracle of the coset enumeration.  The roots orthogonal to the polarization
 were once enumerated on the rank-21 complement, the saturated Hermite
 kernel of h's pairing row; that complement, its kernel and its root
 enumeration are kept as the oracle of the walk over glue classes and
-summands.  The determinant was once a Bareiss elimination of its own; the
-package now reads it off the symmetric elimination, and the Bareiss form,
+summands; the nonzero lattice vectors it enumerates are the coset
+enumeration of the zero class less the zero vector.  The determinant was
+once a Bareiss elimination of its own; the package now reads it off the
+symmetric elimination, and the Bareiss form,
 which takes any square matrix, is kept as its oracle and for the
 unimodularity checks of the Smith form and the kernel, whose transforms
 are not symmetric.
@@ -280,6 +282,12 @@ def orthogonal_complement(lattice: Lattice, v: DualVector) -> Sublattice:
     return Sublattice(Lattice(b.mul(gram).mul(b.transpose())), b)
 
 
+def nonzero_short_vectors(gram: IntMatrix, bound: int) -> list[tuple[int, ...]]:
+    """All nonzero integer vectors y with y^T (-gram) y <= bound, sorted: the
+    coset enumeration of the lattice itself, less the zero vector."""
+    return [y for y in short_vectors(gram, bound, ((0,) * gram.rows, 1)) if any(y)]
+
+
 def enumerate_roots(lattice: Lattice) -> RootSet:
     """The complete set of lattice vectors of norm -2, by one Fincke-Pohst
     enumeration of the whole lattice."""
@@ -289,7 +297,7 @@ def enumerate_roots(lattice: Lattice) -> RootSet:
         raise RootSystemError("root enumeration requires a negative-definite lattice")
     gram = lattice.gram
     # the enumeration is exact; the norm is re-derived through G v regardless
-    roots = tuple(v for v in short_vectors(gram, 2) if sum(map(mul, v, gram.mul_vec(v))) == -2)
+    roots = tuple(v for v in nonzero_short_vectors(gram, 2) if sum(map(mul, v, gram.mul_vec(v))) == -2)
     rs = RootSet(lattice, roots)
     rset = set(rs.roots)
     for v in rs.roots:

@@ -1,13 +1,15 @@
 """Replaced surface-side algorithms, kept as oracles for the tests.
 
 The full line scan walked every one of the q + 1 pencils through the
-points of x2 = 0, and so did the bound on non-reduced lines; both now read
-one elimination in the dual plane, which walks only the b's a resultant
-selects.  Singular points were found one vertical line at a time, at
-every x of GF(q); they now come from the same elimination.  Roots were
-found by scanning t = 0, 1, 2, ... up to the largest one; they are now
-split by traces.  The resultant that drives the elimination is checked
-against the Sylvester determinant it stands for.
+points of x2 = 0; it now reads one elimination in the dual plane, which
+walks only the b's a resultant selects.  The bound on non-reduced lines of
+the separable covers w^2 + w*C + G, which no CLI command computes, lives
+here only: C and G restricted to every line of the plane.  Singular points
+were found one vertical line at a time, at every x of GF(q); they now come
+from the same elimination.  Roots were found by scanning t = 0, 1, 2, ...
+up to the largest one; they are now split by traces.  The resultant that
+drives the elimination is checked against the Sylvester determinant it
+stands for.
 
 The polynomial kernels now add logs over the field's doubled antilog
 table.  Their earlier forms, one ``f.mul`` per product, stay here: a
@@ -45,8 +47,35 @@ from k3lat.char2_surfaces.surfaces import (
     normalize_line,
     normalize_point,
     point_on_line,
+    restrict_to_line,
 )
 from k3lat.char2_surfaces.upoly import common_roots, poly_eval, trim
+
+
+def all_lines(field):
+    """Every line of PG(2, q), normalized, in coordinate order."""
+    q = field.q
+    for b in range(q):
+        for c in range(q):
+            yield (1, b, c)
+    for c in range(q):
+        yield (0, 1, c)
+    yield (0, 0, 1)
+
+
+def nonreduced_lines(c, g):
+    """The non-reduced splitting lines of the separable cover w^2 + w*C + G, sorted.
+
+    A line is of non-reduced type exactly when C restricts to zero on it and
+    the restriction of G is a square; C and G are restricted to every line
+    of the plane.
+    """
+    f = c.field
+    out = []
+    for l in all_lines(f):
+        if not any(restrict_to_line(c, l).coeffs) and restrict_to_line(g, l).is_square() is not None:
+            out.append(l)
+    return sorted(out)
 
 
 def evaluate(g, point):

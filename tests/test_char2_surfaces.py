@@ -17,8 +17,6 @@ from k3lat.char2_surfaces.surfaces import (
     intersect_lines,
     is_splitting,
     line_through,
-    nonreduced_splitting_lines_separable,
-    normalize_line,
     normalize_point,
     point_on_line,
     restrict_to_line,
@@ -29,7 +27,7 @@ from k3lat.char2_surfaces.surfaces import (
     table_points,
     verify_configuration,
 )
-from surface_oracles import evaluate, pencil_walk_lines, pencil_walk_scan, per_x_singular_points
+from surface_oracles import all_lines, evaluate, pencil_walk_lines, pencil_walk_scan, per_x_singular_points
 from test_char2_poly import compose_onto_line, multiplicity_at
 
 
@@ -42,17 +40,6 @@ def all_points(field):
     for x in range(q):
         yield (x, 1, 0)
     yield (1, 0, 0)
-
-
-def all_lines(field):
-    """Every line of PG(2, q), normalized, in coordinate order."""
-    q = field.q
-    for b in range(q):
-        for c in range(q):
-            yield (1, b, c)
-    for c in range(q):
-        yield (0, 1, c)
-    yield (0, 0, 1)
 
 
 @pytest.fixture(scope="module")
@@ -336,61 +323,6 @@ def test_quintic_transversality_matches_classification(gf16):
                 assert p in singular
 
 
-def test_lemma_bound_three_coordinate_lines(gf16):
-    f = gf16
-    c = HomPoly(f, 3, {(1, 1, 1): 1})  # x*y*z
-    g = HomPoly(f, 6, {(2, 2, 2): 1})  # restricts to a square everywhere
-    lines = nonreduced_splitting_lines_separable(c, g)
-    assert lines == sorted([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-
-
-def test_lemma_bound_single_line(gf16):
-    f = gf16
-    # z * (irreducible quadratic): only z = 0 divides the cubic
-    c0 = next(
-        c
-        for c in range(1, f.q)
-        if all(f.sqr(u) ^ u ^ c for u in range(f.q))
-    )
-    quad = HomPoly(f, 2, {(2, 0, 0): 1, (1, 1, 0): 1, (0, 2, 0): c0})
-    assert all(
-        evaluate(quad, (u, v, 0)) != 0
-        for u, v in [(1, 0)] + [(u, 1) for u in range(f.q)]
-    )
-    c = HomPoly(f, 1, {(0, 0, 1): 1}) * quad
-    g = HomPoly(f, 6, {(5, 0, 1): 1, (0, 6, 0): 1})  # restriction to z = 0 is y^6
-    lines = nonreduced_splitting_lines_separable(c, g)
-    assert lines == [(0, 0, 1)]
-
-
-def test_lemma_bound_rejects_bad_degrees(gf16):
-    with pytest.raises(SurfaceError):
-        nonreduced_splitting_lines_separable(HomPoly(gf16, 3, {}), HomPoly(gf16, 6, {}))
-    with pytest.raises(SurfaceError):
-        nonreduced_splitting_lines_separable(
-            HomPoly(gf16, 2, {(1, 1, 0): 1}), HomPoly(gf16, 6, {})
-        )
-
-
-def test_lemma_bound_rejects_a_line_that_does_not_divide_the_cubic(gf16, monkeypatch):
-    c = HomPoly(gf16, 3, {(1, 1, 1): 1})  # x*y*z
-    g = HomPoly(gf16, 6, {(2, 2, 2): 1})
-    # the line x + y = 0 does not divide x*y*z
-    monkeypatch.setattr(surfaces, "_lines_where", lambda conditions: [(1, 1, 0)])
-    with pytest.raises(SurfaceError, match="non-reduced line does not divide the separable term"):
-        nonreduced_splitting_lines_separable(c, g)
-
-
-def test_lemma_bound_rejects_more_lines_than_the_cubic_degree(gf16, monkeypatch):
-    c = HomPoly(gf16, 3, {(1, 1, 1): 1})  # x*y*z
-    g = HomPoly(gf16, 6, {(2, 2, 2): 1})
-    # four lines, each dividing x*y*z: z = 0 twice
-    four = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1)]
-    monkeypatch.setattr(surfaces, "_lines_where", lambda conditions: four)
-    with pytest.raises(SurfaceError, match="more non-reduced lines than deg C = 3"):
-        nonreduced_splitting_lines_separable(c, g)
-
-
 # ---------------------------------------------------------------------------
 # pencil searches and the gcd singular-point search against the replaced
 # per-line and per-point algorithms, kept here as oracles
@@ -634,64 +566,6 @@ def test_full_scan_matches_per_line_oracle(k, modulus):
         assert scan_splitting_lines(g) == per_line_scan(g, all_lines(f))
 
 
-def old_nonreduced_lines(c, g):
-    """The replaced search: restrict C and G to every line of the plane."""
-    f = c.field
-    out = []
-    for l in all_lines(f):
-        if not any(restrict_to_line(c, l).coeffs) and restrict_to_line(g, l).is_square() is not None:
-            out.append(l)
-    return sorted(out)
-
-
-def _seeded_covers(f, rng):
-    """(C, G) pairs: C with one to three rational line factors or none, G split on some of them."""
-    nonzero = lambda: rng.randrange(1, f.q)
-    form = lambda d: HomPoly(
-        f, d, {(l, m, d - l - m): rng.randrange(f.q) for l in range(d + 1) for m in range(d + 1 - l)}
-    )
-    line = lambda: HomPoly.linear(f, normalize_line(f, (rng.randrange(2), nonzero(), rng.randrange(f.q))))
-    out = []
-    for _ in range(4):
-        l1, l2, l3 = line(), line(), line()
-        for c in (l1 * l2 * l3, l1 * l1 * l2, l1 * l1 * l1, l1 * form(2), form(3)):
-            out.append((c, form(6)))  # G random: few lines, if any
-            out.append((c, form(3).square()))  # G splits on every line
-            out.append((c, c * form(3) + form(3).square()))  # on every line of C
-            out.append((c, l1 * l2 * form(4) + form(3).square()))  # on l1 and l2 only
-    return [(c, g) for c, g in out if not c.is_zero()]
-
-
-@pytest.mark.parametrize("k,modulus", SMALL_FIELDS[:2], ids=["k2", "k4"])
-def test_nonreduced_lines_match_all_lines_oracle(k, modulus):
-    f = BinaryField(k, modulus)
-    rng = random.Random(f"nonreduced/{k}")
-    hits = 0
-    for c, g in _seeded_covers(f, rng):
-        expected = old_nonreduced_lines(c, g)
-        assert nonreduced_splitting_lines_separable(c, g) == expected
-        hits += len(expected)
-    assert hits >= 20
-
-
-@pytest.mark.parametrize("dense", [True, False], ids=["dense-G", "G-a-square"])
-def test_nonreduced_bound_k16_budget(gf65536, dense):
-    f = gf65536
-    c = HomPoly(f, 3, {(1, 1, 1): 1})  # x0*x1*x2
-    if dense:
-        rng = random.Random("nonreduced-k16")
-        g = HomPoly(f, 6, {(l, m, 6 - l - m): rng.randrange(1, f.q) for l in range(7) for m in range(7 - l)})
-    else:
-        g = HomPoly(f, 6, {(2, 2, 2): 1})  # a square: every line of the plane splits
-    start = time.perf_counter()
-    lines = nonreduced_splitting_lines_separable(c, g)
-    # the walk over all 65,537 pencils took about 10 s
-    assert time.perf_counter() - start <= 0.1
-    coordinate_lines = [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
-    assert lines == [l for l in coordinate_lines if is_splitting(g, l) is not None]
-    assert dense or lines == coordinate_lines
-
-
 def test_scan_calls_is_splitting_once_per_reported_line(gf256, monkeypatch):
     f = gf256
     w = f.omega()
@@ -762,12 +636,12 @@ def _every_line_through_the_origin_splits(f, rng):
 
 def _selected_lines(g):
     """The lines the full scan certifies: those the elimination finds."""
-    return tuple(surfaces._lines_where([(g, surfaces._ODD)]))
+    return tuple(surfaces._lines_where(g))
 
 
 def _selected_bs(g):
     """The b's of the lines (1, b, c) that the elimination walks for the scan of g."""
-    return surfaces._candidate_bs(g.field, surfaces._coefficients_in_b_c(g, surfaces._ODD))
+    return surfaces._candidate_bs(g.field, surfaces._coefficients_in_b_c(g))
 
 
 @pytest.mark.parametrize("k,modulus", [(4, None), (6, 0b1000011), (8, None)], ids=["k4", "k6", "k8"])
@@ -801,7 +675,7 @@ def test_full_scan_matches_the_pencil_walk(k, modulus):
 def test_full_scan_walks_every_pencil_when_the_conditions_share_a_component():
     f = BinaryField(6, 0b1000011)
     g = _every_line_through_the_origin_splits(f, random.Random(3))
-    assert all(not p[0] for p in surfaces._coefficients_in_b_c(g, surfaces._ODD))  # each P has the factor c
+    assert all(not p[0] for p in surfaces._coefficients_in_b_c(g))  # each P has the factor c
     assert list(_selected_bs(g)) == list(range(f.q))
     found = scan_splitting_lines(g)
     assert found == list(pencil_walk_scan(g))
@@ -813,11 +687,10 @@ def test_odd_coefficients_specialize_to_the_pencil_restriction(gf16):
     rng = random.Random("odd-coefficients")
     at = lambda row, b: reduce(xor, (f.mul(c, f.pow(b, e)) for e, c in enumerate(row)), 0)
     for g in _seeded_sextics(f, rng):
-        for which in (surfaces._ODD, surfaces._ALL):
-            polys = surfaces._coefficients_in_b_c(g, which)
-            for b in range(f.q):
-                rows = surfaces._restrict_to_pencil(g, (1, b, 0), (0, 0, 1))[which]
-                assert [trim([at(row, b) for row in p]) for p in polys] == rows
+        polys = surfaces._coefficients_in_b_c(g)
+        for b in range(f.q):
+            rows = surfaces._restrict_to_pencil(g, (1, b, 0), (0, 0, 1))[1::2]
+            assert [trim([at(row, b) for row in p]) for p in polys] == rows
 
 
 def test_full_scan_raises_when_the_resultant_misses_its_re_check(gf256, monkeypatch):

@@ -256,17 +256,16 @@ def test_lattice_run_eliminates_each_rank_22_gram_once():
 
 
 # a fresh process counts every coset enumeration of one whole run, and the
-# rank of the Gram of every enumeration, with or without a coset
+# rank of the Gram of each
 COSET_COUNTER = """
 import collections, json, os, sys
 from k3lat import cli, root_systems
 seen = collections.Counter()
 ranks = collections.Counter()
 real = root_systems.short_vectors
-def counting(gram, bound, coset=None):
+def counting(gram, bound, coset):
     ranks[gram.rows] += 1
-    if coset is not None:
-        seen[repr((gram.entries, bound, coset))] += 1
+    seen[repr((gram.entries, bound, coset))] += 1
     return real(gram, bound, coset)
 root_systems.short_vectors = counting
 code = cli.main(sys.argv[1:] + ["--out", os.devnull])

@@ -156,7 +156,7 @@ def test_rebuilt_lattice_hits_the_class_search_memo(monkeypatch):
     scans = []
     real = root_systems.short_vectors
 
-    def counting(gram, bound, coset=None):
+    def counting(gram, bound, coset):
         scans.append(gram.entries)
         return real(gram, bound, coset)
 

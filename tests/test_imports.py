@@ -186,14 +186,6 @@ EXTRA_TRAFFIC = [
     (["surface", "--k", "4", "--r", "0", "--s", "5", "--allow-degenerate"], 1),
 ]
 
-# each function or method that the traffic never calls, with the reason it stays
-NOT_RUN_BY_THE_CLI = {
-    "char2_surfaces/surfaces.py:nonreduced_splitting_lines_separable": "acceptance criterion 10",
-}
-
-# each record field that the traffic never reads, with the reason it stays
-FIELD_WITHOUT_READER: dict[str, str] = {}
-
 # Runs the traffic through k3lat.cli.main in one process. A profile hook
 # keeps the code object of every Python call, and every public __slots__ name
 # of a k3lat class (every field of a value type or record) becomes a property
@@ -306,11 +298,11 @@ def test_every_public_function_has_a_caller_in_src():
     # a def is known by its file and first line; its qualified name labels it
     ran = {tuple(d) for d in record["ran"]}
     not_run = [f"{path}:{name}" for path, name, first in defined if (path, first) not in ran]
-    assert sorted(not_run) == sorted(NOT_RUN_BY_THE_CLI)
+    assert sorted(not_run) == []
 
 
 def test_every_record_field_is_read_in_src():
     # by execution: every record field is read under the CLI traffic
     reads = _cli_traffic_record()["reads"]
     assert {"lattice_core.Lattice.gram", "root_systems.ClassNormSearch.norms_all_odd"} <= set(reads)
-    assert sorted(label for label, n in reads.items() if n == 0) == sorted(FIELD_WITHOUT_READER)
+    assert sorted(label for label, n in reads.items() if n == 0) == []

@@ -587,7 +587,7 @@ def test_halfline_searches_scan_each_class_once(ls, ns, monkeypatch):
     calls = []
     real = root_systems.short_vectors
 
-    def counting(gram, bound, coset=None):
+    def counting(gram, bound, coset):
         calls.append((gram.entries, bound, coset))
         return real(gram, bound, coset)
 

@@ -47,6 +47,7 @@ from rational_oracles import (
     is_negative_definite,
     kernel_basis,
     negated,
+    nonzero_short_vectors,
     norm,
     orthogonal_complement,
     outside_bound,
@@ -112,7 +113,7 @@ def test_roots_reject_indefinite_or_odd():
 
 def test_short_vectors_norm_filter():
     d4 = lattice_D4()
-    vs = short_vectors(d4.gram, 2)
+    vs = nonzero_short_vectors(d4.gram, 2)
     g = d4.gram
     for v in vs:
         q = -sum(v[i] * g.entries[i][j] * v[j] for i in range(4) for j in range(4))
@@ -170,13 +171,13 @@ SMALL_GRAMS = {
 @pytest.mark.parametrize("name", sorted(SMALL_GRAMS))
 def test_short_vectors_match_rational_oracle(name, bound):
     gram = SMALL_GRAMS[name]()
-    assert short_vectors(gram, bound) == rational_short_vectors(gram, bound)
+    assert nonzero_short_vectors(gram, bound) == rational_short_vectors(gram, bound)
 
 
 @pytest.mark.parametrize("bound", [2, 4])
 def test_short_vectors_match_rational_oracle_4d4_5a1(bound):
     gram = _root_sum([lattice_D4()] * 4 + [lattice_A1()] * 5)
-    assert short_vectors(gram, bound) == rational_short_vectors(gram, bound)
+    assert nonzero_short_vectors(gram, bound) == rational_short_vectors(gram, bound)
 
 
 def test_short_vectors_4d4_5a1_bound_6_from_the_summands():
@@ -204,7 +205,7 @@ def test_short_vectors_4d4_5a1_bound_6_from_the_summands():
                 combine(k + 1, used + norm, prefix + v)
 
     combine(0, 0, ())
-    got = short_vectors(_root_sum(blocks), 6)
+    got = nonzero_short_vectors(_root_sum(blocks), 6)
     assert len(got) == 106690
     assert got == sorted(expected)
 
@@ -213,7 +214,7 @@ def test_short_vectors_match_rational_oracle_on_the_complement():
     ls = build_lambda()
     ns = build_overlattice(ls, tuple(halfline_class(ls, lam) for lam in L_LABELS))
     gram = orthogonal_complement(ns.lattice, ns.h_in_result()).lattice.gram
-    got = short_vectors(gram, 2)
+    got = nonzero_short_vectors(gram, 2)
     assert len(got) == 106
     assert got == rational_short_vectors(gram, 2)
 
@@ -264,7 +265,7 @@ def test_short_vectors_match_rational_oracle_on_random_grams():
             _, r = cholesky(q)
             denominators.update(c.denominator for row in r for c in row)
             for bound in (2, 4, 8):
-                assert short_vectors(gram, bound) == rational_short_vectors(gram, bound)
+                assert nonzero_short_vectors(gram, bound) == rational_short_vectors(gram, bound)
     # the rows of R are not all over 1 or 2, so the per-row scaling is exercised
     assert denominators - {1, 2}
 
@@ -304,7 +305,7 @@ def test_short_vectors_rejects_what_the_cholesky_oracle_rejects(rows):
     with pytest.raises(RootSystemError, match="not positive definite"):
         cholesky([[Fraction(-v) for v in row] for row in rows])
     with pytest.raises(RootSystemError, match="not positive definite"):
-        short_vectors(gram, 2)
+        nonzero_short_vectors(gram, 2)
 
 
 def test_positivity_value_matches_the_rational_sum():
@@ -334,16 +335,16 @@ def test_positivity_value_matches_the_rational_sum():
 
 def test_short_vectors_bound_zero_and_negative():
     d4 = lattice_D4().gram
-    assert short_vectors(d4, 0) == []
+    assert nonzero_short_vectors(d4, 0) == []
     with pytest.raises(RootSystemError):
-        short_vectors(d4, -1)
+        nonzero_short_vectors(d4, -1)
     with pytest.raises(RootSystemError):
         rational_short_vectors(d4, -1)
 
 
 def test_short_vectors_rejects_a_form_that_is_not_definite():
     with pytest.raises(RootSystemError):
-        short_vectors(IntMatrix([[2]]), 2)
+        nonzero_short_vectors(IntMatrix([[2]]), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +482,7 @@ def test_simple_root_typing_matches_the_pairwise_oracle_on_random_sums():
         # coordinates r over B has coordinates r V over U B
         u, v = _random_unimodular(rng, n, 3 * n)
         vt = v.transpose()
-        roots = tuple(sorted(vt.mul_vec(r) for r in short_vectors(gram, 2)))
+        roots = tuple(sorted(vt.mul_vec(r) for r in nonzero_short_vectors(gram, 2)))
         rs = RootSet(Lattice(u.mul(gram).mul(u.transpose())), roots)
         alpha = PositivityFunctional(tuple(rng.randint(-1000, 1000) for _ in range(n)))
         while any(alpha.value(r) == 0 for r in roots):
