@@ -179,10 +179,10 @@ class BinaryField:
 
     @staticmethod
     def parse_bits(text: str) -> int:
-        """Accepts plain hex ('1b'), 0x-hex, or 0b-binary strings."""
-        t = text.strip().lower()
-        if t.startswith("0x"):
-            return int(t, 16)
-        if t.startswith("0b"):
-            return int(t, 2)
-        return int(t, 16)
+        """Accepts plain hex ('1b'), 0x-hex or 0b-binary digits and nothing
+        else: no sign, space or underscore, which int() would take."""
+        t = text.lower()
+        base, digits = {"0x": (16, t[2:]), "0b": (2, t[2:])}.get(t[:2], (16, t))
+        if not digits or not set(digits) <= set("0123456789abcdef"[:base]):
+            raise FieldError(f"{text!r} is not hex, 0x-hex or 0b-binary")
+        return int(digits, base)

@@ -19,6 +19,13 @@ class PolyError(ValueError):
     pass
 
 
+def _binary(text) -> int:
+    """[01]+ as an integer; int(text, 2) would also take a sign, spaces, _ or 0b."""
+    if type(text) is not str or not text or not set(text) <= {"0", "1"}:
+        raise PolyError(f"{text!r} is not a string of binary digits")
+    return int(text, 2)
+
+
 class HomPoly:
     """Homogeneous trivariate polynomial; immutable by convention."""
 
@@ -234,22 +241,24 @@ class HomPoly:
     @staticmethod
     def from_json_obj(obj: dict) -> "HomPoly":
         """Inverse of ``to_json_obj``; a non-int field degree, degree or exponent,
-        or a repeated triple, raises."""
+        a non-triple or repeated exponent, or a non-binary digit string raises."""
         k = obj["field"]["k"]
         if type(k) is not int:
             raise PolyError(f"field degree {k!r} is not an integer")
-        fld = BinaryField(k, int(obj["field"]["modulus_bits"], 2))
+        fld = BinaryField(k, _binary(obj["field"]["modulus_bits"]))
         degree = obj["degree"]
         if type(degree) is not int:
             raise PolyError(f"degree {degree!r} is not an integer")
         terms: dict[tuple[int, int, int], int] = {}
         for t in obj["terms"]:
             exp = tuple(t["exp"])
+            if len(exp) != 3:
+                raise PolyError(f"term {t!r} does not have three exponents")
             if any(type(n) is not int for n in exp):
                 raise PolyError(f"exponent triple {list(exp)} is not of integers")
             if exp in terms:
                 raise PolyError(f"exponent triple {list(exp)} is given twice")
-            terms[exp] = int(t["coeff"], 2)
+            terms[exp] = _binary(t["coeff"])
         return HomPoly(fld, degree, terms)
 
 

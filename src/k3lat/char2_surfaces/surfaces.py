@@ -456,6 +456,11 @@ def schroeer_sextic(field: BinaryField, r: int, s: int) -> HomPoly:
     )
 
 
+def on_cube_locus(field: BinaryField, r: int, s: int) -> bool:
+    """Whether r^3 = s^3, where the diagonals of the four fork points split too."""
+    return field.pow(r, 3) == field.pow(s, 3)
+
+
 def table_points(field: BinaryField, r: int, s: int) -> dict[str, Point]:
     """The nine labeled singular points of the family member, normalized."""
     w = field.omega()
@@ -501,9 +506,9 @@ def verify_configuration(g: HomPoly, r: int, s: int) -> ConfigurationReport:
     five A1 images collinear on a splitting line, (c) the labeled
     coordinates of the points of (r, s) and the incidence of the five
     standard lines, against the rows of ``configuration.LINES``, (d) every
-    splitting rational line (the scan is
-    exhaustive and independent of (a)).  Mismatches are reported as
-    findings, not raised.
+    splitting rational line (the scan is exhaustive and independent of
+    (a)): 5 off the cube locus and 7 on it, a count reported only when
+    nothing else is.  Mismatches are reported as findings, not raised.
     """
     f = g.field
     findings: list[str] = []
@@ -542,6 +547,9 @@ def verify_configuration(g: HomPoly, r: int, s: int) -> ConfigurationReport:
         on = {label for label, pt in expected_pts.items() if point_on_line(f, pt, l)}
         if on != set(point_labels(*row)):
             findings.append(f"incidence of {name} differs: {sorted(on)}")
+    n_lines = 7 if on_cube_locus(f, r, s) else 5
+    if not findings and len(split_lines) != n_lines:
+        findings.append(f"expected {n_lines} splitting lines, found {len(split_lines)}")
     return ConfigurationReport(
         ok=not findings,
         findings=tuple(findings),

@@ -7,12 +7,12 @@ fields alone, as they did for the frozen dataclasses this replaces; each
 subclass lists its fields once, at class creation, with an ``attrgetter``
 of them, so a hash or comparison does not walk ``__slots__``.
 
-A record (a class whose slots are all fields) is built by position, by name
-or both, as ``Summand("H", "H", offset=0, rank=1)``; a missing, unknown or
-repeated field raises TypeError.  Records are not tuples: under postponed
-annotations the typing module's named tuples compile a ``ForwardRef`` per
-field at import, about 4 ms of every CLI process, and no record needs to
-index, unpack or order like a tuple.
+A record is built from its fields by position, by name or both, as
+``Summand("H", lattice, offset=0)``, and leaves its caches unset; a missing,
+unknown or repeated field raises TypeError.  Records are not tuples: under
+postponed annotations the typing module's named tuples compile a
+``ForwardRef`` per field at import, about 4 ms of every CLI process, and no
+record needs to index, unpack or order like a tuple.
 """
 
 
@@ -34,9 +34,9 @@ class Frozen:
             cls._fields_of = attrgetter(*fields)
 
     def __init__(self, *values, **named):
-        """One value per slot, by position and then by name; a class with
-        caches writes its own."""
-        names = self.__slots__
+        """One value per field, by position and then by name; the caches are
+        left for their first use."""
+        names = self._fields
         cls = type(self).__name__
         if len(values) > len(names):
             raise TypeError(f"{cls} takes {len(names)} fields, not {len(values)}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from operator import mul
 from typing import Sequence
 
@@ -47,59 +48,53 @@ EXTRA_GLUE_CHOICES = tuple(DIAGONALS)
 
 
 class Summand(Frozen):
-    __slots__ = ("name", "kind", "offset", "rank")
+    __slots__ = ("name", "lattice", "offset")
     name: str
-    kind: str  # "H", "D4" or "A1"
+    lattice: Lattice
     offset: int
-    rank: int
+
+    @property
+    def rank(self) -> int:
+        return self.lattice.rank
 
 
 class LabeledSum(Frozen):
-    """The rank-22 block direct sum with its summand table."""
+    """The rank-22 block direct sum with its summand table: H at offset 0,
+    then the exceptional summands, each at the offset where the last ends."""
 
     __slots__ = ("lattice", "summands")
     lattice: Lattice
     summands: tuple[Summand, ...]
 
-    def summand(self, name: str) -> Summand:
-        for s in self.summands:
-            if s.name == name:
-                return s
-        raise GlueError(f"unknown summand {name!r}")
-
-    def summand_lattice(self, s: Summand) -> Lattice:
-        if s.kind == "H":
-            return lattice_hyperbolic2()
-        if s.kind == "D4":
-            return lattice_D4()
-        return lattice_A1()
-
     def component(self, v: DualVector, s: Summand) -> DualVector:
         """Projection of v onto one summand of the orthogonal decomposition."""
-        return DualVector(self.summand_lattice(s), v.num[s.offset : s.offset + s.rank], v.den)
+        return DualVector(s.lattice, v.num[s.offset : s.offset + s.rank], v.den)
 
     def assemble(self, parts: dict[str, DualVector]) -> DualVector:
         """The vector with the given summand components and zero elsewhere."""
-        v = self.lattice.zero()
-        for name, part in parts.items():
-            s = self.summand(name)
-            if part.lattice != self.summand_lattice(s):
-                raise GlueError(f"component for {name} lives in the wrong lattice")
-            num = [0] * self.lattice.rank
-            num[s.offset : s.offset + s.rank] = part.num
-            v = v + DualVector(self.lattice, num, part.den)
-        return v
+        left = dict(parts)
+        den = math.lcm(*(part.den for part in parts.values()))
+        num: list[int] = []
+        for s in self.summands:
+            part = left.pop(s.name, s.lattice.zero())
+            if part.lattice != s.lattice:
+                raise GlueError(f"component for {s.name} lives in the wrong lattice")
+            num += [c * (den // part.den) for c in part.num]
+        if left:
+            raise GlueError(f"unknown summand {min(left)!r}")
+        return DualVector(self.lattice, num, den)
 
 
 def build_lambda() -> LabeledSum:
     """The rank-22 labeled sum: det -2^14, hyperbolic, discriminant (Z/2)^14."""
-    lattices = {"H": lattice_hyperbolic2(), "D4": lattice_D4(), "A1": lattice_A1()}
-    kinds = [("H", "H")] + [(f"P({ab})", "D4") for ab in P_LABELS] + [(f"Q({g})", "A1") for g in Q_LABELS]
+    named = [("H", lattice_hyperbolic2())]
+    named += [(f"P({ab})", lattice_D4()) for ab in P_LABELS]
+    named += [(f"Q({g})", lattice_A1()) for g in Q_LABELS]
     summands, off = [], 0
-    for name, kind in kinds:
-        summands.append(Summand(name, kind, off, lattices[kind].rank))
-        off += lattices[kind].rank
-    lattice = Lattice(IntMatrix.block_diagonal([lattices[s.kind].gram for s in summands]))
+    for name, lat in named:
+        summands.append(Summand(name, lat, off))
+        off += lat.rank
+    lattice = Lattice(IntMatrix.block_diagonal([s.lattice.gram for s in summands]))
     return LabeledSum(lattice, tuple(summands))
 
 
@@ -146,7 +141,8 @@ def extra_glue_class(ls: LabeledSum, c: str) -> GlueVector:
 # ---------------------------------------------------------------------------
 
 class OverlatticeResult(Frozen):
-    __slots__ = ("base", "lattice", "basis_num", "denom", "base_in_result", "index")
+    # _to_result: the transpose of base_in_result, kept on first use
+    __slots__ = ("base", "lattice", "basis_num", "denom", "base_in_result", "index", "_to_result")
     base: LabeledSum
     lattice: Lattice
     basis_num: IntMatrix  # rows over denom: new basis in base coordinates
@@ -154,17 +150,24 @@ class OverlatticeResult(Frozen):
     base_in_result: IntMatrix  # rows: base basis in new coordinates
     index: int
 
-    def to_result_coords(self, v: DualVector) -> tuple[int, ...] | None:
-        """Integer coordinates of v in the overlattice basis, or None if outside."""
-        # v = sum_i v_i e_i, and row i of base_in_result writes e_i in the new
-        # basis, so den * x is an integer product with num
-        dx = [sum(map(mul, v.num, col)) for col in zip(*self.base_in_result.entries)]
-        if any(c % v.den for c in dx):
+    def to_result_coords(self, num: Sequence[int], den: int) -> tuple[int, ...] | None:
+        """Integer coordinates in the overlattice basis of num / den in base
+        coordinates, or None if outside: row i of base_in_result writes e_i in
+        the new basis, so den times them is the sparse product of its
+        transpose with num."""
+        t = getattr(self, "_to_result", None)
+        if t is None:
+            t = self.base_in_result.transpose()
+            object.__setattr__(self, "_to_result", t)
+        dx = t.mul_vec(num)
+        if any(x % den for x in dx):
             return None
-        return tuple(c // v.den for c in dx)
+        return tuple(x // den for x in dx)
 
     def h_in_result(self) -> DualVector:
-        return DualVector(self.lattice, self.base_in_result.entries[0])
+        """The polarization h = e_0 of the base in the overlattice basis."""
+        e0 = (1,) + (0,) * (self.lattice.rank - 1)
+        return DualVector(self.lattice, self.to_result_coords(e0, 1))
 
     def glue_classes(self) -> list[tuple[int, ...]]:
         """The classes of the overlattice modulo the base, as numerators over
@@ -354,7 +357,8 @@ def canonical_positivity(ns: OverlatticeResult) -> PositivityFunctional:
     positive; the form on the overlattice basis is that 0/1 pairing vector
     pushed through the basis rows, up to their positive common denominator.
     """
-    w_pairings = [0 if s.kind == "H" else 1 for s in ns.base.summands for _ in range(s.rank)]
+    hs = ns.base.summands[0]
+    w_pairings = [0] * hs.rank + [1] * (ns.base.lattice.rank - hs.rank)
     return PositivityFunctional(ns.basis_num.mul_vec(w_pairings))
 
 
@@ -413,32 +417,27 @@ def polarization_roots(ns: OverlatticeResult) -> RootSet:
     budgeted walk (``_budget_walk``) over the lists of norm >= -2
     (``_root_candidates``) of each glue class with zero H part
     (``OverlatticeResult.glue_classes``) finds every root, in base
-    coordinates over denom, with the budget -2 in units of 1/denom^2.  The
-    summand table lists H first and the exceptional summands after it in
-    offset order, so a walk's row, after the zero H part, is the root's
-    numerator row.  Each root is mapped into overlattice coordinates
-    through base_in_result, where a division that is not exact raises; its
-    norm -2 and h.r = 0 are re-derived through the overlattice Gram, and
-    the root set must be closed under negation.
+    coordinates over denom, with the budget -2 in units of 1/denom^2: a
+    walk's row, after the zero H part, is the root's numerator row.  Each
+    root is mapped into overlattice coordinates (``to_result_coords``),
+    where a division that is not exact raises; its norm -2 and h.r = 0 are
+    re-derived through the overlattice Gram, and the root set must be
+    closed under negation.
     """
-    ls = ns.base
     d = ns.denom
-    (hs,) = [s for s in ls.summands if s.kind == "H"]
-    exceptional = [s for s in ls.summands if s.kind != "H"]
-    to_result = ns.base_in_result.transpose()
+    hs, *exceptional = ns.base.summands
+    head = (0,) * hs.rank
+    spans = [(s.lattice, slice(s.offset, s.offset + s.rank)) for s in exceptional]
     roots = []
     for c in ns.glue_classes():
-        if any(c[hs.offset : hs.offset + hs.rank]):
+        if any(c[: hs.rank]):
             continue
-        lists = [
-            _root_candidates(ls.summand_lattice(s), c[s.offset : s.offset + s.rank], d)
-            for s in exceptional
-        ]
+        lists = [_root_candidates(lattice, c[span], d) for lattice, span in spans]
         for row in _budget_walk(lists, -2 * d * d)[0]:
-            dx = to_result.mul_vec((0,) * hs.rank + row)
-            if any(x % d for x in dx):
+            r = ns.to_result_coords(head + row, d)
+            if r is None:
                 raise GlueError("a root of the summands is not in the overlattice")
-            roots.append(tuple(x // d for x in dx))
+            roots.append(r)
     gram = ns.lattice.gram
     h = ns.h_in_result().num
     for r in roots:
@@ -462,14 +461,10 @@ def exceptional_root_analysis(ns: OverlatticeResult) -> ExceptionalRootReport:
     """
     rs = polarization_roots(ns)
     labels = ade_type(rs, canonical_positivity(ns))
-    counted: dict[str, int] = {}
-    for lbl in labels:
-        counted[lbl] = counted.get(lbl, 0) + 1
-    ordered = sorted(counted.items(), key=lambda kv: (-int(kv[0][1:]), kv[0]))
+    ordered = sorted(Counter(labels).items(), key=lambda kv: (-int(kv[0][1:]), kv[0]))
     base = ns.base.lattice
     pos, neg, zero = base.inertia()
-    (hs,) = [s for s in ns.base.summands if s.kind == "H"]
-    h2 = base.gram.entries[hs.offset][hs.offset]
+    h2 = base.gram.entries[0][0]
     return ExceptionalRootReport(
         complement_rank=ns.lattice.rank - 1,
         complement_inertia=(pos - (h2 > 0), neg - (h2 < 0), zero),
@@ -514,9 +509,7 @@ class HalflineSearchResult(Frozen):
         }
 
 
-def unique_halfline_search(
-    ls: LabeledSum, lam: str, ns: OverlatticeResult
-) -> HalflineSearchResult:
+def unique_halfline_search(lam: str, ns: OverlatticeResult) -> HalflineSearchResult:
     """All overlattice classes of norm -2 meeting the polarization once,
     non-negative against every exceptional class, in the class of the
     half-line glue vector.
@@ -528,24 +521,22 @@ def unique_halfline_search(
     are the ``found`` numerators of its class search down to the budget,
     which is exhaustive by construction and memoized per (lattice, class,
     floor), so each class is enumerated once per process; rescaled to the
-    target's denominator they are numerator rows over it, and the summand
-    table lists H first and the exceptional summands after it in offset
-    order, so the H part followed by a walk's row is one candidate vector.
+    target's denominator they are numerator rows over it, so the H part
+    followed by a walk's row is one candidate vector.
     """
+    ls = ns.base
     target = halfline_class(ls, lam).vector
     target_class = class_of(target)
     budget2 = -5
     den = target.den
 
-    head: tuple[int, ...] = ()
+    hs, *exceptional = ls.summands
+    head = target.num[: hs.rank]
     lists = []
     counts: dict[str, int] = {}
-    for s in ls.summands:
-        if s.kind == "H":
-            head = target.num[s.offset : s.offset + s.rank]
-            continue
+    for s in exceptional:
         cls = class_of(ls.component(target, s))
-        found = bounded_class_minimizers(ls.summand_lattice(s), cls, budget2).found
+        found = bounded_class_minimizers(s.lattice, cls, budget2).found
         lists.append(_rescaled(found, cls.component[1], den))
         counts[s.name] = len(found)
 
@@ -559,7 +550,7 @@ def unique_halfline_search(
             raise GlueError("assembled candidate violates the norm or degree condition")
         if class_of(v) != target_class:
             raise GlueError("assembled candidate left the glue class")
-        if ns.to_result_coords(v) is None:
+        if ns.to_result_coords(v.num, v.den) is None:
             raise GlueError("assembled candidate is not in the overlattice")
         results.append(v)
     # every result is in the class of target, so all share its denominator

@@ -186,15 +186,14 @@ def test_criterion_05_maximal_rdp_structure(ns_sigma2):
 def test_criterion_06_halfline_uniqueness(lambda_sum, ns_sigma2):
     with criterion(6, 30.0, "each half-line class is the unique budget-feasible candidate"):
         for lam in L_LABELS:
-            res = unique_halfline_search(lambda_sum, lam, ns_sigma2)
+            res = unique_halfline_search(lam, ns_sigma2)
             assert len(res.candidates) == 1
             assert res.is_unique_expected()
             v = res.candidates[0]
             assert norm(v) == -2
             total = Fraction(0)
-            for s in lambda_sum.summands:
-                if s.kind != "H":
-                    total += norm(lambda_sum.component(v, s))
+            for s in lambda_sum.summands[1:]:
+                total += norm(lambda_sum.component(v, s))
             assert total == Fraction(-5, 2)
             assert res.budget_checked >= 1
 

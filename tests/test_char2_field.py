@@ -134,3 +134,9 @@ def test_parse_and_format_bits():
     assert BinaryField.parse_bits("1b") == 0x1B
     assert BinaryField.parse_bits("0x1b") == 0x1B
     assert BinaryField.parse_bits("0b11011") == 0b11011
+    assert BinaryField.parse_bits("0X1B") == BinaryField.parse_bits("0B11011") == 0x1B
+    # hex, 0x-hex and 0b-binary digits only: int() would take a sign, spaces
+    # or underscores, and "0b" always starts binary digits, never hex ones
+    for text in ("+1b", "1_b", " 1b", "1b\n", "-1", "0x", "0b", "", "0b12", "0x1g", "１"):
+        with pytest.raises(FieldError, match="is not hex, 0x-hex or 0b-binary"):
+            BinaryField.parse_bits(text)

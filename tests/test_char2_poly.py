@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import random
 
 import pytest
@@ -247,6 +248,24 @@ def test_poly_json_roundtrip(gf16):
     again = HomPoly.from_json_obj(json.loads(text))
     assert again == g
     assert '"modulus_bits": "10011"' in text
+
+
+@pytest.mark.parametrize("bits", ["1_1", "0b11", " 11 ", "+11", "11\n", "", "2", 3])
+def test_poly_json_takes_plain_binary_digits_only(gf16, bits):
+    obj = schroeer_sextic(gf16, 3, 5).to_json_obj()
+    bad_coeff = {**obj, "terms": obj["terms"] + [{"exp": [0, 0, 6], "coeff": bits}]}
+    bad_modulus = {**obj, "field": {"k": 4, "modulus_bits": bits}}
+    for bad in (bad_coeff, bad_modulus):
+        with pytest.raises(PolyError, match="is not a string of binary digits"):
+            HomPoly.from_json_obj(bad)
+
+
+@pytest.mark.parametrize("exp", [[1, 5], [6], [], [1, 2, 3, 0]])
+def test_poly_json_names_a_term_without_three_exponents(gf16, exp):
+    obj = schroeer_sextic(gf16, 3, 5).to_json_obj()
+    term = {"exp": exp, "coeff": "1"}
+    with pytest.raises(PolyError, match=re.escape(f"term {term!r} does not have three exponents")):
+        HomPoly.from_json_obj({**obj, "terms": [term]})
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,28 @@ def test_extra_line_when_cubes_match(gf16):
     assert point_on_line(f, qc, m)
 
 
+@pytest.mark.parametrize("cube_locus", [False, True], ids=["off-cube", "on-cube"])
+def test_one_extra_splitting_line_fails_the_configuration(gf16, monkeypatch, cube_locus):
+    # the scan reports one line more than the family member has (5 off the
+    # cube locus, 7 on it); nothing else is wrong, so the count is the finding
+    f = gf16
+    r = 2
+    s = f.mul(f.omega(), r) if cube_locus else 3
+    assert surfaces.on_cube_locus(f, r, s) == cube_locus
+    real = surfaces.scan_splitting_lines
+
+    def one_more(g):
+        scan = real(g)
+        lines = {l for l, _ in scan}
+        return scan + [(next(l for l in all_lines(f) if l not in lines), scan[0][1])]
+
+    monkeypatch.setattr(surfaces, "scan_splitting_lines", one_more)
+    conf = verify_configuration(schroeer_sextic(f, r, s), r=r, s=s)
+    n = 7 if cube_locus else 5
+    assert not conf.ok
+    assert conf.findings == (f"expected {n} splitting lines, found {n + 1}",)
+
+
 def test_dichotomy_sampled_pairs(gf16):
     f = gf16
     cases = [(1, 2), (3, 5), (2, f.mul(f.omega(), 2)), (4, 4), (7, f.mul(f.sqr(f.omega()), 7))]

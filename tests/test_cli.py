@@ -645,8 +645,27 @@ def test_a_report_that_cannot_be_written_is_a_usage_error(target, argv):
         ["--k", "4", "--r", "1f", "--s", "1"],
         ["--k", "4", "--r", "0", "--s", "2"],
         ["--k", "6", "--samples", "1"],
+        # int(text, 16) took each of these as hex
+        ["--k", "8", "--r", "+1_f", "--s", "1"],
+        ["--k", "8", "--r", "1_f", "--s", "1"],
+        ["--k", "8", "--r", "+1f", "--s", "1"],
+        ["--k", "8", "--r", "1", "--s", " 1f "],
+        ["--k", "8", "--r", "0x1_f", "--s", "1"],
+        ["--k", "8", "--r", "1", "--s", "0b1_1"],
     ],
-    ids=["r-not-hex", "r-without-s", "r-outside-the-field", "degenerate-pair", "k6-no-modulus"],
+    ids=[
+        "r-not-hex",
+        "r-without-s",
+        "r-outside-the-field",
+        "degenerate-pair",
+        "k6-no-modulus",
+        "r-signed-underscored",
+        "r-underscored",
+        "r-signed",
+        "s-spaced",
+        "r-0x-underscored",
+        "s-0b-underscored",
+    ],
 )
 def test_bad_surface_arguments_are_usage_errors_before_any_suite(capsys, monkeypatch, flags):
     ran = []
@@ -657,6 +676,8 @@ def test_bad_surface_arguments_are_usage_errors_before_any_suite(capsys, monkeyp
         assert main([command, *flags]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
         errors.append(captured.err)
     assert ran == []
     # all reports the same message as surface
@@ -733,6 +754,17 @@ def _with_a_repeated_term(g, exp):
         _poly_file_text(True, "11", [{"exp": [1, 4, 1], "coeff": "1"}]),
         # rejected only through the TypeError of 1 << 8.0
         _poly_file_text(8.0, "100011011", [{"exp": [1, 4, 1], "coeff": "1"}]),
+        # int(text, 2) took each of these four coefficients as binary 3
+        _poly_file_text(4, "10011", [{"exp": [1, 4, 1], "coeff": "1_1"}]),
+        _poly_file_text(4, "10011", [{"exp": [1, 4, 1], "coeff": "0b11"}]),
+        _poly_file_text(4, "10011", [{"exp": [1, 4, 1], "coeff": " 11 "}]),
+        _poly_file_text(4, "10011", [{"exp": [1, 4, 1], "coeff": "+11"}]),
+        # and these moduli as x^4 + x + 1
+        _poly_file_text(4, "1_0011", [{"exp": [1, 4, 1], "coeff": "1"}]),
+        _poly_file_text(4, "0b10011", [{"exp": [1, 4, 1], "coeff": "1"}]),
+        _poly_file_text(4, " 10011", [{"exp": [1, 4, 1], "coeff": "1"}]),
+        # ended in the ValueError of unpacking two exponents into three
+        _poly_file_text(4, "10011", [{"exp": [1, 5], "coeff": "1"}]),
     ],
     ids=[
         "not-json",
@@ -750,6 +782,14 @@ def _with_a_repeated_term(g, exp):
         "nested-json",
         "bool-k",
         "float-k",
+        "coeff-underscore",
+        "coeff-0b-prefix",
+        "coeff-spaces",
+        "coeff-plus",
+        "modulus-underscore",
+        "modulus-0b-prefix",
+        "modulus-space",
+        "exp-pair",
     ],
 )
 def test_bad_recognize_file_is_a_usage_error(tmp_path, capsys, text):
@@ -759,7 +799,8 @@ def test_bad_recognize_file_is_a_usage_error(tmp_path, capsys, text):
         assert main([command, "--recognize", str(path)]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--recognize" in captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: --recognize {path}: "), captured.err
 
 
 def test_recognize_file_of_another_degree_is_named_before_any_work(tmp_path, capsys):
@@ -938,6 +979,13 @@ def _readme_usage_block() -> str:
         readme = fh.read()
     start = readme.index("```sh\n", readme.index("\n## CLI\n")) + len("```sh\n")
     return readme[start:readme.index("```", start)]
+
+
+def test_usage_is_the_readme_block_and_lists_every_flag_but_one():
+    assert cli.USAGE == _readme_usage_block()
+    flags = {flag for table in FLAGS.values() for flag in table}
+    # --inject-corrupt-glue breaks the suite on purpose and stays unlisted
+    assert {flag for flag in flags if flag not in cli.USAGE} == {"--inject-corrupt-glue"}
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,13 @@ from k3lat.exact_arith import IntMatrix
 from k3lat.frozen import Frozen
 from k3lat.lattice_core import DualVector, Lattice, class_of, lattice_D4
 from k3lat.configuration import L_LABELS
-from k3lat.ns_glue import Summand, build_lambda, build_overlattice, halfline_class
+from k3lat.ns_glue import (
+    OverlatticeResult,
+    Summand,
+    build_lambda,
+    build_overlattice,
+    halfline_class,
+)
 from k3lat.root_systems import bounded_class_minimizers
 from rational_oracles import enumerate_roots
 
@@ -84,26 +90,43 @@ def test_values_of_other_types_or_plain_tuples_are_not_equal():
 
 
 def test_records_built_by_position_or_by_name_are_equal():
-    by_position = Summand("P(00)", "D4", 1, 4)
+    d4 = lattice_D4()
+    by_position = Summand("P(00)", d4, 1)
     builds = [
-        Summand(name="P(00)", kind="D4", offset=1, rank=4),
-        Summand(rank=4, offset=1, kind="D4", name="P(00)"),
-        Summand("P(00)", "D4", rank=4, offset=1),
+        Summand(name="P(00)", lattice=d4, offset=1),
+        Summand(offset=1, lattice=d4, name="P(00)"),
+        Summand("P(00)", d4, offset=1),
     ]
     for record in builds:
         assert record == by_position and hash(record) == hash(by_position)
-        assert repr(record) == "Summand(name='P(00)', kind='D4', offset=1, rank=4)"
-    assert Summand("P(00)", "D4", 1, rank=5) != by_position
+        assert repr(record) == f"Summand(name='P(00)', lattice={d4!r}, offset=1)"
+        assert record.rank == 4
+    assert Summand("P(00)", d4, offset=2) != by_position
+
+
+def test_a_record_leaves_its_cache_for_first_use():
+    ls = build_lambda()
+    ns = build_overlattice(ls, tuple(halfline_class(ls, lam) for lam in L_LABELS))
+    rebuilt = OverlatticeResult(*ns._key())
+    for record in (ns, rebuilt):
+        assert getattr(record, "_to_result", None) is None
+    h = ns.h_in_result()
+    assert ns._to_result == ns.base_in_result.transpose()
+    # the cache is not a field: equality, hashing and the constructor ignore it
+    assert rebuilt == ns and hash(rebuilt) == hash(ns)
+    assert rebuilt.h_in_result() == h
+    with pytest.raises(TypeError, match="takes 6 fields, not 7"):
+        OverlatticeResult(*ns._key(), ns._to_result)
 
 
 @pytest.mark.parametrize(
     "args, named, message",
     [
-        (("P(00)", "D4", 1), {"rnak": 4}, "missing field 'rank'"),
-        (("P(00)", "D4", 1, 4), {"rnak": 4}, r"unexpected or repeated fields \['rnak'\]"),
-        (("P(00)", "D4", 1, 4), {"name": "P(01)"}, r"unexpected or repeated fields \['name'\]"),
-        (("P(00)", "D4"), {"rank": 4}, "missing field 'offset'"),
-        (("P(00)", "D4", 1, 4, 0), {}, "takes 4 fields, not 5"),
+        (("P(00)", lattice_D4()), {"ofset": 1}, "missing field 'offset'"),
+        (("P(00)", lattice_D4(), 1), {"ofset": 1}, r"unexpected or repeated fields \['ofset'\]"),
+        (("P(00)", lattice_D4(), 1), {"name": "P(01)"}, r"unexpected or repeated fields \['name'\]"),
+        (("P(00)",), {"offset": 1}, "missing field 'lattice'"),
+        (("P(00)", lattice_D4(), 1, 4), {}, "takes 3 fields, not 4"),
     ],
     ids=["unknown-and-missing", "unknown", "repeated", "missing", "too-many"],
 )

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from k3lat import exact_arith, lattice_core, ns_glue, root_systems
+from k3lat import exact_arith, ns_glue, root_systems
 from k3lat.exact_arith import IntMatrix, hnf_rows
 from k3lat.lattice_core import (
     DualVector,
@@ -93,10 +93,25 @@ def test_base_lattice_shape(ls):
     assert lat.inertia() == (1, 21, 0)
     assert is_even(lat)
     # the summand table names the basis: h, then d1..d4 of each D4, then the A1s
-    assert [(s.name, s.kind, s.offset, s.rank) for s in ls.summands[:2]] == [
-        ("H", "H", 0, 1), ("P(00)", "D4", 1, 4)
+    assert [(s.name, s.lattice, s.offset, s.rank) for s in ls.summands[:2]] == [
+        ("H", lattice_hyperbolic2(), 0, 1), ("P(00)", lattice_D4(), 1, 4)
     ]
-    assert ls.summands[-1] == Summand("Q(inf)", "A1", 21, 1)
+    assert ls.summands[-1] == Summand("Q(inf)", lattice_A1(), 21)
+
+
+def test_summand_layout_starts_at_h_and_is_consecutive(ls):
+    # H at offset 0, each summand where the last ends, and the ranks fill the 22 coordinates
+    hs, *exceptional = ls.summands
+    assert (hs.name, hs.offset, hs.lattice) == ("H", 0, lattice_hyperbolic2())
+    assert [s.offset for s in ls.summands] == list(
+        itertools.accumulate([s.rank for s in ls.summands[:-1]], initial=0)
+    )
+    assert sum(s.rank for s in ls.summands) == ls.lattice.rank == 22
+    assert [s.lattice for s in exceptional] == [lattice_D4()] * 4 + [lattice_A1()] * 5
+    # the Gram is the block sum of the summand Grams at their offsets
+    for s in ls.summands:
+        span = slice(s.offset, s.offset + s.rank)
+        assert tuple(row[span] for row in ls.lattice.gram.entries[span]) == s.lattice.gram.entries
 
 
 def test_base_discriminant_is_f2_14(ls):
@@ -390,10 +405,11 @@ def test_overlattice_rejects_glue_vectors_pairing_non_integrally(ls):
 
 def test_base_embeds_in_overlattice(ls, ns):
     for i in range(22):
-        coords = ns.to_result_coords(basis_vector(ls.lattice, i))
-        assert coords is not None
+        v = basis_vector(ls.lattice, i)
+        assert ns.to_result_coords(v.num, v.den) is not None
     for lam in L_LABELS:
-        assert ns.to_result_coords(halfline_class(ls, lam).vector) is not None
+        v = halfline_class(ls, lam).vector
+        assert ns.to_result_coords(v.num, v.den) is not None
 
 
 def test_to_result_coords_matches_inverse_oracle(ls, ns):
@@ -404,16 +420,46 @@ def test_to_result_coords_matches_inverse_oracle(ls, ns):
     for v in vectors:
         expected = rat_mul_vec(binv, coords(v))
         assert all(c.denominator == 1 for c in expected)
-        assert ns.to_result_coords(v) == tuple(int(c) for c in expected)
+        assert ns.to_result_coords(v.num, v.den) == tuple(int(c) for c in expected)
 
 
 def test_to_result_coords_rejects_a_vector_outside(ls, ns):
     # the extra class is independent of the five half-line classes, so it
     # lies outside the sigma = 2 overlattice
     v = extra_glue_class(ls, "w").vector
-    assert ns.to_result_coords(v) is None
+    assert ns.to_result_coords(v.num, v.den) is None
     oracle = rat_mul_vec(invert_rational(rat_transpose(_rational_basis(ns))), coords(v))
     assert any(c.denominator != 1 for c in oracle)
+
+
+@pytest.mark.parametrize("case", ["sigma2", "w"])
+def test_to_result_coords_matches_the_gauss_jordan_oracle(ls, case):
+    # oracle: x = num (denom b^-1) / den with denom b^-1 from Gauss-Jordan,
+    # and None exactly where an entry of x is not an integer; over the basis
+    # vectors, the five half-line classes, the glue classes and random
+    # numerators over 1, 2 and denom
+    glue = tuple(halfline_class(ls, lam) for lam in L_LABELS)
+    if case in EXTRA_GLUE_CHOICES:
+        glue += (extra_glue_class(ls, case),)
+    res = build_overlattice(ls, glue)
+    x = _gauss_jordan_base_in_result(res.basis_num, res.denom)
+
+    def oracle(num, den):
+        dx = [sum(a * row[j] for a, row in zip(num, x)) for j in range(22)]
+        return None if any(c % den for c in dx) else tuple(c // den for c in dx)
+
+    cases = [(tuple(int(i == j) for j in range(22)), 1) for i in range(22)]
+    cases += [(gv.vector.num, gv.vector.den) for gv in glue[:5]]
+    cases += [(c, res.denom) for c in res.glue_classes()]
+    rng = random.Random(43)
+    for den in (1, 2, res.denom):
+        cases += [(tuple(rng.randrange(-3, 4) for _ in range(22)), den) for _ in range(40)]
+    outcomes = collections.Counter()
+    for num, den in cases:
+        got = res.to_result_coords(num, den)
+        assert got == oracle(num, den)
+        outcomes[got is None] += 1
+    assert outcomes[True] >= 40 and outcomes[False] >= 22 + 5 + res.index
 
 
 def test_canonical_positivity_matches_summed_dual_basis(ls, ns):
@@ -421,11 +467,9 @@ def test_canonical_positivity_matches_summed_dual_basis(ls, ns):
     # rational overlattice basis, and solve for their dual coordinates in
     # the overlattice
     w = ls.lattice.zero()
-    for s in ls.summands:
-        if s.kind != "H":
-            sub = ls.summand_lattice(s)
-            for j in range(s.rank):
-                w = w + ls.assemble({s.name: sub.dual_basis_vector(j)})
+    for s in ls.summands[1:]:
+        for j in range(s.rank):
+            w = w + ls.assemble({s.name: s.lattice.dual_basis_vector(j)})
     p = rat_mul_vec(_rational_basis(ns), rational_gv(ls.lattice.gram, coords(w)))
     coeffs = rat_mul_vec(invert_rational(to_rational(ns.lattice.gram)), p)
     alpha = canonical_positivity(ns)
@@ -531,7 +575,7 @@ def test_glue_classes_are_the_overlattice_modulo_the_base(ls, case):
     group = set(classes)
     assert all(tuple((a + b) % d for a, b in zip(u, v)) in group for u in classes for v in classes)
     for c in classes:
-        assert ns_case.to_result_coords(lattice_core.DualVector(ls.lattice, c, d)) is not None
+        assert ns_case.to_result_coords(c, d) is not None
 
 
 def test_glue_class_count_check_fires_on_a_wrong_index(ns):
@@ -575,7 +619,7 @@ def test_polarization_roots_reject_a_set_not_closed_under_negation(ns, monkeypat
 
 def test_halfline_searches_unique(ls, ns):
     for lam in L_LABELS:
-        res = unique_halfline_search(ls, lam, ns)
+        res = unique_halfline_search(lam, ns)
         assert len(res.candidates) == 1
         assert res.is_unique_expected()
 
@@ -595,7 +639,7 @@ def test_halfline_searches_scan_each_class_once(ls, ns, monkeypatch):
     root_systems._class_search.cache_clear()
     root_systems.coset_points.cache_clear()
     for lam in L_LABELS:
-        assert unique_halfline_search(ls, lam, ns).is_unique_expected()
+        assert unique_halfline_search(lam, ns).is_unique_expected()
     assert len(calls) == 5
     assert len(set(calls)) == 5
 
@@ -619,7 +663,7 @@ def test_halfline_search_rejects_a_misreported_candidate_norm(ls, ns, monkeypatc
 
     monkeypatch.setattr(ns_glue, "bounded_class_minimizers", misreported)
     with pytest.raises(GlueError, match="assembled candidate violates the norm or degree condition"):
-        unique_halfline_search(ls, "inf", ns)
+        unique_halfline_search("inf", ns)
 
 
 def test_halfline_search_rejects_a_candidate_outside_the_class(ls, ns, monkeypatch):
@@ -629,14 +673,14 @@ def test_halfline_search_rejects_a_candidate_outside_the_class(ls, ns, monkeypat
         ns_glue, "class_of", lambda v: object() if v.lattice == ls.lattice else real(v)
     )
     with pytest.raises(GlueError, match="assembled candidate left the glue class"):
-        unique_halfline_search(ls, "inf", ns)
+        unique_halfline_search("inf", ns)
 
 
 def test_halfline_search_rejects_a_candidate_outside_the_overlattice(ls):
     # the base itself, glued with nothing, does not contain the half-line class
     base = build_overlattice(ls, ())
     with pytest.raises(GlueError, match="assembled candidate is not in the overlattice"):
-        unique_halfline_search(ls, "inf", base)
+        unique_halfline_search("inf", base)
 
 
 def test_halfline_search_builds_each_target_once(ls, ns, monkeypatch):
@@ -650,7 +694,7 @@ def test_halfline_search_builds_each_target_once(ls, ns, monkeypatch):
 
     monkeypatch.setattr(ns_glue, "halfline_class", counting)
     for lam in L_LABELS:
-        res = unique_halfline_search(ls, lam, ns)
+        res = unique_halfline_search(lam, ns)
         assert res.to_json_obj(ls)["unique_expected"] and res.is_unique_expected()
         assert res.target == real(ls, lam).vector
     assert calls == list(L_LABELS)
@@ -659,7 +703,7 @@ def test_halfline_search_builds_each_target_once(ls, ns, monkeypatch):
 def test_halfline_search_component_values(ls, ns):
     # the infinity class forces zero fork components and half-root values on
     # the five nodes
-    res = unique_halfline_search(ls, "inf", ns)
+    res = unique_halfline_search("inf", ns)
     v = res.candidates[0]
     assert coords(v)[0] == Fraction(1, 2)
     assert all(c == 0 for c in coords(v)[1:17])
@@ -667,7 +711,7 @@ def test_halfline_search_component_values(ls, ns):
 
 
 def test_halfline_search_report_breakdown(ls, ns):
-    res = unique_halfline_search(ls, "0*", ns)
+    res = unique_halfline_search("0*", ns)
     obj = res.to_json_obj(ls)
     assert obj["unique_expected"] is True
     cand = obj["candidates"][0]
@@ -681,9 +725,7 @@ def test_halfline_search_report_breakdown(ls, ns):
 def test_candidate_component_norms_satisfy_dichotomies(ls, ns):
     allowed = {Fraction(0), Fraction(-1), Fraction(-1, 2)}
     for lam in L_LABELS:
-        res = unique_halfline_search(ls, lam, ns)
+        res = unique_halfline_search(lam, ns)
         for v in res.candidates:
-            for s in ls.summands:
-                if s.kind == "H":
-                    continue
+            for s in ls.summands[1:]:
                 assert norm(ls.component(v, s)) in allowed
