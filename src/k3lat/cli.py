@@ -12,7 +12,6 @@ from __future__ import annotations
 import gc
 import json
 import random
-import re
 import sys
 import time
 
@@ -400,15 +399,36 @@ k3lat [lattice|surface|all] -h|--help
 """
 
 
+def _digits(text: str, base: int = 10) -> bool:
+    """Whether text is a nonempty run of ASCII digits in base 2, 10 or 16: no
+    sign, space or underscore, which int() would take."""
+    return text != "" and set(text.lower()) <= set("0123456789abcdef"[:base])
+
+
+def _decimal(text: str) -> int:
+    if not _digits(text):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
+def _seed(text: str) -> int:
+    """Decimal digits after an optional '-': a seed may be negative."""
+    return int(text) if _digits(text.removeprefix("-")) else _decimal(text)
+
+
 def _modulus(text: str) -> int:
+    """Decimal, 0x-hex or 0b-binary digits, read by int(text, 0): no leading 0."""
+    base = {"0x": 16, "0b": 2}.get(text[:2].lower(), 10)
     try:
-        return int(text, 0)
+        if _digits(text if base == 10 else text[2:], base):
+            return int(text, 0)
     except ValueError:
-        raise ValueError(f"{text!r} is not decimal, 0x-hex or 0b-binary") from None
+        pass
+    raise ValueError(f"{text!r} is not decimal, 0x-hex or 0b-binary")
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _decimal(text)
     if value < 1:
         raise ValueError("must be at least 1")
     return value
@@ -431,12 +451,12 @@ LATTICE_FLAGS = {
 }
 
 SURFACE_FLAGS = {
-    "--k": ("k", int, 8),
+    "--k": ("k", _decimal, 8),
     "--modulus": ("modulus", _modulus, None),
     "--r": ("r", str, None),
     "--s": ("s", str, None),
     "--samples": ("samples", _positive_int, 3),
-    "--seed": ("seed", int, 1),
+    "--seed": ("seed", _seed, 1),
     "--allow-degenerate": ("allow_degenerate", SWITCH, False),
     # nothing reads it: there is one, exhaustive, scan; kept so invocations naming it parse
     "--line-scan": ("line_scan", ("full",), "full"),
@@ -447,19 +467,16 @@ SURFACE_FLAGS = {
 FLAGS = {
     "lattice": COMMON_FLAGS | LATTICE_FLAGS,
     "surface": COMMON_FLAGS | SURFACE_FLAGS,
-    "all": COMMON_FLAGS | LATTICE_FLAGS | SURFACE_FLAGS | {"--k": ("k", int, 4)},
+    "all": COMMON_FLAGS | LATTICE_FLAGS | SURFACE_FLAGS | {"--k": ("k", _decimal, 4)},
 }
 
 
 def _flag_like(arg: str) -> bool:
     """Whether arg reads as a flag rather than a value: it starts with '-' and
-    is not '-', a negative number or a string with a space."""
-    return (
-        arg[:1] == "-"
-        and arg != "-"
-        and " " not in arg
-        and not re.match(r"^-\d+$|^-\d*\.\d+$", arg)
-    )
+    is not '-', a negative number (-N, -N.N or -.N) or a string with a space."""
+    whole, dot, frac = arg[1:].partition(".")
+    negative_number = _digits(whole + frac) and (frac or not dot)
+    return arg[:1] == "-" and arg != "-" and " " not in arg and not negative_number
 
 
 def parse_args(argv: list[str]) -> tuple[str, dict] | None:

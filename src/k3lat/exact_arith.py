@@ -5,7 +5,8 @@ floating point and no rational type.  The kernels are fraction-free:
 one symmetric elimination of a Gram, kept on it, gives its determinant,
 its signature and the Fincke-Pohst factorization of its quadratic form,
 and the inverse comes from Gauss-Jordan as an integer matrix over one
-denominator.  The row Hermite form gives the overlattice bases.  Products
+denominator.  The reduced row echelon form modulo 2 gives the F_2 ranks
+and the overlattice bases, whose glue has denominator 2.  Products
 visit only the nonzero entries of their factors, since the Grams and
 embeddings of the lattice side are mostly zeros.
 """
@@ -271,58 +272,30 @@ def det(a: IntMatrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# rank over F_2
+# reduced row echelon form over F_2
 # ---------------------------------------------------------------------------
 
-def rank_mod_2(a: IntMatrix) -> int:
-    """Rank of A reduced modulo 2: the number of its odd invariant factors.
+def echelon_mod_2(a: IntMatrix) -> list[tuple[int, ...]]:
+    """The nonzero rows of the reduced row echelon form of A mod 2, as 0/1
+    rows in pivot order; their count is the rank of A mod 2, the number of
+    its odd invariant factors.
 
-    Each row becomes the bit mask of its odd entries and is reduced against
-    the pivots found so far, each kept under its lowest set bit; xoring that
-    pivot clears the bit and sets only higher ones, so a row ends as a new
-    pivot or as zero.
+    Each row becomes the bit mask of its odd entries.  The pivots so far are
+    fully reduced, each kept under its lowest set bit, so xoring those whose
+    bit the row has clears all pivot columns from it.  A row left nonzero
+    becomes a pivot under its lowest bit, which is cleared from the pivots
+    that have it; it is above their own bits, so those stay their lowest.
     """
     pivots: dict[int, int] = {}
     for row in a.entries:
         bits = sum(1 << j for j, x in enumerate(row) if x & 1)
-        while bits:
+        for low, piv in pivots.items():
+            if bits & low:
+                bits ^= piv
+        if bits:
             low = bits & -bits
-            if low not in pivots:
-                pivots[low] = bits
-                break
-            bits ^= pivots[low]
-    return len(pivots)
-
-
-# ---------------------------------------------------------------------------
-# Hermite form (row style)
-# ---------------------------------------------------------------------------
-
-def hnf_rows(a: IntMatrix) -> list[tuple[int, ...]]:
-    """Row Hermite form; returns the nonzero rows (a Z-basis of the row span)."""
-    m = [list(r) for r in a.entries]
-    rows, cols = len(m), a.cols
-    pr = 0
-    for pc in range(cols):
-        if pr >= rows:
-            break
-        nz = [i for i in range(pr, rows) if m[i][pc] != 0]
-        if not nz:
-            continue
-        while len(nz) > 1:
-            nz.sort(key=lambda i: abs(m[i][pc]))
-            i0 = nz[0]
-            for i in nz[1:]:
-                q = m[i][pc] // m[i0][pc]
-                m[i] = [x - q * y for x, y in zip(m[i], m[i0])]
-            nz = [i for i in nz if m[i][pc] != 0]
-        i0 = nz[0]
-        m[pr], m[i0] = m[i0], m[pr]
-        if m[pr][pc] < 0:
-            m[pr] = [-x for x in m[pr]]
-        for i in range(pr):
-            q = m[i][pc] // m[pr][pc]
-            if q:
-                m[i] = [x - q * y for x, y in zip(m[i], m[pr])]
-        pr += 1
-    return [tuple(r) for r in m[:pr]]
+            for k, piv in pivots.items():
+                if piv & low:
+                    pivots[k] = piv ^ bits
+            pivots[low] = bits
+    return [tuple(bits >> j & 1 for j in range(a.cols)) for _, bits in sorted(pivots.items())]

@@ -23,9 +23,9 @@ from typing import Sequence
 from .exact_arith import (
     IntMatrix,
     det,
+    echelon_mod_2,
     inertia,
     invert,
-    rank_mod_2,
 )
 from .frozen import Frozen
 
@@ -195,7 +195,7 @@ def elementary_factors(lattice: Lattice) -> list[int] | None:
     """
     d = abs(lattice.det())
     a = d.bit_length() - 1
-    if d == 1 << a and lattice.rank - rank_mod_2(lattice.gram) == a:
+    if d == 1 << a and lattice.rank - len(echelon_mod_2(lattice.gram)) == a:
         return [2] * a
     return None
 

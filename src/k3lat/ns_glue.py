@@ -5,7 +5,8 @@ basis ordered after the polarization class, the sixteen exceptional
 curves over the D4 points and the five exceptional curves over the A1
 points.  Half-line classes are glue vectors of norm -2; adding all five
 produces the overlattice of Artin invariant 2, and one extra class drops
-the invariant to 1.
+the invariant to 1.  The base is 2-elementary, so an overlattice's basis
+and its base coordinates are closed forms in the glue's F2 echelon form.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from operator import mul
 from typing import Sequence
 
 from .configuration import DIAGONALS, LINES, P_LABELS, Q_LABELS
-from .exact_arith import IntMatrix, hnf_rows, rank_mod_2
+from .exact_arith import IntMatrix, echelon_mod_2
 from .frozen import Frozen
 from .lattice_core import (
     DualVector,
@@ -191,57 +192,31 @@ class OverlatticeResult(Frozen):
         return sorted(classes)
 
 
+def _glue_echelon(classes: Sequence[GlueVector]) -> list[tuple[int, ...]]:
+    """The F2 echelon form of the glue classes in the discriminant group: the
+    base lattice is 2-elementary, so a class's reduced numerators sit over
+    den 1 or 2 and, read mod 2, are its coordinates in (Z/2)^22."""
+    return echelon_mod_2(IntMatrix(class_of(gv.vector).component[0] for gv in classes))
+
+
 def independence_check(classes: Sequence[GlueVector]) -> tuple[bool, int]:
-    """Rank over F2 of the glue classes inside the discriminant group.
-
-    The base lattice is 2-elementary, so a class's reduced numerators sit
-    over den 1 or 2 and, read mod 2, are its coordinates in (Z/2)^22.
-    """
-    rank = rank_mod_2(IntMatrix(class_of(gv.vector).component[0] for gv in classes))
+    """Rank over F2 of the glue classes (``_glue_echelon``), and whether it is their count."""
+    rank = len(_glue_echelon(classes))
     return rank == len(classes), rank
-
-
-def _base_in_result(b: IntMatrix, denom: int) -> list[list[int]]:
-    """The integer X with X b = denom I: row i writes e_i in the basis b / denom.
-
-    b is a row Hermite form of full rank n in n columns, so it is upper
-    triangular with a positive diagonal, and so is X.  Row i is solved by
-    back-substitution: rem starts as denom e_i, and for j = i, ..., n - 1
-    x_ij = rem_j / b_jj, then x_ij times row j of b leaves rem.  A division
-    that is not exact means e_i is not an integer combination of the basis.
-    Only the nonzero entries right of each pivot are visited, since the
-    basis is mostly denom on the diagonal.
-    """
-    n = b.rows
-    tails = [
-        [(k, c) for k, c in enumerate(row[j + 1 :], j + 1) if c] for j, row in enumerate(b.entries)
-    ]
-    out = []
-    for i in range(n):
-        rem = [0] * n
-        rem[i] = denom
-        x = [0] * n
-        for j in range(i, n):
-            q, r = divmod(rem[j], b.entries[j][j])
-            if r:
-                raise GlueError("base vector escapes the overlattice")
-            if q:
-                x[j] = q
-                for k, c in tails[j]:
-                    rem[k] -= q * c
-        out.append(x)
-    return out
 
 
 def build_overlattice(base: LabeledSum, glue: Sequence[GlueVector]) -> OverlatticeResult:
     """Saturate the base plus glue into an integral even overlattice.
 
-    Glue vectors must pair integrally with the base and each other and have
-    even norms; the index equals 2 to the F2-rank of the glue classes and
-    the determinant shrinks by the square of the index.  The basis is the
-    row Hermite form b of denom I and the glue over their common
-    denominator denom, and ``base_in_result`` is X with X b = denom I,
-    solved by back-substitution on the triangular b (``_base_in_result``).
+    Glue vectors must pair integrally with the base and each other, have
+    even norms and denominator 1 or 2; the index equals 2 to the F2-rank of
+    the glue classes and the determinant shrinks by the square of the index.
+
+    Over denom = 2 the glue classes are the 0/1 rows of their F2 echelon
+    form (``_glue_echelon``), so the basis b, the row Hermite form of
+    denom I and the glue, is that row at each pivot p and denom e_j at every
+    other j; and ``base_in_result``, the X with X b = denom I, is e_j at each
+    such j and, at each p, 2 e_p minus the row's other bits, all at such j.
     """
     lattice = base.lattice
     n = lattice.rank
@@ -249,6 +224,8 @@ def build_overlattice(base: LabeledSum, glue: Sequence[GlueVector]) -> Overlatti
         v = gv.vector
         if not v.is_dual_vector():
             raise GlueError(f"glue vector {gv.name} does not pair integrally with the base")
+        if v.den > 2:
+            raise GlueError(f"glue vector {gv.name} has denominator {v.den}, not 1 or 2")
         # v^2 = norm / den^2 is even iff 2 den^2 divides norm
         norm, d2 = pairing_numerator(v, v), v.den * v.den
         if norm % (2 * d2):
@@ -258,35 +235,34 @@ def build_overlattice(base: LabeledSum, glue: Sequence[GlueVector]) -> Overlatti
             if pairing_numerator(a.vector, b.vector) % (a.vector.den * b.vector.den):
                 raise GlueError(f"glue vectors {a.name}, {b.name} pair non-integrally")
 
-    # integer generators over one common denominator: denom*I and denom*glue
     denom = math.lcm(*(gv.vector.den for gv in glue))
-    gen_rows = [[denom if i == j else 0 for j in range(n)] for i in range(n)]
-    gen_rows += [[c * (denom // gv.vector.den) for c in gv.vector.num] for gv in glue]
-    b = IntMatrix(hnf_rows(IntMatrix(gen_rows)))
-    if b.rows != n:
-        raise GlueError("overlattice basis has wrong rank")
+    scaled_identity = tuple(tuple(denom * (i == j) for j in range(n)) for i in range(n))
+    basis = list(scaled_identity)
+    base_in_result = [[int(i == j) for j in range(n)] for i in range(n)]
+    echelon = _glue_echelon(glue)
+    for row in echelon:
+        p = next(j for j, c in enumerate(row) if c)
+        basis[p] = row
+        base_in_result[p] = [-c for c in row]
+        base_in_result[p][p] = 2
+    b = IntMatrix(basis)
 
     # the form on basis/denom is b G b^T / denom^2
     scaled = b.mul(lattice.gram).mul(b.transpose())
     if any(x % (denom * denom) for row in scaled.entries for x in row):
         raise GlueError("overlattice form is not integral")
-    gram = IntMatrix([[x // (denom * denom) for x in row] for row in scaled.entries])
-    lat = Lattice(gram)
+    lat = Lattice(IntMatrix([[x // (denom * denom) for x in row] for row in scaled.entries]))
     if not is_even(lat):
         raise GlueError("overlattice is not even")
 
-    base_in_result = _base_in_result(b, denom)
+    x = IntMatrix(base_in_result)
+    if x.mul(b).entries != scaled_identity:
+        raise GlueError("base vector escapes the overlattice")
 
-    d_base = lattice.det()
-    d_new = lat.det()
-    if d_base % d_new != 0:
-        raise GlueError("determinant drop is not integral")
-    drop = d_base // d_new
-    _, glue_rank = independence_check(glue)
-    index = 2**glue_rank
-    if drop != index * index:
+    index = 2 ** len(echelon)
+    if lattice.det() != lat.det() * index * index:
         raise GlueError("index does not match the F2-rank of the glue classes")
-    return OverlatticeResult(base, lat, b, denom, IntMatrix(base_in_result), index)
+    return OverlatticeResult(base, lat, b, denom, x, index)
 
 
 def artin_invariant(lattice: Lattice) -> int:

@@ -25,7 +25,11 @@ once a Bareiss elimination of its own; the package now reads it off the
 symmetric elimination, and the Bareiss form,
 which takes any square matrix, is kept as its oracle and for the
 unimodularity checks of the Smith form and the kernel, whose transforms
-are not symmetric.
+are not symmetric.  The overlattice bases were once the row Hermite form
+of the glue over its denominator, and their base coordinates came by
+back-substitution on that triangular basis; the package reads both off the
+F_2 echelon form of the glue in closed form, and the Hermite form is kept
+as its oracle and for the kernel above.
 """
 
 import math
@@ -33,7 +37,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from k3lat.exact_arith import ExactArithError, IntMatrix, hnf_rows
+from k3lat.exact_arith import ExactArithError, IntMatrix
 from k3lat.lattice_core import DualVector, Lattice, LatticeError, is_even, pairing_numerator
 from k3lat.ns_glue import OverlatticeResult, canonical_positivity
 from k3lat.root_systems import (
@@ -219,6 +223,40 @@ def check_snf(a: IntMatrix, r: SnfResult) -> None:
             raise ExactArithError("SNF verification failed: divisibility chain")
         if d[i] == 0 and d[i + 1] != 0:
             raise ExactArithError("SNF verification failed: zeros not trailing")
+
+
+# ---------------------------------------------------------------------------
+# Hermite form (row style)
+# ---------------------------------------------------------------------------
+
+def hnf_rows(a: IntMatrix) -> list[tuple[int, ...]]:
+    """Row Hermite form; returns the nonzero rows (a Z-basis of the row span)."""
+    m = [list(r) for r in a.entries]
+    rows, cols = len(m), a.cols
+    pr = 0
+    for pc in range(cols):
+        if pr >= rows:
+            break
+        nz = [i for i in range(pr, rows) if m[i][pc] != 0]
+        if not nz:
+            continue
+        while len(nz) > 1:
+            nz.sort(key=lambda i: abs(m[i][pc]))
+            i0 = nz[0]
+            for i in nz[1:]:
+                q = m[i][pc] // m[i0][pc]
+                m[i] = [x - q * y for x, y in zip(m[i], m[i0])]
+            nz = [i for i in nz if m[i][pc] != 0]
+        i0 = nz[0]
+        m[pr], m[i0] = m[i0], m[pr]
+        if m[pr][pc] < 0:
+            m[pr] = [-x for x in m[pr]]
+        for i in range(pr):
+            q = m[i][pc] // m[pr][pc]
+            if q:
+                m[i] = [x - q * y for x, y in zip(m[i], m[pr])]
+        pr += 1
+    return [tuple(r) for r in m[:pr]]
 
 
 # ---------------------------------------------------------------------------

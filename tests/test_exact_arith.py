@@ -9,10 +9,9 @@ from k3lat import exact_arith
 from k3lat.exact_arith import (
     ExactArithError,
     IntMatrix,
-    hnf_rows,
+    echelon_mod_2,
     inertia,
     invert,
-    rank_mod_2,
     symmetric_elimination,
 )
 from k3lat.configuration import L_LABELS
@@ -29,6 +28,7 @@ from rational_oracles import (
     as_fractions,
     check_snf,
     det,
+    hnf_rows,
     invert_rational,
     kernel_basis,
     orthogonal_complement,
@@ -182,7 +182,9 @@ def test_int_matrix_keeps_int_entries_and_rejects_ragged_rows():
 # ---------------------------------------------------------------------------
 
 def test_rank_mod_2_counts_the_odd_invariant_factors():
-    # oracle: the Smith form, whose odd factors stay units over F_2; the
+    # the rank is the row count of the echelon form; oracles: the Smith form,
+    # whose odd factors stay units over F_2, and the Hermite form of 2I and
+    # the rows, whose rows with a 1 on the diagonal are the echelon rows; the
     # matrices are rectangular, some with zero rows, and their entries
     # include negative and large even and odd numbers
     rng = random.Random(4)
@@ -196,8 +198,10 @@ def test_rank_mod_2_counts_the_odd_invariant_factors():
                 rows[i] = [0] * m
         a = IntMatrix(rows)
         factors = snf(a).invariant_factors
-        assert rank_mod_2(a) == sum(1 for f in factors if f % 2), rows
-    assert rank_mod_2(IntMatrix([])) == 0
+        assert len(echelon_mod_2(a)) == sum(1 for f in factors if f % 2), rows
+        hermite = hnf_rows(IntMatrix([[2 * (i == j) for j in range(m)] for i in range(m)] + rows))
+        assert echelon_mod_2(a) == [row for i, row in enumerate(hermite) if row[i] == 1], rows
+    assert echelon_mod_2(IntMatrix([])) == []
 
 
 # ---------------------------------------------------------------------------

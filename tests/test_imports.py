@@ -97,9 +97,8 @@ def test_exact_arith_is_integer_only_and_no_module_has_a_rational_matrix():
     assert offenders == []
 
 
-def test_only_the_cli_imports_json():
-    # JSON text is read and written in cli.py; the other modules build and
-    # read the plain objects that it encodes and decodes
+def _importers(top: str) -> list[str]:
+    """The modules of the package that import the top-level module top."""
     importers = []
     for path in sorted(PACKAGE.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -109,9 +108,21 @@ def test_only_the_cli_imports_json():
                 names = [node.module or ""]
             else:
                 continue
-            if any(name.split(".")[0] == "json" for name in names):
+            if any(name.split(".")[0] == top for name in names):
                 importers.append(str(path.relative_to(PACKAGE)))
-    assert importers == ["cli.py"]
+    return importers
+
+
+def test_only_the_cli_imports_json():
+    # JSON text is read and written in cli.py; the other modules build and
+    # read the plain objects that it encodes and decodes
+    assert _importers("json") == ["cli.py"]
+
+
+def test_no_module_imports_re():
+    # number flags are checked digit by digit: compiling a pattern costs a
+    # fresh process more than the check itself
+    assert _importers("re") == []
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

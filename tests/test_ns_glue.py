@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from k3lat import exact_arith, ns_glue, root_systems
-from k3lat.exact_arith import IntMatrix, hnf_rows
+from k3lat.exact_arith import IntMatrix
 from k3lat.lattice_core import (
     DualVector,
     Lattice,
@@ -23,6 +23,7 @@ from k3lat.ns_glue import (
     EXTRA_GLUE_CHOICES,
     GlueError,
     GlueVector,
+    LabeledSum,
     OverlatticeResult,
     Summand,
     artin_invariant,
@@ -44,6 +45,7 @@ from rational_oracles import (
     coords,
     enumerate_roots,
     f2_rank,
+    hnf_rows,
     invert_rational,
     negated,
     norm,
@@ -306,44 +308,56 @@ def test_base_in_result_matches_the_gauss_jordan_oracle(ls):
     assert len(seen) == 128 and cli_sets <= seen
 
 
-def test_back_substitution_matches_the_gauss_jordan_oracle_on_random_bases():
-    # Hermite bases of denom I plus random rows, over denominators other than
-    # 2, each also with one row doubled: where the oracle's entries are
-    # integers the two agree, and where they are not the back-substitution
-    # raises
-    rng = random.Random(2028)
-    outcomes = collections.Counter()
-    for _ in range(60):
-        n, denom = rng.randrange(1, 7), rng.choice([2, 3, 4, 6])
+def test_overlattice_basis_and_index_match_the_hermite_oracle(ls):
+    # on every buildable glue subset, the empty one included: denom is the
+    # common denominator of the glue, the basis is the row Hermite form of
+    # denom I and the glue over denom, and the index is 2 to the F2 rank of
+    # the glue's Smith-form classes
+    glue = [halfline_class(ls, lam) for lam in L_LABELS]
+    glue += [extra_glue_class(ls, c) for c in EXTRA_GLUE_CHOICES]
+    masks = {}
+    for gv in glue:
+        comp = rational_class(ls.lattice.gram, coords(gv.vector))
+        masks[gv.name] = sum(c % 2 << i for i, c in enumerate(comp))
+    n = ls.lattice.rank
+    count = 0
+    for subset in _buildable_glue_subsets(ls):
+        res = build_overlattice(ls, subset)
+        denom = math.lcm(*(c.denominator for gv in subset for c in coords(gv.vector)))
         rows = [[denom * (i == j) for j in range(n)] for i in range(n)]
-        rows += [[rng.randrange(-denom, denom) for _ in range(n)] for _ in range(rng.randrange(3))]
-        b = hnf_rows(IntMatrix(rows))
-        k = rng.randrange(n)
-        for basis in (b, [tuple(2 * c for c in row) if i == k else row for i, row in enumerate(b)]):
-            basis = IntMatrix(basis)
-            expected = _gauss_jordan_base_in_result(basis, denom)
-            if expected is None:
-                with pytest.raises(GlueError, match="base vector escapes the overlattice"):
-                    ns_glue._base_in_result(basis, denom)
-            else:
-                assert tuple(map(tuple, ns_glue._base_in_result(basis, denom))) == expected
-            outcomes[expected is None] += 1
-    assert outcomes[True] > 20 and outcomes[False] > 60
+        rows += [[int(c * denom) for c in coords(gv.vector)] for gv in subset]
+        assert res.denom == denom
+        assert list(res.basis_num.entries) == hnf_rows(IntMatrix(rows))
+        assert res.index == 2 ** f2_rank([masks[gv.name] for gv in subset])
+        count += 1
+    assert count == 128
 
 
 def test_overlattice_rejects_a_basis_that_misses_a_base_vector(ls, monkeypatch):
-    # the Hermite basis with its last row doubled: triangular, of full rank,
-    # with an integral even form, but e_22 is not an integer combination of it
-    real = ns_glue.hnf_rows
+    # the echelon form with its last row doubled: the basis is still of full
+    # rank with an integral even form, but the base vector at that row's
+    # pivot is not an integer combination of it, so X b = denom I fails
+    real = ns_glue.echelon_mod_2
 
     def doubled_last_row(a):
         rows = real(a)
         return rows[:-1] + [tuple(2 * c for c in rows[-1])]
 
-    monkeypatch.setattr(ns_glue, "hnf_rows", doubled_last_row)
+    monkeypatch.setattr(ns_glue, "echelon_mod_2", doubled_last_row)
     glue = tuple(halfline_class(ls, lam) for lam in L_LABELS)
     with pytest.raises(GlueError, match="base vector escapes the overlattice"):
         build_overlattice(ls, glue)
+
+
+def test_overlattice_rejects_glue_of_denominator_3():
+    # (2, 2) / 3 in <6> + <-6> is a dual vector of norm 0 whose numerators
+    # are even, so it has no bits mod 2: without the denominator check the
+    # overlattice would come out as the base, of index 1, not 3
+    lattice = Lattice(IntMatrix([[6, 0], [0, -6]]))
+    base = LabeledSum(lattice, ())
+    glue = (GlueVector("g", DualVector(lattice, [2, 2], 3)),)
+    with pytest.raises(GlueError, match="glue vector g has denominator 3, not 1 or 2"):
+        build_overlattice(base, glue)
 
 
 def test_overlattice_takes_no_inverse(ls, monkeypatch):

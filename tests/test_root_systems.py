@@ -8,7 +8,7 @@ from operator import mul
 import pytest
 
 from k3lat import exact_arith, root_systems
-from k3lat.exact_arith import IntMatrix, hnf_rows, inertia, symmetric_elimination
+from k3lat.exact_arith import IntMatrix, inertia, symmetric_elimination
 from k3lat.lattice_core import (
     DualVector,
     Lattice,
@@ -43,6 +43,7 @@ from rational_oracles import (
     coords,
     det,
     enumerate_roots,
+    hnf_rows,
     invert_rational,
     is_negative_definite,
     kernel_basis,
