@@ -27,6 +27,12 @@ DEFAULT_MODULI = {2: 0b111, 4: 0b10011, 8: 0b100011011}
 _MAX_K = 16
 
 
+def is_digits(text: str, base: int = 10) -> bool:
+    """Whether text is a nonempty run of ASCII digits in base 2, 10 or 16: no
+    sign, space or underscore, which int() would take."""
+    return text != "" and set(text.lower()) <= set("0123456789abcdef"[:base])
+
+
 def _poly_degree(a: int) -> int:
     return a.bit_length() - 1
 
@@ -44,16 +50,13 @@ def _poly_mulmod(a: int, b: int, modulus: int, k: int) -> int:
     return out
 
 
-def _poly_divmod(a: int, b: int) -> tuple[int, int]:
+def _poly_mod(a: int, b: int) -> int:
     if b == 0:
         raise FieldError("polynomial division by zero")
-    q = 0
     db = _poly_degree(b)
     while a.bit_length() - 1 >= db and a:
-        shift = a.bit_length() - 1 - db
-        q ^= 1 << shift
-        a ^= b << shift
-    return q, a
+        a ^= b << (a.bit_length() - 1 - db)
+    return a
 
 
 def _is_irreducible(modulus: int, k: int) -> bool:
@@ -63,7 +66,7 @@ def _is_irreducible(modulus: int, k: int) -> bool:
     for d in range(1, k // 2 + 1):
         for tail in range(1 << d):
             f = (1 << d) | tail
-            if _poly_divmod(modulus, f)[1] == 0:
+            if _poly_mod(modulus, f) == 0:
                 return False
     return True
 
@@ -89,15 +92,11 @@ class BinaryField:
 
     def _build_tables(self) -> None:
         q = self.q
-        if q == 2:
-            self.exp = [1, 1]
-            self.log = [0, 0]
-            self.generator = 1
-            return
-        for g in range(2, q):
+        for g in range(1, q):
             # the modulus is irreducible, so the nonzero residues are a group
             # and the powers of g first repeat at 1, after as many steps as
-            # the order of g: it generates when that is q - 1
+            # the order of g: it generates when that is q - 1 (g = 1 only
+            # when q = 2)
             exp = [1]
             x = g
             while x != 1:
@@ -180,9 +179,9 @@ class BinaryField:
     @staticmethod
     def parse_bits(text: str) -> int:
         """Accepts plain hex ('1b'), 0x-hex or 0b-binary digits and nothing
-        else: no sign, space or underscore, which int() would take."""
+        else (``is_digits``)."""
         t = text.lower()
         base, digits = {"0x": (16, t[2:]), "0b": (2, t[2:])}.get(t[:2], (16, t))
-        if not digits or not set(digits) <= set("0123456789abcdef"[:base]):
+        if not is_digits(digits, base):
             raise FieldError(f"{text!r} is not hex, 0x-hex or 0b-binary")
         return int(digits, base)

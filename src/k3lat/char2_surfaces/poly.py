@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from ..frozen import Frozen
-from .field import BinaryField
+from .field import BinaryField, is_digits
 
 
 class PolyError(ValueError):
@@ -21,7 +21,7 @@ class PolyError(ValueError):
 
 def _binary(text) -> int:
     """[01]+ as an integer; int(text, 2) would also take a sign, spaces, _ or 0b."""
-    if type(text) is not str or not text or not set(text) <= {"0", "1"}:
+    if type(text) is not str or not is_digits(text, 2):
         raise PolyError(f"{text!r} is not a string of binary digits")
     return int(text, 2)
 

@@ -222,7 +222,7 @@ def recognize_surface(g: HomPoly) -> RecognitionResult:
     a1 = report.of_type("A1")
     if len(d4) != 4 or len(a1) != 5 or len(report.points) != 9:
         raise RecognitionError("surface does not carry the nine-point configuration")
-    pts = label_configuration(f, d4, a1, [l for l, _ in scan_splitting_lines(g)])
+    pts = label_configuration(f, d4, a1, [c.line for c in scan_splitting_lines(g)])
     frame = normalize_frame(
         f, pts["q(inf)"], pts["q(1)"], pts["q(0)"], pts["p(00)"], pts["p(10)"]
     )

@@ -206,13 +206,13 @@ def is_splitting(g: HomPoly, ell: Line) -> SplittingCertificate | None:
     return cert
 
 
-def scan_splitting_lines(g: HomPoly) -> list[tuple[Line, SplittingCertificate]]:
-    """Every rational line whose restriction is a square, with certificates.
+def scan_splitting_lines(g: HomPoly) -> list[SplittingCertificate]:
+    """The certificate of every rational line whose restriction is a square.
 
     A restriction of even degree is a square exactly when its odd
-    coefficients vanish, so the lines are those of ``_lines_where``.  Each
-    line found is checked by building its certificate and multiplying it
-    out.
+    coefficients vanish, so the lines are those of ``_lines_where``, in
+    their order.  Each line found is checked by building its certificate
+    and multiplying it out.
     """
     if g.degree % 2:  # a binary form of odd degree is never a square
         return []
@@ -221,7 +221,7 @@ def scan_splitting_lines(g: HomPoly) -> list[tuple[Line, SplittingCertificate]]:
         cert = is_splitting(g, l)
         if cert is None:
             raise SurfaceError(f"line {l} solves the elimination but does not split")
-        out.append((l, cert))
+        out.append(cert)
     return out
 
 
@@ -491,16 +491,15 @@ def table_lines(field: BinaryField, r: int, s: int) -> dict[str, Line]:
 
 
 class ConfigurationReport(Frozen):
-    __slots__ = ("ok", "findings", "report", "splitting_lines", "certificates")
-    ok: bool
+    __slots__ = ("findings", "report", "certificates")
     findings: tuple[str, ...]
     report: SingularityReport
-    splitting_lines: tuple[Line, ...]
-    certificates: tuple[tuple[Line, SplittingCertificate], ...]
+    certificates: tuple[SplittingCertificate, ...]
 
 
-def verify_configuration(g: HomPoly, r: int, s: int) -> ConfigurationReport:
-    """Check the nine-point, five-line shape of a family member.
+def verify_configuration(field: BinaryField, r: int, s: int) -> ConfigurationReport:
+    """Check the nine-point, five-line shape of the family member of (r, s)
+    (``schroeer_sextic``).
 
     (a) counts and types 4 D4 + 5 A1 with total Milnor number 21, (b) the
     five A1 images collinear on a splitting line, (c) the labeled
@@ -508,9 +507,11 @@ def verify_configuration(g: HomPoly, r: int, s: int) -> ConfigurationReport:
     standard lines, against the rows of ``configuration.LINES``, (d) every
     splitting rational line (the scan is exhaustive and independent of
     (a)): 5 off the cube locus and 7 on it, a count reported only when
-    nothing else is.  Mismatches are reported as findings, not raised.
+    nothing else is.  Mismatches are reported as findings, not raised, and
+    the member passes when there are none.
     """
-    f = g.field
+    f = field
+    g = schroeer_sextic(f, r, s)
     findings: list[str] = []
     report = analyze_singularities(g)
     d4 = report.of_type("D4")
@@ -522,8 +523,8 @@ def verify_configuration(g: HomPoly, r: int, s: int) -> ConfigurationReport:
     if report.total_milnor != 21:
         findings.append(f"total Milnor number {report.total_milnor} != 21")
 
-    scan = scan_splitting_lines(g)
-    split_lines = tuple(l for l, _ in scan)
+    certificates = tuple(scan_splitting_lines(g))
+    split_lines = [c.line for c in certificates]
 
     if len(a1) == 5:
         # singular_points gives distinct normalized points, so a1[0] and a1[1] span a line
@@ -550,10 +551,4 @@ def verify_configuration(g: HomPoly, r: int, s: int) -> ConfigurationReport:
     n_lines = 7 if on_cube_locus(f, r, s) else 5
     if not findings and len(split_lines) != n_lines:
         findings.append(f"expected {n_lines} splitting lines, found {len(split_lines)}")
-    return ConfigurationReport(
-        ok=not findings,
-        findings=tuple(findings),
-        report=report,
-        splitting_lines=split_lines,
-        certificates=tuple(scan),
-    )
+    return ConfigurationReport(findings=tuple(findings), report=report, certificates=certificates)

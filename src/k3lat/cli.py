@@ -15,7 +15,7 @@ import random
 import sys
 import time
 
-from .char2_surfaces.field import BinaryField
+from .char2_surfaces.field import BinaryField, is_digits
 from .char2_surfaces.poly import HomPoly
 from .char2_surfaces.recognize import recognize_surface
 from .char2_surfaces.surfaces import (
@@ -237,7 +237,7 @@ def _sample_pairs(field: BinaryField, count: int, seed: int) -> list[tuple[int, 
 
 
 def _surface_case(field: BinaryField, r: int, s: int) -> tuple[bool, dict]:
-    conf = verify_configuration(schroeer_sextic(field, r, s), r=r, s=s)
+    conf = verify_configuration(field, r, s)
     named = table_points(field, r, s)
     types = dict(conf.report.points)
     witness = {
@@ -248,18 +248,18 @@ def _surface_case(field: BinaryField, r: int, s: int) -> tuple[bool, dict]:
             for label, p in sorted(named.items())
         },
         "milnor": conf.report.total_milnor,
-        "splitting_lines": [[format(c, "x") for c in l] for l in conf.splitting_lines],
+        "splitting_lines": [[format(c, "x") for c in cert.line] for cert in conf.certificates],
         "certificates": [
             {
-                "line": [format(c, "x") for c in line],
+                "line": [format(c, "x") for c in cert.line],
                 "quintic": cert.quintic.to_json_obj()["terms"],
                 "cubic": cert.cubic.to_json_obj()["terms"],
             }
-            for line, cert in conf.certificates
+            for cert in conf.certificates
         ],
         "findings": list(conf.findings),
     }
-    return conf.ok, witness
+    return not conf.findings, witness
 
 
 def _read_sextic(path: str) -> HomPoly:
@@ -399,28 +399,22 @@ k3lat [lattice|surface|all] -h|--help
 """
 
 
-def _digits(text: str, base: int = 10) -> bool:
-    """Whether text is a nonempty run of ASCII digits in base 2, 10 or 16: no
-    sign, space or underscore, which int() would take."""
-    return text != "" and set(text.lower()) <= set("0123456789abcdef"[:base])
-
-
 def _decimal(text: str) -> int:
-    if not _digits(text):
+    if not is_digits(text):
         raise ValueError(f"invalid literal for int() with base 10: {text!r}")
     return int(text)
 
 
 def _seed(text: str) -> int:
     """Decimal digits after an optional '-': a seed may be negative."""
-    return int(text) if _digits(text.removeprefix("-")) else _decimal(text)
+    return int(text) if is_digits(text.removeprefix("-")) else _decimal(text)
 
 
 def _modulus(text: str) -> int:
     """Decimal, 0x-hex or 0b-binary digits, read by int(text, 0): no leading 0."""
     base = {"0x": 16, "0b": 2}.get(text[:2].lower(), 10)
     try:
-        if _digits(text if base == 10 else text[2:], base):
+        if is_digits(text if base == 10 else text[2:], base):
             return int(text, 0)
     except ValueError:
         pass
@@ -475,7 +469,7 @@ def _flag_like(arg: str) -> bool:
     """Whether arg reads as a flag rather than a value: it starts with '-' and
     is not '-', a negative number (-N, -N.N or -.N) or a string with a space."""
     whole, dot, frac = arg[1:].partition(".")
-    negative_number = _digits(whole + frac) and (frac or not dot)
+    negative_number = is_digits(whole + frac) and (frac or not dot)
     return arg[:1] == "-" and arg != "-" and " " not in arg and not negative_number
 
 

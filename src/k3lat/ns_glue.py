@@ -142,25 +142,19 @@ def extra_glue_class(ls: LabeledSum, c: str) -> GlueVector:
 # ---------------------------------------------------------------------------
 
 class OverlatticeResult(Frozen):
-    # _to_result: the transpose of base_in_result, kept on first use
-    __slots__ = ("base", "lattice", "basis_num", "denom", "base_in_result", "index", "_to_result")
+    __slots__ = ("base", "lattice", "basis_num", "denom", "to_result", "index")
     base: LabeledSum
     lattice: Lattice
     basis_num: IntMatrix  # rows over denom: new basis in base coordinates
     denom: int
-    base_in_result: IntMatrix  # rows: base basis in new coordinates
+    to_result: IntMatrix  # columns: base basis in new coordinates
     index: int
 
     def to_result_coords(self, num: Sequence[int], den: int) -> tuple[int, ...] | None:
         """Integer coordinates in the overlattice basis of num / den in base
-        coordinates, or None if outside: row i of base_in_result writes e_i in
-        the new basis, so den times them is the sparse product of its
-        transpose with num."""
-        t = getattr(self, "_to_result", None)
-        if t is None:
-            t = self.base_in_result.transpose()
-            object.__setattr__(self, "_to_result", t)
-        dx = t.mul_vec(num)
+        coordinates, or None if outside: column i of to_result writes e_i in
+        the new basis, so den times them is its sparse product with num."""
+        dx = self.to_result.mul_vec(num)
         if any(x % den for x in dx):
             return None
         return tuple(x // den for x in dx)
@@ -174,19 +168,14 @@ class OverlatticeResult(Frozen):
         """The classes of the overlattice modulo the base, as numerators over
         denom reduced mod denom, sorted.
 
-        They are the basis rows mod the base, closed under addition: the
-        classes found so far form a group, so a row whose class is already
-        there adds nothing, and a new class g adds the cosets of its
-        multiples.  Their count must be the index.
+        They are the F2 span of the basis rows mod the base: denom is 1 or
+        2, so every class has order at most 2, and adding each row to every
+        class found so far reaches them all.  Their count must be the index.
         """
         d = self.denom
         classes = {(0,) * self.lattice.rank}
         for row in self.basis_num.entries:
-            g = tuple(c % d for c in row)
-            new = classes if g not in classes else set()
-            while new:
-                new = {tuple((a + b) % d for a, b in zip(c, g)) for c in new} - classes
-                classes |= new
+            classes |= {tuple((a + b) % d for a, b in zip(c, row)) for c in classes}
         if len(classes) != self.index:
             raise GlueError(f"{len(classes)} glue classes for an overlattice of index {self.index}")
         return sorted(classes)
@@ -215,8 +204,9 @@ def build_overlattice(base: LabeledSum, glue: Sequence[GlueVector]) -> Overlatti
     Over denom = 2 the glue classes are the 0/1 rows of their F2 echelon
     form (``_glue_echelon``), so the basis b, the row Hermite form of
     denom I and the glue, is that row at each pivot p and denom e_j at every
-    other j; and ``base_in_result``, the X with X b = denom I, is e_j at each
-    such j and, at each p, 2 e_p minus the row's other bits, all at such j.
+    other j; and ``to_result``, the T with b^T T = denom I, is the identity
+    but for column p, which is 2 e_p minus the row's other bits, all at such
+    j.  Each glue vector must then have integer coordinates in b.
     """
     lattice = base.lattice
     n = lattice.rank
@@ -238,31 +228,36 @@ def build_overlattice(base: LabeledSum, glue: Sequence[GlueVector]) -> Overlatti
     denom = math.lcm(*(gv.vector.den for gv in glue))
     scaled_identity = tuple(tuple(denom * (i == j) for j in range(n)) for i in range(n))
     basis = list(scaled_identity)
-    base_in_result = [[int(i == j) for j in range(n)] for i in range(n)]
+    to_result = [[int(i == j) for j in range(n)] for i in range(n)]
     echelon = _glue_echelon(glue)
     for row in echelon:
         p = next(j for j, c in enumerate(row) if c)
         basis[p] = row
-        base_in_result[p] = [-c for c in row]
-        base_in_result[p][p] = 2
+        for j, c in enumerate(row):
+            to_result[j][p] = 2 if j == p else -c
     b = IntMatrix(basis)
+    bt = b.transpose()
 
     # the form on basis/denom is b G b^T / denom^2
-    scaled = b.mul(lattice.gram).mul(b.transpose())
+    scaled = b.mul(lattice.gram).mul(bt)
     if any(x % (denom * denom) for row in scaled.entries for x in row):
         raise GlueError("overlattice form is not integral")
     lat = Lattice(IntMatrix([[x // (denom * denom) for x in row] for row in scaled.entries]))
     if not is_even(lat):
         raise GlueError("overlattice is not even")
 
-    x = IntMatrix(base_in_result)
-    if x.mul(b).entries != scaled_identity:
+    t = IntMatrix(to_result)
+    if bt.mul(t).entries != scaled_identity:
         raise GlueError("base vector escapes the overlattice")
 
     index = 2 ** len(echelon)
     if lattice.det() != lat.det() * index * index:
         raise GlueError("index does not match the F2-rank of the glue classes")
-    return OverlatticeResult(base, lat, b, denom, x, index)
+    result = OverlatticeResult(base, lat, b, denom, t, index)
+    for gv in glue:
+        if result.to_result_coords(gv.vector.num, gv.vector.den) is None:
+            raise GlueError(f"glue vector {gv.name} is not in the overlattice")
+    return result
 
 
 def artin_invariant(lattice: Lattice) -> int:

@@ -29,7 +29,10 @@ are not symmetric.  The overlattice bases were once the row Hermite form
 of the glue over its denominator, and their base coordinates came by
 back-substitution on that triangular basis; the package reads both off the
 F_2 echelon form of the glue in closed form, and the Hermite form is kept
-as its oracle and for the kernel above.
+as its oracle and for the kernel above.  The glue classes of an overlattice
+were once closed under addition by adding each basis row's class until no
+new class came; the package takes their F_2 span in one pass, and the
+closure is kept as its oracle.
 """
 
 import math
@@ -257,6 +260,23 @@ def hnf_rows(a: IntMatrix) -> list[tuple[int, ...]]:
                 m[i] = [x - q * y for x, y in zip(m[i], m[pr])]
         pr += 1
     return [tuple(r) for r in m[:pr]]
+
+
+def closure_glue_classes(ns: OverlatticeResult) -> list[tuple[int, ...]]:
+    """The classes of the overlattice modulo the base, as numerators over
+    denom reduced mod denom, sorted: the basis rows mod the base, closed
+    under addition.  The classes found so far form a group, so a row whose
+    class is already there adds nothing, and a new class g adds the cosets
+    of its multiples."""
+    d = ns.denom
+    classes = {(0,) * ns.lattice.rank}
+    for row in ns.basis_num.entries:
+        g = tuple(c % d for c in row)
+        new = classes if g not in classes else set()
+        while new:
+            new = {tuple((a + b) % d for a, b in zip(c, g)) for c in new} - classes
+            classes |= new
+    return sorted(classes)
 
 
 # ---------------------------------------------------------------------------

@@ -114,8 +114,8 @@ def pencil_walk_lines(g):
 
 @functools.cache
 def pencil_walk_scan(g):
-    """The full scan as it was: the walk's lines, each with its certificate."""
-    return tuple((l, is_splitting(g, l)) for l in pencil_walk_lines(g))
+    """The full scan as it was: the certificate of each of the walk's lines."""
+    return tuple(is_splitting(g, l) for l in pencil_walk_lines(g))
 
 
 @functools.cache

@@ -238,7 +238,7 @@ def _config_profile(field, g):
     report = analyze_singularities(g)
     pts = [p for p, _ in report.points]
     types = dict(report.points)
-    lines = [l for l, _ in scan_splitting_lines(g)]
+    lines = [cert.line for cert in scan_splitting_lines(g)]
     point_profile = sorted(
         (types[p], sum(1 for l in lines if point_on_line(field, p, l))) for p in pts
     )

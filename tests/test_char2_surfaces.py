@@ -11,6 +11,7 @@ from k3lat.char2_surfaces.poly import HomPoly
 from k3lat.char2_surfaces.recognize import RecognitionError, apply_frame, normal_form_sextic, recognize_surface
 from k3lat.char2_surfaces.upoly import trim
 from k3lat.char2_surfaces.surfaces import (
+    SplittingCertificate,
     SurfaceError,
     analyze_singularities,
     classify_singularity,
@@ -169,7 +170,7 @@ def test_fork_line_certificate_shape(gf16):
 def test_is_splitting_rejects_a_certificate_that_does_not_verify(gf16, monkeypatch, line, error, match):
     f = gf16
     g = schroeer_sextic(f, 1, f.generator)
-    ell = scan_splitting_lines(g)[0][0] if line is None else line
+    ell = scan_splitting_lines(g)[0].line if line is None else line
     monkeypatch.setattr(surfaces.SplittingCertificate, "verify", lambda self, g: False)
     with pytest.raises(error, match=match):
         is_splitting(g, ell)
@@ -189,22 +190,24 @@ def test_diagonal_line_does_not_split(gf16):
 def test_full_configuration_gf16(gf16):
     f = gf16
     r, s = 1, f.generator
-    conf = verify_configuration(schroeer_sextic(f, r, s), r=r, s=s)
-    assert conf.ok, conf.findings
+    conf = verify_configuration(f, r, s)
+    assert not conf.findings, conf.findings
     assert conf.report.total_milnor == 21
-    assert len(conf.splitting_lines) == 5
-    assert set(conf.splitting_lines) == set(table_lines(f, r, s).values())
-    for line, cert in conf.certificates:
+    lines = [cert.line for cert in conf.certificates]
+    assert len(lines) == 5
+    assert set(lines) == set(table_lines(f, r, s).values())
+    for cert in conf.certificates:
         assert cert.verify(schroeer_sextic(f, r, s))
 
 
 def test_full_scan_gf256_finds_exactly_five_lines():
     f = BinaryField(8)
     r, s = 1, f.generator
-    conf = verify_configuration(schroeer_sextic(f, r, s), r=r, s=s)
-    assert conf.ok, conf.findings
-    assert len(conf.splitting_lines) == 5
-    assert set(conf.splitting_lines) == set(table_lines(f, r, s).values())
+    conf = verify_configuration(f, r, s)
+    assert not conf.findings, conf.findings
+    lines = [cert.line for cert in conf.certificates]
+    assert len(lines) == 5
+    assert set(lines) == set(table_lines(f, r, s).values())
 
 
 def test_extra_line_when_cubes_match(gf16):
@@ -216,12 +219,13 @@ def test_extra_line_when_cubes_match(gf16):
     m = line_through(f, (0, 0, 1), (r, s, 1))
     cert = is_splitting(g, m)
     assert cert is not None and cert.verify(g)
-    conf = verify_configuration(g, r=r, s=s)
+    conf = verify_configuration(f, r, s)
+    lines = [cert.line for cert in conf.certificates]
     # the five standard lines plus both diagonals of the fork points
-    assert len(conf.splitting_lines) == 7
-    assert m in conf.splitting_lines
+    assert len(lines) == 7
+    assert m in lines
     m2 = line_through(f, (0, s, 1), (r, 0, 1))
-    assert m2 in conf.splitting_lines
+    assert m2 in lines
     # the A1 point q(c) with s = c*r sits on the first diagonal
     from k3lat.char2_surfaces.surfaces import normalize_point, point_on_line
 
@@ -242,13 +246,13 @@ def test_one_extra_splitting_line_fails_the_configuration(gf16, monkeypatch, cub
 
     def one_more(g):
         scan = real(g)
-        lines = {l for l, _ in scan}
-        return scan + [(next(l for l in all_lines(f) if l not in lines), scan[0][1])]
+        lines = {cert.line for cert in scan}
+        extra = next(l for l in all_lines(f) if l not in lines)
+        return scan + [SplittingCertificate(extra, scan[0].quintic, scan[0].cubic)]
 
     monkeypatch.setattr(surfaces, "scan_splitting_lines", one_more)
-    conf = verify_configuration(schroeer_sextic(f, r, s), r=r, s=s)
+    conf = verify_configuration(f, r, s)
     n = 7 if cube_locus else 5
-    assert not conf.ok
     assert conf.findings == (f"expected {n} splitting lines, found {n + 1}",)
 
 
@@ -571,12 +575,8 @@ def test_pencil_restriction_specializes_to_each_line(gf16):
 
 def per_line_scan(g, candidates):
     """The replaced scan: is_splitting on each candidate line, in line order."""
-    out = []
-    for l in sorted(set(candidates)):
-        cert = is_splitting(g, l)
-        if cert is not None:
-            out.append((l, cert))
-    return out
+    certs = (is_splitting(g, l) for l in sorted(set(candidates)))
+    return [cert for cert in certs if cert is not None]
 
 
 @pytest.mark.parametrize("k,modulus", SMALL_FIELDS, ids=["k2", "k4", "k6"])
@@ -604,8 +604,8 @@ def test_scan_calls_is_splitting_once_per_reported_line(gf256, monkeypatch):
         found = scan_splitting_lines(g)
         monkeypatch.undo()
         assert len(found) == count
-        assert calls == [l for l, _ in found]
-        assert set(table_lines(f, r, s).values()) <= {l for l, _ in found}
+        assert calls == [cert.line for cert in found]
+        assert set(table_lines(f, r, s).values()) <= {cert.line for cert in found}
 
 
 def test_odd_degree_form_has_no_splitting_lines(gf16):
@@ -701,7 +701,7 @@ def test_full_scan_walks_every_pencil_when_the_conditions_share_a_component():
     assert list(_selected_bs(g)) == list(range(f.q))
     found = scan_splitting_lines(g)
     assert found == list(pencil_walk_scan(g))
-    assert {(1, b, 0) for b in range(f.q)} <= {l for l, _ in found}
+    assert {(1, b, 0) for b in range(f.q)} <= {cert.line for cert in found}
 
 
 def test_odd_coefficients_specialize_to_the_pencil_restriction(gf16):

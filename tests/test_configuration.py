@@ -103,7 +103,7 @@ def test_both_halves_read_a_moved_point(ls, monkeypatch):
     monkeypatch.setitem(LINES, "0*", (forks, ("1",)))
     assert halfline_class.__wrapped__(ls, "0*") != before
     f = BinaryField(4)
-    conf = verify_configuration(schroeer_sextic(f, 1, 2), 1, 2)
+    conf = verify_configuration(f, 1, 2)
     assert list(conf.findings) == [
         "L(0*) is not splitting",
         "incidence of L(0*) differs: ['p(00)', 'q(1)']",
@@ -192,7 +192,7 @@ def configurations(labeling_inputs):
     out = {}
     for case, g in labeling_inputs.items():
         report = analyze_singularities(g)
-        lines = [l for l, _ in scan_splitting_lines(g)]
+        lines = [cert.line for cert in scan_splitting_lines(g)]
         out[case] = (g.field, report.of_type("D4"), report.of_type("A1"), lines)
     return out
 

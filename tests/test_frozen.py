@@ -10,7 +10,6 @@ from k3lat.frozen import Frozen
 from k3lat.lattice_core import DualVector, Lattice, class_of, lattice_D4
 from k3lat.configuration import L_LABELS
 from k3lat.ns_glue import (
-    OverlatticeResult,
     Summand,
     build_lambda,
     build_overlattice,
@@ -105,18 +104,20 @@ def test_records_built_by_position_or_by_name_are_equal():
 
 
 def test_a_record_leaves_its_cache_for_first_use():
-    ls = build_lambda()
-    ns = build_overlattice(ls, tuple(halfline_class(ls, lam) for lam in L_LABELS))
-    rebuilt = OverlatticeResult(*ns._key())
-    for record in (ns, rebuilt):
-        assert getattr(record, "_to_result", None) is None
-    h = ns.h_in_result()
-    assert ns._to_result == ns.base_in_result.transpose()
+    d4 = lattice_D4()
+    v = d4.dual_basis_vector(0)
+    rebuilt = DualVector(*v._key())
+    for record in (v, rebuilt):
+        assert getattr(record, "_gnum", None) is None
+    gnum = v.pairing_numerators()
+    assert v._gnum == gnum == d4.gram.mul_vec(v.num)
     # the cache is not a field: equality, hashing and the constructor ignore it
-    assert rebuilt == ns and hash(rebuilt) == hash(ns)
-    assert rebuilt.h_in_result() == h
-    with pytest.raises(TypeError, match="takes 6 fields, not 7"):
-        OverlatticeResult(*ns._key(), ns._to_result)
+    assert v._key() == (d4, v.num, v.den)
+    assert rebuilt == v and hash(rebuilt) == hash(v)
+    assert getattr(rebuilt, "_gnum", None) is None
+    assert rebuilt.pairing_numerators() == gnum
+    with pytest.raises(TypeError):
+        DualVector(*v._key(), v._gnum)
 
 
 @pytest.mark.parametrize(

@@ -40,6 +40,7 @@ from k3lat.ns_glue import (
 from k3lat.root_systems import ClassNormSearch, ade_type
 from rational_oracles import (
     basis_vector,
+    closure_glue_classes,
     complement_positivity,
     complement_roots,
     coords,
@@ -247,9 +248,9 @@ def _rational_overlattice(ls, glue):
 
 def _basis_den(ns) -> int:
     """The common denominator d of the overlattice basis rows basis_num / d:
-    row i of base_in_result writes e_i in that basis, so
-    base_in_result * basis_num = d I."""
-    prod = ns.base_in_result.mul(ns.basis_num).entries
+    column i of to_result writes e_i in that basis, so
+    basis_num^T * to_result = d I."""
+    prod = ns.basis_num.transpose().mul(ns.to_result).entries
     d = prod[0][0]
     n = len(prod)
     assert d > 0 and prod == tuple(tuple(d * (i == j) for j in range(n)) for i in range(n))
@@ -272,7 +273,7 @@ def test_overlattice_matches_rational_oracle(ls, case):
     gram, basis, base_rows = _rational_overlattice(ls, glue)
     assert res.lattice.gram.entries == gram
     assert _rational_basis(res) == basis
-    assert res.base_in_result.entries == base_rows
+    assert res.to_result.transpose().entries == base_rows
 
 
 def _gauss_jordan_base_in_result(b: IntMatrix, denom: int):
@@ -295,7 +296,7 @@ def _buildable_glue_subsets(ls):
                 yield subset
 
 
-def test_base_in_result_matches_the_gauss_jordan_oracle(ls):
+def test_to_result_matches_the_gauss_jordan_oracle(ls):
     # the CLI's overlattices (the five half-lines, with and without each
     # extra class) are among the 128 buildable glue subsets
     cli_sets = {tuple(L_LABELS)} | {tuple(L_LABELS) + (c,) for c in EXTRA_GLUE_CHOICES}
@@ -303,7 +304,7 @@ def test_base_in_result_matches_the_gauss_jordan_oracle(ls):
     for glue in _buildable_glue_subsets(ls):
         res = build_overlattice(ls, glue)
         denom = math.lcm(*(gv.vector.den for gv in glue))
-        assert res.base_in_result.entries == _gauss_jordan_base_in_result(res.basis_num, denom)
+        assert res.to_result.transpose().entries == _gauss_jordan_base_in_result(res.basis_num, denom)
         seen.add(tuple(gv.name[2:-1] for gv in glue))
     assert len(seen) == 128 and cli_sets <= seen
 
@@ -336,7 +337,7 @@ def test_overlattice_basis_and_index_match_the_hermite_oracle(ls):
 def test_overlattice_rejects_a_basis_that_misses_a_base_vector(ls, monkeypatch):
     # the echelon form with its last row doubled: the basis is still of full
     # rank with an integral even form, but the base vector at that row's
-    # pivot is not an integer combination of it, so X b = denom I fails
+    # pivot is not an integer combination of it, so b^T T = denom I fails
     real = ns_glue.echelon_mod_2
 
     def doubled_last_row(a):
@@ -346,6 +347,17 @@ def test_overlattice_rejects_a_basis_that_misses_a_base_vector(ls, monkeypatch):
     monkeypatch.setattr(ns_glue, "echelon_mod_2", doubled_last_row)
     glue = tuple(halfline_class(ls, lam) for lam in L_LABELS)
     with pytest.raises(GlueError, match="base vector escapes the overlattice"):
+        build_overlattice(ls, glue)
+
+
+def test_overlattice_rejects_an_echelon_that_loses_a_row(ls, monkeypatch):
+    # the echelon form without its last row: the basis, the index and the
+    # determinant check all read it, so they agree on an overlattice of
+    # index 16, but two of the five half-line classes are not in it
+    real = ns_glue.echelon_mod_2
+    monkeypatch.setattr(ns_glue, "echelon_mod_2", lambda a: real(a)[:-1])
+    glue = tuple(halfline_class(ls, lam) for lam in L_LABELS)
+    with pytest.raises(GlueError, match=r"glue vector F\(1\*\) is not in the overlattice"):
         build_overlattice(ls, glue)
 
 
@@ -592,8 +604,19 @@ def test_glue_classes_are_the_overlattice_modulo_the_base(ls, case):
         assert ns_case.to_result_coords(c, d) is not None
 
 
+def test_glue_classes_match_the_closure_oracle(ls):
+    # on every buildable glue subset, the empty one included: the F2 span of
+    # the basis rows in one pass is the closure under addition
+    count = 0
+    for glue in _buildable_glue_subsets(ls):
+        res = build_overlattice(ls, glue)
+        assert res.glue_classes() == closure_glue_classes(res)
+        count += 1
+    assert count == 128
+
+
 def test_glue_class_count_check_fires_on_a_wrong_index(ns):
-    wrong = OverlatticeResult(ns.base, ns.lattice, ns.basis_num, ns.denom, ns.base_in_result, 2 * ns.index)
+    wrong = OverlatticeResult(ns.base, ns.lattice, ns.basis_num, ns.denom, ns.to_result, 2 * ns.index)
     with pytest.raises(GlueError, match="32 glue classes for an overlattice of index 64"):
         wrong.glue_classes()
 
@@ -604,7 +627,7 @@ def test_polarization_roots_reject_a_root_outside_the_overlattice(ls):
     glued = build_overlattice(ls, (_root_glue(ls),))
     base = build_overlattice(ls, ())
     wrong = OverlatticeResult(
-        ls, base.lattice, glued.basis_num, glued.denom, base.base_in_result, glued.index
+        ls, base.lattice, glued.basis_num, glued.denom, base.to_result, glued.index
     )
     with pytest.raises(GlueError, match="a root of the summands is not in the overlattice"):
         polarization_roots(wrong)
@@ -613,7 +636,7 @@ def test_polarization_roots_reject_a_root_outside_the_overlattice(ls):
 def test_polarization_roots_reject_a_norm_mismatch(ns):
     # the overlattice Gram doubled: every root found has norm -4 through it
     doubled = Lattice(IntMatrix([[2 * x for x in row] for row in ns.lattice.gram.entries]))
-    wrong = OverlatticeResult(ns.base, doubled, ns.basis_num, ns.denom, ns.base_in_result, ns.index)
+    wrong = OverlatticeResult(ns.base, doubled, ns.basis_num, ns.denom, ns.to_result, ns.index)
     with pytest.raises(GlueError, match="a root violates the norm or degree condition"):
         polarization_roots(wrong)
 

@@ -313,12 +313,12 @@ def test_positivity_value_matches_the_rational_sum():
     # value is the rational form scaled by a positive denominator: the
     # summed dual basis over its den on D4, and on the overlattice the
     # 0/1 pairings of the exceptional dual vectors pushed through the basis
-    # rows over d, with base_in_result * basis_num = d I
+    # rows over d, with basis_num^T * to_result = d I
     ls = build_lambda()
     ns = build_overlattice(ls, tuple(halfline_class(ls, lam) for lam in L_LABELS))
     d4 = lattice_D4()
     total = sum((d4.dual_basis_vector(i) for i in range(4)), d4.zero())
-    d = ns.base_in_result.mul(ns.basis_num).entries[0][0]
+    d = ns.basis_num.transpose().mul(ns.to_result).entries[0][0]
     assert d == ns.denom
     w = [Fraction(0)] + [Fraction(1)] * 21
     form = [sum(Fraction(b, d) * c for b, c in zip(row, w)) for row in ns.basis_num.entries]

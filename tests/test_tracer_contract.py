@@ -2,8 +2,10 @@
 
 The benchmark's traced runs wrap the layer functions by name, read the
 arguments `lattice` and `cls` of bounded_class_minimizers and
-`cls.component`, and wrap the methods of poly.BinForm.  A src change that
-breaks one of those breaks the traced runs; this test finds it in Tier-1.
+`cls.component`, wrap the methods of poly.BinForm, and count the
+is_splitting calls under the scan_splitting_lines span.  A src change that
+breaks one of those breaks the traced runs or moves a per-layer counter;
+this test finds it in Tier-1.
 It goes away with the tracer, once the CLI reports its own stage spans.
 """
 
@@ -39,3 +41,7 @@ def test_tracer_runs_a_lattice_and_a_recognition_op(tmp_path):
         tmp_path, "r.json", "surface", "--k", "8", "--recognize", framed, "--line-scan", "full"
     )
     assert recognize["functions"]["poly.BinForm.is_square"]["calls"] > 0
+    # the scan certifies the five lines it finds, each with one is_splitting
+    # call under its span, and each of them splits
+    assert recognize["counters"]["surfaces.scan_splitting_lines.lines_tested"] == 5
+    assert recognize["counters"]["surfaces.is_splitting.hits"] == 5
