@@ -155,9 +155,9 @@ class OverlatticeResult(Frozen):
         coordinates, or None if outside: column i of to_result writes e_i in
         the new basis, so den times them is its sparse product with num."""
         dx = self.to_result.mul_vec(num)
-        if any(x % den for x in dx):
+        if any([x % den for x in dx]):
             return None
-        return tuple(x // den for x in dx)
+        return tuple([x // den for x in dx])
 
     def h_in_result(self) -> DualVector:
         """The polarization h = e_0 of the base in the overlattice basis."""
@@ -168,14 +168,16 @@ class OverlatticeResult(Frozen):
         """The classes of the overlattice modulo the base, as numerators over
         denom reduced mod denom, sorted.
 
-        They are the F2 span of the basis rows mod the base: denom is 1 or
-        2, so every class has order at most 2, and adding each row to every
-        class found so far reaches them all.  Their count must be the index.
+        They are the F2 span of the glue rows of the basis mod the base (a
+        row denom e_j is 0 mod denom): denom is 1 or 2, so every class has
+        order at most 2, and adding each glue row to every class found so
+        far reaches them all.  Their count must be the index.
         """
         d = self.denom
         classes = {(0,) * self.lattice.rank}
         for row in self.basis_num.entries:
-            classes |= {tuple((a + b) % d for a, b in zip(c, row)) for c in classes}
+            if any([a % d for a in row]):
+                classes |= {tuple([(a + b) % d for a, b in zip(c, row)]) for c in classes}
         if len(classes) != self.index:
             raise GlueError(f"{len(classes)} glue classes for an overlattice of index {self.index}")
         return sorted(classes)
@@ -416,7 +418,7 @@ def polarization_roots(ns: OverlatticeResult) -> RootSet:
         if sum(map(mul, r, gr)) != -2 or sum(map(mul, h, gr)):
             raise GlueError("a root violates the norm or degree condition in the overlattice")
     members = set(roots)
-    if any(tuple(-x for x in r) not in members for r in roots):
+    if any(tuple([-x for x in r]) not in members for r in roots):
         raise GlueError("root set is not closed under negation")
     return RootSet(ns.lattice, tuple(roots))
 

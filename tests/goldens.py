@@ -1,66 +1,187 @@
-"""The k3lat command behind each report in tests/data.
+"""The command corpus: every k3lat command whose output Tier-1 pins.
 
-Each golden is (id, arguments, exit code, report file).  The commands run
-with tests/data as the working directory, so a ``--recognize`` input is
-named by its bare file name, and that is the name the report's config
-shows.  A report is pinned apart from its ``timing_ms`` block.
+Each ``Command`` is an id, an argv, an exit code and the files in
+tests/data that hold its expected stdout and stderr, None for an empty
+stream.  A stdout file ending in ``.json`` holds a JSON report less its
+``timing_ms`` block; any other file holds the stream as printed.  The
+commands run with tests/data as the working directory, so a
+``--recognize`` input is named by its bare file name, and that is the name
+the report's config shows.
+
+``record()`` runs the whole corpus once, in one fresh process, and the
+golden comparison, the clean-exit check and the execution guard all read
+that run.  ``PYTHONPATH=src python tests/goldens.py`` rewrites every
+expected output from the current ``src`` through the same run.
 """
 
+import functools
+import json
 import os
 import random
+import subprocess
+import sys
+from typing import NamedTuple
 
 from k3lat.char2_surfaces.field import BinaryField
+from k3lat.char2_surfaces.poly import HomPoly
 from k3lat.char2_surfaces.recognize import RecognitionError, apply_frame, normal_form_sextic
 
-DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+DATA = os.path.join(TESTS, "data")
+SRC = os.path.join(os.path.dirname(TESTS), "src")
 
-LATTICE_GOLDENS = [
-    ("default", ["lattice"], 0, "lattice_default.json"),
-    ("inject-corrupt-glue", ["lattice", "--inject-corrupt-glue"], 1,
-     "lattice_inject_corrupt_glue.json"),
-]
 
-EXTRA_GLUE_GOLDENS = [
-    (extra, ["lattice", "--with-extra-glue", extra], 0, f"lattice_extra_glue_{extra}.json")
-    for extra in ("1", "w", "wb")
-]
+class Command(NamedTuple):
+    id: str
+    argv: list
+    code: int
+    stdout: str | None
+    stderr: str | None
 
-# a sampled GF(256) run, a GF(16) member on the cube locus (6 is omega) with
-# its 7 splitting lines, the GF(256) members on the cube-locus diagonals
-# s = r and s = omega-bar r (omega is 0xbd), a GF(2^16) member, a whole `all`
-# run over GF(16), and the recognition of a normal form moved through a
-# seeded frame at k = 8 (the benchmark's recognize op shape) and k = 16; the
-# normal form t = 1 lies on the cube locus, where three A1 points carry two
-# side lines each, and recognition picks the anchors that read t = omega
-SURFACE_GOLDENS = [
-    ("k8-samples", ["surface", "--k", "8", "--samples", "4", "--seed", "12345"], 0,
-     "surface_k8_samples4_seed12345.json"),
-    ("k4-cube-locus", ["surface", "--k", "4", "--r", "1", "--s", "6", "--line-scan", "full"], 0,
-     "surface_k4_r1_s6_full.json"),
-    ("k8-cube-locus-1", ["surface", "--k", "8", "--r", "3", "--s", "3"], 0, "surface_k8_r3_s3.json"),
-    ("k8-cube-locus-wb", ["surface", "--k", "8", "--r", "3", "--s", "df"], 0, "surface_k8_r3_sdf.json"),
-    ("k16-member", ["surface", "--k", "16", "--modulus", "0x1002D", "--r", "3", "--s", "5"], 0,
-     "surface_k16_r3_s5.json"),
-    ("all-k4-samples3", ["all", "--k", "4", "--samples", "3"], 0, "all_k4_samples3.json"),
-    ("k8-framed-recognition",
-     ["surface", "--k", "8", "--recognize", "framed_k8_t53.json", "--line-scan", "full"], 0,
-     "surface_k8_recognize_framed_t53.json"),
-    ("k16-framed-recognition",
-     ["surface", "--k", "16", "--recognize", "framed_k16_t123.json"], 0,
-     "surface_k16_recognize_framed_t123.json"),
-    ("k8-framed-cube-locus-recognition",
-     ["surface", "--k", "8", "--recognize", "framed_k8_t1.json"], 0,
-     "surface_k8_recognize_framed_t1.json"),
-]
 
-GOLDENS = LATTICE_GOLDENS + EXTRA_GLUE_GOLDENS + SURFACE_GOLDENS
-
-# each --recognize input in tests/data: (k, modulus, t, frame seed)
+# each --recognize input of the framed goldens: (k, modulus, t, frame seed)
 FRAMED_INPUTS = {
     "framed_k8_t53.json": (8, None, 0x53, 8),
     "framed_k16_t123.json": (16, 0x1002D, 0x123, 16),
     "framed_k8_t1.json": (8, None, 0x1, 0),
 }
+
+# the inputs of the 24 seeded k = 8 recognitions, frame seeds 1 to 24, with
+# t = random.Random("recognize-k8").sample(range(2, 256), 24)
+SEEDED_INPUTS = {
+    f"framed_k8_t{t:x}_frame{seed}.json": (8, None, t, seed)
+    for seed, t in enumerate(
+        (0x85, 0x2E, 0x78, 0xBC, 0xFF, 0xE6, 0x47, 0x16, 0x0B, 0x1C, 0xAB, 0xD6,
+         0x5B, 0x26, 0x71, 0x13, 0x7F, 0x6F, 0xE2, 0x11, 0x87, 0xBB, 0xED, 0x81),
+        1,
+    )
+}
+
+# a --recognize input that is not a sextic
+QUINTIC_INPUT = "quintic_k4.json"
+
+
+def quintic() -> HomPoly:
+    return HomPoly(BinaryField(4), 5, {(5, 0, 0): 1, (0, 2, 3): 3})
+
+
+def _degenerate(r, s):
+    return ["surface", "--k", "4", "--r", r, "--s", s, "--allow-degenerate"]
+
+
+def _text(argv):
+    return [*argv, "--format", "text"]
+
+
+# The lattice reports: sigma = 2, a corrupted glue vector, and sigma = 1 for
+# each extra glue class.  The surface reports: a sampled GF(256) run, a
+# GF(16) member on the cube locus (6 is omega) with its 7 splitting lines,
+# the GF(256) members on the cube-locus diagonals s = r and s = omega-bar r
+# (omega is 0xbd), a GF(2^16) member, a whole `all` run over GF(16), and the
+# recognition of a normal form moved through a seeded frame at k = 8 and
+# k = 16; the normal form t = 1 lies on the cube locus, where three A1
+# points carry two side lines each, and recognition picks the anchors that
+# read t = omega.  Then twenty GF(256) samples, the degenerate pairs, which
+# fail with a witness, and their text reports
+REPORTS = [
+    Command("lattice", ["lattice"], 0, "lattice_default.json", None),
+    Command("lattice-inject-corrupt-glue", ["lattice", "--inject-corrupt-glue"], 1,
+            "lattice_inject_corrupt_glue.json", None),
+    *(
+        Command(f"lattice-extra-glue-{c}", ["lattice", "--with-extra-glue", c], 0,
+                f"lattice_extra_glue_{c}.json", None)
+        for c in ("1", "w", "wb")
+    ),
+    Command("k8-samples", ["surface", "--k", "8", "--samples", "4", "--seed", "12345"], 0,
+            "surface_k8_samples4_seed12345.json", None),
+    Command("k4-cube-locus", ["surface", "--k", "4", "--r", "1", "--s", "6", "--line-scan", "full"],
+            0, "surface_k4_r1_s6_full.json", None),
+    Command("k8-cube-locus-1", ["surface", "--k", "8", "--r", "3", "--s", "3"], 0,
+            "surface_k8_r3_s3.json", None),
+    Command("k8-cube-locus-wb", ["surface", "--k", "8", "--r", "3", "--s", "df"], 0,
+            "surface_k8_r3_sdf.json", None),
+    Command("k16-member", ["surface", "--k", "16", "--modulus", "0x1002D", "--r", "3", "--s", "5"],
+            0, "surface_k16_r3_s5.json", None),
+    Command("all-k4-samples3", ["all", "--k", "4", "--samples", "3"], 0, "all_k4_samples3.json",
+            None),
+    Command("k8-framed-recognition",
+            ["surface", "--k", "8", "--recognize", "framed_k8_t53.json", "--line-scan", "full"], 0,
+            "surface_k8_recognize_framed_t53.json", None),
+    Command("k16-framed-recognition", ["surface", "--k", "16", "--recognize", "framed_k16_t123.json"],
+            0, "surface_k16_recognize_framed_t123.json", None),
+    Command("k8-framed-cube-locus-recognition",
+            ["surface", "--k", "8", "--recognize", "framed_k8_t1.json"], 0,
+            "surface_k8_recognize_framed_t1.json", None),
+    Command("k8-samples20", ["surface", "--k", "8", "--samples", "20", "--seed", "1"], 0,
+            "surface_k8_samples20_seed1.json", None),
+    *(
+        Command(f"k4-degenerate-r0-s{s}", _degenerate("0", s), 1,
+                f"surface_k4_r0_s{s}_degenerate.json", None)
+        for s in ("0", "2", "5")
+    ),
+]
+
+# a text report for each subcommand, and one for each report that fails
+TEXT_REPORTS = [
+    Command("lattice-text", _text(["lattice"]), 0, "lattice_default.txt", None),
+    Command("lattice-inject-corrupt-glue-text", _text(["lattice", "--inject-corrupt-glue"]), 1,
+            "lattice_inject_corrupt_glue.txt", None),
+    Command("k4-member-text", _text(["surface", "--k", "4", "--r", "1", "--s", "2"]), 0,
+            "surface_k4_r1_s2.txt", None),
+    Command("all-k4-samples3-text", _text(["all", "--k", "4", "--samples", "3"]), 0,
+            "all_k4_samples3.txt", None),
+    *(
+        Command(f"k4-degenerate-r0-s{s}-text", _text(_degenerate("0", s)), 1,
+                f"surface_k4_r0_s{s}_degenerate.txt", None)
+        for s in ("0", "2", "5")
+    ),
+]
+
+RECOGNITIONS = [
+    Command(f"k8-recognition-t{t:x}-frame{seed}", ["surface", "--k", "8", "--recognize", name], 0,
+            f"surface_k8_recognize_framed_t{t:x}_frame{seed}.json", None)
+    for name, (_, _, t, seed) in SEEDED_INPUTS.items()
+]
+
+# one usage error of each kind, with the line it prints on stderr
+USAGE_ERRORS = [
+    Command(f"usage-{kind}", argv, 2, None, f"usage_{kind.replace('-', '_')}.txt")
+    for kind, argv in [
+        ("no-command", []),
+        ("invalid-command", ["bogus"]),
+        ("unknown-flag", ["lattice", "--bogus"]),
+        ("missing-value", ["surface", "--k"]),
+        ("switch-with-value", ["lattice", "--inject-corrupt-glue=1"]),
+        ("bad-choice", ["lattice", "--format", "xml"]),
+        ("non-digit-number", ["surface", "--k", "x"]),
+        ("r-without-s", ["surface", "--k", "4", "--r", "1"]),
+        ("odd-k", ["surface", "--k", "7"]),
+        ("reducible-modulus", ["surface", "--k", "4", "--modulus", "21"]),
+        ("too-many-samples", ["surface", "--k", "4", "--samples", "200"]),
+        ("degenerate-pair", ["surface", "--k", "8", "--r", "5", "--s", "0"]),
+        ("unreadable-recognize", ["surface", "--recognize", "no_such_file.json"]),
+        ("recognize-not-a-sextic", ["surface", "--recognize", QUINTIC_INPUT]),
+        ("unwritable-out", ["lattice", "--out", "no_such_dir/report.json"]),
+    ]
+]
+
+CORPUS = [
+    *REPORTS,
+    *TEXT_REPORTS,
+    *RECOGNITIONS,
+    *USAGE_ERRORS,
+    # the report goes to the --out file, and nothing to stdout
+    Command("lattice-out", ["lattice", "--out", os.devnull], 0, None, None),
+    Command("help", ["-h"], 0, "help.txt", None),
+]
+
+COMMANDS = {command.id: command for command in CORPUS}
+
+
+def data_files() -> list[str]:
+    """Every file in tests/data that the corpus reads or compares with."""
+    expected = [f for c in CORPUS for f in (c.stdout, c.stderr) if f is not None]
+    return sorted(expected + list(FRAMED_INPUTS) + list(SEEDED_INPUTS) + [QUINTIC_INPUT])
 
 
 def seeded_frame(g, seed):
@@ -79,3 +200,136 @@ def seeded_frame(g, seed):
 def framed_normal_form(k, modulus, t, seed):
     """normal_form_sextic(GF(2^k), t) moved through the seeded frame."""
     return seeded_frame(normal_form_sextic(BinaryField(k, modulus), t), seed)
+
+
+# Runs the corpus through k3lat.cli.main in one process, with stdout and
+# stderr captured per command. A profile hook keeps the code object of every
+# Python call, and every public __slots__ name of a k3lat class (every field
+# of a value type or record) becomes a property that counts its reads and
+# passes gets and sets to the original descriptor. A read made in frozen.py
+# is not counted: Frozen's _key (behind __eq__ and __hash__) and __repr__
+# read every field of every record they see. Prints the exit code and the
+# two streams of each command, the (file, first line) of each k3lat code
+# object that ran, the read count of each field, and whether the collector
+# is on and how many objects are frozen once every command has run.
+RECORDER = r"""
+import contextlib, gc, importlib, io, json, os, pkgutil, sys
+import k3lat, k3lat.cli, k3lat.frozen
+
+frozen = k3lat.frozen.__file__
+for info in pkgutil.walk_packages(k3lat.__path__, "k3lat."):
+    importlib.import_module(info.name)
+reads = {}
+
+def counted(label, descriptor):
+    reads[label] = 0
+
+    def get(obj):
+        if sys._getframe(1).f_code.co_filename != frozen:
+            reads[label] += 1
+        return descriptor.__get__(obj, type(obj))
+
+    return property(get, descriptor.__set__)
+
+for name, module in sorted(sys.modules.items()):
+    if name.split(".")[0] != "k3lat":
+        continue
+    for cls in list(vars(module).values()):
+        if not isinstance(cls, type) or cls.__module__ != name:
+            continue
+        fields = [slot for slot in vars(cls).get("__slots__", ()) if slot[0] != "_"]
+        for field in fields:
+            label = f"{name.removeprefix('k3lat.')}.{cls.__qualname__}.{field}"
+            setattr(cls, field, counted(label, vars(cls)[field]))
+
+called = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        called.add(frame.f_code)
+
+runs = []
+sys.setprofile(profile)
+try:
+    for argv in json.loads(sys.argv[1]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = k3lat.cli.main(argv)
+        runs.append([code, out.getvalue(), err.getvalue()])
+finally:
+    sys.setprofile(None)
+root = os.path.dirname(k3lat.__file__)
+ran = sorted(
+    (os.path.relpath(c.co_filename, root), c.co_firstlineno)
+    for c in called
+    if c.co_filename.startswith(root + os.sep)
+)
+collector = [gc.isenabled(), gc.get_freeze_count()]
+print(json.dumps({"runs": runs, "ran": ran, "reads": reads, "collector": collector}))
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def record() -> dict:
+    """The one run of the corpus, in a fresh process so that no memo is warm
+    from an earlier test: ``RECORDER``'s output, with the runs as
+    (exit code, stdout, stderr) by command id."""
+    proc = subprocess.run(
+        [sys.executable, "-c", RECORDER, json.dumps([c.argv for c in CORPUS])],
+        cwd=DATA,
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    out["runs"] = {c.id: tuple(run) for c, run in zip(CORPUS, out["runs"])}
+    return out
+
+
+def as_golden(command: Command, stdout: str) -> str:
+    """The command's stdout as its stdout file holds it: a JSON report less
+    its timing_ms block, anything else as printed."""
+    if command.stdout is None or not command.stdout.endswith(".json"):
+        return stdout
+    report = json.loads(stdout)
+    del report["timing_ms"]
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def expected(command: Command) -> tuple[str, str]:
+    """The stdout and stderr that the command's files hold."""
+    streams = []
+    for name in (command.stdout, command.stderr):
+        if name is None:
+            streams.append("")
+        else:
+            with open(os.path.join(DATA, name), encoding="utf-8", newline="") as fh:
+                streams.append(fh.read())
+    return tuple(streams)
+
+
+def main():
+    """Rewrites the expected output of every corpus command from the current
+    src, once every run ends with its command's exit code and leaves empty
+    exactly the streams the command has no file for."""
+    runs = record()["runs"]
+    mismatched = []
+    for command in CORPUS:
+        code, stdout, stderr = runs[command.id]
+        shape = (code, stdout != "", stderr != "")
+        if shape != (command.code, command.stdout is not None, command.stderr is not None):
+            mismatched.append(f"{command.id}: exit {code}, stdout {stdout!r}, stderr {stderr!r}")
+    if mismatched:
+        sys.exit("not written:\n" + "\n".join(mismatched))
+    for command in CORPUS:
+        _, stdout, stderr = runs[command.id]
+        for name, text in zip((command.stdout, command.stderr), (as_golden(command, stdout), stderr)):
+            if name is not None:
+                with open(os.path.join(DATA, name), "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+
+
+if __name__ == "__main__":
+    main()

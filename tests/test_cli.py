@@ -1,7 +1,6 @@
 import gc
 import json
 import os
-import re
 import runpy
 import subprocess
 import sys
@@ -20,13 +19,17 @@ from k3lat.root_systems import ClassNormSearch
 
 import argparse_oracle
 from goldens import (
+    COMMANDS,
+    CORPUS,
     DATA,
-    EXTRA_GLUE_GOLDENS,
     FRAMED_INPUTS,
-    GOLDENS,
-    LATTICE_GOLDENS,
-    SURFACE_GOLDENS,
+    QUINTIC_INPUT,
+    SEEDED_INPUTS,
+    as_golden,
+    expected,
     framed_normal_form,
+    quintic,
+    record,
 )
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -42,44 +45,46 @@ def strip_timing(report: dict) -> dict:
     return {k: v for k, v in report.items() if k != "timing_ms"}
 
 
-def golden_params(goldens):
-    return [pytest.param(argv, code, report, id=name) for name, argv, code, report in goldens]
+def recorded(command_id):
+    """(exit code, stdout, stderr) of a corpus command in the recorded run."""
+    return record()["runs"][command_id]
 
 
-def assert_matches_golden(capsys, monkeypatch, argv, expected_code, golden):
-    """Runs argv in tests/data, checks it against the golden and returns the report."""
-    monkeypatch.chdir(DATA)
-    code, out = run_cli(capsys, *argv)
-    assert code == expected_code
-    with open(golden, encoding="utf-8") as fh:
-        expected = fh.read()
-    report = json.loads(out)
-    assert json.dumps(strip_timing(report), sort_keys=True, indent=2) + "\n" == expected
-    return report
+def recorded_checks(command_id) -> dict:
+    """The checks, by name, of the JSON report a corpus command printed in
+    the recorded run."""
+    return {c["name"]: c for c in json.loads(recorded(command_id)[1])["checks"]}
 
 
-def test_lattice_default(capsys):
-    code, out = run_cli(capsys, "lattice")
-    assert code == EXIT_OK
-    report = json.loads(out)
-    names = {c["name"]: c for c in report["checks"]}
-    assert report["pass"] is True
-    assert names["overlattice_sigma2"]["witness"]["sigma"] == 2
-    assert names["exceptional_root_type"]["witness"]["type"] == "4D4+5A1"
-    assert names["halfline_uniqueness"]["pass"]
+@pytest.mark.parametrize("command", [pytest.param(c, id=c.id) for c in CORPUS])
+def test_corpus_output_matches_golden(command):
+    # a report is pinned byte for byte apart from its timing_ms block
+    code, stdout, stderr = recorded(command.id)
+    assert (code, as_golden(command, stdout), stderr) == (command.code, *expected(command))
 
 
-@pytest.mark.parametrize("argv,expected_code,golden", golden_params(EXTRA_GLUE_GOLDENS))
-def test_lattice_with_extra_glue(capsys, monkeypatch, argv, expected_code, golden):
-    # the whole report, apart from timing, is pinned byte for byte
-    report = assert_matches_golden(capsys, monkeypatch, argv, expected_code, golden)
-    names = {c["name"]: c for c in report["checks"]}
-    assert names["overlattice_sigma1"]["witness"]["sigma"] == 1
+def _ends_cleanly(code, err) -> bool:
+    """No traceback: exit 0 and exit 1 leave stderr empty, and a usage error
+    prints one line."""
+    if code == EXIT_USAGE:
+        lines = err.splitlines()
+        return len(lines) == 1 and lines[0].startswith("error: ")
+    return err == ""
 
 
-@pytest.mark.parametrize("argv,expected_code,golden", golden_params(LATTICE_GOLDENS))
-def test_lattice_report_matches_golden(capsys, monkeypatch, argv, expected_code, golden):
-    assert_matches_golden(capsys, monkeypatch, argv, expected_code, golden)
+def test_every_corpus_run_ends_cleanly():
+    runs = record()["runs"]
+    assert [i for i, (code, _, err) in runs.items() if not _ends_cleanly(code, err)] == []
+
+
+def test_lattice_default():
+    # what the goldens of sigma = 2 and sigma = 1 certify
+    checks = recorded_checks("lattice")
+    assert all(c["pass"] for c in checks.values())
+    assert checks["overlattice_sigma2"]["witness"]["sigma"] == 2
+    assert checks["exceptional_root_type"]["witness"]["type"] == "4D4+5A1"
+    for c in ("1", "w", "wb"):
+        assert recorded_checks(f"lattice-extra-glue-{c}")["overlattice_sigma1"]["witness"]["sigma"] == 1
 
 
 # a fresh process counts every inverse of one whole run, at every loaded
@@ -335,12 +340,9 @@ def test_class_search_check_requires_the_outside_bound_below_the_runner_up(capsy
     assert check["witness"] == golden["bounded_class_searches"]["witness"]
 
 
-def test_lattice_corrupted_glue_fails_with_witness(capsys):
-    code, out = run_cli(capsys, "lattice", "--inject-corrupt-glue")
-    assert code == EXIT_CHECK_FAILED
-    report = json.loads(out)
-    assert report["pass"] is False
-    failed = [c for c in report["checks"] if not c["pass"]]
+def test_lattice_corrupted_glue_fails_with_witness():
+    assert recorded("lattice-inject-corrupt-glue")[0] == EXIT_CHECK_FAILED
+    failed = [c for c in recorded_checks("lattice-inject-corrupt-glue").values() if not c["pass"]]
     assert failed
     assert all("witness" in c for c in failed)
     # a check that raised names the exception type next to its message
@@ -393,15 +395,13 @@ def test_surface_cube_locus_pair(capsys):
     assert dich["witness"]["cases"][0]["splits"] is True
 
 
-@pytest.mark.parametrize("argv,expected_code,golden", golden_params(SURFACE_GOLDENS))
-def test_surface_report_matches_golden(capsys, monkeypatch, argv, expected_code, golden):
-    assert_matches_golden(capsys, monkeypatch, argv, expected_code, golden)
-
-
 def test_framed_recognition_inputs_are_their_seeded_frames():
-    for name, (k, modulus, t, seed) in FRAMED_INPUTS.items():
+    # every --recognize input of the corpus, and the one that is not a sextic
+    inputs = {name: framed_normal_form(*spec) for name, spec in (FRAMED_INPUTS | SEEDED_INPUTS).items()}
+    inputs[QUINTIC_INPUT] = quintic()
+    for name, g in inputs.items():
         with open(os.path.join(DATA, name), encoding="utf-8") as fh:
-            assert HomPoly.from_json_obj(json.load(fh)) == framed_normal_form(k, modulus, t, seed)
+            assert HomPoly.from_json_obj(json.load(fh)) == g, name
 
 
 def test_every_surface_case_is_timed_under_its_check_name(capsys):
@@ -442,12 +442,11 @@ def test_surface_rejects_degenerate_without_flag(capsys):
 
 
 @pytest.mark.parametrize("r, s", [("0", "2"), ("0", "0")], ids=["r0-s2", "r0-s0"])
-def test_surface_with_a_degenerate_pair_fails_without_a_traceback(capsys, r, s):
-    code = main(["surface", "--k", "4", "--r", r, "--s", s, "--allow-degenerate"])
-    captured = capsys.readouterr()
+def test_surface_with_a_degenerate_pair_fails_without_a_traceback(r, s):
+    code, _, err = recorded(f"k4-degenerate-r{r}-s{s}")
     assert code == EXIT_CHECK_FAILED
-    assert "Traceback" not in captured.err
-    checks = {c["name"]: c for c in json.loads(captured.out)["checks"]}
+    assert err == ""
+    checks = recorded_checks(f"k4-degenerate-r{r}-s{s}")
     case = checks[f"surface_r={r}_s={s}"]
     assert case["pass"] is False and case["witness"]["findings"]
     dichotomy = checks["extra_line_dichotomy"]
@@ -487,8 +486,8 @@ def test_all_subcommand(capsys):
     assert any(n.startswith("surface_") for n in names)
 
 
-def test_text_format(capsys):
-    code, out = run_cli(capsys, "lattice", "--format", "text")
+def test_text_format():
+    code, out, _ = recorded("lattice-text")
     assert code == EXIT_OK
     assert "PASS base_lattice" in out
     assert "PASS overall" in out
@@ -501,77 +500,55 @@ def test_out_file(tmp_path, capsys):
     report = json.loads(path.read_text())
     assert report["pass"] is True
     # the file gets exactly the bytes the report would print
-    code, out = run_cli(capsys, "lattice", "--format", "text")
     text_path = tmp_path / "report.txt"
-    assert run_cli(capsys, "lattice", "--format", "text", "--out", str(text_path)) == (code, "")
-    assert text_path.read_text() == out
+    assert run_cli(capsys, "lattice", "--format", "text", "--out", str(text_path)) == (EXIT_OK, "")
+    assert text_path.read_text() == recorded("lattice-text")[1]
 
 
-# one command per exit code, a text run and an --out run, with the exit code
-# each ends with; each runs in a fresh directory, so --out names report.json
-EXIT_PATHS = [
-    ("exit-0", ["surface", "--k", "4", "--r", "1", "--s", "2"], EXIT_OK),
-    ("exit-1", ["surface", "--k", "4", "--r", "0", "--s", "5", "--allow-degenerate"],
-     EXIT_CHECK_FAILED),
-    ("exit-2", ["surface", "--k", "3"], EXIT_USAGE),
-    ("exit-2-parse", ["lattice", "--k", "4"], EXIT_USAGE),
-    ("text", ["surface", "--k", "4", "--r", "0", "--s", "5", "--allow-degenerate",
-              "--format", "text"], EXIT_CHECK_FAILED),
-    ("out", ["lattice", "--with-extra-glue", "w", "--out", "report.json"], EXIT_OK),
+# corpus commands run as python -m k3lat.cli in tests/data, where the
+# corpus runs: one per exit code, a parse error, a text report, and that
+# report written to an --out file
+PROCESS_RUNS = [
+    ("exit-0", "k4-cube-locus"),
+    ("exit-1", "k4-degenerate-r0-s5"),
+    ("exit-2", "usage-odd-k"),
+    ("exit-2-parse", "usage-unknown-flag"),
+    ("text", "k4-degenerate-r0-s5-text"),
+    ("out", "lattice-text"),
 ]
 
 
-def _untimed(data: bytes) -> bytes:
-    # a timing_ms block is flat: check name to milliseconds
-    return re.sub(rb'"timing_ms": \{[^}]*\}', b'"timing_ms": {}', data)
-
-
 @pytest.mark.parametrize(
-    "argv, expected_code", [pytest.param(argv, code, id=name) for name, argv, code in EXIT_PATHS]
+    "name, command_id", [pytest.param(name, c, id=name) for name, c in PROCESS_RUNS]
 )
-def test_a_cli_process_ends_as_an_in_process_main_call(
-    tmp_path, capsys, monkeypatch, argv, expected_code
-):
+def test_a_cli_process_ends_as_an_in_process_main_call(tmp_path, name, command_id):
     # python -m k3lat.cli turns the collector off before main and freezes the
-    # heap after it; the exit code, the streams and the --out file are the
-    # bytes main gives in-process, and main itself neither freezes the heap
-    # nor switches the collector. The process gets no PYTHONUNBUFFERED, so
-    # its piped stdout is block-buffered and must be flushed at exit
-    outputs = []
-    for side in ("process", "in-process"):
-        cwd = tmp_path / side
-        cwd.mkdir()
-        if side == "process":
-            proc = subprocess.run(
-                [sys.executable, "-m", "k3lat.cli", *argv],
-                cwd=cwd,
-                env={
-                    "PATH": os.environ.get("PATH", os.defpath),
-                    "PYTHONPATH": os.path.abspath(SRC),
-                },
-                capture_output=True,
-                timeout=60,
-            )
-            code, out, err = proc.returncode, proc.stdout, proc.stderr
-        else:
-            monkeypatch.chdir(cwd)
-            frozen, enabled = gc.get_freeze_count(), gc.isenabled()
-            code = main(list(argv))
-            assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
-            captured = capsys.readouterr()
-            out, err = captured.out.encode(), captured.err.encode()
-        report = cwd / "report.json"
-        written = _untimed(report.read_bytes()) if report.exists() else None
-        outputs.append((code, _untimed(out), err, written))
-    assert outputs[0] == outputs[1]
-    code, out, err, written = outputs[0]
-    assert code == expected_code
-    assert (err != b"") == (code == EXIT_USAGE)
-    assert (written is not None) == ("--out" in argv)
-    if "--out" in argv:
-        assert out == b"" and b'"sigma": 1' in written
-    if "text" in argv:
-        assert out.startswith(b"FAIL surface_r=0_s=5")
+    # heap after it; the exit code, the streams and the --out file are what
+    # main gave in-process in the corpus's recorded run (a JSON report apart
+    # from its timing_ms), and main there neither froze the heap nor
+    # switched the collector. The process gets no
+    # PYTHONUNBUFFERED, so its piped stdout is block-buffered and must be
+    # flushed at exit
+    assert record()["collector"] == [True, 0]
+    command = COMMANDS[command_id]
+    path = tmp_path / "report"
+    out = ["--out", str(path)] if name == "out" else []
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3lat.cli", *command.argv, *out],
+        cwd=DATA,
+        env={"PATH": os.environ.get("PATH", os.defpath), "PYTHONPATH": os.path.abspath(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    stdout = proc.stdout
+    if out:
+        assert stdout == ""
+        stdout = path.read_text(encoding="utf-8")
+    code, in_process, err = recorded(command_id)
+    assert (proc.returncode, as_golden(command, stdout), proc.stderr) == (
+        code, as_golden(command, in_process), err
+    )
 
 
 def test_the_main_block_leaves_the_collector_off(capsys, monkeypatch):
@@ -691,13 +668,6 @@ def test_bad_modulus_names_the_accepted_forms(capsys):
         assert "argument --modulus: 'zz'" in err
         assert "decimal" in err and "0x" in err and "0b" in err
         assert "<lambda>" not in err
-
-
-def test_usage_error_exit_code(capsys):
-    assert main(["surface", "--k", "7"]) == EXIT_USAGE
-    capsys.readouterr()
-    assert main(["bogus"]) == EXIT_USAGE
-    capsys.readouterr()
 
 
 def test_recognize_file(tmp_path, capsys):
@@ -886,11 +856,11 @@ def test_all_declares_the_union_of_lattice_and_surface_flags():
 
 
 # argv for the flag table against the argparse front end it replaced: every
-# golden command and every usage error above, negative values, repeated
-# flags (the last wins), unknown flags, missing values, bad choices, help,
-# and no arguments at all
+# corpus command and every usage error above, negative values, repeated
+# flags (the last wins), unknown flags, missing values, bad choices and help
+CORPUS_ARGV = [command.argv for command in CORPUS]
 ORACLE_ARGV = (
-    [argv for _, argv, _, _ in GOLDENS]
+    CORPUS_ARGV
     # the negative modulus is one of the number-flag differences tested below
     + [p.values[0] for p in UNBOUNDED_OR_VACUOUS if p.id != "negative-modulus"]
     + [
@@ -902,26 +872,18 @@ ORACLE_ARGV = (
          "--with-extra-glue", "wb"],
         ["all", "--allow-degenerate", "--allow-degenerate", "--inject-corrupt-glue"],
         ["surface", "--out=", "--r=a=b", "--s", "-", "--recognize", "-x y"],
-        ["lattice", "--bogus"],
         ["lattice", "--k", "4"],
         ["lattice", "extra"],
         ["-x", "lattice"],
         ["--format", "json", "lattice"],
         ["lattice", "--"],
-        ["surface", "--k"],
         ["surface", "--out", "--format", "text"],
         ["surface", "--out", "-x"],
         ["surface", "--k=", "4"],
-        ["surface", "--k", "x"],
         ["surface", "--samples", "x"],
-        ["lattice", "--inject-corrupt-glue=1"],
-        ["lattice", "--format", "xml"],
         ["lattice", "--format=json=x"],
         ["lattice", "--with-extra-glue", "2"],
         ["surface", "--line-scan", "none"],
-        ["bogus"],
-        [],
-        ["-h"],
         ["--help", "bogus"],
         ["lattice", "-h"],
         ["surface", "--k", "4", "--help"],
@@ -955,7 +917,8 @@ def test_the_flag_table_parses_as_the_argparse_front_end(capsys, argv):
     expected = argparse_oracle.parse(argv)
     assert _table_outcome(argv) == expected
     assert type(expected) is tuple or expected in ("help", "usage")
-    if expected == "usage":
+    # the corpus pins the exit code and the streams of its own commands
+    if expected == "usage" and argv not in CORPUS_ARGV:
         assert main(argv) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
@@ -1018,7 +981,7 @@ def test_usage_is_the_readme_block_and_lists_every_flag_but_one():
 
 @pytest.mark.parametrize(
     "argv",
-    [["-h"], ["--help"], ["lattice", "-h"], ["surface", "--help"], ["all", "--k", "4", "-h"]],
+    [["--help"], ["lattice", "-h"], ["surface", "--help"], ["all", "--k", "4", "-h"]],
     ids=_argv_id,
 )
 def test_help_prints_the_readme_usage_block(capsys, argv):
@@ -1031,7 +994,8 @@ def test_help_prints_the_readme_usage_block(capsys, argv):
 
 
 def test_a_process_without_arguments_is_a_usage_error():
-    # perfbench times this run as setup_s, and counts it as set up only on exit 2
+    # perfbench times this run as setup_s, and counts it as set up only on
+    # exit 2; the process ends as main([]) did in the corpus's recorded run
     proc = subprocess.run(
         [sys.executable, "-m", "k3lat.cli"],
         env={**os.environ, "PYTHONPATH": SRC},
@@ -1039,6 +1003,5 @@ def test_a_process_without_arguments_is_a_usage_error():
         text=True,
         timeout=60,
     )
+    assert (proc.returncode, proc.stdout, proc.stderr) == recorded("usage-no-command")
     assert proc.returncode == EXIT_USAGE
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error: ")

@@ -1,12 +1,10 @@
 import ast
-import functools
-import json
 import os
 import pathlib
 import subprocess
 import sys
 
-from goldens import DATA, FRAMED_INPUTS, GOLDENS
+from goldens import DATA, data_files, record
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "k3lat"
@@ -186,79 +184,6 @@ def test_every_package_re_export_is_imported_from_the_package():
     assert sorted(exported - imported) == []
 
 
-# the CLI traffic of the execution guard, run in tests/data: the command of
-# every golden (among them the benchmark's op shapes `lattice
-# --with-extra-glue c`, `surface --k 8 --samples 4 --seed N` and `surface
-# --k 8 --recognize FILE --line-scan full`), text and --out output, and a
-# degenerate pair, with the exit code each one ends with
-EXTRA_TRAFFIC = [
-    (["surface", "--k", "4", "--r", "1", "--s", "2", "--format", "text"], 0),
-    (["lattice", "--out", os.devnull], 0),
-    (["surface", "--k", "4", "--r", "0", "--s", "5", "--allow-degenerate"], 1),
-]
-
-# Runs the traffic through k3lat.cli.main in one process. A profile hook
-# keeps the code object of every Python call, and every public __slots__ name
-# of a k3lat class (every field of a value type or record) becomes a property
-# that counts its reads and passes gets and sets to the original descriptor. A read made in
-# frozen.py is not counted: Frozen's _key (behind __eq__ and __hash__) and
-# __repr__ read every field of every record they see. Prints the exit codes,
-# the (file, first line) of each k3lat code object that ran, and the read
-# count of each field.
-EXECUTION_RECORDER = r"""
-import contextlib, importlib, io, json, os, pkgutil, sys
-import k3lat, k3lat.cli, k3lat.frozen
-
-frozen = k3lat.frozen.__file__
-for info in pkgutil.walk_packages(k3lat.__path__, "k3lat."):
-    importlib.import_module(info.name)
-reads = {}
-
-def counted(label, descriptor):
-    reads[label] = 0
-
-    def get(obj):
-        if sys._getframe(1).f_code.co_filename != frozen:
-            reads[label] += 1
-        return descriptor.__get__(obj, type(obj))
-
-    return property(get, descriptor.__set__)
-
-for name, module in sorted(sys.modules.items()):
-    if name.split(".")[0] != "k3lat":
-        continue
-    for cls in list(vars(module).values()):
-        if not isinstance(cls, type) or cls.__module__ != name:
-            continue
-        fields = [slot for slot in vars(cls).get("__slots__", ()) if slot[0] != "_"]
-        for field in fields:
-            label = f"{name.removeprefix('k3lat.')}.{cls.__qualname__}.{field}"
-            setattr(cls, field, counted(label, vars(cls)[field]))
-
-called = set()
-
-def profile(frame, event, arg):
-    if event == "call":
-        called.add(frame.f_code)
-
-codes = []
-sys.setprofile(profile)
-try:
-    for argv in json.loads(sys.argv[1]):
-        with contextlib.redirect_stdout(io.StringIO()):
-            codes.append(k3lat.cli.main(argv))
-finally:
-    sys.setprofile(None)
-root = os.path.dirname(k3lat.__file__)
-ran = sorted(
-    (os.path.relpath(c.co_filename, root), c.co_firstlineno)
-    for c in called
-    if c.co_filename.startswith(root + os.sep)
-)
-print(json.dumps({"codes": codes, "ran": ran, "reads": reads}))
-"""
-
-
 def _defined_functions():
     """(file, qualified name, first line) of each module-level function and
     each non-dunder method in src; a decorated def starts at its first
@@ -280,40 +205,27 @@ def _defined_functions():
     return out
 
 
-@functools.lru_cache(maxsize=None)
 def _cli_traffic_record():
-    """Runs the traffic once for both guards and checks its exit codes."""
-    assert sorted(os.listdir(DATA)) == sorted([g[3] for g in GOLDENS] + list(FRAMED_INPUTS))
-    traffic = [(argv, code) for _, argv, code, _ in GOLDENS] + EXTRA_TRAFFIC
-    # a fresh process, so that no memo is warm from an earlier test
-    proc = subprocess.run(
-        [sys.executable, "-c", EXECUTION_RECORDER, json.dumps([argv for argv, _ in traffic])],
-        cwd=DATA,
-        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    record = json.loads(proc.stdout)
-    assert record["codes"] == [code for _, code in traffic]
-    return record
+    """The corpus's one recorded run, once tests/data is known to hold the
+    corpus's files and nothing else: a stale or orphaned file fails."""
+    assert sorted(os.listdir(DATA)) == data_files()
+    return record()
 
 
 def test_every_public_function_has_a_caller_in_src():
     # by execution: every function and method, private ones included, runs
-    # under the CLI traffic
-    record = _cli_traffic_record()
+    # under the command corpus
+    run = _cli_traffic_record()
     defined = _defined_functions()
     assert {("cli.py", "main"), ("exact_arith.py", "IntMatrix.mul_vec")} <= {d[:2] for d in defined}
     # a def is known by its file and first line; its qualified name labels it
-    ran = {tuple(d) for d in record["ran"]}
+    ran = {tuple(d) for d in run["ran"]}
     not_run = [f"{path}:{name}" for path, name, first in defined if (path, first) not in ran]
     assert sorted(not_run) == []
 
 
 def test_every_record_field_is_read_in_src():
-    # by execution: every record field is read under the CLI traffic
+    # by execution: every record field is read under the command corpus
     reads = _cli_traffic_record()["reads"]
     assert {"lattice_core.Lattice.gram", "root_systems.ClassNormSearch.norms_all_odd"} <= set(reads)
     assert sorted(label for label, n in reads.items() if n == 0) == []
