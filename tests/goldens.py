@@ -162,6 +162,26 @@ USAGE_ERRORS = [
         ("unreadable-recognize", ["surface", "--recognize", "no_such_file.json"]),
         ("recognize-not-a-sextic", ["surface", "--recognize", QUINTIC_INPUT]),
         ("unwritable-out", ["lattice", "--out", "no_such_dir/report.json"]),
+        # every accepted input ends in bounded time: each argv below ran
+        # without end (GF(4) has no off-cube pair) or checked nothing before
+        # it became a usage error, and a hang fails the record's timeout
+        ("k2-sampling", ["surface", "--k", "2", "--samples", "1"]),
+        ("k4-more-samples-than-pairs", ["surface", "--k", "4", "--samples", "181"]),
+        ("samples-0", ["surface", "--samples", "0"]),
+        ("samples-negative", ["surface", "--samples", "-1"]),
+        ("lemma-box-2", ["lattice", "--lemma-box", "2"]),
+        ("lemma-box-17", ["lattice", "--lemma-box", "17"]),
+        ("lemma-box-huge", ["all", "--lemma-box", "1000000"]),
+        ("lemma-box-3", ["lattice", "--lemma-box", "3"]),
+        ("all-lemma-box-3", ["all", "--lemma-box", "3"]),
+        ("odd-k-sampling", ["surface", "--k", "3", "--modulus", "0b1011", "--samples", "1"]),
+        ("odd-k-pair", ["surface", "--k", "5", "--modulus", "0b100101", "--r", "1", "--s", "2"]),
+        ("r-not-hex", ["surface", "--k", "4", "--r", "zz", "--s", "1"]),
+        ("s-empty-hex", ["surface", "--k", "4", "--r", "1", "--s", "0x"]),
+        ("recognize-wrong-schema", ["surface", "--recognize", "lattice_extra_glue_1.json"]),
+        ("all-recognize-missing-file", ["all", "--recognize", "no_such_file.json"]),
+        ("line-scan-singular", ["surface", "--line-scan", "singular"]),
+        ("negative-modulus", ["surface", "--k", "4", "--modulus=-19", "--r", "1", "--s", "2"]),
     ]
 ]
 

@@ -1,4 +1,6 @@
 import ast
+import functools
+import json
 import os
 import pathlib
 import subprocess
@@ -123,34 +125,44 @@ def test_no_module_imports_re():
     assert _importers("re") == []
 
 
+# A fresh process imports k3lat.cli, then runs one surface case and one usage
+# error through main; it prints the loaded modules after the import and
+# again after the two calls, and the calls' exit codes
+CLI_PROCESS = """
+import os, sys, k3lat.cli
+imported = sorted(sys.modules)
+codes = [k3lat.cli.main(argv) for argv in (
+    ['surface', '--k', '4', '--r', '1', '--s', '2', '--out', os.devnull], [])]
+ran = sorted(sys.modules)
+import json
+print(json.dumps({"imported": imported, "codes": codes, "ran": ran}))
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def _cli_process() -> dict:
+    """CLI_PROCESS's output, run once."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_PROCESS], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # nor the rational number modules: fractions loads decimal and numbers
     unwanted = {"dataclasses", "inspect", "fractions", "decimal", "numbers"}
-    code = f"import sys, k3lat.cli; print(sorted({unwanted!r} & set(sys.modules)))"
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert sorted(unwanted & set(_cli_process()["imported"])) == []
 
 
 def test_a_cli_run_loads_no_argument_parser():
     # import argparse, its first parser and the gettext and locale lookups it
     # makes took about 7 ms of every CLI process; the CLI parses its own flag table
     unwanted = {"argparse", "gettext", "locale"}
-    code = (
-        "import os, sys, k3lat.cli\n"
-        "codes = [k3lat.cli.main(argv) for argv in (\n"
-        "    ['surface', '--k', '4', '--r', '1', '--s', '2', '--out', os.devnull], [])]\n"
-        f"print(codes, sorted({unwanted!r} & set(sys.modules)))"
-    )
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[0, 2] []"
+    run = _cli_process()
+    assert run["codes"] == [0, 2]
+    assert sorted(unwanted & set(run["ran"])) == []
 
 
 def _imports_from(path: pathlib.Path, package: tuple[str, ...]):

@@ -6,7 +6,8 @@ arguments `lattice` and `cls` of bounded_class_minimizers and
 is_splitting calls under the scan_splitting_lines span.  A src change that
 breaks one of those breaks the traced runs or moves a per-layer counter;
 this test finds it in Tier-1.
-It goes away with the tracer, once the CLI reports its own stage spans.
+It goes away with the tracer, which ROADMAP item 26 replaces by a cProfile
+run that binds no name in src and needs no spans there.
 """
 
 import json
