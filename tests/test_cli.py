@@ -583,6 +583,13 @@ def test_a_report_that_cannot_be_written_is_a_usage_error(target, argv):
         ["--k", "8", "--r", "1", "--s", " 1f "],
         ["--k", "8", "--r", "0x1_f", "--s", "1"],
         ["--k", "8", "--r", "1", "--s", "0b1_1"],
+        # bounded inputs: a vacuous or unbounded sampling run, and an odd
+        # field with no cube root of unity
+        ["--samples", "0"],
+        ["--samples", "-1"],
+        ["--k", "2", "--samples", "1"],
+        ["--k", "4", "--samples", "181"],
+        ["--k", "5", "--modulus", "0b100101", "--r", "1", "--s", "2"],
     ],
     ids=[
         "r-not-hex",
@@ -596,6 +603,11 @@ def test_a_report_that_cannot_be_written_is_a_usage_error(target, argv):
         "s-spaced",
         "r-0x-underscored",
         "s-0b-underscored",
+        "samples-0",
+        "samples-negative",
+        "k2-sampling",
+        "k4-more-samples-than-pairs",
+        "odd-k-pair",
     ],
 )
 def test_bad_surface_arguments_are_usage_errors_before_any_suite(capsys, monkeypatch, flags):
