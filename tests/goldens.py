@@ -8,10 +8,13 @@ commands run with tests/data as the working directory, so a
 ``--recognize`` input is named by its bare file name, and that is the name
 the report's config shows.
 
-``record()`` runs the whole corpus once, in one fresh process, and the
-golden comparison, the clean-exit check and the execution guard all read
-that run.  ``PYTHONPATH=src python tests/goldens.py`` rewrites every
-expected output from the current ``src`` through the same run.
+``record()`` runs the whole corpus once, in one fresh process, and is
+Tier-1's one observer of the CLI: the golden comparison, the clean-exit
+check, the execution guard, the lattice run's work counts (read from the
+first command, ``lattice --with-extra-glue w``) and the module checks of
+the import and of the run all read that record.  ``PYTHONPATH=src python
+tests/goldens.py`` rewrites every expected output from the current ``src``
+through the same run.
 """
 
 import functools
@@ -73,25 +76,30 @@ def _text(argv):
     return [*argv, "--format", "text"]
 
 
-# The lattice reports: sigma = 2, a corrupted glue vector, and sigma = 1 for
-# each extra glue class.  The surface reports: a sampled GF(256) run, a
-# GF(16) member on the cube locus (6 is omega) with its 7 splitting lines,
-# the GF(256) members on the cube-locus diagonals s = r and s = omega-bar r
-# (omega is 0xbd), a GF(2^16) member, a whole `all` run over GF(16), and the
-# recognition of a normal form moved through a seeded frame at k = 8 and
-# k = 16; the normal form t = 1 lies on the cube locus, where three A1
-# points carry two side lines each, and recognition picks the anchors that
-# read t = omega.  Then twenty GF(256) samples, the degenerate pairs, which
-# fail with a witness, and their text reports
+def _extra_glue(c):
+    return Command(f"lattice-extra-glue-{c}", ["lattice", "--with-extra-glue", c], 0,
+                   f"lattice_extra_glue_{c}.json", None)
+
+
+# The lattice reports: sigma = 1 for the extra glue class w first, the run
+# whose work the recorder counts with every memo cold, then sigma = 2, a
+# corrupted glue vector, and sigma = 1 for the other extra glue classes.
+# The surface reports: a sampled GF(256) run, a GF(16) member on the cube
+# locus (6 is omega) with its 7 splitting lines, the GF(256) members on the
+# cube-locus diagonals s = r and s = omega-bar r (omega is 0xbd), a GF(2^16)
+# member, a whole `all` run over GF(16), and the recognition of a normal
+# form moved through a seeded frame at k = 8 and k = 16; the normal form
+# t = 1 lies on the cube locus, where three A1 points carry two side lines
+# each, and recognition picks the anchors that read t = omega.  Then twenty
+# GF(256) samples, the degenerate pairs, which fail with a witness, and
+# their text reports
 REPORTS = [
+    _extra_glue("w"),
     Command("lattice", ["lattice"], 0, "lattice_default.json", None),
     Command("lattice-inject-corrupt-glue", ["lattice", "--inject-corrupt-glue"], 1,
             "lattice_inject_corrupt_glue.json", None),
-    *(
-        Command(f"lattice-extra-glue-{c}", ["lattice", "--with-extra-glue", c], 0,
-                f"lattice_extra_glue_{c}.json", None)
-        for c in ("1", "w", "wb")
-    ),
+    _extra_glue("1"),
+    _extra_glue("wb"),
     Command("k8-samples", ["surface", "--k", "8", "--samples", "4", "--seed", "12345"], 0,
             "surface_k8_samples4_seed12345.json", None),
     Command("k4-cube-locus", ["surface", "--k", "4", "--r", "1", "--s", "6", "--line-scan", "full"],
@@ -169,11 +177,7 @@ USAGE_ERRORS = [
         ("k4-more-samples-than-pairs", ["surface", "--k", "4", "--samples", "181"]),
         ("samples-0", ["surface", "--samples", "0"]),
         ("samples-negative", ["surface", "--samples", "-1"]),
-        ("lemma-box-2", ["lattice", "--lemma-box", "2"]),
-        ("lemma-box-17", ["lattice", "--lemma-box", "17"]),
-        ("lemma-box-huge", ["all", "--lemma-box", "1000000"]),
         ("lemma-box-3", ["lattice", "--lemma-box", "3"]),
-        ("all-lemma-box-3", ["all", "--lemma-box", "3"]),
         ("odd-k-sampling", ["surface", "--k", "3", "--modulus", "0b1011", "--samples", "1"]),
         ("odd-k-pair", ["surface", "--k", "5", "--modulus", "0b100101", "--r", "1", "--s", "2"]),
         ("r-not-hex", ["surface", "--k", "4", "--r", "zz", "--s", "1"]),
@@ -223,29 +227,42 @@ def framed_normal_form(k, modulus, t, seed):
 
 
 # Runs the corpus through k3lat.cli.main in one process, with stdout and
-# stderr captured per command. A profile hook keeps the code object of every
-# Python call, and every public __slots__ name of a k3lat class (every field
-# of a value type or record) becomes a property that counts its reads and
-# passes gets and sets to the original descriptor. A read made in frozen.py
-# is not counted: Frozen's _key (behind __eq__ and __hash__) and __repr__
-# read every field of every record they see. Prints the exit code and the
-# two streams of each command, the (file, first line) of each k3lat code
-# object that ran, the read count of each field, and whether the collector
-# is on and how many objects are frozen once every command has run.
+# stderr captured per command. It imports k3lat.cli before anything of its
+# own and lists sys.modules before that import, after it and after the
+# corpus. A profile hook keeps the code object of every Python call, and
+# every public __slots__ name of a k3lat class (every field of a value type
+# or record) becomes a property that counts its reads and passes gets and
+# sets to the original descriptor. A read made in frozen.py or by the
+# recorder is not counted: Frozen's _key (behind __eq__ and __hash__) and
+# __repr__ read every field of every record they see. During the first
+# command only, which runs with every memo cold, the hook also counts the
+# inverses and the symmetric eliminations by matrix, the glue vectors built
+# by name, the G v products by matrix (those by the sigma = 2 Gram, rebuilt
+# after the corpus with the hook off, under "sigma2") and the coset
+# enumerations by (Gram, bound, coset) and by rank. Prints the exit code and
+# the two streams of each command, the three module lists, the (file, first
+# line) of each k3lat code object that ran, the read count of each field,
+# the counts, and whether the collector is on and how many objects are
+# frozen once every command has run.
 RECORDER = r"""
-import contextlib, gc, importlib, io, json, os, pkgutil, sys
-import k3lat, k3lat.cli, k3lat.frozen
+import sys
+before = sorted(sys.modules)
+import k3lat.cli
+imported = sorted(sys.modules)
 
-frozen = k3lat.frozen.__file__
+import collections, contextlib, gc, importlib, io, json, os, pkgutil
+from k3lat import configuration, exact_arith, frozen, ns_glue, root_systems
+
 for info in pkgutil.walk_packages(k3lat.__path__, "k3lat."):
     importlib.import_module(info.name)
+uncounted = {frozen.__file__, sys._getframe().f_code.co_filename}
 reads = {}
 
 def counted(label, descriptor):
     reads[label] = 0
 
     def get(obj):
-        if sys._getframe(1).f_code.co_filename != frozen:
+        if sys._getframe(1).f_code.co_filename not in uncounted:
             reads[label] += 1
         return descriptor.__get__(obj, type(obj))
 
@@ -262,11 +279,36 @@ for name, module in sorted(sys.modules.items()):
             label = f"{name.removeprefix('k3lat.')}.{cls.__qualname__}.{field}"
             setattr(cls, field, counted(label, vars(cls)[field]))
 
+first = {}
+
+def tally(function, key):
+    # the calls of function in the first command, by key(its arguments)
+    calls = collections.Counter()
+    first[function.__code__] = lambda args: calls.update([key(args)])
+    return calls
+
+inverses = tally(exact_arith.invert, lambda args: args["a"].entries)
+eliminations = tally(exact_arith._eliminate, lambda args: len(args["a"].entries))
+products = tally(exact_arith.IntMatrix.mul_vec, lambda args: args["self"].entries)
+scans = tally(
+    root_systems.short_vectors,
+    lambda args: (len(args["gram"].entries), repr((args["gram"].entries, args["bound"], args["coset"]))),
+)
+
+def glue_name(args):
+    # the name of a glue vector being built, None for any other record
+    if type(args["self"]) is ns_glue.GlueVector:
+        return (args["values"] or [args["named"]["name"]])[0]
+
+built = tally(frozen.Frozen.__init__, glue_name)
 called = set()
+counting = first
 
 def profile(frame, event, arg):
     if event == "call":
         called.add(frame.f_code)
+        if frame.f_code in counting:
+            counting[frame.f_code](frame.f_locals)
 
 runs = []
 sys.setprofile(profile)
@@ -276,16 +318,33 @@ try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = k3lat.cli.main(argv)
         runs.append([code, out.getvalue(), err.getvalue()])
+        counting = {}
 finally:
     sys.setprofile(None)
+modules = {"before": before, "imported": imported, "ran": sorted(sys.modules)}
+collector = [gc.isenabled(), gc.get_freeze_count()]
+corpus_reads = dict(reads)
 root = os.path.dirname(k3lat.__file__)
 ran = sorted(
     (os.path.relpath(c.co_filename, root), c.co_firstlineno)
     for c in called
     if c.co_filename.startswith(root + os.sep)
 )
-collector = [gc.isenabled(), gc.get_freeze_count()]
-print(json.dumps({"runs": runs, "ran": ran, "reads": reads, "collector": collector}))
+ls = ns_glue.build_lambda()
+ns = ns_glue.build_overlattice(ls, tuple(ns_glue.halfline_class(ls, lam) for lam in configuration.L_LABELS))
+counts = {
+    "inverses": [[len(m), n] for m, n in inverses.items()],
+    "eliminations": dict(eliminations),
+    "glue": {name: n for name, n in built.items() if name is not None},
+    "mul_vec": [[len(m), len(m[0]), n] for m, n in products.items()],
+    "sigma2": products[ns.lattice.gram.entries],
+    "scans": {key: n for (_, key), n in scans.items()},
+    "ranks": dict(collections.Counter(rank for rank, _ in scans.elements())),
+}
+print(json.dumps({
+    "runs": runs, "modules": modules, "ran": ran, "reads": corpus_reads, "counts": counts,
+    "collector": collector,
+}))
 """
 
 

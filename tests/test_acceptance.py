@@ -10,15 +10,12 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-import pytest
-
 from k3lat.exact_arith import invert
 from k3lat.lattice_core import class_of, elementary_factors, is_even, lattice_A1, lattice_D4
 from k3lat.root_systems import PositivityFunctional, ade_type, bounded_class_minimizers
 from k3lat.configuration import L_LABELS
 from k3lat.ns_glue import (
     artin_invariant,
-    build_lambda,
     build_overlattice,
     canonical_positivity,
     exceptional_root_analysis,
@@ -28,7 +25,6 @@ from k3lat.ns_glue import (
     polarization_roots,
     unique_halfline_search,
 )
-from k3lat.char2_surfaces.field import BinaryField
 from k3lat.char2_surfaces.poly import HomPoly
 from k3lat.char2_surfaces.recognize import (
     normal_form_sextic,
@@ -60,27 +56,6 @@ def criterion(number: int, budget_s: float, summary: str):
     elapsed = time.perf_counter() - start
     print(f"criterion {number:02d} PASS  ({elapsed * 1000:9.1f} ms)  {summary}")
     assert elapsed < budget_s, f"criterion {number} exceeded its {budget_s}s budget"
-
-
-@pytest.fixture(scope="module")
-def lambda_sum():
-    return build_lambda()
-
-
-@pytest.fixture(scope="module")
-def ns_sigma2(lambda_sum):
-    glue = tuple(halfline_class(lambda_sum, lam) for lam in L_LABELS)
-    return build_overlattice(lambda_sum, glue)
-
-
-@pytest.fixture(scope="module")
-def gf256():
-    return BinaryField(8)
-
-
-@pytest.fixture(scope="module")
-def gf16():
-    return BinaryField(4)
 
 
 DUAL_D4 = (
@@ -148,52 +123,52 @@ def test_criterion_03_root_counts():
         assert ade_type(enumerate_roots(d4), alpha) == ["D4"]
 
 
-def test_criterion_04_overlattice_arithmetic(lambda_sum, ns_sigma2):
+def test_criterion_04_overlattice_arithmetic(ls, ns):
     with criterion(4, 5.0, "glue construction: determinants, index, parity, invariants"):
-        base = lambda_sum.lattice
+        base = ls.lattice
         assert base.det() == -(2**14)
         assert base.inertia() == (1, 21, 0)
         assert [f for f in snf(base.gram).invariant_factors if f > 1] == [2] * 14
 
-        glue = [halfline_class(lambda_sum, lam) for lam in L_LABELS]
+        glue = [halfline_class(ls, lam) for lam in L_LABELS]
         ok, rank = independence_check(glue)
         assert ok and rank == 5
 
-        assert ns_sigma2.index == 2**5
-        assert ns_sigma2.lattice.det() == -(2**4)
-        assert is_even(ns_sigma2.lattice)
-        assert elementary_factors(ns_sigma2.lattice) == [2] * 4
-        assert artin_invariant(ns_sigma2.lattice) == 2
+        assert ns.index == 2**5
+        assert ns.lattice.det() == -(2**4)
+        assert is_even(ns.lattice)
+        assert elementary_factors(ns.lattice) == [2] * 4
+        assert artin_invariant(ns.lattice) == 2
 
-        extra = extra_glue_class(lambda_sum, "w")
-        ns1 = build_overlattice(lambda_sum, tuple(glue) + (extra,))
+        extra = extra_glue_class(ls, "w")
+        ns1 = build_overlattice(ls, tuple(glue) + (extra,))
         assert ns1.lattice.det() == -(2**2)
         assert artin_invariant(ns1.lattice) == 1
 
 
-def test_criterion_05_maximal_rdp_structure(ns_sigma2):
+def test_criterion_05_maximal_rdp_structure(ns):
     with criterion(5, 60.0, "polarization complement decomposes as 4 D4 + 5 A1 of rank 21"):
-        report = exceptional_root_analysis(ns_sigma2)
+        report = exceptional_root_analysis(ns)
         assert report.complement_rank == 21
         assert report.complement_inertia == (0, 21, 0)
-        labels = ade_type(polarization_roots(ns_sigma2), canonical_positivity(ns_sigma2))
+        labels = ade_type(polarization_roots(ns), canonical_positivity(ns))
         assert sorted(labels) == ["A1"] * 5 + ["D4"] * 4
         assert report.type_string == "4D4+5A1"
         assert report.total_component_rank == 21
-        assert report.total_component_rank == ns_sigma2.lattice.rank - 1
+        assert report.total_component_rank == ns.lattice.rank - 1
 
 
-def test_criterion_06_halfline_uniqueness(lambda_sum, ns_sigma2):
+def test_criterion_06_halfline_uniqueness(ls, ns):
     with criterion(6, 30.0, "each half-line class is the unique budget-feasible candidate"):
         for lam in L_LABELS:
-            res = unique_halfline_search(lam, ns_sigma2)
+            res = unique_halfline_search(lam, ns)
             assert len(res.candidates) == 1
             assert res.is_unique_expected()
             v = res.candidates[0]
             assert norm(v) == -2
             total = Fraction(0)
-            for s in lambda_sum.summands[1:]:
-                total += norm(lambda_sum.component(v, s))
+            for s in ls.summands[1:]:
+                total += norm(ls.component(v, s))
             assert total == Fraction(-5, 2)
             assert res.budget_checked >= 1
 

@@ -14,11 +14,6 @@ from k3lat.char2_surfaces.surfaces import (
 from surface_oracles import compose_linear as oracle_compose, evaluate
 
 
-@pytest.fixture(scope="module")
-def gf16():
-    return BinaryField(4)
-
-
 # vanishing orders of binary forms, used as oracles here and in
 # test_char2_surfaces.py
 

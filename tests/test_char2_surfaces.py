@@ -43,16 +43,6 @@ def all_points(field):
     yield (1, 0, 0)
 
 
-@pytest.fixture(scope="module")
-def gf16():
-    return BinaryField(4)
-
-
-@pytest.fixture(scope="module")
-def gf256():
-    return BinaryField(8)
-
-
 def test_schroeer_coefficients(gf16):
     f = gf16
     r, s = 3, 7
@@ -452,13 +442,6 @@ def test_singular_points_match_brute_force_oracle(k, modulus):
     # the last kind puts every singular point on z = 0
     expected = brute_force_singular_points(g)
     assert len(expected) == 3 and all(p[2] == 0 for p in expected)
-
-
-# GF(2^16) is the largest field BinaryField accepts; a q^2 scan of it takes hours
-
-@pytest.fixture(scope="module")
-def gf65536():
-    return BinaryField(16, 0x1002D)
 
 
 @pytest.mark.parametrize("square", [(2, 0, 0), (0, 2, 0)], ids=["x0-line", "x1-line"])

@@ -1,4 +1,3 @@
-import functools
 import gc
 import json
 import os
@@ -88,125 +87,24 @@ def test_lattice_default():
         assert recorded_checks(f"lattice-extra-glue-{c}")["overlattice_sigma1"]["witness"]["sigma"] == 1
 
 
-# One fresh process makes one whole lattice run with every counter below
-# installed, snapshots them all when main returns, and prints them with the
-# report and the exit code:
-# - "inverse": every inverse, at every loaded k3lat module that binds invert;
-# - "glue": the glue vectors ns_glue builds;
-# - "kernel": each loaded k3lat module that binds a Smith form, an integer
-#   kernel, a complement or a root enumeration of a whole lattice;
-# - "mul_vec": the G v products per matrix, and those by the sigma = 2
-#   overlattice Gram, which is rebuilt after the snapshot;
-# - "elimination": the symmetric eliminations by matrix size;
-# - "coset": every coset enumeration, and the rank of the Gram of each.
-LATTICE_RUN_COUNTERS = """
-import collections, contextlib, io, json, sys
-from k3lat import cli, configuration, exact_arith, ns_glue, root_systems
-
-inverses = collections.Counter()
-real_invert = exact_arith.invert
-def counting_invert(a):
-    inverses[a.entries] += 1
-    return real_invert(a)
-for name, module in list(sys.modules.items()):
-    if name.split(".")[0] == "k3lat" and "invert" in vars(module):
-        assert module.invert is real_invert, name
-        module.invert = counting_invert
-
-built = collections.Counter()
-real_glue = ns_glue.GlueVector
-def counting_glue(name, vector):
-    built[name] += 1
-    return real_glue(name, vector)
-ns_glue.GlueVector = counting_glue
-
-products = collections.Counter()
-real_mul_vec = exact_arith.IntMatrix.mul_vec
-def counting_mul_vec(self, v):
-    products[self.entries] += 1
-    return real_mul_vec(self, v)
-exact_arith.IntMatrix.mul_vec = counting_mul_vec
-
-eliminations = collections.Counter()
-real_eliminate = exact_arith._eliminate
-def counting_eliminate(a):
-    eliminations[a.rows] += 1
-    return real_eliminate(a)
-exact_arith._eliminate = counting_eliminate
-
-scans = collections.Counter()
-ranks = collections.Counter()
-real_short_vectors = root_systems.short_vectors
-def counting_short_vectors(gram, bound, coset):
-    ranks[gram.rows] += 1
-    scans[repr((gram.entries, bound, coset))] += 1
-    return real_short_vectors(gram, bound, coset)
-root_systems.short_vectors = counting_short_vectors
-
-report = io.StringIO()
-with contextlib.redirect_stdout(report):
-    code = cli.main(sys.argv[1:])
-names = ("snf", "kernel_basis", "orthogonal_complement", "Sublattice", "enumerate_roots")
-counts = {
-    "code": code,
-    "report": json.loads(report.getvalue()),
-    "inverse": {"inverses": [[len(m), n] for m, n in inverses.items()]},
-    "glue": {"built": dict(built)},
-    "kernel": {
-        "bound": [
-            f"{name}.{attr}"
-            for name, module in sys.modules.items()
-            if name.split(".")[0] == "k3lat"
-            for attr in names
-            if attr in vars(module)
-        ]
-    },
-    "mul_vec": {"calls": [[len(m), len(m[0]), n] for m, n in products.items()]},
-    "elimination": {"calls": dict(eliminations)},
-    "coset": {"scans": dict(scans), "ranks": dict(ranks)},
-}
-exact_arith.IntMatrix.mul_vec = real_mul_vec
-ls = ns_glue.build_lambda()
-ns = ns_glue.build_overlattice(ls, tuple(ns_glue.halfline_class(ls, lam) for lam in configuration.L_LABELS))
-counts["mul_vec"]["sigma2"] = products[ns.lattice.gram.entries]
-print(json.dumps(counts))
-"""
-
-
-@functools.lru_cache(maxsize=None)
-def _lattice_run_counts() -> dict:
-    """LATTICE_RUN_COUNTERS's output for lattice --with-extra-glue w, run once."""
-    proc = subprocess.run(
-        [sys.executable, "-c", LATTICE_RUN_COUNTERS, "lattice", "--with-extra-glue", "w"],
-        env={**os.environ, "PYTHONPATH": SRC},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
-def lattice_run_counts(counter) -> dict:
-    """One counter's snapshot of the shared lattice run, with its exit code."""
-    run = _lattice_run_counts()
-    return {"code": run["code"], **run[counter]}
+def first_command_counts() -> dict:
+    """The work counts of the corpus's first command, lattice --with-extra-glue
+    w, which the recorded run makes with every memo cold."""
+    assert CORPUS[0].id == "lattice-extra-glue-w"
+    assert recorded(CORPUS[0].id)[0] == EXIT_OK
+    return record()["counts"]
 
 
 def test_lattice_run_inverts_each_gram_at_most_once():
-    result = lattice_run_counts("inverse")
-    assert result["code"] == EXIT_OK
     # the A1 and D4 Grams of the dual-basis vectors; the overlattice bases and
     # their coordinate maps are closed forms in the F_2 echelon of the glue,
     # so no 22 x 22 inverse is taken
-    assert sorted(result["inverses"]) == [[1, 1], [4, 1]]
+    assert sorted(first_command_counts()["inverses"]) == [[1, 1], [4, 1]]
 
 
 def test_lattice_run_builds_each_halfline_glue_vector_once():
     # the overlattice and the five half-line searches share one vector per label
-    result = lattice_run_counts("glue")
-    assert result["code"] == EXIT_OK
-    assert result["built"] == {**{f"F({lam})": 1 for lam in L_LABELS}, "G(w)": 1}
+    assert first_command_counts()["glue"] == {**{f"F({lam})": 1 for lam in L_LABELS}, "G(w)": 1}
 
 
 def test_lattice_run_puts_no_overlattice_gram_in_smith_form():
@@ -214,23 +112,27 @@ def test_lattice_run_puts_no_overlattice_gram_in_smith_form():
     # discriminant witness and the 2-elementarity of the sigma = 2 Gram come
     # from det and the F_2 corank, discriminant classes from coordinates
     # mod 1, and the roots orthogonal to h from the glue classes and the
-    # summands, with no complement of h
-    result = lattice_run_counts("kernel")
-    assert result["code"] == EXIT_OK
-    assert result["bound"] == []
+    # summands, with no complement of h; no k3lat module binds one
+    names = ("snf", "kernel_basis", "orthogonal_complement", "Sublattice", "enumerate_roots")
+    bound = [
+        f"{name}.{attr}"
+        for name, module in sys.modules.items()
+        if name.split(".")[0] == "k3lat"
+        for attr in names
+        if attr in vars(module)
+    ]
+    assert bound == []
 
 
 def test_lattice_run_multiplies_by_the_overlattice_gram_once_per_root_and_indecomposable():
     # polarization_roots takes G r once per root for its norm and degree
     # re-check, and ade_type takes G e once per simple root
-    result = lattice_run_counts("mul_vec")
-    assert result["code"] == EXIT_OK
-    checks = {c["name"]: c["witness"] for c in _lattice_run_counts()["report"]["checks"]}
-    witness = checks["exceptional_root_type"]
+    counts = first_command_counts()
+    witness = recorded_checks("lattice-extra-glue-w")["exceptional_root_type"]["witness"]
     budget = witness["root_count"] + witness["total_component_rank"]
     assert budget == 106 + 21
-    assert result["sigma2"] == budget
-    assert not [n for rows, cols, n in result["calls"] if rows == cols == 21]
+    assert counts["sigma2"] == budget
+    assert not [n for rows, cols, n in counts["mul_vec"] if rows == cols == 21]
 
 
 def test_lattice_run_eliminates_each_rank_22_gram_once():
@@ -238,15 +140,7 @@ def test_lattice_run_eliminates_each_rank_22_gram_once():
     # its root enumeration alike: the base, sigma = 2 and sigma = 1 Grams,
     # D4, A1 and H; the complement's signature is the base's, less the
     # polarization's sign, so no rank-21 complement Gram is built
-    result = lattice_run_counts("elimination")
-    assert result["code"] == EXIT_OK
-    assert result["calls"] == {"22": 3, "4": 1, "1": 2}
-
-
-def _count_coset_enumerations() -> dict:
-    result = lattice_run_counts("coset")
-    assert result["code"] == EXIT_OK
-    return result
+    assert first_command_counts()["eliminations"] == {"22": 3, "4": 1, "1": 2}
 
 
 def test_lattice_run_shares_class_scans_with_the_halfline_walk():
@@ -259,14 +153,13 @@ def test_lattice_run_shares_class_scans_with_the_halfline_walk():
     # >= -2: the zero classes at the same bound 2, shared, and the A1 class
     # and the three D4 classes of denominator 2 at the bound 8, 4 more.  11
     # enumerations, each run once
-    scans = _count_coset_enumerations()["scans"]
-    assert sorted(scans.values()) == [1] * 11
+    assert sorted(first_command_counts()["scans"].values()) == [1] * 11
 
 
 def test_lattice_run_enumerates_no_gram_of_rank_above_4():
     # the roots orthogonal to h come from the A1 and D4 summands: no
     # enumeration runs on the rank-21 complement or any rank-22 Gram
-    ranks = _count_coset_enumerations()["ranks"]
+    ranks = first_command_counts()["ranks"]
     assert ranks and max(map(int, ranks)) <= 4
 
 
@@ -338,19 +231,6 @@ def test_raising_surface_case_names_the_exception_type(capsys, monkeypatch):
         "error": "no nine-point configuration",
         "error_type": "SurfaceError",
     }
-
-
-def test_surface_cube_locus_pair(capsys):
-    f = BinaryField(4)
-    w = f.omega()
-    code, out = run_cli(capsys, "surface", "--k", "4", "--r", "1", "--s", format(w, "x"))
-    assert code == EXIT_OK
-    report = json.loads(out)
-    case = report["checks"][0]
-    assert len(case["witness"]["splitting_lines"]) == 7
-    dich = report["checks"][-1]
-    assert dich["name"] == "extra_line_dichotomy"
-    assert dich["witness"]["cases"][0]["splits"] is True
 
 
 def test_framed_recognition_inputs_are_their_seeded_frames():

@@ -18,18 +18,13 @@ from k3lat.char2_surfaces.surfaces import (
     verify_configuration,
 )
 from k3lat.configuration import DIAGONALS, LINES, P_LABELS, Q_LABELS, point_labels
-from k3lat.ns_glue import GlueVector, build_lambda, extra_glue_class, halfline_class
+from k3lat.ns_glue import GlueVector, extra_glue_class, halfline_class
 
 from goldens import FRAMED_INPUTS, framed_normal_form, seeded_frame
 from surface_oracles import hand_written_lines, rule_labeling
 from test_ns_glue import a_vee, d_vee, h_vee
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "k3lat"
-
-
-@pytest.fixture(scope="module")
-def ls():
-    return build_lambda()
 
 
 def row_glue(ls, name, row):

@@ -1,10 +1,6 @@
 import ast
-import functools
-import json
 import os
 import pathlib
-import subprocess
-import sys
 
 from goldens import DATA, data_files, record
 
@@ -125,44 +121,25 @@ def test_no_module_imports_re():
     assert _importers("re") == []
 
 
-# A fresh process imports k3lat.cli, then runs one surface case and one usage
-# error through main; it prints the loaded modules after the import and
-# again after the two calls, and the calls' exit codes
-CLI_PROCESS = """
-import os, sys, k3lat.cli
-imported = sorted(sys.modules)
-codes = [k3lat.cli.main(argv) for argv in (
-    ['surface', '--k', '4', '--r', '1', '--s', '2', '--out', os.devnull], [])]
-ran = sorted(sys.modules)
-import json
-print(json.dumps({"imported": imported, "codes": codes, "ran": ran}))
-"""
-
-
-@functools.lru_cache(maxsize=None)
-def _cli_process() -> dict:
-    """CLI_PROCESS's output, run once."""
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    proc = subprocess.run(
-        [sys.executable, "-c", CLI_PROCESS], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+def _added(until: str) -> set[str]:
+    """The modules that the recorded run loaded from the start of ``import
+    k3lat.cli`` up to one of its module lists: "imported" ends that import,
+    and "ran" follows the recorder's own imports and the corpus."""
+    modules = record()["modules"]
+    return set(modules[until]) - set(modules["before"])
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # nor the rational number modules: fractions loads decimal and numbers
     unwanted = {"dataclasses", "inspect", "fractions", "decimal", "numbers"}
-    assert sorted(unwanted & set(_cli_process()["imported"])) == []
+    assert sorted(unwanted & _added("imported")) == []
 
 
 def test_a_cli_run_loads_no_argument_parser():
     # import argparse, its first parser and the gettext and locale lookups it
     # makes took about 7 ms of every CLI process; the CLI parses its own flag table
     unwanted = {"argparse", "gettext", "locale"}
-    run = _cli_process()
-    assert run["codes"] == [0, 2]
-    assert sorted(unwanted & set(run["ran"])) == []
+    assert sorted(unwanted & _added("ran")) == []
 
 
 def _imports_from(path: pathlib.Path, package: tuple[str, ...]):

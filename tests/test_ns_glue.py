@@ -27,7 +27,6 @@ from k3lat.ns_glue import (
     OverlatticeResult,
     Summand,
     artin_invariant,
-    build_lambda,
     build_overlattice,
     canonical_positivity,
     exceptional_root_analysis,
@@ -76,17 +75,6 @@ def d_vee(ls, i, ab):
 
 def a_vee(ls, g):
     return ls.assemble({f"Q({g})": DualVector(lattice_A1(), [-1], 2)})
-
-
-@pytest.fixture(scope="module")
-def ls():
-    return build_lambda()
-
-
-@pytest.fixture(scope="module")
-def ns(ls):
-    glue = tuple(halfline_class(ls, lam) for lam in L_LABELS)
-    return build_overlattice(ls, glue)
 
 
 def test_base_lattice_shape(ls):

@@ -16,11 +16,6 @@ from k3lat.char2_surfaces.surfaces import schroeer_sextic, verify_configuration
 from surface_oracles import cascade_normal_form
 
 
-@pytest.fixture(scope="module")
-def gf16():
-    return BinaryField(4)
-
-
 IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
