@@ -177,7 +177,11 @@ USAGE_ERRORS = [
         ("k4-more-samples-than-pairs", ["surface", "--k", "4", "--samples", "181"]),
         ("samples-0", ["surface", "--samples", "0"]),
         ("samples-negative", ["surface", "--samples", "-1"]),
+        ("lemma-box-2", ["lattice", "--lemma-box", "2"]),
+        ("lemma-box-17", ["lattice", "--lemma-box", "17"]),
+        ("lemma-box-huge", ["all", "--lemma-box", "1000000"]),
         ("lemma-box-3", ["lattice", "--lemma-box", "3"]),
+        ("all-lemma-box-3", ["all", "--lemma-box", "3"]),
         ("odd-k-sampling", ["surface", "--k", "3", "--modulus", "0b1011", "--samples", "1"]),
         ("odd-k-pair", ["surface", "--k", "5", "--modulus", "0b100101", "--r", "1", "--s", "2"]),
         ("r-not-hex", ["surface", "--k", "4", "--r", "zz", "--s", "1"]),
@@ -250,11 +254,16 @@ before = sorted(sys.modules)
 import k3lat.cli
 imported = sorted(sys.modules)
 
-import collections, contextlib, gc, importlib, io, json, os, pkgutil
+import collections, contextlib, gc, importlib, io, json, os
 from k3lat import configuration, exact_arith, frozen, ns_glue, root_systems
 
-for info in pkgutil.walk_packages(k3lat.__path__, "k3lat."):
-    importlib.import_module(info.name)
+# every k3lat module, found by its path: pkgutil would load inspect
+root = os.path.dirname(k3lat.__file__)
+for folder, _, files in os.walk(root):
+    package = "k3lat" + folder[len(root):].replace(os.sep, ".")
+    for name in files:
+        if name.endswith(".py") and name != "__init__.py":
+            importlib.import_module(f"{package}.{name[:-3]}")
 uncounted = {frozen.__file__, sys._getframe().f_code.co_filename}
 reads = {}
 
@@ -324,7 +333,6 @@ finally:
 modules = {"before": before, "imported": imported, "ran": sorted(sys.modules)}
 collector = [gc.isenabled(), gc.get_freeze_count()]
 corpus_reads = dict(reads)
-root = os.path.dirname(k3lat.__file__)
 ran = sorted(
     (os.path.relpath(c.co_filename, root), c.co_firstlineno)
     for c in called
