@@ -36,7 +36,9 @@ class HomPoly:
         q = field.q
         for exp, c in terms.items():
             l, m, n = exp
-            if l < 0 or m < 0 or n < 0 or l + m + n != degree:
+            if l < 0 or m < 0 or n < 0:
+                raise PolyError(f"exponent triple {exp} has a negative exponent")
+            if l + m + n != degree:
                 raise PolyError(f"exponent triple {exp} does not sum to degree {degree}")
             if not 0 <= c < q:
                 field.check(c)  # raises with the field's message

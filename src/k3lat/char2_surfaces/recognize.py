@@ -133,9 +133,8 @@ def label_configuration(
     configuration receives the identity labeling.  On the cube locus the
     diagonals split too; of the three A1 points on two side lines the
     smallest two are the anchors, and one may be q(c) with its two diagonals.
+    Expects exactly 4 D4 and 5 A1 points, as ``recognize_surface`` checks.
     """
-    if len(d4_points) != 4 or len(a1_points) != 5:
-        raise RecognitionError("labeling needs 4 D4 and 5 A1 points")
     a1_line = next((l for l in splitting if all(point_on_line(field, p, l) for p in a1_points)), None)
     if a1_line is None:
         raise RecognitionError("no splitting line carries all five A1 points")

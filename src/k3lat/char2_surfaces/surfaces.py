@@ -502,9 +502,10 @@ def verify_configuration(field: BinaryField, r: int, s: int) -> ConfigurationRep
     (``schroeer_sextic``).
 
     (a) counts and types 4 D4 + 5 A1 with total Milnor number 21, (b) the
-    five A1 images collinear on a splitting line, (c) the labeled
-    coordinates of the points of (r, s) and the incidence of the five
-    standard lines, against the rows of ``configuration.LINES``, (d) every
+    labeled coordinates of the points of (r, s) and the incidence of the
+    five standard lines, against the rows of ``configuration.LINES``: the
+    A1 points found are the five q(c), and L(inf) splits and carries
+    exactly those, so the A1 points lie on a splitting line, (c) every
     splitting rational line (the scan is exhaustive and independent of
     (a)): 5 off the cube locus and 7 on it, a count reported only when
     nothing else is.  Mismatches are reported as findings, not raised, and
@@ -525,15 +526,6 @@ def verify_configuration(field: BinaryField, r: int, s: int) -> ConfigurationRep
 
     certificates = tuple(scan_splitting_lines(g))
     split_lines = [c.line for c in certificates]
-
-    if len(a1) == 5:
-        # singular_points gives distinct normalized points, so a1[0] and a1[1] span a line
-        common = line_through(f, a1[0], a1[1])
-        if all(point_on_line(f, p, common) for p in a1[2:]):
-            if common not in split_lines:
-                findings.append("the A1 line is not splitting")
-        else:
-            findings.append("the five A1 points are not collinear")
 
     expected_pts = table_points(f, r, s)
     for typ, found, prefix in (("D4", d4, "p("), ("A1", a1, "q(")):

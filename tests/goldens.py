@@ -165,6 +165,7 @@ USAGE_ERRORS = [
         ("r-without-s", ["surface", "--k", "4", "--r", "1"]),
         ("odd-k", ["surface", "--k", "7"]),
         ("reducible-modulus", ["surface", "--k", "4", "--modulus", "21"]),
+        ("modulus-wrong-degree", ["surface", "--k", "4", "--modulus", "0b111", "--r", "1", "--s", "2"]),
         ("too-many-samples", ["surface", "--k", "4", "--samples", "200"]),
         ("degenerate-pair", ["surface", "--k", "8", "--r", "5", "--s", "0"]),
         ("unreadable-recognize", ["surface", "--recognize", "no_such_file.json"]),

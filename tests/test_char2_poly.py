@@ -69,8 +69,10 @@ def _divide_linear(form: BinForm, a: int, b: int) -> BinForm:
 
 
 def test_term_validation(gf16):
-    with pytest.raises(PolyError):
+    with pytest.raises(PolyError, match=r"^exponent triple \(1, 2, 2\) does not sum to degree 6$"):
         HomPoly(gf16, 6, {(1, 2, 2): 1})
+    with pytest.raises(PolyError, match=r"^exponent triple \(-1, 4, 3\) has a negative exponent$"):
+        HomPoly(gf16, 6, {(-1, 4, 3): 1})
     p = HomPoly(gf16, 2, {(2, 0, 0): 1, (0, 1, 1): 0})
     assert p.terms == {(2, 0, 0): 1}
 

@@ -11,6 +11,7 @@ from k3lat.char2_surfaces.poly import HomPoly
 from k3lat.char2_surfaces.recognize import RecognitionError, apply_frame, normal_form_sextic, recognize_surface
 from k3lat.char2_surfaces.upoly import trim
 from k3lat.char2_surfaces.surfaces import (
+    SingularityReport,
     SplittingCertificate,
     SurfaceError,
     analyze_singularities,
@@ -244,6 +245,26 @@ def test_one_extra_splitting_line_fails_the_configuration(gf16, monkeypatch, cub
     conf = verify_configuration(f, r, s)
     n = 7 if cube_locus else 5
     assert conf.findings == (f"expected {n} splitting lines, found {n + 1}",)
+
+
+def test_an_a1_point_off_the_a1_line_is_a_moved_labeled_point(gf16, monkeypatch):
+    # the five A1 points must be the table's q(c), all on L(inf): a found A1
+    # point off that line is therefore reported by the coordinate check
+    f = gf16
+    r, s = 1, f.generator
+    q_one = table_points(f, r, s)["q(1)"]
+    off = (1, 1, 1)
+    assert not point_on_line(f, off, table_lines(f, r, s)["L(inf)"])
+    real = surfaces.analyze_singularities
+
+    def moved(g):
+        points = real(g).points
+        assert (q_one, "A1") in points and off not in (p for p, _ in points)
+        return SingularityReport(tuple((off if p == q_one else p, t) for p, t in points))
+
+    monkeypatch.setattr(surfaces, "analyze_singularities", moved)
+    conf = verify_configuration(f, r, s)
+    assert conf.findings == ("A1 points differ from the labeled coordinates",)
 
 
 def test_dichotomy_sampled_pairs(gf16):

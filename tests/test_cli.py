@@ -549,38 +549,44 @@ def _with_a_repeated_term(g, exp):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, message",
     [
-        "not json",
-        _poly_file_text(20, "1" + "0" * 19 + "1001", []),
-        json.dumps([1, 2, 3]),
-        _poly_file_text(4, "10011", [{"exp": [1, 1, 1], "coeff": "1"}]),
-        _poly_file_text(4, "10011", [{"exp": [1, 4, 1], "coeff": "2"}]),
-        _with_a_repeated_term(normal_form_sextic(BinaryField(8), 3), [1, 2, 3]),
-        json.dumps({"field": {"k": 4, "modulus_bits": "10011"}, "degree": 6.0, "terms": []}),
-        _poly_file_text(4, "10011", [{"exp": [1.0, 2, 3], "coeff": "1"}]),
-        json.dumps(HomPoly(BinaryField(4), 0, {(0, 0, 0): 1}).to_json_obj(), sort_keys=True),
-        json.dumps(HomPoly(BinaryField(4), 5, {(5, 0, 0): 1, (0, 2, 3): 3}).to_json_obj(), sort_keys=True),
-        json.dumps(HomPoly(BinaryField(4), 7, {(0, 0, 7): 1, (3, 4, 0): 5}).to_json_obj(), sort_keys=True),
-        # two terms; recognized as a form, it took seconds and cited a sextic's Bezout bound
-        json.dumps(HomPoly(BinaryField(4), 1600, {(1600, 0, 0): 1, (0, 1, 1599): 1}).to_json_obj(), sort_keys=True),
-        # json gave up with a RecursionError traceback
-        "[" * 200000 + "]" * 200000,
-        # GF(2^True) was built and recognition failed on it
-        _poly_file_text(True, "11", [{"exp": [1, 4, 1], "coeff": "1"}]),
-        # rejected only through the TypeError of 1 << 8.0
-        _poly_file_text(8.0, "100011011", [{"exp": [1, 4, 1], "coeff": "1"}]),
-        # int(text, 2) took each of these four coefficients as binary 3
-        _poly_file_text(4, "10011", [{"exp": [1, 4, 1], "coeff": "1_1"}]),
-        _poly_file_text(4, "10011", [{"exp": [1, 4, 1], "coeff": "0b11"}]),
-        _poly_file_text(4, "10011", [{"exp": [1, 4, 1], "coeff": " 11 "}]),
-        _poly_file_text(4, "10011", [{"exp": [1, 4, 1], "coeff": "+11"}]),
-        # and these moduli as x^4 + x + 1
-        _poly_file_text(4, "1_0011", [{"exp": [1, 4, 1], "coeff": "1"}]),
-        _poly_file_text(4, "0b10011", [{"exp": [1, 4, 1], "coeff": "1"}]),
-        _poly_file_text(4, " 10011", [{"exp": [1, 4, 1], "coeff": "1"}]),
-        # ended in the ValueError of unpacking two exponents into three
-        _poly_file_text(4, "10011", [{"exp": [1, 5], "coeff": "1"}]),
+        *((text, None) for text in [
+            "not json",
+            _poly_file_text(20, "1" + "0" * 19 + "1001", []),
+            json.dumps([1, 2, 3]),
+            _poly_file_text(4, "10011", [{"exp": [1, 1, 1], "coeff": "1"}]),
+            _poly_file_text(4, "10011", [{"exp": [1, 4, 1], "coeff": "2"}]),
+            _with_a_repeated_term(normal_form_sextic(BinaryField(8), 3), [1, 2, 3]),
+            json.dumps({"field": {"k": 4, "modulus_bits": "10011"}, "degree": 6.0, "terms": []}),
+            _poly_file_text(4, "10011", [{"exp": [1.0, 2, 3], "coeff": "1"}]),
+            json.dumps(HomPoly(BinaryField(4), 0, {(0, 0, 0): 1}).to_json_obj(), sort_keys=True),
+            json.dumps(HomPoly(BinaryField(4), 5, {(5, 0, 0): 1, (0, 2, 3): 3}).to_json_obj(), sort_keys=True),
+            json.dumps(HomPoly(BinaryField(4), 7, {(0, 0, 7): 1, (3, 4, 0): 5}).to_json_obj(), sort_keys=True),
+            # two terms; recognized as a form, it took seconds and cited a sextic's Bezout bound
+            json.dumps(HomPoly(BinaryField(4), 1600, {(1600, 0, 0): 1, (0, 1, 1599): 1}).to_json_obj(), sort_keys=True),
+            # json gave up with a RecursionError traceback
+            "[" * 200000 + "]" * 200000,
+            # GF(2^True) was built and recognition failed on it
+            _poly_file_text(True, "11", [{"exp": [1, 4, 1], "coeff": "1"}]),
+            # rejected only through the TypeError of 1 << 8.0
+            _poly_file_text(8.0, "100011011", [{"exp": [1, 4, 1], "coeff": "1"}]),
+            # int(text, 2) took each of these four coefficients as binary 3
+            _poly_file_text(4, "10011", [{"exp": [1, 4, 1], "coeff": "1_1"}]),
+            _poly_file_text(4, "10011", [{"exp": [1, 4, 1], "coeff": "0b11"}]),
+            _poly_file_text(4, "10011", [{"exp": [1, 4, 1], "coeff": " 11 "}]),
+            _poly_file_text(4, "10011", [{"exp": [1, 4, 1], "coeff": "+11"}]),
+            # and these moduli as x^4 + x + 1
+            _poly_file_text(4, "1_0011", [{"exp": [1, 4, 1], "coeff": "1"}]),
+            _poly_file_text(4, "0b10011", [{"exp": [1, 4, 1], "coeff": "1"}]),
+            _poly_file_text(4, " 10011", [{"exp": [1, 4, 1], "coeff": "1"}]),
+            # ended in the ValueError of unpacking two exponents into three
+            _poly_file_text(4, "10011", [{"exp": [1, 5], "coeff": "1"}]),
+        ]),
+        (_poly_file_text(4, "10011", [{"exp": [1, 4, 1], "coeff": "10000"}]),
+         "FieldError: element 16 out of range for GF(2^4)"),
+        (_poly_file_text(4, "10011", [{"exp": [-1, 4, 3], "coeff": "1"}]),
+         "PolyError: exponent triple (-1, 4, 3) has a negative exponent"),
     ],
     ids=[
         "not-json",
@@ -606,9 +612,11 @@ def _with_a_repeated_term(g, exp):
         "modulus-0b-prefix",
         "modulus-space",
         "exp-pair",
+        "coeff-outside-field",
+        "negative-exponent",
     ],
 )
-def test_bad_recognize_file_is_a_usage_error(tmp_path, capsys, text):
+def test_bad_recognize_file_is_a_usage_error(tmp_path, capsys, text, message):
     path = tmp_path / "poly.json"
     path.write_text(text)
     for command in ("surface", "all"):
@@ -617,6 +625,8 @@ def test_bad_recognize_file_is_a_usage_error(tmp_path, capsys, text):
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: --recognize {path}: "), captured.err
+        if message is not None:
+            assert lines[0] == f"error: --recognize {path}: {message}"
 
 
 def test_recognize_file_of_another_degree_is_named_before_any_work(tmp_path, capsys):

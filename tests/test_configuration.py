@@ -1,11 +1,12 @@
 import ast
+import itertools
 import pathlib
 import random
 
 import pytest
 
 from k3lat.char2_surfaces.field import BinaryField
-from k3lat.char2_surfaces.recognize import label_configuration
+from k3lat.char2_surfaces.recognize import RecognitionError, label_configuration
 from k3lat.char2_surfaces.surfaces import (
     analyze_singularities,
     is_splitting,
@@ -220,3 +221,36 @@ def test_recognition_reads_the_forks_of_the_rows(configurations, monkeypatch):
     swap = {"p(00)": "p(10)", "p(01)": "p(11)", "p(10)": "p(00)", "p(11)": "p(01)"}
     assert after == {swap.get(x, x): p for x, p in before.items()}
     assert after != before
+
+
+# each alteration of a family member's configuration, with the labeling's error
+LABELING_FAILURES = {
+    "a1-line-left-out": "no splitting line carries all five A1 points",
+    "line-without-a1-point": "a side line does not carry exactly one A1 point",
+    "side-line-removed": "expected two or three A1 points on two side lines each",
+    "d4-point-swapped": "side-line intersections do not match the D4 points",
+}
+
+
+@pytest.mark.parametrize("alteration", LABELING_FAILURES)
+def test_labeling_rejects_an_altered_configuration(configurations, alteration):
+    # k8-member0 is off the cube locus, so its splitting lines are the five
+    # standard ones and exactly two A1 points lie on two side lines each
+    f, d4, a1, lines = configurations["k8-member0"]
+    a1_line = next(l for l in lines if all(point_on_line(f, p, l) for p in a1))
+    side = [l for l in lines if l != a1_line]
+    if alteration == "a1-line-left-out":
+        lines = side
+    elif alteration == "line-without-a1-point":
+        diagonal = next(
+            l for l in (line_through(f, p, q) for p, q in itertools.combinations(d4, 2)) if l not in lines
+        )
+        assert not any(point_on_line(f, p, diagonal) for p in a1)
+        lines = [*lines, diagonal]
+    elif alteration == "side-line-removed":
+        lines = [a1_line, *side[1:]]
+    else:
+        assert (1, 1, 1) not in d4
+        d4 = [(1, 1, 1), *d4[1:]]
+    with pytest.raises(RecognitionError, match=LABELING_FAILURES[alteration]):
+        label_configuration(f, d4, a1, lines)
