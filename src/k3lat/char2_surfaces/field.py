@@ -50,9 +50,7 @@ def _poly_mulmod(a: int, b: int, modulus: int, k: int) -> int:
     return out
 
 
-def _poly_mod(a: int, b: int) -> int:
-    if b == 0:
-        raise FieldError("polynomial division by zero")
+def _poly_mod(a: int, b: int) -> int:  # b != 0
     db = _poly_degree(b)
     while a.bit_length() - 1 >= db and a:
         a ^= b << (a.bit_length() - 1 - db)
@@ -93,10 +91,10 @@ class BinaryField:
     def _build_tables(self) -> None:
         q = self.q
         for g in range(1, q):
-            # the modulus is irreducible, so the nonzero residues are a group
-            # and the powers of g first repeat at 1, after as many steps as
-            # the order of g: it generates when that is q - 1 (g = 1 only
-            # when q = 2)
+            # the modulus is irreducible, so the nonzero residues are a cyclic
+            # group, which has a generator, and the powers of g first repeat
+            # at 1, after as many steps as the order of g: it generates when
+            # that is q - 1 (g = 1 only when q = 2)
             exp = [1]
             x = g
             while x != 1:
@@ -110,7 +108,6 @@ class BinaryField:
                 self.log = log
                 self.generator = g
                 return
-        raise FieldError("no multiplicative generator found (modulus not irreducible?)")
 
     def __eq__(self, other) -> bool:
         return (

@@ -269,7 +269,8 @@ class HomPoly:
 # ---------------------------------------------------------------------------
 
 class BinForm(Frozen):
-    """The restriction of a form to a line; coeffs[i] multiplies u^(d-i) v^i.
+    """The restriction of a form to a line: d + 1 coefficients, coeffs[i]
+    multiplying u^(d-i) v^i.
 
     ``kept`` records which two of the original variables the parameters
     (u, v) stand for.
@@ -280,11 +281,6 @@ class BinForm(Frozen):
     degree: int
     coeffs: tuple[int, ...]
     kept: tuple[int, int]
-
-    def __init__(self, field: BinaryField, degree: int, coeffs: tuple[int, ...], kept: tuple):
-        if len(coeffs) != degree + 1:
-            raise PolyError("coefficient list does not match the degree")
-        super().__init__(field, degree, coeffs, kept)
 
     def is_square(self) -> "BinForm | None":
         f = self.field

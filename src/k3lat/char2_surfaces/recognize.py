@@ -79,16 +79,15 @@ def normalize_frame(
 
     q_zero, q_inf, p_00 go to the coordinate triangle [1:0:0], [0:1:0],
     [0:0:1]; the residual diagonal scaling is fixed by sending q_one to
-    [1:1:0] and p_10 to [1:0:1].  Unique up to a global scalar.
+    [1:1:0] and p_10 to [1:0:1].  Unique up to a global scalar.  As
+    ``label_configuration`` places them, q_one lies on the A1 line through
+    q_zero and q_inf and p_10 on L(*0) through q_zero and p_00, each apart
+    from both, so t0 sends them to [a:b:0] and [c:0:d] with a, b, c, d != 0.
     """
     a = tuple(tuple((q_zero, q_inf, p_00)[j][i] for j in range(3)) for i in range(3))
     t0 = _mat_inv(field, a)
     img_q1 = _mat_vec(field, t0, q_one)
     img_p10 = _mat_vec(field, t0, p_10)
-    if img_q1[2] != 0 or img_q1[0] == 0 or img_q1[1] == 0:
-        raise RecognitionError("the unit A1 anchor is not in general position on its line")
-    if img_p10[1] != 0 or img_p10[0] == 0 or img_p10[2] == 0:
-        raise RecognitionError("the unit D4 anchor is not in general position on its line")
     u0 = field.inv(img_q1[0])
     u1 = field.inv(img_q1[1])
     u2 = field.mul(field.inv(img_p10[2]), field.mul(img_p10[0], u0))

@@ -67,12 +67,9 @@ class IntMatrix(Frozen):
         n = sum(b.rows for b in blocks)
         rows = [[0] * n for _ in range(n)]
         off = 0
-        for b in blocks:
-            if b.rows != b.cols:
-                raise ExactArithError("block_diagonal expects square blocks")
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    rows[off + i][off + j] = b.entries[i][j]
+        for b in blocks:  # square, as Grams are
+            for i, row in enumerate(b.entries):
+                rows[off + i][off : off + b.rows] = row
             off += b.rows
         return IntMatrix(rows)
 
@@ -145,8 +142,6 @@ def invert(a: IntMatrix) -> tuple[IntMatrix, int]:
     det * A^-1, so den is the last pivot with its sign moved into num.
     The pair is not reduced: den is |det A|.
     """
-    if not a.is_square():
-        raise ExactArithError("inverse of a non-square matrix")
     n = a.rows
     m = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a.entries)]
     prev = 1

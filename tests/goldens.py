@@ -166,6 +166,8 @@ USAGE_ERRORS = [
         ("odd-k", ["surface", "--k", "7"]),
         ("reducible-modulus", ["surface", "--k", "4", "--modulus", "21"]),
         ("modulus-wrong-degree", ["surface", "--k", "4", "--modulus", "0b111", "--r", "1", "--s", "2"]),
+        # int(text, 0) rejects a leading zero that is_digits lets through
+        ("modulus-leading-zero", ["surface", "--k", "8", "--modulus", "0283", "--r", "1", "--s", "2"]),
         ("too-many-samples", ["surface", "--k", "4", "--samples", "200"]),
         ("degenerate-pair", ["surface", "--k", "8", "--r", "5", "--s", "0"]),
         ("unreadable-recognize", ["surface", "--recognize", "no_such_file.json"]),

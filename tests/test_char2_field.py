@@ -128,6 +128,13 @@ def test_pow_laws():
         assert f.mul(f.pow(a, i), f.pow(a, j)) == f.pow(a, i + j)
     assert f.pow(0, 0) == 1
     assert f.pow(0, 5) == 0
+    with pytest.raises(FieldError, match=r"^inversion of zero$"):
+        f.pow(0, -1)
+
+
+def test_field_repr_names_degree_and_modulus():
+    assert repr(BinaryField(4)) == "BinaryField(k=4, modulus=0b10011)"
+    assert repr(BinaryField(16, 0x1002D)) == "BinaryField(k=16, modulus=0b10000000000101101)"
 
 
 def test_parse_and_format_bits():

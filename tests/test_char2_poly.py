@@ -87,6 +87,18 @@ def test_add_mul_degree(gf16):
     # char 2: cross terms cancel in the square
     assert prod.terms == {(4, 0, 0): 1, (0, 2, 2): 1}
     assert s.square() == prod
+    with pytest.raises(PolyError, match=r"^sum of forms of different degree or field$"):
+        s + HomPoly(gf16, 1, {(1, 0, 0): 1})
+    with pytest.raises(PolyError, match=r"^sum of forms of different degree or field$"):
+        s + HomPoly(BinaryField(8), 2, {(2, 0, 0): 1})
+    with pytest.raises(PolyError, match=r"^product over different fields$"):
+        s * HomPoly(BinaryField(8), 2, {(2, 0, 0): 1})
+
+
+def test_form_repr_lists_terms_in_exponent_order_with_hex_coefficients(gf16):
+    form = HomPoly(gf16, 2, {(2, 0, 0): 1, (0, 1, 1): 0xA})
+    assert repr(form) == "HomPoly(a*x^0y^1z^1 + 1*x^2y^0z^0)"
+    assert repr(HomPoly(gf16, 3, {})) == "HomPoly(0)"
 
 
 def test_partial_derivatives(gf16):

@@ -19,6 +19,7 @@ from k3lat.char2_surfaces.surfaces import (
     intersect_lines,
     is_splitting,
     line_through,
+    normalize_line,
     normalize_point,
     point_on_line,
     restrict_to_line,
@@ -373,6 +374,15 @@ def test_normalize_point_is_scale_invariant(gf16):
     for p in [(3, 5, 1), (7, 1, 0), (1, 0, 0)]:
         for scale in (2, 9, 15):
             assert normalize_point(f, tuple(f.mul(scale, c) for c in p)) == p
+
+
+def test_zero_triples_and_coincident_lines_are_rejected(gf16):
+    with pytest.raises(SurfaceError, match=r"^\(0:0:0\) is not a projective point$"):
+        normalize_point(gf16, (0, 0, 0))
+    with pytest.raises(SurfaceError, match=r"^zero line$"):
+        normalize_line(gf16, (0, 0, 0))
+    with pytest.raises(SurfaceError, match=r"^lines coincide; no unique intersection$"):
+        intersect_lines(gf16, (1, 2, 3), (1, 2, 3))
 
 
 def brute_force_singular_points(g):

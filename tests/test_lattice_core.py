@@ -142,6 +142,8 @@ def test_disc_class_rejects_non_dual_vectors():
     a1 = lattice_A1()
     with pytest.raises(LatticeError, match="vector does not pair integrally with the lattice"):
         class_of(vector(a1, [Fraction(1, 3)]))
+    with pytest.raises(LatticeError, match=r"^vector does not pair integrally with the lattice$"):
+        DualVector(a1, [1], 4).integer_pairings()
 
 
 def test_is_even():
@@ -414,6 +416,8 @@ def test_dual_vectors_are_stored_in_lowest_terms():
     assert (half + half).den == 1 and half + negated(half) == a1.zero()
     with pytest.raises(LatticeError):
         DualVector(a1, [1], 0)
+    with pytest.raises(LatticeError, match=r"^coordinate length must equal the rank$"):
+        DualVector(a1, [1, 0])
 
 
 @pytest.mark.parametrize("name", ["A1", "D4", "A1+A1", "A3", "Lambda"])

@@ -338,6 +338,41 @@ def test_overlattice_rejects_a_basis_that_misses_a_base_vector(ls, monkeypatch):
         build_overlattice(ls, glue)
 
 
+def _a1_row(ls, *names):
+    """The 0/1 row of the coordinates of the named A1 summands."""
+    cols = {s.offset for s in ls.summands if s.name in names}
+    return tuple(int(j in cols) for j in range(ls.lattice.rank))
+
+
+@pytest.mark.parametrize(
+    "echelon, message",
+    [
+        # one A1 coordinate e puts e/2 in the basis, and (e/2)^2 = -1/2
+        (lambda ls, rows: [_a1_row(ls, "Q(0)")], "overlattice form is not integral"),
+        # two of them put (e + f)/2 in the basis: it pairs integrally with
+        # the rest, but its norm is -1
+        (lambda ls, rows: [_a1_row(ls, "Q(0)", "Q(1)")], "overlattice is not even"),
+        # the last row repeated: the basis and the map to it are those of
+        # the true form, but the index counts one row too many
+        (lambda ls, rows: rows + rows[-1:], "index does not match the F2-rank of the glue classes"),
+    ],
+    ids=["not-integral", "odd", "index"],
+)
+def test_overlattice_rejects_a_bad_echelon_form(ls, monkeypatch, echelon, message):
+    real = ns_glue.echelon_mod_2
+    monkeypatch.setattr(ns_glue, "echelon_mod_2", lambda a: echelon(ls, real(a)))
+    glue = tuple(halfline_class(ls, lam) for lam in L_LABELS)
+    with pytest.raises(GlueError, match=f"^{message}$"):
+        build_overlattice(ls, glue)
+
+
+def test_assemble_rejects_a_part_in_the_wrong_lattice_and_an_unknown_summand(ls):
+    with pytest.raises(GlueError, match=r"^component for P\(00\) lives in the wrong lattice$"):
+        ls.assemble({"P(00)": lattice_A1().zero()})
+    with pytest.raises(GlueError, match=r"^unknown summand 'X'$"):
+        ls.assemble({"X": lattice_A1().zero(), "Q(0)": lattice_A1().zero()})
+
+
 def test_overlattice_rejects_an_echelon_that_loses_a_row(ls, monkeypatch):
     # the echelon form without its last row: the basis, the index and the
     # determinant check all read it, so they agree on an overlattice of
