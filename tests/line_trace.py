@@ -1,7 +1,7 @@
 """Runs Tier-1 with a line tracer in every Python process and prints each
 function-body line of src/k3lat that no process ran.
 
-    python tests/line_trace.py [pytest arguments]
+    python tests/line_trace.py
 
 The tracer is a ``usercustomize`` module under a temporary
 ``PYTHONUSERBASE``, so every Python process that inherits the environment
@@ -37,7 +37,7 @@ import atexit, os, sys
 ROOT = {root!r}
 OUT = {out!r}
 inside = {{}}  # by co_filename, which may hold ".." (tests/conftest.py's path entry)
-unseen = {{}}  # by id of a code object, kept alive in held: the lines it has not run
+unseen = {{}}  # by id of every code object called, kept alive in held: its k3lat lines not yet run
 held = []
 ran = set()
 
@@ -51,17 +51,17 @@ def local(frame, event, arg):
 
 def trace(frame, event, arg):
     code = frame.f_code
-    name = code.co_filename
-    hit = inside.get(name)
-    if hit is None:
-        hit = inside[name] = os.path.realpath(name).startswith(ROOT)
-    if not hit:
-        return None
-    ran.add((name, code.co_firstlineno))
     todo = unseen.get(id(code))
-    if todo is None:  # a code object's hash reads all of its bytecode: key by id
+    if todo is None:  # the first call: a code object's hash reads all of its bytecode, so key by id
         held.append(code)
-        todo = unseen[id(code)] = {{line for _, _, line in code.co_lines()}} - {{None, code.co_firstlineno}}
+        todo = unseen[id(code)] = set()
+        name = code.co_filename
+        hit = inside.get(name)
+        if hit is None:
+            hit = inside[name] = os.path.realpath(name).startswith(ROOT)
+        if hit:
+            ran.add((name, code.co_firstlineno))
+            todo.update({{line for _, _, line in code.co_lines()}} - {{None, code.co_firstlineno}})
     return local if todo else None
 
 def dump():
@@ -87,7 +87,7 @@ def body_lines(path: pathlib.Path) -> set[int]:
     return lines
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         base, out = os.path.join(tmp, "base"), os.path.join(tmp, "ran")
         site = sysconfig.get_path("purelib", sysconfig.get_preferred_scheme("user"), {"userbase": base})
@@ -97,7 +97,7 @@ def main(argv: list[str]) -> int:
             fh.write(TRACER.format(root=str(PACKAGE) + os.sep, out=out))
         pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         tier1 = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", *argv],
+            [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
             cwd=REPO,
             env={**os.environ, "PYTHONPATH": pythonpath, "PYTHONUSERBASE": base},
         )
@@ -120,4 +120,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
