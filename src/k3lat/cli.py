@@ -211,9 +211,9 @@ def cmd_lattice(config: dict, checks: Checks) -> None:
             return False, {"error": "overlattice unavailable"}
         witness = {}
         ok = True
-        for lam in L_LABELS:
-            res = unique_halfline_search(lam, ns)
-            witness[f"F({res.label})"] = res.to_json_obj(ls)
+        for gv in glue:
+            res = unique_halfline_search(gv, ns)
+            witness[gv.name] = res.to_json_obj(ls)
             ok = ok and res.is_unique_expected()
         return ok, witness
 
@@ -538,9 +538,9 @@ def main(argv=None) -> int:
         command, config = parsed
         # the --recognize file is read, the family arguments checked and the
         # --out file opened before any suite runs
-        g = _read_sextic(config["recognize"]) if config.get("recognize") else None
+        g = _read_sextic(config["recognize"]) if config.get("recognize") is not None else None
         family = _family_inputs(config) if command != "lattice" and g is None else None
-        out = _open_out(config["out"]) if config["out"] else None
+        out = _open_out(config["out"]) if config["out"] is not None else None
         checks = Checks()
         # lattice checks come first in an all run
         if command != "surface":

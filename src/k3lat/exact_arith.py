@@ -6,9 +6,9 @@ one symmetric elimination of a Gram, kept on it, gives its determinant,
 its signature and the Fincke-Pohst factorization of its quadratic form,
 and the inverse comes from Gauss-Jordan as an integer matrix over one
 denominator.  The reduced row echelon form modulo 2 gives the F_2 ranks
-and the overlattice bases, whose glue has denominator 2.  Products
-visit only the nonzero entries of their factors, since the Grams and
-embeddings of the lattice side are mostly zeros.
+and the overlattice bases, whose glue has denominator 2.  The one
+product is A v, which visits only the nonzero entries of A's columns,
+since the Grams and bases of the lattice side are mostly zeros.
 """
 
 from __future__ import annotations
@@ -73,37 +73,12 @@ class IntMatrix(Frozen):
             off += b.rows
         return IntMatrix(rows)
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     def is_symmetric(self) -> bool:
-        return self.is_square() and all(
+        return self.rows == self.cols and all(
             self.entries[i][j] == self.entries[j][i]
             for i in range(self.rows)
             for j in range(i)
         )
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        """The product, summing a * (row k of other) over the nonzero a of each row.
-
-        The Grams and embeddings multiplied here are mostly zeros, so only
-        the nonzero entries of both factors are visited.
-        """
-        if self.cols != other.rows:
-            raise ExactArithError("dimension mismatch in mul")
-        terms = [[(j, y) for j, y in enumerate(row) if y] for row in other.entries]
-        out = []
-        for row in self.entries:
-            acc = [0] * other.cols
-            for a, row_terms in zip(row, terms):
-                if a:
-                    for j, y in row_terms:
-                        acc[j] += a * y
-            out.append(acc)
-        return IntMatrix(out)
 
     def mul_vec(self, v: Sequence[int]) -> tuple[int, ...]:
         """A v as the sum of x * (column k) over the nonzero coordinates x = v[k].

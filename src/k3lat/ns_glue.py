@@ -120,10 +120,8 @@ def _row_glue(ls: LabeledSum, name: str, row: tuple) -> GlueVector:
     return GlueVector(name, ls.assemble(parts))
 
 
-@functools.cache
 def halfline_class(ls: LabeledSum, lam: str) -> GlueVector:
-    """The half-line class attached to one of the five splitting lines, built
-    once per process: the overlattice and each half-line search share it."""
+    """The half-line class attached to one of the five splitting lines."""
     if lam not in LINES:
         raise GlueError(f"unknown half-line label {lam!r}")
     return _row_glue(ls, f"F({lam})", LINES[lam])
@@ -206,9 +204,11 @@ def build_overlattice(base: LabeledSum, glue: Sequence[GlueVector]) -> Overlatti
     Over denom = 2 the glue classes are the 0/1 rows of their F2 echelon
     form (``_glue_echelon``), so the basis b, the row Hermite form of
     denom I and the glue, is that row at each pivot p and denom e_j at every
-    other j; and ``to_result``, the T with b^T T = denom I, is the identity
+    other j; and ``to_result``, the T with T b^T = denom I, is the identity
     but for column p, which is 2 e_p minus the row's other bits, all at such
-    j.  Each glue vector must then have integer coordinates in b.
+    j.  Each glue vector must then have integer coordinates in b.  The
+    products are all A v: G is symmetric, so row i of b G b^T is b (G b_i),
+    and row i of T b^T is b T_i.
     """
     lattice = base.lattice
     n = lattice.rank
@@ -238,24 +238,22 @@ def build_overlattice(base: LabeledSum, glue: Sequence[GlueVector]) -> Overlatti
         for j, c in enumerate(row):
             to_result[j][p] = 2 if j == p else -c
     b = IntMatrix(basis)
-    bt = b.transpose()
 
     # the form on basis/denom is b G b^T / denom^2
-    scaled = b.mul(lattice.gram).mul(bt)
-    if any(x % (denom * denom) for row in scaled.entries for x in row):
+    scaled = [b.mul_vec(lattice.gram.mul_vec(row)) for row in basis]
+    if any(x % (denom * denom) for row in scaled for x in row):
         raise GlueError("overlattice form is not integral")
-    lat = Lattice(IntMatrix([[x // (denom * denom) for x in row] for row in scaled.entries]))
+    lat = Lattice(IntMatrix([[x // (denom * denom) for x in row] for row in scaled]))
     if not is_even(lat):
         raise GlueError("overlattice is not even")
 
-    t = IntMatrix(to_result)
-    if bt.mul(t).entries != scaled_identity:
+    if tuple(map(b.mul_vec, to_result)) != scaled_identity:
         raise GlueError("base vector escapes the overlattice")
 
     index = 2 ** len(echelon)
     if lattice.det() != lat.det() * index * index:
         raise GlueError("index does not match the F2-rank of the glue classes")
-    result = OverlatticeResult(base, lat, b, denom, t, index)
+    result = OverlatticeResult(base, lat, b, denom, IntMatrix(to_result), index)
     for gv in glue:
         if result.to_result_coords(gv.vector.num, gv.vector.den) is None:
             raise GlueError(f"glue vector {gv.name} is not in the overlattice")
@@ -461,20 +459,18 @@ def component_breakdown(ls: LabeledSum, v: DualVector) -> dict[str, list[str]]:
 
 
 class HalflineSearchResult(Frozen):
-    __slots__ = ("label", "target", "candidates", "budget_checked",
-                 "component_candidate_counts")
-    label: str
-    target: DualVector  # the half-line glue vector the search was run for
+    __slots__ = ("glue", "candidates", "budget_checked", "component_candidate_counts")
+    glue: GlueVector  # the half-line glue vector the search was run for
     candidates: tuple[DualVector, ...]
     budget_checked: int
     component_candidate_counts: dict[str, int]
 
     def is_unique_expected(self) -> bool:
-        return len(self.candidates) == 1 and self.candidates[0] == self.target
+        return len(self.candidates) == 1 and self.candidates[0] == self.glue.vector
 
     def to_json_obj(self, ls: LabeledSum) -> dict:
         return {
-            "label": f"F({self.label})",
+            "label": self.glue.name,
             "unique_expected": self.is_unique_expected(),
             "assemblies_checked": self.budget_checked,
             "per_summand_candidates": dict(sorted(self.component_candidate_counts.items())),
@@ -482,10 +478,10 @@ class HalflineSearchResult(Frozen):
         }
 
 
-def unique_halfline_search(lam: str, ns: OverlatticeResult) -> HalflineSearchResult:
+def unique_halfline_search(gv: GlueVector, ns: OverlatticeResult) -> HalflineSearchResult:
     """All overlattice classes of norm -2 meeting the polarization once,
     non-negative against every exceptional class, in the class of the
-    half-line glue vector.
+    half-line glue vector gv.
 
     The search fixes the polarization component (norm 1/2), then walks the
     summands (``_budget_walk``) with the remaining norm budget of -5/2.
@@ -498,7 +494,7 @@ def unique_halfline_search(lam: str, ns: OverlatticeResult) -> HalflineSearchRes
     followed by a walk's row is one candidate vector.
     """
     ls = ns.base
-    target = halfline_class(ls, lam).vector
+    target = gv.vector
     target_class = class_of(target)
     budget2 = -5
     den = target.den
@@ -529,8 +525,7 @@ def unique_halfline_search(lam: str, ns: OverlatticeResult) -> HalflineSearchRes
     # every result is in the class of target, so all share its denominator
     results.sort(key=lambda v: v.num)
     return HalflineSearchResult(
-        label=lam,
-        target=target,
+        glue=gv,
         candidates=tuple(results),
         budget_checked=checked,
         component_candidate_counts=counts,

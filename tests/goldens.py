@@ -173,6 +173,9 @@ USAGE_ERRORS = [
         ("unreadable-recognize", ["surface", "--recognize", "no_such_file.json"]),
         ("recognize-not-a-sextic", ["surface", "--recognize", QUINTIC_INPUT]),
         ("unwritable-out", ["lattice", "--out", "no_such_dir/report.json"]),
+        # an empty path is a path that cannot be opened, not a flag left out
+        ("recognize-empty-path", ["surface", "--recognize", ""]),
+        ("out-empty-path", ["lattice", "--out", ""]),
         # every accepted input ends in bounded time: each argv below ran
         # without end (GF(4) has no off-cube pair) or checked nothing before
         # it became a usage error, and a hang fails the record's timeout

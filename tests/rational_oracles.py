@@ -68,7 +68,7 @@ def det(a: IntMatrix) -> int:
     prev at step k, and the division is exact because the scaled entries
     are minors.  Block-diagonal Grams thus skip most rows at most steps.
     """
-    if not a.is_square():
+    if a.rows != a.cols:
         raise ExactArithError("determinant of a non-square matrix")
     n = a.rows
     if n == 0:
@@ -216,7 +216,7 @@ def snf(a: IntMatrix) -> SnfResult:
 
 
 def check_snf(a: IntMatrix, r: SnfResult) -> None:
-    if r.u.mul(a).mul(r.v).entries != r.s.entries:
+    if rat_mul(rat_mul(r.u.entries, a.entries), r.v.entries) != r.s.entries:
         raise ExactArithError("SNF verification failed: U*A*V != S")
     if abs(det(r.u)) != 1 or abs(det(r.v)) != 1:
         raise ExactArithError("SNF verification failed: transform not unimodular")
@@ -297,7 +297,7 @@ def kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
     kernel row, and |det T| = 1 by Bareiss.
     """
     m, n = a.rows, a.cols
-    at = a.transpose().entries
+    at = rat_transpose(a.entries)
     rows = hnf_rows(IntMatrix([list(at[i]) + [int(i == j) for j in range(n)] for i in range(n)]))
     kernel = [row[m:] for row in rows if not any(row[:m])]
     if any(any(a.mul_vec(t)) for t in kernel):
@@ -337,7 +337,7 @@ def orthogonal_complement(lattice: Lattice, v: DualVector) -> Sublattice:
     basis = kernel_basis(IntMatrix([v.integer_pairings()]))
     basis.sort(key=lambda r: abs(sum(map(mul, r, gram.mul_vec(r)))))
     b = IntMatrix(basis)
-    return Sublattice(Lattice(b.mul(gram).mul(b.transpose())), b)
+    return Sublattice(Lattice(IntMatrix(rat_mul(rat_mul(basis, gram.entries), rat_transpose(basis)))), b)
 
 
 def nonzero_short_vectors(gram: IntMatrix, bound: int) -> list[tuple[int, ...]]:
@@ -373,7 +373,7 @@ def complement_roots(ns: OverlatticeResult) -> set[tuple[int, ...]]:
     """The roots orthogonal to the polarization in overlattice coordinates,
     by enumerating the complement and mapping its roots into the overlattice."""
     comp = orthogonal_complement(ns.lattice, ns.h_in_result())
-    embed = comp.basis_in_ambient.transpose()
+    embed = IntMatrix(rat_transpose(comp.basis_in_ambient.entries))
     return {embed.mul_vec(r) for r in enumerate_roots(comp.lattice).roots}
 
 

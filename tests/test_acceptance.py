@@ -161,7 +161,7 @@ def test_criterion_05_maximal_rdp_structure(ns):
 def test_criterion_06_halfline_uniqueness(ls, ns):
     with criterion(6, 30.0, "each half-line class is the unique budget-feasible candidate"):
         for lam in L_LABELS:
-            res = unique_halfline_search(lam, ns)
+            res = unique_halfline_search(halfline_class(ls, lam), ns)
             assert len(res.candidates) == 1
             assert res.is_unique_expected()
             v = res.candidates[0]

@@ -402,9 +402,13 @@ def test_the_main_block_leaves_the_collector_off(capsys, monkeypatch):
     assert "--k" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "empty"])
 def test_unwritable_out_is_a_usage_error_before_any_suite(tmp_path, capsys, monkeypatch, where):
-    path = tmp_path / "missing" / "report.json" if where == "missing-directory" else tmp_path
+    path = {
+        "missing-directory": tmp_path / "missing" / "report.json",
+        "directory": tmp_path,
+        "empty": "",
+    }[where]
     ran = []
     monkeypatch.setattr(cli, "cmd_lattice", ran.append)
     monkeypatch.setattr(cli, "cmd_surface", lambda args, g=None: ran.append(args))
@@ -470,6 +474,7 @@ def test_a_report_that_cannot_be_written_is_a_usage_error(target, argv):
         ["--k", "2", "--samples", "1"],
         ["--k", "4", "--samples", "181"],
         ["--k", "5", "--modulus", "0b100101", "--r", "1", "--s", "2"],
+        ["--recognize", ""],
     ],
     ids=[
         "r-not-hex",
@@ -488,6 +493,7 @@ def test_a_report_that_cannot_be_written_is_a_usage_error(target, argv):
         "k2-sampling",
         "k4-more-samples-than-pairs",
         "odd-k-pair",
+        "recognize-empty-path",
     ],
 )
 def test_bad_surface_arguments_are_usage_errors_before_any_suite(capsys, monkeypatch, flags):

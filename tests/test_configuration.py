@@ -95,9 +95,9 @@ def test_both_halves_read_a_moved_point(ls, monkeypatch):
     # a family member L(0*) becomes the line through p(00) and q(1), which
     # does not split and misses p(01)
     forks, _ = LINES["0*"]
-    before = halfline_class.__wrapped__(ls, "0*")
+    before = halfline_class(ls, "0*")
     monkeypatch.setitem(LINES, "0*", (forks, ("1",)))
-    assert halfline_class.__wrapped__(ls, "0*") != before
+    assert halfline_class(ls, "0*") != before
     f = BinaryField(4)
     conf = verify_configuration(f, 1, 2)
     assert list(conf.findings) == [

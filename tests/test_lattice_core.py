@@ -39,6 +39,7 @@ from rational_oracles import (
     orthogonal_complement,
     pairing,
     rat_mul,
+    rat_transpose,
     rational_class,
     rational_gv,
     rational_pairing,
@@ -212,7 +213,7 @@ def test_is_p_elementary_matches_the_smith_form_on_random_grams():
                 i, j = rng.randrange(n), rng.randrange(n)
                 if i != j:
                     u[i] = [a + b for a, b in zip(u[i], u[j])]
-            gram = IntMatrix(u).transpose().mul(d).mul(IntMatrix(u))
+            gram = IntMatrix(rat_mul(rat_mul(rat_transpose(u), d.entries), u))
         try:
             lat = Lattice(gram)
         except LatticeError:  # degenerate

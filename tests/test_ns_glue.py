@@ -238,7 +238,7 @@ def _basis_den(ns) -> int:
     """The common denominator d of the overlattice basis rows basis_num / d:
     column i of to_result writes e_i in that basis, so
     basis_num^T * to_result = d I."""
-    prod = ns.basis_num.transpose().mul(ns.to_result).entries
+    prod = rat_mul(rat_transpose(ns.basis_num.entries), ns.to_result.entries)
     d = prod[0][0]
     n = len(prod)
     assert d > 0 and prod == tuple(tuple(d * (i == j) for j in range(n)) for i in range(n))
@@ -261,7 +261,7 @@ def test_overlattice_matches_rational_oracle(ls, case):
     gram, basis, base_rows = _rational_overlattice(ls, glue)
     assert res.lattice.gram.entries == gram
     assert _rational_basis(res) == basis
-    assert res.to_result.transpose().entries == base_rows
+    assert rat_transpose(res.to_result.entries) == base_rows
 
 
 def _gauss_jordan_base_in_result(b: IntMatrix, denom: int):
@@ -292,7 +292,7 @@ def test_to_result_matches_the_gauss_jordan_oracle(ls):
     for glue in _buildable_glue_subsets(ls):
         res = build_overlattice(ls, glue)
         denom = math.lcm(*(gv.vector.den for gv in glue))
-        assert res.to_result.transpose().entries == _gauss_jordan_base_in_result(res.basis_num, denom)
+        assert rat_transpose(res.to_result.entries) == _gauss_jordan_base_in_result(res.basis_num, denom)
         seen.add(tuple(gv.name[2:-1] for gv in glue))
     assert len(seen) == 128 and cli_sets <= seen
 
@@ -325,7 +325,7 @@ def test_overlattice_basis_and_index_match_the_hermite_oracle(ls):
 def test_overlattice_rejects_a_basis_that_misses_a_base_vector(ls, monkeypatch):
     # the echelon form with its last row doubled: the basis is still of full
     # rank with an integral even form, but the base vector at that row's
-    # pivot is not an integer combination of it, so b^T T = denom I fails
+    # pivot is not an integer combination of it, so T b^T = denom I fails
     real = ns_glue.echelon_mod_2
 
     def doubled_last_row(a):
@@ -679,7 +679,7 @@ def test_polarization_roots_reject_a_set_not_closed_under_negation(ns, monkeypat
 
 def test_halfline_searches_unique(ls, ns):
     for lam in L_LABELS:
-        res = unique_halfline_search(lam, ns)
+        res = unique_halfline_search(halfline_class(ls, lam), ns)
         assert len(res.candidates) == 1
         assert res.is_unique_expected()
 
@@ -699,7 +699,7 @@ def test_halfline_searches_scan_each_class_once(ls, ns, monkeypatch):
     root_systems._class_search.cache_clear()
     root_systems.coset_points.cache_clear()
     for lam in L_LABELS:
-        assert unique_halfline_search(lam, ns).is_unique_expected()
+        assert unique_halfline_search(halfline_class(ls, lam), ns).is_unique_expected()
     assert len(calls) == 5
     assert len(set(calls)) == 5
 
@@ -723,7 +723,7 @@ def test_halfline_search_rejects_a_misreported_candidate_norm(ls, ns, monkeypatc
 
     monkeypatch.setattr(ns_glue, "bounded_class_minimizers", misreported)
     with pytest.raises(GlueError, match="assembled candidate violates the norm or degree condition"):
-        unique_halfline_search("inf", ns)
+        unique_halfline_search(halfline_class(ls, "inf"), ns)
 
 
 def test_halfline_search_rejects_a_candidate_outside_the_class(ls, ns, monkeypatch):
@@ -733,18 +733,19 @@ def test_halfline_search_rejects_a_candidate_outside_the_class(ls, ns, monkeypat
         ns_glue, "class_of", lambda v: object() if v.lattice == ls.lattice else real(v)
     )
     with pytest.raises(GlueError, match="assembled candidate left the glue class"):
-        unique_halfline_search("inf", ns)
+        unique_halfline_search(halfline_class(ls, "inf"), ns)
 
 
 def test_halfline_search_rejects_a_candidate_outside_the_overlattice(ls):
     # the base itself, glued with nothing, does not contain the half-line class
     base = build_overlattice(ls, ())
     with pytest.raises(GlueError, match="assembled candidate is not in the overlattice"):
-        unique_halfline_search("inf", base)
+        unique_halfline_search(halfline_class(ls, "inf"), base)
 
 
 def test_halfline_search_builds_each_target_once(ls, ns, monkeypatch):
-    # the verdict and the report compare against the target the search kept
+    # the caller builds each target and the search builds none: the verdict
+    # and the report compare against the glue vector it was given
     calls = []
     real = ns_glue.halfline_class
 
@@ -754,16 +755,18 @@ def test_halfline_search_builds_each_target_once(ls, ns, monkeypatch):
 
     monkeypatch.setattr(ns_glue, "halfline_class", counting)
     for lam in L_LABELS:
-        res = unique_halfline_search(lam, ns)
-        assert res.to_json_obj(ls)["unique_expected"] and res.is_unique_expected()
-        assert res.target == real(ls, lam).vector
+        gv = ns_glue.halfline_class(ls, lam)
+        res = unique_halfline_search(gv, ns)
+        obj = res.to_json_obj(ls)
+        assert obj["unique_expected"] and res.is_unique_expected()
+        assert res.glue is gv and obj["label"] == gv.name
     assert calls == list(L_LABELS)
 
 
 def test_halfline_search_component_values(ls, ns):
     # the infinity class forces zero fork components and half-root values on
     # the five nodes
-    res = unique_halfline_search("inf", ns)
+    res = unique_halfline_search(halfline_class(ls, "inf"), ns)
     v = res.candidates[0]
     assert coords(v)[0] == Fraction(1, 2)
     assert all(c == 0 for c in coords(v)[1:17])
@@ -771,7 +774,7 @@ def test_halfline_search_component_values(ls, ns):
 
 
 def test_halfline_search_report_breakdown(ls, ns):
-    res = unique_halfline_search("0*", ns)
+    res = unique_halfline_search(halfline_class(ls, "0*"), ns)
     obj = res.to_json_obj(ls)
     assert obj["unique_expected"] is True
     cand = obj["candidates"][0]
@@ -785,7 +788,7 @@ def test_halfline_search_report_breakdown(ls, ns):
 def test_candidate_component_norms_satisfy_dichotomies(ls, ns):
     allowed = {Fraction(0), Fraction(-1), Fraction(-1, 2)}
     for lam in L_LABELS:
-        res = unique_halfline_search(lam, ns)
+        res = unique_halfline_search(halfline_class(ls, lam), ns)
         for v in res.candidates:
             for s in ls.summands[1:]:
                 assert norm(ls.component(v, s)) in allowed

@@ -54,6 +54,8 @@ from rational_oracles import (
     outside_bound,
     pairing,
     pairwise_root_types,
+    rat_mul,
+    rat_transpose,
     rational_gv,
     to_rational,
     vector,
@@ -241,9 +243,12 @@ def test_ordered_complement_has_the_roots_of_the_kernel_basis(extra):
     assert ordered.entries != kernel.entries
 
     def in_ambient(lattice: Lattice, basis: IntMatrix) -> set:
-        return {basis.transpose().mul_vec(r) for r in enumerate_roots(lattice).roots}
+        embed = IntMatrix(rat_transpose(basis.entries))
+        return {embed.mul_vec(r) for r in enumerate_roots(lattice).roots}
 
-    unordered = Lattice(kernel.mul(ns.lattice.gram).mul(kernel.transpose()))
+    unordered = Lattice(
+        IntMatrix(rat_mul(rat_mul(kernel.entries, gram.entries), rat_transpose(kernel.entries)))
+    )
     roots = in_ambient(comp.lattice, ordered)
     assert roots == in_ambient(unordered, kernel)
     assert len(roots) == 106
@@ -253,7 +258,7 @@ def _random_even_negative_definite(rng: random.Random, n: int) -> IntMatrix:
     while True:
         b = IntMatrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
         if det(b) != 0:
-            return IntMatrix([[-2 * v for v in row] for row in b.transpose().mul(b).entries])
+            return IntMatrix([[-2 * v for v in row] for row in rat_mul(rat_transpose(b.entries), b.entries)])
 
 
 def test_short_vectors_match_rational_oracle_on_random_grams():
@@ -318,7 +323,7 @@ def test_positivity_value_matches_the_rational_sum():
     ns = build_overlattice(ls, tuple(halfline_class(ls, lam) for lam in L_LABELS))
     d4 = lattice_D4()
     total = sum((d4.dual_basis_vector(i) for i in range(4)), d4.zero())
-    d = ns.basis_num.transpose().mul(ns.to_result).entries[0][0]
+    d = rat_mul(rat_transpose(ns.basis_num.entries), ns.to_result.entries)[0][0]
     assert d == ns.denom
     w = [Fraction(0)] + [Fraction(1)] * 21
     form = [sum(Fraction(b, d) * c for b, c in zip(row, w)) for row in ns.basis_num.entries]
@@ -482,9 +487,10 @@ def test_simple_root_typing_matches_the_pairwise_oracle_on_random_sums():
         # the basis rows U B have the Gram U G U^T, and a vector with
         # coordinates r over B has coordinates r V over U B
         u, v = _random_unimodular(rng, n, 3 * n)
-        vt = v.transpose()
+        vt = IntMatrix(rat_transpose(v.entries))
         roots = tuple(sorted(vt.mul_vec(r) for r in nonzero_short_vectors(gram, 2)))
-        rs = RootSet(Lattice(u.mul(gram).mul(u.transpose())), roots)
+        ugut = rat_mul(rat_mul(u.entries, gram.entries), rat_transpose(u.entries))
+        rs = RootSet(Lattice(IntMatrix(ugut)), roots)
         alpha = PositivityFunctional(tuple(rng.randint(-1000, 1000) for _ in range(n)))
         while any(alpha.value(r) == 0 for r in roots):
             alpha = PositivityFunctional(tuple(rng.randint(-1000, 1000) for _ in range(n)))
