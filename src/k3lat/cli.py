@@ -36,7 +36,7 @@ from .lattice_core import (
     lattice_D4,
     ratio,
 )
-from .root_systems import bounded_class_minimizers
+from .root_systems import bounded_class_minimizers, norms_all_odd
 from .ns_glue import (
     EXTRA_GLUE_CHOICES,
     GlueVector,
@@ -190,18 +190,16 @@ def cmd_lattice(config: dict, checks: Checks) -> None:
             ("D4_dual", d4, class_of(d4.dual_basis_vector(0)), -2, -6),
         ]
         out = {}
-        searches = {}
         ok = True
         for key, lattice, cls, max_norm2, threshold2 in cases:
-            s = searches[key] = bounded_class_minimizers(lattice, cls, threshold2)
-            runner_up = "None" if s.runner_up2 is None else ratio(s.runner_up2, 2)
-            out[key] = {"max": ratio(s.max_norm2, 2), "next": runner_up}
-            ok = ok and s.max_norm2 == max_norm2 and len(s.maximizers) == 1
-            ok = ok and s.floor2 <= threshold2
-            ok = ok and s.runner_up2 is not None and s.runner_up2 <= threshold2
-        out["D4_dual"]["all_odd"] = searches["D4_dual"].norms_all_odd
-        ok = ok and searches["D4_dual"].norms_all_odd
-        return ok, out
+            norms = [norm2 for norm2, _ in bounded_class_minimizers(lattice, cls, threshold2)]
+            rest = [norm2 for norm2 in norms if norm2 < norms[0]]
+            out[key] = {"max": ratio(norms[0], 2), "next": ratio(rest[0], 2) if rest else "None"}
+            ok = ok and norms[0] == max_norm2 and norms.count(max_norm2) == 1
+            ok = ok and bool(rest) and rest[0] <= threshold2
+        all_odd = norms_all_odd(d4, d4.dual_basis_vector(0))
+        out["D4_dual"]["all_odd"] = all_odd
+        return ok and all_odd, out
 
     checks.run("bounded_class_searches", class_searches)
 
@@ -538,7 +536,11 @@ def main(argv=None) -> int:
         command, config = parsed
         # the --recognize file is read, the family arguments checked and the
         # --out file opened before any suite runs
-        g = _read_sextic(config["recognize"]) if config.get("recognize") is not None else None
+        g = None
+        if config.get("recognize") is not None:
+            g = _read_sextic(config["recognize"])
+            # the report names the field of the file, the one recognition uses
+            config["k"], config["modulus"] = g.field.k, g.field.modulus
         family = _family_inputs(config) if command != "lattice" and g is None else None
         out = _open_out(config["out"]) if config["out"] is not None else None
         checks = Checks()

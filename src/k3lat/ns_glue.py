@@ -32,7 +32,6 @@ from .lattice_core import (
     ratio,
 )
 from .root_systems import (
-    PositivityFunctional,
     RootSet,
     ade_type,
     bounded_class_minimizers,
@@ -319,7 +318,7 @@ def _budget_walk(
 # the exceptional-root analysis of the polarization complement
 # ---------------------------------------------------------------------------
 
-def canonical_positivity(ns: OverlatticeResult) -> PositivityFunctional:
+def canonical_positivity(ns: OverlatticeResult) -> tuple[int, ...]:
     """Positivity functional on the overlattice, induced by pairing against
     the sum of all dual basis vectors of the exceptional summands.
 
@@ -330,7 +329,7 @@ def canonical_positivity(ns: OverlatticeResult) -> PositivityFunctional:
     """
     hs = ns.base.summands[0]
     w_pairings = [0] * hs.rank + [1] * (ns.base.lattice.rank - hs.rank)
-    return PositivityFunctional(ns.basis_num.mul_vec(w_pairings))
+    return ns.basis_num.mul_vec(w_pairings)
 
 
 def _rescaled(
@@ -487,7 +486,7 @@ def unique_halfline_search(gv: GlueVector, ns: OverlatticeResult) -> HalflineSea
     summands (``_budget_walk``) with the remaining norm budget of -5/2.
     Summand norms are in 1/2 Z, so the walk counts in half-units: the
     budget is -5 and each candidate adds 2 v*v.  A summand's candidates
-    are the ``found`` numerators of its class search down to the budget,
+    are the numerators its class search returns down to the budget,
     which is exhaustive by construction and memoized per (lattice, class,
     floor), so each class is enumerated once per process; rescaled to the
     target's denominator they are numerator rows over it, so the H part
@@ -505,7 +504,7 @@ def unique_halfline_search(gv: GlueVector, ns: OverlatticeResult) -> HalflineSea
     counts: dict[str, int] = {}
     for s in exceptional:
         cls = class_of(ls.component(target, s))
-        found = bounded_class_minimizers(s.lattice, cls, budget2).found
+        found = bounded_class_minimizers(s.lattice, cls, budget2)
         lists.append(_rescaled(found, cls.component[1], den))
         counts[s.name] = len(found)
 

@@ -111,24 +111,17 @@ class RootSet(Frozen):
 # positivity functionals, simple roots
 # ---------------------------------------------------------------------------
 
-class PositivityFunctional(Frozen):
-    """Linear form alpha(x) = num . x, up to a positive scale; pairing
-    against a dual vector v has num = G num_v.  Only the signs and the
-    order of its values are read, which the scale does not change."""
-
-    __slots__ = ("num",)
-    num: tuple[int, ...]
-
-    def value(self, x: Sequence[int]) -> int:
-        return sum(map(mul, self.num, x))
-
-
 def simple_roots(
-    root_set: RootSet, alpha: PositivityFunctional
+    root_set: RootSet, alpha: Sequence[int]
 ) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], tuple[int, ...]]]:
     """The simple roots of the positive roots {r : alpha(r) > 0}, in the
     order found, and every positive root's non-negative integer coordinates
     over them, in increasing alpha.
+
+    The positivity functional is the linear form alpha(x) = alpha . x, up
+    to a positive scale; pairing against a dual vector v has alpha = G num_v.
+    Only the signs and the order of its values are read, which the scale
+    does not change.
 
     The positive roots are walked in increasing alpha.  A positive root that
     is not simple is a simple root e plus a positive root (Humphreys, 10.2),
@@ -139,7 +132,7 @@ def simple_roots(
     """
     positive = []
     for r in root_set.roots:
-        v = alpha.value(r)
+        v = sum(map(mul, alpha, r))
         if v == 0:
             raise RootSystemError("positivity functional vanishes on a root")
         if v > 0:
@@ -231,7 +224,7 @@ def _diagram_order(nodes: list, adj: dict) -> tuple[str, list]:
     return label, order
 
 
-def ade_type(root_set: RootSet, alpha: PositivityFunctional) -> list[str]:
+def ade_type(root_set: RootSet, alpha: Sequence[int]) -> list[str]:
     """Dynkin type of each irreducible component of a root set, certified
     against the Cartan matrix.
 
@@ -298,36 +291,14 @@ def root_type(components: Iterable[tuple[str, int]]) -> str:
 # bounded dual-class norm searches
 # ---------------------------------------------------------------------------
 
-class ClassNormSearch(Frozen):
-    """Outcome of the exhaustive search over one dual class, down to a floor.
-
-    The norms of the class are in 1/2 Z and are carried in half-units, as
-    the integers norm2 = 2 v*v.  ``found`` holds every (norm2, y) with
-    norm2 >= ``floor2`` and v = y / den, den the class's denominator,
-    pairing non-negatively with every basis vector, by decreasing norm;
-    every such vector that is not found has norm2 < floor2.  So the maximum
-    is global, and ``runner_up2``, the largest norm2 below it, is exact
-    whenever it is not None.  ``norms_all_odd`` holds when every norm of the
-    class is odd, which the parity of the component's norm decides
-    (``_norms_all_odd``); it holds on the D4 leaf classes and on no A1 class.
-    """
-
-    __slots__ = ("max_norm2", "maximizers", "runner_up2", "floor2", "norms_all_odd", "found")
-    max_norm2: int
-    maximizers: tuple[DualVector, ...]
-    runner_up2: int | None
-    floor2: int
-    norms_all_odd: bool
-    found: tuple[tuple[int, tuple[int, ...]], ...]
-
-
-def _norms_all_odd(lattice: Lattice, rep: DualVector) -> bool:
+def norms_all_odd(lattice: Lattice, rep: DualVector) -> bool:
     """Whether every vector of the class rep + L has odd norm.
 
     For x in L, (rep + x)^2 = rep^2 + 2 rep.x + x^2 with rep.x an integer
     and, on an even lattice, x^2 even: the norm of a dual vector is well
     defined mod 2 on its class (the discriminant quadratic form), so the
-    class has only odd norms exactly when rep^2 is an odd integer.
+    class has only odd norms exactly when rep^2 is an odd integer.  That
+    holds on the D4 leaf classes and on no A1 class.
     """
     if not is_even(lattice):
         raise RootSystemError("norm parity requires an even lattice")
@@ -337,13 +308,19 @@ def _norms_all_odd(lattice: Lattice, rep: DualVector) -> bool:
     return pairing_numerator(rep, rep) % (2 * d2) == d2
 
 
-def bounded_class_minimizers(lattice: Lattice, cls: DiscClass, floor2: int) -> ClassNormSearch:
-    """Maximum of v*v over dual vectors in a fixed class pairing non-negatively
-    with every basis vector, and every such vector with 2 v*v >= floor2.
+def bounded_class_minimizers(
+    lattice: Lattice, cls: DiscClass, floor2: int
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Every dual vector v = y / den of a fixed class pairing non-negatively
+    with every basis vector and with 2 v*v >= floor2, as (norm2, y), by
+    decreasing norm, ties in y order; den is the class's denominator.
 
-    The search is the Fincke-Pohst enumeration of the coset (``short_vectors``),
-    exhaustive down to the floor; the half-line walk asks for -5 (norm -5/2,
-    its budget).
+    The norms of the class are in 1/2 Z and are carried in half-units, as
+    the integers norm2 = 2 v*v.  The search is the Fincke-Pohst enumeration
+    of the coset (``short_vectors``), exhaustive down to the floor: every
+    such vector that is not returned has norm2 < floor2.  So entry 0 is the
+    global maximum, and the first norm below it is the exact runner-up.
+    The half-line walk asks for -5 (norm -5/2, its budget).
     """
     if cls.lattice != lattice:
         raise RootSystemError("class belongs to a different lattice")
@@ -351,16 +328,17 @@ def bounded_class_minimizers(lattice: Lattice, cls: DiscClass, floor2: int) -> C
 
 
 @functools.cache
-def _class_search(lattice: Lattice, cls: DiscClass, floor2: int) -> ClassNormSearch:
+def _class_search(
+    lattice: Lattice, cls: DiscClass, floor2: int
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """The search behind bounded_class_minimizers, memoized per (lattice, class, floor).
 
-    The class's component num / den represents it, and the parity of its
-    norm is the parity of every norm in the class (``_norms_all_odd``).  For
-    v = y / den, norm2 >= floor2 is y^T (-G) y <= -floor2 den^2 / 2, so the
-    floor asks for the coset points (``coset_points``) at the bound
+    The class's component num / den represents it.  For v = y / den,
+    norm2 >= floor2 is y^T (-G) y <= -floor2 den^2 / 2, so the floor asks
+    for the coset points (``coset_points``) at the bound
     floor(-floor2 den^2 / 2), and floors that round to one bound share that
     enumeration.  Every point of it has norm2 >= -2 bound / den^2 >= floor2,
-    and every point outside it has norm2 < floor2, so ``found`` is the
+    and every point outside it has norm2 < floor2, so the result is the
     points with G y >= 0.  The cone is tested row by row, since most points
     leave it early; the points arrive sorted, and the stable sort by norm
     keeps ties in that order.
@@ -369,7 +347,6 @@ def _class_search(lattice: Lattice, cls: DiscClass, floor2: int) -> ClassNormSea
     rep = DualVector(lattice, num, den)
     if 2 * pairing_numerator(rep, rep) % (den * den):
         raise RootSystemError("representative norm is not half-integral")
-    all_odd = _norms_all_odd(lattice, rep)
     gram = lattice.gram
     found = []
     for y in coset_points(lattice, cls, -floor2 * den * den // 2):
@@ -381,16 +358,7 @@ def _class_search(lattice: Lattice, cls: DiscClass, floor2: int) -> ClassNormSea
     if not found:
         raise RootSystemError("empty constrained search")
     found.sort(key=lambda t: -t[0])
-    max_norm2 = found[0][0]
-    rest = [norm2 for norm2, _ in found if norm2 < max_norm2]
-    return ClassNormSearch(
-        max_norm2=max_norm2,
-        maximizers=tuple(DualVector(lattice, y, den) for norm2, y in found if norm2 == max_norm2),
-        runner_up2=max(rest) if rest else None,
-        floor2=floor2,
-        norms_all_odd=all_odd,
-        found=tuple(found),
-    )
+    return tuple(found)
 
 
 @functools.cache

@@ -4,12 +4,15 @@ oracle of ``k3lat.cli.parse_args``.
 ``parse`` reports what the old front end made of a command line, in the
 shape ``parse_args`` gives: ``(command, config)`` with the config sorted by
 dest, ``"help"`` when it printed help and exited 0, and ``"usage"`` when it
-exited 2.  There are two intended differences.  Argparse also took a unique
-prefix of a flag (``--samp 4``), which the flag table rejects.  And argparse
-converted the number flags with ``int()``, which takes a sign, ``_`` and
-whitespace (``--k +8``, ``--seed 1_0``, ``--modulus=-19``); the flag table
-takes ASCII digits only, after a ``-`` for ``--seed``, so it also reads
-``-3\n`` as a flag, not as a negative number.
+exited 2.  There are three intended differences.  Argparse also took a
+unique prefix of a flag (``--samp 4``), which the flag table rejects.
+Argparse converted the number flags with ``int()``, which takes a sign,
+``_`` and whitespace (``--k +8``, ``--seed 1_0``, ``--modulus=-19``); the
+flag table takes ASCII digits only, after a ``-`` for ``--seed``, so it also
+reads ``-3\n`` as a flag, not as a negative number.  And the flag table
+matches flags by exact name: argparse on Python 3.13 reads ``-hx`` as
+``-h -x`` and prints help, where earlier versions, like the table, give a
+usage error.
 """
 
 import argparse

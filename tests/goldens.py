@@ -252,8 +252,8 @@ def framed_normal_form(k, modulus, t, seed):
 # enumerations by (Gram, bound, coset) and by rank. Prints the exit code and
 # the two streams of each command, the three module lists, the (file, first
 # line) of each k3lat code object that ran, the read count of each field,
-# the counts, and whether the collector is on and how many objects are
-# frozen once every command has run.
+# the counts, and whether the collector is on and how many more objects are
+# frozen once every command has run than before the first.
 RECORDER = r"""
 import sys
 before = sorted(sys.modules)
@@ -262,6 +262,10 @@ imported = sorted(sys.modules)
 
 import collections, contextlib, gc, importlib, io, json, os
 from k3lat import configuration, exact_arith, frozen, ns_glue, root_systems
+
+# the freeze count need not start at 0 (Python 3.12.1 reports 375 at
+# start-up), so the corpus is judged by the change in it
+frozen_at_start = gc.get_freeze_count()
 
 # every k3lat module, found by its path: pkgutil would load inspect
 root = os.path.dirname(k3lat.__file__)
@@ -337,7 +341,7 @@ try:
 finally:
     sys.setprofile(None)
 modules = {"before": before, "imported": imported, "ran": sorted(sys.modules)}
-collector = [gc.isenabled(), gc.get_freeze_count()]
+collector = [gc.isenabled(), gc.get_freeze_count() - frozen_at_start]
 corpus_reads = dict(reads)
 ran = sorted(
     (os.path.relpath(c.co_filename, root), c.co_firstlineno)

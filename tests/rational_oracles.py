@@ -38,13 +38,12 @@ closure is kept as its oracle.
 import math
 from fractions import Fraction
 from operator import mul
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from k3lat.exact_arith import ExactArithError, IntMatrix
 from k3lat.lattice_core import DualVector, Lattice, LatticeError, is_even, pairing_numerator
 from k3lat.ns_glue import OverlatticeResult, canonical_positivity
 from k3lat.root_systems import (
-    PositivityFunctional,
     RootSet,
     RootSystemError,
     _diagram_order,
@@ -364,9 +363,9 @@ def enumerate_roots(lattice: Lattice) -> RootSet:
     return rs
 
 
-def complement_positivity(ns: OverlatticeResult, comp: Sublattice) -> PositivityFunctional:
+def complement_positivity(ns: OverlatticeResult, comp: Sublattice) -> tuple[int, ...]:
     """The overlattice's positivity functional pulled back to the complement basis."""
-    return PositivityFunctional(comp.basis_in_ambient.mul_vec(canonical_positivity(ns).num))
+    return comp.basis_in_ambient.mul_vec(canonical_positivity(ns))
 
 
 def complement_roots(ns: OverlatticeResult) -> set[tuple[int, ...]]:
@@ -685,7 +684,7 @@ class RootComponent(NamedTuple):
     coordinates: dict  # positive root -> {simple root: its non-zero coefficient}
 
 
-def pairwise_root_types(root_set: RootSet, alpha: PositivityFunctional) -> list[RootComponent]:
+def pairwise_root_types(root_set: RootSet, alpha: Sequence[int]) -> list[RootComponent]:
     """Each irreducible component of a root set with its Dynkin type and its
     simple roots, one component at a time.
 
@@ -709,7 +708,7 @@ def pairwise_root_types(root_set: RootSet, alpha: PositivityFunctional) -> list[
         component = tuple(sorted(roots[i] for i in indices))
         plus = []
         for r in component:
-            v = alpha.value(r)
+            v = sum(map(mul, alpha, r))
             if v == 0:
                 raise RootSystemError("positivity functional vanishes on a root")
             if v > 0:
@@ -732,7 +731,7 @@ def pairwise_root_types(root_set: RootSet, alpha: PositivityFunctional) -> list[
         if [[-pair(a, b) for b in order] for a in order] != cartan:
             raise RootSystemError("Gram of the simple roots does not match the Cartan matrix")
         coordinates = {}
-        for r in sorted(plus, key=alpha.value):
+        for r in sorted(plus, key=lambda r: sum(map(mul, alpha, r))):
             if r in adj:
                 coordinates[r] = {r: 1}
                 continue

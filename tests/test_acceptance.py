@@ -11,8 +11,15 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from k3lat.exact_arith import invert
-from k3lat.lattice_core import class_of, elementary_factors, is_even, lattice_A1, lattice_D4
-from k3lat.root_systems import PositivityFunctional, ade_type, bounded_class_minimizers
+from k3lat.lattice_core import (
+    DualVector,
+    class_of,
+    elementary_factors,
+    is_even,
+    lattice_A1,
+    lattice_D4,
+)
+from k3lat.root_systems import ade_type, bounded_class_minimizers, norms_all_odd
 from k3lat.configuration import L_LABELS
 from k3lat.ns_glue import (
     artin_invariant,
@@ -78,26 +85,23 @@ def test_criterion_02_bounded_class_searches():
         a1 = lattice_A1()
         d4 = lattice_D4()
 
-        # norms in half-units: max_norm2 = 2 max v*v, and so on; each search
-        # is exhaustive down to its threshold
-        s = bounded_class_minimizers(a1, class_of(a1.zero()), -4)
-        assert s.max_norm2 == 0 and [coords(v) for v in s.maximizers] == [(Fraction(0),)]
-        assert s.runner_up2 <= -4 and s.floor2 <= -4
-
-        s = bounded_class_minimizers(a1, class_of(a1.dual_basis_vector(0)), -9)
-        assert s.max_norm2 == -1
-        assert [coords(v) for v in s.maximizers] == [(Fraction(-1, 2),)]
-        assert s.runner_up2 <= -9 and s.floor2 <= -9
-
-        s = bounded_class_minimizers(d4, class_of(d4.zero()), -4)
-        assert s.max_norm2 == 0 and len(s.maximizers) == 1
-        assert s.runner_up2 <= -4 and s.floor2 <= -4
-
-        s = bounded_class_minimizers(d4, class_of(d4.dual_basis_vector(0)), -6)
-        assert s.max_norm2 == -2
-        assert [coords(v) for v in s.maximizers] == [coords(d4.dual_basis_vector(0))]
-        assert s.runner_up2 <= -6 and s.floor2 <= -6
-        assert s.norms_all_odd
+        # norms in half-units, 2 v*v; each search is exhaustive down to its
+        # threshold, so the first norm below the maximum is the runner-up
+        cases = [
+            (a1, a1.zero(), -4, 0, [(Fraction(0),)]),
+            (a1, a1.dual_basis_vector(0), -9, -1, [(Fraction(-1, 2),)]),
+            (d4, d4.zero(), -4, 0, [coords(d4.zero())]),
+            (d4, d4.dual_basis_vector(0), -6, -2, [coords(d4.dual_basis_vector(0))]),
+        ]
+        for lattice, rep, threshold2, max_norm2, top in cases:
+            cls = class_of(rep)
+            found = bounded_class_minimizers(lattice, cls, threshold2)
+            den = cls.component[1]
+            assert found[0][0] == max_norm2
+            assert [coords(DualVector(lattice, y, den)) for n2, y in found if n2 == max_norm2] == top
+            rest = [n2 for n2, _ in found if n2 < max_norm2]
+            assert rest and rest[0] <= threshold2 and found[-1][0] >= threshold2
+        assert norms_all_odd(d4, d4.dual_basis_vector(0))
 
 
 def test_criterion_03_root_counts():
@@ -119,8 +123,7 @@ def test_criterion_03_root_counts():
         total = d4.zero()
         for i in range(4):
             total = total + d4.dual_basis_vector(i)
-        alpha = PositivityFunctional(total.pairing_numerators())
-        assert ade_type(enumerate_roots(d4), alpha) == ["D4"]
+        assert ade_type(enumerate_roots(d4), total.pairing_numerators()) == ["D4"]
 
 
 def test_criterion_04_overlattice_arithmetic(ls, ns):

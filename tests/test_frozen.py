@@ -155,10 +155,15 @@ def test_fields_cannot_be_assigned_or_deleted():
         with pytest.raises(AttributeError):
             value.undeclared = 1
         assert getattr(value, name, None) == before
-    record = bounded_class_minimizers(lat, class_of(lat.zero()), -5)
+    record = Summand("P(00)", lat, 1)
     with pytest.raises(AttributeError):
-        record.found = ()
-    assert (record.max_norm2, record.runner_up2) == (0, -4)
+        record.offset = 0
+    assert record.offset == 1
+    # the memoized class search is a tuple of tuples: a caller cannot change it
+    found = bounded_class_minimizers(lat, class_of(lat.zero()), -5)
+    with pytest.raises(TypeError):
+        found[0] = (0, ())
+    assert [norm2 for norm2, _ in found[:2]] == [0, -4]
 
 
 def test_records_whose_tuple_behaviour_would_leak_are_not_tuples():

@@ -224,5 +224,5 @@ def test_every_public_function_has_a_caller_in_src():
 def test_every_record_field_is_read_in_src():
     # by execution: every record field is read under the command corpus
     reads = _cli_traffic_record()["reads"]
-    assert {"lattice_core.Lattice.gram", "root_systems.ClassNormSearch.norms_all_odd"} <= set(reads)
+    assert {"lattice_core.Lattice.gram", "root_systems.RootSet.roots"} <= set(reads)
     assert sorted(label for label, n in reads.items() if n == 0) == []

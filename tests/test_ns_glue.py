@@ -36,7 +36,7 @@ from k3lat.ns_glue import (
     polarization_roots,
     unique_halfline_search,
 )
-from k3lat.root_systems import ClassNormSearch, ade_type
+from k3lat.root_systems import ade_type
 from rational_oracles import (
     basis_vector,
     closure_glue_classes,
@@ -522,8 +522,8 @@ def test_canonical_positivity_matches_summed_dual_basis(ls, ns):
     p = rat_mul_vec(_rational_basis(ns), rational_gv(ls.lattice.gram, coords(w)))
     coeffs = rat_mul_vec(invert_rational(to_rational(ns.lattice.gram)), p)
     alpha = canonical_positivity(ns)
-    # alpha.num is the form over the positive denominator of the overlattice basis
-    form = tuple(Fraction(c, _basis_den(ns)) for c in alpha.num)
+    # alpha is the form over the positive denominator of the overlattice basis
+    form = tuple(Fraction(c, _basis_den(ns)) for c in alpha)
     assert form == rational_gv(ns.lattice.gram, coeffs)
     # the 0/1 pairing: +1 on each exceptional class, 0 on the polarization
     assert [pairing(w, basis_vector(ls.lattice, i)) for i in range(22)] == [0] + [1] * 21
@@ -712,14 +712,7 @@ def test_halfline_search_rejects_a_misreported_candidate_norm(ls, ns, monkeypatc
     def misreported(sub, cls, floor2):
         search = real(sub, cls, floor2)
         shift = 2 if sub.rank == 4 else 0
-        return ClassNormSearch(
-            max_norm2=search.max_norm2,
-            maximizers=search.maximizers,
-            runner_up2=search.runner_up2,
-            floor2=search.floor2,
-            norms_all_odd=search.norms_all_odd,
-            found=tuple((n2 + shift, y) for n2, y in search.found),
-        )
+        return tuple((n2 + shift, y) for n2, y in search)
 
     monkeypatch.setattr(ns_glue, "bounded_class_minimizers", misreported)
     with pytest.raises(GlueError, match="assembled candidate violates the norm or degree condition"):

@@ -25,13 +25,12 @@ from k3lat.ns_glue import (
     halfline_class,
 )
 from k3lat.root_systems import (
-    PositivityFunctional,
     RootSet,
     RootSystemError,
-    _norms_all_odd,
     ade_type,
     bounded_class_minimizers,
     cartan_matrix,
+    norms_all_odd,
     short_vectors,
     simple_roots,
 )
@@ -78,12 +77,12 @@ def a1_plus_a1() -> Lattice:
     return Lattice(IntMatrix.block_diagonal([IntMatrix([[-2]])] * 2))
 
 
-def dominant_functional(lattice: Lattice) -> PositivityFunctional:
+def dominant_functional(lattice: Lattice) -> tuple[int, ...]:
     """Pairing against the sum of the dual basis: +1 on every basis root."""
     total = lattice.zero()
     for i in range(lattice.rank):
         total = total + lattice.dual_basis_vector(i)
-    return PositivityFunctional(total.pairing_numerators())
+    return total.pairing_numerators()
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +314,7 @@ def test_short_vectors_rejects_what_the_cholesky_oracle_rejects(rows):
 
 
 def test_positivity_value_matches_the_rational_sum():
-    # value is the rational form scaled by a positive denominator: the
+    # alpha . x is the rational form scaled by a positive denominator: the
     # summed dual basis over its den on D4, and on the overlattice the
     # 0/1 pairings of the exceptional dual vectors pushed through the basis
     # rows over d, with basis_num^T * to_result = d I
@@ -336,7 +335,7 @@ def test_positivity_value_matches_the_rational_sum():
         assert scale > 0
         for _ in range(50):
             x = [rng.randint(-3, 3) for _ in range(n)]
-            assert Fraction(alpha.value(x), scale) == sum(a * c for a, c in zip(form, x))
+            assert Fraction(sum(map(mul, alpha, x)), scale) == sum(a * c for a, c in zip(form, x))
 
 
 def test_short_vectors_bound_zero_and_negative():
@@ -413,7 +412,7 @@ def _cartan_gram(label: str) -> list[list[int]]:
     return [[-x for x in row] for row in cartan_matrix(label).entries]
 
 
-def _assert_typing_matches_the_pairwise_oracle(rs: RootSet, alpha: PositivityFunctional) -> list:
+def _assert_typing_matches_the_pairwise_oracle(rs: RootSet, alpha: tuple[int, ...]) -> list:
     """The labels, simple roots and coordinates of the new route equal those
     of the pairwise oracle; returns the oracle's components."""
     oracle = pairwise_root_types(rs, alpha)
@@ -491,9 +490,9 @@ def test_simple_root_typing_matches_the_pairwise_oracle_on_random_sums():
         roots = tuple(sorted(vt.mul_vec(r) for r in nonzero_short_vectors(gram, 2)))
         ugut = rat_mul(rat_mul(u.entries, gram.entries), rat_transpose(u.entries))
         rs = RootSet(Lattice(IntMatrix(ugut)), roots)
-        alpha = PositivityFunctional(tuple(rng.randint(-1000, 1000) for _ in range(n)))
-        while any(alpha.value(r) == 0 for r in roots):
-            alpha = PositivityFunctional(tuple(rng.randint(-1000, 1000) for _ in range(n)))
+        alpha = tuple(rng.randint(-1000, 1000) for _ in range(n))
+        while any(sum(map(mul, alpha, r)) == 0 for r in roots):
+            alpha = tuple(rng.randint(-1000, 1000) for _ in range(n))
         oracle = _assert_typing_matches_the_pairwise_oracle(rs, alpha)
         assert sorted(c.label for c in oracle) == sorted(blocks)
         labels.update(blocks)
@@ -502,7 +501,7 @@ def test_simple_root_typing_matches_the_pairwise_oracle_on_random_sums():
 
 def test_decomposition_of_a_lattice_without_roots_is_empty():
     rs = enumerate_roots(Lattice(IntMatrix([[-4]])))
-    alpha = PositivityFunctional((1,))
+    alpha = (1,)
     assert len(rs) == 0
     assert simple_roots(rs, alpha) == ([], {})
     assert ade_type(rs, alpha) == []
@@ -588,7 +587,7 @@ def test_cartan_match_fires_on_vectors_of_norm_minus_4():
     # Gram is (-4), not minus the Cartan matrix (2)
     rs = RootSet(Lattice(IntMatrix([[-4]])), ((-1,), (1,)))
     with pytest.raises(RootSystemError, match="does not match the Cartan matrix"):
-        ade_type(rs, PositivityFunctional((1,)))
+        ade_type(rs, (1,))
 
 
 def test_positivity_value_is_pairing_with_the_dual_vector():
@@ -599,16 +598,16 @@ def test_positivity_value_is_pairing_with_the_dual_vector():
     assert len(roots) == 24
     for v in vectors:
         # the form G num_v is v.r scaled by the positive v.den
-        alpha = PositivityFunctional(v.pairing_numerators())
+        alpha = v.pairing_numerators()
         for r in roots:
-            assert Fraction(alpha.value(r), v.den) == pairing(v, vector(d4, r))
+            assert Fraction(sum(map(mul, alpha, r)), v.den) == pairing(v, vector(d4, r))
 
 
 def test_positivity_functional_must_not_vanish():
     lat = a1_plus_a1()
-    alpha = PositivityFunctional(lat.dual_basis_vector(0).pairing_numerators())
+    alpha = lat.dual_basis_vector(0).pairing_numerators()
     rs = enumerate_roots(lat)
-    assert any(alpha.value(r) == 0 for r in rs.roots)
+    assert any(sum(map(mul, alpha, r)) == 0 for r in rs.roots)
     with pytest.raises(RootSystemError, match="vanishes on a root"):
         simple_roots(rs, alpha)
     with pytest.raises(RootSystemError, match="vanishes on a root"):
@@ -659,7 +658,7 @@ def test_decompose_second_path_and_nonnegativity():
     alpha = dominant_functional(d4)
     eps, coordinates = simple_roots(rs, alpha)
     for r in rs.roots:
-        if alpha.value(r) <= 0:
+        if sum(map(mul, alpha, r)) <= 0:
             assert r not in coordinates
             continue
         coeffs = coordinates[r]
@@ -693,7 +692,7 @@ def test_unique_nonneg_spanning_set_is_the_indecomposables():
         alpha = dominant_functional(lat)
         rs = enumerate_roots(lat)
         eps, coordinates = simple_roots(rs, alpha)
-        plus = [r for r in rs.roots if alpha.value(r) > 0]
+        plus = [r for r in rs.roots if sum(map(mul, alpha, r)) > 0]
         # every positive root decomposes uniquely over eps with non-negative
         # integers, and no proper subset can do it
         assert set(coordinates) == set(plus)
@@ -808,51 +807,68 @@ def test_root_set_json():
 # bounded class searches
 # ---------------------------------------------------------------------------
 
+def maximizers(lattice: Lattice, cls, found) -> list:
+    """The coordinates of the vectors y / den of a search's entries at its
+    maximum norm, den the class's denominator."""
+    den = cls.component[1]
+    return [coords(DualVector(lattice, y, den)) for norm2, y in found if norm2 == found[0][0]]
+
+
+def runner_up(found):
+    """The first norm of a search below its maximum, or None."""
+    return next((norm2 for norm2, _ in found if norm2 < found[0][0]), None)
+
+
 def test_a1_zero_class_search():
     a1 = lattice_A1()
-    res = bounded_class_minimizers(a1, class_of(a1.zero()), -4)
-    assert res.max_norm2 == 0
-    assert [coords(v) for v in res.maximizers] == [(Fraction(0),)]
-    assert res.runner_up2 == -4
-    assert res.floor2 == -4
+    cls = class_of(a1.zero())
+    found = bounded_class_minimizers(a1, cls, -4)
+    assert found[0][0] == 0
+    assert maximizers(a1, cls, found) == [(Fraction(0),)]
+    assert runner_up(found) == -4
+    assert found == ((0, (0,)), (-4, (-1,)))
 
 
 def test_a1_dual_class_search():
     a1 = lattice_A1()
-    res = bounded_class_minimizers(a1, class_of(a1.dual_basis_vector(0)), -9)
-    assert res.max_norm2 == -1
-    assert [coords(v) for v in res.maximizers] == [(Fraction(-1, 2),)]
-    assert res.runner_up2 == -9
-    assert res.floor2 == -9
+    cls = class_of(a1.dual_basis_vector(0))
+    found = bounded_class_minimizers(a1, cls, -9)
+    assert found[0][0] == -1
+    assert maximizers(a1, cls, found) == [(Fraction(-1, 2),)]
+    assert runner_up(found) == -9
+    assert all(norm2 >= -9 for norm2, _ in found)
 
 
 def test_d4_zero_class_search():
     d4 = lattice_D4()
-    res = bounded_class_minimizers(d4, class_of(d4.zero()), -4)
-    assert res.max_norm2 == 0
-    assert len(res.maximizers) == 1
-    assert res.runner_up2 == -4
-    assert res.floor2 == -4
+    cls = class_of(d4.zero())
+    found = bounded_class_minimizers(d4, cls, -4)
+    assert found[0][0] == 0
+    assert len(maximizers(d4, cls, found)) == 1
+    assert runner_up(found) == -4
+    assert all(norm2 >= -4 for norm2, _ in found)
 
 
 def test_d4_leaf_class_search():
     d4 = lattice_D4()
     d1_dual = d4.dual_basis_vector(0)
-    res = bounded_class_minimizers(d4, class_of(d1_dual), -6)
-    assert res.max_norm2 == -2
-    assert [coords(v) for v in res.maximizers] == [coords(d1_dual)]
-    assert res.runner_up2 <= -6
-    assert res.norms_all_odd
-    assert res.floor2 <= -6
+    cls = class_of(d1_dual)
+    found = bounded_class_minimizers(d4, cls, -6)
+    assert found[0][0] == -2
+    assert maximizers(d4, cls, found) == [coords(d1_dual)]
+    assert runner_up(found) <= -6
+    assert norms_all_odd(d4, d1_dual)
+    assert all(norm2 >= -6 for norm2, _ in found)
 
 
 def test_d4_other_leaf_class_search():
     d4 = lattice_D4()
     d4_dual = d4.dual_basis_vector(3)
-    res = bounded_class_minimizers(d4, class_of(d4_dual), -5)
-    assert res.max_norm2 == -2
-    assert [coords(v) for v in res.maximizers] == [coords(d4_dual)]
-    assert res.norms_all_odd
+    cls = class_of(d4_dual)
+    found = bounded_class_minimizers(d4, cls, -5)
+    assert found[0][0] == -2
+    assert maximizers(d4, cls, found) == [coords(d4_dual)]
+    assert norms_all_odd(d4, d4_dual)
 
 
 def test_d4_sum_class_search():
@@ -861,9 +877,9 @@ def test_d4_sum_class_search():
     d2_dual = d4.dual_basis_vector(1)
     cls = class_of(d2_dual)
     assert cls == class_of(d4.dual_basis_vector(0) + d4.dual_basis_vector(3))
-    res = bounded_class_minimizers(d4, cls, -5)
-    assert res.max_norm2 == -2
-    assert res.norms_all_odd
+    found = bounded_class_minimizers(d4, cls, -5)
+    assert found[0][0] == -2
+    assert norms_all_odd(d4, d2_dual)
 
 
 def as_numerators(cls, points) -> list:
@@ -900,19 +916,19 @@ def test_in_box_points_match_naive_enumeration(name, dual_index):
     v = lattice.zero() if dual_index is None else lattice.dual_basis_vector(dual_index)
     cls = class_of(v)
     rep = DualVector(lattice, *cls.component)
-    res = bounded_class_minimizers(lattice, cls, -5)
+    found = bounded_class_minimizers(lattice, cls, -5)
     assert outside_bound(lattice, rep, 3) < -5
     naive = as_numerators(cls, naive_in_box(lattice, rep, 3))
-    assert list(res.found) == [t for t in naive if t[0] >= -5]
-    assert res.found[0][0] == res.max_norm2
+    assert list(found) == [t for t in naive if t[0] >= -5]
+    assert found[0][0] == max(norm2 for norm2, _ in naive)
 
 
 def test_unsupported_lattice_rejected():
     # A2 is even and negative definite: its zero class certifies, and its two
     # nonzero classes, of norm -2/3 mod 2, have no half-integral norm to scan
     a2 = Lattice(IntMatrix([[-2, 1], [1, -2]]))
-    res = bounded_class_minimizers(a2, class_of(a2.zero()), -5)
-    assert (res.max_norm2, res.runner_up2, res.norms_all_odd) == (0, -4, False)
+    found = bounded_class_minimizers(a2, class_of(a2.zero()), -5)
+    assert (found[0][0], runner_up(found), norms_all_odd(a2, a2.zero())) == (0, -4, False)
     classes = {class_of(a2.dual_basis_vector(j)) for j in range(2)}
     assert len(classes) == 2 and class_of(a2.zero()) not in classes
     for cls in classes:
@@ -927,10 +943,10 @@ def test_class_search_takes_a_class_no_dual_basis_vector_represents():
     # norm -5
     lattice = a1_plus_a1()
     cls = class_of(lattice.dual_basis_vector(0) + lattice.dual_basis_vector(1))
-    res = bounded_class_minimizers(lattice, cls, -10)
-    assert res.max_norm2 == -2 and res.runner_up2 == -10
-    assert [coords(v) for v in res.maximizers] == [(Fraction(-1, 2), Fraction(-1, 2))]
-    assert res.found == ((-2, (-1, -1)), (-10, (-3, -1)), (-10, (-1, -3)))
+    found = bounded_class_minimizers(lattice, cls, -10)
+    assert found[0][0] == -2 and runner_up(found) == -10
+    assert maximizers(lattice, cls, found) == [(Fraction(-1, 2), Fraction(-1, 2))]
+    assert found == ((-2, (-1, -1)), (-10, (-3, -1)), (-10, (-1, -3)))
 
 
 def test_class_search_rejects_a_class_of_another_lattice():
@@ -942,13 +958,13 @@ def test_class_search_rejects_a_class_of_another_lattice():
 def test_norm_parity_requires_an_even_lattice():
     odd = Lattice(IntMatrix([[-1]]))
     with pytest.raises(RootSystemError, match="norm parity requires an even lattice"):
-        _norms_all_odd(odd, odd.zero())
+        norms_all_odd(odd, odd.zero())
 
 
 def test_norm_parity_requires_a_dual_vector():
     a1 = lattice_A1()
     with pytest.raises(RootSystemError, match="norm parity requires a dual vector"):
-        _norms_all_odd(a1, vector(a1, [Fraction(1, 4)]))
+        norms_all_odd(a1, vector(a1, [Fraction(1, 4)]))
 
 
 D4_LEAVES = (0, 1, 3)  # basis positions of the three outer nodes; position 2 is the center
@@ -1031,7 +1047,7 @@ def test_box_scan_matches_the_product_scan(box):
         forms = d4_leaf_forms(leaf) if leaf is not None else None
         found, all_odd = product_box_scan(lattice, rep, box, forms)
         assert box_scan(lattice, rep, box) == found
-        assert bounded_class_minimizers(lattice, cls, -5).norms_all_odd == all_odd
+        assert norms_all_odd(lattice, rep) == all_odd
     assert seen == {
         (1, "zero"), (1, "a_dual"), (4, "zero"), (4, "d1_dual"), (4, "d2_dual"), (4, "d4_dual")
     }
@@ -1086,9 +1102,9 @@ def test_found_matches_the_box_scan_oracle(box):
             scan = as_numerators(cls, scan)
             bound2 = outside_bound(lattice, rep, box)
             for floor2 in {bound2 + 1, -5}:
-                res = bounded_class_minimizers(lattice, cls, floor2)
-                assert res.floor2 == floor2
-                assert list(res.found) == [t for t in scan if t[0] >= floor2], (blocks, cls)
+                found = bounded_class_minimizers(lattice, cls, floor2)
+                assert all(norm2 >= floor2 for norm2, _ in found)
+                assert list(found) == [t for t in scan if t[0] >= floor2], (blocks, cls)
             searched += 1
     assert (searched, rejected) == (2 + 4 + 4 + 2, 2)
 
@@ -1146,12 +1162,12 @@ def test_norm_parity_matches_the_product_scan_on_block_sums():
                 continue
             rep = DualVector(lattice, *class_of(v).component)
             floor2 = outside_bound(lattice, rep, 3) + 1
-            res = bounded_class_minimizers(lattice, class_of(v), floor2)
+            searched = bounded_class_minimizers(lattice, class_of(v), floor2)
             found, all_odd = product_box_scan(lattice, rep, 3, None)
             expected = sorted((t for t in found if t[0] >= floor2), key=lambda t: (-t[0], t[1]))
             expected = as_numerators(class_of(v), expected)
-            assert list(res.found) == expected
-            assert res.norms_all_odd == all_odd, blocks
+            assert list(searched) == expected
+            assert norms_all_odd(lattice, rep) == all_odd, blocks
             parities.add(all_odd)
     assert parities == {False, True}
 
@@ -1287,10 +1303,11 @@ def test_d4_class_searches_at_box_16_fit_the_budget():
     for lattice, cls in _every_class():
         if lattice.rank == 4:
             floors.append((lattice, cls, outside_bound(lattice, DualVector(lattice, *cls.component), 16) + 1))
+    assert all(floor2 <= -6 for *_, floor2 in floors)
     start = time.perf_counter()
-    for lattice, cls, floor2 in floors:
-        assert bounded_class_minimizers(lattice, cls, floor2).floor2 <= -6
+    searches = [(floor2, bounded_class_minimizers(lattice, cls, floor2)) for lattice, cls, floor2 in floors]
     assert time.perf_counter() - start <= 1.0
+    assert all(norm2 >= floor2 for floor2, found in searches for norm2, _ in found)
 
 
 def test_elimination_of_the_negated_gram_is_read_off_the_gram():
