@@ -27,26 +27,16 @@ def _binary(text) -> int:
 
 
 class HomPoly:
-    """Homogeneous trivariate polynomial; immutable by convention."""
+    """Homogeneous trivariate polynomial; immutable by convention.  The
+    constructor only drops zero terms: ``from_json_obj`` checks a form read
+    from a file, the one place a form comes from outside."""
 
     __slots__ = ("field", "degree", "terms")
 
     def __init__(self, field: BinaryField, degree: int, terms: Mapping[tuple[int, int, int], int]):
-        clean: dict[tuple[int, int, int], int] = {}
-        q = field.q
-        for exp, c in terms.items():
-            l, m, n = exp
-            if l < 0 or m < 0 or n < 0:
-                raise PolyError(f"exponent triple {exp} has a negative exponent")
-            if l + m + n != degree:
-                raise PolyError(f"exponent triple {exp} does not sum to degree {degree}")
-            if not 0 <= c < q:
-                field.check(c)  # raises with the field's message
-            if c:
-                clean[(l, m, n)] = c
         self.field = field
         self.degree = degree
-        self.terms = clean
+        self.terms = {e: c for e, c in terms.items() if c}
 
     # -- construction helpers -----------------------------------------------
 
@@ -85,11 +75,7 @@ class HomPoly:
             raise PolyError("sum of forms of different degree or field")
         terms = dict(self.terms)
         for exp, c in other.terms.items():
-            r = terms.get(exp, 0) ^ c
-            if r:
-                terms[exp] = r
-            else:
-                terms.pop(exp, None)
+            terms[exp] = terms.get(exp, 0) ^ c
         return HomPoly(self.field, self.degree, terms)
 
     def __mul__(self, other: "HomPoly") -> "HomPoly":
@@ -103,16 +89,11 @@ class HomPoly:
             lc1 = log[c1]
             for (l2, m2, n2), lc2 in right:
                 exp = (l1 + l2, m1 + m2, n1 + n2)
-                r = terms.get(exp, 0) ^ antilog[lc1 + lc2]
-                if r:
-                    terms[exp] = r
-                else:
-                    del terms[exp]
+                terms[exp] = terms.get(exp, 0) ^ antilog[lc1 + lc2]
         return HomPoly(f, self.degree + other.degree, terms)
 
     def scale(self, c: int) -> "HomPoly":
         f = self.field
-        c = f.check(c)
         return HomPoly(f, self.degree, {e: f.mul(c, v) for e, v in self.terms.items()})
 
     def square(self) -> "HomPoly":
@@ -182,7 +163,7 @@ class HomPoly:
                     for k2, lc2 in pow0[l]:
                         out[k1 + k2] = out.get(k1 + k2, 0) ^ antilog[lc1 + lc2]
         return HomPoly(
-            f, d, {(k // units[0], k // base % base, k % base): c for k, c in out.items() if c}
+            f, d, {(k // units[0], k // base % base, k % base): c for k, c in out.items()}
         )
 
     # -- division by a linear form ----------------------------------------------
@@ -243,7 +224,8 @@ class HomPoly:
     @staticmethod
     def from_json_obj(obj: dict) -> "HomPoly":
         """Inverse of ``to_json_obj``; a non-int field degree, degree or exponent,
-        a non-triple or repeated exponent, or a non-binary digit string raises."""
+        a non-triple, negative or repeated exponent, a triple off the degree, a
+        non-binary digit string or a coefficient outside the field raises."""
         k = obj["field"]["k"]
         if type(k) is not int:
             raise PolyError(f"field degree {k!r} is not an integer")
@@ -258,9 +240,13 @@ class HomPoly:
                 raise PolyError(f"term {t!r} does not have three exponents")
             if any(type(n) is not int for n in exp):
                 raise PolyError(f"exponent triple {list(exp)} is not of integers")
+            if min(exp) < 0:
+                raise PolyError(f"exponent triple {exp} has a negative exponent")
+            if sum(exp) != degree:
+                raise PolyError(f"exponent triple {exp} does not sum to degree {degree}")
             if exp in terms:
                 raise PolyError(f"exponent triple {list(exp)} is given twice")
-            terms[exp] = _binary(t["coeff"])
+            terms[exp] = fld.check(_binary(t["coeff"]))
         return HomPoly(fld, degree, terms)
 
 

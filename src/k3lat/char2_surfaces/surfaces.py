@@ -193,11 +193,10 @@ def is_splitting(g: HomPoly, ell: Line) -> SplittingCertificate | None:
     ku, kv = root.kept
     terms: dict[tuple[int, int, int], int] = {}
     for i, c in enumerate(root.coeffs):
-        if c:
-            exp = [0, 0, 0]
-            exp[ku] = root.degree - i
-            exp[kv] = i
-            terms[tuple(exp)] = c
+        exp = [0, 0, 0]
+        exp[ku] = root.degree - i
+        exp[kv] = i
+        terms[tuple(exp)] = c
     gamma = HomPoly(f, root.degree, terms)
     quintic = (g + gamma.square()).divide_by_linear(ell)
     cert = SplittingCertificate(ell, quintic, gamma)
@@ -501,7 +500,7 @@ def verify_configuration(field: BinaryField, r: int, s: int) -> ConfigurationRep
     """Check the nine-point, five-line shape of the family member of (r, s)
     (``schroeer_sextic``).
 
-    (a) counts and types 4 D4 + 5 A1 with total Milnor number 21, (b) the
+    (a) counts and types 4 D4 + 5 A1, so total Milnor number 21, (b) the
     labeled coordinates of the points of (r, s) and the incidence of the
     five standard lines, against the rows of ``configuration.LINES``: the
     A1 points found are the five q(c), and L(inf) splits and carries
@@ -521,8 +520,6 @@ def verify_configuration(field: BinaryField, r: int, s: int) -> ConfigurationRep
         findings.append(f"expected 9 singular points, found {len(report.points)}")
     if len(d4) != 4 or len(a1) != 5:
         findings.append(f"expected 4 D4 + 5 A1, found {len(d4)} D4 + {len(a1)} A1")
-    if report.total_milnor != 21:
-        findings.append(f"total Milnor number {report.total_milnor} != 21")
 
     certificates = tuple(scan_splitting_lines(g))
     split_lines = [c.line for c in certificates]

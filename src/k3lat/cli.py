@@ -535,13 +535,15 @@ def main(argv=None) -> int:
             return EXIT_OK
         command, config = parsed
         # the --recognize file is read, the family arguments checked and the
-        # --out file opened before any suite runs
-        g = None
+        # --out file opened before any suite runs; the report names the field
+        # that recognition or the family cases use
+        g = family = None
         if config.get("recognize") is not None:
             g = _read_sextic(config["recognize"])
-            # the report names the field of the file, the one recognition uses
             config["k"], config["modulus"] = g.field.k, g.field.modulus
-        family = _family_inputs(config) if command != "lattice" and g is None else None
+        elif command != "lattice":
+            family = _family_inputs(config)
+            config["modulus"] = family[0].modulus
         out = _open_out(config["out"]) if config["out"] is not None else None
         checks = Checks()
         # lattice checks come first in an all run

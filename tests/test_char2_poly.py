@@ -69,10 +69,11 @@ def _divide_linear(form: BinForm, a: int, b: int) -> BinForm:
 
 
 def test_term_validation(gf16):
+    obj = schroeer_sextic(gf16, 3, 5).to_json_obj()
     with pytest.raises(PolyError, match=r"^exponent triple \(1, 2, 2\) does not sum to degree 6$"):
-        HomPoly(gf16, 6, {(1, 2, 2): 1})
+        HomPoly.from_json_obj({**obj, "terms": [{"exp": [1, 2, 2], "coeff": "1"}]})
     with pytest.raises(PolyError, match=r"^exponent triple \(-1, 4, 3\) has a negative exponent$"):
-        HomPoly(gf16, 6, {(-1, 4, 3): 1})
+        HomPoly.from_json_obj({**obj, "terms": [{"exp": [-1, 4, 3], "coeff": "1"}]})
     p = HomPoly(gf16, 2, {(2, 0, 0): 1, (0, 1, 1): 0})
     assert p.terms == {(2, 0, 0): 1}
 
@@ -86,6 +87,9 @@ def test_add_mul_degree(gf16):
     assert prod.degree == 4
     # char 2: cross terms cancel in the square
     assert prod.terms == {(4, 0, 0): 1, (0, 2, 2): 1}
+    # the constructor drops the terms that cancel
+    assert (s + s).terms == {}
+    assert 0 not in prod.terms.values()
     assert s.square() == prod
     with pytest.raises(PolyError, match=r"^sum of forms of different degree or field$"):
         s + HomPoly(gf16, 1, {(1, 0, 0): 1})

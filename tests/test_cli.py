@@ -565,7 +565,6 @@ def _with_a_repeated_term(g, exp):
             "not json",
             _poly_file_text(20, "1" + "0" * 19 + "1001", []),
             json.dumps([1, 2, 3]),
-            _poly_file_text(4, "10011", [{"exp": [1, 1, 1], "coeff": "1"}]),
             _poly_file_text(4, "10011", [{"exp": [1, 4, 1], "coeff": "2"}]),
             _with_a_repeated_term(normal_form_sextic(BinaryField(8), 3), [1, 2, 3]),
             json.dumps({"field": {"k": 4, "modulus_bits": "10011"}, "degree": 6.0, "terms": []}),
@@ -597,12 +596,13 @@ def _with_a_repeated_term(g, exp):
          "FieldError: element 16 out of range for GF(2^4)"),
         (_poly_file_text(4, "10011", [{"exp": [-1, 4, 3], "coeff": "1"}]),
          "PolyError: exponent triple (-1, 4, 3) has a negative exponent"),
+        (_poly_file_text(4, "10011", [{"exp": [1, 1, 1], "coeff": "1"}]),
+         "PolyError: exponent triple (1, 1, 1) does not sum to degree 6"),
     ],
     ids=[
         "not-json",
         "k20-field",
         "not-an-object",
-        "wrong-degree",
         "coeff-not-binary",
         "repeated-exponent",
         "float-degree",
@@ -624,6 +624,7 @@ def _with_a_repeated_term(g, exp):
         "exp-pair",
         "coeff-outside-field",
         "negative-exponent",
+        "wrong-degree",
     ],
 )
 def test_bad_recognize_file_is_a_usage_error(tmp_path, capsys, text, message):
