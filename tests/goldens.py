@@ -183,8 +183,11 @@ USAGE_ERRORS = [
         ("k4-more-samples-than-pairs", ["surface", "--k", "4", "--samples", "181"]),
         ("samples-0", ["surface", "--samples", "0"]),
         ("samples-negative", ["surface", "--samples", "-1"]),
-        # the removed flag stays refused
+        ("lemma-box-2", ["lattice", "--lemma-box", "2"]),
+        ("lemma-box-17", ["lattice", "--lemma-box", "17"]),
+        ("lemma-box-huge", ["all", "--lemma-box", "1000000"]),
         ("lemma-box-3", ["lattice", "--lemma-box", "3"]),
+        ("all-lemma-box-3", ["all", "--lemma-box", "3"]),
         ("odd-k-sampling", ["surface", "--k", "3", "--modulus", "0b1011", "--samples", "1"]),
         ("odd-k-pair", ["surface", "--k", "5", "--modulus", "0b100101", "--r", "1", "--s", "2"]),
         ("r-not-hex", ["surface", "--k", "4", "--r", "zz", "--s", "1"]),
