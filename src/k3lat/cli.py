@@ -117,8 +117,8 @@ def cmd_lattice(config: dict, checks: Checks) -> None:
                     "coords": [ratio(c, v.den) for c in v.num],
                     "basis_pairings": [ratio(x, v.den) for x in v.pairing_numerators()],
                 }
-        ok, rank = independence_check(glue)
-        return ok and rank == 5, {"rank": rank}
+        rank = independence_check(glue)
+        return rank == len(glue), {"rank": rank}
 
     checks.run("glue_independence", independence)
 
@@ -136,13 +136,8 @@ def cmd_lattice(config: dict, checks: Checks) -> None:
             "even": is_even(ns.lattice),
             "two_elementary": elementary_factors(ns.lattice) is not None,
         }
-        ok = (
-            ns.index == 32
-            and ns.lattice.det() == -16
-            and sigma == 2
-            and witness["even"]
-            and witness["two_elementary"]
-        )
+        # artin_invariant raises unless det = -2^(2 sigma), so sigma 2 is det -16
+        ok = ns.index == 32 and sigma == 2 and witness["even"] and witness["two_elementary"]
         return ok, witness
 
     checks.run("overlattice_sigma2", overlattice)
@@ -153,7 +148,7 @@ def cmd_lattice(config: dict, checks: Checks) -> None:
             ns1 = build_overlattice(ls, tuple(glue) + (extra,))
             sigma = artin_invariant(ns1.lattice)
             witness = {"index": ns1.index, "det": str(ns1.lattice.det()), "sigma": sigma}
-            return ns1.index == 64 and ns1.lattice.det() == -4 and sigma == 1, witness
+            return ns1.index == 64 and sigma == 1, witness
 
         checks.run("overlattice_sigma1", overlattice_extra)
 
@@ -169,11 +164,8 @@ def cmd_lattice(config: dict, checks: Checks) -> None:
             "type": report.type_string,
             "total_component_rank": report.total_component_rank,
         }
-        ok = (
-            report.type_string == "4D4+5A1"
-            and report.total_component_rank == 21
-            and report.complement_inertia == (0, 21, 0)
-        )
+        # the type 4D4+5A1 has rank 4 * 4 + 5 * 1 = 21
+        ok = report.type_string == "4D4+5A1" and report.complement_inertia == (0, 21, 0)
         return ok, witness
 
     checks.run("exceptional_root_type", root_type_check)

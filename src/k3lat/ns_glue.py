@@ -187,10 +187,10 @@ def _glue_echelon(classes: Sequence[GlueVector]) -> list[tuple[int, ...]]:
     return echelon_mod_2(IntMatrix(class_of(gv.vector).component[0] for gv in classes))
 
 
-def independence_check(classes: Sequence[GlueVector]) -> tuple[bool, int]:
-    """Rank over F2 of the glue classes (``_glue_echelon``), and whether it is their count."""
-    rank = len(_glue_echelon(classes))
-    return rank == len(classes), rank
+def independence_check(classes: Sequence[GlueVector]) -> int:
+    """Rank over F2 of the glue classes (``_glue_echelon``); they are
+    independent when it is their count."""
+    return len(_glue_echelon(classes))
 
 
 def build_overlattice(base: LabeledSum, glue: Sequence[GlueVector]) -> OverlatticeResult:

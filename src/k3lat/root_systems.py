@@ -1,9 +1,10 @@
 """Roots of even negative-definite lattices.
 
 Exact lattice-point search on a lattice or a coset of it, the simple roots
-of a root set with respect to a positivity functional, the ADE type of its
-irreducible components from their Dynkin diagrams, and the bounded
-dual-class norm searches used by the glue-vector uniqueness arguments.
+of a root set with respect to a positivity functional, the type of its
+irreducible components in the base's two summand types, A1 or D4, by their
+Grams, and the bounded dual-class norm searches used by the glue-vector
+uniqueness arguments.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from .lattice_core import (
     DualVector,
     Lattice,
     is_even,
+    lattice_A1,
+    lattice_D4,
     pairing_numerator,
 )
 
@@ -154,101 +157,30 @@ def simple_roots(
 
 
 # ---------------------------------------------------------------------------
-# ADE classification
+# typing in the base's two summand types
 # ---------------------------------------------------------------------------
 
-def cartan_matrix(label: str) -> IntMatrix:
-    """Cartan matrix in the canonical node order used by ade_type.
-
-    A_n: a chain 1-2-...-n.  D_n: the two short leaves first, then the
-    center, then the long chain outward.  E_n: short leaf, middle-branch
-    inner node, middle-branch leaf, center, long chain outward.  The label
-    is one that ``_diagram_order`` gives: A_n, D_n with n >= 4, E_6, E_7 or E_8.
-    """
-    family, n = label[0], int(label[1:])
-    if family == "A":
-        edges = [(i, i + 1) for i in range(1, n)]
-    elif family == "D":
-        edges = [(1, 3), (2, 3)] + [(i, i + 1) for i in range(3, n)]
-    else:
-        edges = [(1, 4), (2, 4), (2, 3)] + [(i, i + 1) for i in range(4, n)]
-    m = [[0] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = 2
-    for i, j in edges:
-        m[i - 1][j - 1] = -1
-        m[j - 1][i - 1] = -1
-    return IntMatrix(m)
-
-
-def _diagram_order(nodes: list, adj: dict) -> tuple[str, list]:
-    """Classify a connected Dynkin diagram and return the canonical node order."""
-    n = len(nodes)
-    edge_count = sum(len(adj[v]) for v in nodes) // 2
-    if edge_count != n - 1:
-        raise RootSystemError("diagram is not a tree; not an ADE diagram")
-    degs = {v: len(adj[v]) for v in nodes}
-    if any(d > 3 for d in degs.values()):
-        raise RootSystemError("diagram has a node of degree > 3; not an ADE diagram")
-    forks = [v for v in nodes if degs[v] == 3]
-    if len(forks) > 1:
-        raise RootSystemError("diagram has two fork nodes; not an ADE diagram")
-
-    def walk(prev, cur):
-        # the branch from cur away from prev; in a tree with at most one
-        # fork, every node past it has at most one node ahead
-        branch = [cur]
-        ahead = [w for w in adj[cur] if w != prev]
-        while ahead:
-            prev, cur = cur, ahead[0]
-            branch.append(cur)
-            ahead = [w for w in adj[cur] if w != prev]
-        return branch
-
-    if not forks:
-        if n == 1:
-            return "A1", nodes[:]
-        ends = sorted(v for v in nodes if degs[v] == 1)
-        return f"A{n}", walk(None, ends[0])
-    center = forks[0]
-    branches = sorted((walk(center, w) for w in adj[center]), key=lambda b: (len(b), b[0]))
-    lens = [len(b) for b in branches]
-    if lens[0] == 1 and lens[1] == 1:
-        label = f"D{n}"
-        order = [branches[0][0], branches[1][0], center] + branches[2]
-    elif lens[0] == 1 and lens[1] == 2 and lens[2] in (2, 3, 4):
-        label = f"E{n}"
-        order = [branches[0][0], branches[1][0], branches[1][1], center] + branches[2]
-    else:
-        raise RootSystemError("branch profile is not of ADE shape")
-    return label, order
-
-
 def ade_type(root_set: RootSet, alpha: Sequence[int]) -> list[str]:
-    """Dynkin type of each irreducible component of a root set, certified
-    against the Cartan matrix.
+    """Type of each irreducible component of a root set, each one of the
+    base's two summand types, A1 or D4.
 
-    The components are those of the Dynkin diagram of the simple roots
-    (``simple_roots``): distinct simple roots pair to 0 or 1, with an edge
-    at 1.  Each component's nodes are ordered canonically and their Gram is
-    checked to equal minus the Cartan matrix of its type; a Cartan matrix is
-    non-degenerate, so the simple roots are independent.  Then every
-    positive root is rebuilt from its coordinates, so they span, and the
-    rank n of each label is its component's rank.
+    The components are those of the diagram of the simple roots
+    (``simple_roots``), with an edge where two of them pair nonzero.  A
+    component's nodes are listed by their number of edges with the last
+    moved to third place, so a D4 fork reads leaf, leaf, centre, leaf, the
+    order of ``lattice_D4``'s Gram.  The component's Gram must be that Gram
+    or ``lattice_A1``'s, each minus the Cartan matrix of its type; a Cartan
+    matrix is non-degenerate, so the simple roots are independent.  Then
+    every positive root is rebuilt from its coordinates, so they span, and
+    the rank of each label is its component's rank.
     """
     simple, coordinates = simple_roots(root_set, alpha)
     gram = root_set.lattice.gram
     images = [gram.mul_vec(e) for e in simple]
-    pairs = [[sum(map(mul, g, e)) for e in simple] for g in images]
+    pairs = [tuple(sum(map(mul, g, e)) for e in simple) for g in images]
     n = len(simple)
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pairs[i][j] not in (0, 1):
-                raise RootSystemError("simple roots pair outside {0,1}; not an ADE diagram")
-            if pairs[i][j]:
-                adj[i].append(j)
-                adj[j].append(i)
+    adj = [[j for j in range(n) if j != i and pairs[i][j]] for i in range(n)]
+    types = {lattice_A1().gram.entries: "A1", lattice_D4().gram.entries: "D4"}
     labels = []
     unseen = set(range(n))
     for start in range(n):
@@ -263,11 +195,13 @@ def ade_type(root_set: RootSet, alpha: Sequence[int]) -> list[str]:
                 if j in unseen:
                     unseen.remove(j)
                     stack.append(j)
-        label, order = _diagram_order(component, adj)
-        if [[-pairs[i][j] for j in order] for i in order] != [
-            list(row) for row in cartan_matrix(label).entries
-        ]:
-            raise RootSystemError("Gram of the simple roots does not match the Cartan matrix")
+        *leaves, centre = sorted(component, key=lambda i: len(adj[i]))
+        order = leaves[:2] + [centre] + leaves[2:]
+        label = types.get(tuple(tuple(pairs[i][j] for j in order) for i in order))
+        if label is None:
+            raise RootSystemError(
+                f"a component of {len(order)} simple roots is neither A1 nor D4"
+            )
         labels.append(label)
     for r, coords in coordinates.items():
         rebuilt = [0] * len(r)

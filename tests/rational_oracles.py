@@ -7,7 +7,10 @@ on plain tuples of tuples of ``Fraction``, plus the rational matrix
 products the oracles need, the typing of a root set component by
 component (the pairwise search of the root-pairing graph, the pair test for
 indecomposable roots and the coordinate pass) that one pass over the simple
-roots replaced, and the conversions between rational coordinates and
+roots replaced, with the general ADE classifier it types by (A_n, D_n and
+E_6-E_8 from the Dynkin diagram, certified against the Cartan matrix), which
+the package replaced by the Grams of the base's two summand types, A1 and
+D4, and the conversions between rational coordinates and
 ``DualVector`` (with the basis vectors and the negation, which the package
 no longer builds).  The discriminant class by the Smith form, with
 its generators, is the algorithm that coordinates mod 1 replaced, and the
@@ -46,8 +49,6 @@ from k3lat.ns_glue import OverlatticeResult, canonical_positivity
 from k3lat.root_systems import (
     RootSet,
     RootSystemError,
-    _diagram_order,
-    cartan_matrix,
     short_vectors,
 )
 
@@ -651,6 +652,73 @@ def cholesky(q: list[list[Fraction]]) -> tuple[list[Fraction], list[list[Fractio
     return d, r
 
 
+def cartan_matrix(label: str) -> IntMatrix:
+    """Cartan matrix in the canonical node order of ``diagram_order``.
+
+    A_n: a chain 1-2-...-n.  D_n: the two short leaves first, then the
+    center, then the long chain outward.  E_n: short leaf, middle-branch
+    inner node, middle-branch leaf, center, long chain outward.  The label
+    is one that ``diagram_order`` gives: A_n, D_n with n >= 4, E_6, E_7 or E_8.
+    """
+    family, n = label[0], int(label[1:])
+    if family == "A":
+        edges = [(i, i + 1) for i in range(1, n)]
+    elif family == "D":
+        edges = [(1, 3), (2, 3)] + [(i, i + 1) for i in range(3, n)]
+    else:
+        edges = [(1, 4), (2, 4), (2, 3)] + [(i, i + 1) for i in range(4, n)]
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = 2
+    for i, j in edges:
+        m[i - 1][j - 1] = -1
+        m[j - 1][i - 1] = -1
+    return IntMatrix(m)
+
+
+def diagram_order(nodes: list, adj: dict) -> tuple[str, list]:
+    """Classify a connected Dynkin diagram and return the canonical node order."""
+    n = len(nodes)
+    edge_count = sum(len(adj[v]) for v in nodes) // 2
+    if edge_count != n - 1:
+        raise RootSystemError("diagram is not a tree; not an ADE diagram")
+    degs = {v: len(adj[v]) for v in nodes}
+    if any(d > 3 for d in degs.values()):
+        raise RootSystemError("diagram has a node of degree > 3; not an ADE diagram")
+    forks = [v for v in nodes if degs[v] == 3]
+    if len(forks) > 1:
+        raise RootSystemError("diagram has two fork nodes; not an ADE diagram")
+
+    def walk(prev, cur):
+        # the branch from cur away from prev; in a tree with at most one
+        # fork, every node past it has at most one node ahead
+        branch = [cur]
+        ahead = [w for w in adj[cur] if w != prev]
+        while ahead:
+            prev, cur = cur, ahead[0]
+            branch.append(cur)
+            ahead = [w for w in adj[cur] if w != prev]
+        return branch
+
+    if not forks:
+        if n == 1:
+            return "A1", nodes[:]
+        ends = sorted(v for v in nodes if degs[v] == 1)
+        return f"A{n}", walk(None, ends[0])
+    center = forks[0]
+    branches = sorted((walk(center, w) for w in adj[center]), key=lambda b: (len(b), b[0]))
+    lens = [len(b) for b in branches]
+    if lens[0] == 1 and lens[1] == 1:
+        label = f"D{n}"
+        order = [branches[0][0], branches[1][0], center] + branches[2]
+    elif lens[0] == 1 and lens[1] == 2 and lens[2] in (2, 3, 4):
+        label = f"E{n}"
+        order = [branches[0][0], branches[1][0], branches[1][1], center] + branches[2]
+    else:
+        raise RootSystemError("branch profile is not of ADE shape")
+    return label, order
+
+
 def pairwise_components(roots, gram: IntMatrix) -> list[list[int]]:
     """Index lists of the components of the graph on the roots with an edge
     where the pairing is nonzero: a depth-first walk taking one dot product
@@ -691,7 +759,7 @@ def pairwise_root_types(root_set: RootSet, alpha: Sequence[int]) -> list[RootCom
     The components come from ``pairwise_components``.  In each one the
     simple roots are the positive roots that are not a sum of two positive
     roots, tested pair by pair; they must pair to 0 or 1, their diagram is
-    ordered by ``_diagram_order`` and their Gram must be minus the Cartan
+    ordered by ``diagram_order`` and their Gram must be minus the Cartan
     matrix, and in increasing alpha every positive root is written over them
     as a simple root, or as a simple root plus a positive root written before.
     """
@@ -726,7 +794,7 @@ def pairwise_root_types(root_set: RootSet, alpha: Sequence[int]) -> list[RootCom
                 if p == 1:
                     adj[a].append(b)
                     adj[b].append(a)
-        label, order = _diagram_order(simple, adj)
+        label, order = diagram_order(simple, adj)
         cartan = [list(r) for r in cartan_matrix(label).entries]
         if [[-pair(a, b) for b in order] for a in order] != cartan:
             raise RootSystemError("Gram of the simple roots does not match the Cartan matrix")

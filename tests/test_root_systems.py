@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import time
 from fractions import Fraction
 from operator import mul
@@ -29,7 +30,6 @@ from k3lat.root_systems import (
     RootSystemError,
     ade_type,
     bounded_class_minimizers,
-    cartan_matrix,
     norms_all_odd,
     short_vectors,
     simple_roots,
@@ -37,10 +37,12 @@ from k3lat.root_systems import (
 from rational_oracles import (
     basis_vector,
     box_scan,
+    cartan_matrix,
     cholesky,
     complement_positivity,
     coords,
     det,
+    diagram_order,
     enumerate_roots,
     hnf_rows,
     invert_rational,
@@ -388,15 +390,15 @@ def test_decomposition_d4_connected():
 
 
 def test_component_sublattices_orthogonal():
-    # on D4 + A2 + A1 every positive root is written over the simple roots of
+    # on D4 + A1 + A1 every positive root is written over the simple roots of
     # one block, and roots written over different blocks are orthogonal
-    blocks = [lattice_D4().gram, IntMatrix(_cartan_gram("A2")), IntMatrix([[-2]])]
+    blocks = [lattice_D4().gram, IntMatrix([[-2]]), IntMatrix([[-2]])]
     lat = Lattice(IntMatrix.block_diagonal(blocks))
     alpha = dominant_functional(lat)
     rs = enumerate_roots(lat)
-    assert sorted(ade_type(rs, alpha)) == ["A1", "A2", "D4"]
+    assert sorted(ade_type(rs, alpha)) == ["A1", "A1", "D4"]
     simple, coordinates = simple_roots(rs, alpha)
-    block = {e: 0 if any(e[:4]) else 1 if any(e[4:6]) else 2 for e in simple}
+    block = {e: 0 if any(e[:4]) else 1 if e[4] else 2 for e in simple}
     blocks = {}
     for r, coeffs in coordinates.items():
         (b,) = {block[e] for c, e in zip(coeffs, simple) if c}
@@ -412,11 +414,22 @@ def _cartan_gram(label: str) -> list[list[int]]:
     return [[-x for x in row] for row in cartan_matrix(label).entries]
 
 
+NEITHER_A1_NOR_D4 = r"a component of (\d+) simple roots is neither A1 nor D4"
+
+
 def _assert_typing_matches_the_pairwise_oracle(rs: RootSet, alpha: tuple[int, ...]) -> list:
-    """The labels, simple roots and coordinates of the new route equal those
-    of the pairwise oracle; returns the oracle's components."""
+    """The simple roots and coordinates of the new route equal those of the
+    pairwise oracle, and so do its labels where the oracle types every
+    component A1 or D4; where it types one otherwise, ade_type raises and
+    names the size of such a component.  Returns the oracle's components."""
     oracle = pairwise_root_types(rs, alpha)
-    assert sorted(ade_type(rs, alpha)) == sorted(c.label for c in oracle)
+    others = {len(c.simple) for c in oracle if c.label not in ("A1", "D4")}
+    if others:
+        with pytest.raises(RootSystemError, match=NEITHER_A1_NOR_D4) as raised:
+            ade_type(rs, alpha)
+        assert int(re.match(NEITHER_A1_NOR_D4, str(raised.value))[1]) in others
+    else:
+        assert sorted(ade_type(rs, alpha)) == sorted(c.label for c in oracle)
     simple, coordinates = simple_roots(rs, alpha)
     assert sorted(simple) == sorted(e for c in oracle for e in c.simple)
     written = {r: {e: k for k, e in zip(coeffs, simple) if k} for r, coeffs in coordinates.items()}
@@ -475,27 +488,30 @@ def _random_unimodular(rng: random.Random, n: int, steps: int):
 
 
 def test_simple_root_typing_matches_the_pairwise_oracle_on_random_sums():
-    # sums of one to three A1-A5, D4-D6 and E6-E8 blocks in a random basis,
-    # each typed under a random functional that vanishes on no root
+    # 48 sums of one to three A1-A5, D4-D6 and E6-E8 blocks, none of them
+    # made of A1 and D4 blocks alone, on which src raises, then 16 sums of two
+    # to four A1 and D4 blocks, which src types; each in a random basis and
+    # under a random functional that vanishes on no root
     rng = random.Random(33)
     labels = set()
-    for _ in range(48):
-        blocks = [rng.choice(RANDOM_BLOCKS) for _ in range(rng.randint(1, 3))]
-        gram = IntMatrix.block_diagonal([IntMatrix(_cartan_gram(b)) for b in blocks])
-        n = gram.rows
-        # the basis rows U B have the Gram U G U^T, and a vector with
-        # coordinates r over B has coordinates r V over U B
-        u, v = _random_unimodular(rng, n, 3 * n)
-        vt = IntMatrix(rat_transpose(v.entries))
-        roots = tuple(sorted(vt.mul_vec(r) for r in nonzero_short_vectors(gram, 2)))
-        ugut = rat_mul(rat_mul(u.entries, gram.entries), rat_transpose(u.entries))
-        rs = RootSet(Lattice(IntMatrix(ugut)), roots)
-        alpha = tuple(rng.randint(-1000, 1000) for _ in range(n))
-        while any(sum(map(mul, alpha, r)) == 0 for r in roots):
+    for alphabet, count, sizes in ((RANDOM_BLOCKS, 48, (1, 3)), (("A1", "D4"), 16, (2, 4))):
+        for _ in range(count):
+            blocks = [rng.choice(alphabet) for _ in range(rng.randint(*sizes))]
+            gram = IntMatrix.block_diagonal([IntMatrix(_cartan_gram(b)) for b in blocks])
+            n = gram.rows
+            # the basis rows U B have the Gram U G U^T, and a vector with
+            # coordinates r over B has coordinates r V over U B
+            u, v = _random_unimodular(rng, n, 3 * n)
+            vt = IntMatrix(rat_transpose(v.entries))
+            roots = tuple(sorted(vt.mul_vec(r) for r in nonzero_short_vectors(gram, 2)))
+            ugut = rat_mul(rat_mul(u.entries, gram.entries), rat_transpose(u.entries))
+            rs = RootSet(Lattice(IntMatrix(ugut)), roots)
             alpha = tuple(rng.randint(-1000, 1000) for _ in range(n))
-        oracle = _assert_typing_matches_the_pairwise_oracle(rs, alpha)
-        assert sorted(c.label for c in oracle) == sorted(blocks)
-        labels.update(blocks)
+            while any(sum(map(mul, alpha, r)) == 0 for r in roots):
+                alpha = tuple(rng.randint(-1000, 1000) for _ in range(n))
+            oracle = _assert_typing_matches_the_pairwise_oracle(rs, alpha)
+            assert sorted(c.label for c in oracle) == sorted(blocks)
+            labels.update(blocks)
     assert labels == set(RANDOM_BLOCKS)
 
 
@@ -568,25 +584,26 @@ def _drop_simple_root(simple, coordinates, root):
 
 
 def test_indecomposable_count_check_fires_on_a_basis_one_short(monkeypatch):
-    # with the leaf D1 dropped, the other simple roots are an A3 that passes
-    # the Cartan match, and D1 is not rebuilt from its coordinates
-    message = r"positive root \(1, 0, 0, 0\) does not decompose into the simple roots"
+    # with the leaf D1 dropped, the other simple roots are an A3, one
+    # component of three nodes, which is neither summand type
+    message = "a component of 3 simple roots is neither A1 nor D4"
     with pytest.raises(RootSystemError, match=message):
         _ade_type_with_simple_roots(monkeypatch, lambda s, c: _drop_simple_root(s, c, (1, 0, 0, 0)))
 
 
 def test_indecomposable_count_check_fires_on_a_basis_one_too_many(monkeypatch):
-    # a positive root that is not simple pairs to -1 with a simple root; in
-    # any case a Gram of 5 roots in rank 4 is singular, and no Cartan matrix is
-    with pytest.raises(RootSystemError, match="simple roots pair outside"):
+    # a positive root that is not simple pairs to -1 with a simple root, so
+    # the five are one component, and a Gram of 5 roots in rank 4 is singular
+    message = "a component of 5 simple roots is neither A1 nor D4"
+    with pytest.raises(RootSystemError, match=message):
         _ade_type_with_simple_roots(monkeypatch, lambda s, c: (s + [(1, 0, 1, 0)], c))
 
 
 def test_cartan_match_fires_on_vectors_of_norm_minus_4():
-    # +-e1 of the Gram (-4) give one node with no edge, an A1 diagram whose
-    # Gram is (-4), not minus the Cartan matrix (2)
+    # +-e1 of the Gram (-4) give one node with no edge, whose Gram is (-4),
+    # not the A1 Gram (-2)
     rs = RootSet(Lattice(IntMatrix([[-4]])), ((-1,), (1,)))
-    with pytest.raises(RootSystemError, match="does not match the Cartan matrix"):
+    with pytest.raises(RootSystemError, match="a component of 1 simple roots is neither"):
         ade_type(rs, (1,))
 
 
@@ -713,7 +730,7 @@ def _expressible(lat, gens, target, limit=4):
 
 
 # ---------------------------------------------------------------------------
-# ADE classification
+# ADE classification: A1 and D4 in the package, the rest in the oracle
 # ---------------------------------------------------------------------------
 
 def _roots_of(gram_entries):
@@ -722,13 +739,16 @@ def _roots_of(gram_entries):
 
 
 def test_ade_type_a4_chain():
+    # four nodes with no fork: the size of D4, and not its Gram
     gram = [
         [-2, 1, 0, 0],
         [1, -2, 1, 0],
         [0, 1, -2, 1],
         [0, 0, 1, -2],
     ]
-    assert ade_type(*_roots_of(gram)) == ["A4"]
+    assert pairwise_root_types(*_roots_of(gram))[0].label == "A4"
+    with pytest.raises(RootSystemError, match="a component of 4 simple roots is neither"):
+        ade_type(*_roots_of(gram))
 
 
 def test_ade_type_d4():
@@ -740,11 +760,23 @@ def test_ade_type_single_root():
 
 
 def test_ade_type_e6():
-    assert ade_type(*_roots_of(_cartan_gram("E6"))) == ["E6"]
+    assert pairwise_root_types(*_roots_of(_cartan_gram("E6")))[0].label == "E6"
+    with pytest.raises(RootSystemError, match="a component of 6 simple roots is neither"):
+        ade_type(*_roots_of(_cartan_gram("E6")))
 
 
 def test_ade_type_d5():
-    assert ade_type(*_roots_of(_cartan_gram("D5"))) == ["D5"]
+    assert pairwise_root_types(*_roots_of(_cartan_gram("D5")))[0].label == "D5"
+    with pytest.raises(RootSystemError, match="a component of 5 simple roots is neither"):
+        ade_type(*_roots_of(_cartan_gram("D5")))
+
+
+@pytest.mark.parametrize("label", ["A2", "A4"])
+def test_a_component_of_neither_type_is_named_by_its_size(label):
+    n = int(label[1:])
+    with pytest.raises(RootSystemError) as raised:
+        ade_type(*_roots_of(_cartan_gram(label)))
+    assert str(raised.value) == f"a component of {n} simple roots is neither A1 nor D4"
 
 
 def test_gram_of_indecomposables_is_minus_cartan():
@@ -771,28 +803,26 @@ def _tree(edges):
 
 
 def test_non_ade_diagram_rejected():
-    from k3lat.root_systems import _diagram_order
-
     # a triangle is not a tree
     nodes = [(1,), (2,), (3,)]
     adj = {(1,): [(2,), (3,)], (2,): [(1,), (3,)], (3,): [(1,), (2,)]}
     with pytest.raises(RootSystemError, match="not a tree"):
-        _diagram_order(nodes, adj)
+        diagram_order(nodes, adj)
     # a star with four branches has a node of degree 4
     nodes = [(0,), (1,), (2,), (3,), (4,)]
     adj = {(0,): [(1,), (2,), (3,), (4,)]}
     for i in range(1, 5):
         adj[(i,)] = [(0,)]
     with pytest.raises(RootSystemError, match="degree > 3"):
-        _diagram_order(nodes, adj)
+        diagram_order(nodes, adj)
     # the affine D5 tree: two forks joined by an edge, two leaves at each
     with pytest.raises(RootSystemError, match="two fork nodes"):
-        _diagram_order(*_tree([(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)]))
+        diagram_order(*_tree([(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)]))
     # the affine E6 tree: three branches of length 2
     with pytest.raises(RootSystemError, match="branch profile is not of ADE shape"):
-        _diagram_order(*_tree([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]))
+        diagram_order(*_tree([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]))
     # the E6 tree with a branch of length 1 in place of one of them passes
-    assert _diagram_order(*_tree([(0, 1), (0, 3), (3, 4), (0, 5), (5, 6)]))[0] == "E6"
+    assert diagram_order(*_tree([(0, 1), (0, 3), (3, 4), (0, 5), (5, 6)]))[0] == "E6"
 
 
 def test_root_set_json():
