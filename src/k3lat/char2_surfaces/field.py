@@ -160,8 +160,6 @@ class BinaryField:
 
     def sqrt(self, a: int) -> int:
         """The unique square root: a^(2^(k-1))."""
-        if a == 0:
-            return 0
         return self.pow(a, 1 << (self.k - 1))
 
     def omega(self) -> int:

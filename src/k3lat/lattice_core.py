@@ -40,8 +40,6 @@ class Lattice(Frozen):
     gram: IntMatrix
 
     def __init__(self, gram: IntMatrix):
-        if not gram.is_symmetric():
-            raise LatticeError("Gram matrix must be symmetric")
         d = det(gram)
         if d == 0:
             raise LatticeError("Gram matrix must be non-degenerate")

@@ -1,16 +1,17 @@
-"""Runs Tier-1 with a line tracer in every Python process and prints each
+"""Runs Tier-1 with a line hook in every Python process and prints each
 function-body line of src/k3lat that no process ran.
 
-    python tests/line_trace.py
+    python3.12 tests/line_trace.py
 
-The tracer is a ``usercustomize`` module under a temporary
-``PYTHONUSERBASE``, so every Python process that inherits the environment
-loads it at start-up: the pytest process and the children that Tier-1
-starts with ``os.environ``, the corpus recorder of ``goldens.record()``
-among them, with nothing written into ``src``.  A child started with an
-environment of its own (``perfbench``'s, the clean-exit test's) is not
-traced.  Each traced process writes the (file, line) pairs that it ran in
-k3lat code when it exits.
+The hook is a PEP 669 ``sys.monitoring`` tool, so the script needs Python
+3.12 or later; on an older interpreter it prints one line and exits 2.  It
+is a ``usercustomize`` module under a temporary ``PYTHONUSERBASE``, so every
+Python process that inherits the environment loads it at start-up: the
+pytest process and the children that Tier-1 starts with ``os.environ``, the
+corpus recorder of ``goldens.record()`` among them, with nothing written
+into ``src``.  A child started with an environment of its own
+(``perfbench``'s, the clean-exit test's) is not traced.  Each traced process
+writes the (file, line) pairs that it ran in k3lat code when it exits.
 
 A function-body line is a line of a function's code object (``co_lines()``),
 lambdas and comprehensions included, and not of a module or class body; a
@@ -30,47 +31,41 @@ SRC = REPO / "src"
 PACKAGE = SRC / "k3lat"
 
 # imports only modules that site has loaded before it, so that the module
-# lists the corpus recorder takes are those of an untraced run
+# lists the corpus recorder takes are those of an untraced run; a code
+# object's first call turns LINE events on in it if it is k3lat code, and
+# each callback returns DISABLE, so a code location reports at most once
 TRACER = """
 import atexit, os, sys
 
 ROOT = {root!r}
 OUT = {out!r}
+mon = sys.monitoring
 inside = {{}}  # by co_filename, which may hold ".." (tests/conftest.py's path entry)
-unseen = {{}}  # by id of every code object called, kept alive in held: its k3lat lines not yet run
-held = []
 ran = set()
 
-def local(frame, event, arg):
-    if event != "line":
-        return local
-    ran.add((frame.f_code.co_filename, frame.f_lineno))
-    todo = unseen[id(frame.f_code)]
-    todo.discard(frame.f_lineno)
-    return local if todo else None  # no line left to see: stop tracing the frame
+def line(code, lineno):
+    ran.add((code.co_filename, lineno))
+    return mon.DISABLE
 
-def trace(frame, event, arg):
-    code = frame.f_code
-    todo = unseen.get(id(code))
-    if todo is None:  # the first call: a code object's hash reads all of its bytecode, so key by id
-        held.append(code)
-        todo = unseen[id(code)] = set()
-        name = code.co_filename
-        hit = inside.get(name)
-        if hit is None:
-            hit = inside[name] = os.path.realpath(name).startswith(ROOT)
-        if hit:
-            ran.add((name, code.co_firstlineno))
-            todo.update({{line for _, _, line in code.co_lines()}} - {{None, code.co_firstlineno}})
-    return local if todo else None
+def start(code, offset):  # a call runs the first line, which has no LINE event
+    name = code.co_filename
+    hit = inside.get(name)
+    if hit is None:
+        hit = inside[name] = os.path.realpath(name).startswith(ROOT)
+    if hit:
+        ran.add((name, code.co_firstlineno))
+        mon.set_local_events(mon.COVERAGE_ID, code, mon.events.LINE)
+    return mon.DISABLE
 
 def dump():
-    sys.settrace(None)
     with open(os.path.join(OUT, str(os.getpid())), "w", encoding="utf-8") as fh:
         fh.writelines(f"{{line}} {{os.path.realpath(name)}}\\n" for name, line in ran)
 
 atexit.register(dump)
-sys.settrace(trace)
+mon.use_tool_id(mon.COVERAGE_ID, "k3lat line trace")
+mon.register_callback(mon.COVERAGE_ID, mon.events.LINE, line)
+mon.register_callback(mon.COVERAGE_ID, mon.events.PY_START, start)
+mon.set_events(mon.COVERAGE_ID, mon.events.PY_START)
 """
 
 
@@ -88,6 +83,9 @@ def body_lines(path: pathlib.Path) -> set[int]:
 
 
 def main() -> int:
+    if sys.version_info < (3, 12):
+        print("tests/line_trace.py needs Python 3.12 or later (sys.monitoring)")
+        return 2
     with tempfile.TemporaryDirectory() as tmp:
         base, out = os.path.join(tmp, "base"), os.path.join(tmp, "ran")
         site = sysconfig.get_path("purelib", sysconfig.get_preferred_scheme("user"), {"userbase": base})

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from k3lat import lattice_core
-from k3lat.exact_arith import IntMatrix, invert
+from k3lat.exact_arith import ExactArithError, IntMatrix, invert
 from k3lat.lattice_core import (
     DualVector,
     Lattice,
@@ -53,8 +53,9 @@ BUILTINS = {"A1": lattice_A1, "D4": lattice_D4, "hyperbolic2": lattice_hyperboli
 
 
 def test_constructor_validation():
-    with pytest.raises(LatticeError):
-        Lattice(IntMatrix([[0, 1], [2, 0]]))  # not symmetric
+    # the symmetry check is the elimination's, which the determinant runs
+    with pytest.raises(ExactArithError, match="symmetric elimination of a non-symmetric matrix"):
+        Lattice(IntMatrix([[0, 1], [2, 0]]))
     with pytest.raises(LatticeError):
         Lattice(IntMatrix([[1, 1], [1, 1]]))  # degenerate
 
