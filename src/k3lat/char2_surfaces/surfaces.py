@@ -208,13 +208,11 @@ def is_splitting(g: HomPoly, ell: Line) -> SplittingCertificate | None:
 def scan_splitting_lines(g: HomPoly) -> list[SplittingCertificate]:
     """The certificate of every rational line whose restriction is a square.
 
-    A restriction of even degree is a square exactly when its odd
-    coefficients vanish, so the lines are those of ``_lines_where``, in
-    their order.  Each line found is checked by building its certificate
-    and multiplying it out.
+    g has even degree (the CLI scans sextics only), and a restriction of
+    even degree is a square exactly when its odd coefficients vanish, so
+    the lines are those of ``_lines_where``, in their order.  Each line
+    found is checked by building its certificate and multiplying it out.
     """
-    if g.degree % 2:  # a binary form of odd degree is never a square
-        return []
     out = []
     for l in _lines_where(g):
         cert = is_splitting(g, l)

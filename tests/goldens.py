@@ -60,8 +60,23 @@ SEEDED_INPUTS = {
     )
 }
 
+# the --recognize inputs of the failed recognitions: sparse GF(256) sextics
+# whose singular-point searches meet a gcd that is zero on all of GF(q)
+# (seed 1) and resultants whose leading coefficients vanish at a sampled
+# point (seeds 13 and 15)
+SPARSE_INPUTS = {f"sparse_k8_seed{seed}.json": seed for seed in (1, 13, 15)}
+
 # a --recognize input that is not a sextic
 QUINTIC_INPUT = "quintic_k4.json"
+
+
+def sparse_sextic(seed) -> HomPoly:
+    """A GF(256) sextic of 3 to 8 terms with nonzero coefficients, drawn by
+    random.Random(seed)."""
+    rng = random.Random(seed)
+    monomials = [(i, j, 6 - i - j) for i in range(7) for j in range(7 - i)]
+    terms = rng.sample(monomials, rng.randint(3, 8))
+    return HomPoly(BinaryField(8), 6, {m: rng.randrange(1, 256) for m in terms})
 
 
 def quintic() -> HomPoly:
@@ -151,6 +166,12 @@ RECOGNITIONS = [
     for name, (_, _, t, seed) in SEEDED_INPUTS.items()
 ]
 
+FAILED_RECOGNITIONS = [
+    Command(f"k8-sparse-recognition-seed{seed}", ["surface", "--recognize", name], 1,
+            f"surface_k8_recognize_sparse_seed{seed}.json", None)
+    for name, seed in SPARSE_INPUTS.items()
+]
+
 # one usage error of each kind, with the line it prints on stderr
 USAGE_ERRORS = [
     Command(f"usage-{kind}", argv, 2, None, f"usage_{kind.replace('-', '_')}.txt")
@@ -173,6 +194,8 @@ USAGE_ERRORS = [
         ("unreadable-recognize", ["surface", "--recognize", "no_such_file.json"]),
         ("recognize-not-a-sextic", ["surface", "--recognize", QUINTIC_INPUT]),
         ("unwritable-out", ["lattice", "--out", "no_such_dir/report.json"]),
+        # Linux's /dev/full opens for writing and fails every write
+        ("out-dev-full", ["lattice", "--out", "/dev/full"]),
         # an empty path is a path that cannot be opened, not a flag left out
         ("recognize-empty-path", ["surface", "--recognize", ""]),
         ("out-empty-path", ["lattice", "--out", ""]),
@@ -203,6 +226,7 @@ CORPUS = [
     *REPORTS,
     *TEXT_REPORTS,
     *RECOGNITIONS,
+    *FAILED_RECOGNITIONS,
     *USAGE_ERRORS,
     # the report goes to the --out file, and nothing to stdout
     Command("lattice-out", ["lattice", "--out", os.devnull], 0, None, None),
@@ -215,7 +239,7 @@ COMMANDS = {command.id: command for command in CORPUS}
 def data_files() -> list[str]:
     """Every file in tests/data that the corpus reads or compares with."""
     expected = [f for c in CORPUS for f in (c.stdout, c.stderr) if f is not None]
-    return sorted(expected + list(FRAMED_INPUTS) + list(SEEDED_INPUTS) + [QUINTIC_INPUT])
+    return sorted(expected + list(FRAMED_INPUTS) + list(SEEDED_INPUTS) + list(SPARSE_INPUTS) + [QUINTIC_INPUT])
 
 
 def seeded_frame(g, seed):
@@ -367,14 +391,15 @@ print(json.dumps({
 
 
 @functools.lru_cache(maxsize=None)
-def record() -> dict:
+def record(**env) -> dict:
     """The one run of the corpus, in a fresh process so that no memo is warm
     from an earlier test: ``RECORDER``'s output, with the runs as
-    (exit code, stdout, stderr) by command id."""
+    (exit code, stdout, stderr) by command id.  env adds to the process's
+    environment (tests/line_trace.py passes its hook's user base)."""
     proc = subprocess.run(
         [sys.executable, "-c", RECORDER, json.dumps([c.argv for c in CORPUS])],
         cwd=DATA,
-        env={**os.environ, "PYTHONPATH": SRC, "PYTHONWARNINGS": "error"},
+        env={**os.environ, "PYTHONPATH": SRC, "PYTHONWARNINGS": "error", **env},
         capture_output=True,
         text=True,
         timeout=120,

@@ -623,9 +623,12 @@ def test_scan_calls_is_splitting_once_per_reported_line(gf256, monkeypatch):
 
 
 def test_odd_degree_form_has_no_splitting_lines(gf16):
-    # is_splitting never certifies an odd-degree restriction, not even zero
+    # is_splitting never certifies an odd-degree restriction, not even zero;
+    # the scan takes even degrees only, and the lines it solves for an odd
+    # form fail their certificates
     g = HomPoly(gf16, 5, {(0, 0, 5): 1, (1, 4, 0): 3, (2, 2, 1): 5})
-    assert scan_splitting_lines(g) == []
+    with pytest.raises(SurfaceError, match="does not split"):
+        scan_splitting_lines(g)
     assert per_line_scan(g, all_lines(gf16)) == []
 
 

@@ -24,11 +24,13 @@ from goldens import (
     FRAMED_INPUTS,
     QUINTIC_INPUT,
     SEEDED_INPUTS,
+    SPARSE_INPUTS,
     as_golden,
     expected,
     framed_normal_form,
     quintic,
     record,
+    sparse_sextic,
 )
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -236,8 +238,10 @@ def test_raising_surface_case_names_the_exception_type(capsys, monkeypatch):
 
 
 def test_framed_recognition_inputs_are_their_seeded_frames():
-    # every --recognize input of the corpus, and the one that is not a sextic
+    # every --recognize input of the corpus: the framed normal forms, the
+    # sparse sextics and the one that is not a sextic
     inputs = {name: framed_normal_form(*spec) for name, spec in (FRAMED_INPUTS | SEEDED_INPUTS).items()}
+    inputs |= {name: sparse_sextic(seed) for name, seed in SPARSE_INPUTS.items()}
     inputs[QUINTIC_INPUT] = quintic()
     for name, g in inputs.items():
         with open(os.path.join(DATA, name), encoding="utf-8") as fh:
