@@ -2,13 +2,14 @@
 
 Elements are Python ints holding the coefficient bits of a residue modulo a
 fixed irreducible polynomial.  Multiplication runs on log/antilog tables:
-``log[a]`` is the discrete logarithm of a nonzero a to the generator, and
-the antilog table ``exp`` is stored twice over, with length 2(q - 1), so
-that ``exp[log[a] + log[b]]`` is the product of two nonzero elements with
-no reduction modulo q - 1.  The polynomial kernels in ``upoly``, ``poly``
-and ``surfaces`` read both tables directly and add logs in their inner
-loops.  Square roots are exact (the Frobenius is bijective), and the
-shipped moduli are pinned per degree for reproducible test vectors:
+``log[a]`` is the discrete logarithm of a nonzero a to the generator
+``exp[1]``, and the antilog table ``exp`` is stored twice over, with
+length 2(q - 1), so that ``exp[log[a] + log[b]]`` is the product of two
+nonzero elements with no reduction modulo q - 1.  The polynomial kernels
+in ``upoly``, ``poly`` and ``surfaces`` read both tables directly and add
+logs in their inner loops.  Square roots are exact (the Frobenius is
+bijective), and the shipped moduli are pinned per degree for reproducible
+test vectors:
 
     k = 2:  x^2 + x + 1          (0b111)
     k = 4:  x^4 + x + 1          (0b10011)
@@ -72,6 +73,8 @@ def _is_irreducible(modulus: int, k: int) -> bool:
 class BinaryField:
     """GF(2^k) with a fixed modulus and log/antilog multiplication tables."""
 
+    __slots__ = ("k", "modulus", "q", "exp", "log")
+
     def __init__(self, k: int, modulus: int | None = None):
         if not 1 <= k <= _MAX_K:
             raise FieldError(f"extension degree must be in 1..{_MAX_K}")
@@ -106,7 +109,6 @@ class BinaryField:
                     log[v] = i
                 self.exp = exp + exp
                 self.log = log
-                self.generator = g
                 return
 
     def __eq__(self, other) -> bool:

@@ -16,7 +16,6 @@ by the two other D4 points, and the parameter t is returned.
 from __future__ import annotations
 
 from ..configuration import LINES, P_LABELS, Q_LABELS
-from ..frozen import Frozen
 from .field import BinaryField
 from .poly import HomPoly
 from .surfaces import (
@@ -200,13 +199,8 @@ def recognize_normal_form(g: HomPoly, frame) -> int:
     return t
 
 
-class RecognitionResult(Frozen):
-    __slots__ = ("t",)
-    t: int
-
-
-def recognize_surface(g: HomPoly) -> RecognitionResult:
-    """Full pipeline: singular points, labeling, frame, normal-form parameter.
+def recognize_surface(g: HomPoly) -> int:
+    """Full pipeline: singular points, labeling, frame, normal-form parameter t.
 
     The parameter read from the coefficients must agree with the anchors:
     the frame takes p(01) to (0, t, 1) and p(11) to (1, t, 1).  Only a
@@ -215,10 +209,10 @@ def recognize_surface(g: HomPoly) -> RecognitionResult:
     if g.degree != 6:
         raise RecognitionError(f"only sextics are recognized, not degree {g.degree}")
     f = g.field
-    report = analyze_singularities(g)
-    d4 = report.of_type("D4")
-    a1 = report.of_type("A1")
-    if len(d4) != 4 or len(a1) != 5 or len(report.points) != 9:
+    types = analyze_singularities(g)
+    d4 = [p for p, typ in types.items() if typ == "D4"]
+    a1 = [p for p, typ in types.items() if typ == "A1"]
+    if len(d4) != 4 or len(a1) != 5 or len(types) != 9:
         raise RecognitionError("surface does not carry the nine-point configuration")
     pts = label_configuration(f, d4, a1, [c.line for c in scan_splitting_lines(g)])
     frame = normalize_frame(
@@ -228,4 +222,4 @@ def recognize_surface(g: HomPoly) -> RecognitionResult:
     images = [normalize_point(f, _mat_vec(f, frame, pts[p])) for p in ("p(01)", "p(11)")]
     if images != [(0, t, 1), (1, t, 1)]:
         raise RecognitionError("coefficient parameter disagrees with the anchor position")
-    return RecognitionResult(t=t)
+    return t

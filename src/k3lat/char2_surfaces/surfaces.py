@@ -411,26 +411,18 @@ def classify_singularity(g: HomPoly, p: Point) -> str:
 MILNOR = {"A1": 1, "D4": 4}
 
 
-class SingularityReport(Frozen):
-    __slots__ = ("points",)
-    points: tuple[tuple[Point, str], ...]
-
-    @property
-    def total_milnor(self) -> int | None:
-        total = 0
-        for _, t in self.points:
-            if t not in MILNOR:
-                return None
-            total += MILNOR[t]
-        return total
-
-    def of_type(self, t: str) -> list[Point]:
-        return [p for p, typ in self.points if typ == t]
+def total_milnor(types: dict[Point, str]) -> int | None:
+    """The sum of the Milnor numbers of the typed points; None when a point
+    is of neither type."""
+    try:
+        return sum(MILNOR[t] for t in types.values())
+    except KeyError:
+        return None
 
 
-def analyze_singularities(g: HomPoly) -> SingularityReport:
-    pts = singular_points(g)
-    return SingularityReport(tuple((p, classify_singularity(g, p)) for p in pts))
+def analyze_singularities(g: HomPoly) -> dict[Point, str]:
+    """The type of each singular point, by point in ``singular_points`` order."""
+    return {p: classify_singularity(g, p) for p in singular_points(g)}
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +480,9 @@ def table_lines(field: BinaryField, r: int, s: int) -> dict[str, Line]:
 
 
 class ConfigurationReport(Frozen):
-    __slots__ = ("findings", "report", "certificates")
+    __slots__ = ("findings", "types", "certificates")
     findings: tuple[str, ...]
-    report: SingularityReport
+    types: dict[Point, str]
     certificates: tuple[SplittingCertificate, ...]
 
 
@@ -511,11 +503,11 @@ def verify_configuration(field: BinaryField, r: int, s: int) -> ConfigurationRep
     f = field
     g = schroeer_sextic(f, r, s)
     findings: list[str] = []
-    report = analyze_singularities(g)
-    d4 = report.of_type("D4")
-    a1 = report.of_type("A1")
-    if len(report.points) != 9:
-        findings.append(f"expected 9 singular points, found {len(report.points)}")
+    types = analyze_singularities(g)
+    d4 = [p for p, t in types.items() if t == "D4"]
+    a1 = [p for p, t in types.items() if t == "A1"]
+    if len(types) != 9:
+        findings.append(f"expected 9 singular points, found {len(types)}")
     if len(d4) != 4 or len(a1) != 5:
         findings.append(f"expected 4 D4 + 5 A1, found {len(d4)} D4 + {len(a1)} A1")
 
@@ -538,4 +530,4 @@ def verify_configuration(field: BinaryField, r: int, s: int) -> ConfigurationRep
     n_lines = 7 if on_cube_locus(f, r, s) else 5
     if not findings and len(split_lines) != n_lines:
         findings.append(f"expected {n_lines} splitting lines, found {len(split_lines)}")
-    return ConfigurationReport(findings=tuple(findings), report=report, certificates=certificates)
+    return ConfigurationReport(findings=tuple(findings), types=types, certificates=certificates)

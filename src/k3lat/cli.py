@@ -24,6 +24,7 @@ from .char2_surfaces.surfaces import (
     on_cube_locus,
     schroeer_sextic,
     table_points,
+    total_milnor,
     verify_configuration,
 )
 from .configuration import DIAGONAL_FORKS, L_LABELS, point_labels
@@ -56,6 +57,8 @@ EXIT_USAGE = 2
 
 
 class Checks:
+    __slots__ = ("results", "timing")
+
     def __init__(self):
         self.results = []
         self.timing = {}
@@ -229,15 +232,14 @@ def _sample_pairs(field: BinaryField, count: int, seed: int) -> list[tuple[int, 
 def _surface_case(field: BinaryField, r: int, s: int) -> tuple[bool, dict]:
     conf = verify_configuration(field, r, s)
     named = table_points(field, r, s)
-    types = dict(conf.report.points)
     witness = {
         "r": format(r, "x"),
         "s": format(s, "x"),
         "points": {
-            label: {"coords": [format(c, "x") for c in p], "type": types.get(p, "missing")}
+            label: {"coords": [format(c, "x") for c in p], "type": conf.types.get(p, "missing")}
             for label, p in sorted(named.items())
         },
-        "milnor": conf.report.total_milnor,
+        "milnor": total_milnor(conf.types),
         "splitting_lines": [[format(c, "x") for c in cert.line] for cert in conf.certificates],
         "certificates": [
             {
@@ -325,8 +327,7 @@ def cmd_surface(g: HomPoly | None, family, checks: Checks) -> None:
     if g is not None:
         # recognition reads its field from the file
         def recog():
-            res = recognize_surface(g)
-            return True, {"t": format(res.t, "x")}
+            return True, {"t": format(recognize_surface(g), "x")}
 
         checks.run("recognize", recog)
         return

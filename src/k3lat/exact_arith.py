@@ -37,22 +37,13 @@ def _freeze_int(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
 class IntMatrix(Frozen):
     """Immutable integer matrix, row-major."""
 
-    # _elimination: the steps of symmetric_elimination, _columns: the nonzero
-    # entries of each column, and _hash: the hash of the entries, all kept on
-    # first use
-    __slots__ = ("entries", "_elimination", "_columns", "_hash")
+    # _elimination: the steps of symmetric_elimination, and _columns: the
+    # nonzero entries of each column, both kept on first use
+    __slots__ = ("entries", "_elimination", "_columns")
     entries: tuple[tuple[int, ...], ...]
 
     def __init__(self, entries: Iterable[Iterable[int]]):
         object.__setattr__(self, "entries", _freeze_int(entries))
-
-    def __hash__(self) -> int:
-        """Frozen's hash, kept: memos keyed on a lattice hash its Gram per lookup."""
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", Frozen.__hash__(self))
-            return self._hash
 
     @property
     def rows(self) -> int:

@@ -35,24 +35,22 @@ class LatticeError(ValueError):
 
 
 class Lattice(Frozen):
-    # _det is set by the constructor, _dual_basis on first use
-    __slots__ = ("gram", "_det", "_dual_basis")
+    # _dual_basis is set on first use
+    __slots__ = ("gram", "_dual_basis")
     gram: IntMatrix
 
     def __init__(self, gram: IntMatrix):
-        d = det(gram)
-        if d == 0:
+        if det(gram) == 0:
             raise LatticeError("Gram matrix must be non-degenerate")
         object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "_det", d)
 
     @property
     def rank(self) -> int:
         return self.gram.rows
 
     def det(self) -> int:
-        """Determinant of the Gram, computed once by the constructor."""
-        return self._det
+        """Determinant of the Gram, read off the elimination kept on it."""
+        return det(self.gram)
 
     def inertia(self) -> tuple[int, int, int]:
         """Signature counts of the Gram, read off the elimination kept on it."""

@@ -265,19 +265,21 @@ def framed_normal_form(k, modulus, t, seed):
 # own and lists sys.modules before that import, after it and after the
 # corpus. A profile hook keeps the code object of every Python call, and
 # every public __slots__ name of a k3lat class (every field of a value type
-# or record) becomes a property that counts its reads and passes gets and
-# sets to the original descriptor. A read made in frozen.py or by the
-# recorder is not counted: Frozen's _key (behind __eq__ and __hash__) and
-# __repr__ read every field of every record they see. During the first
-# command only, which runs with every memo cold, the hook also counts the
-# inverses and the symmetric eliminations by matrix, the glue vectors built
-# by name, the G v products by matrix (those by the sigma = 2 Gram, rebuilt
-# after the corpus with the hook off, under "sigma2") and the coset
-# enumerations by (Gram, bound, coset) and by rank. Prints the exit code and
-# the two streams of each command, the three module lists, the (file, first
-# line) of each k3lat code object that ran, the read count of each field,
-# the counts, and whether the collector is on and how many more objects are
-# frozen once every command has run than before the first.
+# or record, and every attribute of a class that holds state) becomes a
+# property that passes gets and sets to the original descriptor until the
+# field's first counted read, which puts the descriptor back. A read made in
+# frozen.py or by the recorder is not counted: Frozen's _key (behind __eq__
+# and __hash__) and __repr__ read every field of every record they see.
+# During the first command only, which runs with every memo cold, the hook
+# also counts the inverses and the symmetric eliminations by matrix, the
+# glue vectors built by name, the G v products by matrix (those by the
+# sigma = 2 Gram, rebuilt after the corpus with the hook off, under "sigma2") and
+# the coset enumerations by (Gram, bound, coset) and by rank. Prints the
+# exit code and the two streams of each command, the three module lists, the
+# (file, first line) of each k3lat code object that ran, whether each field
+# was read (1 or 0), the counts, and whether the collector is on and how
+# many more objects are frozen once every command has run than before the
+# first.
 RECORDER = r"""
 import sys
 before = sorted(sys.modules)
@@ -301,12 +303,16 @@ for folder, _, files in os.walk(root):
 uncounted = {frozen.__file__, sys._getframe().f_code.co_filename}
 reads = {}
 
-def counted(label, descriptor):
+def counted(label, cls, field):
+    # the guard asks only whether a field is read, so the first counted read
+    # puts the slot descriptor back and the later ones cost nothing
+    descriptor = vars(cls)[field]
     reads[label] = 0
 
     def get(obj):
         if sys._getframe(1).f_code.co_filename not in uncounted:
-            reads[label] += 1
+            reads[label] = 1
+            setattr(cls, field, descriptor)
         return descriptor.__get__(obj, type(obj))
 
     return property(get, descriptor.__set__)
@@ -320,7 +326,7 @@ for name, module in sorted(sys.modules.items()):
         fields = [slot for slot in vars(cls).get("__slots__", ()) if slot[0] != "_"]
         for field in fields:
             label = f"{name.removeprefix('k3lat.')}.{cls.__qualname__}.{field}"
-            setattr(cls, field, counted(label, vars(cls)[field]))
+            setattr(cls, field, counted(label, cls, field))
 
 first = {}
 

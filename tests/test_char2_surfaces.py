@@ -11,7 +11,6 @@ from k3lat.char2_surfaces.poly import HomPoly
 from k3lat.char2_surfaces.recognize import RecognitionError, apply_frame, normal_form_sextic, recognize_surface
 from k3lat.char2_surfaces.upoly import trim
 from k3lat.char2_surfaces.surfaces import (
-    SingularityReport,
     SplittingCertificate,
     SurfaceError,
     analyze_singularities,
@@ -28,6 +27,7 @@ from k3lat.char2_surfaces.surfaces import (
     singular_points,
     table_lines,
     table_points,
+    total_milnor,
     verify_configuration,
 )
 from surface_oracles import all_lines, evaluate, pencil_walk_lines, pencil_walk_scan, per_x_singular_points
@@ -68,7 +68,7 @@ def test_even_exponent_partial_dies(gf16):
 
 def test_singular_points_match_table(gf16):
     f = gf16
-    r, s = 1, f.generator  # s outside GF(4) inside GF(16)
+    r, s = 1, f.exp[1]  # s outside GF(4) inside GF(16)
     g = schroeer_sextic(f, r, s)
     pts = singular_points(g)
     assert len(pts) == 9
@@ -82,7 +82,7 @@ def test_singular_points_match_slow_oracle(gf16):
     generic = HomPoly(
         f, 6, {(5, 1, 0): 1, (1, 5, 0): 1, (0, 1, 5): 3, (2, 3, 1): 7, (1, 1, 4): 9}
     )
-    for g in (schroeer_sextic(f, 2, f.generator), generic):
+    for g in (schroeer_sextic(f, 2, f.exp[1]), generic):
         parts = [g.partial(v) for v in range(3)]
         slow = [p for p in all_points(f) if all(evaluate(q, p) == 0 for q in parts)]
         assert sorted(singular_points(g)) == sorted(slow)
@@ -113,19 +113,18 @@ def test_classification_local_models(gf16):
 
 def test_classification_of_family_points(gf16):
     f = gf16
-    r, s = 1, f.generator
+    r, s = 1, f.exp[1]
     g = schroeer_sextic(f, r, s)
     named = table_points(f, r, s)
     for label, p in named.items():
         expected = "D4" if label.startswith("p") else "A1"
         assert classify_singularity(g, p) == expected
-    report = analyze_singularities(g)
-    assert report.total_milnor == 21
+    assert total_milnor(analyze_singularities(g)) == 21
 
 
 def test_five_standard_lines_split_with_certificates(gf16):
     f = gf16
-    r, s = 1, f.generator
+    r, s = 1, f.exp[1]
     g = schroeer_sextic(f, r, s)
     for name, l in table_lines(f, r, s).items():
         cert = is_splitting(g, l)
@@ -161,7 +160,7 @@ def test_fork_line_certificate_shape(gf16):
 )
 def test_is_splitting_rejects_a_certificate_that_does_not_verify(gf16, monkeypatch, line, error, match):
     f = gf16
-    g = schroeer_sextic(f, 1, f.generator)
+    g = schroeer_sextic(f, 1, f.exp[1])
     ell = scan_splitting_lines(g)[0].line if line is None else line
     monkeypatch.setattr(surfaces.SplittingCertificate, "verify", lambda self, g: False)
     with pytest.raises(error, match=match):
@@ -174,17 +173,17 @@ def test_is_splitting_rejects_a_certificate_that_does_not_verify(gf16, monkeypat
 
 def test_diagonal_line_does_not_split(gf16):
     f = gf16
-    s = f.generator
+    s = f.exp[1]
     g = schroeer_sextic(f, 1, s)
     assert is_splitting(g, (1, 1, 0)) is None
 
 
 def test_full_configuration_gf16(gf16):
     f = gf16
-    r, s = 1, f.generator
+    r, s = 1, f.exp[1]
     conf = verify_configuration(f, r, s)
     assert not conf.findings, conf.findings
-    assert conf.report.total_milnor == 21
+    assert total_milnor(conf.types) == 21
     lines = [cert.line for cert in conf.certificates]
     assert len(lines) == 5
     assert set(lines) == set(table_lines(f, r, s).values())
@@ -194,7 +193,7 @@ def test_full_configuration_gf16(gf16):
 
 def test_full_scan_gf256_finds_exactly_five_lines():
     f = BinaryField(8)
-    r, s = 1, f.generator
+    r, s = 1, f.exp[1]
     conf = verify_configuration(f, r, s)
     assert not conf.findings, conf.findings
     lines = [cert.line for cert in conf.certificates]
@@ -222,7 +221,7 @@ def test_extra_line_when_cubes_match(gf16):
     from k3lat.char2_surfaces.surfaces import normalize_point, point_on_line
 
     qc = normalize_point(f, (1, w, 0))
-    assert qc in [p for p, t in conf.report.points if t == "A1"]
+    assert conf.types[qc] == "A1"
     assert point_on_line(f, qc, m)
 
 
@@ -252,16 +251,16 @@ def test_an_a1_point_off_the_a1_line_is_a_moved_labeled_point(gf16, monkeypatch)
     # the five A1 points must be the table's q(c), all on L(inf): a found A1
     # point off that line is therefore reported by the coordinate check
     f = gf16
-    r, s = 1, f.generator
+    r, s = 1, f.exp[1]
     q_one = table_points(f, r, s)["q(1)"]
     off = (1, 1, 1)
     assert not point_on_line(f, off, table_lines(f, r, s)["L(inf)"])
     real = surfaces.analyze_singularities
 
     def moved(g):
-        points = real(g).points
-        assert (q_one, "A1") in points and off not in (p for p, _ in points)
-        return SingularityReport(tuple((off if p == q_one else p, t) for p, t in points))
+        types = real(g)
+        assert types[q_one] == "A1" and off not in types
+        return {off if p == q_one else p: t for p, t in types.items()}
 
     monkeypatch.setattr(surfaces, "analyze_singularities", moved)
     conf = verify_configuration(f, r, s)
@@ -334,7 +333,7 @@ def test_quintic_transversality_matches_classification(gf16):
     # points on a splitting line are nodes exactly when the certificate
     # quintic meets the line simply there
     f = gf16
-    r, s = 1, f.generator
+    r, s = 1, f.exp[1]
     g = schroeer_sextic(f, r, s)
     singular = set(singular_points(g))
     for name, l in table_lines(f, r, s).items():
@@ -566,7 +565,7 @@ def test_singular_points_k16_budget(gf65536, framed):
     assert time.perf_counter() - start <= 0.1
     assert len(pts) == 9
     if framed:
-        assert recognize_surface(g).t == 0x123
+        assert recognize_surface(g) == 0x123
     else:
         assert set(pts) == set(table_points(f, 3, 5).values())
 
@@ -633,7 +632,7 @@ def test_odd_degree_form_has_no_splitting_lines(gf16):
 
 
 def test_scan_raises_when_a_pencil_root_does_not_split(gf16, monkeypatch):
-    g = schroeer_sextic(gf16, 1, gf16.generator)
+    g = schroeer_sextic(gf16, 1, gf16.exp[1])
     monkeypatch.setattr(surfaces, "is_splitting", lambda g, ell: None)
     with pytest.raises(SurfaceError, match="does not split"):
         scan_splitting_lines(g)

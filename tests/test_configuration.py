@@ -187,9 +187,10 @@ def configurations(labeling_inputs):
     """(field, D4 points, A1 points, splitting lines) of each labeling case."""
     out = {}
     for case, g in labeling_inputs.items():
-        report = analyze_singularities(g)
+        types = analyze_singularities(g)
         lines = [cert.line for cert in scan_splitting_lines(g)]
-        out[case] = (g.field, report.of_type("D4"), report.of_type("A1"), lines)
+        d4, a1 = ([p for p, t in types.items() if t == typ] for typ in ("D4", "A1"))
+        out[case] = (g.field, d4, a1, lines)
     return out
 
 

@@ -221,6 +221,39 @@ def test_every_public_function_has_a_caller_in_src():
     assert sorted(not_run) == []
 
 
+def _assigns_to_self(fn: ast.AST) -> bool:
+    """Whether fn sets an attribute of self, as self.x = ... or
+    object.__setattr__(self, ...)."""
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            target = node.value
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__":
+            target = node.args[0] if node.args else None
+        else:
+            continue
+        if isinstance(target, ast.Name) and target.id == "self":
+            return True
+    return False
+
+
+def test_every_class_that_holds_state_declares_slots():
+    # the field guard below wraps the __slots__ names, so an attribute kept in
+    # an instance __dict__ would escape it
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            declared = any(
+                isinstance(node, ast.Assign) and "__slots__" in map(ast.unparse, node.targets)
+                for node in cls.body
+            )
+            methods = [node for node in cls.body if isinstance(node, ast.FunctionDef)]
+            if not declared and any(map(_assigns_to_self, methods)):
+                offenders.append(f"{path.relative_to(PACKAGE)}:{cls.lineno} {cls.name}")
+    assert offenders == []
+
+
 def test_every_record_field_is_read_in_src():
     # by execution: every record field is read under the command corpus
     reads = _cli_traffic_record()["reads"]

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from k3lat import lattice_core
+from k3lat import exact_arith, lattice_core
 from k3lat.exact_arith import ExactArithError, IntMatrix, invert
 from k3lat.lattice_core import (
     DualVector,
@@ -373,14 +373,15 @@ def test_ratio_prints_what_fraction_prints():
 
 
 def test_det_is_computed_once_per_lattice(monkeypatch):
+    # the determinant is the last pivot of the one elimination kept on the Gram
     calls = []
-    real = lattice_core.det
+    real = exact_arith._eliminate
 
     def counting(m):
         calls.append(m)
         return real(m)
 
-    monkeypatch.setattr(lattice_core, "det", counting)
+    monkeypatch.setattr(exact_arith, "_eliminate", counting)
     lat = Lattice(IntMatrix([[-2, 1], [1, -2]]))
     assert [lat.det() for _ in range(3)] == [3, 3, 3]
     assert elementary_factors(lat) is None  # discriminant Z/3
